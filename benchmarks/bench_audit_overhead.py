@@ -14,7 +14,7 @@ import time
 from conftest import heading
 
 from repro.core.pmsb import PmsbMarker
-from repro.net.topology import single_bottleneck
+from repro.net.topology import TopologySpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.audit import FabricAuditor
 from repro.sim.engine import Simulator
@@ -25,8 +25,8 @@ from repro.transport.flow import Flow
 def _build(audit: bool):
     sim = Simulator()
     auditor = FabricAuditor(sim) if audit else None
-    network = single_bottleneck(
-        sim, 9, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
+    network = TopologySpec("single-bottleneck", senders=9).build(
+        sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
     if auditor is not None:
         auditor.attach_network(network)
     for i in range(9):

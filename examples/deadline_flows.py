@@ -13,7 +13,7 @@ Run:  python examples/deadline_flows.py
 """
 
 from repro import (DctcpConfig, DwrrScheduler, Flow, PmsbMarker, Simulator,
-                   open_flow, single_bottleneck)
+                   TopologySpec, open_flow)
 from repro.metrics.fct import FctCollector
 from repro.transport.d2tcp import D2tcpSender
 from repro.transport.dctcp import DctcpSender
@@ -29,12 +29,10 @@ LOOSE_DEADLINE = 100e-3
 def run(sender_class, label):
     n_flows = N_TIGHT + N_LOOSE
     sim = Simulator()
-    network = single_bottleneck(
-        sim, n_flows,
-        scheduler_factory=lambda: DwrrScheduler(2),
+    network = TopologySpec("single-bottleneck", senders=n_flows).build(
+        sim, scheduler_factory=lambda: DwrrScheduler(2),
         marker_factory=lambda: PmsbMarker(port_threshold_packets=65),
-        link_rate=LINK_RATE,
-    )
+        link_rate=LINK_RATE)
     collector = FctCollector()
     tight_ids = set()
     for sender in range(n_flows):

@@ -55,12 +55,13 @@ def main():
     print("fig9: RTT distributions by scheme ...")
     from repro.experiments.scenario import make_scheme, run_incast, incast_flows
     from repro.scheduling.dwrr import DwrrScheduler
+    from repro.store import RunConfig
     for name in ("pmsb", "pmsb-e", "tcn", "per-queue-standard"):
         scheme = make_scheme(name, n_queues=2, port_threshold_packets=12,
                              tcn_threshold=39e-6)
         result = run_incast(scheme, lambda: DwrrScheduler(2),
-                            incast_flows([1, 4]), duration=0.02,
-                            record_rtt=True)
+                            incast_flows([1, 4]), record_rtt=True,
+                            config=RunConfig(duration=0.02))
         samples = result.rtt_samples(queue_index=1)
         xs, ps = empirical_cdf(samples[len(samples) // 3:])
         slug = name.replace("-", "_")

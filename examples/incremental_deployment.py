@@ -12,8 +12,8 @@ Run:  python examples/incremental_deployment.py
 """
 
 from repro import (DctcpConfig, DwrrScheduler, Flow, PerPortMarker,
-                   RttEcnFilter, Simulator, ThroughputMeter, open_flow,
-                   single_bottleneck)
+                   RttEcnFilter, Simulator, ThroughputMeter, TopologySpec,
+                   open_flow)
 
 LINK_RATE = 10e9
 DURATION = 0.03
@@ -24,14 +24,12 @@ N_OTHERS = 8
 
 def run(upgraded_senders):
     sim = Simulator()
-    network = single_bottleneck(
-        sim, 1 + N_OTHERS,
-        scheduler_factory=lambda: DwrrScheduler(2),
+    network = TopologySpec("single-bottleneck", senders=1 + N_OTHERS).build(
+        sim, scheduler_factory=lambda: DwrrScheduler(2),
         marker_factory=lambda: PerPortMarker(PORT_THRESHOLD),
-        link_rate=LINK_RATE,
-    )
+        link_rate=LINK_RATE)
     meter = ThroughputMeter(sim, bin_width=1e-3)
-    meter.attach_port(network.bottleneck_port)
+    meter.attach_port(network.observed_ports("bottleneck")[0])
 
     receiver = network.hosts[-1].host_id
     handles = []

@@ -15,7 +15,7 @@ from collections import defaultdict
 
 from repro import (DctcpConfig, DwrrScheduler, FctCollector, PAPER_MIX,
                    PmsbMarker, PoissonFlowGenerator, Simulator,
-                   leaf_spine, make_rng, open_flow, summarize)
+                   TopologySpec, make_rng, open_flow, summarize)
 
 LINK_RATE = 10e9
 N_SERVICES = 8
@@ -29,13 +29,11 @@ def main():
           f"load {load:.1f}, PMSB marking")
 
     sim = Simulator()
-    network = leaf_spine(
-        sim,
-        scheduler_factory=lambda: DwrrScheduler(N_SERVICES),
+    network = TopologySpec(
+        "leaf-spine", n_leaf=2, n_spine=2, hosts_per_leaf=4).build(
+        sim, scheduler_factory=lambda: DwrrScheduler(N_SERVICES),
         marker_factory=lambda: PmsbMarker(port_threshold_packets=12),
-        n_leaf=2, n_spine=2, hosts_per_leaf=4,
-        link_rate=LINK_RATE,
-    )
+        link_rate=LINK_RATE)
 
     rng = make_rng(42)
     generator = PoissonFlowGenerator(

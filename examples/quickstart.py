@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (DwrrScheduler, Flow, PerPortMarker, PmsbMarker, Simulator,
-                   ThroughputMeter, open_flow, single_bottleneck)
+                   ThroughputMeter, TopologySpec, open_flow)
 
 LINK_RATE = 10e9
 DURATION = 0.03
@@ -20,15 +20,12 @@ PORT_THRESHOLD = 16  # packets
 
 def run_scenario(marker_factory, label):
     sim = Simulator()
-    network = single_bottleneck(
-        sim,
-        n_senders=1 + N_QUEUE2_FLOWS,
-        scheduler_factory=lambda: DwrrScheduler(2),
-        marker_factory=marker_factory,
-        link_rate=LINK_RATE,
-    )
+    network = TopologySpec(
+        "single-bottleneck", senders=1 + N_QUEUE2_FLOWS).build(
+        sim, scheduler_factory=lambda: DwrrScheduler(2),
+        marker_factory=marker_factory, link_rate=LINK_RATE)
     meter = ThroughputMeter(sim, bin_width=1e-3)
-    meter.attach_port(network.bottleneck_port)
+    meter.attach_port(network.observed_ports("bottleneck")[0])
 
     receiver = network.hosts[-1].host_id
     # Sender 0 alone in queue 0; senders 1..8 share queue 1.
@@ -40,7 +37,7 @@ def run_scenario(marker_factory, label):
 
     q0 = meter.average_bps(0, DURATION / 3, DURATION) / 1e9
     q1 = meter.average_bps(1, DURATION / 3, DURATION) / 1e9
-    marker = network.bottleneck_port.marker
+    marker = network.observed_ports("bottleneck")[0].marker
     print(f"\n{label}")
     print(f"  queue 1 (1 flow):  {q0:5.2f} Gbps")
     print(f"  queue 2 (8 flows): {q1:5.2f} Gbps")

@@ -13,6 +13,7 @@ from repro.experiments.scenario import (incast_flows, make_scheme,
                                         run_incast)
 from repro.metrics.stats import summarize
 from repro.scheduling.dwrr import DwrrScheduler
+from repro.store import RunConfig
 
 SCHEMES = (
     "per-queue-standard",
@@ -37,7 +38,7 @@ def main():
                              rtt_threshold=40e-6)
         result = run_incast(
             scheme, lambda: DwrrScheduler(2), incast_flows([1, 8]),
-            duration=DURATION, record_rtt=True,
+            record_rtt=True, config=RunConfig(duration=DURATION),
         )
         q0, q1 = result.queue_gbps[0], result.queue_gbps[1]
         fair = (q0 + q1) / 2

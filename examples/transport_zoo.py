@@ -14,7 +14,7 @@ Run:  python examples/transport_zoo.py
 import numpy as np
 
 from repro import (DctcpConfig, DwrrScheduler, Flow, PmsbMarker, Simulator,
-                   ThroughputMeter, single_bottleneck)
+                   ThroughputMeter, TopologySpec)
 from repro.transport.classic_ecn import ClassicEcnSender
 from repro.transport.d2tcp import D2tcpSender
 from repro.transport.dcqcn import open_dcqcn_flow
@@ -29,14 +29,12 @@ DURATION = 0.04
 
 def build():
     sim = Simulator()
-    network = single_bottleneck(
-        sim, N_FLOWS,
-        scheduler_factory=lambda: DwrrScheduler(2),
+    network = TopologySpec("single-bottleneck", senders=N_FLOWS).build(
+        sim, scheduler_factory=lambda: DwrrScheduler(2),
         marker_factory=lambda: PmsbMarker(port_threshold_packets=16),
-        link_rate=LINK_RATE,
-    )
+        link_rate=LINK_RATE)
     meter = ThroughputMeter(sim, bin_width=1e-3)
-    meter.attach_port(network.bottleneck_port)
+    meter.attach_port(network.observed_ports("bottleneck")[0])
     return sim, network, meter
 
 
@@ -44,7 +42,7 @@ def measure(sim, network, meter, rtt_sources):
     sim.run(until=DURATION)
     total = sum(
         meter.average_bps(q, DURATION / 2, DURATION)
-        for q in range(network.bottleneck_port.n_queues)
+        for q in range(network.observed_ports("bottleneck")[0].n_queues)
     ) / 1e9
     samples = []
     for source in rtt_sources:
@@ -52,7 +50,7 @@ def measure(sim, network, meter, rtt_sources):
         if values:
             samples.extend(values[len(values) // 2:])
     rtt_p99 = np.percentile(samples, 99) * 1e6 if samples else float("nan")
-    marked = network.bottleneck_port.marker.packets_marked
+    marked = network.observed_ports("bottleneck")[0].marker.packets_marked
     return total, rtt_p99, marked
 
 

@@ -72,9 +72,6 @@ from .net import (
     Port,
     Switch,
     TopologySpec,
-    fat_tree,
-    leaf_spine,
-    single_bottleneck,
 )
 from .scheduling import (
     DwrrScheduler,
@@ -158,15 +155,12 @@ __all__ = [
     "WrrScheduler",
     "bdp_packets",
     "capability_table",
-    "fat_tree",
     "fractional_thresholds",
-    "leaf_spine",
     "make_rng",
     "open_flow",
     "open_flows",
     "port_threshold_lower_bound",
     "queue_threshold_lower_bound",
-    "single_bottleneck",
     "standard_thresholds",
     "summarize",
 ]

@@ -49,6 +49,7 @@ from .experiments import (ablations, analysis_validation, autotune, chaos,
                           extensions, largescale, marking_point, motivation,
                           sharedbuf, static_flows, xscale)
 from .experiments.scale import BENCH, PAPER, TINY
+from .experiments.scenario import check_compatibility
 from .metrics.export import rows_to_csv, to_json
 from .metrics.fct import SizeClass
 from .net.sharedbuf import SharedBufferSpec, set_shared_buffer_default
@@ -959,6 +960,15 @@ def _dispatch(argv: Optional[List[str]]) -> int:
             resolved.append((spec_flag, spec_flag.resolve(args)))
         except ValueError as exc:
             parser.error(f"{spec_flag.flag}: {exc}")
+    flags = {spec_flag.dest: value for spec_flag, value in resolved}
+    try:
+        check_compatibility(
+            trains=(args.trains or 1) > 1, shards=(args.shards or 1) > 1,
+            faults=bool(flags["faults"]),
+            controller=flags["controller"] is not None,
+            profile_events=getattr(args, "profile_events", False))
+    except ValueError as exc:
+        parser.error(str(exc))
     audit_on = getattr(args, "audit", False)
     # Flip the process-wide defaults so every simulation the command
     # builds — including ones created deep inside experiment helpers —

@@ -32,8 +32,7 @@ from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
 from ..scheduling.dwrr import DwrrScheduler
 from ..sim.faults import FaultSpec, loss_spec
 from ..store.runstore import RunStore, make_provenance
-from ..store.spec import (ExperimentSpec, RunConfig, UNSET,
-                          resolve_run_config)
+from ..store.spec import ExperimentSpec, RunConfig
 from ..net.topology import TopologySpec
 from . import largescale
 from .largescale import (FctRow, resolve_fct_topology, run_fct_point,
@@ -104,8 +103,9 @@ def _incast_under_loss(
     port_threshold: float,
     link_rate: float,
     fault_seed: int,
-    config: RunConfig,
+    config: Optional[RunConfig],
 ) -> ChaosVictimRow:
+    config = config or RunConfig()
     duration = config.duration if config.duration is not None else 0.04
     scheme = make_scheme(
         scheme_name, link_rate=link_rate, n_queues=2,
@@ -141,8 +141,6 @@ def chaos_victim(
     port_threshold: float = 16.0,
     link_rate: float = 10e9,
     fault_seed: int = 1,
-    duration: float = UNSET,
-    audit: Optional[bool] = UNSET,
     config: Optional[RunConfig] = None,
 ) -> ChaosVictimRow:
     """Fig. 3's 1-vs-``flows_queue2`` victim scenario under wire loss.
@@ -153,8 +151,6 @@ def chaos_victim(
     against ``"pmsb"`` at matched loss rates to see whether selective
     blindness still protects the victim queue when the fabric is lossy.
     """
-    config = resolve_run_config(config, "chaos_victim",
-                                duration=duration, audit=audit)
     return _incast_under_loss(scheme_name, model, loss_rate, flows_queue2,
                               port_threshold, link_rate, fault_seed, config)
 
@@ -167,15 +163,11 @@ def chaos_fair_share(
     port_threshold: float = 12.0,
     link_rate: float = 10e9,
     fault_seed: int = 1,
-    duration: float = UNSET,
-    audit: Optional[bool] = UNSET,
     config: Optional[RunConfig] = None,
 ) -> ChaosVictimRow:
     """Fig. 8's 1:``flows_queue2`` fair-sharing scenario under loss —
     PMSB's weighted fair shares should degrade gracefully, not
     collapse, as the wire loss rate rises."""
-    config = resolve_run_config(config, "chaos_fair_share",
-                                duration=duration, audit=audit)
     return _incast_under_loss(scheme_name, model, loss_rate, flows_queue2,
                               port_threshold, link_rate, fault_seed, config)
 
@@ -318,7 +310,7 @@ def run_chaos_sweep(
     """
     from .runner import run_parallel
 
-    config = resolve_run_config(config, "run_chaos_sweep")
+    config = config or RunConfig()
     if profile is None:
         profile = config.profile if config.profile is not None else BENCH
     if seed is None:

@@ -36,8 +36,7 @@ from ..scheduling.fifo import FifoScheduler
 from ..sim.audit import FabricAuditor, audit_enabled
 from ..sim.engine import Simulator
 from ..store.runstore import RunStore, make_provenance
-from ..store.spec import (ExperimentSpec, RunConfig, UNSET,
-                          resolve_run_config)
+from ..store.spec import ExperimentSpec, RunConfig
 from ..transport.base import DctcpConfig
 from ..transport.endpoints import open_flow
 from ..transport.flow import Flow
@@ -121,8 +120,6 @@ def service_pool_victim(
     pool_threshold: float = 16.0,
     flows_port_b: int = 8,
     link_rate: float = 10e9,
-    duration: float = UNSET,
-    audit: Optional[bool] = UNSET,
     config: Optional[RunConfig] = None,
 ) -> PoolVictimResult:
     """Validate the paper's per-service-pool conjecture.
@@ -132,8 +129,7 @@ def service_pool_victim(
     the fair outcome is both ports at line rate; pool-level marking
     should instead throttle port A's flow because port B fills the pool.
     """
-    config = resolve_run_config(config, "service_pool_victim",
-                                duration=duration, audit=audit)
+    config = config or RunConfig()
     duration = config.duration if config.duration is not None else 0.03
     audit = config.audit
     sim = Simulator()
@@ -199,8 +195,6 @@ def pmsbe_coexistence(
     rtt_threshold: float = 40e-6,
     flows_queue2: int = 8,
     link_rate: float = 10e9,
-    duration: float = UNSET,
-    audit: Optional[bool] = UNSET,
     config: Optional[RunConfig] = None,
 ) -> CoexistenceResult:
     """§V-B deployability: upgrade *only* the victim sender to PMSB(e).
@@ -212,8 +206,7 @@ def pmsbe_coexistence(
     """
     from ..ecn.per_port import PerPortMarker
 
-    config = resolve_run_config(config, "pmsbe_coexistence",
-                                duration=duration, audit=audit)
+    config = config or RunConfig()
     duration = config.duration if config.duration is not None else 0.03
     audit = config.audit
 
@@ -233,12 +226,12 @@ def pmsbe_coexistence(
     handles = []
     for flow in flows:
         if flow.service == 0 and victim_upgraded:
-            config = DctcpConfig(
+            transport = DctcpConfig(
                 ecn_filter_factory=lambda: RttEcnFilter(rtt_threshold)
             )
         else:
-            config = DctcpConfig()
-        handles.append(open_flow(network, flow, config))
+            transport = DctcpConfig()
+        handles.append(open_flow(network, flow, transport))
     sim.run(until=duration)
     if auditor is not None:
         auditor.verify_fabric()
@@ -281,8 +274,6 @@ def microburst_absorption(
     dt_alpha: float = 1.0,
     n_hog_flows: int = 4,
     link_rate: float = 10e9,
-    duration: float = UNSET,
-    audit: Optional[bool] = UNSET,
     config: Optional[RunConfig] = None,
 ) -> MicroburstResult:
     """Incast micro-burst into port B while port A may be hogging buffer.
@@ -303,8 +294,7 @@ def microburst_absorption(
     """
     if policy not in BUFFER_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; use {BUFFER_POLICIES}")
-    config = resolve_run_config(config, "microburst_absorption",
-                                duration=duration, audit=audit)
+    config = config or RunConfig()
     duration = config.duration if config.duration is not None else 0.05
     audit = config.audit
     sim = Simulator()
@@ -402,8 +392,6 @@ def transport_agnostic_victim(
     port_threshold: float = 16.0,
     flows_queue2: int = 8,
     link_rate: float = 10e9,
-    duration: float = UNSET,
-    audit: Optional[bool] = UNSET,
     config: Optional[RunConfig] = None,
 ) -> TransportVictimResult:
     """The 1:8 victim scenario with a window- or rate-based transport.
@@ -417,8 +405,7 @@ def transport_agnostic_victim(
     from ..ecn.per_port import PerPortMarker
     from ..transport.dcqcn import open_dcqcn_flow
 
-    config = resolve_run_config(config, "transport_agnostic_victim",
-                                duration=duration, audit=audit)
+    config = config or RunConfig()
     duration = config.duration if config.duration is not None else 0.03
     audit = config.audit
 
@@ -506,8 +493,6 @@ def incast_sweep(
     response_bytes: int = 20_000,
     buffer_packets: int = 128,
     link_rate: float = 10e9,
-    duration: float = UNSET,
-    audit: Optional[bool] = UNSET,
     config: Optional[RunConfig] = None,
     store: Optional[Union[RunStore, str]] = None,
 ) -> "List[IncastRow]":
@@ -527,8 +512,7 @@ def incast_sweep(
     from ..metrics.stats import summarize
     from .scenario import make_scheme
 
-    config = resolve_run_config(config, "incast_sweep",
-                                duration=duration, audit=audit)
+    config = config or RunConfig()
     duration = config.duration if config.duration is not None else 0.1
     audit = config.audit
     if store is None and config.cache_dir:

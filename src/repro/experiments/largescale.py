@@ -35,13 +35,12 @@ from ..sim.engine import Simulator
 from ..sim.faults import FaultScheduler, FaultSpec, faults_enabled
 from ..sim.rng import make_rng
 from ..store.runstore import RunStore, make_provenance
-from ..store.spec import (ExperimentSpec, RunConfig, UNSET,
-                          resolve_run_config)
+from ..store.spec import ExperimentSpec, RunConfig
 from ..transport.endpoints import open_flow
 from ..workloads.distributions import PAPER_MIX, SizeDistribution
 from ..workloads.generator import PoissonFlowGenerator
 from .scale import BENCH, ScaleProfile
-from .scenario import SchemeSpec, make_scheme
+from .scenario import SchemeSpec, check_compatibility, make_scheme
 
 __all__ = ["FctRow", "fct_point_spec", "topology_params", "largescale_scheme",
            "resolve_fct_topology", "run_fct_point", "run_fct_sweep",
@@ -166,24 +165,28 @@ class FctRow:
         )
 
 
-def topology_params(topology: Union[str, TopologySpec, None],
-                    fat_tree_k: int = 4) -> Dict[str, Any]:
+#: The bare legacy ``"fat-tree"`` string has always meant arity 4, with
+#: the arity spelled out in its cache key; ``"fat-tree:k=6"`` picks
+#: another.
+_LEGACY_FAT_TREE = TopologySpec(preset="fat-tree", k=4)
+
+
+def topology_params(topology: Union[str, TopologySpec, None]) -> Dict[str, Any]:
     """Topology contribution to a point spec's params.
 
-    Renders default fabrics to the *historical* param shapes (a plain
-    ``topology`` name, plus ``fat_tree_k`` for fat-trees), so every
+    Renders default fabrics to the *historical* param shapes (see
+    :meth:`~repro.net.topology.TopologySpec.cache_params`), so every
     pre-redesign run-store key is unchanged; non-default
     :class:`~repro.net.topology.TopologySpec` instances add a canonical
     ``topology_params`` tuple.
     """
     if topology is None:
         return {"topology": "leaf-spine"}
+    if topology == "fat-tree":
+        topology = _LEGACY_FAT_TREE
     if isinstance(topology, TopologySpec):
         return topology.cache_params()
-    params: Dict[str, Any] = {"topology": topology}
-    if topology == "fat-tree":
-        params["fat_tree_k"] = fat_tree_k
-    return params
+    return {"topology": topology}
 
 
 def fct_point_spec(
@@ -194,7 +197,6 @@ def fct_point_spec(
     seed: int,
     audit: bool = False,
     topology: Union[str, TopologySpec, None] = "leaf-spine",
-    fat_tree_k: int = 4,
     faults: Sequence[FaultSpec] = (),
     controller: Optional[ControllerSpec] = None,
     shards: int = 1,
@@ -215,7 +217,7 @@ def fct_point_spec(
     location) deliberately are not — see
     :class:`~repro.store.ExperimentSpec`.
     """
-    params = topology_params(topology, fat_tree_k)
+    params = topology_params(topology)
     if faults:
         params["faults"] = tuple(spec.to_param() for spec in faults)
     if controller is not None:
@@ -237,21 +239,17 @@ def fct_point_spec(
 
 def resolve_fct_topology(
     topology: Union[str, TopologySpec, None],
-    fat_tree_k: int = 4,
 ) -> TopologySpec:
     """Resolve a runner's ``topology`` argument to a built spec.
 
     None defers to the process default (the CLI's ``--topology`` flag),
-    then to the paper's leaf-spine; the legacy ``"fat-tree"`` string
-    picks up ``fat_tree_k``.
+    then to the paper's leaf-spine.
     """
     if topology is None:
-        resolved = topology_enabled(None)
-        return resolved if resolved is not None else TopologySpec()
-    if isinstance(topology, str) and topology == "fat-tree":
-        return TopologySpec(preset="fat-tree", k=fat_tree_k)
+        return topology_enabled(None) or TopologySpec()
+    if topology == "fat-tree":
+        return _LEGACY_FAT_TREE
     spec = as_topology(topology)
-    assert spec is not None
     if spec.preset == "single-bottleneck":
         raise ValueError(
             "FCT experiments need a multi-host fabric; "
@@ -279,10 +277,7 @@ def run_fct_point(
     seed: Optional[int] = None,
     size_distribution: Optional[SizeDistribution] = None,
     topology: Union[str, TopologySpec, None] = None,
-    fat_tree_k: int = 4,
     size_scale: Optional[float] = None,
-    profile_events: bool = UNSET,
-    audit: Optional[bool] = UNSET,
     config: Optional[RunConfig] = None,
     provenance_out: Optional[Dict[str, Any]] = None,
     faults: Optional[Sequence[FaultSpec]] = None,
@@ -294,8 +289,7 @@ def run_fct_point(
 
     ``topology`` selects the fabric: a
     :class:`~repro.net.topology.TopologySpec` (or its
-    ``preset:key=val`` string spelling), the legacy ``"leaf-spine"`` /
-    ``"fat-tree"`` strings (the latter of arity ``fat_tree_k``), or
+    ``preset:key=val`` string spelling, e.g. ``"fat-tree:k=6"``), or
     None to defer to the process default the CLI's ``--topology`` flag
     sets — falling back to the paper's leaf-spine with its shape from
     the scale profile.  When passing a custom
@@ -306,8 +300,11 @@ def run_fct_point(
     :class:`~repro.sim.profile.SimProfiler` rides along and its
     plain-text report is printed after the run; ``config.audit``
     attaches a :class:`~repro.sim.audit.FabricAuditor` across the whole
-    fabric (None defers to the process default).  The ``audit=`` /
-    ``profile_events=`` keyword spellings are deprecated aliases.
+    fabric (None defers to the process default).  Unsupported
+    combinations (trains with shards or faults; shards with a
+    controller, a custom size distribution or ``profile_events``) are
+    rejected up front by
+    :func:`~repro.experiments.scenario.check_compatibility`.
     ``provenance_out``, when given, is filled with wall time and engine
     counters for run-store provenance.  ``faults`` injects a chaos
     layer (:mod:`repro.sim.faults`) over the fabric's links, seeded
@@ -319,8 +316,7 @@ def run_fct_point(
     default the CLI's ``--controller`` flag sets);
     ``controller_stats_out`` receives its tick/change counters.
     """
-    config = resolve_run_config(config, "run_fct_point",
-                                profile_events=profile_events, audit=audit)
+    config = config or RunConfig()
     if profile is None:
         profile = config.profile if config.profile is not None else BENCH
     if seed is None:
@@ -329,37 +325,23 @@ def run_fct_point(
     audit = config.audit
     shards = config.shards if config.shards is not None else 1
     trains = config.trains if config.trains is not None else 1
-    if trains > 1:
-        if shards > 1:
-            raise ValueError("--trains cannot combine with --shards "
-                             "(train units cross shard boundaries as one "
-                             "event)")
-        if faults_enabled(faults):
-            raise ValueError("--trains cannot combine with fault injection "
-                             "(per-link loss draws are per-packet; a train "
-                             "would consume one draw for N packets)")
+    check_compatibility(
+        trains=trains > 1, shards=shards > 1,
+        faults=bool(faults_enabled(faults)),
+        controller=controller_enabled(controller) is not None,
+        profile_events=profile_events,
+        size_distribution=size_distribution is not None)
+    topo = resolve_fct_topology(topology)
     if shards > 1:
         from .sharded import sharded_fct_point
-        if controller_enabled(controller) is not None:
-            raise ValueError("closed-loop controllers are not supported "
-                             "under --shards (global state)")
-        if size_distribution is not None:
-            raise ValueError("custom size distributions are not supported "
-                             "under --shards")
-        if profile_events:
-            raise ValueError("--profile-events is not supported under "
-                             "--shards; per-shard counters land in "
-                             "provenance instead")
         return sharded_fct_point(
             scheme_name, scheduler_name, load, profile, seed, shards,
-            topo=resolve_fct_topology(topology, fat_tree_k),
-            audit=audit_enabled(audit),
+            topo=topo, audit=audit_enabled(audit),
             faults=faults_enabled(faults) or (),
             provenance_out=provenance_out,
             fault_stats_out=fault_stats_out,
         )
     wall_start = time.perf_counter()
-    topo = resolve_fct_topology(topology, fat_tree_k)
     scheme = largescale_scheme(scheme_name, profile.link_rate,
                                base_rtt_hops=topo.base_rtt_hops)
     rng = make_rng(seed)
@@ -400,14 +382,14 @@ def run_fct_point(
     collector = FctCollector(size_scale=size_scale)
     want_rtt = runtime is not None and controller.wants_rtt
     for flow in flows:
-        config = scheme.transport_config(
+        transport = scheme.transport_config(
             init_cwnd=16.0, record_rtt=want_rtt, train_packets=trains,
             # Train mode coalesces ACKs too (delayed-ACK CE state
             # machine, one ACK per two units, PSH flushes) — see
             # run_incast.
             ack_every=2 if trains > 1 else 1,
             delack_timeout=5e-6 if trains > 1 else 1e-3)
-        handle = open_flow(network, flow, config,
+        handle = open_flow(network, flow, transport,
                            on_complete=collector.on_complete)
         if want_rtt:
             runtime.add_rtt_source(handle.sender)
@@ -540,9 +522,6 @@ def run_fct_sweep(
     scheduler_name: str = "dwrr",
     profile: Optional[ScaleProfile] = None,
     seed: Optional[int] = None,
-    jobs: Optional[int] = UNSET,
-    profile_events: bool = UNSET,
-    audit: Optional[bool] = UNSET,
     config: Optional[RunConfig] = None,
     store: Optional[Union[RunStore, str]] = None,
     faults: Optional[Sequence[FaultSpec]] = None,
@@ -566,15 +545,11 @@ def run_fct_sweep(
     :func:`fct_point_spec` content address: completed points are read
     back instead of re-simulated, an interrupted sweep resumes from
     whatever its workers persisted, and ``config.force`` (or
-    ``config.resume=False``) recomputes and overwrites.  The ``jobs=`` /
-    ``profile_events=`` / ``audit=`` keyword spellings are deprecated
-    aliases for the corresponding :class:`~repro.store.RunConfig`
-    fields.
+    ``config.resume=False``) recomputes and overwrites.
     """
     from .runner import run_parallel
 
-    config = resolve_run_config(config, "run_fct_sweep", jobs=jobs,
-                                profile_events=profile_events, audit=audit)
+    config = config or RunConfig()
     if profile is None:
         profile = config.profile if config.profile is not None else BENCH
     if seed is None:

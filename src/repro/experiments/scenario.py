@@ -29,18 +29,18 @@ from ..metrics.queue_trace import QueueOccupancyTrace
 from ..metrics.throughput import ThroughputMeter
 from ..net.packet import MTU_BYTES
 from ..net.sharedbuf import SharedBufferSpec
-from ..net.topology import Network, TopologySpec, as_topology, topology_enabled
+from ..net.topology import Network, TopologySpec, topology_enabled
 from ..scheduling.base import Scheduler
 from ..sim.audit import FabricAuditor, audit_enabled
 from ..sim.engine import Simulator
 from ..sim.faults import FaultScheduler, FaultSpec, faults_enabled
-from ..store.spec import RunConfig, UNSET, resolve_run_config
+from ..store.spec import RunConfig
 from ..transport.base import DctcpConfig
 from ..transport.endpoints import FlowHandle, open_flow
 from ..transport.flow import Flow
 
 __all__ = ["SchemeSpec", "make_scheme", "IncastResult", "run_incast",
-           "incast_flows", "SCHEME_NAMES"]
+           "incast_flows", "check_compatibility", "SCHEME_NAMES"]
 
 SCHEME_NAMES = (
     "pmsb",
@@ -151,8 +151,7 @@ def incast_flows(flows_per_queue: Sequence[int],
                  start_times: Optional[Sequence[float]] = None) -> List[Flow]:
     """Long-lived incast flows: queue ``q`` gets ``flows_per_queue[q]``
     flows, each from its own sender.  The receiver is the host after the
-    last sender (the :func:`~repro.net.topology.single_bottleneck`
-    convention)."""
+    last sender (the ``single-bottleneck`` preset's convention)."""
     n_senders = sum(flows_per_queue)
     receiver = n_senders
     flows: List[Flow] = []
@@ -164,6 +163,57 @@ def incast_flows(flows_per_queue: Sequence[int],
                               start_time=start))
             sender += 1
     return flows
+
+
+#: Feature pairs no runner can honour together — one row, one message
+#: per cell.  ``trains``/``shards``/``faults``/``controller`` apply to
+#: every runner; the rest are runner-specific arguments.
+_INCOMPATIBLE = (
+    ("trains", "shards",
+     "--trains: cannot combine with --shards (train units cross shard "
+     "boundaries as one event)"),
+    ("trains", "faults",
+     "--trains: cannot combine with --faults (per-link loss draws are "
+     "per-packet; a train would consume one draw for N packets)"),
+    ("shards", "controller",
+     "--shards: cannot combine with --controller (closed-loop controllers "
+     "read and retune global state)"),
+    ("shards", "profile_events",
+     "--shards: cannot combine with --profile-events (per-shard counters "
+     "land in provenance instead)"),
+    ("shards", "trace_occupancy",
+     "--shards: occupancy tracing is not supported (the observed port "
+     "lives in a worker)"),
+    ("shards", "record_rtt",
+     "--shards: record_rtt is not supported (flow handles stay in the "
+     "workers)"),
+    ("shards", "size_distribution",
+     "--shards: custom size distributions are not supported"),
+    ("shards", "single_bottleneck",
+     "--shards: needs a multi-switch fabric (leaf-spine / fat-tree / "
+     "clos), not single-bottleneck"),
+)
+_FEATURES = frozenset(name for row in _INCOMPATIBLE for name in row[:2])
+
+
+def check_compatibility(**active: bool) -> None:
+    """Reject feature combinations the runners cannot honour.
+
+    Keyword names are features (``trains``, ``shards``, ``faults``,
+    ``controller``, ``profile_events``, ``trace_occupancy``,
+    ``record_rtt``, ``size_distribution``, ``single_bottleneck``), values
+    whether the run uses them.  Raises :class:`ValueError` with the
+    table's message for the first unsupported pair.  ``run_incast`` and
+    ``run_fct_point`` call it before building anything; the CLI calls it
+    on the parsed flags so the same text reaches ``parser.error``.
+    """
+    unknown = active.keys() - _FEATURES
+    if unknown:
+        raise TypeError(f"unknown feature(s) {sorted(unknown)}; "
+                        f"known: {sorted(_FEATURES)}")
+    for first, second, message in _INCOMPATIBLE:
+        if active.get(first) and active.get(second):
+            raise ValueError(message)
 
 
 @dataclass
@@ -201,7 +251,6 @@ def run_incast(
     scheme: SchemeSpec,
     scheduler_factory: Callable[[], Scheduler],
     flows: Sequence[Flow],
-    duration: float = UNSET,
     warmup_fraction: float = 1.0 / 3.0,
     link_rate: float = 10e9,
     record_rtt: bool = False,
@@ -209,7 +258,6 @@ def run_incast(
     rate_limits: Optional[Dict[int, float]] = None,
     init_cwnd: float = 16.0,
     buffer_packets: int = 1000,
-    audit: Optional[bool] = UNSET,
     config: Optional[RunConfig] = None,
     faults: Optional[Sequence[FaultSpec]] = None,
     fault_seed: int = 0,
@@ -228,9 +276,10 @@ def run_incast(
     a final conservation pass (None defers to the process default the
     CLI's ``--audit`` flag sets).  ``config.trains`` (the CLI's
     ``--trains``) coalesces long-flow bursts into packet-train units —
-    the tolerance-accurate fast tier; it is rejected in combination
-    with ``shards`` or fault injection.  The ``duration=`` / ``audit=``
-    keyword spellings are deprecated aliases for those fields.
+    the tolerance-accurate fast tier.  Combinations the runner cannot
+    honour (trains with shards or faults, shards with a controller, an
+    occupancy trace, ``record_rtt`` or a single-bottleneck fabric) are
+    rejected up front by :func:`check_compatibility`.
     ``faults`` injects a deterministic chaos layer
     (:mod:`repro.sim.faults`) over the fabric, with RNG streams derived
     from ``fault_seed`` (None defers to the ``--faults`` process
@@ -248,40 +297,24 @@ def run_incast(
     ``n_senders``) and the observed port is the receiver's host-facing
     downlink — the port the incast converges on.
     """
-    config = resolve_run_config(config, "run_incast",
-                                duration=duration, audit=audit)
+    config = config or RunConfig()
     duration = config.duration if config.duration is not None else 0.04
     audit = config.audit
     shards = config.shards if config.shards is not None else 1
     trains = config.trains if config.trains is not None else 1
-    if trains > 1:
-        if shards > 1:
-            raise ValueError("--trains cannot combine with --shards "
-                             "(train units cross shard boundaries as one "
-                             "event)")
-        if faults_enabled(faults):
-            raise ValueError("--trains cannot combine with fault injection "
-                             "(per-link loss draws are per-packet; a train "
-                             "would consume one draw for N packets)")
+    topo = (topology_enabled(topology)
+            or TopologySpec(preset="single-bottleneck"))
+    check_compatibility(
+        trains=trains > 1, shards=shards > 1,
+        faults=bool(faults_enabled(faults)),
+        controller=controller_enabled(controller) is not None,
+        trace_occupancy=trace_occupancy, record_rtt=record_rtt,
+        single_bottleneck=topo.preset == "single-bottleneck")
     if shards > 1:
         from .sharded import sharded_incast_run
-        if trace_occupancy:
-            raise ValueError("--shards does not support occupancy tracing "
-                             "(the observed port lives in a worker)")
-        if record_rtt:
-            raise ValueError("--shards does not support record_rtt "
-                             "(flow handles stay in the workers)")
-        if controller_enabled(controller) is not None:
-            raise ValueError("closed-loop controllers are not supported "
-                             "under --shards (global state)")
-        shard_topo = topology_enabled(as_topology(topology))
-        if shard_topo is None or shard_topo.preset == "single-bottleneck":
-            raise ValueError("--shards needs a multi-switch fabric "
-                             "(leaf-spine / fat-tree / clos), not "
-                             "single-bottleneck")
         return sharded_incast_run(
-            scheme, scheduler_factory, list(flows), duration, shard_topo,
-            shards, warmup_fraction=warmup_fraction, link_rate=link_rate,
+            scheme, scheduler_factory, list(flows), duration, topo, shards,
+            warmup_fraction=warmup_fraction, link_rate=link_rate,
             rate_limits=rate_limits, init_cwnd=init_cwnd,
             buffer_packets=buffer_packets, audit=audit_enabled(audit),
             faults=faults_enabled(faults) or (), fault_seed=fault_seed,
@@ -290,9 +323,6 @@ def run_incast(
     n_senders = max(flow.src for flow in flows) + 1
     sim = Simulator()
     auditor = FabricAuditor(sim) if audit_enabled(audit) else None
-    topo = topology_enabled(as_topology(topology))
-    if topo is None:
-        topo = TopologySpec(preset="single-bottleneck")
     if (topo.preset == "single-bottleneck" and topo.senders
             and topo.senders != n_senders):
         raise ValueError(
@@ -337,7 +367,7 @@ def run_incast(
     handles = []
     for flow in flows:
         rate = None if rate_limits is None else rate_limits.get(flow.src)
-        config = scheme.transport_config(
+        transport = scheme.transport_config(
             record_rtt=record_rtt, rate_limit_bps=rate, init_cwnd=init_cwnd,
             train_packets=trains,
             # Train mode coalesces ACKs too (DCTCP delayed-ACK CE
@@ -348,7 +378,7 @@ def run_incast(
             ack_every=2 if trains > 1 else 1,
             delack_timeout=5e-6 if trains > 1 else 1e-3,
         )
-        handles.append(open_flow(network, flow, config))
+        handles.append(open_flow(network, flow, transport))
     if runtime is not None:
         for handle in handles:
             runtime.add_rtt_source(handle.sender)

@@ -42,8 +42,7 @@ from ..net.packet import MTU_BYTES
 from ..net.sharedbuf import SharedBufferSpec
 from ..net.topology import TopologySpec, as_topology, topology_enabled
 from ..store.runstore import RunStore, make_provenance
-from ..store.spec import (ExperimentSpec, RunConfig, UNSET,
-                          resolve_run_config)
+from ..store.spec import ExperimentSpec, RunConfig
 from . import largescale
 from .scale import BENCH, ScaleProfile
 from .scenario import incast_flows, make_scheme, run_incast
@@ -170,8 +169,6 @@ def sharedbuf_point(
     hog_flows: int = 8,
     burst_flows: int = 16,
     link_rate: float = 10e9,
-    duration: float = UNSET,
-    audit: Optional[bool] = UNSET,
     config: Optional[RunConfig] = None,
     topology: Union[str, TopologySpec, None] = None,
 ) -> SharedBufRow:
@@ -187,8 +184,7 @@ def sharedbuf_point(
       flows slam queue 1 at the half-way point; ``burst_loss_fraction``
       is the dropped share of everything queue 1 offered the port.
     """
-    config = resolve_run_config(config, "sharedbuf_point",
-                                duration=duration, audit=audit)
+    config = config or RunConfig()
     duration = config.duration if config.duration is not None else 0.04
     spec = shared_buffer
     scheme = make_scheme(scheme_name, link_rate=link_rate, n_queues=2)
@@ -327,7 +323,7 @@ def run_sharedbuf_sweep(
     """
     from .runner import run_parallel
 
-    config = resolve_run_config(config, "run_sharedbuf_sweep")
+    config = config or RunConfig()
     if profile is None:
         profile = config.profile if config.profile is not None else BENCH
     if seed is None:

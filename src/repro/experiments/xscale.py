@@ -38,8 +38,7 @@ from ..net.topology import TopologySpec, as_topology
 from ..sim.audit import FabricAuditor, audit_enabled
 from ..sim.engine import Simulator
 from ..store.runstore import RunStore, make_provenance
-from ..store.spec import (ExperimentSpec, RunConfig, UNSET,
-                          resolve_run_config)
+from ..store.spec import ExperimentSpec, RunConfig
 from ..transport.endpoints import open_flow
 from ..transport.flow import Flow
 from ..metrics.throughput import ThroughputMeter
@@ -176,8 +175,6 @@ def xscale_point(
     hogs: int = 8,
     link_rate: float = 10e9,
     seed: int = 1,
-    duration: float = UNSET,
-    audit: Optional[bool] = UNSET,
     config: Optional[RunConfig] = None,
     provenance_out: Optional[Dict[str, Any]] = None,
 ) -> XScaleRow:
@@ -191,8 +188,7 @@ def xscale_point(
     """
     from .sharedbuf import _scheduler_factory
 
-    config = resolve_run_config(config, "xscale_point",
-                                duration=duration, audit=audit)
+    config = config or RunConfig()
     duration = config.duration if config.duration is not None else 0.02
     topo = as_topology(topology)
     if topo is None or topo.preset == "single-bottleneck":
@@ -320,7 +316,7 @@ def run_xscale_sweep(
     """
     from .runner import run_parallel
 
-    config = resolve_run_config(config, "run_xscale_sweep")
+    config = config or RunConfig()
     if profile is None:
         profile = config.profile if config.profile is not None else BENCH
     if seed is None:

@@ -6,8 +6,7 @@ from .link import Link
 from .packet import ACK, ACK_BYTES, DATA, HEADER_BYTES, MTU_BYTES, Packet
 from .port import Port
 from .switch import Switch
-from .topology import (ClosGenerator, Network, TopologySpec, fat_tree,
-                       leaf_spine, single_bottleneck)
+from .topology import ClosGenerator, Network, TopologySpec
 
 __all__ = [
     "ACK",
@@ -24,7 +23,4 @@ __all__ = [
     "Port",
     "Switch",
     "TopologySpec",
-    "fat_tree",
-    "leaf_spine",
-    "single_bottleneck",
 ]

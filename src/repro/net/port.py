@@ -23,6 +23,7 @@ while the packet still counts toward occupancy.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, TYPE_CHECKING
 
 from ..ecn.base import Marker, NullMarker
@@ -31,7 +32,6 @@ from ..sim.engine import Simulator
 from .interfaces import DequeueListener, DropListener, EnqueueListener
 from .link import Link
 from .packet import DATA, POOL, Packet, release, split_train
-from .soa import marker_port_threshold
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..ecn.service_pool import BufferPool
@@ -46,6 +46,31 @@ __all__ = ["Port"]
 #: granular enough that DCTCP dynamics stay within a few percent of the
 #: per-packet tier while still batching several segments per event.
 _TRAIN_CHUNK_DIVISOR = 4
+
+
+def _marker_port_threshold(port: "Port") -> float:
+    """Port-level marking onset (packets) of ``port``'s marker, or NaN.
+
+    The value is the smallest port occupancy at which the marker *could*
+    mark a packet — exact for per-port schemes (per-port ECN, PMSB's
+    port condition), conservative (earliest queue onset) for per-queue
+    marking, NaN when the marker has no occupancy threshold at all.
+    """
+    marker = port.marker
+    threshold = getattr(marker, "port_threshold_packets", None)
+    if threshold is None:
+        threshold = getattr(marker, "threshold_packets", None)
+    if threshold is not None:
+        return float(threshold)
+    threshold_fn = getattr(marker, "threshold", None)
+    if callable(threshold_fn):
+        try:
+            return min(
+                float(threshold_fn(i)) for i in range(port.n_queues)
+            )
+        except (TypeError, IndexError):  # non-conforming signature
+            return math.nan
+    return math.nan
 
 
 class Port:
@@ -258,7 +283,7 @@ class Port:
             tail = split_train(packet, unmarked)
             tail.ce = True
             units = [packet, tail]
-        threshold = marker_port_threshold(self)
+        threshold = _marker_port_threshold(self)
         if threshold == threshold:  # marking port (threshold is not NaN)
             chunk = max(1, int(threshold) // _TRAIN_CHUNK_DIVISOR)
             if chunk < n:

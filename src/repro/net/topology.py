@@ -22,21 +22,16 @@ which lays out hosts/switches/links with deterministic names and ECMP
 salts and then *derives* every switch's next-hop table from the
 generated down-graph (down ports route to the hosts below them,
 everything else ECMPs across the up ports) instead of hand-wiring
-routes per preset.  The legacy builder functions
-(:func:`single_bottleneck`, :func:`leaf_spine`, :func:`fat_tree`) are
-kept as thin ``DeprecationWarning`` presets over the spec and build
-byte-identical fabrics (same names, same salts, same per-switch port
-order — the quantities simulation results depend on).
+routes per preset.
 
-All builders take *factories* for the scheduler and marker so each
-congestion-managed port gets fresh instances; NIC ports and reverse-path
-ports are plain FIFO with no marking.
+:meth:`TopologySpec.build` takes *factories* for the scheduler and
+marker so each congestion-managed port gets fresh instances; NIC ports
+and reverse-path ports are plain FIFO with no marking.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import (Any, Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple, Union)
@@ -60,9 +55,6 @@ __all__ = [
     "topology_enabled",
     "as_topology",
     "partition_groups",
-    "single_bottleneck",
-    "leaf_spine",
-    "fat_tree",
 ]
 
 SchedulerFactory = Callable[[], Scheduler]
@@ -89,9 +81,7 @@ class Network:
     the only role the built-in experiments use): builders call
     :meth:`register_observed` and consumers ask
     :meth:`observed_ports`, which works on any generated fabric — no
-    assumption that exactly one congested port exists.  The historical
-    ``network.bottleneck_port`` attribute is kept as a deprecated
-    alias for the first ``"bottleneck"``-role port.
+    assumption that exactly one congested port exists.
     """
 
     def __init__(self, sim: Simulator):
@@ -118,31 +108,6 @@ class Network:
     def observed_ports(self, role: str = "bottleneck") -> List[Port]:
         """Ports published under ``role`` (empty list if none)."""
         return list(self._observed.get(role, ()))
-
-    @property
-    def bottleneck_port(self) -> Optional[Port]:
-        """Deprecated: first ``"bottleneck"``-role port (or None).
-
-        Use :meth:`observed_ports` — multi-switch fabrics can observe
-        any number of congested ports, not exactly one.
-        """
-        warnings.warn(
-            "Network.bottleneck_port is deprecated; use "
-            "network.observed_ports('bottleneck')",
-            DeprecationWarning, stacklevel=2)
-        ports = self._observed.get("bottleneck")
-        return ports[0] if ports else None
-
-    @bottleneck_port.setter
-    def bottleneck_port(self, port: Optional[Port]) -> None:
-        warnings.warn(
-            "Network.bottleneck_port is deprecated; use "
-            "network.register_observed('bottleneck', port)",
-            DeprecationWarning, stacklevel=2)
-        if port is None:
-            self._observed.pop("bottleneck", None)
-        else:
-            self._observed["bottleneck"] = [port]
 
     # -- structural accessors -------------------------------------------------
 
@@ -907,74 +872,6 @@ def topology_enabled(
     if spec is None:
         return _TOPOLOGY_DEFAULT
     return as_topology(spec)
-
-
-# -- deprecated imperative builders ------------------------------------------
-
-def _builder_deprecated(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"{name}() is deprecated; build fabrics from a TopologySpec "
-        f"(e.g. {replacement})", DeprecationWarning, stacklevel=3)
-
-
-def single_bottleneck(
-    sim: Simulator,
-    n_senders: int,
-    scheduler_factory: SchedulerFactory,
-    marker_factory: MarkerFactory,
-    link_rate: float = DEFAULT_LINK_RATE,
-    link_delay: float = DEFAULT_LINK_DELAY,
-    buffer_packets: int = DEFAULT_BUFFER_PACKETS,
-    shared_buffer: Optional[SharedBufferSpec] = None,
-) -> Network:
-    """Deprecated alias: ``TopologySpec("single-bottleneck").build(...)``."""
-    _builder_deprecated(
-        "single_bottleneck", "TopologySpec('single-bottleneck').build(sim, ...)")
-    return TopologySpec(preset="single-bottleneck").build(
-        sim, scheduler_factory, marker_factory, shared_buffer=shared_buffer,
-        default_senders=n_senders, link_rate=link_rate,
-        link_delay=link_delay, buffer_packets=buffer_packets)
-
-
-def leaf_spine(
-    sim: Simulator,
-    scheduler_factory: SchedulerFactory,
-    marker_factory: MarkerFactory,
-    n_leaf: int = 4,
-    n_spine: int = 4,
-    hosts_per_leaf: int = 12,
-    link_rate: float = DEFAULT_LINK_RATE,
-    link_delay: float = DEFAULT_LINK_DELAY,
-    buffer_packets: int = DEFAULT_BUFFER_PACKETS,
-    shared_buffer: Optional[SharedBufferSpec] = None,
-) -> Network:
-    """Deprecated alias: ``TopologySpec("leaf-spine").build(...)``."""
-    _builder_deprecated("leaf_spine", "TopologySpec('leaf-spine').build(sim, ...)")
-    return TopologySpec(preset="leaf-spine").build(
-        sim, scheduler_factory, marker_factory, shared_buffer=shared_buffer,
-        default_fabric=(n_leaf, n_spine, hosts_per_leaf),
-        link_rate=link_rate, link_delay=link_delay,
-        buffer_packets=buffer_packets)
-
-
-def fat_tree(
-    sim: Simulator,
-    scheduler_factory: SchedulerFactory,
-    marker_factory: MarkerFactory,
-    k: int = 4,
-    link_rate: float = 10e9,
-    link_delay: float = DEFAULT_LINK_DELAY,
-    buffer_packets: int = DEFAULT_BUFFER_PACKETS,
-    shared_buffer: Optional[SharedBufferSpec] = None,
-) -> Network:
-    """Deprecated alias: ``TopologySpec("fat-tree", k=k).build(...)``."""
-    _builder_deprecated("fat_tree", "TopologySpec('fat-tree', k=4).build(sim, ...)")
-    if k < 2 or k % 2 != 0:
-        raise ValueError("fat-tree arity k must be an even integer >= 2")
-    return TopologySpec(preset="fat-tree", k=k).build(
-        sim, scheduler_factory, marker_factory, shared_buffer=shared_buffer,
-        link_rate=link_rate, link_delay=link_delay,
-        buffer_packets=buffer_packets)
 
 
 # -- shard partitioning -------------------------------------------------------

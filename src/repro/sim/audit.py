@@ -70,7 +70,7 @@ Usage::
 
     sim = Simulator()
     auditor = FabricAuditor(sim)
-    network = single_bottleneck(sim, ...)
+    network = TopologySpec(preset="single-bottleneck").build(sim, ...)
     auditor.attach_network(network)       # ports + hosts + switches
     ...                                   # open_flow auto-watches flows
     sim.run(until=0.1)

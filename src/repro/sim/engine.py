@@ -91,10 +91,6 @@ _WHEEL_MASK = _WHEEL_SLOTS - 1
 _INF = float("inf")
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in ("", "0", "false", "no")
-
-
 def slow_path_default() -> bool:
     """True when ``REPRO_SLOW_PATH`` requests the pre-optimization path.
 
@@ -102,7 +98,8 @@ def slow_path_default() -> bool:
     :mod:`repro.net.packet` for the packet pool), so tests can flip the
     environment variable between simulator instances.
     """
-    return _env_flag("REPRO_SLOW_PATH")
+    value = os.environ.get("REPRO_SLOW_PATH", "")
+    return value.strip().lower() not in ("", "0", "false", "no")
 
 
 class SimulationError(RuntimeError):
@@ -207,11 +204,9 @@ class Simulator:
         "_now_bucket", "_wheel_count", "_wheel_cancelled",
         "_wheel_scheduled", "_heap_scheduled",
         "_wheel_processed", "_heap_processed", "barrier_hook",
-        "_batch", "_slot_batches", "_batched_events",
     )
 
-    def __init__(self, slow_path: Optional[bool] = None,
-                 batch_slots: Optional[bool] = None) -> None:
+    def __init__(self, slow_path: Optional[bool] = None) -> None:
         self._heap: list[Event] = []
         self._now = 0.0
         self._seq = 0
@@ -221,16 +216,6 @@ class Simulator:
         self._compactions = 0
         self._freelist: list[Event] = []
         self._slow = slow_path_default() if slow_path is None else bool(slow_path)
-        # Whole-bucket batch drain (fast path only).  When disabled every
-        # wheel event goes through the exact single-event merge path —
-        # identical firing order, different mechanism — which gives
-        # differential tests a real toggle (``REPRO_NO_SLOT_BATCH=1`` or
-        # ``Simulator(batch_slots=False)``).
-        if batch_slots is None:
-            batch_slots = not _env_flag("REPRO_NO_SLOT_BATCH")
-        self._batch = (not self._slow) and bool(batch_slots)
-        self._slot_batches = 0
-        self._batched_events = 0
         # Timing wheel state (fast path only).  Buckets hold
         # (time, seq, event) tuples; ``_cursor`` is the absolute index of
         # the bucket currently being drained (``_active``, consumed up to
@@ -269,21 +254,6 @@ class Simulator:
     def slow_path(self) -> bool:
         """True when the timing-wheel tier is disabled."""
         return self._slow
-
-    @property
-    def batch_slots(self) -> bool:
-        """True when the whole-bucket batch drain is enabled."""
-        return self._batch
-
-    @property
-    def slot_batches(self) -> int:
-        """Number of whole-bucket batch drains executed so far."""
-        return self._slot_batches
-
-    @property
-    def batched_events(self) -> int:
-        """Events executed inside whole-bucket batch drains."""
-        return self._batched_events
 
     @property
     def events_processed(self) -> int:
@@ -653,7 +623,6 @@ class Simulator:
         getrefcount = sys.getrefcount
         until_f = _INF if until is None else until
         budget = _INF if max_events is None else max_events
-        batch = self._batch
         executed = 0
         while True:
             cursor = self._cursor
@@ -733,7 +702,7 @@ class Simulator:
                 break
             if wheel_time is None and heap_event is None:
                 break
-            if batch and wheel_time is not None and (
+            if wheel_time is not None and (
                 heap_event is None
                 or heap_event.time >= (cursor + 1) * _WHEEL_TICK
             ):
@@ -816,17 +785,13 @@ class Simulator:
                 self._wheel_count -= drained
                 self._events_processed += done
                 self._wheel_processed += done
-                if done:
-                    self._slot_batches += 1
-                    self._batched_events += done
                 executed += done
                 if self._active is active:
                     self._active_pos = pos
                 if stop:
                     break
             elif wheel_time is not None and (
-                heap_event is None
-                or wheel_time < heap_event.time
+                wheel_time < heap_event.time
                 or (wheel_time == heap_event.time and wheel_seq < heap_event.seq)
             ):
                 # -- single wheel event: a pre-existing heap entry is due

@@ -14,8 +14,7 @@ cacheable, addressable and resumable instead of ephemeral stdout:
   stored records.
 """
 
-from .spec import (ExperimentSpec, RunConfig, SPEC_SCHEMA_VERSION, UNSET,
-                   resolve_run_config)
+from .spec import ExperimentSpec, RunConfig, SPEC_SCHEMA_VERSION
 from .runstore import (RunRecord, RunStore, diff_records, git_revision,
                        make_provenance)
 
@@ -25,9 +24,7 @@ __all__ = [
     "RunRecord",
     "RunStore",
     "SPEC_SCHEMA_VERSION",
-    "UNSET",
     "diff_records",
     "git_revision",
     "make_provenance",
-    "resolve_run_config",
 ]

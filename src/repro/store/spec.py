@@ -6,9 +6,7 @@ scattered keyword arguments:
 - :class:`RunConfig` — *how* to run: duration, scale profile, seed,
   worker processes, auditing, event profiling, and the run-store knobs
   (``cache_dir`` / ``resume`` / ``force``).  Experiment entry points
-  accept ``config=RunConfig(...)``; the old ``duration=`` / ``audit=`` /
-  ``jobs=`` keyword spellings still work for one release but emit
-  :class:`DeprecationWarning`.
+  accept ``config=RunConfig(...)``.
 - :class:`ExperimentSpec` — *what* was run: the canonical identity of
   one experiment point (experiment name, scheme, scheduler, load, seed,
   scale-profile physics, audit flag, extra parameters, schema/code
@@ -20,14 +18,12 @@ scattered keyword arguments:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..sim.rng import stable_digest
 
-__all__ = ["ExperimentSpec", "RunConfig", "SPEC_SCHEMA_VERSION", "UNSET",
-           "resolve_run_config"]
+__all__ = ["ExperimentSpec", "RunConfig", "SPEC_SCHEMA_VERSION"]
 
 #: Bump when the meaning of stored results changes (different statistics,
 #: different simulation semantics…): old records stop matching and
@@ -37,9 +33,6 @@ SPEC_SCHEMA_VERSION = 1
 #: Version stamp baked into every spec so a cache populated by one code
 #: release is never silently reused by an incompatible one.
 CODE_VERSION = "1.0.0"
-
-#: Sentinel distinguishing "caller did not pass this kwarg" from None.
-UNSET: Any = object()
 
 #: ScaleProfile fields that change the *identity* of a point.  ``loads``
 #: is the sweep set (each point already carries its own ``load``) and
@@ -92,29 +85,6 @@ class RunConfig:
     def evolve(self, **changes: Any) -> "RunConfig":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
         return replace(self, **changes)
-
-
-def resolve_run_config(config: Optional[RunConfig], caller: str,
-                       **legacy: Any) -> RunConfig:
-    """Merge deprecated keyword arguments into a :class:`RunConfig`.
-
-    ``legacy`` maps field name → value-or-:data:`UNSET`.  Every value
-    actually supplied emits a :class:`DeprecationWarning` naming the
-    caller and wins over the corresponding ``config`` field (preserving
-    the pre-RunConfig behaviour of the explicit kwarg).
-    """
-    config = config if config is not None else RunConfig()
-    supplied = {name: value for name, value in legacy.items()
-                if value is not UNSET}
-    if supplied:
-        names = ", ".join(f"{name}=" for name in sorted(supplied))
-        warnings.warn(
-            f"{caller}: keyword argument(s) {names} are deprecated; pass "
-            f"config=RunConfig(...) instead",
-            DeprecationWarning, stacklevel=3,
-        )
-        config = replace(config, **supplied)
-    return config
 
 
 def _profile_identity(profile: Any) -> Dict[str, Any]:

@@ -95,16 +95,15 @@ class TestPhantomQueue:
         """HULL's promise: with DCTCP senders, the real queue stays near
         zero at the cost of a little throughput headroom."""
         from repro.metrics.queue_trace import QueueOccupancyTrace
-        from repro.net.topology import single_bottleneck
+        from repro.net.topology import TopologySpec
         from repro.transport.endpoints import open_flow
         from repro.transport.flow import Flow
 
-        net = single_bottleneck(
-            sim, 4, lambda: FifoScheduler(1),
+        net = TopologySpec("single-bottleneck", senders=4).build(
+            sim, lambda: FifoScheduler(1),
             lambda: PhantomQueueMarker(3 * 1500, drain_factor=0.9),
-            link_rate=1e9,
-        )
-        trace = QueueOccupancyTrace(net.bottleneck_port)
+            link_rate=1e9)
+        trace = QueueOccupancyTrace(net.observed_ports("bottleneck")[0])
         for i in range(4):
             open_flow(net, Flow(src=i, dst=4))
         sim.run(until=0.03)

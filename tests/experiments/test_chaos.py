@@ -166,13 +166,15 @@ class TestLossActuallyHappens:
 
 class TestStaticVariants:
     def test_chaos_victim_measures_drops(self):
-        row = chaos_victim(loss_rate=1e-2, duration=0.004, audit=True)
+        row = chaos_victim(
+            loss_rate=1e-2, config=RunConfig(duration=0.004, audit=True))
         assert row.scheme == "Per-Port"
         assert sum(row.drops.values()) > 0
         assert 0.0 <= row.fair_share_error
 
     def test_chaos_fair_share_clean_baseline_has_no_drops(self):
-        row = chaos_fair_share(loss_rate=0.0, duration=0.004)
+        row = chaos_fair_share(loss_rate=0.0,
+                               config=RunConfig(duration=0.004))
         assert row.drops == {}
         assert row.fair_share_error < 0.05
 

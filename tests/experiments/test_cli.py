@@ -144,6 +144,29 @@ class TestSweepParallelFlags:
         assert serial_out == parallel_out
 
 
+class TestUnsupportedCombinations:
+    @pytest.mark.parametrize("argv,message", [
+        (["fig3", "--trains", "16",
+          "--faults", "iid-loss:rate=0.001,links=bottleneck"],
+         "error: --trains: cannot combine with --faults"),
+        (["sweep", "--shards", "2",
+          "--controller", "theorem:period=0.0005"],
+         "error: --shards: cannot combine with --controller"),
+        (["sweep", "--shards", "2", "--profile-events"],
+         "error: --shards: cannot combine with --profile-events"),
+    ])
+    def test_exits_2_with_one_error_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        error_lines = [line for line in captured.err.splitlines()
+                       if "error:" in line]
+        assert len(error_lines) == 1 and message in error_lines[0]
+        assert "Traceback" not in captured.err
+
+
 class TestSweepCacheFlags:
     def test_cache_flags_parse(self):
         parser = build_parser()

@@ -11,8 +11,9 @@ from repro.ecn.mq_ecn import MqEcnMarker
 from repro.ecn.per_port import PerPortMarker
 from repro.ecn.per_queue import PerQueueMarker
 from repro.ecn.tcn import TcnMarker
-from repro.experiments.scenario import (SCHEME_NAMES, incast_flows,
-                                        make_scheme, run_incast)
+from repro.experiments.scenario import (SCHEME_NAMES, check_compatibility,
+                                        incast_flows, make_scheme,
+                                        run_incast)
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.store import RunConfig
 
@@ -125,3 +126,64 @@ class TestRunIncast:
         assert len(result.rtt_samples(queue_index=1)) > 0
         total = len(result.rtt_samples())
         assert total >= len(result.rtt_samples(queue_index=1))
+
+
+TRAINS_FAULTS = ("--trains: cannot combine with --faults (per-link loss "
+                 "draws are per-packet; a train would consume one draw for "
+                 "N packets)")
+
+#: Every cell of the capability table and the one message it raises.
+INCOMPATIBLE_CELLS = [
+    ("trains", "shards",
+     "--trains: cannot combine with --shards (train units cross shard "
+     "boundaries as one event)"),
+    ("trains", "faults", TRAINS_FAULTS),
+    ("shards", "controller",
+     "--shards: cannot combine with --controller (closed-loop controllers "
+     "read and retune global state)"),
+    ("shards", "profile_events",
+     "--shards: cannot combine with --profile-events (per-shard counters "
+     "land in provenance instead)"),
+    ("shards", "trace_occupancy",
+     "--shards: occupancy tracing is not supported (the observed port "
+     "lives in a worker)"),
+    ("shards", "record_rtt",
+     "--shards: record_rtt is not supported (flow handles stay in the "
+     "workers)"),
+    ("shards", "size_distribution",
+     "--shards: custom size distributions are not supported"),
+    ("shards", "single_bottleneck",
+     "--shards: needs a multi-switch fabric (leaf-spine / fat-tree / "
+     "clos), not single-bottleneck"),
+]
+
+
+class TestCheckCompatibility:
+    @pytest.mark.parametrize("first,second,message", INCOMPATIBLE_CELLS)
+    def test_cell_raises_its_message(self, first, second, message):
+        with pytest.raises(ValueError) as excinfo:
+            check_compatibility(**{first: True, second: True})
+        assert str(excinfo.value) == message
+        # Either feature alone is fine.
+        check_compatibility(**{first: True, second: False})
+        check_compatibility(**{first: False, second: True})
+
+    def test_supported_combinations_pass(self):
+        check_compatibility()
+        check_compatibility(shards=True, faults=True)
+        check_compatibility(trains=True, controller=True, record_rtt=True,
+                            trace_occupancy=True, single_bottleneck=True)
+
+    def test_unknown_feature_is_a_type_error(self):
+        with pytest.raises(TypeError, match="shard"):
+            check_compatibility(shard=True)
+
+    def test_run_incast_raises_the_same_text(self):
+        from repro.sim.faults import FaultSpec
+
+        faults = [FaultSpec.parse("iid-loss:rate=0.001,links=bottleneck")]
+        with pytest.raises(ValueError) as excinfo:
+            run_incast(make_scheme("pmsb"), lambda: DwrrScheduler(2),
+                       incast_flows([1, 1]), faults=faults,
+                       config=RunConfig(duration=0.002, trains=16))
+        assert str(excinfo.value) == TRAINS_FAULTS

@@ -43,8 +43,8 @@ def _baseline_digest(scheme_name):
     payload = {
         "scheme": r.scheme,
         "queue_gbps": {str(q): round(v, 12) for q, v in r.queue_gbps.items()},
-        "drops": r.network.bottleneck_port.drops,
-        "tx": r.network.bottleneck_port.tx_packets,
+        "drops": r.network.observed_ports("bottleneck")[0].drops,
+        "tx": r.network.observed_ports("bottleneck")[0].tx_packets,
     }
     return stable_digest(payload)
 

@@ -79,14 +79,14 @@ class TestAuditAcrossSweepReset:
         # The sweep pattern: run, clear the engine, reset every port,
         # run again — all under one auditor.
         from repro.ecn.base import NullMarker
-        from repro.net.topology import single_bottleneck
+        from repro.net.topology import TopologySpec
         from repro.transport.endpoints import open_flow
         from repro.transport.flow import Flow
 
         sim = Simulator()
         auditor = FabricAuditor(sim)
-        network = single_bottleneck(sim, 2, lambda: DwrrScheduler(2),
-                                    NullMarker)
+        network = TopologySpec("single-bottleneck", senders=2).build(
+            sim, lambda: DwrrScheduler(2), NullMarker)
         auditor.attach_network(network)
         open_flow(network, Flow(src=0, dst=2, size_bytes=60_000))
         sim.run(until=0.002)  # mid-transfer

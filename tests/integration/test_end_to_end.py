@@ -13,7 +13,7 @@ from repro.ecn.base import NullMarker
 from repro.ecn.per_port import PerPortMarker
 from repro.metrics.fct import FctCollector
 from repro.metrics.throughput import ThroughputMeter
-from repro.net.topology import leaf_spine, single_bottleneck
+from repro.net.topology import TopologySpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.scheduling.fifo import FifoScheduler
 from repro.sim.engine import Simulator
@@ -27,8 +27,8 @@ pytestmark = pytest.mark.slow
 class TestConservation:
     def test_every_data_packet_is_acked_exactly_once(self):
         sim = Simulator()
-        net = single_bottleneck(sim, 2, lambda: DwrrScheduler(2),
-                                lambda: PmsbMarker(12))
+        net = TopologySpec("single-bottleneck", senders=2).build(
+            sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(12))
         handles = [
             open_flow(net, Flow(src=i, dst=2, size_bytes=100_000, service=i))
             for i in range(2)
@@ -44,20 +44,20 @@ class TestConservation:
 
     def test_no_drops_with_ecn_and_adequate_buffer(self):
         sim = Simulator()
-        net = single_bottleneck(sim, 8, lambda: DwrrScheduler(2),
-                                lambda: PmsbMarker(12))
+        net = TopologySpec("single-bottleneck", senders=8).build(
+            sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(12))
         for i in range(8):
             open_flow(net, Flow(src=i, dst=8, service=i % 2))
         sim.run(until=0.02)
-        assert net.bottleneck_port.drops == 0
+        assert net.observed_ports("bottleneck")[0].drops == 0
 
     def test_marked_packets_produce_ece_acks(self):
         sim = Simulator()
-        net = single_bottleneck(sim, 4, lambda: FifoScheduler(1),
-                                lambda: PerPortMarker(8))
+        net = TopologySpec("single-bottleneck", senders=4).build(
+            sim, lambda: FifoScheduler(1), lambda: PerPortMarker(8))
         handles = [open_flow(net, Flow(src=i, dst=4)) for i in range(4)]
         sim.run(until=0.01)
-        marker = net.bottleneck_port.marker
+        marker = net.observed_ports("bottleneck")[0].marker
         assert marker.packets_marked > 0
         total_accepted = sum(h.sender.marks_accepted for h in handles)
         assert total_accepted > 0
@@ -69,10 +69,10 @@ class TestPaperHeadlines:
         restores the 50/50 split."""
         def run(marker_factory):
             sim = Simulator()
-            net = single_bottleneck(sim, 9, lambda: DwrrScheduler(2),
-                                    marker_factory)
+            net = TopologySpec("single-bottleneck", senders=9).build(
+                sim, lambda: DwrrScheduler(2), marker_factory)
             meter = ThroughputMeter(sim, bin_width=1e-3)
-            meter.attach_port(net.bottleneck_port)
+            meter.attach_port(net.observed_ports("bottleneck")[0])
             for i in range(9):
                 open_flow(net, Flow(src=i, dst=9, service=0 if i == 0 else 1))
             sim.run(until=0.02)
@@ -87,34 +87,35 @@ class TestPaperHeadlines:
 
     def test_pmsb_keeps_port_occupancy_low(self):
         sim = Simulator()
-        net = single_bottleneck(sim, 8, lambda: DwrrScheduler(2),
-                                lambda: PmsbMarker(12))
+        net = TopologySpec("single-bottleneck", senders=8).build(
+            sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(12))
         for i in range(8):
             open_flow(net, Flow(src=i, dst=8, service=i % 2))
+        (bottleneck,) = net.observed_ports("bottleneck")
         samples = []
         for k in range(1, 40):
-            sim.at(k * 5e-4, lambda: samples.append(
-                net.bottleneck_port.packet_count))
+            sim.at(k * 5e-4, lambda: samples.append(bottleneck.packet_count))
         sim.run(until=0.02)
         steady = samples[len(samples) // 2:]
         assert sum(steady) / len(steady) < 40  # bounded near the threshold
 
     def test_victims_protected_counter_increments(self):
         sim = Simulator()
-        net = single_bottleneck(sim, 9, lambda: DwrrScheduler(2),
-                                lambda: PmsbMarker(16))
+        net = TopologySpec("single-bottleneck", senders=9).build(
+            sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
         for i in range(9):
             open_flow(net, Flow(src=i, dst=9, service=0 if i == 0 else 1))
         sim.run(until=0.01)
-        assert net.bottleneck_port.marker.victims_protected > 0
+        (bottleneck,) = net.observed_ports("bottleneck")
+        assert bottleneck.marker.victims_protected > 0
 
 
 class TestLeafSpineTransfers:
     def test_many_flows_complete_across_fabric(self):
         sim = Simulator()
-        net = leaf_spine(sim, lambda: DwrrScheduler(8),
-                         lambda: PmsbMarker(12),
-                         n_leaf=2, n_spine=2, hosts_per_leaf=3)
+        net = TopologySpec(
+            "leaf-spine", n_leaf=2, n_spine=2, hosts_per_leaf=3).build(
+            sim, lambda: DwrrScheduler(8), lambda: PmsbMarker(12))
         collector = FctCollector()
         flows = [
             Flow(src=i, dst=(i + 3) % 6, size_bytes=50_000, service=i % 8)
@@ -128,9 +129,9 @@ class TestLeafSpineTransfers:
 
     def test_ecmp_spreads_without_reordering_failures(self):
         sim = Simulator()
-        net = leaf_spine(sim, lambda: DwrrScheduler(8),
-                         lambda: PmsbMarker(12),
-                         n_leaf=2, n_spine=2, hosts_per_leaf=4)
+        net = TopologySpec(
+            "leaf-spine", n_leaf=2, n_spine=2, hosts_per_leaf=4).build(
+            sim, lambda: DwrrScheduler(8), lambda: PmsbMarker(12))
         collector = FctCollector()
         flows = [
             Flow(src=i % 4, dst=4 + (i % 4), size_bytes=30_000, service=i % 8)
@@ -153,8 +154,8 @@ class TestFailureInjection:
         """A 20:1 incast into a 30-packet buffer drops heavily; every
         flow must still complete via retransmission."""
         sim = Simulator()
-        net = single_bottleneck(sim, 20, lambda: FifoScheduler(1),
-                                NullMarker, buffer_packets=30)
+        net = TopologySpec("single-bottleneck", senders=20).build(
+            sim, lambda: FifoScheduler(1), NullMarker, buffer_packets=30)
         collector = FctCollector()
         handles = [
             open_flow(net, Flow(src=i, dst=20, size_bytes=30_000),
@@ -163,15 +164,17 @@ class TestFailureInjection:
             for i in range(20)
         ]
         sim.run(until=1.0)
-        assert net.bottleneck_port.drops > 0  # pressure was real
+        (bottleneck,) = net.observed_ports("bottleneck")
+        assert bottleneck.drops > 0  # pressure was real
         assert len(collector) == 20
         assert all(h.receiver.expected_seq == h.flow.size_packets
                    for h in handles)
 
     def test_tiny_buffer_with_ecn_still_completes(self):
         sim = Simulator()
-        net = single_bottleneck(sim, 10, lambda: DwrrScheduler(2),
-                                lambda: PmsbMarker(6), buffer_packets=20)
+        net = TopologySpec("single-bottleneck", senders=10).build(
+            sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(6),
+            buffer_packets=20)
         collector = FctCollector()
         for i in range(10):
             open_flow(net, Flow(src=i, dst=10, size_bytes=30_000,

@@ -8,7 +8,7 @@ from repro.core.pmsb import PmsbMarker
 from repro.ecn.base import NullMarker
 from repro.net.link import Link
 from repro.net.packet import POOL, make_data, set_pooling
-from repro.net.topology import leaf_spine, single_bottleneck
+from repro.net.topology import TopologySpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.scheduling.fifo import FifoScheduler
 from repro.sim.engine import Simulator
@@ -112,14 +112,15 @@ class TestInFlightKill:
 class TestTransportSurvivesFlap:
     def test_flow_completes_across_bottleneck_flap(self):
         sim = Simulator()
-        net = single_bottleneck(sim, 1, lambda: FifoScheduler(1), NullMarker)
+        net = TopologySpec("single-bottleneck", senders=1).build(
+            sim, lambda: FifoScheduler(1), NullMarker)
         done = []
         handle = open_flow(
             net, Flow(src=0, dst=1, size_bytes=300_000),
             DctcpConfig(min_rto=2e-3),
             on_complete=lambda f, fct, s: done.append(fct),
         )
-        bottleneck_link = net.bottleneck_port.link
+        bottleneck_link = net.observed_ports("bottleneck")[0].link
         sim.at(0.2e-3, bottleneck_link.set_down)
         sim.at(1.2e-3, bottleneck_link.set_up)
         sim.run(until=0.5)
@@ -130,9 +131,9 @@ class TestTransportSurvivesFlap:
 
     def test_fabric_flap_with_many_flows(self):
         sim = Simulator()
-        net = leaf_spine(sim, lambda: DwrrScheduler(8),
-                         lambda: PmsbMarker(12),
-                         n_leaf=2, n_spine=2, hosts_per_leaf=3)
+        net = TopologySpec(
+            "leaf-spine", n_leaf=2, n_spine=2, hosts_per_leaf=3).build(
+            sim, lambda: DwrrScheduler(8), lambda: PmsbMarker(12))
         done = []
         for i in range(6):
             open_flow(net, Flow(src=i, dst=(i + 3) % 6, size_bytes=60_000,

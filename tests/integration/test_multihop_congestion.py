@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.pmsb import PmsbMarker
 from repro.metrics.fct import FctCollector
-from repro.net.topology import leaf_spine
+from repro.net.topology import TopologySpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.engine import Simulator
 from repro.transport.base import DctcpConfig
@@ -26,9 +26,9 @@ pytestmark = pytest.mark.slow
 def build(sim, n_spine=1):
     # One spine: the two uplinks are 2:1 oversubscribed when all six
     # hosts of one rack talk to the other rack.
-    return leaf_spine(sim, lambda: DwrrScheduler(4),
-                      lambda: PmsbMarker(12),
-                      n_leaf=2, n_spine=n_spine, hosts_per_leaf=3)
+    return TopologySpec(
+        "leaf-spine", n_leaf=2, n_spine=n_spine, hosts_per_leaf=3).build(
+        sim, lambda: DwrrScheduler(4), lambda: PmsbMarker(12))
 
 
 class TestMultiHopCongestion:

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.experiments.scenario import make_scheme
 from repro.metrics.fct import FctCollector
-from repro.net.topology import single_bottleneck
+from repro.net.topology import TopologySpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.scheduling.strict_priority import StrictPriorityScheduler
 from repro.scheduling.wfq import WfqScheduler
@@ -61,11 +61,9 @@ def test_conservation_invariants(scenario):
         standard_threshold_packets=scenario["port_threshold"],
     )
     n_flows = len(scenario["flow_sizes"])
-    network = single_bottleneck(
-        sim, n_flows,
-        lambda: SCHEDULERS[scenario["scheduler"]](scenario["n_queues"]),
-        scheme.marker_factory,
-    )
+    network = TopologySpec("single-bottleneck", senders=n_flows).build(
+        sim, lambda: SCHEDULERS[scenario["scheduler"]](scenario["n_queues"]),
+        scheme.marker_factory)
     collector = FctCollector()
     handles = []
     for index, size in enumerate(scenario["flow_sizes"]):
@@ -91,4 +89,4 @@ def test_conservation_invariants(scenario):
         for port in switch.ports:
             assert port.packet_count == 0
     # Deep buffers + ECN: loss-free operation.
-    assert network.bottleneck_port.drops == 0
+    assert network.observed_ports("bottleneck")[0].drops == 0

@@ -66,7 +66,8 @@ def _set_engine(monkeypatch, slow: bool) -> None:
 
 def _fct_digest(topology: str, audit: bool) -> str:
     row = run_fct_point("pmsb", "dwrr", 0.5, TINY, seed=3,
-                        topology=TopologySpec.parse(topology), audit=audit)
+                        topology=TopologySpec.parse(topology),
+                        config=RunConfig(audit=audit))
     return stable_digest(dataclasses.asdict(row))
 
 

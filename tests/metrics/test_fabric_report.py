@@ -8,7 +8,7 @@ import pytest
 from repro.core.pmsb import PmsbMarker
 from repro.metrics.fabric_report import fabric_report
 from repro.metrics.stats import bootstrap_ci
-from repro.net.topology import single_bottleneck
+from repro.net.topology import TopologySpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.engine import Simulator
 from repro.transport.endpoints import open_flow
@@ -17,8 +17,8 @@ from repro.transport.flow import Flow
 
 def run_scenario(duration=0.005):
     sim = Simulator()
-    net = single_bottleneck(sim, 4, lambda: DwrrScheduler(2),
-                            lambda: PmsbMarker(12))
+    net = TopologySpec("single-bottleneck", senders=4).build(
+        sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(12))
     for i in range(4):
         open_flow(net, Flow(src=i, dst=4, service=i % 2))
     sim.run(until=duration)

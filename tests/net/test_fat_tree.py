@@ -7,13 +7,14 @@ import pytest
 from repro.ecn.base import NullMarker
 from repro.net.graph import to_networkx, validate_topology
 from repro.net.packet import make_data
-from repro.net.topology import fat_tree
+from repro.net.topology import TopologySpec
 from repro.scheduling.fifo import FifoScheduler
 
 
 @pytest.fixture
 def net(sim):
-    return fat_tree(sim, lambda: FifoScheduler(8), NullMarker, k=4)
+    return TopologySpec("fat-tree", k=4).build(
+        sim, lambda: FifoScheduler(8), NullMarker)
 
 
 class TestShape:
@@ -23,9 +24,11 @@ class TestShape:
 
     def test_arity_validation(self, sim):
         with pytest.raises(ValueError):
-            fat_tree(sim, lambda: FifoScheduler(1), NullMarker, k=3)
+            TopologySpec("fat-tree", k=3).build(
+                sim, lambda: FifoScheduler(1), NullMarker)
         with pytest.raises(ValueError):
-            fat_tree(sim, lambda: FifoScheduler(1), NullMarker, k=0)
+            TopologySpec("fat-tree", k=-2).build(
+                sim, lambda: FifoScheduler(1), NullMarker)
 
     def test_every_port_connected(self, net):
         for switch in net.switches:

@@ -7,12 +7,13 @@ import pytest
 
 from repro.ecn.base import NullMarker
 from repro.net.graph import to_networkx, validate_topology
-from repro.net.topology import leaf_spine, single_bottleneck
+from repro.net.topology import TopologySpec
 from repro.scheduling.fifo import FifoScheduler
 
 
 def build_bottleneck(sim, n=3):
-    return single_bottleneck(sim, n, lambda: FifoScheduler(1), NullMarker)
+    return TopologySpec("single-bottleneck", senders=n).build(
+        sim, lambda: FifoScheduler(1), NullMarker)
 
 
 class TestToNetworkx:
@@ -34,8 +35,9 @@ class TestToNetworkx:
         assert graph.number_of_edges() == 8
 
     def test_leaf_spine_diameter(self, sim):
-        net = leaf_spine(sim, lambda: FifoScheduler(8), NullMarker,
-                         n_leaf=2, n_spine=2, hosts_per_leaf=2)
+        net = TopologySpec(
+            "leaf-spine", n_leaf=2, n_spine=2, hosts_per_leaf=2).build(
+            sim, lambda: FifoScheduler(8), NullMarker)
         graph = to_networkx(net)
         # host -> leaf -> spine -> leaf -> host = 4 hops max.
         assert nx.diameter(graph.to_undirected()) == 4

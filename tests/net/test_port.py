@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.ecn.base import Marker, MarkPoint
@@ -366,3 +368,34 @@ class TestResetClearsMarkerState:
         port.reset()
         assert marker._phantom_bytes == 0.0
         assert marker._last_update == sim.now
+
+
+class TestMarkerPortThreshold:
+    """The marking onset `_enqueue_train` chunks trains against."""
+
+    @staticmethod
+    def threshold(sim, marker):
+        from repro.net.port import _marker_port_threshold
+
+        port, _sink = make_port(sim, n_queues=2, marker=marker)
+        return _marker_port_threshold(port)
+
+    def test_per_port(self, sim):
+        from repro.ecn.per_port import PerPortMarker
+
+        assert self.threshold(sim, PerPortMarker(16.0)) == 16.0
+
+    def test_pmsb(self, sim):
+        from repro.core.pmsb import PmsbMarker
+
+        assert self.threshold(sim, PmsbMarker(12.0)) == 12.0
+
+    def test_per_queue_takes_minimum(self, sim):
+        from repro.ecn.per_queue import PerQueueMarker
+
+        assert self.threshold(sim, PerQueueMarker([8.0, 4.0])) == 4.0
+
+    def test_null_marker_is_nan(self, sim):
+        from repro.ecn.base import NullMarker
+
+        assert math.isnan(self.threshold(sim, NullMarker()))

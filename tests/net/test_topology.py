@@ -7,7 +7,7 @@ import pytest
 from repro.ecn.base import NullMarker
 from repro.ecn.per_port import PerPortMarker
 from repro.net.packet import make_data
-from repro.net.topology import leaf_spine, single_bottleneck
+from repro.net.topology import TopologySpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.scheduling.fifo import FifoScheduler
 
@@ -20,26 +20,32 @@ def marker():
     return PerPortMarker(16)
 
 
+def incast_net(sim, senders):
+    return TopologySpec("single-bottleneck", senders=senders).build(
+        sim, dwrr2, marker)
+
+
 class TestSingleBottleneck:
     def test_host_count(self, sim):
-        net = single_bottleneck(sim, 4, dwrr2, marker)
+        net = incast_net(sim, 4)
         assert len(net.hosts) == 5  # 4 senders + receiver
 
-    def test_bottleneck_port_is_marked_and_multiqueue(self, sim):
-        net = single_bottleneck(sim, 4, dwrr2, marker)
-        assert isinstance(net.bottleneck_port.marker, PerPortMarker)
-        assert net.bottleneck_port.n_queues == 2
+    def test_bottleneck_is_marked_and_multiqueue(self, sim):
+        net = incast_net(sim, 4)
+        (port,) = net.observed_ports("bottleneck")
+        assert isinstance(port.marker, PerPortMarker)
+        assert port.n_queues == 2
 
     def test_only_bottleneck_is_marked(self, sim):
-        net = single_bottleneck(sim, 4, dwrr2, marker)
-        assert net.all_marked_ports() == [net.bottleneck_port]
+        net = incast_net(sim, 4)
+        assert net.all_marked_ports() == net.observed_ports("bottleneck")
 
     def test_every_host_has_a_nic(self, sim):
-        net = single_bottleneck(sim, 3, dwrr2, marker)
+        net = incast_net(sim, 3)
         assert all(host.nic is not None for host in net.hosts)
 
     def test_sender_to_receiver_path(self, sim):
-        net = single_bottleneck(sim, 2, dwrr2, marker)
+        net = incast_net(sim, 2)
         receiver = net.hosts[2]
         packet = make_data(1, src=0, dst=2, seq=0)
         net.hosts[0].send(packet)
@@ -47,7 +53,7 @@ class TestSingleBottleneck:
         assert receiver.received_packets == 1
 
     def test_receiver_to_sender_path(self, sim):
-        net = single_bottleneck(sim, 2, dwrr2, marker)
+        net = incast_net(sim, 2)
         packet = make_data(1, src=2, dst=1, seq=0)
         net.hosts[2].send(packet)
         sim.run()
@@ -57,8 +63,9 @@ class TestSingleBottleneck:
 class TestLeafSpine:
     @pytest.fixture
     def net(self, sim):
-        return leaf_spine(sim, lambda: FifoScheduler(8), NullMarker,
-                          n_leaf=2, n_spine=2, hosts_per_leaf=3)
+        return TopologySpec(
+            "leaf-spine", n_leaf=2, n_spine=2, hosts_per_leaf=3).build(
+            sim, lambda: FifoScheduler(8), NullMarker)
 
     def test_shape(self, sim, net):
         assert len(net.hosts) == 6
@@ -103,13 +110,14 @@ class TestLeafSpine:
         assert sum(spine.forwarded for spine in spines) == 1
 
     def test_default_shape_matches_paper(self, sim):
-        net = leaf_spine(sim, lambda: FifoScheduler(8), NullMarker)
+        net = TopologySpec("leaf-spine").build(
+            sim, lambda: FifoScheduler(8), NullMarker)
         assert len(net.hosts) == 48
         assert len(net.switches) == 8
 
     def test_marked_ports_cover_fabric(self, sim):
-        net = leaf_spine(sim, lambda: DwrrScheduler(8),
-                         lambda: PerPortMarker(16),
-                         n_leaf=2, n_spine=2, hosts_per_leaf=3)
+        net = TopologySpec(
+            "leaf-spine", n_leaf=2, n_spine=2, hosts_per_leaf=3).build(
+            sim, lambda: DwrrScheduler(8), lambda: PerPortMarker(16))
         # Leaf: 3 downlinks + 2 uplinks each; spine: 2 downlinks each.
         assert len(net.all_marked_ports()) == 2 * 5 + 2 * 2

@@ -3,8 +3,7 @@
 Covers the spec grammar (parse/aliases/errors), the cache-key rendering
 contract (default presets keep their historical param shapes), Clos
 shape arithmetic across the 48 -> 1024 host ladder, derived-route
-equivalence with the hand-wired fabrics, the observed-port role API,
-and the deprecation shims over the legacy builder functions.
+equivalence with the hand-wired fabrics, and the observed-port role API.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ import pytest
 from repro.net.graph import validate_routes
 from repro.net.switch import Switch
 from repro.net.topology import (ClosGenerator, TOPOLOGY_PRESETS,
-                                TopologySpec, as_topology, fat_tree,
-                                leaf_spine, set_topology_default,
-                                single_bottleneck, topology_enabled)
+                                TopologySpec, as_topology,
+                                set_topology_default, topology_enabled)
 from repro.core.pmsb import PmsbMarker
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.engine import Simulator
@@ -51,6 +49,10 @@ class TestParse:
     def test_leaf_spine_count_aliases(self):
         spec = TopologySpec.parse("leaf-spine:leaf=2,spine=2,hosts=3")
         assert (spec.n_leaf, spec.n_spine, spec.hosts_per_leaf) == (2, 2, 3)
+
+    def test_presets_constant_is_exported(self):
+        assert set(TOPOLOGY_PRESETS) == {
+            "single-bottleneck", "leaf-spine", "fat-tree", "clos"}
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown topology preset"):
@@ -187,19 +189,6 @@ class TestDerivedRoutes:
         network = _build("clos:tiers=3,ports=4")
         validate_routes(network)
 
-    def test_spec_build_matches_deprecated_builder_structure(self):
-        spec_net = _build("leaf-spine:leaf=2,spine=2,hosts=3")
-        sim = Simulator()
-        with pytest.deprecated_call():
-            legacy_net = leaf_spine(sim, _sched, _marker, n_leaf=2,
-                                    n_spine=2, hosts_per_leaf=3)
-        for new, old in zip(spec_net.switches, legacy_net.switches):
-            assert new.name == old.name
-            assert new.ecmp_salt == old.ecmp_salt
-            assert [p.name for p in new.ports] == [p.name for p in old.ports]
-            assert {dst: tuple(group) for dst, group in new.routes.items()} \
-                == {dst: tuple(group) for dst, group in old.routes.items()}
-
     def test_network_records_its_spec(self):
         spec = TopologySpec.parse("fat-tree:k=4")
         sim = Simulator()
@@ -227,15 +216,6 @@ class TestObservedPorts:
         port = network.host_facing_port(0)
         network.register_observed("bottleneck", port)
         assert network.observed_ports("bottleneck") == [port]
-
-    def test_bottleneck_port_alias_warns(self):
-        network = _build("single-bottleneck:senders=2")
-        with pytest.deprecated_call():
-            port = network.bottleneck_port
-        assert port.name == "sw0:bottleneck"
-        with pytest.deprecated_call():
-            network.bottleneck_port = None
-        assert network.observed_ports("bottleneck") == []
 
     def test_host_facing_port_covers_every_host(self):
         network = _build("clos:tiers=2,ports=8,oversub=1.5")
@@ -285,27 +265,6 @@ class TestProcessDefault:
         finally:
             set_topology_default(None)
         assert topology_enabled(None) is None
-
-
-class TestDeprecatedBuilders:
-    def test_single_bottleneck_warns_and_builds(self):
-        sim = Simulator()
-        with pytest.deprecated_call():
-            network = single_bottleneck(sim, 3, _sched, _marker)
-        assert len(network.hosts) == 4
-
-    def test_fat_tree_warns_and_validates_arity(self):
-        sim = Simulator()
-        with pytest.deprecated_call():
-            network = fat_tree(sim, _sched, _marker, k=4)
-        assert len(network.hosts) == 16
-        with pytest.raises(ValueError):
-            with pytest.deprecated_call():
-                fat_tree(Simulator(), _sched, _marker, k=0)
-
-    def test_presets_constant_is_exported(self):
-        assert set(TOPOLOGY_PRESETS) == {
-            "single-bottleneck", "leaf-spine", "fat-tree", "clos"}
 
 
 class TestInstallRoutes:

@@ -377,13 +377,13 @@ class TestTransportValidators:
 
     @staticmethod
     def _audited_flow(sim):
-        from repro.net.topology import single_bottleneck
+        from repro.net.topology import TopologySpec
         from repro.transport.endpoints import open_flow
         from repro.transport.flow import Flow
 
         auditor = FabricAuditor(sim)
-        network = single_bottleneck(
-            sim, 1, lambda: DwrrScheduler(1), NullMarker)
+        network = TopologySpec("single-bottleneck", senders=1).build(
+            sim, lambda: DwrrScheduler(1), NullMarker)
         auditor.attach_network(network)
         handle = open_flow(network, Flow(src=0, dst=1, size_bytes=30_000))
         return auditor, network, handle
@@ -502,13 +502,13 @@ class TestTransportValidators:
 
 class TestGlobalConservation:
     def test_phantom_host_receive_caught(self, sim):
-        from repro.net.topology import single_bottleneck
+        from repro.net.topology import TopologySpec
         from repro.transport.endpoints import open_flow
         from repro.transport.flow import Flow
 
         auditor = FabricAuditor(sim)
-        network = single_bottleneck(
-            sim, 1, lambda: DwrrScheduler(1), NullMarker)
+        network = TopologySpec("single-bottleneck", senders=1).build(
+            sim, lambda: DwrrScheduler(1), NullMarker)
         auditor.attach_network(network)
         open_flow(network, Flow(src=0, dst=1, size_bytes=30_000))
         sim.run(until=0.05)

@@ -1,18 +1,16 @@
-"""Batched slot execution under the fabric auditor.
+"""Bucket-drain execution under the fabric auditor.
 
-Satellite check for the batched engine tier: a full-stack audited incast
-must produce *identical* conservation and ECN-legality ledgers whether a
-wheel slot fires as one batch drain or one event at a time.  The auditor
-is the strictest observer the datapath has — every enqueue/dequeue/drop
-flows through its per-port ledgers and ``verify_fabric`` closes the
-global conservation equation — so ledger equality here means the batch
-drain is semantically invisible.
+A full-stack audited incast must produce *identical* conservation and
+ECN-legality ledgers whether the engine drains whole wheel buckets (the
+fast loop) or pops one heap event at a time (``slow_path=True``).  The
+auditor is the strictest observer the datapath has — every
+enqueue/dequeue/drop flows through its per-port ledgers and
+``verify_fabric`` closes the global conservation equation — so ledger
+equality here means the bucket drain is semantically invisible.
 """
 
-import pytest
-
 from repro.core.pmsb import PmsbMarker
-from repro.net.topology import single_bottleneck
+from repro.net.topology import TopologySpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.audit import FabricAuditor
 from repro.sim.engine import Simulator
@@ -20,16 +18,13 @@ from repro.transport.base import DctcpConfig
 from repro.transport.endpoints import open_flow
 from repro.transport.flow import Flow
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::DeprecationWarning")
 
-
-def audited_incast(batch_slots, duration=0.004):
+def audited_incast(slow_path, duration=0.004):
     """Run the 1:8 PMSB incast under the auditor; return ledger tuples."""
-    sim = Simulator(batch_slots=batch_slots)
+    sim = Simulator(slow_path=slow_path)
     auditor = FabricAuditor(sim)
-    net = single_bottleneck(sim, 9, lambda: DwrrScheduler(2),
-                            lambda: PmsbMarker(16))
+    net = TopologySpec("single-bottleneck", senders=9).build(
+        sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
     auditor.attach_network(net)
     flows = [Flow(flow_id=i, src=i, dst=9, service=0 if i == 0 else 1)
              for i in range(9)]
@@ -61,18 +56,10 @@ def audited_incast(batch_slots, duration=0.004):
 
 class TestAuditedBatchEquivalence:
     def test_ledgers_identical_batch_vs_single(self):
-        batched_ledgers, batched_totals = audited_incast(batch_slots=True)
-        single_ledgers, single_totals = audited_incast(batch_slots=False)
-        assert batched_ledgers == single_ledgers
-        assert batched_totals == single_totals
+        fast_ledgers, fast_totals = audited_incast(slow_path=False)
+        slow_ledgers, slow_totals = audited_incast(slow_path=True)
+        assert fast_ledgers == slow_ledgers
+        assert fast_totals == slow_totals
         # The scenario must actually exercise the datapath.
-        assert batched_totals["events"] > 10_000
-        assert sum(batched_totals["marked"]) > 0
-
-    def test_env_toggle_matches_ctor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SLOT_BATCH", "1")
-        env_ledgers, env_totals = audited_incast(batch_slots=None)
-        monkeypatch.delenv("REPRO_NO_SLOT_BATCH")
-        ctor_ledgers, ctor_totals = audited_incast(batch_slots=False)
-        assert env_ledgers == ctor_ledgers
-        assert env_totals == ctor_totals
+        assert fast_totals["events"] > 10_000
+        assert sum(fast_totals["marked"]) > 0

@@ -1,14 +1,9 @@
-"""Batched slot execution: semantics identical with the drain on or off.
+"""Bucket drain semantics: the fast loop against the heap-only reference.
 
-The fast path's whole-bucket drain is a mechanism, not a semantic: with
-``batch_slots=False`` (or ``REPRO_NO_SLOT_BATCH=1``) every wheel event
-goes through the exact single-event merge path instead.  Firing order,
-clocks and results must be indistinguishable.
+The fast path drains whole timing-wheel buckets; ``slow_path=True`` runs
+the original heap-only loop.  Firing order, clocks and results must be
+indistinguishable.
 """
-
-import os
-
-import pytest
 
 from repro.sim.engine import Simulator
 
@@ -40,57 +35,24 @@ def record_run(sim, horizon=0.002):
     return log
 
 
-class TestBatchToggle:
-    def test_default_is_batched(self):
-        assert Simulator().batch_slots is True
-
-    def test_ctor_override(self):
-        assert Simulator(batch_slots=False).batch_slots is False
-
-    def test_env_toggle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SLOT_BATCH", "1")
-        assert Simulator().batch_slots is False
-        # The explicit ctor argument wins over the environment.
-        assert Simulator(batch_slots=True).batch_slots is True
-
-    def test_slow_path_never_batches(self):
-        assert Simulator(slow_path=True).batch_slots is False
-
-
 class TestBatchSemantics:
     def test_identical_firing_order(self):
-        batched = record_run(Simulator(batch_slots=True))
-        single = record_run(Simulator(batch_slots=False))
+        fast = record_run(Simulator())
         slow = record_run(Simulator(slow_path=True))
-        assert batched == single == slow
-        assert len(batched) > 50
+        assert fast == slow
+        assert len(fast) > 50
 
     def test_identical_engine_totals(self):
-        sims = [Simulator(batch_slots=True), Simulator(batch_slots=False)]
+        sims = [Simulator(), Simulator(slow_path=True)]
         for sim in sims:
             record_run(sim)
         assert sims[0].events_processed == sims[1].events_processed
         assert sims[0].now == sims[1].now
 
-    def test_batch_counters(self):
-        batched = Simulator(batch_slots=True)
-        record_run(batched)
-        assert batched.slot_batches > 0
-        assert batched.batched_events > 0
-        assert batched.batched_events <= batched.wheel_events_processed
-
-        single = Simulator(batch_slots=False)
-        record_run(single)
-        assert single.slot_batches == 0
-        assert single.batched_events == 0
-        # The events still fire — just through the merge path.
-        assert single.wheel_events_processed == batched.wheel_events_processed
-
     def test_unbatched_handles_empty_heap(self):
-        # With the drain disabled, wheel events must still fire when the
-        # heap is completely empty (the merge branch cannot compare
-        # against a heap top that does not exist).
-        sim = Simulator(batch_slots=False)
+        # Wheel events must fire when the heap is completely empty (the
+        # drain cannot compare against a heap top that does not exist).
+        sim = Simulator()
         log = []
         for i in range(10):
             sim.at(i * 1e-7, lambda i=i: log.append(i))
@@ -98,15 +60,15 @@ class TestBatchSemantics:
         assert log == list(range(10))
 
     def test_max_events_budget_respected(self):
-        for batch in (True, False):
-            sim = Simulator(batch_slots=batch)
+        for slow in (False, True):
+            sim = Simulator(slow_path=slow)
             for i in range(20):
                 sim.at(1e-6, lambda: None)
             assert sim.run(max_events=7) == 7
             assert sim.events_processed == 7
 
     def test_step_single_event(self):
-        sim = Simulator(batch_slots=True)
+        sim = Simulator()
         fired = []
         sim.at(1e-6, lambda: fired.append(1))
         sim.at(1e-6, lambda: fired.append(2))

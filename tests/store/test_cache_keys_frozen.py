@@ -46,7 +46,7 @@ class TestHistoricalKeysUnchanged:
 
     def test_fct_legacy_fat_tree_string(self):
         spec = fct_point_spec("pmsb", "dwrr", 0.5, TINY, 3,
-                              topology="fat-tree", fat_tree_k=4)
+                              topology="fat-tree")
         assert spec.key() == FROZEN_KEYS["fct-fat-tree"]
 
     def test_fct_spec_object_matches_legacy_string(self):

@@ -11,8 +11,7 @@ import pytest
 from repro.experiments.largescale import fct_point_spec
 from repro.experiments.scale import BENCH, TINY
 from repro.sim.rng import stable_digest
-from repro.store import (ExperimentSpec, RunConfig, UNSET,
-                         resolve_run_config)
+from repro.store import ExperimentSpec, RunConfig
 
 
 class TestStableDigest:
@@ -90,26 +89,3 @@ class TestRunConfig:
         config = RunConfig(duration=0.01)
         assert config.evolve(seed=7) == RunConfig(duration=0.01, seed=7)
         assert config.duration == 0.01  # frozen original untouched
-
-    def test_resolve_passthrough_is_silent(self):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            config = resolve_run_config(RunConfig(duration=0.02), "caller",
-                                        duration=UNSET, audit=UNSET)
-        assert config.duration == 0.02
-
-    def test_legacy_kwarg_warns_and_wins(self):
-        with pytest.warns(DeprecationWarning, match="caller.*duration="):
-            config = resolve_run_config(RunConfig(duration=0.02), "caller",
-                                        duration=0.05, audit=UNSET)
-        assert config.duration == 0.05
-
-    def test_legacy_spellings_warn_at_entry_points(self):
-        from repro.experiments.extensions import service_pool_victim
-        from repro.experiments.largescale import run_fct_point
-        with pytest.warns(DeprecationWarning, match="service_pool_victim"):
-            service_pool_victim(duration=0.002)
-        with pytest.warns(DeprecationWarning, match="run_fct_point"):
-            run_fct_point("pmsb", "dwrr", 0.3, profile=TINY, seed=1,
-                          audit=False)

@@ -177,17 +177,17 @@ class TestEndToEnd:
         from repro.core.pmsb import PmsbMarker
         from repro.ecn.per_port import PerPortMarker
         from repro.metrics.throughput import ThroughputMeter
-        from repro.net.topology import single_bottleneck
+        from repro.net.topology import TopologySpec
         from repro.scheduling.dwrr import DwrrScheduler
         from repro.sim.engine import Simulator
         from repro.transport.dcqcn import open_dcqcn_flow
 
         def run(marker_factory):
             local_sim = Simulator()
-            net = single_bottleneck(local_sim, 9,
-                                    lambda: DwrrScheduler(2), marker_factory)
+            net = TopologySpec("single-bottleneck", senders=9).build(
+                local_sim, lambda: DwrrScheduler(2), marker_factory)
             meter = ThroughputMeter(local_sim, bin_width=1e-3)
-            meter.attach_port(net.bottleneck_port)
+            meter.attach_port(net.observed_ports("bottleneck")[0])
             for i in range(9):
                 open_dcqcn_flow(net, Flow(src=i, dst=9,
                                           service=0 if i == 0 else 1))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ecn.base import NullMarker
-from repro.net.topology import single_bottleneck
+from repro.net.topology import TopologySpec
 from repro.scheduling.fifo import FifoScheduler
 from repro.transport.base import DctcpConfig
 from repro.transport.endpoints import open_flow, open_flows
@@ -13,8 +13,8 @@ from repro.transport.flow import Flow
 
 
 def build(sim, n_senders=2):
-    return single_bottleneck(sim, n_senders,
-                             lambda: FifoScheduler(1), NullMarker)
+    return TopologySpec("single-bottleneck", senders=n_senders).build(
+        sim, lambda: FifoScheduler(1), NullMarker)
 
 
 class TestOpenFlow:

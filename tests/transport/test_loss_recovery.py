@@ -13,7 +13,7 @@ import pytest
 
 from repro.ecn.base import NullMarker
 from repro.ecn.per_port import PerPortMarker
-from repro.net.topology import single_bottleneck
+from repro.net.topology import TopologySpec
 from repro.scheduling.fifo import FifoScheduler
 from repro.sim.audit import FabricAuditor
 from repro.sim.engine import Simulator
@@ -29,7 +29,8 @@ pytestmark = pytest.mark.slow
 def _lossy_bottleneck(spec, n_senders=1, marker=NullMarker, seed=3):
     sim = Simulator()
     auditor = FabricAuditor(sim)
-    net = single_bottleneck(sim, n_senders, lambda: FifoScheduler(1), marker)
+    net = TopologySpec("single-bottleneck", senders=n_senders).build(
+        sim, lambda: FifoScheduler(1), marker)
     auditor.attach_network(net)
     chaos = FaultScheduler(sim, [spec], seed=seed)
     chaos.apply(net)

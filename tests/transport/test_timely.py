@@ -124,12 +124,14 @@ class TestConvergence:
     @pytest.mark.slow
     def test_fair_and_bounded_without_ecn(self, sim):
         from repro.metrics.throughput import ThroughputMeter
-        from repro.net.topology import single_bottleneck
+        from repro.net.topology import TopologySpec
         from repro.transport.endpoints import open_flow
 
-        net = single_bottleneck(sim, 4, lambda: FifoScheduler(1), NullMarker)
+        net = TopologySpec("single-bottleneck", senders=4).build(
+            sim, lambda: FifoScheduler(1), NullMarker)
         meter = ThroughputMeter(sim, bin_width=1e-3)
-        meter.attach_port(net.bottleneck_port)
+        (bottleneck,) = net.observed_ports("bottleneck")
+        meter.attach_port(bottleneck)
         handles = [
             open_flow(net, Flow(src=i, dst=4), DctcpConfig(),
                       sender_class=TimelySender)
@@ -140,4 +142,4 @@ class TestConvergence:
         total = sum(goodputs)
         assert total > 8e9                      # high utilization, no ECN
         assert max(goodputs) < 2.0 * min(goodputs)  # rough fairness
-        assert net.bottleneck_port.drops == 0   # RTT control bounded queue
+        assert bottleneck.drops == 0   # RTT control bounded queue

@@ -9,14 +9,12 @@ import pytest
 
 from repro.core.pmsb import PmsbMarker
 from repro.net.packet import POOL, make_data, split_train
-from repro.net.topology import single_bottleneck
+from repro.net.topology import TopologySpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.engine import Simulator
 from repro.transport.base import DctcpConfig
 from repro.transport.endpoints import open_flow
 from repro.transport.flow import Flow
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 class TestConfig:
@@ -56,8 +54,8 @@ class TestSplitTrain:
 def run_incast_pair(train_packets, duration=0.004, n_senders=9):
     """One 1:8 PMSB incast; returns its flow handles and simulator."""
     sim = Simulator()
-    net = single_bottleneck(sim, n_senders, lambda: DwrrScheduler(2),
-                            lambda: PmsbMarker(16))
+    net = TopologySpec("single-bottleneck", senders=n_senders).build(
+        sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
     flows = [Flow(flow_id=i, src=i, dst=n_senders,
                   service=0 if i == 0 else 1) for i in range(n_senders)]
     config = DctcpConfig(train_packets=train_packets)
@@ -93,8 +91,8 @@ class TestTrainEndToEnd:
         # train_packets=1 must take the exact per-packet code path.
         _, explicit = run_incast_pair(train_packets=1)
         sim = Simulator()
-        net = single_bottleneck(sim, 9, lambda: DwrrScheduler(2),
-                                lambda: PmsbMarker(16))
+        net = TopologySpec("single-bottleneck", senders=9).build(
+            sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
         flows = [Flow(flow_id=i, src=i, dst=9, service=0 if i == 0 else 1)
                  for i in range(9)]
         handles = [open_flow(net, flow, DctcpConfig()) for flow in flows]
@@ -107,8 +105,8 @@ class TestTrainEndToEnd:
 
     def test_completion_with_trains(self):
         sim = Simulator()
-        net = single_bottleneck(sim, 2, lambda: DwrrScheduler(2),
-                                lambda: PmsbMarker(16))
+        net = TopologySpec("single-bottleneck", senders=2).build(
+            sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
         done = []
         handle = open_flow(
             net, Flow(flow_id=1, src=0, dst=2, size_bytes=200 * 1460),
@@ -121,8 +119,9 @@ class TestTrainEndToEnd:
     def test_retransmissions_are_single_packets(self):
         sim = Simulator()
         # A tiny NIC queue forces drops during slow-start bursts.
-        net = single_bottleneck(sim, 2, lambda: DwrrScheduler(2),
-                                lambda: PmsbMarker(16), buffer_packets=4)
+        net = TopologySpec("single-bottleneck", senders=2).build(
+            sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(16),
+            buffer_packets=4)
         handle = open_flow(
             net, Flow(flow_id=1, src=0, dst=2, size_bytes=400 * 1460),
             DctcpConfig(train_packets=16, init_cwnd=64.0))
