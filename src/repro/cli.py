@@ -168,11 +168,6 @@ def _profile(args):
     return PROFILES[name] if name else None
 
 
-def _trains(args) -> Optional[int]:
-    """Packet-train width from ``--trains``, or None (per-packet)."""
-    return getattr(args, "trains", None)
-
-
 def _duration(args, fallback: float = 0.03) -> float:
     """Simulated seconds for a static experiment.
 
@@ -221,7 +216,7 @@ def cmd_fig2(args) -> Any:
 def _victim(args, threshold: float, flows: int) -> Any:
     result = motivation.per_port_victim(threshold, flows,
                                         duration=_duration(args),
-                                        trains=_trains(args))
+                                        trains=args.trains)
     print(f"per-port K={threshold:.0f}, 1 flow vs {flows} flows:")
     print(f"  queue 1: {result.queue1_gbps:5.2f} Gbps")
     print(f"  queue 2: {result.queue2_gbps:5.2f} Gbps")
@@ -263,7 +258,7 @@ def cmd_fig5(args) -> Any:
 def cmd_fig8(args) -> Any:
     result = static_flows.weighted_fair_sharing("pmsb",
                                                 duration=_duration(args),
-                                                trains=_trains(args))
+                                                trains=args.trains)
     print(f"PMSB DWRR 1:4 -> q1 {result.queue_gbps[0]:.2f} G, "
           f"q2 {result.queue_gbps[1]:.2f} G")
     return result.queue_gbps
@@ -333,7 +328,7 @@ def cmd_sweep(args) -> Any:
         cache_dir=args.cache_dir,
         force=args.force,
         shards=args.shards,
-        trains=_trains(args),
+        trains=args.trains,
     )
     rows = largescale.run_fct_sweep(scheduler_name=args.scheduler,
                                     config=config)
@@ -639,6 +634,16 @@ COMMANDS = {
 
 #: Commands that understand the run-store cache flags.
 _STORE_BACKED = ("sweep", "chaos-sweep", "sharedbuf", "autotune", "xscale")
+
+#: Common flag -> the commands whose runner reads it.  Anywhere else the
+#: flag exits 2 instead of being parsed and dropped.
+_READ_BY = {
+    "shards": ("sweep", "chaos-sweep", "xscale"),
+    "trains": ("fig3", "fig6", "fig7", "fig8", "sweep"),
+    # xscale_point builds clean, open-loop fabrics.
+    "faults": tuple(name for name in COMMANDS if name != "xscale"),
+    "controller": tuple(name for name in COMMANDS if name != "xscale"),
+}
 
 
 # -- run-store maintenance commands ------------------------------------------
@@ -961,6 +966,13 @@ def _dispatch(argv: Optional[List[str]]) -> int:
         except ValueError as exc:
             parser.error(f"{spec_flag.flag}: {exc}")
     flags = {spec_flag.dest: value for spec_flag, value in resolved}
+    for dest, commands in _READ_BY.items():
+        if (getattr(args, dest) not in (None, 1)
+                and args.command not in commands):
+            only = (f" (only {', '.join(commands)} do)"
+                    if len(commands) <= 5 else "")
+            parser.error(f"--{dest}: {args.command} does not support "
+                         f"it{only}")
     try:
         check_compatibility(
             trains=(args.trains or 1) > 1, shards=(args.shards or 1) > 1,

@@ -24,20 +24,19 @@ as the clean experiments, loss included.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
 from ..scheduling.dwrr import DwrrScheduler
+from ..sim.audit import audit_enabled
 from ..sim.faults import FaultSpec, loss_spec
-from ..store.runstore import RunStore, make_provenance
+from ..store.runstore import RunStore
 from ..store.spec import ExperimentSpec, RunConfig
 from ..net.topology import TopologySpec
-from . import largescale
-from .largescale import (FctRow, resolve_fct_topology, run_fct_point,
-                         topology_params)
-from .scale import BENCH, ScaleProfile
+from .largescale import (FctRow, cached_point, resolve_fct_topology,
+                         run_fct_point, sweep_setup, topology_params)
+from .scale import ScaleProfile
 from .scenario import incast_flows, make_scheme, run_incast
 
 __all__ = [
@@ -243,49 +242,29 @@ def chaos_point_spec(
 
 
 def _chaos_worker(point) -> ChaosFctRow:
-    """Module-level (picklable) worker for one chaos sweep point.
-
-    Same cache contract as
-    :func:`~repro.experiments.largescale._sweep_worker`: store hits are
-    answered without simulating, fresh results persist atomically
-    before returning, and the crash hook
-    (:data:`~repro.experiments.largescale.CRASH_AFTER_ENV`) counts only
-    freshly computed points.
-    """
+    """Module-level (picklable) worker for one chaos sweep point (cache
+    contract: :func:`~repro.experiments.largescale.cached_point`)."""
     (scheme_name, scheduler_name, load, profile, seed, model, loss_rate,
      audit, cache_dir, force, topology, shards) = point
-    store = RunStore(cache_dir) if cache_dir else None
     spec = chaos_point_spec(scheme_name, scheduler_name, load, profile,
                             seed, model, loss_rate, audit=audit,
                             topology=topology, shards=shards)
-    if store is not None and not force:
-        record = store.get(spec)
-        if record is not None:
-            return ChaosFctRow.from_payload(record.result)
-    provenance_out: Dict[str, Any] = {}
-    fault_stats: Dict[str, Any] = {}
-    fct = run_fct_point(
-        scheme_name, scheduler_name, load, profile, seed,
-        topology=topology,
-        config=RunConfig(audit=audit,
-                         shards=shards if shards > 1 else None),
-        provenance_out=provenance_out,
-        faults=chaos_faults(model, loss_rate),
-        fault_stats_out=fault_stats,
-    )
-    row = ChaosFctRow(
-        model=model, loss_rate=loss_rate,
-        drops=_sorted_drops(fault_stats.get("drops", {})),
-        fct=fct,
-    )
-    if store is not None:
-        store.put(spec, row.to_payload(), make_provenance(
-            profile_name=profile.name,
-            elapsed_s=provenance_out.get("elapsed_s"),
-            engine=provenance_out.get("engine"),
-        ))
-        largescale._note_point_computed()
-    return row
+
+    def compute(provenance: Dict[str, Any]) -> ChaosFctRow:
+        fault_stats: Dict[str, Any] = {}
+        fct = run_fct_point(
+            scheme_name, scheduler_name, load, profile, seed,
+            topology=topology, config=RunConfig(audit=audit, shards=shards),
+            provenance_out=provenance,
+            faults=chaos_faults(model, loss_rate),
+            fault_stats_out=fault_stats,
+        )
+        return ChaosFctRow(
+            model=model, loss_rate=loss_rate,
+            drops=_sorted_drops(fault_stats.get("drops", {})), fct=fct)
+
+    return cached_point(spec, cache_dir, force, profile,
+                        ChaosFctRow.from_payload, compute)
 
 
 def run_chaos_sweep(
@@ -310,26 +289,13 @@ def run_chaos_sweep(
     """
     from .runner import run_parallel
 
-    config = config or RunConfig()
-    if profile is None:
-        profile = config.profile if config.profile is not None else BENCH
-    if seed is None:
-        seed = config.seed if config.seed is not None else 1
-    jobs = config.jobs if config.jobs is not None else profile.jobs
-    if store is None and config.cache_dir:
-        store = config.cache_dir
-    cache_dir = (store.root if isinstance(store, RunStore)
-                 else os.fspath(store) if store else None)
-    force = config.force or not config.resume
-
-    largescale._points_computed = 0
-    from ..sim.audit import audit_enabled
+    config, profile, seed, jobs, cache_dir, force = sweep_setup(
+        config, profile, seed, store)
     audit = audit_enabled(config.audit)
     topology_spec = resolve_fct_topology(topology)
-    shards = config.shards if config.shards is not None else 1
     points = [
         (name, scheduler_name, load, profile, seed, model, loss_rate,
-         audit, cache_dir, force, topology_spec, shards)
+         audit, cache_dir, force, topology_spec, config.shards)
         for loss_rate in loss_rates
         for load in profile.loads
         for name in scheme_names

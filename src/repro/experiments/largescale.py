@@ -19,8 +19,8 @@ WFQ (it raises — no round concept), matching the paper.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..control.controller import (ControllerRuntime, ControllerSpec,
@@ -34,17 +34,19 @@ from ..sim.audit import FabricAuditor, audit_enabled
 from ..sim.engine import Simulator
 from ..sim.faults import FaultScheduler, FaultSpec, faults_enabled
 from ..sim.rng import make_rng
+from ..sim.shard import (ShardResult, ShardScenario, cut_fabric,
+                         verify_fabric)
 from ..store.runstore import RunStore, make_provenance
 from ..store.spec import ExperimentSpec, RunConfig
-from ..transport.endpoints import open_flow
 from ..workloads.distributions import PAPER_MIX, SizeDistribution
 from ..workloads.generator import PoissonFlowGenerator
 from .scale import BENCH, ScaleProfile
 from .scenario import SchemeSpec, check_compatibility, make_scheme
+from .sharded import _merge_fault_stats, execute, wire_local_flows
 
 __all__ = ["FctRow", "fct_point_spec", "topology_params", "largescale_scheme",
-           "resolve_fct_topology", "run_fct_point", "run_fct_sweep",
-           "reduction_percent", "LARGESCALE_SCHEMES"]
+           "resolve_fct_topology", "fct_scenario", "fct_row", "run_fct_point",
+           "run_fct_sweep", "reduction_percent", "LARGESCALE_SCHEMES"]
 
 #: Test/CI hook: when set to N > 0, a store-backed sweep raises after
 #: this process has computed (and persisted) N fresh points — a
@@ -269,6 +271,126 @@ def _make_scheduler_factory(scheduler_name: str):
         f"unknown scheduler {scheduler_name!r} (use 'dwrr', 'wrr' or 'wfq')")
 
 
+def fct_scenario(
+    shard_id: int,
+    n_shards: int,
+    scheme_name: str,
+    scheduler_name: str,
+    load: float,
+    profile: ScaleProfile,
+    seed: int,
+    topo: TopologySpec,
+    audit: bool = False,
+    fault_specs: Sequence[FaultSpec] = (),
+    controller: Optional[ControllerSpec] = None,
+    size_distribution: Optional[SizeDistribution] = None,
+    size_scale: Optional[float] = None,
+    trains: int = 1,
+    profile_events: bool = False,
+) -> ShardScenario:
+    """Build one shard of an FCT point — the whole point at
+    ``n_shards == 1``.  :func:`run_fct_point` resolves defaults and
+    rejects unsupported combinations before calling this."""
+    scheme = largescale_scheme(scheme_name, profile.link_rate,
+                               base_rtt_hops=topo.base_rtt_hops)
+    rng = make_rng(seed)
+    sim = Simulator()
+    if audit:
+        FabricAuditor(sim)
+    profiler = None
+    if profile_events:
+        from ..sim.profile import SimProfiler
+        profiler = SimProfiler(sim, sample_interval=profile.time_cap / 200.0)
+        profiler.start()
+    network = topo.build(
+        sim, _make_scheduler_factory(scheduler_name), scheme.marker_factory,
+        default_fabric=profile.fabric, link_rate=profile.link_rate,
+    )
+    fabric = cut_fabric(network, shard_id, n_shards)
+    chaos = None
+    if fault_specs:
+        chaos = FaultScheduler(sim, fault_specs, seed=seed)
+        chaos.apply(network)
+    runtime = None
+    if controller is not None:
+        runtime = ControllerRuntime(sim, network.all_marked_ports(),
+                                    controller.build(), controller.period)
+    if size_distribution is None:
+        size_distribution = PAPER_MIX.scaled(profile.size_scale)
+        size_scale = profile.size_scale
+    elif size_scale is None:
+        size_scale = 1.0
+    generator = PoissonFlowGenerator(
+        rng, [h.host_id for h in network.hosts], size_distribution,
+        load=load, link_rate_bps=profile.link_rate, n_services=N_SERVICES,
+    )
+    flows = generator.generate(n_flows=profile.largescale_flows)
+
+    collector = FctCollector(size_scale=size_scale)
+    want_rtt = runtime is not None and controller.wants_rtt
+
+    handles = wire_local_flows(
+        network, fabric, flows,
+        lambda _flow: scheme.transport_config(trains, init_cwnd=16.0,
+                                              record_rtt=want_rtt),
+        on_complete=collector.on_complete)
+    if runtime is not None:
+        if want_rtt:
+            for handle in handles:
+                runtime.add_rtt_source(handle.sender)
+        runtime.start()
+
+    def finalize() -> Dict[str, Any]:
+        verify_fabric(network, fabric)
+        if runtime is not None:
+            runtime.stop()
+        if profiler is not None:
+            profiler.stop()
+        return {
+            "scheme": scheme.name, "scheduler": scheduler_name,
+            "load": load, "n_flows": len(flows), "size_scale": size_scale,
+            "records": collector.records,
+            "fault_stats": chaos.stats() if chaos is not None else None,
+            "controller_stats": (runtime.stats() if runtime is not None
+                                 else None),
+            "profile_report": (profiler.report() if profiler is not None
+                               else None),
+        }
+
+    return ShardScenario(sim=sim, fabric=fabric,
+                         deadline=flows[-1].start_time + profile.time_cap,
+                         total_units=len(flows),
+                         completed=collector.__len__, finalize=finalize)
+
+
+def fct_row(results: Sequence[ShardResult]) -> FctRow:
+    """The :class:`FctRow` of one executed :func:`fct_scenario`.
+
+    Several shards' completion records are merged chronologically by
+    ``(completion time, flow id)``; a single shard's are already in
+    completion order and stay as collected.
+    """
+    first = results[0].payload
+    collector = FctCollector(size_scale=first["size_scale"])
+    for result in results:
+        collector.records.extend(result.payload["records"])
+    if len(results) > 1:
+        collector.records.sort(
+            key=lambda r: (r.start_time + r.fct, r.flow_id))
+    by_class = collector.summary_by_class()
+    return FctRow(
+        scheme=first["scheme"],
+        scheduler=first["scheduler"],
+        load=first["load"],
+        n_flows=first["n_flows"],
+        completed=len(collector),
+        overall=collector.summary(),
+        small=by_class[SizeClass.SMALL],
+        medium=by_class[SizeClass.MEDIUM],
+        large=by_class[SizeClass.LARGE],
+    )
+
+
 def run_fct_point(
     scheme_name: str,
     scheduler_name: str = "dwrr",
@@ -300,10 +422,12 @@ def run_fct_point(
     :class:`~repro.sim.profile.SimProfiler` rides along and its
     plain-text report is printed after the run; ``config.audit``
     attaches a :class:`~repro.sim.audit.FabricAuditor` across the whole
-    fabric (None defers to the process default).  Unsupported
+    fabric (None defers to the process default); ``config.shards``
+    spreads the same :func:`fct_scenario` over that many
+    conservative-lookahead shards
+    (:func:`~repro.experiments.sharded.execute`).  Unsupported
     combinations (trains with shards or faults; shards with a
-    controller, a custom size distribution or ``profile_events``) are
-    rejected up front by
+    controller or ``profile_events``) are rejected up front by
     :func:`~repro.experiments.scenario.check_compatibility`.
     ``provenance_out``, when given, is filled with wall time and engine
     counters for run-store provenance.  ``faults`` injects a chaos
@@ -321,122 +445,37 @@ def run_fct_point(
         profile = config.profile if config.profile is not None else BENCH
     if seed is None:
         seed = config.seed if config.seed is not None else 1
-    profile_events = config.profile_events
-    audit = config.audit
     shards = config.shards if config.shards is not None else 1
     trains = config.trains if config.trains is not None else 1
-    check_compatibility(
-        trains=trains > 1, shards=shards > 1,
-        faults=bool(faults_enabled(faults)),
-        controller=controller_enabled(controller) is not None,
-        profile_events=profile_events,
-        size_distribution=size_distribution is not None)
-    topo = resolve_fct_topology(topology)
-    if shards > 1:
-        from .sharded import sharded_fct_point
-        return sharded_fct_point(
-            scheme_name, scheduler_name, load, profile, seed, shards,
-            topo=topo, audit=audit_enabled(audit),
-            faults=faults_enabled(faults) or (),
-            provenance_out=provenance_out,
-            fault_stats_out=fault_stats_out,
-        )
-    wall_start = time.perf_counter()
-    scheme = largescale_scheme(scheme_name, profile.link_rate,
-                               base_rtt_hops=topo.base_rtt_hops)
-    rng = make_rng(seed)
-    sim = Simulator()
-    auditor = FabricAuditor(sim) if audit_enabled(audit) else None
-    profiler = None
-    if profile_events:
-        from ..sim.profile import SimProfiler
-        profiler = SimProfiler(sim, sample_interval=profile.time_cap / 200.0)
-        profiler.start()
-    network = topo.build(
-        sim, _make_scheduler_factory(scheduler_name), scheme.marker_factory,
-        default_fabric=profile.fabric, link_rate=profile.link_rate,
-    )
-    if auditor is not None:
-        auditor.attach_network(network)
-    fault_specs = faults_enabled(faults)
-    chaos = None
-    if fault_specs:
-        chaos = FaultScheduler(sim, fault_specs, seed=seed)
-        chaos.apply(network)
+    fault_specs = faults_enabled(faults) or ()
     controller = controller_enabled(controller)
-    runtime = None
-    if controller is not None:
-        runtime = ControllerRuntime(sim, network.all_marked_ports(),
-                                    controller.build(), controller.period)
-    if size_distribution is None:
-        size_distribution = PAPER_MIX.scaled(profile.size_scale)
-        size_scale = profile.size_scale
-    elif size_scale is None:
-        size_scale = 1.0
-    generator = PoissonFlowGenerator(
-        rng, [h.host_id for h in network.hosts], size_distribution,
-        load=load, link_rate_bps=profile.link_rate, n_services=N_SERVICES,
-    )
-    flows = generator.generate(n_flows=profile.largescale_flows)
+    check_compatibility(
+        trains=trains > 1, shards=shards > 1, faults=bool(fault_specs),
+        controller=controller is not None,
+        profile_events=config.profile_events)
+    topo = resolve_fct_topology(topology)
+    results = execute(
+        partial(fct_scenario, scheme_name=scheme_name,
+                scheduler_name=scheduler_name, load=load, profile=profile,
+                seed=seed, topo=topo, audit=audit_enabled(config.audit),
+                fault_specs=fault_specs, controller=controller,
+                size_distribution=size_distribution, size_scale=size_scale,
+                trains=trains, profile_events=config.profile_events),
+        shards, poll=max(profile.time_cap / 100.0, 1e-3),
+        provenance_out=provenance_out)
 
-    collector = FctCollector(size_scale=size_scale)
-    want_rtt = runtime is not None and controller.wants_rtt
-    for flow in flows:
-        transport = scheme.transport_config(
-            init_cwnd=16.0, record_rtt=want_rtt, train_packets=trains,
-            # Train mode coalesces ACKs too (delayed-ACK CE state
-            # machine, one ACK per two units, PSH flushes) — see
-            # run_incast.
-            ack_every=2 if trains > 1 else 1,
-            delack_timeout=5e-6 if trains > 1 else 1e-3)
-        handle = open_flow(network, flow, transport,
-                           on_complete=collector.on_complete)
-        if want_rtt:
-            runtime.add_rtt_source(handle.sender)
-    if runtime is not None:
-        runtime.start()
-
-    deadline = flows[-1].start_time + profile.time_cap
-    chunk = max(profile.time_cap / 100.0, 1e-3)
-    while len(collector) < len(flows) and sim.now < deadline:
-        sim.run(until=min(sim.now + chunk, deadline))
-    if auditor is not None:
-        auditor.verify_fabric()
-    if chaos is not None and fault_stats_out is not None:
-        fault_stats_out.update(chaos.stats())
-    if runtime is not None:
-        runtime.stop()
-        if controller_stats_out is not None:
-            controller_stats_out.update(runtime.stats())
-
-    if profiler is not None:
-        profiler.stop()
+    fault_stats = [result.payload["fault_stats"] for result in results]
+    if fault_stats_out is not None and any(fault_stats):
+        fault_stats_out.update(_merge_fault_stats(fault_stats))
+    first = results[0].payload
+    if (controller_stats_out is not None
+            and first["controller_stats"] is not None):
+        controller_stats_out.update(first["controller_stats"])
+    if first["profile_report"] is not None:
         print(f"\n[{scheme_name} / {scheduler_name} / load {load:.2f} / "
               f"seed {seed}]")
-        print(profiler.report())
-
-    if provenance_out is not None:
-        provenance_out["elapsed_s"] = time.perf_counter() - wall_start
-        provenance_out["engine"] = {
-            "events_processed": sim.events_processed,
-            "wheel_events_processed": sim.wheel_events_processed,
-            "heap_events_processed": sim.heap_events_processed,
-            "cancelled_pending": sim.cancelled_pending,
-            "compactions": sim.compactions,
-        }
-
-    by_class = collector.summary_by_class()
-    return FctRow(
-        scheme=scheme.name,
-        scheduler=scheduler_name,
-        load=load,
-        n_flows=len(flows),
-        completed=len(collector),
-        overall=collector.summary(),
-        small=by_class[SizeClass.SMALL],
-        medium=by_class[SizeClass.MEDIUM],
-        large=by_class[SizeClass.LARGE],
-    )
+        print(first["profile_report"])
+    return fct_row(results)
 
 
 def run_fct_point_multi(
@@ -474,47 +513,75 @@ def run_fct_point_multi(
     )
 
 
-def _sweep_worker(point) -> FctRow:
-    """Module-level (picklable) worker for one sweep point.
+def sweep_setup(config: Optional[RunConfig], profile: Optional[ScaleProfile],
+                seed: Optional[int], store: Optional[Union[RunStore, str]]):
+    """Resolve what every store-backed sweep shares — ``(config, profile,
+    seed, jobs, cache_dir, force)`` — and re-arm the crash hook."""
+    global _points_computed
+    _points_computed = 0
+    config = config or RunConfig()
+    if profile is None:
+        profile = config.profile if config.profile is not None else BENCH
+    if seed is None:
+        seed = config.seed if config.seed is not None else 1
+    jobs = config.jobs if config.jobs is not None else profile.jobs
+    if store is None:  # not `or`: an empty RunStore is falsy
+        store = config.cache_dir
+    cache_dir = (store.root if isinstance(store, RunStore)
+                 else os.fspath(store) if store else None)
+    return (config, profile, seed, jobs, cache_dir,
+            config.force or not config.resume)
 
-    With a ``cache_dir`` the worker is the cache boundary: it answers
-    hits from the store without simulating, and persists fresh results
-    atomically *before* returning, so a crash between points — real or
-    injected via :data:`CRASH_AFTER_ENV` — loses at most the point in
-    flight.  Workers on different points write different keys; workers
-    racing on the same key write identical bytes.  Either way the store
-    stays consistent at any ``--jobs`` level.
+
+def cached_point(spec: ExperimentSpec, cache_dir: Optional[str], force: bool,
+                 profile: ScaleProfile, load_row, compute):
+    """The sweep workers' cache boundary.
+
+    With a ``cache_dir`` a hit is answered from the store without
+    simulating (``load_row(record.result)``), and a fresh
+    ``compute(provenance_out)`` row is persisted atomically *before*
+    returning, so a crash between points — real or injected via
+    :data:`CRASH_AFTER_ENV` — loses at most the point in flight.
+    Workers on different points write different keys; workers racing on
+    the same key write identical bytes.  Either way the store stays
+    consistent at any ``--jobs`` level.
     """
+    store = RunStore(cache_dir) if cache_dir else None
+    if store is not None and not force:
+        record = store.get(spec)
+        if record is not None:
+            return load_row(record.result)
+    provenance: Dict[str, Any] = {}
+    row = compute(provenance)
+    if store is not None:
+        store.put(spec, row.to_payload(), make_provenance(
+            profile_name=profile.name,
+            elapsed_s=provenance.get("elapsed_s"),
+            engine=provenance.get("engine"),
+            shards=provenance.get("shards"),
+        ))
+        _note_point_computed()
+    return row
+
+
+def _sweep_worker(point) -> FctRow:
+    """Module-level (picklable) worker for one sweep point."""
     (scheme_name, scheduler_name, load, profile, seed, profile_events,
      audit, cache_dir, force, faults, controller, topology, shards,
      trains) = point
-    store = RunStore(cache_dir) if cache_dir else None
     spec = fct_point_spec(scheme_name, scheduler_name, load, profile, seed,
                           audit=audit, topology=topology, faults=faults,
                           controller=controller, shards=shards,
                           trains=trains)
-    if store is not None and not force:
-        record = store.get(spec)
-        if record is not None:
-            return FctRow.from_payload(record.result)
-    provenance_out: Dict[str, Any] = {}
-    row = run_fct_point(
-        scheme_name, scheduler_name, load, profile, seed,
-        topology=topology,
-        config=RunConfig(profile_events=profile_events, audit=audit,
-                         shards=shards if shards > 1 else None,
-                         trains=trains if trains > 1 else None),
-        provenance_out=provenance_out, faults=faults, controller=controller,
-    )
-    if store is not None:
-        store.put(spec, row.to_payload(), make_provenance(
-            profile_name=profile.name,
-            elapsed_s=provenance_out.get("elapsed_s"),
-            engine=provenance_out.get("engine"),
-            shards=provenance_out.get("shards"),
-        ))
-        _note_point_computed()
-    return row
+    return cached_point(
+        spec, cache_dir, force, profile, FctRow.from_payload,
+        lambda provenance: run_fct_point(
+            scheme_name, scheduler_name, load, profile, seed,
+            topology=topology,
+            config=RunConfig(profile_events=profile_events, audit=audit,
+                             shards=shards, trains=trains),
+            provenance_out=provenance, faults=faults,
+            controller=controller))
 
 
 def run_fct_sweep(
@@ -549,33 +616,19 @@ def run_fct_sweep(
     """
     from .runner import run_parallel
 
-    config = config or RunConfig()
-    if profile is None:
-        profile = config.profile if config.profile is not None else BENCH
-    if seed is None:
-        seed = config.seed if config.seed is not None else 1
-    jobs = config.jobs if config.jobs is not None else profile.jobs
-    if store is None and config.cache_dir:
-        store = config.cache_dir
-    cache_dir = (store.root if isinstance(store, RunStore)
-                 else os.fspath(store) if store else None)
-    force = config.force or not config.resume
-
-    global _points_computed
-    _points_computed = 0
+    config, profile, seed, jobs, cache_dir, force = sweep_setup(
+        config, profile, seed, store)
     # The audit, fault and topology choices are resolved here and
     # shipped inside each point so worker processes need not share this
     # process's defaults.
     fault_specs = faults_enabled(faults)
     controller_spec = controller_enabled(controller)
     topology_spec = resolve_fct_topology(topology)
-    shards = config.shards if config.shards is not None else 1
-    trains = config.trains if config.trains is not None else 1
     points = [
         (name, scheduler_name, load, profile, seed,
          config.profile_events, audit_enabled(config.audit),
          cache_dir, force, fault_specs, controller_spec, topology_spec,
-         shards, trains)
+         config.shards, config.trains)
         for load in profile.loads
         for name in scheme_names
         if not (scheduler_name == "wfq" and name == "mq-ecn")

@@ -14,7 +14,8 @@ Two things live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..control.controller import (ControllerRuntime, ControllerSpec,
                                   controller_enabled)
@@ -34,13 +35,17 @@ from ..scheduling.base import Scheduler
 from ..sim.audit import FabricAuditor, audit_enabled
 from ..sim.engine import Simulator
 from ..sim.faults import FaultScheduler, FaultSpec, faults_enabled
+from ..sim.shard import (ShardResult, ShardScenario, cut_fabric,
+                         verify_fabric)
 from ..store.spec import RunConfig
 from ..transport.base import DctcpConfig
-from ..transport.endpoints import FlowHandle, open_flow
+from ..transport.endpoints import FlowHandle
 from ..transport.flow import Flow
+from .sharded import execute, wire_local_flows
 
 __all__ = ["SchemeSpec", "make_scheme", "IncastResult", "run_incast",
-           "incast_flows", "check_compatibility", "SCHEME_NAMES"]
+           "incast_scenario", "incast_result", "incast_flows",
+           "check_compatibility", "SCHEME_NAMES"]
 
 SCHEME_NAMES = (
     "pmsb",
@@ -62,8 +67,19 @@ class SchemeSpec:
     marker_factory: Callable[[], Marker]
     ecn_filter_factory: Callable[[], EcnFilter] = field(default=AcceptAllFilter)
 
-    def transport_config(self, **overrides) -> DctcpConfig:
-        """A DCTCP config wired with this scheme's sender-side filter."""
+    def transport_config(self, trains: int = 1, **overrides) -> DctcpConfig:
+        """A DCTCP config wired with this scheme's sender-side filter.
+
+        ``trains > 1`` selects the packet-train tier, which coalesces
+        ACKs too (DCTCP delayed-ACK CE state machine, one ACK per two
+        data units): one event per data train would be undone by
+        per-unit ACK traffic on the way back.  PSH flushes
+        (window-filling / flow-final units) keep window-limited flows
+        off the delack timer.
+        """
+        if trains > 1:
+            overrides.update(train_packets=trains, ack_every=2,
+                             delack_timeout=5e-6)
         return DctcpConfig(ecn_filter_factory=self.ecn_filter_factory, **overrides)
 
 
@@ -187,8 +203,6 @@ _INCOMPATIBLE = (
     ("shards", "record_rtt",
      "--shards: record_rtt is not supported (flow handles stay in the "
      "workers)"),
-    ("shards", "size_distribution",
-     "--shards: custom size distributions are not supported"),
     ("shards", "single_bottleneck",
      "--shards: needs a multi-switch fabric (leaf-spine / fat-tree / "
      "clos), not single-bottleneck"),
@@ -201,8 +215,8 @@ def check_compatibility(**active: bool) -> None:
 
     Keyword names are features (``trains``, ``shards``, ``faults``,
     ``controller``, ``profile_events``, ``trace_occupancy``,
-    ``record_rtt``, ``size_distribution``, ``single_bottleneck``), values
-    whether the run uses them.  Raises :class:`ValueError` with the
+    ``record_rtt``, ``single_bottleneck``), values whether the run uses
+    them.  Raises :class:`ValueError` with the
     table's message for the first unsupported pair.  ``run_incast`` and
     ``run_fct_point`` call it before building anything; the CLI calls it
     on the parsed flags so the same text reaches ``parser.error``.
@@ -247,6 +261,121 @@ class IncastResult:
         return samples
 
 
+def incast_scenario(
+    shard_id: int,
+    n_shards: int,
+    scheme: SchemeSpec,
+    scheduler_factory: Callable[[], Scheduler],
+    flows: Sequence[Flow],
+    duration: float,
+    topo: TopologySpec,
+    warmup_fraction: float = 1.0 / 3.0,
+    link_rate: float = 10e9,
+    record_rtt: bool = False,
+    trace_occupancy: bool = False,
+    rate_limits: Optional[Dict[int, float]] = None,
+    init_cwnd: float = 16.0,
+    buffer_packets: int = 1000,
+    audit: bool = False,
+    fault_specs: Sequence[FaultSpec] = (),
+    fault_seed: int = 0,
+    shared_buffer: Optional[SharedBufferSpec] = None,
+    controller: Optional[ControllerSpec] = None,
+    trains: int = 1,
+) -> ShardScenario:
+    """Build one shard of an incast — the whole incast at
+    ``n_shards == 1``.  :func:`run_incast` resolves defaults, validates
+    the flow layout against the fabric and rejects unsupported
+    combinations before calling this."""
+    n_senders = max(flow.src for flow in flows) + 1
+    receiver_id = n_senders
+    sim = Simulator()
+    if audit:
+        FabricAuditor(sim)
+    network = topo.build(
+        sim, scheduler_factory, scheme.marker_factory,
+        shared_buffer=shared_buffer, default_senders=n_senders,
+        link_rate=link_rate, buffer_packets=buffer_packets,
+    )
+    bottleneck = network.observed_ports("bottleneck")
+    observed = bottleneck[0] if bottleneck else None
+    if observed is None:
+        observed = network.host_facing_port(receiver_id)
+        if observed is None:
+            raise ValueError(
+                f"topology {topo.preset!r} has no port facing the receiver "
+                f"(host {receiver_id})")
+        network.register_observed("bottleneck", observed)
+    fabric = cut_fabric(network, shard_id, n_shards)
+    chaos = None
+    if fault_specs:
+        chaos = FaultScheduler(sim, fault_specs, seed=fault_seed)
+        chaos.apply(network)
+    runtime = None
+    if controller is not None:
+        runtime = ControllerRuntime(sim, network.all_marked_ports(),
+                                    controller.build(), controller.period)
+        record_rtt = record_rtt or controller.wants_rtt
+    # The observed port transmits only in the shard that owns the
+    # receiver's leaf; the other shards have nothing to measure.
+    meter = trace = None
+    if fabric is None or receiver_id in fabric.local_host_ids:
+        meter = ThroughputMeter(sim, bin_width=duration / 100.0)
+        meter.attach_port(observed)
+        trace = QueueOccupancyTrace(observed) if trace_occupancy else None
+
+    def make_config(flow: Flow) -> DctcpConfig:
+        rate = None if rate_limits is None else rate_limits.get(flow.src)
+        return scheme.transport_config(
+            trains, record_rtt=record_rtt, rate_limit_bps=rate,
+            init_cwnd=init_cwnd)
+
+    handles = wire_local_flows(network, fabric, flows, make_config)
+    if runtime is not None:
+        for handle in handles:
+            runtime.add_rtt_source(handle.sender)
+        runtime.start()
+    warmup = duration * warmup_fraction
+
+    def finalize() -> Dict[str, Any]:
+        if runtime is not None:
+            runtime.stop()
+        verify_fabric(network, fabric)
+        payload: Dict[str, Any] = {
+            "scheme": scheme.name, "duration": duration, "warmup": warmup,
+            "queue_gbps": None if meter is None else {
+                q: meter.average_bps(q, warmup, duration) / 1e9
+                for q in range(observed.n_queues)},
+        }
+        if fabric is None:
+            # Nothing pickles an in-process payload: hand back the live
+            # objects (sharded runs leave them in the workers).
+            payload["live"] = dict(network=network, meter=meter,
+                                   handles=handles, trace=trace, chaos=chaos)
+        return payload
+
+    return ShardScenario(sim=sim, fabric=fabric, deadline=duration,
+                         total_units=None, completed=lambda: 0,
+                         finalize=finalize)
+
+
+def incast_result(results: Sequence[ShardResult]) -> IncastResult:
+    """The :class:`IncastResult` of one executed :func:`incast_scenario`:
+    rates from the shard that metered the observed port, live objects
+    only from an in-process run."""
+    metered = [result.payload for result in results
+               if result.payload["queue_gbps"] is not None]
+    if len(metered) != 1:
+        raise RuntimeError(f"{len(metered)} shards reported the observed "
+                           "port's rates; expected exactly one")
+    payload = metered[0]
+    live = payload.get("live") or dict(network=None, meter=None, handles=[],
+                                       trace=None, chaos=None)
+    return IncastResult(
+        scheme=payload["scheme"], duration=payload["duration"],
+        warmup=payload["warmup"], queue_gbps=payload["queue_gbps"], **live)
+
+
 def run_incast(
     scheme: SchemeSpec,
     scheduler_factory: Callable[[], Scheduler],
@@ -276,7 +405,12 @@ def run_incast(
     a final conservation pass (None defers to the process default the
     CLI's ``--audit`` flag sets).  ``config.trains`` (the CLI's
     ``--trains``) coalesces long-flow bursts into packet-train units —
-    the tolerance-accurate fast tier.  Combinations the runner cannot
+    the tolerance-accurate fast tier.  ``config.shards`` spreads the
+    same :func:`incast_scenario` over that many conservative-lookahead
+    shards (:func:`~repro.experiments.sharded.execute`); the result then
+    carries ``queue_gbps`` only — the live ``network`` / ``meter`` /
+    ``handles`` stay in the workers and come back None / empty.
+    Combinations the runner cannot
     honour (trains with shards or faults, shards with a controller, an
     occupancy trace, ``record_rtt`` or a single-bottleneck fabric) are
     rejected up front by :func:`check_compatibility`.
@@ -299,103 +433,37 @@ def run_incast(
     """
     config = config or RunConfig()
     duration = config.duration if config.duration is not None else 0.04
-    audit = config.audit
     shards = config.shards if config.shards is not None else 1
     trains = config.trains if config.trains is not None else 1
     topo = (topology_enabled(topology)
             or TopologySpec(preset="single-bottleneck"))
+    fault_specs = faults_enabled(faults) or ()
+    controller = controller_enabled(controller)
     check_compatibility(
-        trains=trains > 1, shards=shards > 1,
-        faults=bool(faults_enabled(faults)),
-        controller=controller_enabled(controller) is not None,
+        trains=trains > 1, shards=shards > 1, faults=bool(fault_specs),
+        controller=controller is not None,
         trace_occupancy=trace_occupancy, record_rtt=record_rtt,
         single_bottleneck=topo.preset == "single-bottleneck")
-    if shards > 1:
-        from .sharded import sharded_incast_run
-        return sharded_incast_run(
-            scheme, scheduler_factory, list(flows), duration, topo, shards,
-            warmup_fraction=warmup_fraction, link_rate=link_rate,
-            rate_limits=rate_limits, init_cwnd=init_cwnd,
-            buffer_packets=buffer_packets, audit=audit_enabled(audit),
-            faults=faults_enabled(faults) or (), fault_seed=fault_seed,
-            shared_buffer=shared_buffer,
-        )
     n_senders = max(flow.src for flow in flows) + 1
-    sim = Simulator()
-    auditor = FabricAuditor(sim) if audit_enabled(audit) else None
     if (topo.preset == "single-bottleneck" and topo.senders
             and topo.senders != n_senders):
         raise ValueError(
             f"topology pins {topo.senders} senders but the flow layout "
             f"uses {n_senders} (the receiver is host n_senders)")
-    network = topo.build(
-        sim, scheduler_factory, scheme.marker_factory,
-        shared_buffer=shared_buffer, default_senders=n_senders,
-        link_rate=link_rate, buffer_packets=buffer_packets,
-    )
-    receiver_id = n_senders
-    if len(network.hosts) <= receiver_id:
+    n_hosts = topo.n_hosts(default_senders=n_senders)
+    if n_hosts <= n_senders:
         raise ValueError(
-            f"topology {topo.preset!r} has {len(network.hosts)} hosts but the "
+            f"topology {topo.preset!r} has {n_hosts} hosts but the "
             f"flow layout needs {n_senders} senders plus a receiver")
-    bottleneck = network.observed_ports("bottleneck")
-    observed = bottleneck[0] if bottleneck else None
-    if observed is None:
-        observed = network.host_facing_port(receiver_id)
-        if observed is None:
-            raise ValueError(
-                f"topology {topo.preset!r} has no port facing the receiver "
-                f"(host {receiver_id})")
-        network.register_observed("bottleneck", observed)
-    if auditor is not None:
-        auditor.attach_network(network)
-    fault_specs = faults_enabled(faults)
-    chaos = None
-    if fault_specs:
-        chaos = FaultScheduler(sim, fault_specs, seed=fault_seed)
-        chaos.apply(network)
-    controller = controller_enabled(controller)
-    runtime = None
-    if controller is not None:
-        runtime = ControllerRuntime(sim, network.all_marked_ports(),
-                                    controller.build(), controller.period)
-        record_rtt = record_rtt or controller.wants_rtt
-    meter = ThroughputMeter(sim, bin_width=duration / 100.0)
-    meter.attach_port(observed)
-    trace = QueueOccupancyTrace(observed) if trace_occupancy else None
-
-    handles = []
-    for flow in flows:
-        rate = None if rate_limits is None else rate_limits.get(flow.src)
-        transport = scheme.transport_config(
-            record_rtt=record_rtt, rate_limit_bps=rate, init_cwnd=init_cwnd,
-            train_packets=trains,
-            # Train mode coalesces ACKs too (DCTCP delayed-ACK CE
-            # state machine, one ACK per two data units): one event per
-            # data train would be undone by per-unit ACK traffic on the
-            # way back.  PSH flushes (window-filling / flow-final
-            # units) keep window-limited flows off the delack timer.
-            ack_every=2 if trains > 1 else 1,
-            delack_timeout=5e-6 if trains > 1 else 1e-3,
-        )
-        handles.append(open_flow(network, flow, transport))
-    if runtime is not None:
-        for handle in handles:
-            runtime.add_rtt_source(handle.sender)
-        runtime.start()
-    sim.run(until=duration)
-    if runtime is not None:
-        runtime.stop()
-    if auditor is not None:
-        auditor.verify_fabric()
-
-    warmup = duration * warmup_fraction
-    n_queues = observed.n_queues
-    queue_gbps = {
-        q: meter.average_bps(q, warmup, duration) / 1e9 for q in range(n_queues)
-    }
-    return IncastResult(
-        scheme=scheme.name, duration=duration, warmup=warmup,
-        queue_gbps=queue_gbps, network=network, meter=meter,
-        handles=handles, trace=trace, chaos=chaos,
-    )
+    return incast_result(execute(
+        partial(incast_scenario, scheme=scheme,
+                scheduler_factory=scheduler_factory, flows=list(flows),
+                duration=duration, topo=topo,
+                warmup_fraction=warmup_fraction, link_rate=link_rate,
+                record_rtt=record_rtt, trace_occupancy=trace_occupancy,
+                rate_limits=rate_limits, init_cwnd=init_cwnd,
+                buffer_packets=buffer_packets,
+                audit=audit_enabled(config.audit), fault_specs=fault_specs,
+                fault_seed=fault_seed, shared_buffer=shared_buffer,
+                controller=controller, trains=trains),
+        shards))

@@ -1,59 +1,36 @@
-"""Sharded runners: one scenario spread over N conservative shards.
+"""Sharding as an executor: the plumbing the scenario builders share.
 
-Each family (FCT, incast, X-SCALE) gets a ``sharded_*`` twin of its
-single-process runner.  The twin's per-shard *builder* reconstructs the
-full fabric and all flow descriptors deterministically (so every RNG
-stream, device name, and flow id matches the single-process run), cuts
-the fabric with :class:`~repro.sim.shard.CutFabric`, wires only the
-flows whose endpoints this shard owns, and hands a
-:class:`~repro.sim.shard.ShardScenario` to the round driver.
-
-Determinism contract (see ``docs/API.md``):
-
-* FCT rows merge byte-identically at any shard count — Poisson start
-  times are continuous, so cross-shard same-timestamp ties have measure
-  zero, and the parent re-sorts completion records into chronological
-  ``(completion_time, flow_id)`` order;
-* incast starts every flow at ``t=0``, so equal-timestamp arrivals at
-  the convergence port can interleave differently across shard counts;
-  per-queue throughput is compared under a documented ~5% tolerance;
-* fault streams are keyed per link name and consumed at ``deliver()``
-  time in the link's owning shard only, so loss sequences are
-  byte-identical (timed flap in-flight kills are the one documented
-  divergence source).
+Each family has *one* module-level builder
+``(shard_id, n_shards, …) -> ShardScenario`` —
+:func:`~repro.experiments.largescale.fct_scenario`,
+:func:`~repro.experiments.scenario.incast_scenario`,
+:func:`~repro.experiments.xscale.xscale_scenario` — that rebuilds the
+full fabric and every flow descriptor deterministically, cuts the fabric
+for its shard (:func:`~repro.sim.shard.cut_fabric`; ``n_shards == 1``
+cuts nothing) and wires the flows whose endpoints it owns
+(:func:`wire_local_flows`).  :func:`execute` runs that builder
+in-process or across shards; the family's runner turns the returned
+payloads into its row type either way.  What a sharded row may differ
+by from the single-process one is measured, not assumed: see the
+determinism contract in ``docs/API.md`` and
+``tests/integration/test_shard_differential.py``.
 """
 
 from __future__ import annotations
 
 import time
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..metrics.fct import FctCollector, FctRecord, SizeClass
-from ..metrics.throughput import ThroughputMeter
-from ..net.topology import Network, TopologySpec
-from ..sim.audit import FabricAuditor
-from ..sim.engine import Simulator
-from ..sim.faults import FaultScheduler, FaultSpec
-from ..sim.rng import make_rng
+from ..net.topology import Network
 from ..sim.shard import (CutFabric, ShardResult, ShardScenario,
                          ShardedSimulator, aggregate_shard_stats,
-                         plan_shards)
+                         engine_totals, scenario_stats)
 from ..transport.base import DctcpConfig
 from ..transport.endpoints import open_flow
 from ..transport.flow import Flow
 from ..transport.receiver import DctcpReceiver
-from ..workloads.distributions import PAPER_MIX
-from ..workloads.generator import PoissonFlowGenerator
-from .scale import ScaleProfile
-from .scenario import SchemeSpec
 
-__all__ = [
-    "sharded_fct_point",
-    "sharded_incast_run",
-    "sharded_xscale_point",
-    "wire_local_flows",
-]
+__all__ = ["execute", "wire_local_flows"]
 
 
 def _wire_receiver(network: Network, flow: Flow,
@@ -73,7 +50,7 @@ def _wire_receiver(network: Network, flow: Flow,
 
 def wire_local_flows(
     network: Network,
-    fabric: CutFabric,
+    fabric: Optional[CutFabric],
     flows: Sequence[Flow],
     make_config: Callable[[Flow], DctcpConfig],
     on_complete=None,
@@ -86,14 +63,14 @@ def wire_local_flows(
       over the boundary finds its endpoint;
     * neither local → skipped (transit shards need no endpoints).
 
-    Returns the local sender handles (source-local flows only).
+    With ``fabric`` None every host is local.  Returns the local sender
+    handles (source-local flows only), in flow order.
     """
-    local = fabric.local_host_ids
+    local = None if fabric is None else fabric.local_host_ids
     handles: List[Any] = []
     for flow in flows:
-        if flow.src in local:
-            config = make_config(flow)
-            handles.append(open_flow(network, flow, config,
+        if local is None or flow.src in local:
+            handles.append(open_flow(network, flow, make_config(flow),
                                      on_complete=on_complete))
         elif flow.dst in local:
             _wire_receiver(network, flow, make_config(flow))
@@ -106,7 +83,8 @@ def _merge_fault_stats(per_shard: List[Optional[Dict[str, Any]]]
 
     Each link delivers (and classifies losses) in exactly one shard —
     the one owning its transmitter — so summing reproduces the
-    single-process breakdown.
+    single-process breakdown (and one shard's stats come back as they
+    went in, key order included).
     """
     merged: Dict[str, Any] = {"links": {}, "drops": {}}
     for stats in per_shard:
@@ -126,400 +104,39 @@ def _merge_fault_stats(per_shard: List[Optional[Dict[str, Any]]]
     return merged
 
 
-def _engine_totals(results: List[ShardResult]) -> Dict[str, int]:
-    totals = {"events_processed": 0, "wheel_events_processed": 0,
-              "heap_events_processed": 0, "cancelled_pending": 0,
-              "compactions": 0}
-    for result in results:
-        for key in totals:
-            totals[key] += result.stats.get(key, 0)
-    return totals
+def execute(builder: Callable[[int, int], ShardScenario], shards: int,
+            poll: Optional[float] = None,
+            provenance_out: Optional[Dict[str, Any]] = None,
+            ) -> List[ShardResult]:
+    """Run ``builder``'s scenario on ``shards`` shards; one result each.
 
-
-# ---------------------------------------------------------------------------
-# FCT (§VI-B large-scale points)
-
-
-def _build_fct_shard(shard_id: int, n_shards: int, scheme_name: str,
-                     scheduler_name: str, load: float,
-                     profile: ScaleProfile, seed: int, topo: TopologySpec,
-                     audit: bool,
-                     fault_specs: Tuple[FaultSpec, ...]) -> ShardScenario:
-    from .largescale import (N_SERVICES, _make_scheduler_factory,
-                             largescale_scheme)
-
-    scheme = largescale_scheme(scheme_name, profile.link_rate,
-                               base_rtt_hops=topo.base_rtt_hops)
-    rng = make_rng(seed)
-    sim = Simulator()
-    auditor = FabricAuditor(sim) if audit else None
-    network = topo.build(
-        sim, _make_scheduler_factory(scheduler_name), scheme.marker_factory,
-        default_fabric=profile.fabric, link_rate=profile.link_rate,
-    )
-    plan = plan_shards(network, n_shards)
-    fabric = CutFabric(sim, network, plan, shard_id)
-    if auditor is not None:
-        auditor.attach_network(network)
-        # Publish host locality before flows open, so the transport
-        # validators know which receivers are remote mirrors.
-        fabric.sync_auditor()
-    chaos = None
-    if fault_specs:
-        chaos = FaultScheduler(sim, fault_specs, seed=seed)
-        chaos.apply(network)
-
-    size_distribution = PAPER_MIX.scaled(profile.size_scale)
-    generator = PoissonFlowGenerator(
-        rng, [h.host_id for h in network.hosts], size_distribution,
-        load=load, link_rate_bps=profile.link_rate, n_services=N_SERVICES,
-    )
-    flows = generator.generate(n_flows=profile.largescale_flows)
-    collector = FctCollector(size_scale=profile.size_scale)
-    wire_local_flows(network, fabric, flows,
-                     lambda _flow: scheme.transport_config(init_cwnd=16.0),
-                     on_complete=collector.on_complete)
-    deadline = flows[-1].start_time + profile.time_cap
-
-    def finalize() -> Dict[str, Any]:
-        fabric.sync_auditor()
-        if auditor is not None:
-            auditor.verify_fabric()
-        return {
-            "records": [(r.flow_id, r.size_bytes, r.service,
-                         r.start_time, r.fct) for r in collector.records],
-            "n_flows": len(flows),
-            "fault_stats": chaos.stats() if chaos is not None else None,
-        }
-
-    return ShardScenario(sim=sim, fabric=fabric, deadline=deadline,
-                         total_units=len(flows),
-                         completed=lambda: len(collector),
-                         finalize=finalize)
-
-
-def sharded_fct_point(
-    scheme_name: str,
-    scheduler_name: str,
-    load: float,
-    profile: ScaleProfile,
-    seed: int,
-    shards: int,
-    topo: TopologySpec,
-    audit: bool = False,
-    faults: Sequence[FaultSpec] = (),
-    executor: str = "auto",
-    provenance_out: Optional[Dict[str, Any]] = None,
-    fault_stats_out: Optional[Dict[str, Any]] = None,
-) -> "Any":
-    """Sharded twin of :func:`~repro.experiments.largescale.run_fct_point`.
-
-    Returns the same :class:`FctRow`; completion records from all shards
-    are merged in chronological ``(completion_time, flow_id)`` order, so
-    the row is byte-identical to the single-process run.
+    ``shards == 1`` builds ``builder(0, 1)`` and runs it in this
+    process — to the deadline, or, when the scenario counts completions
+    (``total_units``), in ``poll``-second chunks until they are all in.
+    Anything more goes through :class:`ShardedSimulator`, which checks
+    for completion at every lookahead barrier instead.
+    ``provenance_out``, when given, receives the run-store provenance of
+    the execution: ``elapsed_s``, the summed ``engine`` counters and,
+    when sharded, the fleet's ``shards`` block.
     """
-    from .largescale import FctRow
-
-    wall_start = time.perf_counter()
-    builder = partial(_build_fct_shard, scheme_name=scheme_name,
-                      scheduler_name=scheduler_name, load=load,
-                      profile=profile, seed=seed, topo=topo, audit=audit,
-                      fault_specs=tuple(faults))
-    results = ShardedSimulator(shards, builder, executor=executor).run()
-
-    records: List[Tuple[Any, ...]] = []
-    n_flows = 0
-    for result in results:
-        records.extend(result.payload["records"])
-        n_flows = max(n_flows, result.payload["n_flows"])
-    records.sort(key=lambda r: (r[3] + r[4], r[0]))
-    collector = FctCollector(size_scale=profile.size_scale)
-    for rec in records:
-        collector.records.append(FctRecord(*rec))
-
-    if fault_stats_out is not None and any(
-            result.payload.get("fault_stats") for result in results):
-        fault_stats_out.update(_merge_fault_stats(
-            [result.payload.get("fault_stats") for result in results]))
+    start = time.perf_counter()
+    if shards > 1:
+        results = ShardedSimulator(shards, builder).run()
+    else:
+        scenario = builder(0, 1)
+        sim, deadline = scenario.sim, scenario.deadline
+        if scenario.total_units is None:
+            sim.run(until=deadline)
+        else:
+            while (scenario.completed() < scenario.total_units
+                   and sim.now < deadline):
+                sim.run(until=min(sim.now + poll, deadline))
+        payload = scenario.finalize()
+        results = [ShardResult(0, payload, scenario_stats(
+            scenario, wall_s=time.perf_counter() - start))]
     if provenance_out is not None:
-        provenance_out["elapsed_s"] = time.perf_counter() - wall_start
-        provenance_out["engine"] = _engine_totals(results)
-        provenance_out["shards"] = aggregate_shard_stats(results)
-
-    by_class = collector.summary_by_class()
-    from .largescale import largescale_scheme
-    scheme = largescale_scheme(scheme_name, profile.link_rate,
-                               base_rtt_hops=topo.base_rtt_hops)
-    return FctRow(
-        scheme=scheme.name,
-        scheduler=scheduler_name,
-        load=load,
-        n_flows=n_flows,
-        completed=len(collector),
-        overall=collector.summary(),
-        small=by_class[SizeClass.SMALL],
-        medium=by_class[SizeClass.MEDIUM],
-        large=by_class[SizeClass.LARGE],
-    )
-
-
-# ---------------------------------------------------------------------------
-# Incast (static convergence scenarios)
-
-
-def _build_incast_shard(shard_id: int, n_shards: int, scheme: SchemeSpec,
-                        scheduler_factory, flows: Sequence[Flow],
-                        duration: float, link_rate: float,
-                        rate_limits: Optional[Dict[int, float]],
-                        init_cwnd: float, buffer_packets: int,
-                        audit: bool, fault_specs: Tuple[FaultSpec, ...],
-                        fault_seed: int, shared_buffer,
-                        topo: TopologySpec) -> ShardScenario:
-    n_senders = max(flow.src for flow in flows) + 1
-    sim = Simulator()
-    auditor = FabricAuditor(sim) if audit else None
-    network = topo.build(
-        sim, scheduler_factory, scheme.marker_factory,
-        shared_buffer=shared_buffer, default_senders=n_senders,
-        link_rate=link_rate, buffer_packets=buffer_packets,
-    )
-    receiver_id = n_senders
-    plan = plan_shards(network, n_shards)
-    fabric = CutFabric(sim, network, plan, shard_id)
-    if auditor is not None:
-        auditor.attach_network(network)
-        fabric.sync_auditor()
-    chaos = None
-    if fault_specs:
-        chaos = FaultScheduler(sim, fault_specs, seed=fault_seed)
-        chaos.apply(network)
-
-    observes = plan.host_owner[receiver_id] == shard_id
-    meter = None
-    observed = None
-    if observes:
-        bottleneck = network.observed_ports("bottleneck")
-        observed = bottleneck[0] if bottleneck else None
-        if observed is None:
-            observed = network.host_facing_port(receiver_id)
-        if observed is None:
-            raise ValueError(
-                f"fabric has no port facing the receiver (host "
-                f"{receiver_id})")
-        meter = ThroughputMeter(sim, bin_width=duration / 100.0)
-        meter.attach_port(observed)
-
-    def make_config(flow: Flow) -> DctcpConfig:
-        rate = None if rate_limits is None else rate_limits.get(flow.src)
-        return scheme.transport_config(rate_limit_bps=rate,
-                                       init_cwnd=init_cwnd)
-
-    wire_local_flows(network, fabric, flows, make_config)
-
-    def finalize() -> Dict[str, Any]:
-        fabric.sync_auditor()
-        if auditor is not None:
-            auditor.verify_fabric()
-        payload: Dict[str, Any] = {
-            "fault_stats": chaos.stats() if chaos is not None else None,
-            "queue_gbps": None,
-        }
-        if meter is not None and observed is not None:
-            warmup = duration / 3.0
-            payload["queue_gbps"] = {
-                q: meter.average_bps(q, warmup, duration) / 1e9
-                for q in range(observed.n_queues)}
-        return payload
-
-    return ShardScenario(sim=sim, fabric=fabric, deadline=duration,
-                         total_units=None, completed=lambda: 0,
-                         finalize=finalize)
-
-
-def sharded_incast_run(
-    scheme: SchemeSpec,
-    scheduler_factory,
-    flows: Sequence[Flow],
-    duration: float,
-    topo: TopologySpec,
-    shards: int,
-    warmup_fraction: float = 1.0 / 3.0,
-    link_rate: float = 10e9,
-    rate_limits: Optional[Dict[int, float]] = None,
-    init_cwnd: float = 16.0,
-    buffer_packets: int = 1000,
-    audit: bool = False,
-    faults: Sequence[FaultSpec] = (),
-    fault_seed: int = 0,
-    shared_buffer=None,
-    executor: str = "auto",
-    provenance_out: Optional[Dict[str, Any]] = None,
-    fault_stats_out: Optional[Dict[str, Any]] = None,
-) -> "Any":
-    """Sharded twin of :func:`~repro.experiments.scenario.run_incast`.
-
-    Returns a *reduced* :class:`IncastResult`: ``queue_gbps`` (measured
-    by the shard that owns the receiver's downlink) is exact, but the
-    live ``network`` / ``meter`` / ``handles`` objects stay in the
-    worker processes and come back as ``None`` / empty.
-    """
-    from .scenario import IncastResult
-
-    wall_start = time.perf_counter()
-    # Note: warmup here must match the worker-side finalize (1/3).
-    if abs(warmup_fraction - 1.0 / 3.0) > 1e-12:
-        raise ValueError("sharded incast supports only the default "
-                         "warmup_fraction=1/3")
-    builder = partial(_build_incast_shard, scheme=scheme,
-                      scheduler_factory=scheduler_factory,
-                      flows=list(flows), duration=duration,
-                      link_rate=link_rate, rate_limits=rate_limits,
-                      init_cwnd=init_cwnd, buffer_packets=buffer_packets,
-                      audit=audit, fault_specs=tuple(faults),
-                      fault_seed=fault_seed, shared_buffer=shared_buffer,
-                      topo=topo)
-    results = ShardedSimulator(shards, builder, executor=executor).run()
-
-    queue_gbps: Optional[Dict[int, float]] = None
-    for result in results:
-        if result.payload.get("queue_gbps") is not None:
-            queue_gbps = result.payload["queue_gbps"]
-    if queue_gbps is None:
-        raise RuntimeError("no shard reported the observed port's rates")
-    if fault_stats_out is not None and any(
-            result.payload.get("fault_stats") for result in results):
-        fault_stats_out.update(_merge_fault_stats(
-            [result.payload.get("fault_stats") for result in results]))
-    if provenance_out is not None:
-        provenance_out["elapsed_s"] = time.perf_counter() - wall_start
-        provenance_out["engine"] = _engine_totals(results)
-        provenance_out["shards"] = aggregate_shard_stats(results)
-
-    return IncastResult(
-        scheme=scheme.name, duration=duration,
-        warmup=duration * warmup_fraction, queue_gbps=queue_gbps,
-        network=None, meter=None, handles=[], trace=None, chaos=None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# X-SCALE (victim protection vs fabric size)
-
-
-def _build_xscale_shard(shard_id: int, n_shards: int, scheme_name: str,
-                        scheduler_name: str, topo: TopologySpec,
-                        hogs: int, link_rate: float, seed: int,
-                        duration: float, audit: bool) -> ShardScenario:
-    from .scenario import make_scheme
-    from .sharedbuf import _scheduler_factory
-    from .xscale import _pick_endpoints
-
-    scheme = make_scheme(scheme_name, link_rate=link_rate, n_queues=2)
-    sim = Simulator()
-    auditor = FabricAuditor(sim) if audit else None
-    build_start = time.perf_counter()
-    network = topo.build(sim, _scheduler_factory(scheduler_name, 2),
-                         scheme.marker_factory, link_rate=link_rate)
-    build_s = time.perf_counter() - build_start
-    plan = plan_shards(network, n_shards)
-    fabric = CutFabric(sim, network, plan, shard_id)
-    if auditor is not None:
-        auditor.attach_network(network)
-        fabric.sync_auditor()
-
-    host_ids = [host.host_id for host in network.hosts]
-    receiver, victim, sources = _pick_endpoints(host_ids, hogs, seed)
-    # Explicit flow ids keep every shard's id assignment aligned
-    # (Flow's default draws from a process-global counter).
-    flows = [Flow(src=victim, dst=receiver, service=0, flow_id=1)]
-    flows += [Flow(src=src, dst=receiver, service=1, flow_id=2 + index)
-              for index, src in enumerate(sources)]
-
-    observes = plan.host_owner[receiver] == shard_id
-    meter = None
-    downlink = None
-    if observes:
-        downlink = network.host_facing_port(receiver)
-        if downlink is None:
-            raise ValueError(f"fabric has no host-facing port for "
-                             f"receiver {receiver}")
-        meter = ThroughputMeter(sim, bin_width=1e-3)
-        meter.attach_port(downlink)
-
-    wire_local_flows(network, fabric, flows,
-                     lambda _flow: scheme.transport_config(init_cwnd=4.0))
-
-    def finalize() -> Dict[str, Any]:
-        fabric.sync_auditor()
-        if auditor is not None:
-            auditor.verify_fabric()
-        payload: Dict[str, Any] = {
-            "scheme_label": scheme.name,
-            "n_hosts": len(network.hosts),
-            "n_switches": len(network.switches),
-            "build_s": build_s,
-            "rates": None,
-        }
-        if meter is not None and downlink is not None:
-            warmup = duration / 3.0
-            payload["rates"] = {
-                "victim_gbps": meter.average_bps(0, warmup, duration) / 1e9,
-                "hogs_gbps": meter.average_bps(1, warmup, duration) / 1e9,
-                "drops": downlink.drops,
-            }
-        return payload
-
-    return ShardScenario(sim=sim, fabric=fabric, deadline=duration,
-                         total_units=None, completed=lambda: 0,
-                         finalize=finalize)
-
-
-def sharded_xscale_point(
-    scheme_name: str,
-    topo: TopologySpec,
-    scheduler_name: str,
-    hogs: int,
-    link_rate: float,
-    seed: int,
-    duration: float,
-    audit: bool,
-    shards: int,
-    executor: str = "auto",
-    provenance_out: Optional[Dict[str, Any]] = None,
-) -> "Any":
-    """Sharded twin of :func:`~repro.experiments.xscale.xscale_point`."""
-    from .xscale import XScaleRow, _spec_text
-
-    wall_start = time.perf_counter()
-    builder = partial(_build_xscale_shard, scheme_name=scheme_name,
-                      scheduler_name=scheduler_name, topo=topo, hogs=hogs,
-                      link_rate=link_rate, seed=seed, duration=duration,
-                      audit=audit)
-    results = ShardedSimulator(shards, builder, executor=executor).run()
-
-    rates = None
-    for result in results:
-        if result.payload.get("rates") is not None:
-            rates = result.payload["rates"]
-    if rates is None:
-        raise RuntimeError("no shard reported the receiver downlink rates")
-    if provenance_out is not None:
-        provenance_out["elapsed_s"] = time.perf_counter() - wall_start
-        provenance_out["engine"] = _engine_totals(results)
-        provenance_out["shards"] = aggregate_shard_stats(results)
-
-    victim_gbps = rates["victim_gbps"]
-    hogs_gbps = rates["hogs_gbps"]
-    total = victim_gbps + hogs_gbps
-    fair = total / 2.0
-    victim_err = abs(victim_gbps - fair) / fair if total else 0.0
-    first = results[0].payload
-    return XScaleRow(
-        scheme=first["scheme_label"], scheduler=scheduler_name,
-        topology=_spec_text(topo),
-        n_hosts=first["n_hosts"], n_switches=first["n_switches"],
-        hogs=hogs, seed=seed,
-        victim_gbps=victim_gbps, hogs_gbps=hogs_gbps,
-        victim_err=victim_err, drops=rates["drops"],
-        build_s=max(result.payload["build_s"] for result in results),
-    )
+        provenance_out["elapsed_s"] = time.perf_counter() - start
+        provenance_out["engine"] = engine_totals(results)
+        if shards > 1:
+            provenance_out["shards"] = aggregate_shard_stats(results)
+    return results

@@ -32,7 +32,6 @@ policy-parameter change re-keys only the affected points.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
@@ -41,10 +40,11 @@ from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
 from ..net.packet import MTU_BYTES
 from ..net.sharedbuf import SharedBufferSpec
 from ..net.topology import TopologySpec, as_topology, topology_enabled
-from ..store.runstore import RunStore, make_provenance
+from ..sim.audit import audit_enabled
+from ..store.runstore import RunStore
 from ..store.spec import ExperimentSpec, RunConfig
-from . import largescale
-from .scale import BENCH, ScaleProfile
+from .largescale import cached_point, sweep_setup
+from .scale import ScaleProfile
 from .scenario import incast_flows, make_scheme, run_incast
 
 __all__ = [
@@ -270,35 +270,27 @@ def sharedbuf_point_spec(
 
 
 def _sharedbuf_worker(point) -> SharedBufRow:
-    """Module-level (picklable) worker for one sweep point.
-
-    Same cache contract as the FCT sweeps: store hits are answered
-    without simulating, fresh results persist atomically before
-    returning."""
+    """Module-level (picklable) worker for one sweep point (cache
+    contract: :func:`~repro.experiments.largescale.cached_point`)."""
     (scheme_name, scheduler_name, shared_buffer, profile, seed, audit,
      cache_dir, force, topology) = point
-    store = RunStore(cache_dir) if cache_dir else None
     spec = sharedbuf_point_spec(scheme_name, scheduler_name, shared_buffer,
                                 profile, seed, audit=audit,
                                 topology=topology)
-    if store is not None and not force:
-        record = store.get(spec)
-        if record is not None:
-            return SharedBufRow.from_payload(record.result)
-    started = time.perf_counter()
-    row = sharedbuf_point(
-        scheme_name, scheduler_name, shared_buffer,
-        link_rate=profile.link_rate,
-        config=RunConfig(duration=profile.static_duration, audit=audit),
-        topology=topology,
-    )
-    if store is not None:
-        store.put(spec, row.to_payload(), make_provenance(
-            profile_name=profile.name,
-            elapsed_s=time.perf_counter() - started,
-        ))
-        largescale._note_point_computed()
-    return row
+
+    def compute(provenance: Dict[str, Any]) -> SharedBufRow:
+        started = time.perf_counter()
+        row = sharedbuf_point(
+            scheme_name, scheduler_name, shared_buffer,
+            link_rate=profile.link_rate,
+            config=RunConfig(duration=profile.static_duration, audit=audit),
+            topology=topology,
+        )
+        provenance["elapsed_s"] = time.perf_counter() - started
+        return row
+
+    return cached_point(spec, cache_dir, force, profile,
+                        SharedBufRow.from_payload, compute)
 
 
 def run_sharedbuf_sweep(
@@ -323,22 +315,10 @@ def run_sharedbuf_sweep(
     """
     from .runner import run_parallel
 
-    config = config or RunConfig()
-    if profile is None:
-        profile = config.profile if config.profile is not None else BENCH
-    if seed is None:
-        seed = config.seed if config.seed is not None else 1
-    jobs = config.jobs if config.jobs is not None else profile.jobs
-    if store is None and config.cache_dir:
-        store = config.cache_dir
-    cache_dir = (store.root if isinstance(store, RunStore)
-                 else os.fspath(store) if store else None)
-    force = config.force or not config.resume
+    config, profile, seed, jobs, cache_dir, force = sweep_setup(
+        config, profile, seed, store)
     if policies is None:
         policies = default_policies()
-
-    largescale._points_computed = 0
-    from ..sim.audit import audit_enabled
     audit = audit_enabled(config.audit)
     policy_points: List[Optional[SharedBufferSpec]] = list(policies)
     if include_baseline:

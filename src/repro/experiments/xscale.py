@@ -28,23 +28,25 @@ benchmark at experiment scale.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
 from ..net.topology import TopologySpec, as_topology
 from ..sim.audit import FabricAuditor, audit_enabled
 from ..sim.engine import Simulator
-from ..store.runstore import RunStore, make_provenance
+from ..sim.shard import (ShardResult, ShardScenario, cut_fabric,
+                         verify_fabric)
+from ..store.runstore import RunStore
 from ..store.spec import ExperimentSpec, RunConfig
-from ..transport.endpoints import open_flow
 from ..transport.flow import Flow
 from ..metrics.throughput import ThroughputMeter
-from . import largescale
-from .scale import BENCH, ScaleProfile
+from .largescale import cached_point, sweep_setup
+from .scale import ScaleProfile
 from .scenario import make_scheme
+from .sharded import execute, wire_local_flows
 
 __all__ = [
     "SCALE_LADDER",
@@ -54,6 +56,8 @@ __all__ = [
     "run_xscale_sweep",
     "xscale_point",
     "xscale_point_spec",
+    "xscale_row",
+    "xscale_scenario",
 ]
 
 #: Experiment family name in the run store.
@@ -168,6 +172,98 @@ def _pick_endpoints(host_ids: Sequence[int], hogs: int,
     return receiver, victim, sources
 
 
+def xscale_scenario(
+    shard_id: int,
+    n_shards: int,
+    scheme_name: str,
+    topo: TopologySpec,
+    scheduler_name: str = "dwrr",
+    hogs: int = 8,
+    link_rate: float = 10e9,
+    seed: int = 1,
+    duration: float = 0.02,
+    audit: bool = False,
+) -> ShardScenario:
+    """Build one shard of a scale point — the whole point at
+    ``n_shards == 1``."""
+    from .sharedbuf import _scheduler_factory
+
+    scheme = make_scheme(scheme_name, link_rate=link_rate, n_queues=2)
+    sim = Simulator()
+    if audit:
+        FabricAuditor(sim)
+    build_start = time.perf_counter()
+    network = topo.build(sim, _scheduler_factory(scheduler_name, 2),
+                         scheme.marker_factory, link_rate=link_rate)
+    build_s = time.perf_counter() - build_start
+    fabric = cut_fabric(network, shard_id, n_shards)
+
+    host_ids = [host.host_id for host in network.hosts]
+    receiver, victim, sources = _pick_endpoints(host_ids, hogs, seed)
+    downlink = network.host_facing_port(receiver)
+    if downlink is None:
+        raise ValueError(f"fabric has no host-facing port for receiver "
+                         f"{receiver}")
+    # The downlink transmits only in the shard that owns the receiver.
+    meter = None
+    if fabric is None or receiver in fabric.local_host_ids:
+        meter = ThroughputMeter(sim, bin_width=1e-3)
+        meter.attach_port(downlink)
+
+    # Explicit flow ids (ECMP hashes on them): Flow's default draws from
+    # a process-global counter, which would tie a row to whatever ran
+    # earlier in the process and differ between shard workers.
+    flows = [Flow(src=victim, dst=receiver, service=0, flow_id=1)]
+    flows += [Flow(src=src, dst=receiver, service=1, flow_id=2 + index)
+              for index, src in enumerate(sources)]
+    wire_local_flows(network, fabric, flows,
+                     lambda _flow: scheme.transport_config(init_cwnd=4.0))
+    warmup = duration / 3.0
+
+    def finalize() -> Dict[str, Any]:
+        verify_fabric(network, fabric)
+        return {
+            "scheme": scheme.name, "scheduler": scheduler_name,
+            "topology": _spec_text(topo),
+            "n_hosts": len(network.hosts),
+            "n_switches": len(network.switches),
+            "hogs": hogs, "seed": seed, "build_s": build_s,
+            "rates": None if meter is None else (
+                meter.average_bps(0, warmup, duration) / 1e9,
+                meter.average_bps(1, warmup, duration) / 1e9,
+                downlink.drops),
+        }
+
+    return ShardScenario(sim=sim, fabric=fabric, deadline=duration,
+                         total_units=None, completed=lambda: 0,
+                         finalize=finalize)
+
+
+def xscale_row(results: Sequence[ShardResult]) -> XScaleRow:
+    """The :class:`XScaleRow` of one executed :func:`xscale_scenario`:
+    rates from the shard that metered the receiver's downlink, build
+    time from the slowest shard."""
+    metered = [result.payload["rates"] for result in results
+               if result.payload["rates"] is not None]
+    if len(metered) != 1:
+        raise RuntimeError(f"{len(metered)} shards reported the receiver "
+                           "downlink rates; expected exactly one")
+    victim_gbps, hogs_gbps, drops = metered[0]
+    total = victim_gbps + hogs_gbps
+    fair = total / 2.0
+    first = results[0].payload
+    return XScaleRow(
+        scheme=first["scheme"], scheduler=first["scheduler"],
+        topology=first["topology"],
+        n_hosts=first["n_hosts"], n_switches=first["n_switches"],
+        hogs=first["hogs"], seed=first["seed"],
+        victim_gbps=victim_gbps, hogs_gbps=hogs_gbps,
+        victim_err=abs(victim_gbps - fair) / fair if total else 0.0,
+        drops=drops,
+        build_s=max(result.payload["build_s"] for result in results),
+    )
+
+
 def xscale_point(
     scheme_name: str,
     topology: Union[str, TopologySpec],
@@ -183,118 +279,52 @@ def xscale_point(
     Builds ``topology``, opens 1 victim (service 0) and ``hogs`` hog
     flows (service 1) toward one receiver, and reports per-queue
     goodput on the receiver's downlink after a third of the run has
-    warmed the fabric up.  ``provenance_out``, when given, receives
-    wall time and engine counters for run-store provenance.
+    warmed the fabric up.  ``config.shards`` spreads the same
+    :func:`xscale_scenario` over that many shards.  ``provenance_out``,
+    when given, receives wall time and engine counters for run-store
+    provenance.
     """
-    from .sharedbuf import _scheduler_factory
-
     config = config or RunConfig()
-    duration = config.duration if config.duration is not None else 0.02
     topo = as_topology(topology)
     if topo is None or topo.preset == "single-bottleneck":
         raise ValueError("xscale needs a multi-host fabric spec "
                          "(leaf-spine / fat-tree / clos)")
-    shards = config.shards if config.shards is not None else 1
-    if shards > 1:
-        from .sharded import sharded_xscale_point
-        return sharded_xscale_point(
-            scheme_name, topo, scheduler_name, hogs, link_rate, seed,
-            duration, bool(config.audit), shards,
-            provenance_out=provenance_out,
-        )
-    scheme = make_scheme(scheme_name, link_rate=link_rate, n_queues=2)
-
-    wall_start = time.perf_counter()
-    sim = Simulator()
-    auditor = FabricAuditor(sim) if config.audit else None
-    build_start = time.perf_counter()
-    network = topo.build(sim, _scheduler_factory(scheduler_name, 2),
-                         scheme.marker_factory, link_rate=link_rate)
-    build_s = time.perf_counter() - build_start
-    if auditor is not None:
-        auditor.attach_network(network)
-
-    host_ids = [host.host_id for host in network.hosts]
-    receiver, victim, sources = _pick_endpoints(host_ids, hogs, seed)
-    downlink = network.host_facing_port(receiver)
-    if downlink is None:
-        raise ValueError(f"fabric has no host-facing port for receiver "
-                         f"{receiver}")
-    meter = ThroughputMeter(sim, bin_width=1e-3)
-    meter.attach_port(downlink)
-
-    open_flow(network, Flow(src=victim, dst=receiver, service=0),
-              scheme.transport_config(init_cwnd=4.0))
-    for src in sources:
-        open_flow(network, Flow(src=src, dst=receiver, service=1),
-                  scheme.transport_config(init_cwnd=4.0))
-    sim.run(until=duration)
-    if auditor is not None:
-        auditor.verify_fabric()
-    if provenance_out is not None:
-        provenance_out["elapsed_s"] = time.perf_counter() - wall_start
-        provenance_out["engine"] = {
-            "events_processed": sim.events_processed,
-            "wheel_events_processed": sim.wheel_events_processed,
-            "heap_events_processed": sim.heap_events_processed,
-            "cancelled_pending": sim.cancelled_pending,
-            "compactions": sim.compactions,
-        }
-
-    warmup = duration / 3.0
-    victim_gbps = meter.average_bps(0, warmup, duration) / 1e9
-    hogs_gbps = meter.average_bps(1, warmup, duration) / 1e9
-    total = victim_gbps + hogs_gbps
-    fair = total / 2.0
-    victim_err = abs(victim_gbps - fair) / fair if total else 0.0
-    return XScaleRow(
-        scheme=scheme.name, scheduler=scheduler_name,
-        topology=_spec_text(topo),
-        n_hosts=len(network.hosts),
-        n_switches=len(network.switches),
-        hogs=hogs, seed=seed,
-        victim_gbps=victim_gbps, hogs_gbps=hogs_gbps,
-        victim_err=victim_err, drops=downlink.drops, build_s=build_s,
-    )
+    return xscale_row(execute(
+        partial(xscale_scenario, scheme_name=scheme_name, topo=topo,
+                scheduler_name=scheduler_name, hogs=hogs,
+                link_rate=link_rate, seed=seed,
+                duration=(config.duration if config.duration is not None
+                          else 0.02),
+                audit=bool(config.audit)),
+        config.shards if config.shards is not None else 1,
+        provenance_out=provenance_out))
 
 
 def _xscale_worker(point) -> XScaleRow:
-    """Module-level (picklable) worker for one sweep point.
-
-    Same cache contract as the FCT sweeps: store hits are answered
-    without simulating, fresh results persist atomically before
-    returning."""
+    """Module-level (picklable) worker for one sweep point (cache
+    contract: :func:`~repro.experiments.largescale.cached_point`)."""
     (scheme_name, scheduler_name, topology, expected_hosts, profile,
      seed, hogs, audit, cache_dir, force, shards) = point
-    store = RunStore(cache_dir) if cache_dir else None
     spec = xscale_point_spec(scheme_name, scheduler_name, topology,
                              profile, seed, hogs=hogs, audit=audit,
                              shards=shards)
-    if store is not None and not force:
-        record = store.get(spec)
-        if record is not None:
-            return XScaleRow.from_payload(record.result)
-    provenance_out: Dict[str, Any] = {}
-    row = xscale_point(
-        scheme_name, topology, scheduler_name=scheduler_name, hogs=hogs,
-        link_rate=profile.link_rate, seed=seed,
-        config=RunConfig(duration=profile.static_duration, audit=audit,
-                         shards=shards if shards > 1 else None),
-        provenance_out=provenance_out,
-    )
-    if expected_hosts and row.n_hosts != expected_hosts:
-        raise RuntimeError(
-            f"{row.topology} built {row.n_hosts} hosts, ladder pins "
-            f"{expected_hosts} — generator shape regression")
-    if store is not None:
-        store.put(spec, row.to_payload(), make_provenance(
-            profile_name=profile.name,
-            elapsed_s=provenance_out.get("elapsed_s"),
-            engine=provenance_out.get("engine"),
-            shards=provenance_out.get("shards"),
-        ))
-        largescale._note_point_computed()
-    return row
+
+    def compute(provenance: Dict[str, Any]) -> XScaleRow:
+        row = xscale_point(
+            scheme_name, topology, scheduler_name=scheduler_name, hogs=hogs,
+            link_rate=profile.link_rate, seed=seed,
+            config=RunConfig(duration=profile.static_duration, audit=audit,
+                             shards=shards),
+            provenance_out=provenance,
+        )
+        if expected_hosts and row.n_hosts != expected_hosts:
+            raise RuntimeError(
+                f"{row.topology} built {row.n_hosts} hosts, ladder pins "
+                f"{expected_hosts} — generator shape regression")
+        return row
+
+    return cached_point(spec, cache_dir, force, profile,
+                        XScaleRow.from_payload, compute)
 
 
 def run_xscale_sweep(
@@ -316,19 +346,8 @@ def run_xscale_sweep(
     """
     from .runner import run_parallel
 
-    config = config or RunConfig()
-    if profile is None:
-        profile = config.profile if config.profile is not None else BENCH
-    if seed is None:
-        seed = config.seed if config.seed is not None else 1
-    jobs = config.jobs if config.jobs is not None else profile.jobs
-    if store is None and config.cache_dir:
-        store = config.cache_dir
-    cache_dir = (store.root if isinstance(store, RunStore)
-                 else os.fspath(store) if store else None)
-    force = config.force or not config.resume
-
-    largescale._points_computed = 0
+    config, profile, seed, jobs, cache_dir, force = sweep_setup(
+        config, profile, seed, store)
     audit = audit_enabled(config.audit)
     rungs: List[Tuple[TopologySpec, int]] = []
     for entry in ladder:
@@ -337,10 +356,9 @@ def run_xscale_sweep(
             rungs.append((as_topology(text), int(expected)))
         else:
             rungs.append((as_topology(entry), 0))
-    shards = config.shards if config.shards is not None else 1
     points = [
         (name, scheduler_name, topo, expected, profile, seed, hogs,
-         audit, cache_dir, force, shards)
+         audit, cache_dir, force, config.shards)
         for topo, expected in rungs
         for name in scheme_names
     ]

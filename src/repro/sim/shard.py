@@ -5,7 +5,8 @@ Every shard *rebuilds the full fabric* deterministically (construction
 is cheap and keeps all RNG draws, flow ids, and device names identical
 to a single-process run), computes the same :class:`ShardPlan` from
 device names, and then *cuts* every link whose destination lives in a
-different shard:
+different shard (:func:`cut_fabric`; ``n_shards == 1`` plans and cuts
+nothing, and the experiment layer runs that scenario in-process):
 
 * the link's ``delay`` is zeroed and its ``dst`` rebound to a
   :class:`BoundaryStub`, so the capture fires in the **same lookahead
@@ -23,9 +24,13 @@ so any packet exported during round ``k`` (simulated time
 ``[kW, (k+1)W)``) arrives at time ``>= (k+1)W`` and can be injected at
 the round-``k`` barrier before any shard has advanced past it.  Empty
 batches double as null messages.  Imports are merged in sorted
-``(arrival, link_name, link_seq)`` order, which makes results
-reproducible at any shard count and on both the serial and the
-multiprocessing executor.
+``(arrival, link_name, link_seq)`` order, so at a given shard count the
+serial and the multiprocessing executor produce identical bytes.
+Against a single-process run results are *close, not always equal*
+(``docs/API.md`` has the measured envelope) — likely because an import
+is sequenced at the barrier, after everything the receiving shard
+scheduled during the round, so it can swap with a local event it ties
+on the timestamp.
 """
 
 from __future__ import annotations
@@ -47,9 +52,14 @@ __all__ = [
     "plan_shards",
     "BoundaryStub",
     "CutFabric",
+    "cut_fabric",
+    "verify_fabric",
     "ShardScenario",
     "ShardResult",
     "ShardedSimulator",
+    "scenario_stats",
+    "engine_totals",
+    "aggregate_shard_stats",
     "SYNC_TIMEOUT_ENV",
 ]
 
@@ -172,16 +182,7 @@ def plan_shards(network: Network, n_shards: int) -> ShardPlan:
                     f"boundary link {link.name} has delay {link.delay}; "
                     "conservative sharding needs positive lookahead")
             boundary[link.name] = (src_owner, dst_owner, link.delay)
-    # Host NICs point at the host's own leaf by construction, so they
-    # are never boundary links; assert the invariant cheaply.
-    for host in network.hosts:
-        nic = host.nic
-        if nic is not None and nic.link is not None:
-            leaf = nic.link.dst
-            if switch_owner[leaf.name] != host_owner[host.host_id]:
-                raise ValueError(
-                    f"{host.name} is wired to a leaf in another shard")
-
+    # Host NICs are never boundary links: a host is owned by its leaf.
     lookahead = min((d for _, _, d in boundary.values()), default=0.0)
     return ShardPlan(n_shards=n_shards, switch_owner=switch_owner,
                      host_owner=host_owner, boundary=boundary,
@@ -340,6 +341,34 @@ class CutFabric:
             auditor.local_host_ids = self.local_host_ids
 
 
+def cut_fabric(network: Network, shard_id: int,
+               n_shards: int) -> Optional[CutFabric]:
+    """This shard's cut of a freshly built fabric; None at
+    ``n_shards == 1`` (no plan, every host local).  Also attaches the
+    simulator's auditor, if any — after the cut, so it sees the links
+    the shard actually owns."""
+    sim = network.sim
+    fabric = None
+    if n_shards > 1:
+        fabric = CutFabric(sim, network, plan_shards(network, n_shards),
+                           shard_id)
+    if sim.auditor is not None:
+        sim.auditor.attach_network(network)
+        if fabric is not None:
+            # Publish host locality before flows open, so the transport
+            # validators know which receivers are remote mirrors.
+            fabric.sync_auditor()
+    return fabric
+
+
+def verify_fabric(network: Network, fabric: Optional[CutFabric]) -> None:
+    """End-of-run conservation pass (a no-op without an auditor)."""
+    if fabric is not None:
+        fabric.sync_auditor()
+    if network.sim.auditor is not None:
+        network.sim.auditor.verify_fabric()
+
+
 # ---------------------------------------------------------------------------
 # Scenario protocol
 
@@ -352,15 +381,18 @@ class ShardScenario:
     count); ``None`` means "run to the deadline" (fixed-duration
     scenarios).  ``completed`` counts locally-finished units; each unit
     must be counted by exactly one shard.  ``finalize`` runs after the
-    last round and returns a *picklable* payload for the parent.
+    last round and returns a payload for the parent — *picklable* when
+    the scenario was built for ``n_shards > 1``.  ``fabric`` is this
+    shard's cut; None means the builder was called with
+    ``n_shards == 1`` (no plan, no cut, every host local).
     """
 
     sim: Simulator
-    fabric: CutFabric
     deadline: float
     total_units: Optional[int]
     completed: Callable[[], int]
     finalize: Callable[[], Any]
+    fabric: Optional[CutFabric] = None
 
 
 @dataclass
@@ -372,21 +404,32 @@ class ShardResult:
     stats: Dict[str, Any] = field(default_factory=dict)
 
 
-def _scenario_stats(scenario: ShardScenario, rounds: int,
-                    blocked_s: float, wall_s: float) -> Dict[str, Any]:
+#: The engine counters run-store provenance records (its ``engine`` block).
+ENGINE_COUNTERS = ("events_processed", "wheel_events_processed",
+                   "heap_events_processed", "cancelled_pending",
+                   "compactions")
+
+
+def scenario_stats(scenario: ShardScenario, rounds: int = 0,
+                   blocked_s: float = 0.0,
+                   wall_s: float = 0.0) -> Dict[str, Any]:
+    """One scenario's :attr:`ShardResult.stats` — the only place engine
+    counters are read off a simulator, at any shard count."""
     sim = scenario.sim
     fabric = scenario.fabric
-    return {
-        "events_processed": sim.events_processed,
-        "wheel_events_processed": sim.wheel_events_processed,
-        "heap_events_processed": sim.heap_events_processed,
-        "cancelled_pending": sim.cancelled_pending,
-        "exported": fabric.exported,
-        "imported": fabric.imported,
-        "sync_rounds": rounds,
-        "blocked_s": blocked_s,
-        "wall_s": wall_s,
-    }
+    stats: Dict[str, Any] = {key: getattr(sim, key)
+                             for key in ENGINE_COUNTERS}
+    stats.update(
+        exported=fabric.exported if fabric is not None else 0,
+        imported=fabric.imported if fabric is not None else 0,
+        sync_rounds=rounds, blocked_s=blocked_s, wall_s=wall_s)
+    return stats
+
+
+def engine_totals(results: List[ShardResult]) -> Dict[str, int]:
+    """Provenance ``engine`` block: counters summed over 1..N shards."""
+    return {key: sum(result.stats[key] for result in results)
+            for key in ENGINE_COUNTERS}
 
 
 def _round_targets(k: int, lookahead: float,
@@ -430,7 +473,7 @@ def _run_serial(builder: Callable[[int, int], ShardScenario],
         payload = scenario.finalize()
         results.append(ShardResult(
             shard_id, payload,
-            _scenario_stats(scenario, k, 0.0, wall)))
+            scenario_stats(scenario, k, 0.0, wall)))
     return results
 
 
@@ -483,7 +526,7 @@ def _worker_loop(shard_id: int, n_shards: int,
         wall = _time.perf_counter() - start
         payload = scenario.finalize()
         results.put((shard_id, payload,
-                     _scenario_stats(scenario, k, blocked, wall)))
+                     scenario_stats(scenario, k, blocked, wall)))
     except BaseException:
         results.put((shard_id, None, traceback.format_exc()))
 
@@ -536,15 +579,15 @@ class ShardedSimulator:
 
     ``builder(shard_id, n_shards)`` must deterministically construct
     that shard's :class:`ShardScenario` — typically: build the full
-    fabric, ``plan_shards``, ``CutFabric``, wire only local flows, and
-    return the scenario with a picklable ``finalize``.
+    fabric, :func:`cut_fabric`, wire only local flows, and return the
+    scenario with a picklable ``finalize``.
 
     ``executor`` selects how shards run: ``"serial"`` interleaves all
-    shards round-by-round in this process (the reference
-    implementation — byte-identical results, no speedup), ``"process"``
-    forks one worker per shard, and ``"auto"`` picks ``process`` when
-    fork is available, falling back to ``serial`` when worker processes
-    cannot be created (results are identical either way).
+    shards round-by-round in this process (the reference the tests
+    compare against — same bytes, no speedup), ``"process"`` forks one
+    worker per shard, and ``"auto"`` picks ``process`` when fork is
+    available, falling back to ``serial`` when worker processes cannot
+    be created.
     """
 
     def __init__(self, n_shards: int,
@@ -574,35 +617,26 @@ class ShardedSimulator:
             try:
                 return _run_process(self.builder, self.n_shards,
                                     self.sync_timeout)
-            except (OSError, PermissionError):
+            except OSError:
                 # Sandboxes that forbid fork: the serial executor
                 # produces identical results, just without the speedup.
-                return _run_serial(self.builder, self.n_shards)
+                pass
         return _run_serial(self.builder, self.n_shards)
 
 
 def aggregate_shard_stats(results: List[ShardResult]) -> Dict[str, Any]:
     """Fleet-wide provenance block: totals plus per-shard counters."""
-    totals = {
-        "events_processed": 0,
-        "exported": 0,
-        "imported": 0,
-    }
-    per_shard = []
-    sync_rounds = 0
-    blocked_s = 0.0
-    for result in results:
-        stats = result.stats
-        totals["events_processed"] += stats.get("events_processed", 0)
-        totals["exported"] += stats.get("exported", 0)
-        totals["imported"] += stats.get("imported", 0)
-        sync_rounds = max(sync_rounds, stats.get("sync_rounds", 0))
-        blocked_s += stats.get("blocked_s", 0.0)
-        per_shard.append({"shard": result.shard_id, **stats})
+    def total(key: str) -> Any:
+        return sum(result.stats.get(key, 0) for result in results)
+
     return {
         "n": len(results),
-        **totals,
-        "sync_rounds": sync_rounds,
-        "blocked_s": blocked_s,
-        "per_shard": per_shard,
+        "events_processed": total("events_processed"),
+        "exported": total("exported"),
+        "imported": total("imported"),
+        "sync_rounds": max((result.stats.get("sync_rounds", 0)
+                            for result in results), default=0),
+        "blocked_s": total("blocked_s"),
+        "per_shard": [{"shard": result.shard_id, **result.stats}
+                      for result in results],
     }

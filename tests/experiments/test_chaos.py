@@ -88,6 +88,17 @@ class TestStoreContract:
         assert largescale._points_computed == 0
         assert warm == cold
 
+    def test_sharded_points_record_their_fleet_block(self, tmp_path):
+        # The chaos worker was a copy of the FCT one that dropped
+        # provenance.shards; both now go through cached_point.
+        run_chaos_sweep(
+            scheme_names=("pmsb",), loss_rates=(1e-3,),
+            config=RunConfig(profile=TINY, seed=SEED, jobs=1, shards=2,
+                             cache_dir=str(tmp_path)))
+        (record,) = RunStore(tmp_path).records()
+        assert record.provenance["shards"]["n"] == 2
+        assert record.provenance["engine"]["events_processed"] > 0
+
     def test_parallel_cold_run_matches_serial(self, tmp_path):
         serial = _export(_sweep(tmp_path / "cache-a"), tmp_path / "a.json")
         parallel = _export(_sweep(tmp_path / "cache-b", jobs=4),

@@ -154,6 +154,19 @@ class TestUnsupportedCombinations:
          "error: --shards: cannot combine with --controller"),
         (["sweep", "--shards", "2", "--profile-events"],
          "error: --shards: cannot combine with --profile-events"),
+        # Flags the command's runner never reads are rejected, not
+        # parsed and dropped.
+        (["fig9", "--shards", "2"],
+         "error: --shards: fig9 does not support it (only sweep, "
+         "chaos-sweep, xscale do)"),
+        (["chaos3", "--trains", "16"],
+         "error: --trains: chaos3 does not support it"),
+        (["xscale", "--trains", "16"],
+         "error: --trains: xscale does not support it"),
+        (["xscale", "--faults", "iid-loss:rate=0.2,links=*"],
+         "error: --faults: xscale does not support it"),
+        (["xscale", "--controller", "theorem:period=0.0005"],
+         "error: --controller: xscale does not support it"),
     ])
     def test_exits_2_with_one_error_line(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
@@ -165,6 +178,16 @@ class TestUnsupportedCombinations:
                        if "error:" in line]
         assert len(error_lines) == 1 and message in error_lines[0]
         assert "Traceback" not in captured.err
+
+
+    def test_neutral_values_and_reading_commands_pass(self, capsys):
+        # --shards 1 / --trains 1 ask for nothing; xscale reads --shards.
+        assert main(["fig8", "--duration", "0.004", "--shards", "1",
+                     "--trains", "1"]) == 0
+        assert main(["xscale", "--profile", "tiny", "--schemes", "pmsb",
+                     "--hogs", "4", "--jobs", "1", "--shards", "2",
+                     "--ladder", "clos:tiers=2,ports=4,oversub=3"]) == 0
+        assert "PMSB" in capsys.readouterr().out
 
 
 class TestSweepCacheFlags:

@@ -150,8 +150,6 @@ INCOMPATIBLE_CELLS = [
     ("shards", "record_rtt",
      "--shards: record_rtt is not supported (flow handles stay in the "
      "workers)"),
-    ("shards", "size_distribution",
-     "--shards: custom size distributions are not supported"),
     ("shards", "single_bottleneck",
      "--shards: needs a multi-switch fabric (leaf-spine / fat-tree / "
      "clos), not single-bottleneck"),
@@ -177,6 +175,12 @@ class TestCheckCompatibility:
     def test_unknown_feature_is_a_type_error(self):
         with pytest.raises(TypeError, match="shard"):
             check_compatibility(shard=True)
+
+    def test_size_distribution_is_no_longer_a_feature(self):
+        # The one builder takes size_distribution at any shard count, so
+        # the table has no row (and no name) for it.
+        with pytest.raises(TypeError, match="size_distribution"):
+            check_compatibility(shards=True, size_distribution=True)
 
     def test_run_incast_raises_the_same_text(self):
         from repro.sim.faults import FaultSpec

@@ -85,6 +85,16 @@ class TestPoint:
         }
         assert rows["pmsb"].victim_err < rows["per-port"].victim_err
 
+    def test_row_is_a_function_of_its_spec(self):
+        # Flow ids feed the ECMP hash; drawn from the process-global
+        # counter they tied a row to whatever ran earlier in the process.
+        import dataclasses
+        rows = [dataclasses.replace(
+            xscale.xscale_point("per-port", "clos:tiers=2,ports=8,oversub=1.5",
+                                seed=1, config=RunConfig(duration=0.008)),
+            build_s=0.0) for _ in range(2)]
+        assert rows[0] == rows[1]
+
     def test_payload_round_trip(self):
         row = xscale.xscale_point("pmsb", SMALL_CLOS, hogs=4, seed=1,
                                   config=RunConfig(duration=0.004))

@@ -16,9 +16,15 @@ from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.shard import (
     CutFabric,
+    ShardResult,
+    ShardScenario,
     ShardedSimulator,
     _round_targets,
+    cut_fabric,
+    engine_totals,
     plan_shards,
+    scenario_stats,
+    verify_fabric,
 )
 
 
@@ -211,6 +217,41 @@ class TestCutFabric:
         with pytest.raises(SimulationError):
             fab1.inject([(5e-4, name, 1, 0, 1, 0, 4, 0, 1500, 0, 1,
                           0, 0, 0, 0.0, 0.0, 0)])
+
+
+class TestSingleShardScenario:
+    """``n_shards == 1`` is "no plan, no cut, every host local"."""
+
+    def test_cut_fabric_cuts_nothing(self, sim):
+        network = build_leafspine(sim)
+        delays = [port.link.delay for switch in network.switches
+                  for port in switch.ports]
+        assert cut_fabric(network, 0, 1) is None
+        assert sim.barrier_hook is None
+        assert delays == [port.link.delay for switch in network.switches
+                          for port in switch.ports]
+        verify_fabric(network, None)  # no auditor, no fabric: a no-op
+
+    def test_cut_fabric_cuts_for_real_shards(self, sim):
+        network = build_leafspine(sim)
+        fabric = cut_fabric(network, 1, 2)
+        assert fabric.shard_id == 1
+        assert fabric.local_host_ids == {3, 4, 5}
+
+    def test_stats_and_totals_share_the_counter_list(self, sim):
+        sim.at(1e-6, lambda: None)
+        sim.run(until=1e-5)
+        scenario = ShardScenario(sim=sim, deadline=1e-5, total_units=None,
+                                 completed=lambda: 0, finalize=dict)
+        stats = scenario_stats(scenario, wall_s=0.5)
+        assert stats["events_processed"] == 1
+        assert (stats["exported"], stats["imported"]) == (0, 0)
+        assert stats["wall_s"] == 0.5
+        two = [ShardResult(0, None, stats), ShardResult(1, None, stats)]
+        assert engine_totals(two) == {
+            "events_processed": 2, "wheel_events_processed": 2,
+            "heap_events_processed": 0, "cancelled_pending": 0,
+            "compactions": 0}
 
 
 class TestShardedSimulator:
