@@ -27,140 +27,116 @@ Any folded-Clos fabric is one spec away — e.g.
 fat-tree with derived ECMP routes.
 """
 
-from .core import (
-    AcceptAllFilter,
-    CAPABILITIES,
-    EcnFilter,
-    PmsbMarker,
-    RttEcnFilter,
-    SchemeCapabilities,
-    SteadyStateModel,
-    bdp_packets,
-    capability_table,
-    port_threshold_lower_bound,
-    queue_threshold_lower_bound,
-)
-from .ecn import (
-    BufferPool,
-    MarkPoint,
-    Marker,
-    MqEcnMarker,
-    NullMarker,
-    PerPortMarker,
-    PerQueueMarker,
-    RedMarker,
-    ServicePoolMarker,
-    TcnMarker,
-    fractional_thresholds,
-    standard_thresholds,
-)
-from .metrics import (
-    FctCollector,
-    QueueOccupancyTrace,
-    SizeClass,
-    SummaryStats,
-    ThroughputMeter,
-    summarize,
-)
-from .net import (
-    ClosGenerator,
-    Host,
-    Link,
-    MTU_BYTES,
-    Network,
-    Packet,
-    Port,
-    Switch,
-    TopologySpec,
-)
-from .scheduling import (
-    DwrrScheduler,
-    FifoScheduler,
-    Scheduler,
-    SpWfqScheduler,
-    StrictPriorityScheduler,
-    WfqScheduler,
-    WrrScheduler,
-)
-from .sim import FabricAuditor, InvariantViolation, Simulator, make_rng
-from .store import ExperimentSpec, RunConfig, RunRecord, RunStore
-from .transport import (
-    ClassicEcnSender,
-    DctcpConfig,
-    DctcpReceiver,
-    DctcpSender,
-    Flow,
-    FlowHandle,
-    open_flow,
-    open_flows,
-)
-from .workloads import PAPER_MIX, PoissonFlowGenerator, WEB_SEARCH
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .core import (
+        AcceptAllFilter,
+        CAPABILITIES,
+        EcnFilter,
+        PmsbMarker,
+        RttEcnFilter,
+        SchemeCapabilities,
+        SteadyStateModel,
+        bdp_packets,
+        capability_table,
+        port_threshold_lower_bound,
+        queue_threshold_lower_bound,
+    )
+    from .ecn import (
+        BufferPool,
+        MarkPoint,
+        Marker,
+        MqEcnMarker,
+        NullMarker,
+        PerPortMarker,
+        PerQueueMarker,
+        RedMarker,
+        ServicePoolMarker,
+        TcnMarker,
+        fractional_thresholds,
+        standard_thresholds,
+    )
+    from .metrics import (
+        FctCollector,
+        QueueOccupancyTrace,
+        SizeClass,
+        SummaryStats,
+        ThroughputMeter,
+        summarize,
+    )
+    from .net import (
+        ClosGenerator,
+        Host,
+        Link,
+        MTU_BYTES,
+        Network,
+        Packet,
+        Port,
+        Switch,
+        TopologySpec,
+    )
+    from .scheduling import (
+        DwrrScheduler,
+        FifoScheduler,
+        Scheduler,
+        SpWfqScheduler,
+        StrictPriorityScheduler,
+        WfqScheduler,
+        WrrScheduler,
+    )
+    from .sim import FabricAuditor, InvariantViolation, Simulator, make_rng
+    from .store import ExperimentSpec, RunConfig, RunRecord, RunStore
+    from .transport import (
+        ClassicEcnSender,
+        DctcpConfig,
+        DctcpReceiver,
+        DctcpSender,
+        Flow,
+        FlowHandle,
+        open_flow,
+        open_flows,
+    )
+    from .workloads import PAPER_MIX, PoissonFlowGenerator, WEB_SEARCH
+
+_EXPORTS = {
+    ".core": (
+        "AcceptAllFilter", "CAPABILITIES", "EcnFilter", "PmsbMarker",
+        "RttEcnFilter", "SchemeCapabilities", "SteadyStateModel",
+        "bdp_packets", "capability_table", "port_threshold_lower_bound",
+        "queue_threshold_lower_bound",
+    ),
+    ".ecn": (
+        "BufferPool", "MarkPoint", "Marker", "MqEcnMarker",
+        "NullMarker", "PerPortMarker", "PerQueueMarker", "RedMarker",
+        "ServicePoolMarker", "TcnMarker", "fractional_thresholds",
+        "standard_thresholds",
+    ),
+    ".metrics": (
+        "FctCollector", "QueueOccupancyTrace", "SizeClass",
+        "SummaryStats", "ThroughputMeter", "summarize",
+    ),
+    ".net": (
+        "ClosGenerator", "Host", "Link", "MTU_BYTES", "Network",
+        "Packet", "Port", "Switch", "TopologySpec",
+    ),
+    ".scheduling": (
+        "DwrrScheduler", "FifoScheduler", "Scheduler", "SpWfqScheduler",
+        "StrictPriorityScheduler", "WfqScheduler", "WrrScheduler",
+    ),
+    ".sim": (
+        "FabricAuditor", "InvariantViolation", "Simulator", "make_rng",
+    ),
+    ".store": ("ExperimentSpec", "RunConfig", "RunRecord", "RunStore"),
+    ".transport": (
+        "ClassicEcnSender", "DctcpConfig", "DctcpReceiver",
+        "DctcpSender", "Flow", "FlowHandle", "open_flow", "open_flows",
+    ),
+    ".workloads": ("PAPER_MIX", "PoissonFlowGenerator", "WEB_SEARCH"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AcceptAllFilter",
-    "BufferPool",
-    "CAPABILITIES",
-    "ClassicEcnSender",
-    "ClosGenerator",
-    "DctcpConfig",
-    "DctcpReceiver",
-    "DctcpSender",
-    "DwrrScheduler",
-    "EcnFilter",
-    "ExperimentSpec",
-    "FabricAuditor",
-    "FctCollector",
-    "FifoScheduler",
-    "Flow",
-    "FlowHandle",
-    "Host",
-    "InvariantViolation",
-    "Link",
-    "MTU_BYTES",
-    "MarkPoint",
-    "Marker",
-    "MqEcnMarker",
-    "Network",
-    "NullMarker",
-    "PAPER_MIX",
-    "Packet",
-    "PerPortMarker",
-    "PerQueueMarker",
-    "PmsbMarker",
-    "PoissonFlowGenerator",
-    "Port",
-    "QueueOccupancyTrace",
-    "RedMarker",
-    "RttEcnFilter",
-    "RunConfig",
-    "RunRecord",
-    "RunStore",
-    "Scheduler",
-    "SchemeCapabilities",
-    "ServicePoolMarker",
-    "Simulator",
-    "SizeClass",
-    "SpWfqScheduler",
-    "SteadyStateModel",
-    "StrictPriorityScheduler",
-    "SummaryStats",
-    "Switch",
-    "TcnMarker",
-    "ThroughputMeter",
-    "TopologySpec",
-    "WEB_SEARCH",
-    "WfqScheduler",
-    "WrrScheduler",
-    "bdp_packets",
-    "capability_table",
-    "fractional_thresholds",
-    "make_rng",
-    "open_flow",
-    "open_flows",
-    "port_threshold_lower_bound",
-    "queue_threshold_lower_bound",
-    "standard_thresholds",
-    "summarize",
-]

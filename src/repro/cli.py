@@ -41,24 +41,19 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, List, Optional
+from importlib import import_module
+from typing import Any, List, Optional
 
-from .control.controller import ControllerSpec, set_controller_default
-from .core.capabilities import capability_table
-from .experiments import (ablations, analysis_validation, autotune, chaos,
-                          extensions, largescale, marking_point, motivation,
-                          sharedbuf, static_flows, xscale)
 from .experiments.scale import BENCH, PAPER, TINY
-from .experiments.scenario import check_compatibility
-from .metrics.export import rows_to_csv, to_json
-from .metrics.fct import SizeClass
-from .net.sharedbuf import SharedBufferSpec, set_shared_buffer_default
-from .net.topology import TopologySpec, set_topology_default
-from .sim.audit import set_audit_default
-from .sim.faults import FaultSpec, set_fault_default
-from .store import RunConfig, RunStore, diff_records
+from .store.spec import RunConfig, check_compatibility
 
 __all__ = ["main"]
+
+# Import policy (docs/API.md, "Start-up and import policy"): this module
+# imports the scale profiles and the store's spec half; a command imports
+# its experiment family when it runs, and the spec flags resolve their
+# parser and process default on use — `repro list` and a cache-hit
+# `repro sweep` pay for neither the simulator nor numpy.
 
 PROFILES = {"tiny": TINY, "bench": BENCH, "paper": PAPER}
 
@@ -83,12 +78,19 @@ class SpecFlag:
     flag: str
     dest: str
     help: str
-    parse: Callable[[str], Any]
-    set_default: Callable[[Any], None]
+    #: Module holding the spec class (whose ``parse`` reads the flag's
+    #: text) and the function that sets the process-wide default —
+    #: named, not imported: the module loads when the flag is given.
+    module: str
+    spec_class: str
+    setter: str
     #: ``append`` flags collect a tuple of specs; the rest hold one.
     repeatable: bool = False
-    #: Value handed to ``set_default`` when restoring.
+    #: Value handed to the default setter when restoring.
     cleared: Any = None
+
+    def _load(self, name: str) -> Any:
+        return getattr(import_module(self.module), name)
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
         if self.repeatable:
@@ -102,26 +104,29 @@ class SpecFlag:
         """Parse this flag's text(s) off ``args`` (ValueError on bad
         input); None / () when the flag was not given."""
         value = getattr(args, self.dest, None)
+        if not value:
+            return () if self.repeatable else None
+        parse = self._load(self.spec_class).parse
         if self.repeatable:
-            return tuple(self.parse(text) for text in (value or ()))
-        return self.parse(value) if value else None
+            return tuple(parse(text) for text in value)
+        return parse(value)
 
     def apply(self, spec: Any) -> bool:
         """Install ``spec`` as the process default; True if installed."""
         if spec is None or spec == ():
             return False
-        self.set_default(spec)
+        self._load(self.setter)(spec)
         return True
 
     def clear(self) -> None:
-        self.set_default(self.cleared)
+        self._load(self.setter)(self.cleared)
 
 
 SPEC_FLAGS = (
     SpecFlag(
         flag="--shared-buffer", dest="shared_buffer",
-        parse=SharedBufferSpec.parse,
-        set_default=set_shared_buffer_default,
+        module="repro.net.sharedbuf", spec_class="SharedBufferSpec",
+        setter="set_shared_buffer_default",
         help="give every switch the command builds a shared memory all "
              "its ports draw from; SPEC is policy:key=val,key=val with "
              "policies complete / static / dt / bshare, e.g. "
@@ -130,7 +135,8 @@ SPEC_FLAGS = (
     ),
     SpecFlag(
         flag="--faults", dest="faults", repeatable=True, cleared=(),
-        parse=FaultSpec.parse, set_default=set_fault_default,
+        module="repro.sim.faults", spec_class="FaultSpec",
+        setter="set_fault_default",
         help="inject a fault into every fabric the command builds; SPEC "
              "is model:key=val,key=val with models iid-loss / "
              "gilbert-elliott / crc-corrupt / flap, e.g. "
@@ -139,7 +145,8 @@ SPEC_FLAGS = (
     ),
     SpecFlag(
         flag="--controller", dest="controller",
-        parse=ControllerSpec.parse, set_default=set_controller_default,
+        module="repro.control.controller", spec_class="ControllerSpec",
+        setter="set_controller_default",
         help="attach a closed-loop threshold controller to every fabric "
              "the command builds; SPEC is name:key=val,key=val with "
              "controllers theorem / cem, e.g. "
@@ -148,7 +155,8 @@ SPEC_FLAGS = (
     ),
     SpecFlag(
         flag="--topology", dest="topology",
-        parse=TopologySpec.parse, set_default=set_topology_default,
+        module="repro.net.topology", spec_class="TopologySpec",
+        setter="set_topology_default",
         help="build every fabric the command uses from this declarative "
              "spec; SPEC is preset:key=val,key=val with presets "
              "single-bottleneck / leaf-spine / fat-tree / clos, e.g. "
@@ -183,6 +191,7 @@ def _duration(args, fallback: float = 0.03) -> float:
 
 
 def _maybe_export(args, payload: Any) -> None:
+    from .metrics.export import rows_to_csv, to_json
     if getattr(args, "json", None):
         to_json(payload, args.json)
         print(f"\n[written {args.json}]")
@@ -198,6 +207,7 @@ def _maybe_export(args, payload: Any) -> None:
 # -- command implementations -------------------------------------------------
 
 def cmd_fig1(args) -> Any:
+    from .experiments import motivation
     results = motivation.per_queue_standard_rtt(duration=_duration(args))
     print(f"{'queues':>6s} {'mean':>10s} {'p99':>10s}")
     for n_queues, stats in sorted(results.items()):
@@ -206,6 +216,7 @@ def cmd_fig1(args) -> Any:
 
 
 def cmd_fig2(args) -> Any:
+    from .experiments import motivation
     results = motivation.per_queue_fractional_throughput(
         duration=_duration(args))
     for threshold, gbps in sorted(results.items()):
@@ -214,6 +225,7 @@ def cmd_fig2(args) -> Any:
 
 
 def _victim(args, threshold: float, flows: int) -> Any:
+    from .experiments import motivation
     result = motivation.per_port_victim(threshold, flows,
                                         duration=_duration(args),
                                         trains=args.trains)
@@ -244,11 +256,13 @@ def _trace_pair(traces) -> Any:
 
 
 def cmd_fig4(args) -> Any:
+    from .experiments import marking_point
     print("DCTCP marking point (4 flows, 1 Gbps):")
     return _trace_pair(marking_point.dctcp_enqueue_dequeue())
 
 
 def cmd_fig5(args) -> Any:
+    from .experiments import marking_point
     trace = marking_point.tcn_trace()
     print(f"TCN (dequeue-only): peak {trace.peak} pkts, "
           f"steady mean {trace.steady_mean:.1f}")
@@ -256,6 +270,7 @@ def cmd_fig5(args) -> Any:
 
 
 def cmd_fig8(args) -> Any:
+    from .experiments import static_flows
     result = static_flows.weighted_fair_sharing("pmsb",
                                                 duration=_duration(args),
                                                 trains=args.trains)
@@ -265,6 +280,7 @@ def cmd_fig8(args) -> Any:
 
 
 def cmd_fig9(args) -> Any:
+    from .experiments import static_flows
     results = static_flows.rtt_distribution(duration=_duration(args))
     print(f"{'scheme':18s} {'mean':>10s} {'p99':>10s}")
     for name, stats in results.items():
@@ -273,6 +289,7 @@ def cmd_fig9(args) -> Any:
 
 
 def cmd_fig10(args) -> Any:
+    from .experiments import static_flows
     result = static_flows.weighted_fair_sharing(
         "pmsb", flows_queue2=100, duration=max(_duration(args), 0.03),
         warmup_fraction=0.5, stagger=5e-3)
@@ -282,11 +299,13 @@ def cmd_fig10(args) -> Any:
 
 
 def cmd_fig11(args) -> Any:
+    from .experiments import marking_point
     print("PMSB marking point (4 flows, 1 Gbps):")
     return _trace_pair(marking_point.pmsb_trace())
 
 
 def cmd_fig12(args) -> Any:
+    from .experiments import marking_point
     print("PMSB(e) marking point (4 flows, 1 Gbps):")
     return _trace_pair(marking_point.pmsbe_trace())
 
@@ -301,21 +320,26 @@ def _policy(result) -> Any:
 
 
 def cmd_fig13(args) -> Any:
+    from .experiments import static_flows
     print("PMSB over SP+WFQ (expect 5 / 2.5 / 2.5 G settled):")
     return _policy(static_flows.scheduler_sp_wfq(duration=_duration(args)))
 
 
 def cmd_fig14(args) -> Any:
+    from .experiments import static_flows
     print("PMSB over SP (expect 5 / 3 / 2 G settled):")
     return _policy(static_flows.scheduler_sp(duration=_duration(args)))
 
 
 def cmd_fig15(args) -> Any:
+    from .experiments import static_flows
     print("PMSB over WFQ (expect 10 G -> 5 / 5 G):")
     return _policy(static_flows.scheduler_wfq(duration=_duration(args)))
 
 
 def cmd_sweep(args) -> Any:
+    from .experiments.fct_sweep import run_fct_sweep
+    from .metrics.fct import SizeClass
     profile = _profile(args) or BENCH
     if args.loads:
         profile = replace(profile, loads=tuple(args.loads))
@@ -330,8 +354,7 @@ def cmd_sweep(args) -> Any:
         shards=args.shards,
         trains=args.trains,
     )
-    rows = largescale.run_fct_sweep(scheduler_name=args.scheduler,
-                                    config=config)
+    rows = run_fct_sweep(scheduler_name=args.scheduler, config=config)
     print(f"{'scheme':10s} {'load':>5s} {'overall':>9s} {'sm avg':>9s} "
           f"{'sm p99':>9s} {'lg avg':>9s}")
     for row in rows:
@@ -345,11 +368,13 @@ def cmd_sweep(args) -> Any:
 
 
 def cmd_table1(args) -> Any:
+    from .core.capabilities import capability_table
     print(capability_table())
     return None
 
 
 def cmd_theorem(args) -> Any:
+    from .experiments import analysis_validation
     rows = analysis_validation.threshold_bound_sweep(
         duration=_duration(args))
     print(f"{'k_i/bound':>9s} {'predicted ok':>13s} {'utilization':>12s}")
@@ -361,6 +386,7 @@ def cmd_theorem(args) -> Any:
 
 
 def cmd_ablation(args) -> Any:
+    from .experiments import ablations
     print("blindness scale sweep (1:8 victim scenario):")
     rows = ablations.blindness_aggressiveness(duration=_duration(args))
     for row in rows:
@@ -371,6 +397,7 @@ def cmd_ablation(args) -> Any:
 
 
 def cmd_pool(args) -> Any:
+    from .experiments import extensions
     result = extensions.service_pool_victim(
         config=RunConfig(duration=_duration(args)))
     print(f"shared-pool marking, disjoint links:")
@@ -381,6 +408,7 @@ def cmd_pool(args) -> Any:
 
 
 def cmd_burst(args) -> Any:
+    from .experiments import extensions
     print("32-way micro-burst vs buffer-sharing policy (DT alpha=2):")
     config = RunConfig(duration=max(_duration(args), 0.04))
     rows = []
@@ -397,6 +425,7 @@ def cmd_burst(args) -> Any:
 
 
 def cmd_transports(args) -> Any:
+    from .experiments import extensions
     print("1:8 victim scenario across transports:")
     config = RunConfig(duration=_duration(args))
     rows = []
@@ -413,6 +442,7 @@ def cmd_transports(args) -> Any:
 
 
 def _chaos_rates(args) -> List[float]:
+    from .experiments import chaos
     return list(args.loss_rates) if args.loss_rates else list(
         chaos.DEFAULT_LOSS_RATES)
 
@@ -428,6 +458,7 @@ def _print_victim_rows(rows) -> None:
 
 
 def cmd_chaos3(args) -> Any:
+    from .experiments import chaos
     print(f"1:8 victim scenario under {args.model} loss "
           f"(bottleneck wire):")
     config = RunConfig(duration=_duration(args))
@@ -441,6 +472,7 @@ def cmd_chaos3(args) -> Any:
 
 
 def cmd_chaos8(args) -> Any:
+    from .experiments import chaos
     print(f"PMSB DWRR 1:4 fair sharing under {args.model} loss:")
     config = RunConfig(duration=_duration(args))
     rows = [chaos.chaos_fair_share("pmsb", loss_rate=rate,
@@ -451,6 +483,8 @@ def cmd_chaos8(args) -> Any:
 
 
 def cmd_chaos_sweep(args) -> Any:
+    from .experiments import chaos
+    from .metrics.fct import SizeClass
     profile = _profile(args) or BENCH
     if args.loads:
         profile = replace(profile, loads=tuple(args.loads))
@@ -484,6 +518,7 @@ def cmd_chaos_sweep(args) -> Any:
 
 
 def cmd_sharedbuf(args) -> Any:
+    from .experiments import sharedbuf
     profile = _profile(args) or BENCH
     config = RunConfig(
         profile=profile,
@@ -519,6 +554,7 @@ def cmd_sharedbuf(args) -> Any:
 
 
 def cmd_autotune(args) -> Any:
+    from .experiments import autotune
     profile = _profile(args) or BENCH
     report = autotune.run_autotune(
         grid=tuple(args.grid),
@@ -557,6 +593,7 @@ def cmd_autotune(args) -> Any:
 
 
 def cmd_xscale(args) -> Any:
+    from .experiments import xscale
     profile = _profile(args) or BENCH
     config = RunConfig(
         profile=profile,
@@ -584,6 +621,7 @@ def cmd_xscale(args) -> Any:
 
 
 def cmd_coexist(args) -> Any:
+    from .experiments import extensions
     config = RunConfig(duration=_duration(args))
     baseline = extensions.pmsbe_coexistence(False, config=config)
     upgraded = extensions.pmsbe_coexistence(True, config=config)
@@ -701,15 +739,20 @@ def _elide_params(params: Any, budget: int = 44) -> str:
 
 
 def cmd_runs_list(args) -> int:
+    from .store.runstore import RunStore
     store = RunStore(args.cache_dir)
-    records = list(store.records())
-    if not records:
+    keys = store.keys()
+    if not keys:
         print(f"[no records under {store.root}]")
         return 0
     print(f"{'key':12s} {'experiment':12s} {'scheme':10s} {'sched':5s} "
           f"{'load':>5s} {'seed':>10s} {'profile':8s} {'elapsed':>9s} "
           f"{'params':s}")
-    for record in records:
+    for key in keys:
+        record = store.get(key)
+        if record is None:  # reported on stderr by the store
+            print(f"{key[:12]:12s} corrupt")
+            continue
         spec = record.spec
         elapsed = record.provenance.get("elapsed_s")
         print(f"{record.key[:12]:12s} {spec.get('experiment', '?'):12s} "
@@ -719,11 +762,14 @@ def cmd_runs_list(args) -> int:
               f"{record.provenance.get('profile', '-'):8s} "
               f"{f'{elapsed:8.2f}s' if elapsed is not None else '       --'} "
               f"{_elide_params(spec.get('params'))}")
-    print(f"[{len(records)} record(s) under {store.root}]")
+    corrupt = f", {len(store.corrupt)} corrupt" if store.corrupt else ""
+    print(f"[{len(keys) - len(store.corrupt)} record(s){corrupt} "
+          f"under {store.root}]")
     return 0
 
 
 def cmd_runs_show(args) -> int:
+    from .store.runstore import RunStore
     record = _resolve_record(RunStore(args.cache_dir), args.key)
     if record is None:
         return 1
@@ -732,6 +778,7 @@ def cmd_runs_show(args) -> int:
 
 
 def cmd_runs_diff(args) -> int:
+    from .store.runstore import RunStore, diff_records
     store = RunStore(args.cache_dir)
     record_a = _resolve_record(store, args.key_a)
     record_b = _resolve_record(store, args.key_b)
@@ -748,6 +795,7 @@ def cmd_runs_diff(args) -> int:
 
 
 def cmd_runs_gc(args) -> int:
+    from .store.runstore import RunStore
     removed = RunStore(args.cache_dir).gc(
         older_than_days=args.older_than_days)
     total = sum(removed.values())
@@ -764,7 +812,88 @@ RUNS_COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_family_options(name: str, cmd: argparse.ArgumentParser) -> None:
+    """The options of ``name`` whose defaults live in its experiment
+    family — which this imports."""
+    if name in ("chaos3", "chaos8", "chaos-sweep"):
+        from .experiments import chaos
+        cmd.add_argument("--model",
+                         choices=("iid-loss", "gilbert-elliott",
+                                  "crc-corrupt"),
+                         default="iid-loss",
+                         help="loss model to inject")
+        cmd.add_argument("--loss-rates", type=float, nargs="+",
+                         help="average per-packet loss rates "
+                              f"(default: "
+                              f"{' '.join(str(r) for r in chaos.DEFAULT_LOSS_RATES)})")
+        if name == "chaos-sweep":
+            cmd.add_argument("--schemes", nargs="+",
+                             default=list(chaos.CHAOS_SCHEMES),
+                             help="schemes to compare "
+                                  f"(default: {' '.join(chaos.CHAOS_SCHEMES)})")
+    if name == "sharedbuf":
+        from .experiments import sharedbuf
+        cmd.add_argument("--schemes", nargs="+",
+                         default=list(sharedbuf.SHAREDBUF_SCHEMES),
+                         help="marking schemes to compare "
+                              f"(default: "
+                              f"{' '.join(sharedbuf.SHAREDBUF_SCHEMES)})")
+        cmd.add_argument("--capacity", type=int,
+                         default=sharedbuf.DEFAULT_CAPACITY,
+                         help="switch-wide shared memory in packets "
+                              f"(default: {sharedbuf.DEFAULT_CAPACITY})")
+        cmd.add_argument("--alphas", type=float, nargs="+",
+                         default=list(sharedbuf.DEFAULT_ALPHAS),
+                         help="dynamic-threshold alpha grid "
+                              f"(default: "
+                              f"{' '.join(str(a) for a in sharedbuf.DEFAULT_ALPHAS)})")
+        cmd.add_argument("--target-delays", type=float, nargs="+",
+                         default=list(sharedbuf.DEFAULT_TARGET_DELAYS),
+                         help="BShare queueing-delay targets in "
+                              "seconds (default: "
+                              f"{' '.join(str(d) for d in sharedbuf.DEFAULT_TARGET_DELAYS)})")
+    if name == "xscale":
+        from .experiments import xscale
+        cmd.add_argument("--schemes", nargs="+",
+                         default=list(xscale.XSCALE_SCHEMES),
+                         help="marking schemes to compare "
+                              f"(default: "
+                              f"{' '.join(xscale.XSCALE_SCHEMES)})")
+        cmd.add_argument("--hogs", type=int, default=8,
+                         help="hog flows crushing the victim's "
+                              "downlink (default: 8)")
+        cmd.add_argument("--ladder", nargs="+", metavar="SPEC",
+                         help="topology specs to walk instead of "
+                              "the built-in 48-1024 host Clos "
+                              "ladder, e.g. "
+                              "'clos:tiers=2,ports=16,oversub=2'")
+    if name == "autotune":
+        from .experiments import autotune
+        cmd.add_argument("--grid", type=float, nargs="+",
+                         default=list(autotune.DEFAULT_GRID),
+                         help="port-threshold grid in packets "
+                              f"(default: "
+                              f"{' '.join(str(k) for k in autotune.DEFAULT_GRID)})")
+        cmd.add_argument("--load-lo", type=float, default=0.3,
+                         help="phase-A offered load (default: 0.3)")
+        cmd.add_argument("--load-hi", type=float, default=0.7,
+                         help="phase-B offered load after the shift "
+                              "(default: 0.7)")
+        cmd.add_argument("--chaos", action="store_true",
+                         help="also flap a spine uplink for 2 ms "
+                              "right after the load shift")
+        cmd.add_argument("--rounds", type=int, default=3,
+                         help="cross-entropy rounds (default: 3)")
+        cmd.add_argument("--population", type=int, default=6,
+                         help="candidates drawn per round "
+                              "(default: 6)")
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The full CLI parser.  ``command`` — the one about to be parsed,
+    which ``_dispatch`` reads off argv — keeps the family-specific
+    options (and the family imports their defaults need) to that
+    command's sub-parser; None builds them for every command."""
     # One shared parent so every experiment command spells the common
     # flags identically (and `fig3 --help` documents the same contract
     # as `sweep --help`).
@@ -838,74 +967,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="print a per-run event/heap profile "
                                   "(events/sec, category counters, heap "
                                   "size over time)")
-        if name in ("chaos3", "chaos8", "chaos-sweep"):
-            cmd.add_argument("--model",
-                             choices=("iid-loss", "gilbert-elliott",
-                                      "crc-corrupt"),
-                             default="iid-loss",
-                             help="loss model to inject")
-            cmd.add_argument("--loss-rates", type=float, nargs="+",
-                             help="average per-packet loss rates "
-                                  f"(default: "
-                                  f"{' '.join(str(r) for r in chaos.DEFAULT_LOSS_RATES)})")
-        if name == "chaos-sweep":
-            cmd.add_argument("--schemes", nargs="+",
-                             default=list(chaos.CHAOS_SCHEMES),
-                             help="schemes to compare "
-                                  f"(default: {' '.join(chaos.CHAOS_SCHEMES)})")
-        if name == "sharedbuf":
-            cmd.add_argument("--schemes", nargs="+",
-                             default=list(sharedbuf.SHAREDBUF_SCHEMES),
-                             help="marking schemes to compare "
-                                  f"(default: "
-                                  f"{' '.join(sharedbuf.SHAREDBUF_SCHEMES)})")
-            cmd.add_argument("--capacity", type=int,
-                             default=sharedbuf.DEFAULT_CAPACITY,
-                             help="switch-wide shared memory in packets "
-                                  f"(default: {sharedbuf.DEFAULT_CAPACITY})")
-            cmd.add_argument("--alphas", type=float, nargs="+",
-                             default=list(sharedbuf.DEFAULT_ALPHAS),
-                             help="dynamic-threshold alpha grid "
-                                  f"(default: "
-                                  f"{' '.join(str(a) for a in sharedbuf.DEFAULT_ALPHAS)})")
-            cmd.add_argument("--target-delays", type=float, nargs="+",
-                             default=list(sharedbuf.DEFAULT_TARGET_DELAYS),
-                             help="BShare queueing-delay targets in "
-                                  "seconds (default: "
-                                  f"{' '.join(str(d) for d in sharedbuf.DEFAULT_TARGET_DELAYS)})")
-        if name == "xscale":
-            cmd.add_argument("--schemes", nargs="+",
-                             default=list(xscale.XSCALE_SCHEMES),
-                             help="marking schemes to compare "
-                                  f"(default: "
-                                  f"{' '.join(xscale.XSCALE_SCHEMES)})")
-            cmd.add_argument("--hogs", type=int, default=8,
-                             help="hog flows crushing the victim's "
-                                  "downlink (default: 8)")
-            cmd.add_argument("--ladder", nargs="+", metavar="SPEC",
-                             help="topology specs to walk instead of "
-                                  "the built-in 48-1024 host Clos "
-                                  "ladder, e.g. "
-                                  "'clos:tiers=2,ports=16,oversub=2'")
-        if name == "autotune":
-            cmd.add_argument("--grid", type=float, nargs="+",
-                             default=list(autotune.DEFAULT_GRID),
-                             help="port-threshold grid in packets "
-                                  f"(default: "
-                                  f"{' '.join(str(k) for k in autotune.DEFAULT_GRID)})")
-            cmd.add_argument("--load-lo", type=float, default=0.3,
-                             help="phase-A offered load (default: 0.3)")
-            cmd.add_argument("--load-hi", type=float, default=0.7,
-                             help="phase-B offered load after the shift "
-                                  "(default: 0.7)")
-            cmd.add_argument("--chaos", action="store_true",
-                             help="also flap a spine uplink for 2 ms "
-                                  "right after the load shift")
-            cmd.add_argument("--rounds", type=int, default=3,
-                             help="cross-entropy rounds (default: 3)")
-            cmd.add_argument("--population", type=int, default=6,
-                             help="candidates drawn per round "
-                                  "(default: 6)")
+        if command in (None, name):
+            _add_family_options(name, cmd)
 
     runs = sub.add_parser("runs",
                           help="inspect the content-addressed run store")
@@ -940,7 +1003,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(argv: Optional[List[str]]) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser takes no options of its own, so the command,
+    # when there is one, is the first argument (none at all means `list`).
+    parser = build_parser(argv[0] if argv else "list")
     args = parser.parse_args(argv)
     if args.command is None or args.command == "list":
         for name, (_fn, help_text) in COMMANDS.items():
@@ -988,6 +1055,7 @@ def _dispatch(argv: Optional[List[str]]) -> int:
     # the requested fabric / draws every switch's ports from a shared
     # buffer.
     if audit_on:
+        from .sim.audit import set_audit_default
         set_audit_default(True)
     applied = [spec_flag for spec_flag, value in resolved
                if spec_flag.apply(value)]

@@ -6,24 +6,26 @@ interface and the two shipped controllers
 optimizer behind X-AUTOTUNE (:mod:`repro.control.cem`).
 """
 
-from .cem import CemResult, cross_entropy_search
-from .controller import (CemController, ControllerRuntime, ControllerSpec,
-                         TheoremController, ThresholdController,
-                         build_runtime, controller_enabled,
-                         set_controller_default)
-from .observation import ObservationVector, PortSampler
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CemController",
-    "CemResult",
-    "ControllerRuntime",
-    "ControllerSpec",
-    "ObservationVector",
-    "PortSampler",
-    "TheoremController",
-    "ThresholdController",
-    "build_runtime",
-    "controller_enabled",
-    "cross_entropy_search",
-    "set_controller_default",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .cem import CemResult, cross_entropy_search
+    from .controller import (CemController, ControllerRuntime, ControllerSpec,
+                             TheoremController, ThresholdController,
+                             build_runtime, controller_enabled,
+                             set_controller_default)
+    from .observation import ObservationVector, PortSampler
+
+_EXPORTS = {
+    ".cem": ("CemResult", "cross_entropy_search"),
+    ".controller": (
+        "CemController", "ControllerRuntime", "ControllerSpec",
+        "TheoremController", "ThresholdController", "build_runtime",
+        "controller_enabled", "set_controller_default",
+    ),
+    ".observation": ("ObservationVector", "PortSampler"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

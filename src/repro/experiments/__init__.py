@@ -1,43 +1,36 @@
 """Experiment harness: one builder per paper figure/table (see DESIGN.md)."""
 
-from ..store import ExperimentSpec, RunConfig, RunRecord, RunStore
-from . import ablations, analysis_validation, chaos, extensions, largescale
-from . import marking_point, motivation, runner, static_flows
-from .chaos import chaos_point_spec, run_chaos_sweep
-from .largescale import fct_point_spec
-from .runner import available_jobs, run_parallel, seed_for
-from .scale import BENCH, PAPER, ScaleProfile, TINY
-from .scenario import (IncastResult, SCHEME_NAMES, SchemeSpec, incast_flows,
-                       make_scheme, run_incast)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BENCH",
-    "ExperimentSpec",
-    "IncastResult",
-    "PAPER",
-    "RunConfig",
-    "RunRecord",
-    "RunStore",
-    "SCHEME_NAMES",
-    "ScaleProfile",
-    "SchemeSpec",
-    "TINY",
-    "ablations",
-    "analysis_validation",
-    "available_jobs",
-    "chaos",
-    "chaos_point_spec",
-    "extensions",
-    "fct_point_spec",
-    "incast_flows",
-    "largescale",
-    "make_scheme",
-    "marking_point",
-    "motivation",
-    "run_chaos_sweep",
-    "run_incast",
-    "run_parallel",
-    "runner",
-    "seed_for",
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..store import ExperimentSpec, RunConfig, RunRecord, RunStore
+    from . import ablations, analysis_validation, chaos, extensions, largescale
+    from . import marking_point, motivation, runner, static_flows
+    from .chaos import chaos_point_spec, run_chaos_sweep
+    from .fct_sweep import fct_point_spec
+    from .runner import available_jobs, run_parallel, seed_for
+    from .scale import BENCH, PAPER, ScaleProfile, TINY
+    from .scenario import (IncastResult, SCHEME_NAMES, SchemeSpec, incast_flows,
+                           make_scheme, run_incast)
+
+_EXPORTS = {
+    "..store": ("ExperimentSpec", "RunConfig", "RunRecord", "RunStore"),
+    ".chaos": ("chaos_point_spec", "run_chaos_sweep"),
+    ".fct_sweep": ("fct_point_spec",),
+    ".runner": ("available_jobs", "run_parallel", "seed_for"),
+    ".scale": ("BENCH", "PAPER", "ScaleProfile", "TINY"),
+    ".scenario": (
+        "IncastResult", "SCHEME_NAMES", "SchemeSpec", "incast_flows",
+        "make_scheme", "run_incast",
+    ),
+}
+
+_SUBMODULES = (
+    "ablations", "analysis_validation", "chaos", "extensions",
+    "largescale", "marking_point", "motivation", "runner",
     "static_flows",
-]
+)
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS, _SUBMODULES)

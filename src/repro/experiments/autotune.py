@@ -29,7 +29,6 @@ capacity loss as well as load change.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -42,8 +41,9 @@ from ..sim.audit import FabricAuditor
 from ..sim.engine import Simulator
 from ..sim.faults import FaultScheduler, FaultSpec
 from ..sim.rng import make_rng, stable_hash
-from ..store.runstore import RunStore, make_provenance
+from ..store.runstore import RunStore, open_store
 from ..store.spec import ExperimentSpec
+from ..store.sweep import cached_sweep
 from ..transport.endpoints import open_flow
 from ..workloads.distributions import PAPER_MIX
 from ..workloads.generator import PoissonFlowGenerator
@@ -237,36 +237,16 @@ def run_autotune_point(
     )
 
 
-def _autotune_worker(point) -> AutotuneRow:
-    """Module-level (picklable) cache-boundary worker for one candidate.
-
-    Same contract as ``largescale._sweep_worker``: store hits skip the
-    simulation, fresh results persist before returning, racing workers
-    on one key write identical bytes.
-    """
+def _autotune_point(point, provenance: Dict[str, Any]) -> AutotuneRow:
+    """Simulate one candidate (the ``compute`` of
+    :func:`~repro.store.sweep.cached_sweep`)."""
     (k0, k1, scheduler_name, load_lo, load_hi, profile, seed, chaos,
-     audit, cache_dir, force, topology) = point
-    store = RunStore(cache_dir) if cache_dir else None
-    spec = autotune_point_spec(k0, k1, scheduler_name, load_lo, load_hi,
-                               profile, seed, chaos=chaos, audit=audit,
-                               topology=topology)
-    if store is not None and not force:
-        record = store.get(spec)
-        if record is not None:
-            return AutotuneRow.from_payload(record.result)
-    provenance_out: Dict[str, Any] = {}
-    row = run_autotune_point(
+     audit, topology) = point
+    return run_autotune_point(
         k0, k1, scheduler_name, load_lo, load_hi, profile, seed,
-        chaos=chaos, audit=audit, provenance_out=provenance_out,
+        chaos=chaos, audit=audit, provenance_out=provenance,
         topology=topology,
     )
-    if store is not None:
-        store.put(spec, row.to_payload(), make_provenance(
-            profile_name=profile.name,
-            elapsed_s=provenance_out.get("elapsed_s"),
-            engine=provenance_out.get("engine"),
-        ))
-    return row
 
 
 @dataclass
@@ -324,27 +304,28 @@ def run_autotune(
     ``best_static``.  With a ``store`` every candidate is cached by
     :func:`autotune_point_spec`, making the whole search resumable.
     """
-    from .runner import run_parallel
-
     if profile is None:
         profile = BENCH
-    cache_dir = (store.root if isinstance(store, RunStore)
-                 else os.fspath(store) if store else None)
+    store = open_store(store)
     grid = tuple(sorted(set(float(k) for k in grid)))
     topology_spec = resolve_fct_topology(topology)
 
-    def point(k0: float, k1: float):
-        return (k0, k1, scheduler_name, load_lo, load_hi, profile, seed,
-                chaos, audit, cache_dir, force, topology_spec)
+    def evaluate_all(schedules, jobs: Optional[int]) -> List[AutotuneRow]:
+        # A point is autotune_point_spec's arguments, in order.
+        points = [(k0, k1, scheduler_name, load_lo, load_hi, profile, seed,
+                   chaos, audit, topology_spec) for k0, k1 in schedules]
+        return cached_sweep(
+            points, [autotune_point_spec(*point) for point in points],
+            f"{__name__}:_autotune_point", AutotuneRow.from_payload,
+            store, force, jobs, profile.name)
 
-    diagonal = [point(k, k) for k in grid]
-    static_rows = run_parallel(diagonal, _autotune_worker, jobs=jobs)
+    static_rows = evaluate_all([(k, k) for k in grid], jobs)
     rows: Dict[Tuple[float, float], AutotuneRow] = {
         (row.k0, row.k1): row for row in static_rows
     }
 
     def evaluate(k0: float, k1: float) -> float:
-        row = _autotune_worker(point(k0, k1))
+        (row,) = evaluate_all([(k0, k1)], 1)
         rows[(k0, k1)] = row
         return row.objective
 

@@ -33,9 +33,10 @@ from ..sim.audit import audit_enabled
 from ..sim.faults import FaultSpec, loss_spec
 from ..store.runstore import RunStore
 from ..store.spec import ExperimentSpec, RunConfig
+from ..store.sweep import cached_sweep, sweep_setup
 from ..net.topology import TopologySpec
-from .largescale import (FctRow, cached_point, resolve_fct_topology,
-                         run_fct_point, sweep_setup, topology_params)
+from .largescale import (FctRow, resolve_fct_topology, run_fct_point,
+                         topology_params)
 from .scale import ScaleProfile
 from .scenario import incast_flows, make_scheme, run_incast
 
@@ -241,30 +242,22 @@ def chaos_point_spec(
     )
 
 
-def _chaos_worker(point) -> ChaosFctRow:
-    """Module-level (picklable) worker for one chaos sweep point (cache
-    contract: :func:`~repro.experiments.largescale.cached_point`)."""
+def _chaos_point(point, provenance: Dict[str, Any]) -> ChaosFctRow:
+    """Simulate one chaos sweep point (the ``compute`` of
+    :func:`~repro.store.sweep.cached_sweep`)."""
     (scheme_name, scheduler_name, load, profile, seed, model, loss_rate,
-     audit, cache_dir, force, topology, shards) = point
-    spec = chaos_point_spec(scheme_name, scheduler_name, load, profile,
-                            seed, model, loss_rate, audit=audit,
-                            topology=topology, shards=shards)
-
-    def compute(provenance: Dict[str, Any]) -> ChaosFctRow:
-        fault_stats: Dict[str, Any] = {}
-        fct = run_fct_point(
-            scheme_name, scheduler_name, load, profile, seed,
-            topology=topology, config=RunConfig(audit=audit, shards=shards),
-            provenance_out=provenance,
-            faults=chaos_faults(model, loss_rate),
-            fault_stats_out=fault_stats,
-        )
-        return ChaosFctRow(
-            model=model, loss_rate=loss_rate,
-            drops=_sorted_drops(fault_stats.get("drops", {})), fct=fct)
-
-    return cached_point(spec, cache_dir, force, profile,
-                        ChaosFctRow.from_payload, compute)
+     audit, topology, shards) = point
+    fault_stats: Dict[str, Any] = {}
+    fct = run_fct_point(
+        scheme_name, scheduler_name, load, profile, seed,
+        topology=topology, config=RunConfig(audit=audit, shards=shards),
+        provenance_out=provenance,
+        faults=chaos_faults(model, loss_rate),
+        fault_stats_out=fault_stats,
+    )
+    return ChaosFctRow(
+        model=model, loss_rate=loss_rate,
+        drops=_sorted_drops(fault_stats.get("drops", {})), fct=fct)
 
 
 def run_chaos_sweep(
@@ -287,18 +280,20 @@ def run_chaos_sweep(
     processes and cache/resume exactly like
     :func:`~repro.experiments.largescale.run_fct_sweep`.
     """
-    from .runner import run_parallel
-
-    config, profile, seed, jobs, cache_dir, force = sweep_setup(
+    config, profile, seed, jobs, store, force = sweep_setup(
         config, profile, seed, store)
     audit = audit_enabled(config.audit)
     topology_spec = resolve_fct_topology(topology)
+    # A point is chaos_point_spec's arguments, in order.
     points = [
         (name, scheduler_name, load, profile, seed, model, loss_rate,
-         audit, cache_dir, force, topology_spec, config.shards)
+         audit, topology_spec, config.shards)
         for loss_rate in loss_rates
         for load in profile.loads
         for name in scheme_names
         if not (scheduler_name == "wfq" and name == "mq-ecn")
     ]
-    return run_parallel(points, _chaos_worker, jobs=jobs)
+    return cached_sweep(
+        points, [chaos_point_spec(*point) for point in points],
+        f"{__name__}:_chaos_point", ChaosFctRow.from_payload,
+        store, force, jobs, profile.name)

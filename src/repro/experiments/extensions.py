@@ -19,9 +19,8 @@ Two claims the paper makes in prose but never evaluates:
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
-from typing import Any, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..core.pmsb_endhost import RttEcnFilter
 from ..ecn.service_pool import BufferPool, ServicePoolMarker
@@ -35,8 +34,9 @@ from ..scheduling.dwrr import DwrrScheduler
 from ..scheduling.fifo import FifoScheduler
 from ..sim.audit import FabricAuditor, audit_enabled
 from ..sim.engine import Simulator
-from ..store.runstore import RunStore, make_provenance
+from ..store.runstore import RunStore, open_store
 from ..store.spec import ExperimentSpec, RunConfig
+from ..store.sweep import cached_sweep
 from ..transport.base import DctcpConfig
 from ..transport.endpoints import open_flow
 from ..transport.flow import Flow
@@ -506,66 +506,62 @@ def incast_sweep(
 
     With ``store`` (or ``config.cache_dir``) each fan-in point is cached
     under its :func:`incast_point_spec` content address, with the same
-    skip-completed / ``config.force`` semantics as the FCT sweep.
+    skip-completed / ``config.force`` semantics as the FCT sweep
+    (:func:`~repro.store.sweep.cached_sweep`).
     """
+    config = config or RunConfig()
+    duration = config.duration if config.duration is not None else 0.1
+    # A point is incast_point_spec's arguments, in order.
+    points = [(scheme_name, fanin, response_bytes, buffer_packets,
+               link_rate, duration, audit_enabled(config.audit))
+              for fanin in fanins]
+    return cached_sweep(
+        points, [incast_point_spec(*point) for point in points],
+        f"{__name__}:_incast_point", IncastRow.from_payload,
+        # `is None`, not `or`: an empty RunStore is falsy.
+        open_store(config.cache_dir if store is None else store),
+        config.force or not config.resume, config.jobs)
+
+
+def _incast_point(point, provenance: "Dict[str, Any]") -> IncastRow:
+    """Simulate one fan-in degree (the ``compute`` of
+    :func:`~repro.store.sweep.cached_sweep`)."""
     from ..metrics.fct import FctCollector
     from ..metrics.stats import summarize
     from .scenario import make_scheme
 
-    config = config or RunConfig()
-    duration = config.duration if config.duration is not None else 0.1
-    audit = config.audit
-    if store is None and config.cache_dir:
-        store = config.cache_dir
-    if store is not None and not isinstance(store, RunStore):
-        store = RunStore(os.fspath(store))
-    force = config.force or not config.resume
-
+    (scheme_name, fanin, response_bytes, buffer_packets, link_rate,
+     duration, audit) = point
     scheme = make_scheme(scheme_name, link_rate=link_rate, n_queues=2)
-    rows: "List[IncastRow]" = []
-    for fanin in fanins:
-        spec = incast_point_spec(scheme_name, fanin, response_bytes,
-                                 buffer_packets, link_rate, duration,
-                                 audit=audit_enabled(audit))
-        if store is not None and not force:
-            record = store.get(spec)
-            if record is not None:
-                rows.append(IncastRow.from_payload(record.result))
-                continue
-        sim = Simulator()
-        auditor = _attach_auditor(sim, audit)
-        network = TopologySpec(preset="single-bottleneck").build(
-            sim, lambda: DwrrScheduler(2), scheme.marker_factory,
-            default_senders=fanin, link_rate=link_rate,
-            buffer_packets=buffer_packets,
-        )
-        if auditor is not None:
-            auditor.attach_network(network)
-        collector = FctCollector()
-        handles = []
-        for sender in range(fanin):
-            handles.append(open_flow(
-                network,
-                Flow(src=sender, dst=fanin, size_bytes=response_bytes,
-                     service=sender % 2),
-                scheme.transport_config(init_cwnd=16.0, min_rto=2e-3),
-                on_complete=collector.on_complete,
-            ))
-        sim.run(until=duration)
-        if auditor is not None:
-            auditor.verify_fabric()
-        fcts = collector.fcts()
-        row = IncastRow(
-            scheme=scheme.name,
-            fanin=fanin,
-            drops=network.observed_ports("bottleneck")[0].drops,
-            completed=len(collector),
-            fct_p99=summarize(fcts).p99 if fcts else None,
-            retransmission_timeouts=sum(h.sender.timeouts
-                                        for h in handles),
-        )
-        if store is not None:
-            store.put(spec, row.to_payload(), make_provenance(
-                engine={"events_processed": sim.events_processed}))
-        rows.append(row)
-    return rows
+    sim = Simulator()
+    auditor = _attach_auditor(sim, audit)
+    network = TopologySpec(preset="single-bottleneck").build(
+        sim, lambda: DwrrScheduler(2), scheme.marker_factory,
+        default_senders=fanin, link_rate=link_rate,
+        buffer_packets=buffer_packets,
+    )
+    if auditor is not None:
+        auditor.attach_network(network)
+    collector = FctCollector()
+    handles = []
+    for sender in range(fanin):
+        handles.append(open_flow(
+            network,
+            Flow(src=sender, dst=fanin, size_bytes=response_bytes,
+                 service=sender % 2),
+            scheme.transport_config(init_cwnd=16.0, min_rto=2e-3),
+            on_complete=collector.on_complete,
+        ))
+    sim.run(until=duration)
+    if auditor is not None:
+        auditor.verify_fabric()
+    provenance["engine"] = {"events_processed": sim.events_processed}
+    fcts = collector.fcts()
+    return IncastRow(
+        scheme=scheme.name,
+        fanin=fanin,
+        drops=network.observed_ports("bottleneck")[0].drops,
+        completed=len(collector),
+        fct_p99=summarize(fcts).p99 if fcts else None,
+        retransmission_timeouts=sum(h.sender.timeouts for h in handles),
+    )

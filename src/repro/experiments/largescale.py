@@ -14,20 +14,22 @@ Scheme parameters follow §VI-B: PMSB/PMSB(e) port threshold 12 packets
 threshold 65 packets, TCN threshold 78.2 µs; PMSB, PMSB(e) and MQ-ECN
 mark at enqueue, TCN at dequeue.  MQ-ECN is automatically excluded under
 WFQ (it raises — no round concept), matching the paper.
+
+This module simulates one point (:func:`run_fct_point`); the row, the
+point identity and the sweep live in
+:mod:`repro.experiments.fct_sweep`, which imports nothing that
+simulates, and are re-exported here.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 from ..control.controller import (ControllerRuntime, ControllerSpec,
                                   controller_enabled)
 from ..metrics.fct import FctCollector, SizeClass
-from ..metrics.stats import SummaryStats
-from ..net.topology import TopologySpec, as_topology, topology_enabled
+from ..net.topology import TopologySpec
 from ..scheduling.dwrr import DwrrScheduler
 from ..scheduling.wfq import WfqScheduler
 from ..sim.audit import FabricAuditor, audit_enabled
@@ -36,10 +38,12 @@ from ..sim.faults import FaultScheduler, FaultSpec, faults_enabled
 from ..sim.rng import make_rng
 from ..sim.shard import (ShardResult, ShardScenario, cut_fabric,
                          verify_fabric)
-from ..store.runstore import RunStore, make_provenance
-from ..store.spec import ExperimentSpec, RunConfig
+from ..store.spec import RunConfig
 from ..workloads.distributions import PAPER_MIX, SizeDistribution
 from ..workloads.generator import PoissonFlowGenerator
+from .fct_sweep import (LARGESCALE_SCHEMES, FctRow, fct_point_spec,
+                        reduction_percent, resolve_fct_topology,
+                        run_fct_sweep, topology_params)
 from .scale import BENCH, ScaleProfile
 from .scenario import SchemeSpec, check_compatibility, make_scheme
 from .sharded import _merge_fault_stats, execute, wire_local_flows
@@ -47,29 +51,6 @@ from .sharded import _merge_fault_stats, execute, wire_local_flows
 __all__ = ["FctRow", "fct_point_spec", "topology_params", "largescale_scheme",
            "resolve_fct_topology", "fct_scenario", "fct_row", "run_fct_point",
            "run_fct_sweep", "reduction_percent", "LARGESCALE_SCHEMES"]
-
-#: Test/CI hook: when set to N > 0, a store-backed sweep raises after
-#: this process has computed (and persisted) N fresh points — a
-#: deterministic stand-in for "the job was killed mid-sweep" that the
-#: resume tests and the CI resume job rely on.  Cached points do not
-#: count, so a resumed run completes even with the variable still set
-#: lower than the remaining work.
-CRASH_AFTER_ENV = "REPRO_SWEEP_CRASH_AFTER"
-
-_points_computed = 0
-
-
-def _note_point_computed() -> None:
-    global _points_computed
-    _points_computed += 1
-    limit = int(os.environ.get(CRASH_AFTER_ENV, "0") or "0")
-    if limit and _points_computed >= limit:
-        raise RuntimeError(
-            f"injected crash: {CRASH_AFTER_ENV}={limit} and this process "
-            f"computed {_points_computed} points")
-
-#: Scheme line-up of the DWRR figures; WFQ drops "mq-ecn".
-LARGESCALE_SCHEMES = ("pmsb", "pmsb-e", "mq-ecn", "tcn")
 
 N_SERVICES = 8
 PORT_THRESHOLD_PACKETS = 12.0
@@ -116,147 +97,6 @@ def largescale_scheme(name: str, link_rate: float = 10e9,
         standard_threshold_packets=65.0,
         rtt_threshold=base_rtt + port_drain,
     )
-
-
-@dataclass
-class FctRow:
-    """One (scheme, scheduler, load) measurement."""
-
-    scheme: str
-    scheduler: str
-    load: float
-    n_flows: int
-    completed: int
-    overall: SummaryStats
-    small: Optional[SummaryStats]
-    medium: Optional[SummaryStats]
-    large: Optional[SummaryStats]
-
-    def stat(self, size_class: Optional[SizeClass], name: str) -> Optional[float]:
-        """Fetch one statistic, e.g. ``row.stat(SizeClass.SMALL, 'p99')``."""
-        summary = {
-            None: self.overall,
-            SizeClass.SMALL: self.small,
-            SizeClass.MEDIUM: self.medium,
-            SizeClass.LARGE: self.large,
-        }[size_class]
-        if summary is None:
-            return None
-        return getattr(summary, name)
-
-    def to_payload(self) -> Dict[str, Any]:
-        """A JSON-able dict for run-store persistence (inverse of
-        :meth:`from_payload`; floats survive the round trip exactly)."""
-        return asdict(self)
-
-    @classmethod
-    def from_payload(cls, data: Mapping[str, Any]) -> "FctRow":
-        def stats(block: Optional[Mapping[str, Any]]) -> Optional[SummaryStats]:
-            return None if block is None else SummaryStats(**block)
-
-        return cls(
-            scheme=data["scheme"],
-            scheduler=data["scheduler"],
-            load=data["load"],
-            n_flows=data["n_flows"],
-            completed=data["completed"],
-            overall=stats(data["overall"]),
-            small=stats(data["small"]),
-            medium=stats(data["medium"]),
-            large=stats(data["large"]),
-        )
-
-
-#: The bare legacy ``"fat-tree"`` string has always meant arity 4, with
-#: the arity spelled out in its cache key; ``"fat-tree:k=6"`` picks
-#: another.
-_LEGACY_FAT_TREE = TopologySpec(preset="fat-tree", k=4)
-
-
-def topology_params(topology: Union[str, TopologySpec, None]) -> Dict[str, Any]:
-    """Topology contribution to a point spec's params.
-
-    Renders default fabrics to the *historical* param shapes (see
-    :meth:`~repro.net.topology.TopologySpec.cache_params`), so every
-    pre-redesign run-store key is unchanged; non-default
-    :class:`~repro.net.topology.TopologySpec` instances add a canonical
-    ``topology_params`` tuple.
-    """
-    if topology is None:
-        return {"topology": "leaf-spine"}
-    if topology == "fat-tree":
-        topology = _LEGACY_FAT_TREE
-    if isinstance(topology, TopologySpec):
-        return topology.cache_params()
-    return {"topology": topology}
-
-
-def fct_point_spec(
-    scheme_name: str,
-    scheduler_name: str,
-    load: float,
-    profile: ScaleProfile,
-    seed: int,
-    audit: bool = False,
-    topology: Union[str, TopologySpec, None] = "leaf-spine",
-    faults: Sequence[FaultSpec] = (),
-    controller: Optional[ControllerSpec] = None,
-    shards: int = 1,
-    trains: int = 1,
-) -> ExperimentSpec:
-    """The canonical identity of one §VI-B FCT point (store cache key).
-
-    Everything that determines the row's numbers is in here — including
-    the fabric (``topology`` accepts the legacy ``"leaf-spine"`` /
-    ``"fat-tree"`` strings or a
-    :class:`~repro.net.topology.TopologySpec`, rendered through
-    :func:`topology_params` so default fabrics keep their historical
-    keys), any injected :class:`~repro.sim.faults.FaultSpec` set and any
-    :class:`~repro.control.ControllerSpec`, rendered to canonical tuples
-    so chaos and closed-loop points key differently from clean ones
-    (and a disabled controller keys exactly as before this layer
-    existed); execution mechanics (worker count, profiler, cache
-    location) deliberately are not — see
-    :class:`~repro.store.ExperimentSpec`.
-    """
-    params = topology_params(topology)
-    if faults:
-        params["faults"] = tuple(spec.to_param() for spec in faults)
-    if controller is not None:
-        params["controller"] = controller.to_param()
-    # Sharded points key separately (incast ties make them
-    # tolerance-equal, not byte-equal); shards=1 keys are untouched.
-    if shards and shards > 1:
-        params["shards"] = int(shards)
-    # Same contract for packet trains: the train tier is
-    # tolerance-accurate, so trained points must never resume from (or
-    # pollute) exact per-packet records; trains=1 keys are untouched.
-    if trains and trains > 1:
-        params["trains"] = int(trains)
-    return ExperimentSpec.create(
-        "fct-point", scheme=scheme_name, scheduler=scheduler_name,
-        load=load, seed=seed, profile=profile, audit=audit, params=params,
-    )
-
-
-def resolve_fct_topology(
-    topology: Union[str, TopologySpec, None],
-) -> TopologySpec:
-    """Resolve a runner's ``topology`` argument to a built spec.
-
-    None defers to the process default (the CLI's ``--topology`` flag),
-    then to the paper's leaf-spine.
-    """
-    if topology is None:
-        return topology_enabled(None) or TopologySpec()
-    if topology == "fat-tree":
-        return _LEGACY_FAT_TREE
-    spec = as_topology(topology)
-    if spec.preset == "single-bottleneck":
-        raise ValueError(
-            "FCT experiments need a multi-host fabric; "
-            "single-bottleneck is for incast scenarios")
-    return spec
 
 
 def _make_scheduler_factory(scheduler_name: str):
@@ -513,149 +353,14 @@ def run_fct_point_multi(
     )
 
 
-def sweep_setup(config: Optional[RunConfig], profile: Optional[ScaleProfile],
-                seed: Optional[int], store: Optional[Union[RunStore, str]]):
-    """Resolve what every store-backed sweep shares — ``(config, profile,
-    seed, jobs, cache_dir, force)`` — and re-arm the crash hook."""
-    global _points_computed
-    _points_computed = 0
-    config = config or RunConfig()
-    if profile is None:
-        profile = config.profile if config.profile is not None else BENCH
-    if seed is None:
-        seed = config.seed if config.seed is not None else 1
-    jobs = config.jobs if config.jobs is not None else profile.jobs
-    if store is None:  # not `or`: an empty RunStore is falsy
-        store = config.cache_dir
-    cache_dir = (store.root if isinstance(store, RunStore)
-                 else os.fspath(store) if store else None)
-    return (config, profile, seed, jobs, cache_dir,
-            config.force or not config.resume)
-
-
-def cached_point(spec: ExperimentSpec, cache_dir: Optional[str], force: bool,
-                 profile: ScaleProfile, load_row, compute):
-    """The sweep workers' cache boundary.
-
-    With a ``cache_dir`` a hit is answered from the store without
-    simulating (``load_row(record.result)``), and a fresh
-    ``compute(provenance_out)`` row is persisted atomically *before*
-    returning, so a crash between points — real or injected via
-    :data:`CRASH_AFTER_ENV` — loses at most the point in flight.
-    Workers on different points write different keys; workers racing on
-    the same key write identical bytes.  Either way the store stays
-    consistent at any ``--jobs`` level.
-    """
-    store = RunStore(cache_dir) if cache_dir else None
-    if store is not None and not force:
-        record = store.get(spec)
-        if record is not None:
-            return load_row(record.result)
-    provenance: Dict[str, Any] = {}
-    row = compute(provenance)
-    if store is not None:
-        store.put(spec, row.to_payload(), make_provenance(
-            profile_name=profile.name,
-            elapsed_s=provenance.get("elapsed_s"),
-            engine=provenance.get("engine"),
-            shards=provenance.get("shards"),
-        ))
-        _note_point_computed()
-    return row
-
-
-def _sweep_worker(point) -> FctRow:
-    """Module-level (picklable) worker for one sweep point."""
-    (scheme_name, scheduler_name, load, profile, seed, profile_events,
-     audit, cache_dir, force, faults, controller, topology, shards,
-     trains) = point
-    spec = fct_point_spec(scheme_name, scheduler_name, load, profile, seed,
-                          audit=audit, topology=topology, faults=faults,
-                          controller=controller, shards=shards,
-                          trains=trains)
-    return cached_point(
-        spec, cache_dir, force, profile, FctRow.from_payload,
-        lambda provenance: run_fct_point(
-            scheme_name, scheduler_name, load, profile, seed,
-            topology=topology,
-            config=RunConfig(profile_events=profile_events, audit=audit,
-                             shards=shards, trains=trains),
-            provenance_out=provenance, faults=faults,
-            controller=controller))
-
-
-def run_fct_sweep(
-    scheme_names: Sequence[str] = LARGESCALE_SCHEMES,
-    scheduler_name: str = "dwrr",
-    profile: Optional[ScaleProfile] = None,
-    seed: Optional[int] = None,
-    config: Optional[RunConfig] = None,
-    store: Optional[Union[RunStore, str]] = None,
-    faults: Optional[Sequence[FaultSpec]] = None,
-    controller: Optional[ControllerSpec] = None,
-    topology: Union[str, TopologySpec, None] = None,
-) -> List[FctRow]:
-    """The full figure set: every scheme × every load point.
-
-    Under WFQ, MQ-ECN is skipped (round-based only, as in the paper).
-    All schemes at a given (load, seed) see the *same* flow arrival
-    sequence, so comparisons are paired.
-
-    The points are independent simulations, each fully determined by its
-    ``(scheme, scheduler, load, profile, seed)`` tuple, so they fan out
-    over worker processes (``config.jobs``: ``None`` → the profile's
-    default, ``0`` → all cores, ``1`` → serial) with results identical
-    to the serial run — in value and in order — at every jobs level.
-
-    With ``store`` (a :class:`~repro.store.RunStore` or its root path) or
-    ``config.cache_dir``, each point is keyed by its
-    :func:`fct_point_spec` content address: completed points are read
-    back instead of re-simulated, an interrupted sweep resumes from
-    whatever its workers persisted, and ``config.force`` (or
-    ``config.resume=False``) recomputes and overwrites.
-    """
-    from .runner import run_parallel
-
-    config, profile, seed, jobs, cache_dir, force = sweep_setup(
-        config, profile, seed, store)
-    # The audit, fault and topology choices are resolved here and
-    # shipped inside each point so worker processes need not share this
-    # process's defaults.
-    fault_specs = faults_enabled(faults)
-    controller_spec = controller_enabled(controller)
-    topology_spec = resolve_fct_topology(topology)
-    points = [
-        (name, scheduler_name, load, profile, seed,
-         config.profile_events, audit_enabled(config.audit),
-         cache_dir, force, fault_specs, controller_spec, topology_spec,
-         config.shards, config.trains)
-        for load in profile.loads
-        for name in scheme_names
-        if not (scheduler_name == "wfq" and name == "mq-ecn")
-    ]
-    return run_parallel(points, _sweep_worker, jobs=jobs)
-
-
-def reduction_percent(
-    rows: Sequence[FctRow],
-    scheme: str,
-    baseline: str,
-    size_class: Optional[SizeClass],
-    stat: str,
-) -> Dict[float, float]:
-    """Per-load FCT reduction of ``scheme`` vs ``baseline`` in percent
-    (positive = scheme is faster) — the paper's headline numbers."""
-    by_key = {(row.scheme, row.load): row for row in rows}
-    loads = sorted({row.load for row in rows})
-    result: Dict[float, float] = {}
-    for load in loads:
-        ours = by_key.get((scheme, load))
-        theirs = by_key.get((baseline, load))
-        if ours is None or theirs is None:
-            continue
-        value = ours.stat(size_class, stat)
-        base = theirs.stat(size_class, stat)
-        if value is None or base is None or base == 0:
-            continue
-        result[load] = (1.0 - value / base) * 100.0
-    return result
+def fct_sweep_point(point, provenance: Dict[str, Any]) -> FctRow:
+    """What :func:`~repro.experiments.fct_sweep.run_fct_sweep` hands
+    :func:`~repro.store.sweep.cached_sweep` to simulate one missed
+    point."""
+    (scheme_name, scheduler_name, load, profile, seed, audit, topology,
+     faults, controller, shards, trains, profile_events) = point
+    return run_fct_point(
+        scheme_name, scheduler_name, load, profile, seed, topology=topology,
+        config=RunConfig(profile_events=profile_events, audit=audit,
+                         shards=shards, trains=trains),
+        provenance_out=provenance, faults=faults, controller=controller)

@@ -21,7 +21,6 @@ values — the same constraint ``multiprocessing`` always imposes.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Callable, Iterable, List, Optional, TypeVar
 
@@ -57,10 +56,6 @@ def seed_for(base_seed: int, index: int) -> int:
     return stable_hash(base_seed, index) & 0x7FFFFFFF
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def run_parallel(
     configs: Iterable[ConfigT],
     worker: Callable[[ConfigT], ResultT],
@@ -79,7 +74,11 @@ def run_parallel(
     if jobs <= 0:
         jobs = available_jobs()
     jobs = min(jobs, len(config_list))
-    if jobs <= 1 or not _fork_available():
+    if jobs <= 1:
+        return [worker(config) for config in config_list]
+    # The pool machinery is imported only by a run that fans out.
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
         return [worker(config) for config in config_list]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool

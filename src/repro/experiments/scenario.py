@@ -37,7 +37,7 @@ from ..sim.engine import Simulator
 from ..sim.faults import FaultScheduler, FaultSpec, faults_enabled
 from ..sim.shard import (ShardResult, ShardScenario, cut_fabric,
                          verify_fabric)
-from ..store.spec import RunConfig
+from ..store.spec import RunConfig, check_compatibility
 from ..transport.base import DctcpConfig
 from ..transport.endpoints import FlowHandle
 from ..transport.flow import Flow
@@ -179,55 +179,6 @@ def incast_flows(flows_per_queue: Sequence[int],
                               start_time=start))
             sender += 1
     return flows
-
-
-#: Feature pairs no runner can honour together — one row, one message
-#: per cell.  ``trains``/``shards``/``faults``/``controller`` apply to
-#: every runner; the rest are runner-specific arguments.
-_INCOMPATIBLE = (
-    ("trains", "shards",
-     "--trains: cannot combine with --shards (train units cross shard "
-     "boundaries as one event)"),
-    ("trains", "faults",
-     "--trains: cannot combine with --faults (per-link loss draws are "
-     "per-packet; a train would consume one draw for N packets)"),
-    ("shards", "controller",
-     "--shards: cannot combine with --controller (closed-loop controllers "
-     "read and retune global state)"),
-    ("shards", "profile_events",
-     "--shards: cannot combine with --profile-events (per-shard counters "
-     "land in provenance instead)"),
-    ("shards", "trace_occupancy",
-     "--shards: occupancy tracing is not supported (the observed port "
-     "lives in a worker)"),
-    ("shards", "record_rtt",
-     "--shards: record_rtt is not supported (flow handles stay in the "
-     "workers)"),
-    ("shards", "single_bottleneck",
-     "--shards: needs a multi-switch fabric (leaf-spine / fat-tree / "
-     "clos), not single-bottleneck"),
-)
-_FEATURES = frozenset(name for row in _INCOMPATIBLE for name in row[:2])
-
-
-def check_compatibility(**active: bool) -> None:
-    """Reject feature combinations the runners cannot honour.
-
-    Keyword names are features (``trains``, ``shards``, ``faults``,
-    ``controller``, ``profile_events``, ``trace_occupancy``,
-    ``record_rtt``, ``single_bottleneck``), values whether the run uses
-    them.  Raises :class:`ValueError` with the
-    table's message for the first unsupported pair.  ``run_incast`` and
-    ``run_fct_point`` call it before building anything; the CLI calls it
-    on the parsed flags so the same text reaches ``parser.error``.
-    """
-    unknown = active.keys() - _FEATURES
-    if unknown:
-        raise TypeError(f"unknown feature(s) {sorted(unknown)}; "
-                        f"known: {sorted(_FEATURES)}")
-    for first, second, message in _INCOMPATIBLE:
-        if active.get(first) and active.get(second):
-            raise ValueError(message)
 
 
 @dataclass

@@ -43,7 +43,7 @@ from ..net.topology import TopologySpec, as_topology, topology_enabled
 from ..sim.audit import audit_enabled
 from ..store.runstore import RunStore
 from ..store.spec import ExperimentSpec, RunConfig
-from .largescale import cached_point, sweep_setup
+from ..store.sweep import cached_sweep, sweep_setup
 from .scale import ScaleProfile
 from .scenario import incast_flows, make_scheme, run_incast
 
@@ -269,28 +269,21 @@ def sharedbuf_point_spec(
     )
 
 
-def _sharedbuf_worker(point) -> SharedBufRow:
-    """Module-level (picklable) worker for one sweep point (cache
-    contract: :func:`~repro.experiments.largescale.cached_point`)."""
-    (scheme_name, scheduler_name, shared_buffer, profile, seed, audit,
-     cache_dir, force, topology) = point
-    spec = sharedbuf_point_spec(scheme_name, scheduler_name, shared_buffer,
-                                profile, seed, audit=audit,
-                                topology=topology)
-
-    def compute(provenance: Dict[str, Any]) -> SharedBufRow:
-        started = time.perf_counter()
-        row = sharedbuf_point(
-            scheme_name, scheduler_name, shared_buffer,
-            link_rate=profile.link_rate,
-            config=RunConfig(duration=profile.static_duration, audit=audit),
-            topology=topology,
-        )
-        provenance["elapsed_s"] = time.perf_counter() - started
-        return row
-
-    return cached_point(spec, cache_dir, force, profile,
-                        SharedBufRow.from_payload, compute)
+def _sharedbuf_sweep_point(point,
+                           provenance: Dict[str, Any]) -> SharedBufRow:
+    """Simulate one sweep point (the ``compute`` of
+    :func:`~repro.store.sweep.cached_sweep`)."""
+    (scheme_name, scheduler_name, shared_buffer, profile, _seed, audit,
+     topology) = point
+    started = time.perf_counter()
+    row = sharedbuf_point(
+        scheme_name, scheduler_name, shared_buffer,
+        link_rate=profile.link_rate,
+        config=RunConfig(duration=profile.static_duration, audit=audit),
+        topology=topology,
+    )
+    provenance["elapsed_s"] = time.perf_counter() - started
+    return row
 
 
 def run_sharedbuf_sweep(
@@ -313,9 +306,7 @@ def run_sharedbuf_sweep(
     worker processes and cache/resume exactly like
     :func:`~repro.experiments.largescale.run_fct_sweep`.
     """
-    from .runner import run_parallel
-
-    config, profile, seed, jobs, cache_dir, force = sweep_setup(
+    config, profile, seed, jobs, store, force = sweep_setup(
         config, profile, seed, store)
     if policies is None:
         policies = default_policies()
@@ -324,11 +315,14 @@ def run_sharedbuf_sweep(
     if include_baseline:
         policy_points = [None] + policy_points
     topology_spec = topology_enabled(as_topology(topology))
+    # A point is sharedbuf_point_spec's arguments, in order.
     points = [
-        (name, scheduler_name, policy, profile, seed, audit, cache_dir,
-         force, topology_spec)
+        (name, scheduler_name, policy, profile, seed, audit, topology_spec)
         for policy in policy_points
         for name in scheme_names
         if not (scheduler_name == "wfq" and name == "mq-ecn")
     ]
-    return run_parallel(points, _sharedbuf_worker, jobs=jobs)
+    return cached_sweep(
+        points, [sharedbuf_point_spec(*point) for point in points],
+        f"{__name__}:_sharedbuf_sweep_point", SharedBufRow.from_payload,
+        store, force, jobs, profile.name)

@@ -41,9 +41,9 @@ from ..sim.shard import (ShardResult, ShardScenario, cut_fabric,
                          verify_fabric)
 from ..store.runstore import RunStore
 from ..store.spec import ExperimentSpec, RunConfig
+from ..store.sweep import cached_sweep, sweep_setup
 from ..transport.flow import Flow
 from ..metrics.throughput import ThroughputMeter
-from .largescale import cached_point, sweep_setup
 from .scale import ScaleProfile
 from .scenario import make_scheme
 from .sharded import execute, wire_local_flows
@@ -300,31 +300,23 @@ def xscale_point(
         provenance_out=provenance_out))
 
 
-def _xscale_worker(point) -> XScaleRow:
-    """Module-level (picklable) worker for one sweep point (cache
-    contract: :func:`~repro.experiments.largescale.cached_point`)."""
-    (scheme_name, scheduler_name, topology, expected_hosts, profile,
-     seed, hogs, audit, cache_dir, force, shards) = point
-    spec = xscale_point_spec(scheme_name, scheduler_name, topology,
-                             profile, seed, hogs=hogs, audit=audit,
-                             shards=shards)
-
-    def compute(provenance: Dict[str, Any]) -> XScaleRow:
-        row = xscale_point(
-            scheme_name, topology, scheduler_name=scheduler_name, hogs=hogs,
-            link_rate=profile.link_rate, seed=seed,
-            config=RunConfig(duration=profile.static_duration, audit=audit,
-                             shards=shards),
-            provenance_out=provenance,
-        )
-        if expected_hosts and row.n_hosts != expected_hosts:
-            raise RuntimeError(
-                f"{row.topology} built {row.n_hosts} hosts, ladder pins "
-                f"{expected_hosts} — generator shape regression")
-        return row
-
-    return cached_point(spec, cache_dir, force, profile,
-                        XScaleRow.from_payload, compute)
+def _xscale_sweep_point(point, provenance: Dict[str, Any]) -> XScaleRow:
+    """Simulate one sweep point (the ``compute`` of
+    :func:`~repro.store.sweep.cached_sweep`)."""
+    (scheme_name, scheduler_name, topology, profile, seed, hogs, audit,
+     shards, expected_hosts) = point
+    row = xscale_point(
+        scheme_name, topology, scheduler_name=scheduler_name, hogs=hogs,
+        link_rate=profile.link_rate, seed=seed,
+        config=RunConfig(duration=profile.static_duration, audit=audit,
+                         shards=shards),
+        provenance_out=provenance,
+    )
+    if expected_hosts and row.n_hosts != expected_hosts:
+        raise RuntimeError(
+            f"{row.topology} built {row.n_hosts} hosts, ladder pins "
+            f"{expected_hosts} — generator shape regression")
+    return row
 
 
 def run_xscale_sweep(
@@ -344,9 +336,7 @@ def run_xscale_sweep(
     fan out over worker processes and cache/resume exactly like
     :func:`~repro.experiments.largescale.run_fct_sweep`.
     """
-    from .runner import run_parallel
-
-    config, profile, seed, jobs, cache_dir, force = sweep_setup(
+    config, profile, seed, jobs, store, force = sweep_setup(
         config, profile, seed, store)
     audit = audit_enabled(config.audit)
     rungs: List[Tuple[TopologySpec, int]] = []
@@ -356,10 +346,15 @@ def run_xscale_sweep(
             rungs.append((as_topology(text), int(expected)))
         else:
             rungs.append((as_topology(entry), 0))
+    # A point is xscale_point_spec's arguments, in order, plus the
+    # rung's pinned host count (a check, not identity).
     points = [
-        (name, scheduler_name, topo, expected, profile, seed, hogs,
-         audit, cache_dir, force, config.shards)
+        (name, scheduler_name, topo, profile, seed, hogs, audit,
+         config.shards, expected)
         for topo, expected in rungs
         for name in scheme_names
     ]
-    return run_parallel(points, _xscale_worker, jobs=jobs)
+    return cached_sweep(
+        points, [xscale_point_spec(*point[:-1]) for point in points],
+        f"{__name__}:_xscale_sweep_point", XScaleRow.from_payload,
+        store, force, jobs, profile.name)

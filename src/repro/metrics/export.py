@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import asdict, is_dataclass
 from typing import Any, Iterable, List, Sequence, TextIO, Union
-
-import numpy as np
 
 from .fct import FctRecord
 from .stats import SummaryStats
@@ -113,10 +112,14 @@ def to_json(obj: Any, target: PathOrFile) -> None:
     def default(value):
         if is_dataclass(value):
             return asdict(value)
-        if isinstance(value, np.ndarray):
-            return value.tolist()
-        if isinstance(value, (np.integer, np.floating)):
-            return value.item()
+        # An array or numpy scalar can only exist once numpy has been
+        # imported; exporting cached rows never needs it.
+        np = sys.modules.get("numpy")
+        if np is not None:
+            if isinstance(value, np.ndarray):
+                return value.tolist()
+            if isinstance(value, (np.integer, np.floating)):
+                return value.item()
         if hasattr(value, "value"):  # enums
             return value.value
         raise TypeError(f"not JSON-serializable: {type(value)!r}")

@@ -13,11 +13,11 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from ..transport.flow import Flow
 from .stats import SummaryStats, summarize
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..transport.dctcp import DctcpSender
+    from ..transport.flow import Flow
 
 __all__ = ["SizeClass", "FctRecord", "FctCollector",
            "SMALL_FLOW_MAX_BYTES", "LARGE_FLOW_MIN_BYTES"]

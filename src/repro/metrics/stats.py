@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
-import numpy as np
+# numpy is imported by the functions that aggregate: loading a stored
+# `SummaryStats` back (a cache hit) must not cost a numpy import.
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["SummaryStats", "summarize", "percentile", "empirical_cdf",
            "bootstrap_ci"]
@@ -13,12 +16,13 @@ __all__ = ["SummaryStats", "summarize", "percentile", "empirical_cdf",
 
 def bootstrap_ci(
     values: Sequence[float],
-    statistic=np.mean,
+    statistic: Optional[Callable] = None,
     confidence: float = 0.95,
     n_resamples: int = 1000,
     seed: int = 0,
 ) -> Tuple[float, float]:
-    """Percentile-bootstrap confidence interval for a statistic.
+    """Percentile-bootstrap confidence interval for a statistic
+    (``np.mean`` when ``statistic`` is None).
 
     Multi-seed sweeps report the statistic of a finite sample; the CI
     makes the sampling noise explicit (e.g. whether a small-flow p99
@@ -33,6 +37,9 @@ def bootstrap_ci(
     in one call; anything else falls back to a per-row loop over the
     same index matrix.
     """
+    import numpy as np
+    if statistic is None:
+        statistic = np.mean
     array = np.asarray(values, dtype=float)
     if array.size == 0:
         raise ValueError("cannot bootstrap an empty sample set")
@@ -59,6 +66,7 @@ def empirical_cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     This is the representation the paper's distribution figures (Figs. 1
     and 9) plot; feed it straight to ``series_to_csv`` or a plotter.
     """
+    import numpy as np
     array = np.sort(np.asarray(values, dtype=float))
     if array.size == 0:
         raise ValueError("cannot build a CDF from no samples")
@@ -68,6 +76,7 @@ def empirical_cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
 
 def percentile(values: Sequence[float], p: float) -> float:
     """The ``p``-th percentile (0–100) of ``values``."""
+    import numpy as np
     if len(values) == 0:
         raise ValueError("cannot take a percentile of no samples")
     return float(np.percentile(np.asarray(values, dtype=float), p))
@@ -101,6 +110,7 @@ class SummaryStats:
 
 def summarize(values: Sequence[float]) -> SummaryStats:
     """Compute the standard summary over a sample set."""
+    import numpy as np
     array = np.asarray(values, dtype=float)
     if array.size == 0:
         raise ValueError("cannot summarize an empty sample set")

@@ -80,6 +80,9 @@ class Port:
         "sim",
         "link",
         "scheduler",
+        #: Queue count, copied off the scheduler (fixed for its
+        #: lifetime): the switch classifier reads it once per hop.
+        "n_queues",
         "marker",
         "name",
         "buffer_packets",
@@ -130,6 +133,7 @@ class Port:
         self.sim = sim
         self.link = link
         self.scheduler = scheduler
+        self.n_queues = scheduler.n_queues
         self.marker = marker if marker is not None else NullMarker()
         self.name = name
         #: Drop-tail capacity in packets (None = unbounded).
@@ -167,10 +171,6 @@ class Port:
         self.marker.attach(self)
 
     # -- occupancy views (what markers read) -----------------------------
-
-    @property
-    def n_queues(self) -> int:
-        return self.scheduler.n_queues
 
     @property
     def packet_count(self) -> int:

@@ -58,44 +58,44 @@ class DwrrScheduler(Scheduler):
     def dequeue(self) -> Optional[Tuple[int, Packet]]:
         if self._total_packets == 0:
             return None
+        active = self._active
+        visiting = self._visiting
+        deficit = self._deficit
+        served = self._served_this_round
         while True:
-            queue_index = self._active[0]
-            if not self._visiting[queue_index]:
-                self._begin_visit(queue_index)
+            queue_index = active[0]
+            if not visiting[queue_index]:
+                # Begin a visit: a queue seen twice closes the round.
+                if queue_index in served:
+                    served.clear()
+                    self._notify_round()
+                served.add(queue_index)
+                deficit[queue_index] += self.quantum[queue_index]
+                visiting[queue_index] = True
             queue = self._queues[queue_index]
-            head = queue[0]
-            if head.size <= self._deficit[queue_index]:
+            if queue[0].size <= deficit[queue_index]:
                 packet = queue.popleft()
                 self._total_packets -= 1
-                self._deficit[queue_index] -= packet.size
+                deficit[queue_index] -= packet.size
                 if not queue:
-                    self._retire(queue_index)
+                    # Retire the drained queue.  It must also leave the
+                    # round bookkeeping: if it re-activates before the
+                    # round completes, its next visit would otherwise
+                    # look like a new round and fire a spurious
+                    # round_observer notification (skewing MQ-ECN's
+                    # T_round low).
+                    active.popleft()
+                    self._is_active[queue_index] = False
+                    deficit[queue_index] = 0.0
+                    visiting[queue_index] = False
+                    served.discard(queue_index)
+                    if not active:
+                        served.clear()
                 return queue_index, packet
             # Head does not fit this visit: carry the deficit to the next
             # round and move on.
-            self._visiting[queue_index] = False
-            self._active.rotate(-1)
-
-    def _begin_visit(self, queue_index: int) -> None:
-        if queue_index in self._served_this_round:
-            self._served_this_round.clear()
-            self._notify_round()
-        self._served_this_round.add(queue_index)
-        self._deficit[queue_index] += self.quantum[queue_index]
-        self._visiting[queue_index] = True
-
-    def _retire(self, queue_index: int) -> None:
-        self._active.popleft()
-        self._is_active[queue_index] = False
-        self._deficit[queue_index] = 0.0
-        self._visiting[queue_index] = False
-        # A retired queue must also leave the round bookkeeping: if it
-        # re-activates before the round completes, its next visit would
-        # otherwise look like a new round and fire a spurious
-        # round_observer notification (skewing MQ-ECN's T_round low).
-        self._served_this_round.discard(queue_index)
-        if not self._active:
-            self._served_this_round.clear()
+            visiting[queue_index] = False
+            active.rotate(-1)
 
     def clear(self) -> None:
         super().clear()

@@ -1,32 +1,31 @@
 """Discrete-event simulation engine (event loop, timers, deterministic RNG)."""
 
-from .engine import Event, SimulationError, Simulator
-from .audit import FabricAuditor, InvariantViolation, audit_enabled, set_audit_default
-from .faults import (FAULT_MODELS, FaultScheduler, FaultSpec, faults_enabled,
-                     loss_spec, set_fault_default)
-from .profile import HeapSample, SimProfiler
-from .rng import make_rng, spawn, stable_hash
-from .timers import PeriodicTask, Timer
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Event",
-    "FAULT_MODELS",
-    "FabricAuditor",
-    "FaultScheduler",
-    "FaultSpec",
-    "HeapSample",
-    "InvariantViolation",
-    "PeriodicTask",
-    "SimProfiler",
-    "SimulationError",
-    "Simulator",
-    "Timer",
-    "audit_enabled",
-    "faults_enabled",
-    "loss_spec",
-    "make_rng",
-    "set_audit_default",
-    "set_fault_default",
-    "spawn",
-    "stable_hash",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .engine import Event, SimulationError, Simulator
+    from .audit import FabricAuditor, InvariantViolation, audit_enabled, set_audit_default
+    from .faults import (FAULT_MODELS, FaultScheduler, FaultSpec, faults_enabled,
+                         loss_spec, set_fault_default)
+    from .profile import HeapSample, SimProfiler
+    from .rng import make_rng, spawn, stable_hash
+    from .timers import PeriodicTask, Timer
+
+_EXPORTS = {
+    ".engine": ("Event", "SimulationError", "Simulator"),
+    ".audit": (
+        "FabricAuditor", "InvariantViolation", "audit_enabled",
+        "set_audit_default",
+    ),
+    ".faults": (
+        "FAULT_MODELS", "FaultScheduler", "FaultSpec", "faults_enabled",
+        "loss_spec", "set_fault_default",
+    ),
+    ".profile": ("HeapSample", "SimProfiler"),
+    ".rng": ("make_rng", "spawn", "stable_hash"),
+    ".timers": ("PeriodicTask", "Timer"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

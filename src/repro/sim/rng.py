@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterator
+import sys
+from typing import TYPE_CHECKING, Any, Iterator
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["make_rng", "spawn", "stable_hash", "stable_digest"]
 
@@ -23,11 +25,15 @@ _MASK64 = (1 << 64) - 1
 
 def make_rng(seed: int) -> np.random.Generator:
     """Create the root generator for a scenario."""
+    # numpy is imported by the functions that draw, not by this module:
+    # spec hashing (`stable_digest`) must not cost a numpy import.
+    import numpy as np
     return np.random.default_rng(seed)
 
 
 def spawn(rng: np.random.Generator, n: int = 1) -> Iterator[np.random.Generator]:
     """Derive ``n`` independent child generators from ``rng``."""
+    import numpy as np
     for seed_seq in rng.bit_generator.seed_seq.spawn(n):  # type: ignore[attr-defined]
         yield np.random.default_rng(seed_seq)
 
@@ -68,10 +74,13 @@ def _canonical(value: Any) -> Any:
         return out
     if isinstance(value, (list, tuple)):
         return [_canonical(item) for item in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    # A numpy scalar can only exist once numpy has been imported.
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.floating):
+            return float(value)
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
     raise TypeError(f"not stable-hashable: {type(value)!r}")

@@ -14,17 +14,27 @@ cacheable, addressable and resumable instead of ephemeral stdout:
   stored records.
 """
 
-from .spec import ExperimentSpec, RunConfig, SPEC_SCHEMA_VERSION
-from .runstore import (RunRecord, RunStore, diff_records, git_revision,
-                       make_provenance)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ExperimentSpec",
-    "RunConfig",
-    "RunRecord",
-    "RunStore",
-    "SPEC_SCHEMA_VERSION",
-    "diff_records",
-    "git_revision",
-    "make_provenance",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .spec import (ExperimentSpec, RunConfig, SPEC_SCHEMA_VERSION,
+                       check_compatibility)
+    from .sweep import cached_sweep, sweep_setup
+    from .runstore import (RunRecord, RunStore, diff_records, git_revision,
+                           make_provenance, open_store)
+
+_EXPORTS = {
+    ".spec": (
+        "ExperimentSpec", "RunConfig", "SPEC_SCHEMA_VERSION",
+        "check_compatibility",
+    ),
+    ".sweep": ("cached_sweep", "sweep_setup"),
+    ".runstore": (
+        "RunRecord", "RunStore", "diff_records", "git_revision",
+        "make_provenance", "open_store",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

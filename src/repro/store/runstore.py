@@ -16,23 +16,25 @@ same directory followed by :func:`os.replace`, so a record is either
 fully present or absent — concurrent ``run_parallel`` workers and a
 ``kill -9`` mid-write can never corrupt the store, which is what makes
 ``--resume`` trustworthy.
+
+Reading is the start-up path of a resumed or fully cached sweep, so the
+modules only a write needs (``subprocess``, ``platform``, ``tempfile``)
+are imported by the functions that write.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform
-import subprocess
-import tempfile
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Set, Union
 
 from .spec import ExperimentSpec, SPEC_SCHEMA_VERSION, CODE_VERSION
 
 __all__ = ["RunRecord", "RunStore", "diff_records", "git_revision",
-           "make_provenance"]
+           "make_provenance", "open_store"]
 
 #: Version of the on-disk layout (not of the result schema — that lives
 #: in the spec).  Bump only if the directory structure changes.
@@ -42,6 +44,10 @@ _TMP_PREFIX = ".tmp-"
 
 _GIT_REVISION: Optional[str] = None
 
+#: Record paths this process has already reported as corrupt: a damaged
+#: record costs one stderr line, not one per lookup.
+_CORRUPT_REPORTED: Set[str] = set()
+
 
 def git_revision() -> str:
     """The repository revision this process runs from (``"unknown"``
@@ -49,6 +55,7 @@ def git_revision() -> str:
     stamping must not fork a subprocess per sweep point."""
     global _GIT_REVISION
     if _GIT_REVISION is None:
+        import subprocess
         try:
             _GIT_REVISION = subprocess.run(
                 ["git", "rev-parse", "--short", "HEAD"],
@@ -74,6 +81,7 @@ def make_provenance(profile_name: Optional[str] = None,
     retroactively; ``shards`` carries the per-shard counter block of a
     sharded run (see :func:`repro.sim.shard.aggregate_shard_stats`).
     """
+    import platform
     prov: Dict[str, Any] = {
         "wall_time_unix": time.time(),
         "git_rev": git_revision(),
@@ -142,11 +150,17 @@ class RunStore:
     Safe for concurrent writers: records land via atomic rename, and two
     workers racing on the same key simply write identical bytes.  All
     read paths tolerate (and :meth:`gc` reclaims) leftover temp files
-    from killed runs.
+    from killed runs.  A record that exists but cannot be read back
+    (truncated, not JSON, missing fields) is a miss for the caller — the
+    point is recomputed and the record overwritten — but never a silent
+    one: :meth:`get` reports it on stderr and lists it in
+    :attr:`corrupt`.
     """
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
         self.root = os.fspath(root)
+        #: Paths of the damaged records this store object has read.
+        self.corrupt: List[str] = []
 
     @property
     def runs_dir(self) -> str:
@@ -162,6 +176,7 @@ class RunStore:
         return os.path.join(self.runs_dir, f"{key}.json")
 
     def _atomic_write(self, path: str, content: str) -> None:
+        import tempfile
         directory = os.path.dirname(path)
         fd, tmp_path = tempfile.mkstemp(prefix=_TMP_PREFIX, suffix=".part",
                                         dir=directory)
@@ -189,13 +204,29 @@ class RunStore:
         return record
 
     def get(self, spec_or_key: SpecOrKey) -> Optional[RunRecord]:
-        """The stored record, or None on a cache miss / unreadable file."""
+        """The stored record, or None on a cache miss.
+
+        A record that is there but unreadable or invalid also reads as
+        None, after being reported (see the class docstring).
+        """
         path = self._path(_key_of(spec_or_key))
         try:
             with open(path) as handle:
                 return RunRecord.from_line(handle.read())
-        except (OSError, ValueError, KeyError):
+        except FileNotFoundError:
             return None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            self._note_corrupt(path, exc)
+            return None
+
+    def _note_corrupt(self, path: str, exc: Exception) -> None:
+        if path not in self.corrupt:
+            self.corrupt.append(path)
+        if path not in _CORRUPT_REPORTED:
+            _CORRUPT_REPORTED.add(path)
+            print(f"warning: corrupt run-store record {path} "
+                  f"({type(exc).__name__}: {exc}); treated as a miss — "
+                  "`repro runs gc` reclaims it", file=sys.stderr)
 
     def __contains__(self, spec_or_key: SpecOrKey) -> bool:
         return os.path.exists(self._path(_key_of(spec_or_key)))
@@ -266,6 +297,16 @@ class RunStore:
                 os.unlink(path)
                 removed["aged"] += 1
         return removed
+
+
+def open_store(
+    store: Union[RunStore, str, os.PathLike, None],
+) -> Optional[RunStore]:
+    """A sweep's ``store`` argument as its one :class:`RunStore`: an
+    instance as is, a root path opened, None (or ``""``) for no store."""
+    if isinstance(store, RunStore):  # not truthiness: an empty store is falsy
+        return store
+    return RunStore(store) if store else None
 
 
 def diff_records(a: RunRecord, b: RunRecord) -> Dict[str, Any]:

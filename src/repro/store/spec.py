@@ -14,6 +14,10 @@ scattered keyword arguments:
   :func:`repro.sim.rng.stable_digest`, so the same point gets the same
   key in every process, at every ``--jobs`` level, on every platform —
   the content address the run store files records under.
+
+:func:`check_compatibility` sits beside :class:`RunConfig` because it
+judges its knobs: the one table of execution features (trains, shards,
+faults, controller, …) no runner can honour together.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..sim.rng import stable_digest
 
-__all__ = ["ExperimentSpec", "RunConfig", "SPEC_SCHEMA_VERSION"]
+__all__ = ["ExperimentSpec", "RunConfig", "SPEC_SCHEMA_VERSION",
+           "check_compatibility"]
 
 #: Bump when the meaning of stored results changes (different statistics,
 #: different simulation semantics…): old records stop matching and
@@ -85,6 +90,55 @@ class RunConfig:
     def evolve(self, **changes: Any) -> "RunConfig":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
         return replace(self, **changes)
+
+
+#: Feature pairs no runner can honour together — one row, one message
+#: per cell.  ``trains``/``shards``/``faults``/``controller`` apply to
+#: every runner; the rest are runner-specific arguments.
+_INCOMPATIBLE = (
+    ("trains", "shards",
+     "--trains: cannot combine with --shards (train units cross shard "
+     "boundaries as one event)"),
+    ("trains", "faults",
+     "--trains: cannot combine with --faults (per-link loss draws are "
+     "per-packet; a train would consume one draw for N packets)"),
+    ("shards", "controller",
+     "--shards: cannot combine with --controller (closed-loop controllers "
+     "read and retune global state)"),
+    ("shards", "profile_events",
+     "--shards: cannot combine with --profile-events (per-shard counters "
+     "land in provenance instead)"),
+    ("shards", "trace_occupancy",
+     "--shards: occupancy tracing is not supported (the observed port "
+     "lives in a worker)"),
+    ("shards", "record_rtt",
+     "--shards: record_rtt is not supported (flow handles stay in the "
+     "workers)"),
+    ("shards", "single_bottleneck",
+     "--shards: needs a multi-switch fabric (leaf-spine / fat-tree / "
+     "clos), not single-bottleneck"),
+)
+_FEATURES = frozenset(name for row in _INCOMPATIBLE for name in row[:2])
+
+
+def check_compatibility(**active: bool) -> None:
+    """Reject feature combinations the runners cannot honour.
+
+    Keyword names are features (``trains``, ``shards``, ``faults``,
+    ``controller``, ``profile_events``, ``trace_occupancy``,
+    ``record_rtt``, ``single_bottleneck``), values whether the run uses
+    them.  Raises :class:`ValueError` with the
+    table's message for the first unsupported pair.  ``run_incast`` and
+    ``run_fct_point`` call it before building anything; the CLI calls it
+    on the parsed flags so the same text reaches ``parser.error``.
+    """
+    unknown = active.keys() - _FEATURES
+    if unknown:
+        raise TypeError(f"unknown feature(s) {sorted(unknown)}; "
+                        f"known: {sorted(_FEATURES)}")
+    for first, second, message in _INCOMPATIBLE:
+        if active.get(first) and active.get(second):
+            raise ValueError(message)
 
 
 def _profile_identity(profile: Any) -> Dict[str, Any]:

@@ -10,10 +10,11 @@ from repro.experiments import chaos, largescale
 from repro.experiments.chaos import (chaos_fair_share, chaos_faults,
                                      chaos_point_spec, chaos_victim,
                                      run_chaos_sweep)
-from repro.experiments.largescale import CRASH_AFTER_ENV, run_fct_point
+from repro.experiments.largescale import run_fct_point
 from repro.experiments.scale import TINY
 from repro.metrics.export import to_json
-from repro.store import RunConfig, RunStore
+from repro.store import RunConfig, RunStore, sweep
+from repro.store.sweep import CRASH_AFTER_ENV
 
 pytestmark = pytest.mark.slow
 
@@ -80,12 +81,12 @@ class TestStoreContract:
     def test_cold_run_populates_store(self, tmp_path):
         rows = _sweep(tmp_path / "cache")
         assert len(RunStore(tmp_path / "cache")) == len(rows) == 4
-        assert largescale._points_computed == 4
+        assert sweep._points_computed == 4
 
     def test_warm_run_computes_nothing(self, tmp_path):
         cold = _sweep(tmp_path / "cache")
         warm = _sweep(tmp_path / "cache")
-        assert largescale._points_computed == 0
+        assert sweep._points_computed == 0
         assert warm == cold
 
     def test_sharded_points_record_their_fleet_block(self, tmp_path):

@@ -256,6 +256,27 @@ class TestRunsGroup:
         assert main(["runs", "gc", "--cache-dir", cache]) == 0
         assert "removed 0" in capsys.readouterr().out
 
+    def test_corrupt_record_is_listed_then_reclaimed(self, tmp_path, capsys):
+        from repro.experiments.scale import TINY
+        from repro.store import ExperimentSpec, RunStore
+        store = RunStore(tmp_path / "cache")
+        good = store.put(ExperimentSpec.create("demo", profile=TINY), 1)
+        bad = store.put(ExperimentSpec.create("demo", seed=2), 2)
+        bad_path = tmp_path / "cache" / "runs" / f"{bad.key}.json"
+        bad_path.write_text(bad_path.read_text()[:40])  # truncated
+        cache = str(tmp_path / "cache")
+
+        assert main(["runs", "list", "--cache-dir", cache]) == 0
+        captured = capsys.readouterr()
+        assert f"{bad.key[:12]} corrupt" in captured.out
+        assert good.key[:12] in captured.out
+        assert "[1 record(s), 1 corrupt under" in captured.out
+        assert str(bad_path) in captured.err
+
+        assert main(["runs", "gc", "--cache-dir", cache]) == 0
+        assert "removed 1 file(s) (unreadable=1)" in capsys.readouterr().out
+        assert RunStore(cache).keys() == [good.key]
+
     def test_show_miss_exits_nonzero(self, tmp_path, capsys):
         assert main(["runs", "show", "--cache-dir",
                      str(tmp_path / "c"), "deadbeef"]) == 1

@@ -16,7 +16,7 @@ from repro.net.sharedbuf import SharedBufferSpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.faults import loss_spec
 from repro.sim.rng import stable_digest
-from repro.store import RunConfig, RunStore
+from repro.store import RunConfig, RunStore, sweep
 
 pytestmark = pytest.mark.slow
 
@@ -108,12 +108,12 @@ class TestStoreContract:
     def test_cold_run_populates_store(self, tmp_path):
         rows = _sweep(tmp_path / "cache")
         assert len(RunStore(tmp_path / "cache")) == len(rows) == 6
-        assert largescale._points_computed == 6
+        assert sweep._points_computed == 6
 
     def test_warm_run_computes_nothing(self, tmp_path):
         cold = _sweep(tmp_path / "cache")
         warm = _sweep(tmp_path / "cache")
-        assert largescale._points_computed == 0
+        assert sweep._points_computed == 0
         assert warm == cold
 
     def test_policies_differentiate(self, tmp_path):

@@ -120,6 +120,14 @@ class TestClassification:
         port, _sink = add_port(sim, switch, n_queues=4)
         assert service_classifier(make_data(1, 0, 1, 0, service=6), port) == 2
 
+    def test_receive_applies_the_default_classifier(self, sim):
+        # `receive` computes the default inline instead of calling it.
+        switch = Switch(sim)
+        port, _sink = add_port(sim, switch, n_queues=4)
+        switch.set_route(1, [0])
+        switch.receive(make_data(1, 0, 1, 0, service=6))
+        assert port.queue_packet_count(2) == 1
+
     def test_custom_classifier(self, sim):
         switch = Switch(sim, classifier=lambda pkt, port: 1)
         port, _sink = add_port(sim, switch, n_queues=2)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from repro.experiments.largescale import fct_point_spec
 from repro.experiments.scale import TINY
 from repro.store import (RunRecord, RunStore, SPEC_SCHEMA_VERSION,
@@ -53,7 +55,9 @@ class TestPutGet:
         store.put(spec, {"fct": value})
         assert store.get(spec).result["fct"] == value
 
-    def test_corrupt_record_reads_as_miss(self, tmp_path):
+    def test_corrupt_record_reads_as_miss(self, tmp_path, capsys):
+        # A miss for the caller (the sweep recomputes and overwrites),
+        # but a reported one — unlike a record that is simply absent.
         store = RunStore(tmp_path / "cache")
         spec = _spec()
         store.put(spec, 1)
@@ -61,6 +65,32 @@ class TestPutGet:
         with open(path, "w") as handle:
             handle.write("{half a rec")
         assert store.get(spec) is None
+        assert store.get(spec) is None
+        assert store.get(_spec(load=0.9)) is None  # absent: silent
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1  # once per process, not per lookup
+        assert "corrupt run-store record" in err[0] and path in err[0]
+        assert store.corrupt == [path]
+        # Another store object counts it again but does not re-report.
+        other = RunStore(tmp_path / "cache")
+        assert other.get(spec) is None
+        assert other.corrupt == [path]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("damage", ["", "[1, 2]", '{"key": "k"}',
+                                        '{"key": "k", "spec": {}}\x00'])
+    def test_every_kind_of_damage_is_reported(self, tmp_path, capsys, damage):
+        store = RunStore(tmp_path / "cache")
+        spec = _spec()
+        store.put(spec, 1)
+        path = os.path.join(store.runs_dir, f"{spec.key()}.json")
+        with open(path, "w") as handle:
+            handle.write(damage)
+        assert store.get(spec) is None
+        assert path in capsys.readouterr().err
+        # A recomputed point overwrites the damage.
+        store.put(spec, 2)
+        assert store.get(spec).result == 2
 
     def test_records_are_single_line_json(self, tmp_path):
         store = RunStore(tmp_path / "cache")

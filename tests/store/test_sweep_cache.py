@@ -3,13 +3,15 @@ resume at any jobs level — the acceptance contract of the run store."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.experiments import largescale
-from repro.experiments.largescale import (CRASH_AFTER_ENV, run_fct_sweep)
+from repro.experiments.largescale import run_fct_sweep
 from repro.experiments.scale import TINY
 from repro.metrics.export import to_json
-from repro.store import RunConfig, RunStore
+from repro.store import RunConfig, RunStore, sweep
+from repro.store.sweep import CRASH_AFTER_ENV
 
 pytestmark = pytest.mark.slow
 
@@ -22,6 +24,10 @@ def _sweep(cache_dir, jobs=1, force=False):
         cache_dir=str(cache_dir) if cache_dir else None, force=force))
 
 
+def _path(store, key):
+    return os.path.join(store.runs_dir, f"{key}.json")
+
+
 def _export(rows, path):
     to_json(rows, str(path))
     return path.read_bytes()
@@ -32,18 +38,18 @@ class TestCacheHitMissForce:
         rows = _sweep(tmp_path / "cache")
         store = RunStore(tmp_path / "cache")
         assert len(store) == len(rows) == 4  # TINY: 4 schemes x 1 load
-        assert largescale._points_computed == 4
+        assert sweep._points_computed == 4
 
     def test_warm_run_computes_nothing(self, tmp_path):
         cold = _sweep(tmp_path / "cache")
         warm = _sweep(tmp_path / "cache")
-        assert largescale._points_computed == 0  # pure cache hits
+        assert sweep._points_computed == 0  # pure cache hits
         assert warm == cold
 
     def test_force_recomputes_every_point(self, tmp_path):
         _sweep(tmp_path / "cache")
         _sweep(tmp_path / "cache", force=True)
-        assert largescale._points_computed == 4
+        assert sweep._points_computed == 4
 
     def test_uncached_sweep_untouched_by_store_code(self, tmp_path):
         plain = _sweep(None)
@@ -74,7 +80,7 @@ class TestCrashAndResume:
         resumed = _export(_sweep(tmp_path / "cache"),
                           tmp_path / "resumed.json")
         assert resumed == clean
-        assert largescale._points_computed == 2  # only the missing half
+        assert sweep._points_computed == 2  # only the missing half
 
     def test_resume_at_higher_jobs_level_is_byte_identical(self, tmp_path,
                                                            monkeypatch):
@@ -100,3 +106,35 @@ class TestCrashAndResume:
         cold = _export(_sweep(tmp_path / "cache"), tmp_path / "cold.json")
         warm = _export(_sweep(tmp_path / "cache"), tmp_path / "warm.json")
         assert warm == cold
+
+
+class TestHalfFilledStore:
+    """Some points stored, some not: hits come from the store untouched,
+    misses are simulated, and the rows keep point order at any jobs."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_hits_and_misses(self, tmp_path, jobs):
+        clean = _export(_sweep(tmp_path / "clean-cache"),
+                        tmp_path / "clean.json")
+        store = RunStore(tmp_path / "clean-cache")
+        cold_rows = _sweep(tmp_path / "clean-cache")
+        by_key = {record.result["scheme"]: record.key
+                  for record in store.records()}
+        # Drop the first and third point of the sweep order.
+        for row in (cold_rows[0], cold_rows[2]):
+            assert store.delete(by_key[row.scheme])
+        kept = {key: (os.stat(_path(store, key)).st_mtime_ns,
+                      open(_path(store, key), "rb").read())
+                for key in store.keys()}
+        assert len(kept) == 2
+
+        rows = _sweep(tmp_path / "clean-cache", jobs=jobs)
+        assert [row.scheme for row in rows] \
+            == [row.scheme for row in cold_rows]
+        assert _export(rows, tmp_path / "mixed.json") == clean
+        assert len(store) == 4
+        for key, (mtime_ns, blob) in kept.items():
+            assert os.stat(_path(store, key)).st_mtime_ns == mtime_ns
+            assert open(_path(store, key), "rb").read() == blob
+        if jobs == 1:
+            assert sweep._points_computed == 2
