@@ -11,12 +11,15 @@ from conftest import heading, run_once
 
 from repro.experiments.ablations import blindness_aggressiveness
 from repro.experiments.scale import BENCH
+from repro.store.spec import RunConfig
+
+STATIC = RunConfig(duration=BENCH.static_duration)
 
 
 def test_ablation_blindness_scale(benchmark):
     rows = run_once(
         benchmark,
-        lambda: blindness_aggressiveness(duration=BENCH.static_duration),
+        lambda: blindness_aggressiveness(config=STATIC),
     )
     heading("AB1 — PMSB queue-filter scale on the 1:8 victim scenario")
     print(f"{'scale':>6s} {'q1 Gbps':>8s} {'q2 Gbps':>8s} "

@@ -11,12 +11,15 @@ from conftest import heading, run_once
 
 from repro.experiments.ablations import rtt_threshold_sweep
 from repro.experiments.scale import BENCH
+from repro.store.spec import RunConfig
+
+STATIC = RunConfig(duration=BENCH.static_duration)
 
 
 def test_ablation_rtt_threshold(benchmark):
     rows = run_once(
         benchmark,
-        lambda: rtt_threshold_sweep(duration=BENCH.static_duration),
+        lambda: rtt_threshold_sweep(config=STATIC),
     )
     heading("AB2 — PMSB(e) RTT threshold on the 1:8 victim scenario")
     print(f"{'thr (us)':>8s} {'q1 Gbps':>8s} {'q2 Gbps':>8s} "

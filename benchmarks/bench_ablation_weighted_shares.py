@@ -10,12 +10,15 @@ from conftest import heading, run_once
 
 from repro.experiments.ablations import weighted_share_preservation
 from repro.experiments.scale import BENCH
+from repro.store.spec import RunConfig
+
+STATIC = RunConfig(duration=BENCH.static_duration)
 
 
 def test_weighted_share_preservation(benchmark):
     rows = run_once(
         benchmark,
-        lambda: weighted_share_preservation(duration=BENCH.static_duration),
+        lambda: weighted_share_preservation(config=STATIC),
     )
     heading("AB3 — PMSB preserves unequal DWRR weights")
     for row in rows:

@@ -10,14 +10,16 @@ from conftest import heading, run_once
 
 from repro.experiments.motivation import per_queue_standard_rtt
 from repro.experiments.scale import BENCH
+from repro.store.spec import RunConfig
+
+STATIC = RunConfig(duration=BENCH.static_duration)
 
 
 def test_fig01_rtt_vs_queue_count(benchmark):
     results = run_once(
         benchmark,
         lambda: per_queue_standard_rtt(
-            queue_counts=(1, 2, 4, 8), duration=BENCH.static_duration
-        ),
+            queue_counts=(1, 2, 4, 8), config=STATIC),
     )
     heading("Fig. 1 — per-queue standard threshold: RTT vs active queues")
     print(f"{'queues':>6s} {'mean RTT':>12s} {'p95 RTT':>12s} {'p99 RTT':>12s}")

@@ -12,14 +12,16 @@ from conftest import heading, run_once
 
 from repro.experiments.motivation import per_queue_fractional_throughput
 from repro.experiments.scale import BENCH
+from repro.store.spec import RunConfig
+
+STATIC = RunConfig(duration=BENCH.static_duration)
 
 
 def test_fig02_single_flow_throughput(benchmark):
     results = run_once(
         benchmark,
         lambda: per_queue_fractional_throughput(
-            thresholds_packets=(2.0, 16.0), duration=BENCH.static_duration
-        ),
+            thresholds_packets=(2.0, 16.0), config=STATIC),
     )
     heading("Fig. 2 — per-queue fractional threshold: 1-flow throughput")
     print(f"{'K (packets)':>12s} {'throughput':>12s}")

@@ -10,13 +10,16 @@ from conftest import heading, run_once
 
 from repro.experiments.motivation import per_port_victim
 from repro.experiments.scale import BENCH
+from repro.store.spec import RunConfig
+
+STATIC = RunConfig(duration=BENCH.static_duration)
 
 
 def test_fig03_victim_flow(benchmark):
     result = run_once(
         benchmark,
         lambda: per_port_victim(port_threshold=16.0, flows_queue2=8,
-                                duration=BENCH.static_duration),
+                                config=STATIC),
     )
     heading("Fig. 3 — per-port K=16, 1 flow vs 8 flows (paper: 2.49 / 7.51)")
     print(f"queue 1 (1 flow):  {result.queue1_gbps:5.2f} Gbps")

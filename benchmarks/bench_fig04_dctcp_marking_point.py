@@ -10,10 +10,12 @@ steady state near the threshold for both.
 from conftest import heading, run_once
 
 from repro.experiments.marking_point import dctcp_enqueue_dequeue
+from repro.store.spec import RunConfig
 
 
 def test_fig04_dctcp_peaks(benchmark):
-    traces = run_once(benchmark, lambda: dctcp_enqueue_dequeue(duration=0.02))
+    traces = run_once(benchmark, lambda: dctcp_enqueue_dequeue(
+        config=RunConfig(duration=0.02)))
     heading("Fig. 4 — DCTCP slow-start buffer peak (paper: 87 -> ~25% lower)")
     enq, deq = traces["enqueue"], traces["dequeue"]
     reduction = 100.0 * (1 - deq.peak / enq.peak)

@@ -9,11 +9,13 @@ from conftest import heading, run_once
 
 from repro.experiments.marking_point import (dctcp_enqueue_dequeue,
                                              tcn_trace)
+from repro.store.spec import RunConfig
 
 
 def test_fig05_tcn_no_early_feedback(benchmark):
     def experiment():
-        return tcn_trace(duration=0.02), dctcp_enqueue_dequeue(duration=0.02)
+        config = RunConfig(duration=0.02)
+        return tcn_trace(config=config), dctcp_enqueue_dequeue(config=config)
 
     tcn, dctcp = run_once(benchmark, experiment)
     heading("Fig. 5 — TCN buffer peak vs DCTCP (no early notification)")

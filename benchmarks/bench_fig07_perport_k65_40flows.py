@@ -9,13 +9,16 @@ from conftest import heading, run_once
 
 from repro.experiments.motivation import per_port_victim
 from repro.experiments.scale import BENCH
+from repro.store.spec import RunConfig
+
+STATIC = RunConfig(duration=BENCH.static_duration)
 
 
 def test_fig07_large_threshold_still_breaks(benchmark):
     result = run_once(
         benchmark,
         lambda: per_port_victim(port_threshold=65.0, flows_queue2=40,
-                                duration=BENCH.static_duration),
+                                config=STATIC),
     )
     heading("Fig. 7 — per-port K=65, 1 flow vs 40 flows (violated again)")
     print(f"queue 1 (1 flow):   {result.queue1_gbps:5.2f} Gbps")

@@ -9,13 +9,16 @@ from conftest import heading, run_once
 
 from repro.experiments.scale import BENCH
 from repro.experiments.static_flows import weighted_fair_sharing
+from repro.store.spec import RunConfig
+
+STATIC = RunConfig(duration=BENCH.static_duration)
 
 
 def test_fig08_pmsb_fair_share(benchmark):
     result = run_once(
         benchmark,
         lambda: weighted_fair_sharing("pmsb", flows_queue2=4,
-                                      duration=BENCH.static_duration),
+                                      config=STATIC),
     )
     heading("Fig. 8 — PMSB, DWRR, K=12, 1 vs 4 flows (paper: ~5 / ~5 Gbps)")
     print(f"queue 1 (1 flow):  {result.queue_gbps[0]:5.2f} Gbps")

@@ -11,12 +11,15 @@ from conftest import heading, run_once
 
 from repro.experiments.scale import BENCH
 from repro.experiments.static_flows import rtt_distribution
+from repro.store.spec import RunConfig
+
+STATIC = RunConfig(duration=BENCH.static_duration)
 
 
 def test_fig09_rtt_distributions(benchmark):
     results = run_once(
         benchmark,
-        lambda: rtt_distribution(duration=BENCH.static_duration),
+        lambda: rtt_distribution(config=STATIC),
     )
     heading("Fig. 9 — queue-2 flow RTT by scheme (paper: PMSB lowest)")
     print(f"{'scheme':18s} {'mean':>10s} {'p95':>10s} {'p99':>10s}")

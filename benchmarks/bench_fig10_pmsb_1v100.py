@@ -9,14 +9,15 @@ halved relative to the others.)
 from conftest import heading, run_once
 
 from repro.experiments.static_flows import weighted_fair_sharing
+from repro.store.spec import RunConfig
 
 
 def test_fig10_pmsb_1v100(benchmark):
     result = run_once(
         benchmark,
         lambda: weighted_fair_sharing("pmsb", flows_queue2=100,
-                                      duration=0.03, warmup_fraction=0.5,
-                                      stagger=5e-3),
+                                      warmup_fraction=0.5, stagger=5e-3,
+                                      config=RunConfig(duration=0.03)),
     )
     heading("Fig. 10 — PMSB, DWRR, K=12, 1 vs 100 flows (paper: ~5 / ~5)")
     print(f"queue 1 (1 flow):    {result.queue_gbps[0]:5.2f} Gbps")

@@ -7,10 +7,12 @@ result: enqueue peak 82 packets, dequeue marking ~20% lower.
 from conftest import heading, run_once
 
 from repro.experiments.marking_point import pmsb_trace
+from repro.store.spec import RunConfig
 
 
 def test_fig11_pmsb_peaks(benchmark):
-    traces = run_once(benchmark, lambda: pmsb_trace(duration=0.02))
+    traces = run_once(
+        benchmark, lambda: pmsb_trace(config=RunConfig(duration=0.02)))
     heading("Fig. 11 — PMSB buffer peak, enqueue vs dequeue "
             "(paper: 82 -> ~20% lower)")
     enq, deq = traces["enqueue"], traces["dequeue"]

@@ -7,10 +7,12 @@ at the switch, RTT filter (14.4 µs) at the senders.
 from conftest import heading, run_once
 
 from repro.experiments.marking_point import pmsbe_trace
+from repro.store.spec import RunConfig
 
 
 def test_fig12_pmsbe_peaks(benchmark):
-    traces = run_once(benchmark, lambda: pmsbe_trace(duration=0.02))
+    traces = run_once(
+        benchmark, lambda: pmsbe_trace(config=RunConfig(duration=0.02)))
     heading("Fig. 12 — PMSB(e) buffer peak, enqueue vs dequeue "
             "(paper: 82 -> ~20% lower)")
     enq, deq = traces["enqueue"], traces["dequeue"]

@@ -9,10 +9,12 @@ inactive.
 from conftest import heading, run_once
 
 from repro.experiments.static_flows import scheduler_sp_wfq
+from repro.store.spec import RunConfig
 
 
 def test_fig13_sp_wfq_policy(benchmark):
-    result = run_once(benchmark, lambda: scheduler_sp_wfq(duration=0.06))
+    result = run_once(
+        benchmark, lambda: scheduler_sp_wfq(config=RunConfig(duration=0.06)))
     heading("Fig. 13 — PMSB over SP+WFQ (paper: 5 / 2.5 / 2.5 Gbps settled)")
     print(f"{'phase':12s} {'q1':>8s} {'q2':>8s} {'q3':>8s}")
     for _t0, _t1, label in result.phases:

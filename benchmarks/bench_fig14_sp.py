@@ -8,10 +8,12 @@ stages.  Paper result: settled throughput 5 / 3 / 2 Gbps.
 from conftest import heading, run_once
 
 from repro.experiments.static_flows import scheduler_sp
+from repro.store.spec import RunConfig
 
 
 def test_fig14_sp_policy(benchmark):
-    result = run_once(benchmark, lambda: scheduler_sp(duration=0.06))
+    result = run_once(
+        benchmark, lambda: scheduler_sp(config=RunConfig(duration=0.06)))
     heading("Fig. 14 — PMSB over SP (paper: 5 / 3 / 2 Gbps settled)")
     print(f"{'phase':12s} {'q1':>8s} {'q2':>8s} {'q3':>8s}")
     for _t0, _t1, label in result.phases:

@@ -8,10 +8,12 @@ split.
 from conftest import heading, run_once
 
 from repro.experiments.static_flows import scheduler_wfq
+from repro.store.spec import RunConfig
 
 
 def test_fig15_wfq_policy(benchmark):
-    result = run_once(benchmark, lambda: scheduler_wfq(duration=0.06))
+    result = run_once(
+        benchmark, lambda: scheduler_wfq(config=RunConfig(duration=0.06)))
     heading("Fig. 15 — PMSB over WFQ (paper: 10 Gbps alone -> 5 / 5 split)")
     print(f"{'phase':12s} {'q1':>8s} {'q2':>8s}")
     for _t0, _t1, label in result.phases:

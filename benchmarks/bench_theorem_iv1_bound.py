@@ -10,12 +10,15 @@ from conftest import heading, run_once
 
 from repro.experiments.analysis_validation import threshold_bound_sweep
 from repro.experiments.scale import BENCH
+from repro.store.spec import RunConfig
+
+STATIC = RunConfig(duration=BENCH.static_duration)
 
 
 def test_theorem_iv1_bound(benchmark):
     rows = run_once(
         benchmark,
-        lambda: threshold_bound_sweep(duration=BENCH.static_duration),
+        lambda: threshold_bound_sweep(config=STATIC),
     )
     heading("Theorem IV.1 — utilization vs queue threshold "
             "(bound = γ·C·RTT/7)")

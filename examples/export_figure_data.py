@@ -16,6 +16,7 @@ from repro.experiments import motivation, static_flows
 from repro.experiments.analysis_validation import threshold_bound_sweep
 from repro.metrics.export import rows_to_csv, series_to_csv
 from repro.metrics.stats import empirical_cdf
+from repro.store import RunConfig
 
 
 def main():
@@ -30,7 +31,8 @@ def main():
 
     # Fig. 1 — RTT CDF per active-queue count.
     print("fig1: per-queue standard threshold RTT ...")
-    rtt_by_queues = motivation.per_queue_standard_rtt(duration=0.02)
+    config = RunConfig(duration=0.02)
+    rtt_by_queues = motivation.per_queue_standard_rtt(config=config)
     rows = [
         {"queues": n, "mean_us": s.mean * 1e6, "p95_us": s.p95 * 1e6,
          "p99_us": s.p99 * 1e6}
@@ -45,9 +47,9 @@ def main():
     # Fig. 3/6/7 — per-port victim sweep.
     print("fig3/6/7: per-port victim configurations ...")
     victims = [
-        motivation.per_port_victim(16.0, 8, duration=0.02),
-        motivation.per_port_victim(65.0, 8, duration=0.02),
-        motivation.per_port_victim(65.0, 40, duration=0.02),
+        motivation.per_port_victim(16.0, 8, config=config),
+        motivation.per_port_victim(65.0, 8, config=config),
+        motivation.per_port_victim(65.0, 40, config=config),
     ]
     rows_to_csv(victims, path("fig03_06_07_perport_victim.csv"))
 
@@ -55,13 +57,12 @@ def main():
     print("fig9: RTT distributions by scheme ...")
     from repro.experiments.scenario import make_scheme, run_incast, incast_flows
     from repro.scheduling.dwrr import DwrrScheduler
-    from repro.store import RunConfig
     for name in ("pmsb", "pmsb-e", "tcn", "per-queue-standard"):
         scheme = make_scheme(name, n_queues=2, port_threshold_packets=12,
                              tcn_threshold=39e-6)
         result = run_incast(scheme, lambda: DwrrScheduler(2),
                             incast_flows([1, 4]), record_rtt=True,
-                            config=RunConfig(duration=0.02))
+                            config=config)
         samples = result.rtt_samples(queue_index=1)
         xs, ps = empirical_cdf(samples[len(samples) // 3:])
         slug = name.replace("-", "_")
@@ -70,7 +71,7 @@ def main():
 
     # Fig. 15 — WFQ throughput time series.
     print("fig15: WFQ throughput series ...")
-    policy = static_flows.scheduler_wfq(duration=0.04)
+    policy = static_flows.scheduler_wfq(config=RunConfig(duration=0.04))
     for queue, (times, gbps) in policy.series.items():
         series_to_csv(times * 1e3, gbps / 1e9,
                       path(f"fig15_wfq_queue{queue + 1}.csv"),
@@ -78,7 +79,7 @@ def main():
 
     # Theorem IV.1 sweep.
     print("theorem: threshold bound sweep ...")
-    rows_to_csv(threshold_bound_sweep(duration=0.02),
+    rows_to_csv(threshold_bound_sweep(config=config),
                 path("theorem_iv1_sweep.csv"))
 
     print(f"\nwrote {len(written)} files:")

@@ -12,6 +12,7 @@ Run:  python examples/scheduler_policies.py
 
 from repro.experiments.static_flows import (scheduler_sp, scheduler_sp_wfq,
                                             scheduler_wfq)
+from repro.store.spec import RunConfig
 
 EXPECTED = {
     "SP+WFQ": {"q1+q2+q3": (5.0, 2.5, 2.5)},
@@ -36,9 +37,9 @@ def show(result):
 
 def main():
     print("PMSB preserves scheduling policies that MQ-ECN cannot serve.")
-    show(scheduler_sp_wfq(duration=0.06))
-    show(scheduler_sp(duration=0.06))
-    show(scheduler_wfq(duration=0.06))
+    show(scheduler_sp_wfq(config=RunConfig(duration=0.06)))
+    show(scheduler_sp(config=RunConfig(duration=0.06)))
+    show(scheduler_wfq(config=RunConfig(duration=0.06)))
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ Run:  python examples/threshold_tuning.py
 from repro.core.analysis import SteadyStateModel, worst_case_flow_count
 from repro.experiments.analysis_validation import (estimate_rtt,
                                                    threshold_bound_sweep)
+from repro.store.spec import RunConfig
 
 LINK_RATE = 10e9
 WEIGHTS = [1.0, 1.0]
@@ -40,7 +41,7 @@ def main():
           f"{'predicted ok':>13s} {'utilization':>12s}")
     for row in threshold_bound_sweep(threshold_factors=(0.25, 0.5, 1.0,
                                                         2.0, 4.0),
-                                     duration=0.02):
+                                     config=RunConfig(duration=0.02)):
         print(f"  {row.queue_threshold / row.bound:9.2f} "
               f"{row.queue_threshold:6.2f} {2 * row.n_flows:6d} "
               f"{str(row.predicted_underflow_free):>13s} "

@@ -40,20 +40,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from importlib import import_module
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .experiments.scale import BENCH, PAPER, TINY
-from .store.spec import RunConfig, check_compatibility
+from .store.spec import RunConfig
 
 __all__ = ["main"]
 
 # Import policy (docs/API.md, "Start-up and import policy"): this module
 # imports the scale profiles and the store's spec half; a command imports
-# its experiment family when it runs, and the spec flags resolve their
-# parser and process default on use — `repro list` and a cache-hit
-# `repro sweep` pay for neither the simulator nor numpy.
+# its experiment family when it runs, and a spec flag imports its parser
+# when given — `repro list` and a cache-hit `repro sweep` pay for
+# neither the simulator nor numpy.
 
 PROFILES = {"tiny": TINY, "bench": BENCH, "paper": PAPER}
 
@@ -62,112 +62,76 @@ PROFILES = {"tiny": TINY, "bench": BENCH, "paper": PAPER}
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
-@dataclass(frozen=True)
-class SpecFlag:
-    """One ``--flag name:key=val,…`` spec option every experiment
-    command shares.
-
-    Each instance declares the argparse option, parses its text into
-    the spec object, and flips the matching process-wide default around
-    the command (restored in a ``finally``), so every simulation the
-    command builds — however deep inside experiment helpers — sees the
-    requested spec.  Parse failures surface uniformly as
-    ``--flag: <reason>`` via ``parser.error``.
-    """
-
-    flag: str
-    dest: str
-    help: str
-    #: Module holding the spec class (whose ``parse`` reads the flag's
-    #: text) and the function that sets the process-wide default —
-    #: named, not imported: the module loads when the flag is given.
-    module: str
-    spec_class: str
-    setter: str
-    #: ``append`` flags collect a tuple of specs; the rest hold one.
-    repeatable: bool = False
-    #: Value handed to the default setter when restoring.
-    cleared: Any = None
-
-    def _load(self, name: str) -> Any:
-        return getattr(import_module(self.module), name)
-
-    def add_to(self, parser: argparse.ArgumentParser) -> None:
-        if self.repeatable:
-            parser.add_argument(self.flag, action="append",
-                                metavar="SPEC", help=self.help)
-        else:
-            parser.add_argument(self.flag, metavar="SPEC", default=None,
-                                help=self.help)
-
-    def resolve(self, args) -> Any:
-        """Parse this flag's text(s) off ``args`` (ValueError on bad
-        input); None / () when the flag was not given."""
-        value = getattr(args, self.dest, None)
-        if not value:
-            return () if self.repeatable else None
-        parse = self._load(self.spec_class).parse
-        if self.repeatable:
-            return tuple(parse(text) for text in value)
-        return parse(value)
-
-    def apply(self, spec: Any) -> bool:
-        """Install ``spec`` as the process default; True if installed."""
-        if spec is None or spec == ():
-            return False
-        self._load(self.setter)(spec)
-        return True
-
-    def clear(self) -> None:
-        self._load(self.setter)(self.cleared)
+#: The four ``--flag name:key=val,…`` spec options every experiment
+#: command shares: dest (the :class:`~repro.store.RunConfig` field it
+#: fills) -> (module, spec class, help).  The class's ``parse`` reads
+#: the flag's text; it is named, not imported — the module loads when
+#: the flag is given.  ``faults`` is repeatable and collects a tuple.
+SPEC_FLAGS = {
+    "shared_buffer": (
+        "repro.net.sharedbuf", "SharedBufferSpec",
+        "give every switch the command builds a shared memory all "
+        "its ports draw from; SPEC is policy:key=val,key=val with "
+        "policies complete / static / dt / bshare, e.g. "
+        "'dt:capacity=200,alpha=2' or "
+        "'bshare:capacity=128,target_delay=100e-6'"),
+    "faults": (
+        "repro.sim.faults", "FaultSpec",
+        "inject a fault into every fabric the command builds; SPEC "
+        "is model:key=val,key=val with models iid-loss / "
+        "gilbert-elliott / crc-corrupt / flap, e.g. "
+        "'iid-loss:rate=0.001,links=leaf*->spine*' or "
+        "'flap:links=bottleneck,down=0.01,up=0.02' (repeatable)"),
+    "controller": (
+        "repro.control.controller", "ControllerSpec",
+        "attach a closed-loop threshold controller to every fabric "
+        "the command builds; SPEC is name:key=val,key=val with "
+        "controllers theorem / cem, e.g. "
+        "'theorem:period=0.0005,margin=1.5' or "
+        "'cem:t1=0.01,k0=12,k1=24'"),
+    "topology": (
+        "repro.net.topology", "TopologySpec",
+        "build every fabric the command uses from this declarative "
+        "spec; SPEC is preset:key=val,key=val with presets "
+        "single-bottleneck / leaf-spine / fat-tree / clos, e.g. "
+        "'clos:tiers=2,ports=16,oversub=2' (256 hosts), "
+        "'clos:tiers=3,ports=16' (1024 hosts) or 'fat-tree:k=8'"),
+}
 
 
-SPEC_FLAGS = (
-    SpecFlag(
-        flag="--shared-buffer", dest="shared_buffer",
-        module="repro.net.sharedbuf", spec_class="SharedBufferSpec",
-        setter="set_shared_buffer_default",
-        help="give every switch the command builds a shared memory all "
-             "its ports draw from; SPEC is policy:key=val,key=val with "
-             "policies complete / static / dt / bshare, e.g. "
-             "'dt:capacity=200,alpha=2' or "
-             "'bshare:capacity=128,target_delay=100e-6'",
-    ),
-    SpecFlag(
-        flag="--faults", dest="faults", repeatable=True, cleared=(),
-        module="repro.sim.faults", spec_class="FaultSpec",
-        setter="set_fault_default",
-        help="inject a fault into every fabric the command builds; SPEC "
-             "is model:key=val,key=val with models iid-loss / "
-             "gilbert-elliott / crc-corrupt / flap, e.g. "
-             "'iid-loss:rate=0.001,links=leaf*->spine*' or "
-             "'flap:links=bottleneck,down=0.01,up=0.02' (repeatable)",
-    ),
-    SpecFlag(
-        flag="--controller", dest="controller",
-        module="repro.control.controller", spec_class="ControllerSpec",
-        setter="set_controller_default",
-        help="attach a closed-loop threshold controller to every fabric "
-             "the command builds; SPEC is name:key=val,key=val with "
-             "controllers theorem / cem, e.g. "
-             "'theorem:period=0.0005,margin=1.5' or "
-             "'cem:t1=0.01,k0=12,k1=24'",
-    ),
-    SpecFlag(
-        flag="--topology", dest="topology",
-        module="repro.net.topology", spec_class="TopologySpec",
-        setter="set_topology_default",
-        help="build every fabric the command uses from this declarative "
-             "spec; SPEC is preset:key=val,key=val with presets "
-             "single-bottleneck / leaf-spine / fat-tree / clos, e.g. "
-             "'clos:tiers=2,ports=16,oversub=2' (256 hosts), "
-             "'clos:tiers=3,ports=16' (1024 hosts) or 'fat-tree:k=8'",
-    ),
-)
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _parse_spec_flags(parser: argparse.ArgumentParser,
+                      args) -> Dict[str, Any]:
+    """The spec objects of the :data:`SPEC_FLAGS` given on the command
+    line, by dest (None when absent); a parse failure exits 2 as
+    ``--flag: <reason>``."""
+    specs: Dict[str, Any] = {}
+    for dest, (module, spec_class, _help) in SPEC_FLAGS.items():
+        text = getattr(args, dest)
+        if not text:
+            specs[dest] = None
+            continue
+        parse = getattr(import_module(module), spec_class).parse
+        try:
+            specs[dest] = (tuple(parse(item) for item in text)
+                           if isinstance(text, list) else parse(text))
+        except ValueError as exc:
+            parser.error(f"{_flag(dest)}: {exc}")
+    return specs
 
 
 def _us(seconds: float) -> str:
     return f"{seconds * 1e6:8.1f}us"
+
+
+def _ms(row, size_class, stat: str) -> str:
+    """One FCT statistic of a sweep row in milliseconds (``--`` when the
+    size class is empty)."""
+    value = row.stat(size_class, stat)
+    return f"{value * 1e3:8.3f}m" if value is not None else "      --"
 
 
 def _profile(args):
@@ -176,18 +140,41 @@ def _profile(args):
     return PROFILES[name] if name else None
 
 
-def _duration(args, fallback: float = 0.03) -> float:
-    """Simulated seconds for a static experiment.
+#: The marking-point traces run their own 0.02 s (1 Gbps links, a
+#: slow-start transient) whatever the profile.
+_OWN_DURATION = ("fig4", "fig5", "fig11", "fig12")
 
-    Explicit ``--duration`` wins; otherwise the selected profile's
-    static duration; otherwise ``fallback``.
-    """
-    if args.duration is not None:
+
+def _duration(args) -> Optional[float]:
+    """Simulated seconds for a static experiment: an explicit
+    ``--duration``, else the selected profile's static duration, else
+    0.03 (None, the helper's own default, for ``_OWN_DURATION``)."""
+    if args.duration is not None or args.command in _OWN_DURATION:
         return args.duration
     profile = _profile(args)
-    if profile is not None:
-        return profile.static_duration
-    return fallback
+    return profile.static_duration if profile is not None else 0.03
+
+
+def _run_config(args, specs: Dict[str, Any]) -> RunConfig:
+    """The one :class:`~repro.store.RunConfig` a command runs under:
+    every execution flag and parsed spec flag, so what configures the
+    fabric and what keys the run store are the same value."""
+    profile = _profile(args)
+    if getattr(args, "loads", None):
+        profile = replace(profile or BENCH, loads=tuple(args.loads))
+    return RunConfig(
+        duration=_duration(args),
+        profile=profile,
+        seed=getattr(args, "seed", None),
+        jobs=args.jobs,
+        audit=True if args.audit else None,
+        profile_events=getattr(args, "profile_events", False),
+        cache_dir=getattr(args, "cache_dir", None),
+        force=getattr(args, "force", False),
+        shards=args.shards,
+        trains=args.trains,
+        **specs,
+    )
 
 
 def _maybe_export(args, payload: Any) -> None:
@@ -206,29 +193,26 @@ def _maybe_export(args, payload: Any) -> None:
 
 # -- command implementations -------------------------------------------------
 
-def cmd_fig1(args) -> Any:
+def cmd_fig1(args, config) -> Any:
     from .experiments import motivation
-    results = motivation.per_queue_standard_rtt(duration=_duration(args))
+    results = motivation.per_queue_standard_rtt(config=config)
     print(f"{'queues':>6s} {'mean':>10s} {'p99':>10s}")
     for n_queues, stats in sorted(results.items()):
         print(f"{n_queues:6d} {_us(stats.mean)} {_us(stats.p99)}")
     return {str(k): asdict(v) for k, v in results.items()}
 
 
-def cmd_fig2(args) -> Any:
+def cmd_fig2(args, config) -> Any:
     from .experiments import motivation
-    results = motivation.per_queue_fractional_throughput(
-        duration=_duration(args))
+    results = motivation.per_queue_fractional_throughput(config=config)
     for threshold, gbps in sorted(results.items()):
         print(f"K={threshold:4.0f} pkts -> {gbps:5.2f} Gbps")
     return {str(k): v for k, v in results.items()}
 
 
-def _victim(args, threshold: float, flows: int) -> Any:
+def _victim(config, threshold: float, flows: int) -> Any:
     from .experiments import motivation
-    result = motivation.per_port_victim(threshold, flows,
-                                        duration=_duration(args),
-                                        trains=args.trains)
+    result = motivation.per_port_victim(threshold, flows, config=config)
     print(f"per-port K={threshold:.0f}, 1 flow vs {flows} flows:")
     print(f"  queue 1: {result.queue1_gbps:5.2f} Gbps")
     print(f"  queue 2: {result.queue2_gbps:5.2f} Gbps")
@@ -236,16 +220,16 @@ def _victim(args, threshold: float, flows: int) -> Any:
     return asdict(result)
 
 
-def cmd_fig3(args) -> Any:
-    return _victim(args, 16.0, 8)
+def cmd_fig3(args, config) -> Any:
+    return _victim(config, 16.0, 8)
 
 
-def cmd_fig6(args) -> Any:
-    return _victim(args, 65.0, 8)
+def cmd_fig6(args, config) -> Any:
+    return _victim(config, 65.0, 8)
 
 
-def cmd_fig7(args) -> Any:
-    return _victim(args, 65.0, 40)
+def cmd_fig7(args, config) -> Any:
+    return _victim(config, 65.0, 40)
 
 
 def _trace_pair(traces) -> Any:
@@ -255,59 +239,57 @@ def _trace_pair(traces) -> Any:
     return {"enqueue_peak": enq.peak, "dequeue_peak": deq.peak}
 
 
-def cmd_fig4(args) -> Any:
+def cmd_fig4(args, config) -> Any:
     from .experiments import marking_point
     print("DCTCP marking point (4 flows, 1 Gbps):")
-    return _trace_pair(marking_point.dctcp_enqueue_dequeue())
+    return _trace_pair(marking_point.dctcp_enqueue_dequeue(config=config))
 
 
-def cmd_fig5(args) -> Any:
+def cmd_fig5(args, config) -> Any:
     from .experiments import marking_point
-    trace = marking_point.tcn_trace()
+    trace = marking_point.tcn_trace(config=config)
     print(f"TCN (dequeue-only): peak {trace.peak} pkts, "
           f"steady mean {trace.steady_mean:.1f}")
     return {"peak": trace.peak}
 
 
-def cmd_fig8(args) -> Any:
+def cmd_fig8(args, config) -> Any:
     from .experiments import static_flows
-    result = static_flows.weighted_fair_sharing("pmsb",
-                                                duration=_duration(args),
-                                                trains=args.trains)
+    result = static_flows.weighted_fair_sharing("pmsb", config=config)
     print(f"PMSB DWRR 1:4 -> q1 {result.queue_gbps[0]:.2f} G, "
           f"q2 {result.queue_gbps[1]:.2f} G")
     return result.queue_gbps
 
 
-def cmd_fig9(args) -> Any:
+def cmd_fig9(args, config) -> Any:
     from .experiments import static_flows
-    results = static_flows.rtt_distribution(duration=_duration(args))
+    results = static_flows.rtt_distribution(config=config)
     print(f"{'scheme':18s} {'mean':>10s} {'p99':>10s}")
     for name, stats in results.items():
         print(f"{name:18s} {_us(stats.mean)} {_us(stats.p99)}")
     return {k: asdict(v) for k, v in results.items()}
 
 
-def cmd_fig10(args) -> Any:
+def cmd_fig10(args, config) -> Any:
     from .experiments import static_flows
     result = static_flows.weighted_fair_sharing(
-        "pmsb", flows_queue2=100, duration=max(_duration(args), 0.03),
-        warmup_fraction=0.5, stagger=5e-3)
+        "pmsb", flows_queue2=100, warmup_fraction=0.5, stagger=5e-3,
+        config=config.evolve(duration=max(config.duration, 0.03)))
     print(f"PMSB DWRR 1:100 -> q1 {result.queue_gbps[0]:.2f} G, "
           f"q2 {result.queue_gbps[1]:.2f} G")
     return result.queue_gbps
 
 
-def cmd_fig11(args) -> Any:
+def cmd_fig11(args, config) -> Any:
     from .experiments import marking_point
     print("PMSB marking point (4 flows, 1 Gbps):")
-    return _trace_pair(marking_point.pmsb_trace())
+    return _trace_pair(marking_point.pmsb_trace(config=config))
 
 
-def cmd_fig12(args) -> Any:
+def cmd_fig12(args, config) -> Any:
     from .experiments import marking_point
     print("PMSB(e) marking point (4 flows, 1 Gbps):")
-    return _trace_pair(marking_point.pmsbe_trace())
+    return _trace_pair(marking_point.pmsbe_trace(config=config))
 
 
 def _policy(result) -> Any:
@@ -319,64 +301,47 @@ def _policy(result) -> Any:
             for _t0, _t1, label in result.phases}
 
 
-def cmd_fig13(args) -> Any:
+def cmd_fig13(args, config) -> Any:
     from .experiments import static_flows
     print("PMSB over SP+WFQ (expect 5 / 2.5 / 2.5 G settled):")
-    return _policy(static_flows.scheduler_sp_wfq(duration=_duration(args)))
+    return _policy(static_flows.scheduler_sp_wfq(config=config))
 
 
-def cmd_fig14(args) -> Any:
+def cmd_fig14(args, config) -> Any:
     from .experiments import static_flows
     print("PMSB over SP (expect 5 / 3 / 2 G settled):")
-    return _policy(static_flows.scheduler_sp(duration=_duration(args)))
+    return _policy(static_flows.scheduler_sp(config=config))
 
 
-def cmd_fig15(args) -> Any:
+def cmd_fig15(args, config) -> Any:
     from .experiments import static_flows
     print("PMSB over WFQ (expect 10 G -> 5 / 5 G):")
-    return _policy(static_flows.scheduler_wfq(duration=_duration(args)))
+    return _policy(static_flows.scheduler_wfq(config=config))
 
 
-def cmd_sweep(args) -> Any:
+def cmd_sweep(args, config) -> Any:
     from .experiments.fct_sweep import run_fct_sweep
     from .metrics.fct import SizeClass
-    profile = _profile(args) or BENCH
-    if args.loads:
-        profile = replace(profile, loads=tuple(args.loads))
-    config = RunConfig(
-        profile=profile,
-        seed=args.seed,
-        jobs=args.jobs,
-        audit=True if args.audit else None,
-        profile_events=args.profile_events,
-        cache_dir=args.cache_dir,
-        force=args.force,
-        shards=args.shards,
-        trains=args.trains,
-    )
     rows = run_fct_sweep(scheduler_name=args.scheduler, config=config)
     print(f"{'scheme':10s} {'load':>5s} {'overall':>9s} {'sm avg':>9s} "
           f"{'sm p99':>9s} {'lg avg':>9s}")
     for row in rows:
-        def fmt(size_class, stat):
-            value = row.stat(size_class, stat)
-            return f"{value * 1e3:8.3f}m" if value is not None else "      --"
-        print(f"{row.scheme:10s} {row.load:5.1f} {fmt(None, 'mean')} "
-              f"{fmt(SizeClass.SMALL, 'mean')} {fmt(SizeClass.SMALL, 'p99')} "
-              f"{fmt(SizeClass.LARGE, 'mean')}")
+        print(f"{row.scheme:10s} {row.load:5.1f} {_ms(row, None, 'mean')} "
+              f"{_ms(row, SizeClass.SMALL, 'mean')} "
+              f"{_ms(row, SizeClass.SMALL, 'p99')} "
+              f"{_ms(row, SizeClass.LARGE, 'mean')}")
     return rows
 
 
-def cmd_table1(args) -> Any:
+def cmd_table1(args, config) -> Any:
     from .core.capabilities import capability_table
     print(capability_table())
     return None
 
 
-def cmd_theorem(args) -> Any:
+def cmd_theorem(args, config) -> Any:
     from .experiments import analysis_validation
-    rows = analysis_validation.threshold_bound_sweep(
-        duration=_duration(args))
+    rows = analysis_validation.threshold_bound_sweep(config=config)
     print(f"{'k_i/bound':>9s} {'predicted ok':>13s} {'utilization':>12s}")
     for row in rows:
         print(f"{row.queue_threshold / row.bound:9.2f} "
@@ -385,10 +350,10 @@ def cmd_theorem(args) -> Any:
     return rows
 
 
-def cmd_ablation(args) -> Any:
+def cmd_ablation(args, config) -> Any:
     from .experiments import ablations
     print("blindness scale sweep (1:8 victim scenario):")
-    rows = ablations.blindness_aggressiveness(duration=_duration(args))
+    rows = ablations.blindness_aggressiveness(config=config)
     for row in rows:
         print(f"  scale {row.parameter:4.2f}: q1 {row.queue1_gbps:5.2f} G, "
               f"err {row.fair_share_error:4.2f}, "
@@ -396,10 +361,9 @@ def cmd_ablation(args) -> Any:
     return rows
 
 
-def cmd_pool(args) -> Any:
+def cmd_pool(args, config) -> Any:
     from .experiments import extensions
-    result = extensions.service_pool_victim(
-        config=RunConfig(duration=_duration(args)))
+    result = extensions.service_pool_victim(config=config)
     print(f"shared-pool marking, disjoint links:")
     print(f"  port A (1 flow):  {result.port_a_gbps:5.2f} G "
           f"({result.port_a_utilization * 100:.0f}% of its own link)")
@@ -407,10 +371,10 @@ def cmd_pool(args) -> Any:
     return asdict(result)
 
 
-def cmd_burst(args) -> Any:
+def cmd_burst(args, config) -> Any:
     from .experiments import extensions
     print("32-way micro-burst vs buffer-sharing policy (DT alpha=2):")
-    config = RunConfig(duration=max(_duration(args), 0.04))
+    config = config.evolve(duration=max(config.duration, 0.04))
     rows = []
     for hog in (True, False):
         for policy in extensions.BUFFER_POLICIES:
@@ -424,10 +388,9 @@ def cmd_burst(args) -> Any:
     return rows
 
 
-def cmd_transports(args) -> Any:
+def cmd_transports(args, config) -> Any:
     from .experiments import extensions
     print("1:8 victim scenario across transports:")
-    config = RunConfig(duration=_duration(args))
     rows = []
     for transport in ("dctcp", "dcqcn"):
         for marker in ("per-port", "pmsb"):
@@ -457,11 +420,10 @@ def _print_victim_rows(rows) -> None:
               f"{row.fair_share_error:5.2f} {dropped:7d}")
 
 
-def cmd_chaos3(args) -> Any:
+def cmd_chaos3(args, config) -> Any:
     from .experiments import chaos
     print(f"1:8 victim scenario under {args.model} loss "
           f"(bottleneck wire):")
-    config = RunConfig(duration=_duration(args))
     rows = []
     for scheme in ("per-port", "pmsb"):
         for rate in _chaos_rates(args):
@@ -471,10 +433,9 @@ def cmd_chaos3(args) -> Any:
     return rows
 
 
-def cmd_chaos8(args) -> Any:
+def cmd_chaos8(args, config) -> Any:
     from .experiments import chaos
     print(f"PMSB DWRR 1:4 fair sharing under {args.model} loss:")
-    config = RunConfig(duration=_duration(args))
     rows = [chaos.chaos_fair_share("pmsb", loss_rate=rate,
                                    model=args.model, config=config)
             for rate in _chaos_rates(args)]
@@ -482,21 +443,9 @@ def cmd_chaos8(args) -> Any:
     return rows
 
 
-def cmd_chaos_sweep(args) -> Any:
+def cmd_chaos_sweep(args, config) -> Any:
     from .experiments import chaos
     from .metrics.fct import SizeClass
-    profile = _profile(args) or BENCH
-    if args.loads:
-        profile = replace(profile, loads=tuple(args.loads))
-    config = RunConfig(
-        profile=profile,
-        seed=args.seed,
-        jobs=args.jobs,
-        audit=True if args.audit else None,
-        cache_dir=args.cache_dir,
-        force=args.force,
-        shards=args.shards,
-    )
     rows = chaos.run_chaos_sweep(
         scheme_names=tuple(args.schemes),
         scheduler_name=args.scheduler,
@@ -507,27 +456,15 @@ def cmd_chaos_sweep(args) -> Any:
     print(f"{'scheme':16s} {'load':>5s} {'loss':>8s} {'overall':>9s} "
           f"{'sm p99':>9s} {'drops':>8s}")
     for row in rows:
-        def fmt(size_class, stat):
-            value = row.stat(size_class, stat)
-            return f"{value * 1e3:8.3f}m" if value is not None else "      --"
         print(f"{row.fct.scheme:16s} {row.fct.load:5.1f} "
-              f"{row.loss_rate:8.4f} {fmt(None, 'mean')} "
-              f"{fmt(SizeClass.SMALL, 'p99')} "
+              f"{row.loss_rate:8.4f} {_ms(row, None, 'mean')} "
+              f"{_ms(row, SizeClass.SMALL, 'p99')} "
               f"{sum(row.drops.values()):8d}")
     return rows
 
 
-def cmd_sharedbuf(args) -> Any:
+def cmd_sharedbuf(args, config) -> Any:
     from .experiments import sharedbuf
-    profile = _profile(args) or BENCH
-    config = RunConfig(
-        profile=profile,
-        seed=args.seed,
-        jobs=args.jobs,
-        audit=True if args.audit else None,
-        cache_dir=args.cache_dir,
-        force=args.force,
-    )
     policies = sharedbuf.default_policies(
         capacity=args.capacity,
         alphas=tuple(args.alphas),
@@ -553,23 +490,17 @@ def cmd_sharedbuf(args) -> Any:
     return rows
 
 
-def cmd_autotune(args) -> Any:
+def cmd_autotune(args, config) -> Any:
     from .experiments import autotune
-    profile = _profile(args) or BENCH
     report = autotune.run_autotune(
         grid=tuple(args.grid),
         scheduler_name=args.scheduler,
         load_lo=args.load_lo,
         load_hi=args.load_hi,
-        profile=profile,
-        seed=args.seed,
         chaos=args.chaos,
         rounds=args.rounds,
         population=args.population,
-        jobs=args.jobs,
-        store=args.cache_dir,
-        audit=bool(args.audit),
-        force=args.force,
+        config=config,
     )
     chaos_note = " + uplink flap" if args.chaos else ""
     print(f"X-AUTOTUNE: load shift {args.load_lo:.2f} -> "
@@ -592,18 +523,8 @@ def cmd_autotune(args) -> Any:
     return report.to_payload()
 
 
-def cmd_xscale(args) -> Any:
+def cmd_xscale(args, config) -> Any:
     from .experiments import xscale
-    profile = _profile(args) or BENCH
-    config = RunConfig(
-        profile=profile,
-        seed=args.seed,
-        jobs=args.jobs,
-        audit=True if args.audit else None,
-        cache_dir=args.cache_dir,
-        force=args.force,
-        shards=args.shards,
-    )
     rows = xscale.run_xscale_sweep(
         scheme_names=tuple(args.schemes),
         scheduler_name=args.scheduler,
@@ -620,9 +541,8 @@ def cmd_xscale(args) -> Any:
     return rows
 
 
-def cmd_coexist(args) -> Any:
+def cmd_coexist(args, config) -> Any:
     from .experiments import extensions
-    config = RunConfig(duration=_duration(args))
     baseline = extensions.pmsbe_coexistence(False, config=config)
     upgraded = extensions.pmsbe_coexistence(True, config=config)
     print("incremental PMSB(e) deployment (per-port switch, DCTCP peers):")
@@ -673,14 +593,27 @@ COMMANDS = {
 #: Commands that understand the run-store cache flags.
 _STORE_BACKED = ("sweep", "chaos-sweep", "sharedbuf", "autotune", "xscale")
 
-#: Common flag -> the commands whose runner reads it.  Anywhere else the
-#: flag exits 2 instead of being parsed and dropped.
+#: The paper-figure commands: each hands the CLI's RunConfig to
+#: ``run_incast`` whole, so all four spec flags reach the fabric.
+_INCAST = tuple(f"fig{n}" for n in range(1, 16)) + ("theorem", "ablation")
+
+#: Flag -> the commands whose runner reads it *and* keys it.  The table
+#: is total: anywhere else the flag exits 2 instead of being parsed and
+#: dropped.  A family's own sweep variable beats the matching flag
+#: (chaos* inject their loss grid, sharedbuf its policy grid, xscale
+#: its ladder, autotune its schedule controller and flap); the
+#: extension builders (pool / coexist / burst / transports) wire their
+#: own two-port fabrics and table1 simulates nothing.
 _READ_BY = {
     "shards": ("sweep", "chaos-sweep", "xscale"),
     "trains": ("fig3", "fig6", "fig7", "fig8", "sweep"),
-    # xscale_point builds clean, open-loop fabrics.
-    "faults": tuple(name for name in COMMANDS if name != "xscale"),
-    "controller": tuple(name for name in COMMANDS if name != "xscale"),
+    "faults": _INCAST + ("sweep", "sharedbuf"),
+    "controller": _INCAST + ("chaos3", "chaos8", "sweep", "chaos-sweep",
+                             "sharedbuf"),
+    "topology": _INCAST + ("chaos3", "chaos8", "sweep", "chaos-sweep",
+                           "sharedbuf", "autotune"),
+    "shared_buffer": _INCAST + ("chaos3", "chaos8", "sweep", "chaos-sweep",
+                                "autotune", "xscale"),
 }
 
 
@@ -928,8 +861,13 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                              "per train; tolerance-accurate, ports fall "
                              "back per-packet near marking thresholds — "
                              "see EXPERIMENTS.md)")
-    for spec_flag in SPEC_FLAGS:
-        spec_flag.add_to(common)
+    for dest, (_module, _spec_class, help_text) in SPEC_FLAGS.items():
+        if dest == "faults":
+            common.add_argument(_flag(dest), action="append",
+                                metavar="SPEC", help=help_text)
+        else:
+            common.add_argument(_flag(dest), metavar="SPEC", default=None,
+                                help=help_text)
 
     store_dir = argparse.ArgumentParser(add_help=False)
     store_dir.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -947,8 +885,9 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         if name in _STORE_BACKED:
             cmd.add_argument("--scheduler", choices=("dwrr", "wfq"),
                              default="dwrr")
-            cmd.add_argument("--loads", type=float, nargs="+",
-                             help="override the profile's load points")
+            if name in ("sweep", "chaos-sweep"):
+                cmd.add_argument("--loads", type=float, nargs="+",
+                                 help="override the profile's load points")
             cmd.add_argument("--seed", type=int, default=1)
             cmd.add_argument("--cache-dir", default=None,
                              help="content-addressed run store: completed "
@@ -1026,46 +965,21 @@ def _dispatch(argv: Optional[List[str]]) -> int:
         if (args.resume or args.force) and not args.cache_dir:
             parser.error("--resume/--force require --cache-dir")
     fn, _help = COMMANDS[args.command]
-    resolved = []
-    for spec_flag in SPEC_FLAGS:
-        try:
-            resolved.append((spec_flag, spec_flag.resolve(args)))
-        except ValueError as exc:
-            parser.error(f"{spec_flag.flag}: {exc}")
-    flags = {spec_flag.dest: value for spec_flag, value in resolved}
+    specs = _parse_spec_flags(parser, args)
     for dest, commands in _READ_BY.items():
         if (getattr(args, dest) not in (None, 1)
                 and args.command not in commands):
             only = (f" (only {', '.join(commands)} do)"
                     if len(commands) <= 5 else "")
-            parser.error(f"--{dest}: {args.command} does not support "
+            parser.error(f"{_flag(dest)}: {args.command} does not support "
                          f"it{only}")
+    # Input a runner cannot honour — a flag pair check_compatibility
+    # rejects, a fabric too small for the scenario — is one `error:`
+    # line and exit 2; anything else keeps its traceback.
     try:
-        check_compatibility(
-            trains=(args.trains or 1) > 1, shards=(args.shards or 1) > 1,
-            faults=bool(flags["faults"]),
-            controller=flags["controller"] is not None,
-            profile_events=getattr(args, "profile_events", False))
+        payload = fn(args, _run_config(args, specs))
     except ValueError as exc:
         parser.error(str(exc))
-    audit_on = getattr(args, "audit", False)
-    # Flip the process-wide defaults so every simulation the command
-    # builds — including ones created deep inside experiment helpers —
-    # attaches a FabricAuditor / injects the requested faults / builds
-    # the requested fabric / draws every switch's ports from a shared
-    # buffer.
-    if audit_on:
-        from .sim.audit import set_audit_default
-        set_audit_default(True)
-    applied = [spec_flag for spec_flag, value in resolved
-               if spec_flag.apply(value)]
-    try:
-        payload = fn(args)
-    finally:
-        if audit_on:
-            set_audit_default(False)
-        for spec_flag in applied:
-            spec_flag.clear()
     if payload is not None:
         _maybe_export(args, payload)
     return 0

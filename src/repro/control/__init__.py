@@ -14,8 +14,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .cem import CemResult, cross_entropy_search
     from .controller import (CemController, ControllerRuntime, ControllerSpec,
                              TheoremController, ThresholdController,
-                             build_runtime, controller_enabled,
-                             set_controller_default)
+                             build_runtime)
     from .observation import ObservationVector, PortSampler
 
 _EXPORTS = {
@@ -23,7 +22,6 @@ _EXPORTS = {
     ".controller": (
         "CemController", "ControllerRuntime", "ControllerSpec",
         "TheoremController", "ThresholdController", "build_runtime",
-        "controller_enabled", "set_controller_default",
     ),
     ".observation": ("ObservationVector", "PortSampler"),
 }

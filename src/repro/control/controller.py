@@ -31,8 +31,7 @@ A :class:`ControllerSpec` is the declarative, hashable identity of a
 controller configuration: it parses from the CLI's
 ``--controller name:key=val,...`` grammar, renders to canonical tuples
 for :class:`~repro.store.ExperimentSpec` params, and builds the live
-controller.  ``set_controller_default`` / ``controller_enabled`` mirror
-the fault layer's process-wide default plumbing.
+controller.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .observation import ObservationVector
 
 __all__ = ["ControllerSpec", "ThresholdController", "TheoremController",
-           "CemController", "ControllerRuntime", "controller_enabled",
-           "set_controller_default"]
+           "CemController", "ControllerRuntime"]
 
 CONTROLLER_NAMES = ("theorem", "cem")
 
@@ -154,27 +152,6 @@ class ControllerSpec:
             return cls(name=name.strip(), **fields)
         except TypeError as exc:
             raise ValueError(str(exc)) from None
-
-
-#: Process-wide default consulted by experiment runners whose
-#: ``controller`` argument is None.  The CLI's ``--controller`` flag
-#: sets it for one command.
-_CONTROLLER_DEFAULT: Optional[ControllerSpec] = None
-
-
-def set_controller_default(spec: Optional[ControllerSpec]) -> None:
-    """Set the process-wide controller default (``--controller``)."""
-    global _CONTROLLER_DEFAULT
-    _CONTROLLER_DEFAULT = spec
-
-
-def controller_enabled(
-    spec: Optional[ControllerSpec] = None,
-) -> Optional[ControllerSpec]:
-    """Resolve a runner's ``controller`` argument against the default."""
-    if spec is None:
-        return _CONTROLLER_DEFAULT
-    return spec
 
 
 class ThresholdController:

@@ -15,7 +15,7 @@ false negatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from ..metrics.stats import summarize
 from ..store.spec import RunConfig
@@ -50,7 +50,7 @@ def blindness_aggressiveness(
     port_threshold: float = 16.0,
     flows_queue2: int = 8,
     link_rate: float = 10e9,
-    duration: float = 0.04,
+    config: Optional[RunConfig] = None,
 ) -> List[AblationRow]:
     """AB1: sweep the queue-filter scale on the 1:8 victim scenario."""
     rows: List[AblationRow] = []
@@ -62,7 +62,7 @@ def blindness_aggressiveness(
         result = run_incast(
             scheme, lambda: DwrrScheduler(2),
             incast_flows([1, flows_queue2]), link_rate=link_rate,
-            record_rtt=True, config=RunConfig(duration=duration),
+            record_rtt=True, config=config,
         )
         samples = result.rtt_samples(queue_index=1)
         steady = samples[len(samples) // 3:]
@@ -82,7 +82,7 @@ def rtt_threshold_sweep(
     port_threshold: float = 16.0,
     flows_queue2: int = 8,
     link_rate: float = 10e9,
-    duration: float = 0.04,
+    config: Optional[RunConfig] = None,
 ) -> List[AblationRow]:
     """AB2: sweep PMSB(e)'s RTT threshold on the 1:8 victim scenario."""
     rows: List[AblationRow] = []
@@ -95,7 +95,7 @@ def rtt_threshold_sweep(
         result = run_incast(
             scheme, lambda: DwrrScheduler(2),
             incast_flows([1, flows_queue2]), link_rate=link_rate,
-            record_rtt=True, config=RunConfig(duration=duration),
+            record_rtt=True, config=config,
         )
         samples = result.rtt_samples(queue_index=1)
         steady = samples[len(samples) // 3:]
@@ -135,7 +135,7 @@ def weighted_share_preservation(
     flows_per_queue: int = 2,
     port_threshold: float = 16.0,
     link_rate: float = 10e9,
-    duration: float = 0.04,
+    config: Optional[RunConfig] = None,
 ) -> List[WeightedShareRow]:
     """AB3: PMSB under *unequal* DWRR weights.
 
@@ -156,7 +156,7 @@ def weighted_share_preservation(
             scheme,
             lambda w=tuple(weights): DwrrScheduler(len(w), list(w)),
             incast_flows([flows_per_queue] * n_queues),
-            link_rate=link_rate, config=RunConfig(duration=duration),
+            link_rate=link_rate, config=config,
         )
         rows.append(
             WeightedShareRow(

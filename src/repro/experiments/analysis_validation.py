@@ -11,7 +11,7 @@ should stay full.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.analysis import SteadyStateModel, worst_case_flow_count
 from ..scheduling.dwrr import DwrrScheduler
@@ -46,7 +46,7 @@ class BoundSweepRow:
 def threshold_bound_sweep(
     threshold_factors: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
     link_rate: float = 10e9,
-    duration: float = 0.04,
+    config: Optional[RunConfig] = None,
 ) -> List[BoundSweepRow]:
     """Sweep ``k_i`` around the theorem bound and measure utilization.
 
@@ -69,7 +69,7 @@ def threshold_bound_sweep(
         result = run_incast(
             scheme, lambda: DwrrScheduler(2),
             incast_flows([n_flows, n_flows]), link_rate=link_rate,
-            config=RunConfig(duration=duration),
+            config=config,
         )
         rows.append(
             BoundSweepRow(

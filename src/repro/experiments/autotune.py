@@ -36,14 +36,15 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..control.cem import CemResult, cross_entropy_search
 from ..control.controller import ControllerRuntime, ControllerSpec
 from ..metrics.fct import FctCollector, SizeClass
+from ..net.sharedbuf import SharedBufferSpec
 from ..net.topology import TopologySpec
 from ..sim.audit import FabricAuditor
 from ..sim.engine import Simulator
 from ..sim.faults import FaultScheduler, FaultSpec
 from ..sim.rng import make_rng, stable_hash
-from ..store.runstore import RunStore, open_store
-from ..store.spec import ExperimentSpec
-from ..store.sweep import cached_sweep
+from ..store.runstore import RunStore
+from ..store.spec import ExperimentSpec, RunConfig, extension_params
+from ..store.sweep import cached_sweep, sweep_setup
 from ..transport.endpoints import open_flow
 from ..workloads.distributions import PAPER_MIX
 from ..workloads.generator import PoissonFlowGenerator
@@ -118,6 +119,7 @@ def autotune_point_spec(
     chaos: bool = False,
     audit: bool = False,
     topology: "Union[str, TopologySpec, None]" = None,
+    shared_buffer: Optional[SharedBufferSpec] = None,
 ) -> ExperimentSpec:
     """Content address of one candidate evaluation.
 
@@ -137,6 +139,7 @@ def autotune_point_spec(
         topo = resolve_fct_topology(topology)
         if not topo.is_default:
             params.update(topology_params(topo))
+    params.update(extension_params(shared_buffer=shared_buffer))
     return ExperimentSpec.create(
         "autotune-point", scheme="pmsb", scheduler=scheduler_name,
         load=load_lo, seed=seed, profile=profile, audit=audit,
@@ -156,6 +159,7 @@ def run_autotune_point(
     audit: bool = False,
     provenance_out: Optional[Dict[str, Any]] = None,
     topology: "Union[str, TopologySpec, None]" = None,
+    shared_buffer: Optional[SharedBufferSpec] = None,
 ) -> AutotuneRow:
     """Simulate one schedule candidate on the two-phase workload."""
     if profile is None:
@@ -168,7 +172,8 @@ def run_autotune_point(
     auditor = FabricAuditor(sim) if audit else None
     network = topo.build(
         sim, _make_scheduler_factory(scheduler_name), scheme.marker_factory,
-        default_fabric=profile.fabric, link_rate=profile.link_rate,
+        shared_buffer=shared_buffer, default_fabric=profile.fabric,
+        link_rate=profile.link_rate,
     )
     if auditor is not None:
         auditor.attach_network(network)
@@ -241,11 +246,11 @@ def _autotune_point(point, provenance: Dict[str, Any]) -> AutotuneRow:
     """Simulate one candidate (the ``compute`` of
     :func:`~repro.store.sweep.cached_sweep`)."""
     (k0, k1, scheduler_name, load_lo, load_hi, profile, seed, chaos,
-     audit, topology) = point
+     audit, topology, shared_buffer) = point
     return run_autotune_point(
         k0, k1, scheduler_name, load_lo, load_hi, profile, seed,
         chaos=chaos, audit=audit, provenance_out=provenance,
-        topology=topology,
+        topology=topology, shared_buffer=shared_buffer,
     )
 
 
@@ -283,37 +288,40 @@ def run_autotune(
     load_lo: float = 0.3,
     load_hi: float = 0.7,
     profile: Optional[ScaleProfile] = None,
-    seed: int = 1,
+    seed: Optional[int] = None,
     chaos: bool = False,
     rounds: int = 3,
     population: int = 6,
-    jobs: Optional[int] = None,
+    config: Optional[RunConfig] = None,
     store: Optional[Union[RunStore, str]] = None,
-    audit: bool = False,
-    force: bool = False,
     topology: Union[str, TopologySpec, None] = None,
 ) -> AutotuneReport:
     """Static sweep + cross-entropy search over the schedule plane.
 
     Phase 1 evaluates the static diagonal ``(k, k)`` for every grid
-    threshold (in parallel across ``jobs`` workers — each point is an
-    independent simulation).  Phase 2 runs
+    threshold (in parallel across ``config.jobs`` workers — each point
+    is an independent simulation).  Phase 2 runs
     :func:`~repro.control.cross_entropy_search` over ``grid × grid``
     with the diagonal pre-seeded, so the returned ``best_tuned`` is the
     best of *everything* evaluated and can only match or beat
-    ``best_static``.  With a ``store`` every candidate is cached by
-    :func:`autotune_point_spec`, making the whole search resumable.
+    ``best_static``.  With a ``store`` (or ``config.cache_dir``) every
+    candidate is cached by :func:`autotune_point_spec`, making the whole
+    search resumable.  Every candidate carries its own controller and
+    the chaos leg its own flap, so ``config.controller`` and
+    ``config.faults`` are not consulted; ``config.shared_buffer`` is,
+    and ``topology=None`` means ``config.topology``.
     """
-    if profile is None:
-        profile = BENCH
-    store = open_store(store)
+    config, profile, seed, jobs, store, force = sweep_setup(
+        config, profile, seed, store)
     grid = tuple(sorted(set(float(k) for k in grid)))
+    (topology,) = config.resolve(topology=topology)
     topology_spec = resolve_fct_topology(topology)
 
     def evaluate_all(schedules, jobs: Optional[int]) -> List[AutotuneRow]:
         # A point is autotune_point_spec's arguments, in order.
         points = [(k0, k1, scheduler_name, load_lo, load_hi, profile, seed,
-                   chaos, audit, topology_spec) for k0, k1 in schedules]
+                   chaos, bool(config.audit), topology_spec,
+                   config.shared_buffer) for k0, k1 in schedules]
         return cached_sweep(
             points, [autotune_point_spec(*point) for point in points],
             f"{__name__}:_autotune_point", AutotuneRow.from_payload,

@@ -28,13 +28,14 @@ from dataclasses import dataclass
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
+from ..control.controller import ControllerSpec
+from ..net.sharedbuf import SharedBufferSpec
+from ..net.topology import TopologySpec
 from ..scheduling.dwrr import DwrrScheduler
-from ..sim.audit import audit_enabled
 from ..sim.faults import FaultSpec, loss_spec
 from ..store.runstore import RunStore
-from ..store.spec import ExperimentSpec, RunConfig
+from ..store.spec import ExperimentSpec, RunConfig, extension_params
 from ..store.sweep import cached_sweep, sweep_setup
-from ..net.topology import TopologySpec
 from .largescale import (FctRow, resolve_fct_topology, run_fct_point,
                          topology_params)
 from .scale import ScaleProfile
@@ -105,18 +106,17 @@ def _incast_under_loss(
     fault_seed: int,
     config: Optional[RunConfig],
 ) -> ChaosVictimRow:
-    config = config or RunConfig()
-    duration = config.duration if config.duration is not None else 0.04
     scheme = make_scheme(
         scheme_name, link_rate=link_rate, n_queues=2,
         port_threshold_packets=port_threshold,
     )
     # The loss sits on the bottleneck wire — downstream of the marker,
-    # where a drop hurts exactly the flows the marker is judging.
+    # where a drop hurts exactly the flows the marker is judging.  It is
+    # this experiment's variable, so it is passed explicitly and
+    # ``config.faults`` is never consulted.
     result = run_incast(
         scheme, lambda: DwrrScheduler(2), incast_flows([1, flows_queue2]),
-        link_rate=link_rate,
-        config=RunConfig(duration=duration, audit=config.audit),
+        link_rate=link_rate, config=config,
         faults=chaos_faults(model, loss_rate, links="bottleneck"),
         fault_seed=fault_seed,
     )
@@ -213,6 +213,8 @@ def chaos_point_spec(
     audit: bool = False,
     topology: "Union[str, TopologySpec, None]" = None,
     shards: int = 1,
+    controller: Optional[ControllerSpec] = None,
+    shared_buffer: Optional[SharedBufferSpec] = None,
 ) -> ExperimentSpec:
     """The canonical identity of one chaos FCT point (store cache key).
 
@@ -230,6 +232,7 @@ def chaos_point_spec(
         "loss_rate": loss_rate,
         "faults": tuple(spec.to_param() for spec in faults),
     })
+    params.update(extension_params((), controller, shared_buffer))
     # Sharded execution is keyed like the clean FCT sweep: fault
     # streams replay identically at any shard count, but the execution
     # substrate differs, so shards > 1 re-keys while shards=1 keys stay
@@ -246,14 +249,16 @@ def _chaos_point(point, provenance: Dict[str, Any]) -> ChaosFctRow:
     """Simulate one chaos sweep point (the ``compute`` of
     :func:`~repro.store.sweep.cached_sweep`)."""
     (scheme_name, scheduler_name, load, profile, seed, model, loss_rate,
-     audit, topology, shards) = point
+     audit, topology, shards, controller, shared_buffer) = point
     fault_stats: Dict[str, Any] = {}
     fct = run_fct_point(
         scheme_name, scheduler_name, load, profile, seed,
-        topology=topology, config=RunConfig(audit=audit, shards=shards),
+        topology=topology,
+        config=RunConfig(audit=audit, shards=shards,
+                         shared_buffer=shared_buffer),
         provenance_out=provenance,
         faults=chaos_faults(model, loss_rate),
-        fault_stats_out=fault_stats,
+        fault_stats_out=fault_stats, controller=controller,
     )
     return ChaosFctRow(
         model=model, loss_rate=loss_rate,
@@ -278,16 +283,20 @@ def run_chaos_sweep(
     seed, salt and link name — not on the scheme), so comparisons are
     paired under identical loss patterns.  Points fan out over worker
     processes and cache/resume exactly like
-    :func:`~repro.experiments.largescale.run_fct_sweep`.
+    :func:`~repro.experiments.largescale.run_fct_sweep`.  The loss grid
+    is this sweep's variable, so ``config.faults`` is not consulted;
+    ``config.controller`` and ``config.shared_buffer`` are, and
+    ``topology=None`` means ``config.topology``.
     """
     config, profile, seed, jobs, store, force = sweep_setup(
         config, profile, seed, store)
-    audit = audit_enabled(config.audit)
+    (topology,) = config.resolve(topology=topology)
     topology_spec = resolve_fct_topology(topology)
     # A point is chaos_point_spec's arguments, in order.
     points = [
         (name, scheduler_name, load, profile, seed, model, loss_rate,
-         audit, topology_spec, config.shards)
+         bool(config.audit), topology_spec, config.shards,
+         config.controller, config.shared_buffer)
         for loss_rate in loss_rates
         for load in profile.loads
         for name in scheme_names

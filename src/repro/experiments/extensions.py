@@ -32,7 +32,7 @@ from ..net.switch import Switch
 from ..net.topology import DEFAULT_LINK_DELAY, Network, TopologySpec
 from ..scheduling.dwrr import DwrrScheduler
 from ..scheduling.fifo import FifoScheduler
-from ..sim.audit import FabricAuditor, audit_enabled
+from ..sim.audit import FabricAuditor
 from ..sim.engine import Simulator
 from ..store.runstore import RunStore, open_store
 from ..store.spec import ExperimentSpec, RunConfig
@@ -113,7 +113,7 @@ def _dual_port_network(
 def _attach_auditor(sim: Simulator,
                     audit: Optional[bool]) -> Optional[FabricAuditor]:
     """Shared opt-in audit wiring for the extension builders."""
-    return FabricAuditor(sim) if audit_enabled(audit) else None
+    return FabricAuditor(sim) if audit else None
 
 
 def service_pool_victim(
@@ -513,7 +513,7 @@ def incast_sweep(
     duration = config.duration if config.duration is not None else 0.1
     # A point is incast_point_spec's arguments, in order.
     points = [(scheme_name, fanin, response_bytes, buffer_packets,
-               link_rate, duration, audit_enabled(config.audit))
+               link_rate, duration, bool(config.audit))
               for fanin in fanins]
     return cached_sweep(
         points, [incast_point_spec(*point) for point in points],

@@ -14,14 +14,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from ..control.controller import ControllerSpec, controller_enabled
+from ..control.controller import ControllerSpec
 from ..metrics.fct import SizeClass
 from ..metrics.stats import SummaryStats
-from ..net.topology import TopologySpec, as_topology, topology_enabled
-from ..sim.audit import audit_enabled
-from ..sim.faults import FaultSpec, faults_enabled
+from ..net.sharedbuf import SharedBufferSpec
+from ..net.topology import TopologySpec, as_topology
+from ..sim.faults import FaultSpec
 from ..store.runstore import RunStore
-from ..store.spec import ExperimentSpec, RunConfig
+from ..store.spec import ExperimentSpec, RunConfig, extension_params
 from ..store.sweep import cached_sweep, sweep_setup
 from .scale import ScaleProfile
 
@@ -118,6 +118,7 @@ def fct_point_spec(
     controller: Optional[ControllerSpec] = None,
     shards: int = 1,
     trains: int = 1,
+    shared_buffer: Optional[SharedBufferSpec] = None,
 ) -> ExperimentSpec:
     """The canonical identity of one §VI-B FCT point (store cache key).
 
@@ -126,19 +127,17 @@ def fct_point_spec(
     ``"fat-tree"`` strings or a
     :class:`~repro.net.topology.TopologySpec`, rendered through
     :func:`topology_params` so default fabrics keep their historical
-    keys), any injected :class:`~repro.sim.faults.FaultSpec` set and any
-    :class:`~repro.control.ControllerSpec`, rendered to canonical tuples
-    so chaos and closed-loop points key differently from clean ones
-    (and a disabled controller keys exactly as before this layer
-    existed); execution mechanics (worker count, profiler, cache
-    location) deliberately are not — see
-    :class:`~repro.store.ExperimentSpec`.
+    keys), any injected :class:`~repro.sim.faults.FaultSpec` set, any
+    :class:`~repro.control.ControllerSpec` and any
+    :class:`~repro.net.sharedbuf.SharedBufferSpec`, rendered by
+    :func:`~repro.store.spec.extension_params` so chaos, closed-loop and
+    shared-memory points key differently from clean ones (and a point
+    without them keys exactly as before these layers existed);
+    execution mechanics (worker count, profiler, cache location)
+    deliberately are not — see :class:`~repro.store.ExperimentSpec`.
     """
     params = topology_params(topology)
-    if faults:
-        params["faults"] = tuple(spec.to_param() for spec in faults)
-    if controller is not None:
-        params["controller"] = controller.to_param()
+    params.update(extension_params(faults or (), controller, shared_buffer))
     # Sharded points key separately (incast ties make them
     # tolerance-equal, not byte-equal); shards=1 keys are untouched.
     if shards and shards > 1:
@@ -159,11 +158,10 @@ def resolve_fct_topology(
 ) -> TopologySpec:
     """Resolve a runner's ``topology`` argument to a built spec.
 
-    None defers to the process default (the CLI's ``--topology`` flag),
-    then to the paper's leaf-spine.
+    None is the paper's leaf-spine, its shape from the scale profile.
     """
     if topology is None:
-        return topology_enabled(None) or TopologySpec()
+        return TopologySpec()
     if topology == "fat-tree":
         return _LEGACY_FAT_TREE
     spec = as_topology(topology)
@@ -203,21 +201,24 @@ def run_fct_sweep(
     back instead of re-simulated, an interrupted sweep resumes from
     whatever its workers persisted, and ``config.force`` (or
     ``config.resume=False``) recomputes and overwrites.
+
+    ``faults`` / ``controller`` / ``topology`` follow the one resolution
+    rule (:meth:`~repro.store.RunConfig.resolve`); the shared buffer is
+    ``config.shared_buffer``.
     """
     config, profile, seed, jobs, store, force = sweep_setup(
         config, profile, seed, store)
-    # The audit, fault and topology choices are resolved here and
-    # shipped inside each point so worker processes need not share this
-    # process's defaults.  A point is fct_point_spec's arguments, in
-    # order, plus the profiler switch (execution only, not identity).
-    audit = audit_enabled(config.audit)
-    fault_specs = faults_enabled(faults)
-    controller_spec = controller_enabled(controller)
+    # Everything is resolved here, once, and shipped inside each point:
+    # the value that keys a point is the value its worker simulates.  A
+    # point is fct_point_spec's arguments, in order, plus the profiler
+    # switch (execution only, not identity).
+    faults, controller, topology = config.resolve(
+        faults=faults, controller=controller, topology=topology)
     topology_spec = resolve_fct_topology(topology)
     points = [
-        (name, scheduler_name, load, profile, seed, audit, topology_spec,
-         fault_specs, controller_spec, config.shards, config.trains,
-         config.profile_events)
+        (name, scheduler_name, load, profile, seed, bool(config.audit),
+         topology_spec, tuple(faults or ()), controller, config.shards,
+         config.trains, config.shared_buffer, config.profile_events)
         for load in profile.loads
         for name in scheme_names
         if not (scheduler_name == "wfq" and name == "mq-ecn")

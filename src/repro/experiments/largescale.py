@@ -26,15 +26,15 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict, Optional, Sequence, Union
 
-from ..control.controller import (ControllerRuntime, ControllerSpec,
-                                  controller_enabled)
+from ..control.controller import ControllerRuntime, ControllerSpec
 from ..metrics.fct import FctCollector, SizeClass
+from ..net.sharedbuf import SharedBufferSpec
 from ..net.topology import TopologySpec
 from ..scheduling.dwrr import DwrrScheduler
 from ..scheduling.wfq import WfqScheduler
-from ..sim.audit import FabricAuditor, audit_enabled
+from ..sim.audit import FabricAuditor
 from ..sim.engine import Simulator
-from ..sim.faults import FaultScheduler, FaultSpec, faults_enabled
+from ..sim.faults import FaultScheduler, FaultSpec
 from ..sim.rng import make_rng
 from ..sim.shard import (ShardResult, ShardScenario, cut_fabric,
                          verify_fabric)
@@ -123,6 +123,7 @@ def fct_scenario(
     audit: bool = False,
     fault_specs: Sequence[FaultSpec] = (),
     controller: Optional[ControllerSpec] = None,
+    shared_buffer: Optional[SharedBufferSpec] = None,
     size_distribution: Optional[SizeDistribution] = None,
     size_scale: Optional[float] = None,
     trains: int = 1,
@@ -144,7 +145,8 @@ def fct_scenario(
         profiler.start()
     network = topo.build(
         sim, _make_scheduler_factory(scheduler_name), scheme.marker_factory,
-        default_fabric=profile.fabric, link_rate=profile.link_rate,
+        shared_buffer=shared_buffer, default_fabric=profile.fabric,
+        link_rate=profile.link_rate,
     )
     fabric = cut_fabric(network, shard_id, n_shards)
     chaos = None
@@ -249,12 +251,14 @@ def run_fct_point(
 ) -> FctRow:
     """Run one load point for one scheme and collect FCT statistics.
 
-    ``topology`` selects the fabric: a
-    :class:`~repro.net.topology.TopologySpec` (or its
-    ``preset:key=val`` string spelling, e.g. ``"fat-tree:k=6"``), or
-    None to defer to the process default the CLI's ``--topology`` flag
-    sets — falling back to the paper's leaf-spine with its shape from
-    the scale profile.  When passing a custom
+    ``faults`` / ``controller`` / ``topology`` follow the one resolution
+    rule (:meth:`~repro.store.RunConfig.resolve`): an explicit argument
+    wins, None means the ``config`` field of the same name; the shared
+    buffer is ``config.shared_buffer``.  ``topology`` selects the
+    fabric: a :class:`~repro.net.topology.TopologySpec` (or its
+    ``preset:key=val`` string spelling, e.g. ``"fat-tree:k=6"``) —
+    unset everywhere, the paper's leaf-spine with its shape from the
+    scale profile.  When passing a custom
     ``size_distribution`` that is already scaled, pass the matching
     ``size_scale`` so the small/large class boundaries scale with it.
     Execution knobs come from ``config``
@@ -262,7 +266,7 @@ def run_fct_point(
     :class:`~repro.sim.profile.SimProfiler` rides along and its
     plain-text report is printed after the run; ``config.audit``
     attaches a :class:`~repro.sim.audit.FabricAuditor` across the whole
-    fabric (None defers to the process default); ``config.shards``
+    fabric; ``config.shards``
     spreads the same :func:`fct_scenario` over that many
     conservative-lookahead shards
     (:func:`~repro.experiments.sharded.execute`).  Unsupported
@@ -272,13 +276,11 @@ def run_fct_point(
     ``provenance_out``, when given, is filled with wall time and engine
     counters for run-store provenance.  ``faults`` injects a chaos
     layer (:mod:`repro.sim.faults`) over the fabric's links, seeded
-    from the point's ``seed`` (None defers to the process default the
-    CLI's ``--faults`` flag sets); ``fault_stats_out`` receives the
+    from the point's ``seed``; ``fault_stats_out`` receives the
     per-link drop breakdown afterwards.  ``controller`` attaches a
     closed-loop :class:`~repro.control.ControllerRuntime` retuning
-    marker thresholds on the spec's period (None defers to the process
-    default the CLI's ``--controller`` flag sets);
-    ``controller_stats_out`` receives its tick/change counters.
+    marker thresholds on the spec's period; ``controller_stats_out``
+    receives its tick/change counters.
     """
     config = config or RunConfig()
     if profile is None:
@@ -287,8 +289,9 @@ def run_fct_point(
         seed = config.seed if config.seed is not None else 1
     shards = config.shards if config.shards is not None else 1
     trains = config.trains if config.trains is not None else 1
-    fault_specs = faults_enabled(faults) or ()
-    controller = controller_enabled(controller)
+    faults, controller, topology = config.resolve(
+        faults=faults, controller=controller, topology=topology)
+    fault_specs = tuple(faults or ())
     check_compatibility(
         trains=trains > 1, shards=shards > 1, faults=bool(fault_specs),
         controller=controller is not None,
@@ -297,8 +300,9 @@ def run_fct_point(
     results = execute(
         partial(fct_scenario, scheme_name=scheme_name,
                 scheduler_name=scheduler_name, load=load, profile=profile,
-                seed=seed, topo=topo, audit=audit_enabled(config.audit),
+                seed=seed, topo=topo, audit=bool(config.audit),
                 fault_specs=fault_specs, controller=controller,
+                shared_buffer=config.shared_buffer,
                 size_distribution=size_distribution, size_scale=size_scale,
                 trains=trains, profile_events=config.profile_events),
         shards, poll=max(profile.time_cap / 100.0, 1e-3),
@@ -358,9 +362,11 @@ def fct_sweep_point(point, provenance: Dict[str, Any]) -> FctRow:
     :func:`~repro.store.sweep.cached_sweep` to simulate one missed
     point."""
     (scheme_name, scheduler_name, load, profile, seed, audit, topology,
-     faults, controller, shards, trains, profile_events) = point
+     faults, controller, shards, trains, shared_buffer,
+     profile_events) = point
     return run_fct_point(
         scheme_name, scheduler_name, load, profile, seed, topology=topology,
         config=RunConfig(profile_events=profile_events, audit=audit,
-                         shards=shards, trains=trains),
+                         shards=shards, trains=trains,
+                         shared_buffer=shared_buffer),
         provenance_out=provenance, faults=faults, controller=controller)

@@ -18,14 +18,15 @@ enough to see.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..ecn.base import MarkPoint
 from ..scheduling.fifo import FifoScheduler
 from ..store.spec import RunConfig
-from .scenario import SchemeSpec, incast_flows, make_scheme, run_incast
+from .scenario import (SchemeSpec, incast_flows, make_scheme, run_incast,
+                       with_duration)
 
 __all__ = ["TraceResult", "buffer_trace", "dctcp_enqueue_dequeue",
            "tcn_trace", "pmsb_trace", "pmsbe_trace"]
@@ -58,14 +59,16 @@ def buffer_trace(
     mark_point_label: str,
     n_flows: int = 4,
     link_rate: float = 1e9,
-    duration: float = 0.02,
     init_cwnd: float = 16.0,
+    config: Optional[RunConfig] = None,
 ) -> TraceResult:
-    """Run the 4-flow single-queue incast and trace the buffer."""
+    """Run the 4-flow single-queue incast and trace the buffer
+    (``config`` duration default 0.02 s — here and in every trace
+    below)."""
     result = run_incast(
         scheme, lambda: FifoScheduler(1), incast_flows([n_flows]),
         link_rate=link_rate, trace_occupancy=True, init_cwnd=init_cwnd,
-        config=RunConfig(duration=duration),
+        config=with_duration(config, 0.02),
     )
     times, occupancy = result.trace.as_arrays()
     return TraceResult(
@@ -77,7 +80,7 @@ def buffer_trace(
 def dctcp_enqueue_dequeue(
     threshold_packets: float = 16.0,
     link_rate: float = 1e9,
-    duration: float = 0.02,
+    config: Optional[RunConfig] = None,
 ) -> Dict[str, TraceResult]:
     """Fig. 4: DCTCP (single-queue per-queue marking) at both points."""
     results: Dict[str, TraceResult] = {}
@@ -87,7 +90,7 @@ def dctcp_enqueue_dequeue(
             standard_threshold_packets=threshold_packets, mark_point=point,
         )
         results[point.value] = buffer_trace(
-            scheme, point.value, link_rate=link_rate, duration=duration
+            scheme, point.value, link_rate=link_rate, config=config
         )
     return results
 
@@ -95,13 +98,13 @@ def dctcp_enqueue_dequeue(
 def tcn_trace(
     sojourn_threshold: float = 19.2e-6,
     link_rate: float = 1e9,
-    duration: float = 0.02,
+    config: Optional[RunConfig] = None,
 ) -> TraceResult:
     """Fig. 5: TCN's trace — necessarily dequeue, no early feedback."""
     scheme = make_scheme("tcn", link_rate=link_rate,
                          tcn_threshold=sojourn_threshold)
     return buffer_trace(scheme, "dequeue", link_rate=link_rate,
-                        duration=duration)
+                        config=config)
 
 
 def _pmsb_family_trace(
@@ -109,7 +112,7 @@ def _pmsb_family_trace(
     port_threshold: float,
     rtt_threshold: float,
     link_rate: float,
-    duration: float,
+    config: Optional[RunConfig],
 ) -> Dict[str, TraceResult]:
     results: Dict[str, TraceResult] = {}
     for point in (MarkPoint.ENQUEUE, MarkPoint.DEQUEUE):
@@ -119,7 +122,7 @@ def _pmsb_family_trace(
             rtt_threshold=rtt_threshold, mark_point=point,
         )
         results[point.value] = buffer_trace(
-            scheme, point.value, link_rate=link_rate, duration=duration
+            scheme, point.value, link_rate=link_rate, config=config
         )
     return results
 
@@ -127,17 +130,17 @@ def _pmsb_family_trace(
 def pmsb_trace(
     port_threshold: float = 12.0,
     link_rate: float = 1e9,
-    duration: float = 0.02,
+    config: Optional[RunConfig] = None,
 ) -> Dict[str, TraceResult]:
     """Fig. 11: PMSB buffer occupancy, enqueue vs dequeue marking."""
-    return _pmsb_family_trace("pmsb", port_threshold, 0.0, link_rate, duration)
+    return _pmsb_family_trace("pmsb", port_threshold, 0.0, link_rate, config)
 
 
 def pmsbe_trace(
     port_threshold: float = 12.0,
     rtt_threshold: float = 14.4e-6,
     link_rate: float = 1e9,
-    duration: float = 0.02,
+    config: Optional[RunConfig] = None,
 ) -> Dict[str, TraceResult]:
     """Fig. 12: PMSB(e) buffer occupancy, enqueue vs dequeue marking.
 
@@ -145,4 +148,4 @@ def pmsbe_trace(
     one queue, so the filter should rarely suppress marks).
     """
     return _pmsb_family_trace("pmsb-e", port_threshold, rtt_threshold,
-                              link_rate, duration)
+                              link_rate, config)

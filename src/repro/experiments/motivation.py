@@ -34,13 +34,15 @@ def per_queue_standard_rtt(
     n_flows: int = 8,
     threshold_packets: float = 16.0,
     link_rate: float = 10e9,
-    duration: float = 0.04,
+    config: Optional[RunConfig] = None,
 ) -> Dict[int, SummaryStats]:
     """Fig. 1: RTT distribution vs number of active queues.
 
     ``n_flows`` flows from distinct senders share the bottleneck; they are
     spread evenly over ``n`` queues, each queue carrying the full standard
     threshold.  Returns RTT summaries (seconds) per queue count.
+    ``config`` goes to :func:`~repro.experiments.scenario.run_incast`
+    as is (default duration 0.04 s) — here and in every helper below.
     """
     results: Dict[int, SummaryStats] = {}
     for n_queues in queue_counts:
@@ -54,7 +56,7 @@ def per_queue_standard_rtt(
         result = run_incast(
             scheme, lambda n=n_queues: DwrrScheduler(n),
             incast_flows(flows_per_queue), link_rate=link_rate,
-            record_rtt=True, config=RunConfig(duration=duration),
+            record_rtt=True, config=config,
         )
         samples = result.rtt_samples()
         # Skip the slow-start transient: drop the first third of samples.
@@ -67,7 +69,7 @@ def per_queue_fractional_throughput(
     thresholds_packets: Sequence[float] = (2.0, 16.0),
     n_queues: int = 8,
     link_rate: float = 10e9,
-    duration: float = 0.04,
+    config: Optional[RunConfig] = None,
 ) -> Dict[float, float]:
     """Fig. 2: throughput of a single flow vs its queue's threshold.
 
@@ -86,7 +88,7 @@ def per_queue_fractional_throughput(
         result = run_incast(
             scheme, lambda: DwrrScheduler(n_queues),
             incast_flows(flows_per_queue), link_rate=link_rate,
-            config=RunConfig(duration=duration),
+            config=config,
         )
         results[threshold] = result.queue_gbps[0]
     return results
@@ -116,16 +118,15 @@ def per_port_victim(
     port_threshold: float = 16.0,
     flows_queue2: int = 8,
     link_rate: float = 10e9,
-    duration: float = 0.04,
-    trains: Optional[int] = None,
+    config: Optional[RunConfig] = None,
 ) -> VictimResult:
     """Figs. 3/6/7: 1 flow vs N flows under per-port marking.
 
     Two equal-weight queues; queue 1 has one flow, queue 2 has
     ``flows_queue2``.  With DWRR both should get 5 Gbps; per-port marking
     starves queue 1 when the port threshold is small relative to the flow
-    count.  ``trains`` enables the tolerance-accurate packet-train tier
-    (the CLI's ``--trains``).
+    count.  ``config.trains`` enables the tolerance-accurate
+    packet-train tier (the CLI's ``--trains``).
     """
     scheme = make_scheme(
         "per-port", link_rate=link_rate,
@@ -134,7 +135,7 @@ def per_port_victim(
     result = run_incast(
         scheme, lambda: DwrrScheduler(2),
         incast_flows([1, flows_queue2]), link_rate=link_rate,
-        config=RunConfig(duration=duration, trains=trains),
+        config=config,
     )
     return VictimResult(
         port_threshold=port_threshold,

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..control.controller import (ControllerRuntime, ControllerSpec,
-                                  controller_enabled)
+from ..control.controller import ControllerRuntime, ControllerSpec
 from ..core.pmsb import PmsbMarker
 from ..core.pmsb_endhost import AcceptAllFilter, EcnFilter, RttEcnFilter
 from ..ecn.base import Marker, MarkPoint, NullMarker
@@ -30,11 +29,11 @@ from ..metrics.queue_trace import QueueOccupancyTrace
 from ..metrics.throughput import ThroughputMeter
 from ..net.packet import MTU_BYTES
 from ..net.sharedbuf import SharedBufferSpec
-from ..net.topology import Network, TopologySpec, topology_enabled
+from ..net.topology import Network, TopologySpec, as_topology
 from ..scheduling.base import Scheduler
-from ..sim.audit import FabricAuditor, audit_enabled
+from ..sim.audit import FabricAuditor
 from ..sim.engine import Simulator
-from ..sim.faults import FaultScheduler, FaultSpec, faults_enabled
+from ..sim.faults import FaultScheduler, FaultSpec
 from ..sim.shard import (ShardResult, ShardScenario, cut_fabric,
                          verify_fabric)
 from ..store.spec import RunConfig, check_compatibility
@@ -45,7 +44,7 @@ from .sharded import execute, wire_local_flows
 
 __all__ = ["SchemeSpec", "make_scheme", "IncastResult", "run_incast",
            "incast_scenario", "incast_result", "incast_flows",
-           "check_compatibility", "SCHEME_NAMES"]
+           "with_duration", "check_compatibility", "SCHEME_NAMES"]
 
 SCHEME_NAMES = (
     "pmsb",
@@ -327,6 +326,15 @@ def incast_result(results: Sequence[ShardResult]) -> IncastResult:
         warmup=payload["warmup"], queue_gbps=payload["queue_gbps"], **live)
 
 
+def with_duration(config: Optional[RunConfig], default: float) -> RunConfig:
+    """``config`` with its duration settled: its own when set, else the
+    calling figure helper's ``default`` (each paper figure has one)."""
+    config = config or RunConfig()
+    if config.duration is not None:
+        return config
+    return config.evolve(duration=default)
+
+
 def run_incast(
     scheme: SchemeSpec,
     scheduler_factory: Callable[[], Scheduler],
@@ -353,8 +361,7 @@ def run_incast(
     (:class:`~repro.store.RunConfig`): ``config.duration`` is the
     simulated time (default 0.04 s) and ``config.audit`` attaches a
     :class:`~repro.sim.audit.FabricAuditor` to the whole fabric and runs
-    a final conservation pass (None defers to the process default the
-    CLI's ``--audit`` flag sets).  ``config.trains`` (the CLI's
+    a final conservation pass.  ``config.trains`` (the CLI's
     ``--trains``) coalesces long-flow bursts into packet-train units —
     the tolerance-accurate fast tier.  ``config.shards`` spreads the
     same :func:`incast_scenario` over that many conservative-lookahead
@@ -365,31 +372,33 @@ def run_incast(
     honour (trains with shards or faults, shards with a controller, an
     occupancy trace, ``record_rtt`` or a single-bottleneck fabric) are
     rejected up front by :func:`check_compatibility`.
-    ``faults`` injects a deterministic chaos layer
-    (:mod:`repro.sim.faults`) over the fabric, with RNG streams derived
-    from ``fault_seed`` (None defers to the ``--faults`` process
-    default).  ``shared_buffer`` gives the switch a
-    :class:`~repro.net.sharedbuf.SharedBuffer` built from the spec (None
-    defers to the ``--shared-buffer`` process default).  ``controller``
-    attaches a closed-loop :class:`~repro.control.ControllerRuntime`
-    retuning marker thresholds on the spec's period (None defers to the
-    ``--controller`` process default); controllers that consume RTT
-    force ``record_rtt`` on.  ``topology`` is a
+    ``faults`` / ``shared_buffer`` / ``controller`` / ``topology``
+    follow the one resolution rule
+    (:meth:`~repro.store.RunConfig.resolve`): an explicit argument wins,
+    None means the ``config`` field of the same name.  ``faults``
+    injects a deterministic chaos layer (:mod:`repro.sim.faults`) over
+    the fabric, with RNG streams derived from ``fault_seed``.
+    ``shared_buffer`` gives the switch a
+    :class:`~repro.net.sharedbuf.SharedBuffer` built from the spec.
+    ``controller`` attaches a closed-loop
+    :class:`~repro.control.ControllerRuntime` retuning marker thresholds
+    on the spec's period; controllers that consume RTT force
+    ``record_rtt`` on.  ``topology`` is a
     :class:`~repro.net.topology.TopologySpec` (or its string spelling;
-    None defers to the ``--topology`` process default, then to the
-    historical single-bottleneck fabric): on a multi-switch fabric the
-    flows' receiver keeps the single-bottleneck convention (host
-    ``n_senders``) and the observed port is the receiver's host-facing
-    downlink — the port the incast converges on.
+    unset everywhere, the historical single-bottleneck fabric): on a
+    multi-switch fabric the flows' receiver keeps the single-bottleneck
+    convention (host ``n_senders``) and the observed port is the
+    receiver's host-facing downlink — the port the incast converges on.
     """
     config = config or RunConfig()
     duration = config.duration if config.duration is not None else 0.04
     shards = config.shards if config.shards is not None else 1
     trains = config.trains if config.trains is not None else 1
-    topo = (topology_enabled(topology)
-            or TopologySpec(preset="single-bottleneck"))
-    fault_specs = faults_enabled(faults) or ()
-    controller = controller_enabled(controller)
+    faults, shared_buffer, controller, topology = config.resolve(
+        faults=faults, shared_buffer=shared_buffer, controller=controller,
+        topology=topology)
+    topo = as_topology(topology) or TopologySpec(preset="single-bottleneck")
+    fault_specs = tuple(faults or ())
     check_compatibility(
         trains=trains > 1, shards=shards > 1, faults=bool(fault_specs),
         controller=controller is not None,
@@ -414,7 +423,7 @@ def run_incast(
                 record_rtt=record_rtt, trace_occupancy=trace_occupancy,
                 rate_limits=rate_limits, init_cwnd=init_cwnd,
                 buffer_packets=buffer_packets,
-                audit=audit_enabled(config.audit), fault_specs=fault_specs,
+                audit=bool(config.audit), fault_specs=fault_specs,
                 fault_seed=fault_seed, shared_buffer=shared_buffer,
                 controller=controller, trains=trains),
         shards))

@@ -37,15 +37,17 @@ from dataclasses import dataclass
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
+from ..control.controller import ControllerSpec
 from ..net.packet import MTU_BYTES
 from ..net.sharedbuf import SharedBufferSpec
-from ..net.topology import TopologySpec, as_topology, topology_enabled
-from ..sim.audit import audit_enabled
+from ..net.topology import TopologySpec, as_topology
+from ..sim.faults import FaultSpec
 from ..store.runstore import RunStore
-from ..store.spec import ExperimentSpec, RunConfig
+from ..store.spec import ExperimentSpec, RunConfig, extension_params
 from ..store.sweep import cached_sweep, sweep_setup
 from .scale import ScaleProfile
-from .scenario import incast_flows, make_scheme, run_incast
+from .scenario import (incast_flows, make_scheme, run_incast,
+                       with_duration)
 
 __all__ = [
     "DEFAULT_ALPHAS",
@@ -175,8 +177,10 @@ def sharedbuf_point(
     """Measure one (scheme, scheduler, policy) buffer-contention point.
 
     Two audited-capable incast runs on a single bottleneck whose switch
-    memory is ``shared_buffer`` (pass None for the private-buffer
-    baseline):
+    memory is ``shared_buffer`` — this experiment's variable, so None is
+    the private-buffer baseline and ``config.shared_buffer`` is not
+    consulted (``config.faults`` / ``controller`` / ``topology`` reach
+    :func:`~repro.experiments.scenario.run_incast` as usual):
 
     - *victim*: 1 queue-0 flow vs ``hog_flows`` queue-1 flows from t=0;
       ``victim_err`` is the queue-0 distance from its DWRR fair share.
@@ -184,11 +188,10 @@ def sharedbuf_point(
       flows slam queue 1 at the half-way point; ``burst_loss_fraction``
       is the dropped share of everything queue 1 offered the port.
     """
-    config = config or RunConfig()
-    duration = config.duration if config.duration is not None else 0.04
+    run_cfg = with_duration(config, 0.04).evolve(shared_buffer=None)
+    duration = run_cfg.duration
     spec = shared_buffer
     scheme = make_scheme(scheme_name, link_rate=link_rate, n_queues=2)
-    run_cfg = RunConfig(duration=duration, audit=config.audit)
     # A synchronized start with the default init_cwnd=16 slams
     # (1 + hog_flows) × 16 packets into the shallow shared memory at
     # t=0: every flow loses its whole window and sits out min_rto
@@ -247,6 +250,8 @@ def sharedbuf_point_spec(
     seed: int,
     audit: bool = False,
     topology: Union[str, TopologySpec, None] = None,
+    faults: Sequence[FaultSpec] = (),
+    controller: Optional[ControllerSpec] = None,
 ) -> ExperimentSpec:
     """The canonical identity of one shared-buffer point (cache key).
 
@@ -263,6 +268,7 @@ def sharedbuf_point_spec(
         else {"topology": "single-bottleneck"})
     params["shared_buffer"] = (shared_buffer.to_param()
                                if shared_buffer is not None else "none")
+    params.update(extension_params(faults, controller))
     return ExperimentSpec.create(
         SHAREDBUF_EXPERIMENT, scheme=scheme_name, scheduler=scheduler_name,
         load=0.0, seed=seed, profile=profile, audit=audit, params=params,
@@ -274,12 +280,13 @@ def _sharedbuf_sweep_point(point,
     """Simulate one sweep point (the ``compute`` of
     :func:`~repro.store.sweep.cached_sweep`)."""
     (scheme_name, scheduler_name, shared_buffer, profile, _seed, audit,
-     topology) = point
+     topology, faults, controller) = point
     started = time.perf_counter()
     row = sharedbuf_point(
         scheme_name, scheduler_name, shared_buffer,
         link_rate=profile.link_rate,
-        config=RunConfig(duration=profile.static_duration, audit=audit),
+        config=RunConfig(duration=profile.static_duration, audit=audit,
+                         faults=faults, controller=controller),
         topology=topology,
     )
     provenance["elapsed_s"] = time.perf_counter() - started
@@ -304,20 +311,24 @@ def run_sharedbuf_sweep(
     :data:`DEFAULT_TARGET_DELAYS`); ``include_baseline`` prepends the
     private-buffer control point per scheme.  Points fan out over
     worker processes and cache/resume exactly like
-    :func:`~repro.experiments.largescale.run_fct_sweep`.
+    :func:`~repro.experiments.largescale.run_fct_sweep`.  The policy
+    grid is this sweep's variable, so ``config.shared_buffer`` is not
+    consulted; ``config.faults`` and ``config.controller`` are, and
+    ``topology=None`` means ``config.topology``.
     """
     config, profile, seed, jobs, store, force = sweep_setup(
         config, profile, seed, store)
     if policies is None:
         policies = default_policies()
-    audit = audit_enabled(config.audit)
     policy_points: List[Optional[SharedBufferSpec]] = list(policies)
     if include_baseline:
         policy_points = [None] + policy_points
-    topology_spec = topology_enabled(as_topology(topology))
+    (topology,) = config.resolve(topology=topology)
     # A point is sharedbuf_point_spec's arguments, in order.
     points = [
-        (name, scheduler_name, policy, profile, seed, audit, topology_spec)
+        (name, scheduler_name, policy, profile, seed, bool(config.audit),
+         as_topology(topology), tuple(config.faults or ()),
+         config.controller)
         for policy in policy_points
         for name in scheme_names
         if not (scheduler_name == "wfq" and name == "mq-ecn")

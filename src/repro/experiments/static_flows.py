@@ -20,7 +20,7 @@ from ..scheduling.strict_priority import StrictPriorityScheduler
 from ..scheduling.wfq import WfqScheduler
 from ..store.spec import RunConfig
 from .scenario import (IncastResult, SchemeSpec, incast_flows, make_scheme,
-                       run_incast)
+                       run_incast, with_duration)
 
 __all__ = [
     "weighted_fair_sharing",
@@ -38,10 +38,9 @@ def weighted_fair_sharing(
     port_threshold: float = 12.0,
     rtt_threshold: float = 40e-6,
     link_rate: float = 10e9,
-    duration: float = 0.04,
     warmup_fraction: float = 1.0 / 3.0,
     stagger: float = 0.0,
-    trains: Optional[int] = None,
+    config: Optional[RunConfig] = None,
 ) -> IncastResult:
     """Figs. 8/10: DWRR, two equal queues, 1 flow vs N flows.
 
@@ -49,8 +48,10 @@ def weighted_fair_sharing(
     (the paper shows 1:4 and 1:100).  ``stagger`` spreads queue-2 flow
     starts over that many seconds — at 1:100, a perfectly synchronized
     100×16-packet initial burst is an incast artifact, not the paper's
-    long-lived steady state.  ``trains`` enables the tolerance-accurate
-    packet-train tier (the CLI's ``--trains``).
+    long-lived steady state.  ``config`` goes to
+    :func:`~repro.experiments.scenario.run_incast` as is (default
+    duration 0.04 s; ``config.trains`` enables the tolerance-accurate
+    packet-train tier, the CLI's ``--trains``).
     """
     scheme = make_scheme(
         scheme_name, link_rate=link_rate, n_queues=2,
@@ -63,7 +64,7 @@ def weighted_fair_sharing(
     return run_incast(
         scheme, lambda: DwrrScheduler(2), flows,
         warmup_fraction=warmup_fraction, link_rate=link_rate,
-        config=RunConfig(duration=duration, trains=trains),
+        config=config,
     )
 
 
@@ -76,7 +77,7 @@ def rtt_distribution(
     tcn_threshold: float = 39e-6,
     standard_threshold: float = 16.0,
     link_rate: float = 10e9,
-    duration: float = 0.04,
+    config: Optional[RunConfig] = None,
 ) -> Dict[str, SummaryStats]:
     """Fig. 9: RTT distribution of queue-2 flows under each scheme.
 
@@ -96,7 +97,7 @@ def rtt_distribution(
         result = run_incast(
             scheme, lambda: DwrrScheduler(2),
             incast_flows([1, flows_queue2]), link_rate=link_rate,
-            record_rtt=True, config=RunConfig(duration=duration),
+            record_rtt=True, config=config,
         )
         samples = result.rtt_samples(queue_index=1)
         steady = samples[len(samples) // 3:]
@@ -133,7 +134,7 @@ def _run_policy(
     start_times: Sequence[float],
     rate_limits_by_queue: Dict[int, float],
     phases: List[Tuple[float, float, str]],
-    duration: float,
+    config: RunConfig,
     link_rate: float,
 ) -> PolicyResult:
     flows = incast_flows(flows_per_queue, start_times=start_times)
@@ -143,9 +144,9 @@ def _run_policy(
     }
     result = run_incast(
         scheme, scheduler_factory, flows, link_rate=link_rate,
-        rate_limits=rate_limits or None,
-        config=RunConfig(duration=duration),
+        rate_limits=rate_limits or None, config=config,
     )
+    duration = config.duration
     n_queues = len(flows_per_queue)
     phase_gbps: Dict[str, Dict[int, float]] = {}
     for t0, t1, label in phases:
@@ -167,7 +168,7 @@ def scheduler_sp_wfq(
     port_threshold: float = 12.0,
     rtt_threshold: float = 40e-6,
     link_rate: float = 10e9,
-    duration: float = 0.06,
+    config: Optional[RunConfig] = None,
 ) -> PolicyResult:
     """Fig. 13: SP+WFQ — queue 1 strictly prioritized (a paced 5 Gbps
     flow), queues 2 and 3 share the remainder with equal WFQ weights.
@@ -178,6 +179,8 @@ def scheduler_sp_wfq(
         scheme_name, link_rate=link_rate, n_queues=3,
         port_threshold_packets=port_threshold, rtt_threshold=rtt_threshold,
     )
+    config = with_duration(config, 0.06)
+    duration = config.duration
     t1 = duration / 3.0
     t2 = 2.0 * duration / 3.0
     phases = [
@@ -191,7 +194,7 @@ def scheduler_sp_wfq(
         flows_per_queue=[1, 1, 4],
         start_times=[0.0, t1, t2],
         rate_limits_by_queue={0: 5e9},
-        phases=phases, duration=duration, link_rate=link_rate,
+        phases=phases, config=config, link_rate=link_rate,
     )
 
 
@@ -200,7 +203,7 @@ def scheduler_sp(
     port_threshold: float = 12.0,
     rtt_threshold: float = 40e-6,
     link_rate: float = 10e9,
-    duration: float = 0.06,
+    config: Optional[RunConfig] = None,
 ) -> PolicyResult:
     """Fig. 14: SP with three priorities and rate-limited sources
     (5 Gbps / 3 Gbps / unlimited) → expected 5 / 3 / 2 Gbps settled."""
@@ -208,6 +211,8 @@ def scheduler_sp(
         scheme_name, link_rate=link_rate, n_queues=3,
         port_threshold_packets=port_threshold, rtt_threshold=rtt_threshold,
     )
+    config = with_duration(config, 0.06)
+    duration = config.duration
     t1 = duration / 3.0
     t2 = 2.0 * duration / 3.0
     phases = [
@@ -221,7 +226,7 @@ def scheduler_sp(
         flows_per_queue=[1, 1, 1],
         start_times=[0.0, t1, t2],
         rate_limits_by_queue={0: 5e9, 1: 3e9},
-        phases=phases, duration=duration, link_rate=link_rate,
+        phases=phases, config=config, link_rate=link_rate,
     )
 
 
@@ -230,7 +235,7 @@ def scheduler_wfq(
     port_threshold: float = 12.0,
     rtt_threshold: float = 40e-6,
     link_rate: float = 10e9,
-    duration: float = 0.06,
+    config: Optional[RunConfig] = None,
 ) -> PolicyResult:
     """Fig. 15: WFQ with two equal queues — 1 flow, then 4 more in the
     other queue → 10 Gbps alone, then a 5 / 5 split."""
@@ -238,6 +243,8 @@ def scheduler_wfq(
         scheme_name, link_rate=link_rate, n_queues=2,
         port_threshold_packets=port_threshold, rtt_threshold=rtt_threshold,
     )
+    config = with_duration(config, 0.06)
+    duration = config.duration
     t1 = duration / 2.0
     phases = [
         (0.0, t1, "q1 only"),
@@ -249,5 +256,5 @@ def scheduler_wfq(
         flows_per_queue=[1, 4],
         start_times=[0.0, t1],
         rate_limits_by_queue={},
-        phases=phases, duration=duration, link_rate=link_rate,
+        phases=phases, config=config, link_rate=link_rate,
     )

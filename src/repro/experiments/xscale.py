@@ -34,13 +34,14 @@ from functools import partial
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
+from ..net.sharedbuf import SharedBufferSpec
 from ..net.topology import TopologySpec, as_topology
-from ..sim.audit import FabricAuditor, audit_enabled
+from ..sim.audit import FabricAuditor
 from ..sim.engine import Simulator
 from ..sim.shard import (ShardResult, ShardScenario, cut_fabric,
                          verify_fabric)
 from ..store.runstore import RunStore
-from ..store.spec import ExperimentSpec, RunConfig
+from ..store.spec import ExperimentSpec, RunConfig, extension_params
 from ..store.sweep import cached_sweep, sweep_setup
 from ..transport.flow import Flow
 from ..metrics.throughput import ThroughputMeter
@@ -128,11 +129,13 @@ def xscale_point_spec(
     hogs: int = 8,
     audit: bool = False,
     shards: int = 1,
+    shared_buffer: Optional[SharedBufferSpec] = None,
 ) -> ExperimentSpec:
     """The canonical identity of one scale point (cache key)."""
     topo = as_topology(topology)
     params: Dict[str, Any] = dict(topo.cache_params())
     params["hogs"] = int(hogs)
+    params.update(extension_params(shared_buffer=shared_buffer))
     # Sharded points key separately (synchronized starts make them
     # tolerance-equal, not byte-equal); shards=1 keys are untouched.
     if shards and shards > 1:
@@ -183,6 +186,7 @@ def xscale_scenario(
     seed: int = 1,
     duration: float = 0.02,
     audit: bool = False,
+    shared_buffer: Optional[SharedBufferSpec] = None,
 ) -> ShardScenario:
     """Build one shard of a scale point — the whole point at
     ``n_shards == 1``."""
@@ -194,7 +198,8 @@ def xscale_scenario(
         FabricAuditor(sim)
     build_start = time.perf_counter()
     network = topo.build(sim, _scheduler_factory(scheduler_name, 2),
-                         scheme.marker_factory, link_rate=link_rate)
+                         scheme.marker_factory, shared_buffer=shared_buffer,
+                         link_rate=link_rate)
     build_s = time.perf_counter() - build_start
     fabric = cut_fabric(network, shard_id, n_shards)
 
@@ -280,7 +285,10 @@ def xscale_point(
     flows (service 1) toward one receiver, and reports per-queue
     goodput on the receiver's downlink after a third of the run has
     warmed the fabric up.  ``config.shards`` spreads the same
-    :func:`xscale_scenario` over that many shards.  ``provenance_out``,
+    :func:`xscale_scenario` over that many shards and
+    ``config.shared_buffer`` gives every switch a shared memory; the
+    scenario is clean and open-loop, so ``config.faults`` and
+    ``config.controller`` are not consulted.  ``provenance_out``,
     when given, receives wall time and engine counters for run-store
     provenance.
     """
@@ -295,7 +303,8 @@ def xscale_point(
                 link_rate=link_rate, seed=seed,
                 duration=(config.duration if config.duration is not None
                           else 0.02),
-                audit=bool(config.audit)),
+                audit=bool(config.audit),
+                shared_buffer=config.shared_buffer),
         config.shards if config.shards is not None else 1,
         provenance_out=provenance_out))
 
@@ -304,12 +313,12 @@ def _xscale_sweep_point(point, provenance: Dict[str, Any]) -> XScaleRow:
     """Simulate one sweep point (the ``compute`` of
     :func:`~repro.store.sweep.cached_sweep`)."""
     (scheme_name, scheduler_name, topology, profile, seed, hogs, audit,
-     shards, expected_hosts) = point
+     shards, shared_buffer, expected_hosts) = point
     row = xscale_point(
         scheme_name, topology, scheduler_name=scheduler_name, hogs=hogs,
         link_rate=profile.link_rate, seed=seed,
         config=RunConfig(duration=profile.static_duration, audit=audit,
-                         shards=shards),
+                         shards=shards, shared_buffer=shared_buffer),
         provenance_out=provenance,
     )
     if expected_hosts and row.n_hosts != expected_hosts:
@@ -334,11 +343,11 @@ def run_xscale_sweep(
     ``ladder`` entries are topology spec texts (optionally paired with
     a pinned expected host count, as in :data:`SCALE_LADDER`).  Points
     fan out over worker processes and cache/resume exactly like
-    :func:`~repro.experiments.largescale.run_fct_sweep`.
+    :func:`~repro.experiments.largescale.run_fct_sweep`.  The ladder is
+    this sweep's variable, so ``config.topology`` is not consulted.
     """
     config, profile, seed, jobs, store, force = sweep_setup(
         config, profile, seed, store)
-    audit = audit_enabled(config.audit)
     rungs: List[Tuple[TopologySpec, int]] = []
     for entry in ladder:
         if isinstance(entry, tuple):
@@ -349,8 +358,8 @@ def run_xscale_sweep(
     # A point is xscale_point_spec's arguments, in order, plus the
     # rung's pinned host count (a check, not identity).
     points = [
-        (name, scheduler_name, topo, profile, seed, hogs, audit,
-         config.shards, expected)
+        (name, scheduler_name, topo, profile, seed, hogs,
+         bool(config.audit), config.shards, config.shared_buffer, expected)
         for topo, expected in rungs
         for name in scheme_names
     ]

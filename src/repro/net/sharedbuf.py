@@ -72,8 +72,6 @@ __all__ = [
     "SharedBufferSpec",
     "SharingPolicy",
     "StaticPartitionPolicy",
-    "set_shared_buffer_default",
-    "shared_buffer_enabled",
 ]
 
 #: Recognized policy names (``SharedBufferSpec.policy`` values).
@@ -433,28 +431,3 @@ class SharedBufferSpec:
         except TypeError as exc:
             raise ValueError(
                 f"bad shared-buffer spec {text!r}: {exc}") from None
-
-
-# -- process-wide default (the CLI's --shared-buffer flag) --------------------
-
-_SHARED_BUFFER_DEFAULT: Optional[SharedBufferSpec] = None
-
-
-def set_shared_buffer_default(spec: Optional[SharedBufferSpec]) -> None:
-    """Set the process-wide shared-buffer default.
-
-    Topology builders whose ``shared_buffer`` argument is None give
-    every switch a pool built from this spec — the same pattern as
-    :func:`~repro.sim.faults.set_fault_default`.
-    """
-    global _SHARED_BUFFER_DEFAULT
-    _SHARED_BUFFER_DEFAULT = spec
-
-
-def shared_buffer_enabled(
-    spec: Optional[SharedBufferSpec] = None,
-) -> Optional[SharedBufferSpec]:
-    """Resolve a builder's ``shared_buffer`` argument against the default."""
-    if spec is None:
-        return _SHARED_BUFFER_DEFAULT
-    return spec

@@ -43,7 +43,7 @@ from ..sim.engine import Simulator
 from .host import Host
 from .link import Link
 from .port import Port
-from .sharedbuf import SharedBufferSpec, shared_buffer_enabled
+from .sharedbuf import SharedBufferSpec
 from .switch import Switch
 
 __all__ = [
@@ -51,8 +51,6 @@ __all__ = [
     "ClosGenerator",
     "TopologySpec",
     "TOPOLOGY_PRESETS",
-    "set_topology_default",
-    "topology_enabled",
     "as_topology",
     "partition_groups",
 ]
@@ -193,7 +191,7 @@ def _build_single_bottleneck(
     hosts = [Host(sim, i) for i in range(n_senders + 1)]
     network.hosts = hosts
     receiver = hosts[n_senders]
-    buf = _switch_buffer(switch, shared_buffer_enabled(shared_buffer))
+    buf = _switch_buffer(switch, shared_buffer)
 
     # Bottleneck port: switch -> receiver.
     down_link = Link(sim, link_rate, link_delay, receiver, name="sw0->recv")
@@ -377,8 +375,7 @@ class ClosGenerator:
     def _managed_port_factory(self, network: Network, scheduler_factory,
                               marker_factory, shared_buffer):
         sim = network.sim
-        sb_spec = shared_buffer_enabled(shared_buffer)
-        bufs = {id(switch): _switch_buffer(switch, sb_spec)
+        bufs = {id(switch): _switch_buffer(switch, shared_buffer)
                 for switch in network.switches}
 
         def managed_port(switch: Switch, link: Link, name: str) -> Port:
@@ -847,31 +844,6 @@ def as_topology(value: Union[str, TopologySpec, None]) -> Optional[TopologySpec]
     if value is None or isinstance(value, TopologySpec):
         return value
     return TopologySpec.parse(value)
-
-
-# -- process-wide default (the CLI's --topology flag) -------------------------
-
-_TOPOLOGY_DEFAULT: Optional[TopologySpec] = None
-
-
-def set_topology_default(spec: Optional[TopologySpec]) -> None:
-    """Set the process-wide topology default.
-
-    Runners whose ``topology`` argument is None build their fabric from
-    this spec — the same pattern as
-    :func:`~repro.net.sharedbuf.set_shared_buffer_default`.
-    """
-    global _TOPOLOGY_DEFAULT
-    _TOPOLOGY_DEFAULT = spec
-
-
-def topology_enabled(
-    spec: Union[str, TopologySpec, None] = None,
-) -> Optional[TopologySpec]:
-    """Resolve a runner's ``topology`` argument against the default."""
-    if spec is None:
-        return _TOPOLOGY_DEFAULT
-    return as_topology(spec)
 
 
 # -- shard partitioning -------------------------------------------------------

@@ -6,23 +6,16 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Event, SimulationError, Simulator
-    from .audit import FabricAuditor, InvariantViolation, audit_enabled, set_audit_default
-    from .faults import (FAULT_MODELS, FaultScheduler, FaultSpec, faults_enabled,
-                         loss_spec, set_fault_default)
+    from .audit import FabricAuditor, InvariantViolation
+    from .faults import FAULT_MODELS, FaultScheduler, FaultSpec, loss_spec
     from .profile import HeapSample, SimProfiler
     from .rng import make_rng, spawn, stable_hash
     from .timers import PeriodicTask, Timer
 
 _EXPORTS = {
     ".engine": ("Event", "SimulationError", "Simulator"),
-    ".audit": (
-        "FabricAuditor", "InvariantViolation", "audit_enabled",
-        "set_audit_default",
-    ),
-    ".faults": (
-        "FAULT_MODELS", "FaultScheduler", "FaultSpec", "faults_enabled",
-        "loss_spec", "set_fault_default",
-    ),
+    ".audit": ("FabricAuditor", "InvariantViolation"),
+    ".faults": ("FAULT_MODELS", "FaultScheduler", "FaultSpec", "loss_spec"),
     ".profile": ("HeapSample", "SimProfiler"),
     ".rng": ("make_rng", "spawn", "stable_hash"),
     ".timers": ("PeriodicTask", "Timer"),

@@ -76,9 +76,9 @@ Usage::
     sim.run(until=0.1)
     auditor.verify_fabric()               # final global conservation pass
 
-The experiments runner (``run_incast`` / ``run_fct_point``) and the CLI
-(``--audit``) wire this up automatically; :func:`set_audit_default`
-flips the process-wide default the runners consult.
+The experiment runners (``run_incast`` / ``run_fct_point``) wire this up
+when their ``config.audit`` is set, which is what the CLI's ``--audit``
+does.
 """
 
 from __future__ import annotations
@@ -91,26 +91,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..transport.endpoints import FlowHandle
     from .engine import Simulator
 
-__all__ = ["InvariantViolation", "FabricAuditor", "audit_enabled",
-           "set_audit_default"]
-
-
-#: Process-wide default consulted by experiment runners whose ``audit``
-#: argument is None.  The CLI's ``--audit`` flag flips it for a command.
-_AUDIT_DEFAULT = False
-
-
-def set_audit_default(enabled: bool) -> None:
-    """Set the process-wide audit default (what ``--audit`` toggles)."""
-    global _AUDIT_DEFAULT
-    _AUDIT_DEFAULT = bool(enabled)
-
-
-def audit_enabled(flag: Optional[bool] = None) -> bool:
-    """Resolve an experiment's ``audit`` argument against the default."""
-    if flag is None:
-        return _AUDIT_DEFAULT
-    return bool(flag)
+__all__ = ["InvariantViolation", "FabricAuditor"]
 
 
 class InvariantViolation(AssertionError):

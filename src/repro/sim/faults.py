@@ -72,9 +72,7 @@ __all__ = [
     "FAULT_MODELS",
     "FaultScheduler",
     "FaultSpec",
-    "faults_enabled",
     "loss_spec",
-    "set_fault_default",
 ]
 
 #: Recognized fault models (``FaultSpec.model`` values).
@@ -231,31 +229,6 @@ def loss_spec(model: str, rate: float, links: str = "*",
         return FaultSpec(model=model, links=links, p=p, r=r, h=h, k=0.0,
                          salt=salt)
     return FaultSpec(model=model, links=links, rate=rate, salt=salt)
-
-
-# -- process-wide default (the CLI's --faults flag) ---------------------------
-
-_FAULT_DEFAULT: Tuple[FaultSpec, ...] = ()
-
-
-def set_fault_default(specs: Sequence[FaultSpec]) -> None:
-    """Set the process-wide fault default (what ``--faults`` toggles).
-
-    Experiment runners whose ``faults`` argument is None inject these
-    specs into every fabric they build — the same pattern as
-    :func:`~repro.sim.audit.set_audit_default`.
-    """
-    global _FAULT_DEFAULT
-    _FAULT_DEFAULT = tuple(specs)
-
-
-def faults_enabled(
-    specs: Optional[Sequence[FaultSpec]] = None,
-) -> Tuple[FaultSpec, ...]:
-    """Resolve an experiment's ``faults`` argument against the default."""
-    if specs is None:
-        return _FAULT_DEFAULT
-    return tuple(specs)
 
 
 # -- runtime loss models ------------------------------------------------------

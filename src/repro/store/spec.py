@@ -4,9 +4,11 @@ Two dataclasses carry everything the harness previously threaded through
 scattered keyword arguments:
 
 - :class:`RunConfig` — *how* to run: duration, scale profile, seed,
-  worker processes, auditing, event profiling, and the run-store knobs
-  (``cache_dir`` / ``resume`` / ``force``).  Experiment entry points
-  accept ``config=RunConfig(...)``.
+  worker processes, auditing, event profiling, the run-store knobs
+  (``cache_dir`` / ``resume`` / ``force``) and the fabric extensions
+  (``faults`` / ``shared_buffer`` / ``controller`` / ``topology``).  It
+  is the only carrier of configuration — no module holds a default —
+  and every experiment entry point accepts ``config=RunConfig(...)``.
 - :class:`ExperimentSpec` — *what* was run: the canonical identity of
   one experiment point (experiment name, scheme, scheduler, load, seed,
   scale-profile physics, audit flag, extra parameters, schema/code
@@ -23,12 +25,19 @@ faults, controller, …) no runner can honour together.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..sim.rng import stable_digest
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ..control.controller import ControllerSpec
+    from ..net.sharedbuf import SharedBufferSpec
+    from ..net.topology import TopologySpec
+    from ..sim.faults import FaultSpec
+
 __all__ = ["ExperimentSpec", "RunConfig", "SPEC_SCHEMA_VERSION",
-           "check_compatibility"]
+           "check_compatibility", "extension_params"]
 
 #: Bump when the meaning of stored results changes (different statistics,
 #: different simulation semantics…): old records stop matching and
@@ -86,6 +95,25 @@ class RunConfig:
     #: per-packet fallback near marking thresholds; results are
     #: tolerance-accurate, not byte-identical (see EXPERIMENTS.md).
     trains: Optional[int] = None
+    #: Faults injected into every fabric the run builds (``--faults``).
+    faults: Optional[Sequence[FaultSpec]] = None
+    #: Switch-wide shared memory every switch's ports draw from
+    #: (``--shared-buffer``; None = private per-port buffers).
+    shared_buffer: Optional[SharedBufferSpec] = None
+    #: Closed-loop threshold controller attached to every fabric
+    #: (``--controller``).
+    controller: Optional[ControllerSpec] = None
+    #: Fabric to build instead of the runner's own default
+    #: (``--topology``; a spec or its ``preset:key=val`` spelling).
+    topology: Union[str, TopologySpec, None] = None
+
+    def resolve(self, **explicit: Any) -> Tuple[Any, ...]:
+        """The one resolution rule, applied once by each runner: an
+        explicit per-call argument wins, None means this config's field
+        of the same name.  ``faults, topology = config.resolve(
+        faults=faults, topology=topology)``."""
+        return tuple(value if value is not None else getattr(self, name)
+                     for name, value in explicit.items())
 
     def evolve(self, **changes: Any) -> "RunConfig":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
@@ -129,8 +157,9 @@ def check_compatibility(**active: bool) -> None:
     ``record_rtt``, ``single_bottleneck``), values whether the run uses
     them.  Raises :class:`ValueError` with the
     table's message for the first unsupported pair.  ``run_incast`` and
-    ``run_fct_point`` call it before building anything; the CLI calls it
-    on the parsed flags so the same text reaches ``parser.error``.
+    ``run_fct_point`` call it before building anything; the CLI reports
+    a runner's ``ValueError`` through ``parser.error``, so the same text
+    reaches the command line.
     """
     unknown = active.keys() - _FEATURES
     if unknown:
@@ -139,6 +168,22 @@ def check_compatibility(**active: bool) -> None:
     for first, second, message in _INCOMPATIBLE:
         if active.get(first) and active.get(second):
             raise ValueError(message)
+
+
+def extension_params(faults: Sequence[Any] = (), controller: Any = None,
+                     shared_buffer: Any = None) -> Dict[str, Any]:
+    """What the fabric extensions a point *resolved to* add to its spec
+    params: one canonical entry per extension that is set, nothing for
+    one that is not — a point without them keys exactly as it did before
+    the extension existed."""
+    params: Dict[str, Any] = {}
+    if faults:
+        params["faults"] = tuple(spec.to_param() for spec in faults)
+    if controller is not None:
+        params["controller"] = controller.to_param()
+    if shared_buffer is not None:
+        params["shared_buffer"] = shared_buffer.to_param()
+    return params
 
 
 def _profile_identity(profile: Any) -> Dict[str, Any]:

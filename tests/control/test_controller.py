@@ -5,9 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.control.controller import (CemController, ControllerRuntime,
-                                      ControllerSpec, TheoremController,
-                                      controller_enabled,
-                                      set_controller_default)
+                                      ControllerSpec, TheoremController)
 from repro.control.observation import ObservationVector, PortSampler
 from repro.core.analysis import port_threshold_lower_bound
 from repro.core.pmsb import PmsbMarker
@@ -95,16 +93,24 @@ class TestControllerSpec:
         assert ControllerSpec(name="theorem").wants_rtt
         assert not ControllerSpec(name="cem").wants_rtt
 
-    def test_default_plumbing(self):
-        spec = ControllerSpec(name="cem")
-        try:
-            set_controller_default(spec)
-            assert controller_enabled(None) is spec
-            explicit = ControllerSpec(name="theorem")
-            assert controller_enabled(explicit) is explicit
-        finally:
-            set_controller_default(None)
-        assert controller_enabled(None) is None
+    def test_default_plumbing(self, small_incast):
+        """``RunConfig.controller`` is honoured; an explicit argument
+        wins.  A cem schedule pinned at K makes the port threshold K."""
+        from repro.store.spec import RunConfig
+
+        def threshold_after(*args, **kwargs):
+            network = small_incast(*args, **kwargs).network
+            port = network.observed_ports("bottleneck")[0]
+            return port.marker.port_threshold_packets
+
+        def pinned(k):
+            return ControllerSpec(name="cem", period=1e-4, t1=0.0, k0=k, k1=k)
+
+        config = RunConfig(controller=pinned(3.0))
+        assert threshold_after() == 12.0
+        assert threshold_after(config) == 3.0
+        assert threshold_after(config, controller=pinned(30.0)) == 30.0
+        assert threshold_after() == 12.0
 
 
 class TestPortSampler:

@@ -13,6 +13,7 @@ from repro.core.analysis import (SteadyStateModel, bdp_packets, gamma,
                                  queue_min_lower_bound, queue_peak_length,
                                  queue_threshold_lower_bound,
                                  worst_case_flow_count)
+from repro.store.spec import RunConfig
 
 C = 10e9
 RTT = 100e-6  # BDP ~ 83 packets
@@ -176,8 +177,8 @@ class TestSawtoothTrajectory:
         simulator's steady-state buffer peak must agree to first order."""
         from repro.core.analysis import sawtooth_peak
         from repro.experiments.marking_point import dctcp_enqueue_dequeue
-        traces = dctcp_enqueue_dequeue(threshold_packets=16.0,
-                                       link_rate=1e9, duration=0.03)
+        traces = dctcp_enqueue_dequeue(threshold_packets=16.0, link_rate=1e9,
+                                       config=RunConfig(duration=0.03))
         trace = traces["enqueue"]
         # Steady state: ignore the slow-start transient (first half).
         midpoint = trace.times[-1] / 2

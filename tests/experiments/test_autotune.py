@@ -12,7 +12,7 @@ from repro.experiments.autotune import (CONTROLLER_PERIOD, AutotuneRow,
                                         run_autotune_point)
 from repro.experiments.scale import TINY
 from repro.sim.rng import stable_digest
-from repro.store import RunStore
+from repro.store import RunConfig, RunStore
 
 pytestmark = pytest.mark.slow
 
@@ -115,7 +115,8 @@ def _autotune(cache_dir, jobs=None, chaos=False):
     return run_autotune(
         grid=GRID, scheduler_name="dwrr", load_lo=0.3, load_hi=0.85,
         profile=TINY, seed=SEED, chaos=chaos, rounds=1, population=2,
-        jobs=jobs, store=str(cache_dir) if cache_dir else None)
+        config=RunConfig(jobs=jobs),
+        store=str(cache_dir) if cache_dir else None)
 
 
 class TestRunAutotune:

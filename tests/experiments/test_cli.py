@@ -84,13 +84,19 @@ class TestAuditFlag:
             assert parser.parse_args([name, "--audit"]).audit is True
             assert parser.parse_args([name]).audit is False
 
-    def test_audit_default_scoped_to_command(self, capsys):
-        from repro.sim.audit import audit_enabled
-
+    def test_audit_default_scoped_to_command(self, capsys, monkeypatch):
+        # --audit rides in the command's RunConfig: it audits that
+        # command and leaves nothing behind for the next one.
+        from repro.experiments import scenario
+        audited = []
+        real = scenario.FabricAuditor
+        monkeypatch.setattr(scenario, "FabricAuditor",
+                            lambda sim: audited.append(sim) or real(sim))
         assert main(["fig3", "--duration", "0.006", "--audit"]) == 0
         assert "queue 1" in capsys.readouterr().out
-        # The process-wide default is restored after the command returns.
-        assert audit_enabled() is False
+        assert len(audited) == 1
+        assert main(["fig3", "--duration", "0.006"]) == 0
+        assert len(audited) == 1
 
     def test_fig8_under_audit(self, capsys):
         assert main(["fig8", "--duration", "0.006", "--audit"]) == 0
@@ -167,6 +173,37 @@ class TestUnsupportedCombinations:
          "error: --faults: xscale does not support it"),
         (["xscale", "--controller", "theorem:period=0.0005"],
          "error: --controller: xscale does not support it"),
+        # A family's own sweep variable beats the matching flag.
+        (["chaos-sweep", "--faults", "iid-loss:rate=0.05,links=*"],
+         "error: --faults: chaos-sweep does not support it"),
+        (["chaos3", "--faults", "iid-loss:rate=0.05,links=*"],
+         "error: --faults: chaos3 does not support it"),
+        (["xscale", "--topology", "clos:tiers=2,ports=8,oversub=1.5"],
+         "error: --topology: xscale does not support it"),
+        (["sharedbuf", "--shared-buffer", "dt:capacity=40,alpha=0.5"],
+         "error: --shared-buffer: sharedbuf does not support it"),
+        (["autotune", "--controller", "theorem:period=0.0005"],
+         "error: --controller: autotune does not support it"),
+        (["autotune", "--faults", "iid-loss:rate=0.05,links=*"],
+         "error: --faults: autotune does not support it"),
+        # The extension builders wire their own two-port fabrics.
+        (["pool", "--faults", "iid-loss:rate=0.05,links=*"],
+         "error: --faults: pool does not support it"),
+        (["coexist", "--controller", "theorem:period=0.0005"],
+         "error: --controller: coexist does not support it"),
+        (["burst", "--topology", "leaf-spine"],
+         "error: --topology: burst does not support it"),
+        (["transports", "--shared-buffer", "dt:capacity=64"],
+         "error: --shared-buffer: transports does not support it"),
+        # table1 simulates nothing.
+        (["table1", "--topology", "leaf-spine"],
+         "error: --topology: table1 does not support it"),
+        (["table1", "--shared-buffer", "dt:capacity=64"],
+         "error: --shared-buffer: table1 does not support it"),
+        # A ValueError from a runner is one line too, not a traceback.
+        (["xscale", "--profile", "tiny", "--ladder",
+          "clos:tiers=2,ports=4,oversub=1"],
+         "error: fabric has 8 hosts but the scenario needs 10"),
     ])
     def test_exits_2_with_one_error_line(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
@@ -179,6 +216,17 @@ class TestUnsupportedCombinations:
         assert len(error_lines) == 1 and message in error_lines[0]
         assert "Traceback" not in captured.err
 
+    def test_other_exceptions_keep_their_traceback(self, monkeypatch):
+        # Only ValueError is "input the runner cannot honour".
+        from repro.experiments import motivation
+        from repro.sim.audit import InvariantViolation
+
+        def broken(*args, **kwargs):
+            raise InvariantViolation("ledger", "sw0:bottleneck",
+                                     ("a", 1), ("b", 2), "test", 0.0)
+        monkeypatch.setattr(motivation, "per_port_victim", broken)
+        with pytest.raises(InvariantViolation):
+            main(["fig3", "--duration", "0.004"])
 
     def test_neutral_values_and_reading_commands_pass(self, capsys):
         # --shards 1 / --trains 1 ask for nothing; xscale reads --shards.
@@ -297,13 +345,17 @@ class TestSharedBufferFlag:
         assert "sharing policy" in capsys.readouterr().err
 
     def test_default_scoped_to_command(self, capsys):
-        # The process default set by --shared-buffer must not leak past
-        # the command's dispatch (same contract as --audit/--faults).
-        from repro.net.sharedbuf import shared_buffer_enabled
-        assert main(["fig3", "--duration", "0.004",
-                     "--shared-buffer", "dt:capacity=400,alpha=4"]) == 0
-        assert shared_buffer_enabled(None) is None
-        capsys.readouterr()
+        # --shared-buffer changes the command it is given to and
+        # nothing after it: the flagless command prints the same rows
+        # before and after a flagged one in the same process.
+        argv = ["fig3", "--duration", "0.004"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        assert main(argv + ["--shared-buffer",
+                            "dt:capacity=20,alpha=0.5"]) == 0
+        assert capsys.readouterr().out != clean
+        assert main(argv) == 0
+        assert capsys.readouterr().out == clean
 
     def test_sharedbuf_command_runs_and_caches(self, tmp_path, capsys):
         argv = ["sharedbuf", "--profile", "tiny", "--schemes", "pmsb",
@@ -317,9 +369,9 @@ class TestSharedBufferFlag:
 
 
 class TestSpecFlags:
-    """The four spec-valued flags share one SpecFlag code path: every
-    bad input must die in argparse with the flag's own name prefixed,
-    and every default must be scoped to the dispatched command."""
+    """The four spec-valued flags share one table and one parse
+    function: every bad input must die in argparse with the flag's own
+    name prefixed, and a flag reaches only the command it was given to."""
 
     @pytest.mark.parametrize("flag,value,needle", [
         ("--topology", "bogus", "unknown topology preset"),
@@ -349,13 +401,14 @@ class TestSpecFlags:
             assert args.faults == ["iid-loss:rate=0.001"]
 
     def test_topology_default_scoped_to_command(self, capsys):
-        from repro.net.topology import topology_enabled
-
-        assert main(["fig8", "--duration", "0.004",
-                     "--topology", "leaf-spine"]) == 0
-        capsys.readouterr()
-        # The process default must not leak past dispatch.
-        assert topology_enabled(None) is None
+        argv = ["fig8", "--duration", "0.004"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        assert main(argv + ["--topology",
+                            "leaf-spine:leaf=2,spine=2,hosts=3"]) == 0
+        assert capsys.readouterr().out != clean
+        assert main(argv) == 0
+        assert capsys.readouterr().out == clean
 
     def test_sweep_with_topology_runs(self, capsys):
         assert main(["sweep", "--profile", "tiny", "--loads", "0.5",
@@ -382,6 +435,23 @@ class TestXScaleCommand:
                      "clos:tiers=2,ports=4,oversub=3"]) == 0
         out = capsys.readouterr().out
         assert "hosts" in out and "24" in out and "PMSB" in out
+
+    def test_spec_flag_reaches_the_simulation_and_its_key(self, tmp_path,
+                                                          capsys):
+        # Regression: the flag used to change the fabric (through a
+        # process global) but not the cache key, so the second command
+        # was answered with the first one's private-buffer row.
+        cache = str(tmp_path / "cache")
+        argv = ["xscale", "--profile", "tiny", "--schemes", "pmsb",
+                "--hogs", "4", "--jobs", "1", "--cache-dir", cache,
+                "--ladder", "clos:tiers=2,ports=4,oversub=3"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        assert main(argv + ["--shared-buffer",
+                            "dt:capacity=40,alpha=0.5"]) == 0
+        assert capsys.readouterr().out != clean
+        from repro.store import RunStore
+        assert len(RunStore(cache)) == 2
 
 
 class TestElideParams:

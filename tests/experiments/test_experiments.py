@@ -13,97 +13,99 @@ from repro.experiments import (ablations, analysis_validation, largescale,
                                marking_point, motivation, static_flows)
 from repro.experiments.scale import TINY
 from repro.metrics.fct import SizeClass
+from repro.store.spec import RunConfig
 
 FAST = 0.008  # seconds of simulated time — enough for direction checks
+FAST_CFG = RunConfig(duration=FAST)
 
 
 class TestMotivation:
     def test_fig1_rtt_grows_with_queue_count(self):
         results = motivation.per_queue_standard_rtt(
-            queue_counts=(1, 8), duration=FAST
-        )
+            queue_counts=(1, 8), config=FAST_CFG)
         assert results[8].mean > results[1].mean
 
     def test_fig2_small_threshold_loses_throughput(self):
         results = motivation.per_queue_fractional_throughput(
-            thresholds_packets=(2.0, 16.0), duration=FAST
-        )
+            thresholds_packets=(2.0, 16.0), config=FAST_CFG)
         assert results[2.0] < results[16.0] * 0.7
         assert results[16.0] > 8.0  # standard threshold fills the 10G link
 
     def test_fig3_per_port_creates_victim(self):
-        result = motivation.per_port_victim(16.0, 8, duration=FAST)
+        result = motivation.per_port_victim(16.0, 8, config=FAST_CFG)
         assert result.queue1_gbps < result.queue2_gbps * 0.5
         assert result.fair_share_error > 0.3
 
     def test_fig6_larger_threshold_restores_fairness(self):
-        result = motivation.per_port_victim(65.0, 8, duration=FAST)
+        result = motivation.per_port_victim(65.0, 8, config=FAST_CFG)
         assert result.fair_share_error < 0.1
 
     def test_fig7_more_flows_break_it_again(self):
-        result = motivation.per_port_victim(65.0, 40, duration=FAST)
+        result = motivation.per_port_victim(65.0, 40, config=FAST_CFG)
         assert result.fair_share_error > 0.3
 
 
 class TestMarkingPoint:
     def test_fig4_dequeue_marking_lowers_peak(self):
-        traces = marking_point.dctcp_enqueue_dequeue(duration=FAST)
+        traces = marking_point.dctcp_enqueue_dequeue(config=FAST_CFG)
         assert traces["dequeue"].peak < traces["enqueue"].peak
 
     def test_fig5_tcn_peak_like_late_feedback(self):
-        dctcp = marking_point.dctcp_enqueue_dequeue(duration=FAST)
-        tcn = marking_point.tcn_trace(duration=FAST)
+        dctcp = marking_point.dctcp_enqueue_dequeue(config=FAST_CFG)
+        tcn = marking_point.tcn_trace(config=FAST_CFG)
         assert tcn.peak > dctcp["dequeue"].peak * 0.8
 
     def test_fig11_pmsb_peak_reduction(self):
-        traces = marking_point.pmsb_trace(duration=FAST)
+        traces = marking_point.pmsb_trace(config=FAST_CFG)
         assert traces["dequeue"].peak < traces["enqueue"].peak
 
     def test_fig12_pmsbe_peak_reduction(self):
-        traces = marking_point.pmsbe_trace(duration=FAST)
+        traces = marking_point.pmsbe_trace(config=FAST_CFG)
         assert traces["dequeue"].peak < traces["enqueue"].peak
 
     def test_trace_steady_state_near_threshold(self):
-        traces = marking_point.pmsb_trace(port_threshold=12.0, duration=FAST)
+        traces = marking_point.pmsb_trace(port_threshold=12.0, config=FAST_CFG)
         assert 4.0 < traces["enqueue"].steady_mean < 30.0
 
 
 class TestStaticFlows:
     def test_fig8_pmsb_weighted_fair_sharing(self):
-        result = static_flows.weighted_fair_sharing("pmsb", duration=FAST)
+        result = static_flows.weighted_fair_sharing("pmsb", config=FAST_CFG)
         q0, q1 = result.queue_gbps[0], result.queue_gbps[1]
         assert q0 == pytest.approx(q1, rel=0.15)
         assert result.total_gbps > 8.0
 
     def test_fig9_pmsb_rtt_below_per_queue_standard(self):
         results = static_flows.rtt_distribution(
-            scheme_names=("pmsb", "per-queue-standard"), duration=FAST
-        )
+            scheme_names=("pmsb", "per-queue-standard"), config=FAST_CFG)
         assert results["PMSB"].mean < results["Per-Queue(std)"].mean
 
     def test_fig13_sp_wfq_policy(self):
-        result = static_flows.scheduler_sp_wfq(duration=3 * FAST)
+        result = static_flows.scheduler_sp_wfq(
+            config=RunConfig(duration=3 * FAST))
         settled = result.settled()
         assert settled[0] == pytest.approx(5.0, rel=0.15)
         assert settled[1] == pytest.approx(2.5, rel=0.3)
         assert settled[2] == pytest.approx(2.5, rel=0.3)
 
     def test_fig14_sp_policy(self):
-        result = static_flows.scheduler_sp(duration=3 * FAST)
+        result = static_flows.scheduler_sp(config=RunConfig(duration=3 * FAST))
         settled = result.settled()
         assert settled[0] == pytest.approx(5.0, rel=0.15)
         assert settled[1] == pytest.approx(3.0, rel=0.25)
         assert settled[2] == pytest.approx(2.0, rel=0.35)
 
     def test_fig15_wfq_policy(self):
-        result = static_flows.scheduler_wfq(duration=3 * FAST)
+        result = static_flows.scheduler_wfq(
+            config=RunConfig(duration=3 * FAST))
         alone = result.phase_gbps["q1 only"]
         settled = result.settled()
         assert alone[0] > 8.0
         assert settled[0] == pytest.approx(settled[1], rel=0.2)
 
     def test_policy_series_available(self):
-        result = static_flows.scheduler_wfq(duration=2 * FAST)
+        result = static_flows.scheduler_wfq(
+            config=RunConfig(duration=2 * FAST))
         times, gbps = result.series[0]
         assert len(times) == len(gbps) > 0
 
@@ -145,8 +147,7 @@ class TestLargescale:
 class TestAnalysisValidation:
     def test_sweep_shows_bound(self):
         rows = analysis_validation.threshold_bound_sweep(
-            threshold_factors=(0.25, 4.0), duration=FAST
-        )
+            threshold_factors=(0.25, 4.0), config=FAST_CFG)
         below, above = rows
         assert not below.predicted_underflow_free
         assert above.predicted_underflow_free
@@ -157,13 +158,13 @@ class TestAnalysisValidation:
 class TestAblations:
     def test_blindness_scale_zero_is_unfair(self):
         rows = ablations.blindness_aggressiveness(scales=(0.0, 1.0),
-                                                  duration=FAST)
+                                                  config=FAST_CFG)
         assert rows[0].fair_share_error > rows[1].fair_share_error
         assert rows[1].fair_share_error < 0.15
 
     def test_rtt_threshold_restores_fairness(self):
         rows = ablations.rtt_threshold_sweep(thresholds_us=(0.0, 40.0),
-                                             duration=FAST)
+                                             config=FAST_CFG)
         assert rows[0].fair_share_error > rows[1].fair_share_error
 
 
@@ -194,7 +195,7 @@ class TestLargescaleExtensions:
 class TestWeightedShareAblation:
     def test_unequal_weights_preserved(self):
         rows = ablations.weighted_share_preservation(
-            weight_vectors=((3, 1),), duration=FAST)
+            weight_vectors=((3, 1),), config=FAST_CFG)
         assert rows[0].max_relative_error < 0.1
         q0, q1 = rows[0].queue_gbps
         assert q0 > 2.0 * q1  # roughly 3:1

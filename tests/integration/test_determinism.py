@@ -16,14 +16,15 @@ from repro.experiments.scale import TINY
 from repro.workloads.distributions import PAPER_MIX
 from repro.workloads.generator import PoissonFlowGenerator
 from repro.sim.rng import make_rng
+from repro.store.spec import RunConfig
 
 pytestmark = pytest.mark.slow
 
 
 class TestDeterminism:
     def test_static_experiment_repeats_exactly(self):
-        a = per_port_victim(16.0, 8, duration=0.006)
-        b = per_port_victim(16.0, 8, duration=0.006)
+        a = per_port_victim(16.0, 8, config=RunConfig(duration=0.006))
+        b = per_port_victim(16.0, 8, config=RunConfig(duration=0.006))
         assert a.queue1_gbps == b.queue1_gbps
         assert a.queue2_gbps == b.queue2_gbps
 

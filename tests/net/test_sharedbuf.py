@@ -11,9 +11,7 @@ from repro.net.port import Port
 from repro.net.sharedbuf import (BSharePolicy, CompleteSharingPolicy,
                                  DynamicThresholdPolicy, PortBufferAccount,
                                  SHARING_POLICIES, SharedBuffer,
-                                 SharedBufferSpec, StaticPartitionPolicy,
-                                 set_shared_buffer_default,
-                                 shared_buffer_enabled)
+                                 SharedBufferSpec, StaticPartitionPolicy)
 from repro.scheduling.fifo import FifoScheduler
 from repro.sim.audit import FabricAuditor
 from repro.sim.rng import stable_digest
@@ -322,18 +320,22 @@ class TestSpec:
 
 
 class TestProcessDefault:
-    def test_default_resolution(self):
+    def test_default_resolution(self, small_incast):
+        """``RunConfig.shared_buffer`` is honoured, an explicit argument
+        wins, and the net layer builds what it is handed — nothing else."""
+        from repro.store.spec import RunConfig
+
+        def pool_of(*args, **kwargs):
+            return small_incast(*args, **kwargs).network.switches[0] \
+                .shared_buffer
+
         spec = SharedBufferSpec(policy="dt", capacity=32)
-        explicit = SharedBufferSpec(policy="bshare")
-        try:
-            assert shared_buffer_enabled(None) is None
-            set_shared_buffer_default(spec)
-            assert shared_buffer_enabled(None) is spec
-            # An explicit argument always wins over the process default.
-            assert shared_buffer_enabled(explicit) is explicit
-        finally:
-            set_shared_buffer_default(None)
-        assert shared_buffer_enabled(None) is None
+        explicit = SharedBufferSpec(policy="bshare", capacity=48)
+        config = RunConfig(shared_buffer=spec)
+        assert pool_of() is None
+        assert pool_of(config).capacity_packets == 32
+        assert pool_of(config, shared_buffer=explicit).capacity_packets == 48
+        assert pool_of() is None
 
 
 class CountingMarker(Marker):

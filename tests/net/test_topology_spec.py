@@ -13,8 +13,7 @@ import pytest
 from repro.net.graph import validate_routes
 from repro.net.switch import Switch
 from repro.net.topology import (ClosGenerator, TOPOLOGY_PRESETS,
-                                TopologySpec, as_topology,
-                                set_topology_default, topology_enabled)
+                                TopologySpec, as_topology)
 from repro.core.pmsb import PmsbMarker
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.engine import Simulator
@@ -255,16 +254,20 @@ class TestSpecBuild:
 
 
 class TestProcessDefault:
-    def test_topology_enabled_resolves_default(self):
+    def test_topology_enabled_resolves_default(self, small_incast):
+        """``RunConfig.topology`` is honoured; an explicit argument wins."""
+        from repro.store.spec import RunConfig
+
+        def fabric_of(*args, **kwargs):
+            return small_incast(*args, **kwargs).network.spec
+
         spec = TopologySpec.parse("fat-tree:k=4")
-        set_topology_default(spec)
-        try:
-            assert topology_enabled(None) is spec
-            explicit = TopologySpec()
-            assert topology_enabled(explicit) is explicit
-        finally:
-            set_topology_default(None)
-        assert topology_enabled(None) is None
+        config = RunConfig(topology=spec)
+        assert fabric_of().preset == "single-bottleneck"
+        assert fabric_of(config) is spec
+        explicit = TopologySpec()
+        assert fabric_of(config, topology=explicit) is explicit
+        assert fabric_of(config, topology="leaf-spine").preset == "leaf-spine"
 
 
 class TestInstallRoutes:

@@ -16,12 +16,8 @@ from repro.net.packet import make_ack, make_data
 from repro.net.port import Port
 from repro.scheduling.fifo import FifoScheduler
 from repro.scheduling.dwrr import DwrrScheduler
-from repro.sim.audit import (
-    FabricAuditor,
-    InvariantViolation,
-    audit_enabled,
-    set_audit_default,
-)
+from repro.store.spec import RunConfig
+from repro.sim.audit import FabricAuditor, InvariantViolation
 
 
 class Sink:
@@ -63,19 +59,19 @@ class DequeueMarker(Marker):
 
 
 class TestDefaults:
-    def test_audit_disabled_by_default(self):
-        assert audit_enabled() is False
-        assert audit_enabled(None) is False
+    def test_audit_disabled_by_default(self, small_incast):
+        # No audit field set: nothing rides along — there is no
+        # process-wide switch left to consult.
+        assert small_incast().network.sim.auditor is None
 
-    def test_explicit_flag_wins(self):
-        assert audit_enabled(True) is True
-        set_audit_default(True)
-        try:
-            assert audit_enabled() is True
-            assert audit_enabled(False) is False
-        finally:
-            set_audit_default(False)
-        assert audit_enabled() is False
+    def test_explicit_flag_wins(self, small_incast):
+        # RunConfig.audit is the one carrier, and an audited run leaves
+        # the next one in the same process unaudited.
+        audited = small_incast(RunConfig(audit=True)).network.sim.auditor
+        assert isinstance(audited, FabricAuditor)
+        assert small_incast(RunConfig(audit=False)).network.sim.auditor \
+            is None
+        assert small_incast().network.sim.auditor is None
 
     def test_no_hooks_without_auditor(self, sim):
         # Zero-cost-when-disabled: a bare port carries no audit hooks.

@@ -7,8 +7,7 @@ import pytest
 from repro.net.link import Link
 from repro.net.packet import make_data
 from repro.sim.engine import Simulator
-from repro.sim.faults import (FaultScheduler, FaultSpec,
-                              faults_enabled, loss_spec, set_fault_default)
+from repro.sim.faults import FaultScheduler, FaultSpec, loss_spec
 from repro.sim.rng import stable_digest
 
 
@@ -128,18 +127,18 @@ class TestLossSpec:
 
 
 class TestProcessDefault:
-    def test_default_resolution(self):
-        assert faults_enabled() == ()
-        specs = (FaultSpec(model="iid-loss", rate=0.1),)
-        set_fault_default(specs)
-        try:
-            assert faults_enabled() == specs
-            assert faults_enabled(None) == specs
-            # An explicit argument always wins, including "no faults".
-            assert faults_enabled(()) == ()
-        finally:
-            set_fault_default(())
-        assert faults_enabled() == ()
+    def test_default_resolution(self, small_incast):
+        """``RunConfig.faults`` is honoured; an explicit argument wins."""
+        from repro.store.spec import RunConfig
+
+        specs = (FaultSpec(model="iid-loss", rate=0.1, links="bottleneck"),)
+        config = RunConfig(faults=specs)
+        assert small_incast().chaos is None
+        assert tuple(small_incast(config).chaos.specs) == specs
+        # An explicit argument always wins, including "no faults" …
+        assert small_incast(config, faults=()).chaos is None
+        # … and the config's faults do not outlive the call.
+        assert small_incast().chaos is None
 
 
 def _run_loss(sim, spec, n=2000, seed=1):
