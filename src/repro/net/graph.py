@@ -91,7 +91,12 @@ def validate_routes(network: "Network") -> None:
             raise ValueError(
                 f"routing loop toward host {dst} through {switch.name}")
         status[key] = "visiting"
-        group = switch.routes.get(dst)
+        try:
+            # The datapath's lookup: a default group answers a subscript,
+            # not ``.get``.
+            group = switch.routes[dst]
+        except KeyError:
+            group = None
         if not group:
             raise ValueError(f"{switch.name} has no route to host {dst}")
         for index in group:

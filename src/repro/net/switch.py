@@ -31,6 +31,27 @@ def service_classifier(packet: Packet, port: Port) -> int:
     return packet.service % port.n_queues
 
 
+class RouteTable(dict):
+    """``dst host id -> ECMP group`` with an optional default group.
+
+    ``table[dst]`` is the lookup for every reachable destination.  A Clos
+    switch lists only the hosts *below* it; anything else resolves to
+    :attr:`default` (its uplinks) and is stored on first use, so only
+    that first lookup per destination runs Python code.  Without a
+    default a miss is the plain ``KeyError`` of a hand-wired table.
+    """
+
+    #: Group for every destination the table does not list.
+    default: Optional[Sequence[int]] = None
+
+    def __missing__(self, dst_host: int) -> Sequence[int]:
+        group = self.default
+        if group is None:
+            raise KeyError(dst_host)
+        self[dst_host] = group
+        return group
+
+
 class Switch:
     """An output-queued multi-port switch."""
 
@@ -50,7 +71,7 @@ class Switch:
         #: dst host id -> candidate output port indices (ECMP group).
         #: Values are lists (``set_route``) or shared tuples
         #: (``install_routes``); forwarding only ever indexes them.
-        self.routes: Dict[int, Sequence[int]] = {}
+        self.routes = RouteTable()
         self.classifier = classifier if classifier is not None else service_classifier
         #: Per-switch hash salt so different switches spread flows
         #: independently (as real switches' hash seeds do).
@@ -72,40 +93,45 @@ class Switch:
 
     def set_route(self, dst_host: int, port_indices: List[int]) -> None:
         """Install the ECMP group used to reach ``dst_host``."""
-        if not port_indices:
-            raise ValueError("a route needs at least one port")
-        for index in port_indices:
-            if not 0 <= index < len(self.ports):
-                raise ValueError(f"{self.name}: no port with index {index}")
-        self.routes[dst_host] = list(port_indices)
+        self.routes[dst_host] = list(self._checked_group(port_indices))
         # Route changes invalidate memoized path choices.
         self._ecmp_cache.clear()
 
-    def install_routes(self, routes: Mapping[int, Sequence[int]]) -> None:
+    def _checked_group(self, group: Sequence[int]) -> tuple:
+        if not group:
+            raise ValueError("a route needs at least one port")
+        for index in group:
+            if not 0 <= index < len(self.ports):
+                raise ValueError(f"{self.name}: no port with index {index}")
+        return tuple(group)
+
+    def install_routes(self, routes: Mapping[int, Sequence[int]],
+                       default: Optional[Sequence[int]] = None) -> None:
         """Bulk-install ECMP groups (the topology generator's path).
 
         Semantically ``set_route`` per destination, but each *distinct*
         group object is validated and frozen to a tuple once and then
-        shared by every destination that references it — a generated
-        1k-host fabric installs ~300k route entries but only two group
-        objects per switch (its down ports and its uplink ECMP set), so
-        installation cost is dominated by dict stores, not validation.
+        shared by every destination that references it.  ``default`` (a
+        Clos switch's uplinks) answers every destination ``routes`` does
+        not list — see :class:`RouteTable` — so a generated 1k-host
+        fabric installs ~75k entries, the hosts below each switch, not
+        one per (switch, host) pair.
         """
-        n_ports = len(self.ports)
         frozen: Dict[int, tuple] = {}
         table = self.routes
         for dst_host, group in routes.items():
             cached = frozen.get(id(group))
             if cached is None:
-                if not group:
-                    raise ValueError("a route needs at least one port")
-                for index in group:
-                    if not 0 <= index < n_ports:
-                        raise ValueError(
-                            f"{self.name}: no port with index {index}")
-                cached = tuple(group)
-                frozen[id(group)] = cached
+                cached = frozen[id(group)] = self._checked_group(group)
             table[dst_host] = cached
+        if default is not None:
+            stale = table.default
+            if stale is not None:
+                # Destinations resolved through the earlier default
+                # follow the new one.
+                for dst_host in [d for d, g in table.items() if g is stale]:
+                    del table[dst_host]
+            table.default = self._checked_group(default)
         self._ecmp_cache.clear()
 
     def receive(self, packet: Packet) -> None:
@@ -126,10 +152,16 @@ class Switch:
                 index = candidates[choice]
                 self._ecmp_cache[key] = index
             port = self.ports[index]
-        self.forwarded += 1
         classifier = self.classifier
         if classifier is service_classifier:
             # The default, inlined: one Python call less per hop.
-            port.enqueue(packet, packet.service % port.n_queues)
+            queue_index = packet.service % port.n_queues
         else:
-            port.enqueue(packet, classifier(packet, port))
+            queue_index = classifier(packet, port)
+            if not 0 <= queue_index < port.n_queues:
+                raise ValueError(
+                    f"{self.name}: classifier put a packet in queue "
+                    f"{queue_index} of {port.name}, which has "
+                    f"{port.n_queues} queues")
+        self.forwarded += 1
+        port.enqueue(packet, queue_index)

@@ -515,9 +515,11 @@ class ClosGenerator:
 
         A destination below one of a switch's down ports routes out that
         port (recursing through the subtree); every other destination
-        ECMPs across the switch's up ports.  Group tuples are shared
-        across destinations, so a 1k-host fabric's ~300k route entries
-        cost one validated tuple per (switch, direction).
+        ECMPs across the switch's up ports, installed once as the
+        table's default group — so a switch's table lists only the
+        hosts below it (~75k entries on the 1k-host fat-tree, keyed by
+        the hosts' own id objects) and a top-tier switch has no default:
+        an unknown destination ends there in "no route to host".
         """
         memo: Dict[int, List[int]] = {}
 
@@ -532,21 +534,11 @@ class ClosGenerator:
                 memo[id(device)] = cached
             return cached
 
-        n_hosts = len(network.hosts)
         for switch in network.switches:
             routes: Dict[int, Sequence[int]] = {}
-            covered = bytearray(n_hosts)
             for index, child in down.get(id(switch), ()):
-                direct = (index,)
-                for host_id in downstream(child):
-                    routes[host_id] = direct
-                    covered[host_id] = 1
-            up_group = tuple(up.get(id(switch), ()))
-            if up_group:
-                for host_id in range(n_hosts):
-                    if not covered[host_id]:
-                        routes[host_id] = up_group
-            switch.install_routes(routes)
+                routes.update(dict.fromkeys(downstream(child), (index,)))
+            switch.install_routes(routes, default=up.get(id(switch)))
 
 
 def _whole(value: float, what: str) -> int:

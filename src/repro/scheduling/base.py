@@ -49,7 +49,10 @@ class Scheduler:
             raise ValueError("a scheduler needs at least one queue")
         self.n_queues = n_queues
         self.weights = normalize_weights(n_queues, weights)
-        self._queues: List[Deque[Packet]] = [deque() for _ in range(n_queues)]
+        #: Per-queue FIFO storage, created by the first packet a queue
+        #: receives and dropped again by :meth:`clear`: a large fabric
+        #: pays only for the queues its traffic touches.
+        self._queues: List[Optional[Deque[Packet]]] = [None] * n_queues
         self._total_packets = 0
         #: Called as ``round_observer(sim_now_unknown)`` — actually with no
         #: argument — at each round boundary.  Only round-based schedulers
@@ -71,11 +74,15 @@ class Scheduler:
 
     def queue_len(self, queue_index: int) -> int:
         """Number of packets currently stored in ``queue_index``."""
-        return len(self._queues[queue_index])
+        queue = self._queues[queue_index]
+        return len(queue) if queue else 0
 
     def enqueue(self, queue_index: int, packet: Packet) -> None:
         """Append ``packet`` to ``queue_index``."""
-        self._queues[queue_index].append(packet)
+        queue = self._queues[queue_index]
+        if queue is None:
+            queue = self._queues[queue_index] = deque()
+        queue.append(packet)
         self._total_packets += 1
 
     def dequeue(self) -> Optional[Tuple[int, Packet]]:
@@ -90,8 +97,7 @@ class Scheduler:
         times) extend this so a cleared scheduler is indistinguishable
         from a freshly constructed one.
         """
-        for queue in self._queues:
-            queue.clear()
+        self._queues = [None] * self.n_queues
         self._total_packets = 0
         if self.clear_observer is not None:
             self.clear_observer()

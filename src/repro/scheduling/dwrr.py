@@ -49,7 +49,10 @@ class DwrrScheduler(Scheduler):
 
     def enqueue(self, queue_index: int, packet: Packet) -> None:
         # Inlined base bookkeeping (hot path).
-        self._queues[queue_index].append(packet)
+        queue = self._queues[queue_index]
+        if queue is None:
+            queue = self._queues[queue_index] = deque()
+        queue.append(packet)
         self._total_packets += 1
         if not self._is_active[queue_index]:
             self._is_active[queue_index] = True

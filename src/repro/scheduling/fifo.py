@@ -28,7 +28,10 @@ class FifoScheduler(Scheduler):
     def enqueue(self, queue_index: int, packet: Packet) -> None:
         # Inlined base bookkeeping: host NIC ports make this the most
         # frequently called scheduler method in the fabric.
-        self._queues[queue_index].append(packet)
+        queue = self._queues[queue_index]
+        if queue is None:
+            queue = self._queues[queue_index] = deque()
+        queue.append(packet)
         self._total_packets += 1
         self._order.append(queue_index)
 

@@ -5,7 +5,9 @@ queue 1 has a strict higher priority while queue 2 and queue 3 have equal
 weights in the lowest priority".  ``SpWfqScheduler`` expresses that
 directly: every queue has a priority level (lower value wins outright) and
 a weight; among same-level queues, bandwidth is shared with start-time
-fair queueing.
+fair queueing — one heap keyed ``(level, start_tag, queue_index,
+arrival_no)``, the :mod:`~repro.scheduling.wfq` order with the priority
+level in front.
 
 Setting distinct priorities for every queue degenerates to strict
 priority; a single shared level degenerates to WFQ — both covered by
@@ -14,8 +16,8 @@ dedicated classes, so this one is used only for genuine hybrids.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..net.packet import Packet
 from .base import Scheduler
@@ -36,44 +38,37 @@ class SpWfqScheduler(Scheduler):
         if len(priorities) != n_queues:
             raise ValueError(f"expected {n_queues} priorities, got {len(priorities)}")
         self.priorities = list(priorities)
-        #: Priority levels in service order (best first).
-        self._levels: List[int] = sorted(set(self.priorities))
-        self._level_queues: Dict[int, List[int]] = {
-            level: [q for q in range(n_queues) if self.priorities[q] == level]
-            for level in self._levels
-        }
-        self._virtual_time: Dict[int, float] = {level: 0.0 for level in self._levels}
-        self._finish_tag = [0.0] * n_queues
-        self._start_tags: List[Deque[float]] = [deque() for _ in range(n_queues)]
+        self._reset()
+
+    def _reset(self) -> None:
+        #: Priority level -> its SFQ virtual time.
+        self._virtual_time: Dict[int, float] = dict.fromkeys(self.priorities, 0.0)
+        self._finish_tag = [0.0] * self.n_queues
+        self._heap: List[Tuple[int, float, int, int, Packet]] = []
+        self._backlog = [0] * self.n_queues
+        self._arrivals = 0
+
+    def queue_len(self, queue_index: int) -> int:
+        return self._backlog[queue_index]
 
     def enqueue(self, queue_index: int, packet: Packet) -> None:
         level = self.priorities[queue_index]
         start = max(self._virtual_time[level], self._finish_tag[queue_index])
         self._finish_tag[queue_index] = start + packet.size / self.weights[queue_index]
-        self._start_tags[queue_index].append(start)
-        super().enqueue(queue_index, packet)
+        self._arrivals += 1
+        heappush(self._heap, (level, start, queue_index, self._arrivals, packet))
+        self._backlog[queue_index] += 1
+        self._total_packets += 1
 
     def dequeue(self) -> Optional[Tuple[int, Packet]]:
         if self._total_packets == 0:
             return None
-        for level in self._levels:
-            best_queue = -1
-            best_tag = 0.0
-            for queue_index in self._level_queues[level]:
-                tags = self._start_tags[queue_index]
-                if tags and (best_queue < 0 or tags[0] < best_tag):
-                    best_queue = queue_index
-                    best_tag = tags[0]
-            if best_queue >= 0:
-                self._start_tags[best_queue].popleft()
-                self._virtual_time[level] = best_tag
-                return best_queue, self._pop(best_queue)
-        raise AssertionError("packet accounting out of sync")  # pragma: no cover
+        level, start, queue_index, _, packet = heappop(self._heap)
+        self._virtual_time[level] = start
+        self._backlog[queue_index] -= 1
+        self._total_packets -= 1
+        return queue_index, packet
 
     def clear(self) -> None:
         super().clear()
-        for level in self._levels:
-            self._virtual_time[level] = 0.0
-        for queue_index in range(self.n_queues):
-            self._finish_tag[queue_index] = 0.0
-            self._start_tags[queue_index].clear()
+        self._reset()

@@ -7,14 +7,21 @@ standard practical approximation: each packet gets a start tag
 ``size / weight``; the scheduler serves the backlogged packet with the
 smallest start tag and sets the virtual time ``v`` to it.
 
+The backlog is one heap of ``(start_tag, queue_index, arrival_no,
+packet)``.  Start tags never decrease within a queue, so the heap minimum
+is the queue *head* with the smallest tag — lowest queue index on a tie,
+FIFO within a queue — exactly what scanning every queue head in ascending
+index would pick, in O(log backlog) instead of O(``n_queues``) per packet
+and with no per-queue storage on ports that never carry a packet.
+
 SFQ has no notion of a round (it is "generic" in the paper's taxonomy),
 so MQ-ECN cannot drive it — exactly the limitation PMSB removes.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import List, Optional, Sequence, Tuple
 
 from ..net.packet import Packet
 from .base import Scheduler
@@ -27,38 +34,39 @@ class WfqScheduler(Scheduler):
 
     def __init__(self, n_queues: int, weights: Optional[Sequence[float]] = None):
         super().__init__(n_queues, weights)
+        self._reset()
+
+    def _reset(self) -> None:
         self._virtual_time = 0.0
-        self._finish_tag = [0.0] * n_queues
-        self._start_tags: list[Deque[float]] = [deque() for _ in range(n_queues)]
+        self._finish_tag = [0.0] * self.n_queues
+        self._heap: List[Tuple[float, int, int, Packet]] = []
+        self._backlog = [0] * self.n_queues
+        self._arrivals = 0
 
     @property
     def virtual_time(self) -> float:
         """Current virtual time (start tag of the last served packet)."""
         return self._virtual_time
 
+    def queue_len(self, queue_index: int) -> int:
+        return self._backlog[queue_index]
+
     def enqueue(self, queue_index: int, packet: Packet) -> None:
         start = max(self._virtual_time, self._finish_tag[queue_index])
         self._finish_tag[queue_index] = start + packet.size / self.weights[queue_index]
-        self._start_tags[queue_index].append(start)
-        super().enqueue(queue_index, packet)
+        self._arrivals += 1
+        heappush(self._heap, (start, queue_index, self._arrivals, packet))
+        self._backlog[queue_index] += 1
+        self._total_packets += 1
 
     def dequeue(self) -> Optional[Tuple[int, Packet]]:
         if self._total_packets == 0:
             return None
-        best_queue = -1
-        best_tag = 0.0
-        for queue_index in range(self.n_queues):
-            tags = self._start_tags[queue_index]
-            if tags and (best_queue < 0 or tags[0] < best_tag):
-                best_queue = queue_index
-                best_tag = tags[0]
-        self._start_tags[best_queue].popleft()
-        self._virtual_time = best_tag
-        return best_queue, self._pop(best_queue)
+        self._virtual_time, queue_index, _, packet = heappop(self._heap)
+        self._backlog[queue_index] -= 1
+        self._total_packets -= 1
+        return queue_index, packet
 
     def clear(self) -> None:
         super().clear()
-        self._virtual_time = 0.0
-        for queue_index in range(self.n_queues):
-            self._finish_tag[queue_index] = 0.0
-            self._start_tags[queue_index].clear()
+        self._reset()

@@ -9,10 +9,14 @@ import pytest
 from repro.ecn.base import Marker, MarkPoint
 from repro.ecn.service_pool import BufferPool, DynamicThresholdPool
 from repro.sim.audit import FabricAuditor
+from repro.sim.engine import Simulator
 from repro.net.link import Link
 from repro.net.packet import make_data
 from repro.net.port import Port
+from repro.scheduling.dwrr import DwrrScheduler
 from repro.scheduling.fifo import FifoScheduler
+from repro.scheduling.hybrid import SpWfqScheduler
+from repro.scheduling.wfq import WfqScheduler
 
 
 class Sink:
@@ -26,12 +30,28 @@ class Sink:
 
 
 def make_port(sim, n_queues=1, marker=None, buffer_packets=None, pool=None,
-              bandwidth=1e9, delay=1e-6):
+              bandwidth=1e9, delay=1e-6, scheduler=None):
     sink = Sink()
     link = Link(sim, bandwidth, delay, sink)
-    port = Port(sim, link, FifoScheduler(n_queues), marker,
+    if scheduler is None:
+        scheduler = FifoScheduler(n_queues)
+    port = Port(sim, link, scheduler, marker,
                 buffer_packets=buffer_packets, pool=pool)
     return port, sink
+
+
+SCHEDULERS = {
+    "fifo": lambda: FifoScheduler(1),
+    "dwrr": lambda: DwrrScheduler(3, weights=[2, 1, 1]),
+    "wfq": lambda: WfqScheduler(3, weights=[2, 1, 1]),
+    "spwfq": lambda: SpWfqScheduler(3, priorities=[1, 0, 0]),
+}
+
+
+def scheduler_state(scheduler):
+    """Everything a scheduler holds except who is listening to it."""
+    return {name: value for name, value in vars(scheduler).items()
+            if not name.endswith("_observer")}
 
 
 class TestAccounting:
@@ -243,18 +263,23 @@ class TestReset:
         port, _sink = make_port(sim)
         assert port.last_departure == sim.now
 
-    def test_reset_mid_burst_under_audit(self, sim):
+    @pytest.mark.parametrize("kind", sorted(SCHEDULERS))
+    def test_reset_mid_burst_under_audit(self, sim, kind):
         # Regression: reset used to bypass ``BufferPool.credit`` and
         # mutate the pool counters directly — the negative-accounting
         # guard could never catch a double credit, and pool subclasses
         # never saw the bulk return.  Reset now routes through credit();
         # the auditor proves the ledgers stay balanced either side.
+        def burst(port):
+            for seq in range(10):
+                port.enqueue(make_data(1, 0, 1, seq, size=500 + 100 * seq),
+                             seq % port.n_queues)
+
         auditor = FabricAuditor(sim)
         pool = DynamicThresholdPool(100, alpha=8.0)
-        port, _sink = make_port(sim, pool=pool)
+        port, sink = make_port(sim, pool=pool, scheduler=SCHEDULERS[kind]())
         auditor.attach_port(port)
-        for seq in range(10):
-            port.enqueue(make_data(1, 0, 1, seq), 0)
+        burst(port)
         sim.run(until=1e-6)  # mid-burst: port busy, buffer occupied
         assert port.busy
         assert pool.packet_count > 0
@@ -262,8 +287,20 @@ class TestReset:
         port.reset()
         assert pool.packet_count == 0
         assert pool.byte_count == 0
+        # Queue storage, tags, deficits: all as freshly constructed.
+        assert scheduler_state(port.scheduler) == scheduler_state(
+            SCHEDULERS[kind]())
         port.reset()  # nothing left: must not credit a second time
         assert pool.packet_count == 0
+        burst(port)
+        sim.run()
+        fresh_sim = Simulator()
+        fresh, fresh_sink = make_port(fresh_sim, scheduler=SCHEDULERS[kind]())
+        burst(fresh)
+        fresh_sim.run()
+        assert ([packet.seq for packet in sink.received]
+                == [packet.seq for packet in fresh_sink.received])
+        assert len(sink.received) == 10
         auditor.verify_fabric()
 
     def test_reset_credits_shared_pool(self, sim):

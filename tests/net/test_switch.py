@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.ecn.base import NullMarker
 from repro.net.link import Link
 from repro.net.packet import make_data
 from repro.net.port import Port
 from repro.net.switch import Switch, service_classifier
+from repro.net.topology import TopologySpec
+from repro.scheduling.dwrr import DwrrScheduler
 from repro.scheduling.fifo import FifoScheduler
 
 
@@ -44,6 +47,28 @@ class TestForwarding:
         add_port(sim, switch)
         with pytest.raises(RuntimeError):
             switch.receive(make_data(1, 0, 99, 0))
+
+    def test_missing_route_names_switch_and_host(self, sim):
+        switch = Switch(sim, name="tor")
+        add_port(sim, switch)
+        switch.set_route(1, [0])
+        with pytest.raises(RuntimeError, match="^tor: no route to host 99$"):
+            switch.receive(make_data(1, 0, 99, 0))
+
+    @pytest.mark.parametrize("spec, top_tier", [
+        ("leaf-spine:leaf=2,spine=2,hosts=3", "spine"),
+        ("fat-tree:k=4", "core"),
+    ])
+    def test_unknown_host_ends_at_the_top_tier_of_a_clos(self, sim, spec,
+                                                         top_tier):
+        # Leaves and aggregation switches default upward; the first tier
+        # without a default reports the miss, and nothing loops.
+        network = TopologySpec.parse(spec).build(
+            sim, lambda: FifoScheduler(1), NullMarker)
+        network.switches[0].receive(make_data(1, 0, 999, 0))
+        with pytest.raises(RuntimeError,
+                           match=rf"^{top_tier}\w+: no route to host 999$"):
+            sim.run()
 
     def test_route_validation(self, sim):
         switch = Switch(sim)
@@ -134,6 +159,78 @@ class TestClassification:
         switch.set_route(1, [0])
         switch.receive(make_data(1, 0, 1, 0, service=0))
         assert port.queue_packet_count(1) == 1
+
+
+    @pytest.mark.parametrize("queue_index", [-1, 7])
+    def test_classifier_index_out_of_range(self, sim, queue_index):
+        # -1 used to be served as queue 3; 7 raised a bare IndexError
+        # after the port had already counted the packet.
+        switch = Switch(sim, name="tor",
+                        classifier=lambda pkt, port: queue_index)
+        sink = Sink()
+        port = Port(sim, Link(sim, 10e9, 1e-6, sink), DwrrScheduler(4),
+                    name="tor:p0")
+        switch.add_port(port)
+        switch.set_route(1, [0])
+        with pytest.raises(ValueError) as error:
+            switch.receive(make_data(1, 0, 1, 0))
+        assert str(error.value) == (
+            f"tor: classifier put a packet in queue {queue_index} of "
+            f"tor:p0, which has 4 queues")
+        assert (port.packet_count, port.byte_count) == (0, 0)
+        assert len(port.scheduler) == 0
+        assert [port.scheduler.queue_len(q) for q in range(4)] == [0] * 4
+        assert switch.forwarded == 0
+        sim.run()
+        assert sink.received == [] and port.queue_tx_bytes == [0] * 4
+
+
+class TestDefaultGroup:
+    def _switch(self, sim):
+        switch = Switch(sim)
+        for _ in range(4):
+            add_port(sim, switch)
+        switch.install_routes({0: [0], 1: [1]}, default=[2, 3])
+        return switch
+
+    def test_default_answers_unlisted_destinations_with_one_group(self, sim):
+        switch = self._switch(sim)
+        assert switch.routes[0] == (0,)
+        assert switch.routes[7] == (2, 3)
+        assert switch.routes[7] is switch.routes[8] is switch.routes.default
+        assert switch.routes.get(9) is None  # only a subscript resolves
+
+    def test_default_group_is_validated(self, sim):
+        switch = self._switch(sim)
+        with pytest.raises(ValueError, match="no port with index 4"):
+            switch.install_routes({}, default=[4])
+        with pytest.raises(ValueError, match="at least one port"):
+            switch.install_routes({}, default=[])
+
+    def test_set_route_overrides_a_defaulted_destination(self, sim):
+        switch = self._switch(sim)
+        switch.receive(make_data(5, 0, 7, 0))  # resolved and ECMP-pinned
+        assert switch._ecmp_cache
+        switch.set_route(7, [1])
+        assert not switch._ecmp_cache
+        assert switch.routes[7] == [1]
+        assert switch.routes[8] == (2, 3)
+        switch.receive(make_data(5, 0, 7, 1))
+        assert switch.ports[1].packet_count == 1
+
+    def test_a_new_default_replaces_the_old_one_everywhere(self, sim):
+        switch = self._switch(sim)
+        assert switch.routes[7] == (2, 3)  # resolved, hence stored
+        switch.install_routes({}, default=[3])
+        assert switch.routes[7] == (3,) and switch.routes[0] == (0,)
+
+    def test_install_without_default_is_a_plain_table(self, sim):
+        switch = Switch(sim)
+        add_port(sim, switch)
+        switch.install_routes({0: [0]})
+        with pytest.raises(KeyError):
+            switch.routes[1]
+        assert len(switch.routes) == 1
 
 
 class TestEcmpCache:

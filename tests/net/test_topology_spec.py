@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.ecn.base import NullMarker
+from repro.experiments.xscale import SCALE_LADDER
 from repro.net.graph import validate_routes
+from repro.net.host import Host
 from repro.net.switch import Switch
 from repro.net.topology import (ClosGenerator, TOPOLOGY_PRESETS,
                                 TopologySpec, as_topology)
 from repro.core.pmsb import PmsbMarker
 from repro.scheduling.dwrr import DwrrScheduler
+from repro.scheduling.fifo import FifoScheduler
 from repro.sim.engine import Simulator
 
 
@@ -188,11 +192,110 @@ class TestDerivedRoutes:
         network = _build("clos:tiers=3,ports=4")
         validate_routes(network)
 
+    def test_broken_tables_fail_validation(self):
+        network = _build("fat-tree:k=4")
+        core = network.switches[-1]
+        del core.routes[5]
+        with pytest.raises(ValueError,
+                           match=f"{core.name} has no route to host 5"):
+            validate_routes(network)
+        network = _build("fat-tree:k=4")
+        edge = network.switches[0]
+        edge.install_routes({}, default=[0])  # port 0 faces host 0
+        with pytest.raises(ValueError,
+                           match=f"{edge.name} port .* routes host 2 into host 0"):
+            validate_routes(network)
+
     def test_network_records_its_spec(self):
         spec = TopologySpec.parse("fat-tree:k=4")
         sim = Simulator()
         network = spec.build(sim, _sched, _marker)
         assert network.spec == spec
+
+
+def _expanded_tables(network):
+    """``{switch name: (down table, up group)}`` — expanded over every
+    host, the table the generator installed before a default group
+    stood in for the upward entries: a host below a down port routes
+    out that port, every other host across all up ports.  Tiers are
+    read off the link graph (breadth-first upward from the hosts), not
+    off the generator's bookkeeping."""
+    tier = {host.name: 0 for host in network.hosts}
+    frontier = [(host, [host.nic]) for host in network.hosts]
+    while frontier:
+        above = []
+        for device, ports in frontier:
+            for port in ports:
+                peer = port.link.dst
+                if peer.name not in tier:
+                    tier[peer.name] = tier[device.name] + 1
+                    above.append((peer, peer.ports))
+        frontier = above
+
+    below = {}
+
+    def hosts_below(device):
+        if isinstance(device, Host):
+            return [device.host_id]
+        if device.name not in below:
+            below[device.name] = [
+                host_id for port in device.ports
+                if tier[port.link.dst.name] < tier[device.name]
+                for host_id in hosts_below(port.link.dst)]
+        return below[device.name]
+
+    tables = {}
+    for switch in network.switches:
+        down, up = {}, []
+        for index, port in enumerate(switch.ports):
+            if tier[port.link.dst.name] > tier[switch.name]:
+                up.append(index)
+            else:
+                down.update(dict.fromkeys(hosts_below(port.link.dst),
+                                          (index,)))
+        tables[switch.name] = down, tuple(up)
+    return tables
+
+
+class TestRouteOracle:
+    """``switch.routes[dst]`` against the fully expanded table."""
+
+    FABRICS = ["leaf-spine:leaf=2,spine=2,hosts=3", "fat-tree:k=4",
+               "clos:tiers=3,ports=8,oversub=3"]
+    FABRICS += [text for text, _n_hosts in SCALE_LADDER]
+
+    @pytest.mark.parametrize("spec_text", FABRICS)
+    def test_every_switch_host_pair(self, spec_text):
+        network = TopologySpec.parse(spec_text).build(
+            Simulator(), lambda: FifoScheduler(1), NullMarker)
+        hosts = [host.host_id for host in network.hosts]
+        expanded = _expanded_tables(network)
+        for switch in network.switches:
+            down, up = expanded[switch.name]
+            assert len(switch.routes) == len(down)  # installed: downward only
+            assert up or len(down) == len(hosts)
+            shared = {}
+            for dst in hosts:
+                group = switch.routes[dst]
+                assert group == down.get(dst, up), (switch.name, dst)
+                # One object per distinct group, however it was reached.
+                assert shared.setdefault(group, group) is group
+        validate_routes(network)
+        # The walk perfbench/inputs.py sizes its inputs with: follow the
+        # first ECMP member from the source's NIC until a host.
+        reached = {}
+
+        def walk(device, dst):
+            if isinstance(device, Host):
+                return device.host_id
+            key = (device.name, dst)
+            if key not in reached:
+                reached[key] = walk(
+                    device.ports[device.routes[dst][0]].link.dst, dst)
+            return reached[key]
+
+        for first_hop in {src.nic.link.dst for src in network.hosts}:
+            assert all(walk(first_hop, dst) == dst for dst in hosts)
 
 
 class TestObservedPorts:
