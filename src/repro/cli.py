@@ -172,7 +172,6 @@ def _run_config(args, specs: Dict[str, Any]) -> RunConfig:
         cache_dir=getattr(args, "cache_dir", None),
         force=getattr(args, "force", False),
         shards=args.shards,
-        trains=args.trains,
         **specs,
     )
 
@@ -606,7 +605,6 @@ _INCAST = tuple(f"fig{n}" for n in range(1, 16)) + ("theorem", "ablation")
 #: own two-port fabrics and table1 simulates nothing.
 _READ_BY = {
     "shards": ("sweep", "chaos-sweep", "xscale"),
-    "trains": ("fig3", "fig6", "fig7", "fig8", "sweep"),
     "faults": _INCAST + ("sweep", "sharedbuf"),
     "controller": _INCAST + ("chaos3", "chaos8", "sweep", "chaos-sweep",
                              "sharedbuf"),
@@ -855,12 +853,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                              "lookahead shard processes (leaf/pod "
                              "partition, deterministic merge; needs a "
                              "multi-switch fabric — see docs/API.md)")
-    common.add_argument("--trains", type=int, default=None,
-                        help="coalesce long-flow bursts into packet "
-                             "trains of up to N MTU segments (one event "
-                             "per train; tolerance-accurate, ports fall "
-                             "back per-packet near marking thresholds — "
-                             "see EXPERIMENTS.md)")
     for dest, (_module, _spec_class, help_text) in SPEC_FLAGS.items():
         if dest == "faults":
             common.add_argument(_flag(dest), action="append",

@@ -30,7 +30,6 @@ protects against a momentary, not average, imbalance).
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from ..ecn.base import Marker, MarkPoint
@@ -132,24 +131,3 @@ class PmsbMarker(Marker):
             return True
         self.victims_protected += 1
         return False
-
-    def _train_unmarked(self, port, queue_index, packet, base_port,
-                        base_queue):
-        if self.average_weight is not None:
-            # The §IV-C EWMA variant mutates state per decision, so the
-            # marking prefix has no closed form — per-packet fallback.
-            return None
-        # Segment i (1-based) sees port occupancy base_port + i and its
-        # own queue at base_queue + i.  Both Algorithm 1 conditions are
-        # monotone over a back-to-back burst: the port check first holds
-        # at i_port, the queue check at i_queue, and the packet is
-        # marked from max(i_port, i_queue) on.  Segments in between pass
-        # the port check but fail the queue check — the protected
-        # victims (Algorithm 1 line 7).
-        i_port = max(1, math.ceil(self.port_threshold_packets - base_port))
-        i_queue = max(1, math.ceil(
-            self.queue_threshold(port, queue_index) - base_queue))
-        i_mark = max(i_port, i_queue)
-        n = packet.train
-        self.victims_protected += max(0, min(i_mark - 1, n) - i_port + 1)
-        return i_mark - 1

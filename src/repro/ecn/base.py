@@ -211,56 +211,6 @@ class Marker:
             packet.ce = True
             self.packets_marked += 1
 
-    # -- packet trains -----------------------------------------------------
-
-    def train_split(self, port: "Port", queue_index: int, packet: Packet,
-                    base_port: int, base_queue: int) -> Optional[int]:
-        """Closed-form marking for a whole packet train at enqueue.
-
-        Called by :meth:`repro.net.port.Port.enqueue` *instead of*
-        :meth:`on_enqueue` when ``packet.train > 1``.  ``base_port`` /
-        ``base_queue`` are the port / queue occupancies (packets)
-        *before* the train — in per-packet mode a sender's burst
-        enqueues back-to-back inside one callback, so segment ``i``
-        (1-based) deterministically sees occupancy ``base + i``.
-
-        Returns the number of *unmarked leading segments* ``u`` in
-        ``[0, n]``: the port marks segments ``u+1 .. n`` CE (splitting
-        the train at the crossing), which reproduces the enqueue-point
-        decision sequence of any scheme whose condition is monotone in
-        occupancy.  Returns ``None`` when no closed form exists —
-        dequeue-point marking, or a scheme whose decision mutates state
-        per packet (EWMAs, round clocks) — and the port falls back to a
-        full per-packet split.
-
-        Subclasses implement :meth:`_train_unmarked`; this wrapper owns
-        the threshold-boundary commit, the ECT gate and the
-        seen/marked statistics, mirroring :meth:`_evaluate`.
-        """
-        if self._pending_thresholds is not None:
-            self._commit_thresholds()
-        if self.mark_point is not MarkPoint.ENQUEUE:
-            return None
-        n = packet.train
-        if not packet.ect:
-            return n
-        unmarked = self._train_unmarked(port, queue_index, packet,
-                                        base_port, base_queue)
-        if unmarked is None:
-            return None
-        unmarked = max(0, min(n, unmarked))
-        self.packets_seen += n
-        self.packets_marked += n - unmarked
-        return unmarked
-
-    def _train_unmarked(self, port: "Port", queue_index: int, packet: Packet,
-                        base_port: int, base_queue: int) -> Optional[int]:
-        """Scheme hook for :meth:`train_split`: the unmarked-prefix
-        length, or None when the scheme has no closed form.  The base
-        marker declares no closed form, so unknown schemes stay exact
-        via the per-packet fallback."""
-        return None
-
 
 class NullMarker(Marker):
     """Never marks — drop-tail behaviour (host NICs, non-ECN baselines).
@@ -280,11 +230,3 @@ class NullMarker(Marker):
 
     def decide(self, port: "Port", queue_index: int, packet: Packet) -> bool:
         return False
-
-    def train_split(self, port: "Port", queue_index: int, packet: Packet,
-                    base_port: int, base_queue: int) -> Optional[int]:
-        # A marker that never marks leaves every train segment unmarked
-        # — and host NIC ports, the datapath's hottest trains path, skip
-        # the whole evaluate/accounting dispatch exactly like the no-op
-        # per-packet hooks above.
-        return packet.train

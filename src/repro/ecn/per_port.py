@@ -9,7 +9,6 @@ exists to fix.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from ..net.packet import Packet
@@ -45,10 +44,3 @@ class PerPortMarker(Marker):
 
     def decide(self, port: "Port", queue_index: int, packet: Packet) -> bool:
         return port.packet_count >= self.threshold_packets
-
-    def _train_unmarked(self, port, queue_index, packet, base_port,
-                        base_queue):
-        # Segment i (1-based) sees occupancy base_port + i; it is
-        # unmarked while base_port + i < K, so the prefix length is the
-        # count of positive integers strictly below K - base_port.
-        return max(0, math.ceil(self.threshold_packets - base_port) - 1)

@@ -13,7 +13,6 @@ configurations from the paper's motivation (§II-B):
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence, TYPE_CHECKING, Union
 
 from ..net.packet import Packet
@@ -88,11 +87,3 @@ class PerQueueMarker(Marker):
 
     def decide(self, port: "Port", queue_index: int, packet: Packet) -> bool:
         return port.queue_packet_count(queue_index) >= self.threshold(queue_index)
-
-    def _train_unmarked(self, port, queue_index, packet, base_port,
-                        base_queue):
-        # Segment i sees its own queue at base_queue + i; unmarked while
-        # base_queue + i < K_q (same closed form as the per-port scheme,
-        # on the queue axis).
-        threshold = self.threshold(queue_index)
-        return max(0, math.ceil(threshold - base_queue) - 1)

@@ -117,7 +117,6 @@ def fct_point_spec(
     faults: Sequence[FaultSpec] = (),
     controller: Optional[ControllerSpec] = None,
     shards: int = 1,
-    trains: int = 1,
     shared_buffer: Optional[SharedBufferSpec] = None,
 ) -> ExperimentSpec:
     """The canonical identity of one §VI-B FCT point (store cache key).
@@ -142,11 +141,6 @@ def fct_point_spec(
     # tolerance-equal, not byte-equal); shards=1 keys are untouched.
     if shards and shards > 1:
         params["shards"] = int(shards)
-    # Same contract for packet trains: the train tier is
-    # tolerance-accurate, so trained points must never resume from (or
-    # pollute) exact per-packet records; trains=1 keys are untouched.
-    if trains and trains > 1:
-        params["trains"] = int(trains)
     return ExperimentSpec.create(
         "fct-point", scheme=scheme_name, scheduler=scheduler_name,
         load=load, seed=seed, profile=profile, audit=audit, params=params,
@@ -218,7 +212,7 @@ def run_fct_sweep(
     points = [
         (name, scheduler_name, load, profile, seed, bool(config.audit),
          topology_spec, tuple(faults or ()), controller, config.shards,
-         config.trains, config.shared_buffer, config.profile_events)
+         config.shared_buffer, config.profile_events)
         for load in profile.loads
         for name in scheme_names
         if not (scheduler_name == "wfq" and name == "mq-ecn")

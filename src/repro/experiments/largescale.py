@@ -126,7 +126,6 @@ def fct_scenario(
     shared_buffer: Optional[SharedBufferSpec] = None,
     size_distribution: Optional[SizeDistribution] = None,
     size_scale: Optional[float] = None,
-    trains: int = 1,
     profile_events: bool = False,
 ) -> ShardScenario:
     """Build one shard of an FCT point — the whole point at
@@ -173,7 +172,7 @@ def fct_scenario(
 
     handles = wire_local_flows(
         network, fabric, flows,
-        lambda _flow: scheme.transport_config(trains, init_cwnd=16.0,
+        lambda _flow: scheme.transport_config(init_cwnd=16.0,
                                               record_rtt=want_rtt),
         on_complete=collector.on_complete)
     if runtime is not None:
@@ -270,8 +269,8 @@ def run_fct_point(
     spreads the same :func:`fct_scenario` over that many
     conservative-lookahead shards
     (:func:`~repro.experiments.sharded.execute`).  Unsupported
-    combinations (trains with shards or faults; shards with a
-    controller or ``profile_events``) are rejected up front by
+    combinations (shards with a controller or ``profile_events``) are
+    rejected up front by
     :func:`~repro.experiments.scenario.check_compatibility`.
     ``provenance_out``, when given, is filled with wall time and engine
     counters for run-store provenance.  ``faults`` injects a chaos
@@ -288,13 +287,11 @@ def run_fct_point(
     if seed is None:
         seed = config.seed if config.seed is not None else 1
     shards = config.shards if config.shards is not None else 1
-    trains = config.trains if config.trains is not None else 1
     faults, controller, topology = config.resolve(
         faults=faults, controller=controller, topology=topology)
     fault_specs = tuple(faults or ())
     check_compatibility(
-        trains=trains > 1, shards=shards > 1, faults=bool(fault_specs),
-        controller=controller is not None,
+        shards=shards > 1, controller=controller is not None,
         profile_events=config.profile_events)
     topo = resolve_fct_topology(topology)
     results = execute(
@@ -304,7 +301,7 @@ def run_fct_point(
                 fault_specs=fault_specs, controller=controller,
                 shared_buffer=config.shared_buffer,
                 size_distribution=size_distribution, size_scale=size_scale,
-                trains=trains, profile_events=config.profile_events),
+                profile_events=config.profile_events),
         shards, poll=max(profile.time_cap / 100.0, 1e-3),
         provenance_out=provenance_out)
 
@@ -362,11 +359,9 @@ def fct_sweep_point(point, provenance: Dict[str, Any]) -> FctRow:
     :func:`~repro.store.sweep.cached_sweep` to simulate one missed
     point."""
     (scheme_name, scheduler_name, load, profile, seed, audit, topology,
-     faults, controller, shards, trains, shared_buffer,
-     profile_events) = point
+     faults, controller, shards, shared_buffer, profile_events) = point
     return run_fct_point(
         scheme_name, scheduler_name, load, profile, seed, topology=topology,
         config=RunConfig(profile_events=profile_events, audit=audit,
-                         shards=shards, trains=trains,
-                         shared_buffer=shared_buffer),
+                         shards=shards, shared_buffer=shared_buffer),
         provenance_out=provenance, faults=faults, controller=controller)

@@ -125,8 +125,7 @@ def per_port_victim(
     Two equal-weight queues; queue 1 has one flow, queue 2 has
     ``flows_queue2``.  With DWRR both should get 5 Gbps; per-port marking
     starves queue 1 when the port threshold is small relative to the flow
-    count.  ``config.trains`` enables the tolerance-accurate
-    packet-train tier (the CLI's ``--trains``).
+    count.
     """
     scheme = make_scheme(
         "per-port", link_rate=link_rate,

@@ -66,19 +66,8 @@ class SchemeSpec:
     marker_factory: Callable[[], Marker]
     ecn_filter_factory: Callable[[], EcnFilter] = field(default=AcceptAllFilter)
 
-    def transport_config(self, trains: int = 1, **overrides) -> DctcpConfig:
-        """A DCTCP config wired with this scheme's sender-side filter.
-
-        ``trains > 1`` selects the packet-train tier, which coalesces
-        ACKs too (DCTCP delayed-ACK CE state machine, one ACK per two
-        data units): one event per data train would be undone by
-        per-unit ACK traffic on the way back.  PSH flushes
-        (window-filling / flow-final units) keep window-limited flows
-        off the delack timer.
-        """
-        if trains > 1:
-            overrides.update(train_packets=trains, ack_every=2,
-                             delack_timeout=5e-6)
+    def transport_config(self, **overrides) -> DctcpConfig:
+        """A DCTCP config wired with this scheme's sender-side filter."""
         return DctcpConfig(ecn_filter_factory=self.ecn_filter_factory, **overrides)
 
 
@@ -231,7 +220,6 @@ def incast_scenario(
     fault_seed: int = 0,
     shared_buffer: Optional[SharedBufferSpec] = None,
     controller: Optional[ControllerSpec] = None,
-    trains: int = 1,
 ) -> ShardScenario:
     """Build one shard of an incast — the whole incast at
     ``n_shards == 1``.  :func:`run_incast` resolves defaults, validates
@@ -277,8 +265,7 @@ def incast_scenario(
     def make_config(flow: Flow) -> DctcpConfig:
         rate = None if rate_limits is None else rate_limits.get(flow.src)
         return scheme.transport_config(
-            trains, record_rtt=record_rtt, rate_limit_bps=rate,
-            init_cwnd=init_cwnd)
+            record_rtt=record_rtt, rate_limit_bps=rate, init_cwnd=init_cwnd)
 
     handles = wire_local_flows(network, fabric, flows, make_config)
     if runtime is not None:
@@ -361,15 +348,12 @@ def run_incast(
     (:class:`~repro.store.RunConfig`): ``config.duration`` is the
     simulated time (default 0.04 s) and ``config.audit`` attaches a
     :class:`~repro.sim.audit.FabricAuditor` to the whole fabric and runs
-    a final conservation pass.  ``config.trains`` (the CLI's
-    ``--trains``) coalesces long-flow bursts into packet-train units —
-    the tolerance-accurate fast tier.  ``config.shards`` spreads the
-    same :func:`incast_scenario` over that many conservative-lookahead
-    shards (:func:`~repro.experiments.sharded.execute`); the result then
+    a final conservation pass.  ``config.shards`` spreads the same
+    :func:`incast_scenario` over that many conservative-lookahead shards
+    (:func:`~repro.experiments.sharded.execute`); the result then
     carries ``queue_gbps`` only — the live ``network`` / ``meter`` /
     ``handles`` stay in the workers and come back None / empty.
-    Combinations the runner cannot
-    honour (trains with shards or faults, shards with a controller, an
+    Combinations the runner cannot honour (shards with a controller, an
     occupancy trace, ``record_rtt`` or a single-bottleneck fabric) are
     rejected up front by :func:`check_compatibility`.
     ``faults`` / ``shared_buffer`` / ``controller`` / ``topology``
@@ -393,15 +377,13 @@ def run_incast(
     config = config or RunConfig()
     duration = config.duration if config.duration is not None else 0.04
     shards = config.shards if config.shards is not None else 1
-    trains = config.trains if config.trains is not None else 1
     faults, shared_buffer, controller, topology = config.resolve(
         faults=faults, shared_buffer=shared_buffer, controller=controller,
         topology=topology)
     topo = as_topology(topology) or TopologySpec(preset="single-bottleneck")
     fault_specs = tuple(faults or ())
     check_compatibility(
-        trains=trains > 1, shards=shards > 1, faults=bool(fault_specs),
-        controller=controller is not None,
+        shards=shards > 1, controller=controller is not None,
         trace_occupancy=trace_occupancy, record_rtt=record_rtt,
         single_bottleneck=topo.preset == "single-bottleneck")
     n_senders = max(flow.src for flow in flows) + 1
@@ -425,5 +407,5 @@ def run_incast(
                 buffer_packets=buffer_packets,
                 audit=bool(config.audit), fault_specs=fault_specs,
                 fault_seed=fault_seed, shared_buffer=shared_buffer,
-                controller=controller, trains=trains),
+                controller=controller),
         shards))

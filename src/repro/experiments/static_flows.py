@@ -50,8 +50,7 @@ def weighted_fair_sharing(
     100×16-packet initial burst is an incast artifact, not the paper's
     long-lived steady state.  ``config`` goes to
     :func:`~repro.experiments.scenario.run_incast` as is (default
-    duration 0.04 s; ``config.trains`` enables the tolerance-accurate
-    packet-train tier, the CLI's ``--trains``).
+    duration 0.04 s).
     """
     scheme = make_scheme(
         scheme_name, link_rate=link_rate, n_queues=2,

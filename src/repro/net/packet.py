@@ -26,7 +26,7 @@ from ..sim.engine import slow_path_default
 __all__ = [
     "Packet", "PacketPool", "POOL",
     "DATA", "ACK", "MTU_BYTES", "ACK_BYTES", "HEADER_BYTES",
-    "make_data", "make_ack", "make_reply_ack", "split_train",
+    "make_data", "make_ack", "make_reply_ack",
     "release", "set_pooling",
 ]
 
@@ -73,8 +73,6 @@ class Packet:
         "retransmit",
         "pinned",
         "pooled",
-        "train",
-        "push",
     )
 
     def __init__(
@@ -117,18 +115,6 @@ class Packet:
         #: True while the object sits in the free-list (double-release
         #: guard; also lets observers detect a recycled handle).
         self.pooled = False
-        #: Packet-train width: the number of consecutive MTU segments
-        #: this object stands for (``--trains`` mode).  ``size`` is the
-        #: total wire bytes of all segments and ``seq`` the first
-        #: segment's sequence number, so byte/packet accounting works
-        #: unchanged.  1 — the default everywhere — is a plain packet;
-        #: on ACKs the field echoes the width of the data unit being
-        #: acknowledged (the sender weights its alpha estimate by it).
-        self.train = 1
-        #: PSH semantics: the sender marks the unit carrying a flow's
-        #: final segment so a delayed-ACK receiver acknowledges it
-        #: immediately instead of sitting on the delack timer.
-        self.push = False
 
     @property
     def is_data(self) -> bool:
@@ -215,8 +201,6 @@ class PacketPool:
             packet.enqueue_time = None
             packet.retransmit = False
             packet.pinned = False
-            packet.train = 1
-            packet.push = False
             return packet
         self.allocated += 1
         return Packet(kind, flow_id, src, dst, seq, size, service, ect)
@@ -286,37 +270,6 @@ def set_pooling(enabled: bool) -> None:
 def release(packet: Packet) -> None:
     """Module-level convenience for :meth:`PacketPool.release`."""
     POOL.release(packet)
-
-
-def split_train(packet: Packet, leading: int) -> Packet:
-    """Split ``leading`` segments off the front of a train packet.
-
-    ``packet`` is mutated into the leading prefix (same ``seq``/``uid``)
-    and a pool-backed packet covering the remaining segments is
-    returned, inheriting every wire field including the CE codepoint.
-    Switch ports use this when a marking-threshold crossing falls
-    *inside* a train: the unmarked prefix and the marked suffix travel
-    on as two units, which is exactly the per-packet marking pattern a
-    monotone enqueue-point marker would have produced.
-    """
-    n = packet.train
-    if not 0 < leading < n:
-        raise ValueError(
-            f"cannot split {leading} segment(s) off a train of {n}")
-    segment = packet.size // n
-    tail = POOL.acquire(packet.kind, packet.flow_id, packet.src, packet.dst,
-                        packet.seq + leading, segment * (n - leading),
-                        packet.service, packet.ect)
-    tail.train = n - leading
-    tail.ce = packet.ce
-    tail.sent_time = packet.sent_time
-    tail.retransmit = packet.retransmit
-    # The flow-final segment lives in the tail half; PSH follows it.
-    tail.push = packet.push
-    packet.push = False
-    packet.train = leading
-    packet.size = segment * leading
-    return tail
 
 
 def make_data(flow_id: int, src: int, dst: int, seq: int,

@@ -23,7 +23,6 @@ while the packet still counts toward occupancy.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, TYPE_CHECKING
 
 from ..ecn.base import Marker, NullMarker
@@ -31,46 +30,12 @@ from ..scheduling.base import Scheduler
 from ..sim.engine import Simulator
 from .interfaces import DequeueListener, DropListener, EnqueueListener
 from .link import Link
-from .packet import DATA, POOL, Packet, release, split_train
+from .packet import Packet, release
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..ecn.service_pool import BufferPool
 
 __all__ = ["Port"]
-
-#: A marking port admits train units of at most ``threshold // divisor``
-#: segments.  Whole trains would step the occupancy past the entire
-#: marking operating range in one event (a 16-segment train against
-#: K=12 jumps from empty to fully-marked), which distorts the closed
-#: loop the threshold regulates; quarter-threshold units keep occupancy
-#: granular enough that DCTCP dynamics stay within a few percent of the
-#: per-packet tier while still batching several segments per event.
-_TRAIN_CHUNK_DIVISOR = 4
-
-
-def _marker_port_threshold(port: "Port") -> float:
-    """Port-level marking onset (packets) of ``port``'s marker, or NaN.
-
-    The value is the smallest port occupancy at which the marker *could*
-    mark a packet — exact for per-port schemes (per-port ECN, PMSB's
-    port condition), conservative (earliest queue onset) for per-queue
-    marking, NaN when the marker has no occupancy threshold at all.
-    """
-    marker = port.marker
-    threshold = getattr(marker, "port_threshold_packets", None)
-    if threshold is None:
-        threshold = getattr(marker, "threshold_packets", None)
-    if threshold is not None:
-        return float(threshold)
-    threshold_fn = getattr(marker, "threshold", None)
-    if callable(threshold_fn):
-        try:
-            return min(
-                float(threshold_fn(i)) for i in range(port.n_queues)
-            )
-        except (TypeError, IndexError):  # non-conforming signature
-            return math.nan
-    return math.nan
 
 
 class Port:
@@ -200,14 +165,8 @@ class Port:
     def enqueue(self, packet: Packet, queue_index: int = 0) -> bool:
         """Admit a packet into ``queue_index``.
 
-        Returns False when the packet was dropped (buffer full).  A
-        packet train (``packet.train > 1``) is admitted as one buffer
-        unit when that provably reproduces per-packet marking — see
-        :meth:`_enqueue_train` — and split into individual packets
-        otherwise.
+        Returns False when the packet was dropped (buffer full).
         """
-        if packet.train > 1:
-            return self._enqueue_train(packet, queue_index)
         count = self._packet_count
         if self.buffer_packets is not None and count >= self.buffer_packets:
             return self._drop(queue_index, packet)
@@ -237,109 +196,6 @@ class Port:
         if not self.busy:
             self._transmit_next()
         return True
-
-    def _enqueue_train(self, packet: Packet, queue_index: int) -> bool:
-        """Admit a packet train, preserving marking fidelity.
-
-        The train stays one buffer unit only when every per-segment
-        decision is provably reproduced in closed form; otherwise it is
-        split into individual packets (:meth:`_enqueue_split`), which
-        *is* the per-packet datapath.  Full-split triggers:
-
-        - an attached shared-buffer pool (admission is a per-packet
-          policy decision),
-        - enqueue listeners (the fabric auditor, metrics probes — their
-          ledgers are per-packet),
-        - a drop-tail boundary inside the train (each segment must win
-          or lose admission individually),
-        - a marker without a closed form for this train
-          (:meth:`~repro.ecn.base.Marker.train_split` returned None).
-
-        When the marking-threshold crossing falls inside the train the
-        unmarked prefix and CE-marked suffix are enqueued as two units —
-        the automatic drop to per-packet marking granularity near a
-        threshold.
-        """
-        n = packet.train
-        count = self._packet_count
-        if (
-            self.pool is not None
-            or self.enqueue_listeners
-            or (self.buffer_packets is not None
-                and count + n > self.buffer_packets)
-        ):
-            return self._enqueue_split(packet, queue_index)
-        unmarked = self.marker.train_split(
-            self, queue_index, packet, count,
-            self._queue_packets[queue_index])
-        if unmarked is None:
-            return self._enqueue_split(packet, queue_index)
-        if unmarked >= n:
-            units = [packet]
-        elif unmarked == 0:
-            packet.ce = True
-            units = [packet]
-        else:
-            tail = split_train(packet, unmarked)
-            tail.ce = True
-            units = [packet, tail]
-        threshold = _marker_port_threshold(self)
-        if threshold == threshold:  # marking port (threshold is not NaN)
-            chunk = max(1, int(threshold) // _TRAIN_CHUNK_DIVISOR)
-            if chunk < n:
-                pieces = []
-                for unit in units:
-                    while unit.train > chunk:
-                        rest = split_train(unit, chunk)
-                        pieces.append(unit)
-                        unit = rest
-                    pieces.append(unit)
-                units = pieces
-        now = self.sim._now
-        queue_packets = self._queue_packets
-        queue_bytes = self._queue_bytes
-        for unit in units:
-            size = unit.size
-            self._packet_count += unit.train
-            self._byte_count += size
-            queue_packets[queue_index] += unit.train
-            queue_bytes[queue_index] += size
-            unit.enqueue_time = now
-            self._sched_enqueue(queue_index, unit)
-        if not self.busy:
-            self._transmit_next()
-        return True
-
-    def _enqueue_split(self, packet: Packet, queue_index: int) -> bool:
-        """Demote a train to individual packets and enqueue each one.
-
-        The original object becomes the first segment (keeping its uid);
-        the rest are pool-backed clones with consecutive sequence
-        numbers.  Returns False only when *every* segment was dropped.
-        """
-        n = packet.train
-        segment = packet.size // n
-        flow_id = packet.flow_id
-        src = packet.src
-        dst = packet.dst
-        base_seq = packet.seq
-        service = packet.service
-        ect = packet.ect
-        ce = packet.ce
-        sent_time = packet.sent_time
-        retransmit = packet.retransmit
-        packet.train = 1
-        packet.size = segment
-        admitted = self.enqueue(packet, queue_index)
-        for i in range(1, n):
-            seg = POOL.acquire(DATA, flow_id, src, dst, base_seq + i,
-                               segment, service, ect)
-            seg.ce = ce
-            seg.sent_time = sent_time
-            seg.retransmit = retransmit
-            if self.enqueue(seg, queue_index):
-                admitted = True
-        return admitted
 
     def _drop(self, queue_index: int, packet: Packet) -> bool:
         self.drops += 1
@@ -393,16 +249,15 @@ class Port:
         if profiler is not None:
             profiler.count("tx")
         size = packet.size
-        train = packet.train
-        self._packet_count -= train
+        self._packet_count -= 1
         self._byte_count -= size
-        self._queue_packets[queue_index] -= train
+        self._queue_packets[queue_index] -= 1
         self._queue_bytes[queue_index] -= size
         pool = self.pool
         if pool is not None:
             pool.remove(size)
         self.link.deliver(packet)
-        self.tx_packets += train
+        self.tx_packets += 1
         self.tx_bytes += size
         self.queue_tx_bytes[queue_index] += size
         self.last_departure = sim._now

@@ -18,12 +18,13 @@ scattered keyword arguments:
   the content address the run store files records under.
 
 :func:`check_compatibility` sits beside :class:`RunConfig` because it
-judges its knobs: the one table of execution features (trains, shards,
-faults, controller, …) no runner can honour together.
+judges its knobs: the one table of execution features (shards,
+controller, …) no runner can honour together.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import (TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence,
                     Tuple, Union)
@@ -89,12 +90,6 @@ class RunConfig:
     #: Shards for conservative-lookahead parallel execution of a single
     #: scenario (None / 1 = classic single-process run).
     shards: Optional[int] = None
-    #: Packet-train width for long-flow senders (None / 1 = exact
-    #: per-packet datapath).  N > 1 coalesces window-limited bursts into
-    #: single train units — one event per train — with automatic
-    #: per-packet fallback near marking thresholds; results are
-    #: tolerance-accurate, not byte-identical (see EXPERIMENTS.md).
-    trains: Optional[int] = None
     #: Faults injected into every fabric the run builds (``--faults``).
     faults: Optional[Sequence[FaultSpec]] = None
     #: Switch-wide shared memory every switch's ports draw from
@@ -106,6 +101,21 @@ class RunConfig:
     #: Fabric to build instead of the runner's own default
     #: (``--topology``; a spec or its ``preset:key=val`` spelling).
     topology: Union[str, TopologySpec, None] = None
+
+    def __post_init__(self) -> None:
+        # The numeric execution knobs are checked once, here, so a bad
+        # value fails before any runner reads it (the CLI prints the
+        # message as its one ``error:`` line).
+        if self.duration is not None and not (
+                math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"--duration: must be a finite number of "
+                             f"seconds > 0, got {self.duration!r}")
+        if self.shards is not None and self.shards < 1:
+            raise ValueError(f"--shards: must be at least 1, got "
+                             f"{self.shards!r}")
+        if self.jobs is not None and self.jobs < 0:
+            raise ValueError(f"--jobs: must be 0 (all cores) or a positive "
+                             f"worker count, got {self.jobs!r}")
 
     def resolve(self, **explicit: Any) -> Tuple[Any, ...]:
         """The one resolution rule, applied once by each runner: an
@@ -121,15 +131,9 @@ class RunConfig:
 
 
 #: Feature pairs no runner can honour together — one row, one message
-#: per cell.  ``trains``/``shards``/``faults``/``controller`` apply to
-#: every runner; the rest are runner-specific arguments.
+#: per cell.  ``shards``/``controller`` apply to every runner; the rest
+#: are runner-specific arguments.
 _INCOMPATIBLE = (
-    ("trains", "shards",
-     "--trains: cannot combine with --shards (train units cross shard "
-     "boundaries as one event)"),
-    ("trains", "faults",
-     "--trains: cannot combine with --faults (per-link loss draws are "
-     "per-packet; a train would consume one draw for N packets)"),
     ("shards", "controller",
      "--shards: cannot combine with --controller (closed-loop controllers "
      "read and retune global state)"),
@@ -152,8 +156,8 @@ _FEATURES = frozenset(name for row in _INCOMPATIBLE for name in row[:2])
 def check_compatibility(**active: bool) -> None:
     """Reject feature combinations the runners cannot honour.
 
-    Keyword names are features (``trains``, ``shards``, ``faults``,
-    ``controller``, ``profile_events``, ``trace_occupancy``,
+    Keyword names are features (``shards``, ``controller``,
+    ``profile_events``, ``trace_occupancy``,
     ``record_rtt``, ``single_bottleneck``), values whether the run uses
     them.  Raises :class:`ValueError` with the
     table's message for the first unsupported pair.  ``run_incast`` and

@@ -71,14 +71,6 @@ class DctcpConfig:
     ack_every: int = 1
     #: Delayed-ACK timer (only relevant when ``ack_every > 1``).
     delack_timeout: float = 1e-3
-    #: Packet-train width: N > 1 lets the sender emit window-limited
-    #: bursts as single train units of up to N MTU segments (one event
-    #: per train instead of per packet — the ``--trains`` fast tier).
-    #: Switch ports transparently fall back to per-packet granularity
-    #: near marking thresholds, under shared buffers, and under the
-    #: auditor; retransmissions are always sent per-packet.  1 (the
-    #: default) is the exact per-packet datapath.
-    train_packets: int = 1
 
     def __post_init__(self) -> None:
         if self.mss_bytes < 64:
@@ -101,5 +93,3 @@ class DctcpConfig:
             raise ValueError("ack_every must be at least 1")
         if self.delack_timeout <= 0:
             raise ValueError("delack_timeout must be positive")
-        if self.train_packets < 1:
-            raise ValueError("train_packets must be at least 1")

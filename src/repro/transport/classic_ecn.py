@@ -20,11 +20,10 @@ __all__ = ["ClassicEcnSender"]
 class ClassicEcnSender(DctcpSender):
     """TCP with RFC 3168 ECN response: halve once per window on a mark."""
 
-    def _account_alpha_window(self, accepted_mark: bool,
-                              weight: int = 1) -> bool:
-        self._acks_in_window += weight
+    def _account_alpha_window(self, accepted_mark: bool) -> bool:
+        self._acks_in_window += 1
         if accepted_mark:
-            self._marks_in_window += weight
+            self._marks_in_window += 1
             if not self._cut_done:
                 self._cut_done = True
                 self.ssthresh = max(2.0, self.cwnd / 2.0)

@@ -47,11 +47,10 @@ class D2tcpSender(DctcpSender):
         needed = remaining_packets * rtt / max(self.cwnd, 1.0)
         return min(D_MAX, max(D_MIN, needed / time_left))
 
-    def _account_alpha_window(self, accepted_mark: bool,
-                              weight: int = 1) -> bool:
-        self._acks_in_window += weight
+    def _account_alpha_window(self, accepted_mark: bool) -> bool:
+        self._acks_in_window += 1
         if accepted_mark:
-            self._marks_in_window += weight
+            self._marks_in_window += 1
             if not self._cut_done:
                 self._cut_done = True
                 penalty = self.alpha ** self.deadline_imminence()

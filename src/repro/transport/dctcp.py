@@ -31,17 +31,6 @@ from .flow import Flow
 
 __all__ = ["DctcpSender"]
 
-#: Largest congestion window (segments) whose window-filling data unit
-#: still carries PSH.  Zero disables window-fill PSH entirely (leaving
-#: only the flow-final PSH below): measured on the 1:8 incast and the
-#: fig3/fig8 scenarios, pushing at *any* window size collapses the ACK
-#: clock of window-limited flows into one-burst-per-RTT and starves
-#: them against denser queues under DWRR's work conservation, while the
-#: microsecond-scale delack timer already bounds the coalescing stall a
-#: window-filling unit can suffer.  Kept as a constant because the
-#: regimes provably conflict — no value satisfies both scenarios.
-_PUSH_CWND_LIMIT = 0
-
 #: Callback invoked when a finite flow completes: (flow, fct_seconds, sender).
 CompletionCallback = Callable[[Flow, float, "DctcpSender"], None]
 
@@ -168,10 +157,7 @@ class DctcpSender:
         self.acks_received += 1
         rtt_sample = self._take_rtt_sample(ack)
         accepted_mark = self._filter_mark(ack, rtt_sample)
-        # ACKs echo the width of the data unit they answer (1 for plain
-        # packets), so the alpha estimate stays segment-weighted under
-        # packet trains.
-        cut_applied = self._account_alpha_window(accepted_mark, ack.train)
+        cut_applied = self._account_alpha_window(accepted_mark)
 
         if ack.ack_seq > self.snd_una:
             self._on_new_ack(ack.ack_seq, grow=not cut_applied)
@@ -214,12 +200,11 @@ class DctcpSender:
         self.marks_filtered += 1
         return False
 
-    def _account_alpha_window(self, accepted_mark: bool,
-                              weight: int = 1) -> bool:
+    def _account_alpha_window(self, accepted_mark: bool) -> bool:
         """Account one ACK; returns True when a window cut was applied."""
-        self._acks_in_window += weight
+        self._acks_in_window += 1
         if accepted_mark:
-            self._marks_in_window += weight
+            self._marks_in_window += 1
             if not self._cut_done:
                 # React once per window, immediately on the first mark.
                 self._cut_done = True
@@ -321,7 +306,6 @@ class DctcpSender:
         if self.completed or not self.started:
             return
         rate = self.pacing_rate
-        train = self.config.train_packets
         while self._window_allows() and self._has_data():
             if rate is not None:
                 now = self.sim.now
@@ -332,52 +316,20 @@ class DctcpSender:
                     self._pace_timer.restart(self._next_send_time - now)
                     return
             is_retransmit = self.next_seq < self.snd_una  # guarded in _on_new_ack
-            count = 1
-            if train > 1 and not is_retransmit:
-                # Coalesce new data into one train unit, bounded by the
-                # window headroom and the flow's remaining data.
-                # Retransmissions always go per-packet: the receiver's
-                # gap state is per-segment.
-                count = max(1, int(self.cwnd)) - self.in_flight
-                if count > train:
-                    count = train
-                if self.total_packets is not None:
-                    remaining = self.total_packets - self.next_seq
-                    if count > remaining:
-                        count = remaining
-                if count < 1:
-                    count = 1
-            self._transmit(self.next_seq, retransmit=is_retransmit,
-                           count=count)
-            self.next_seq += count
+            self._transmit(self.next_seq, retransmit=is_retransmit)
+            self.next_seq += 1
         if self.in_flight > 0 and not self._rto_timer.armed:
             self._rto_timer.restart(self.rto)
 
-    def _transmit(self, seq: int, retransmit: bool, count: int = 1) -> None:
+    def _transmit(self, seq: int, retransmit: bool) -> None:
         cfg = self.config
         packet = make_data(
             self.flow.flow_id, self.flow.src, self.flow.dst,
-            seq, cfg.mss_bytes * count, self.flow.service, ect=True,
+            seq, cfg.mss_bytes, self.flow.service, ect=True,
         )
-        if count > 1:
-            packet.train = count
-        window = max(1, int(self.cwnd))
-        if ((self.in_flight + count >= window
-             and window <= _PUSH_CWND_LIMIT)
-                or (self.total_packets is not None
-                    and seq + count >= self.total_packets)):
-            # PSH semantics: this unit fills a *small* congestion window
-            # (or ends the flow), so nothing more is coming until it is
-            # acknowledged — a delayed-ACK receiver must answer now
-            # rather than sit on the delack timer for a whole window.
-            # Large windows keep several units outstanding, so the
-            # receiver's coalescing cadence self-clocks without PSH;
-            # pushing every window there would collapse the ACK clock
-            # to one burst per RTT.
-            packet.push = True
         packet.sent_time = self.sim.now
         packet.retransmit = retransmit
-        self.packets_sent += count
+        self.packets_sent += 1
         if retransmit:
             self.retransmissions += 1
         if not self.host.send(packet):
@@ -385,7 +337,7 @@ class DctcpSender:
             # other (dup ACKs or RTO).
             self.nic_drops += 1
         if self.pacing_rate is not None:
-            interval = cfg.mss_bytes * count * 8.0 / self.pacing_rate
+            interval = cfg.mss_bytes * 8.0 / self.pacing_rate
             self._next_send_time = max(self._next_send_time, self.sim.now) + interval
         if not self._rto_timer.armed:
             self._rto_timer.restart(self.rto)

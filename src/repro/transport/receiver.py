@@ -36,8 +36,8 @@ from .flow import Flow
 __all__ = ["DctcpReceiver"]
 
 #: Scalar fields of the data packet a coalesced ACK answers:
-#: (flow_id, ack_src, ack_dst, seq, service, echo_time, retransmit, train).
-AckMeta = Tuple[int, int, int, int, int, Optional[float], bool, int]
+#: (flow_id, ack_src, ack_dst, seq, service, echo_time, retransmit).
+AckMeta = Tuple[int, int, int, int, int, Optional[float], bool]
 
 
 class DctcpReceiver:
@@ -92,8 +92,7 @@ class DctcpReceiver:
     def _meta(packet: Packet) -> AckMeta:
         # Matches make_ack: the ACK's src is the data packet's dst.
         return (packet.flow_id, packet.dst, packet.src, packet.seq,
-                packet.service, packet.sent_time, packet.retransmit,
-                packet.train)
+                packet.service, packet.sent_time, packet.retransmit)
 
     def on_data(self, packet: Packet) -> None:
         """Host demux entry point for this flow's data packets."""
@@ -113,22 +112,18 @@ class DctcpReceiver:
             self._flush_pending(ece=self._ce_state)
 
         seq = packet.seq
-        train = packet.train
         in_order = seq == self.expected_seq
         if in_order:
-            # A train covers seqs [seq, seq + train): the cumulative
-            # point jumps over the whole unit.
-            self.expected_seq += train
+            self.expected_seq += 1
             while self.expected_seq in self._out_of_order:
                 self._out_of_order.remove(self.expected_seq)
                 self.expected_seq += 1
-            self.packets_received += train
+            self.packets_received += 1
             self.bytes_received += packet.size
         elif seq > self.expected_seq:
             if seq not in self._out_of_order:
-                for i in range(train):
-                    self._out_of_order.add(seq + i)
-                self.packets_received += train
+                self._out_of_order.add(seq)
+                self.packets_received += 1
                 self.bytes_received += packet.size
             else:
                 self.duplicate_packets += 1
@@ -145,14 +140,10 @@ class DctcpReceiver:
 
         # Delayed-ACK mode with the DCTCP CE state machine (any pending
         # CE transition was flushed above, before the cumulative point
-        # moved).  Pending is counted in *data units* (packets or whole
-        # trains), not segments: a window-limited sender may have its
-        # entire window inside one wide unit, and a segment count would
-        # then never reach the flush mark — the classic delayed-ACK
-        # stall, paid at every window on the delack timer.
+        # moved).
         self._ce_state = packet.ce
         self._pending_acks += 1
-        if self._pending_acks >= self.ack_every or packet.push:
+        if self._pending_acks >= self.ack_every:
             self._flush_pending(ece=packet.ce)
         else:
             self._delack_timer.restart(self.delack_timeout)
@@ -162,15 +153,8 @@ class DctcpReceiver:
         self._pending_acks = 0
         self._delack_timer.cancel()
         self.acks_sent += 1
-        (flow_id, src, dst, seq, service, echo_time, retransmit,
-         train) = self._last_meta
-        ack = make_reply_ack(
-            flow_id, src, dst, seq, service, echo_time, retransmit,
-            self.expected_seq, ece)
-        # Echo the width of the acknowledged data unit so the sender can
-        # weight its alpha accounting by segments, not ACK events.
-        ack.train = train
-        self.host.send(ack)
+        self.host.send(make_reply_ack(*self._last_meta, self.expected_seq,
+                                      ece))
 
     def _on_delack_timeout(self) -> None:
         if self._pending_acks > 0 and self._last_meta is not None:

@@ -108,9 +108,8 @@ class TimelySender(DctcpSender):
 
     # -- ECN is ignored ------------------------------------------------------
 
-    def _account_alpha_window(self, accepted_mark: bool,
-                              weight: int = 1) -> bool:
+    def _account_alpha_window(self, accepted_mark: bool) -> bool:
         # TIMELY does not react to marks; keep the window at its cap and
         # let the pacing rate do all the work.
-        self._acks_in_window += weight
+        self._acks_in_window += 1
         return False

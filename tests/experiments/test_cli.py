@@ -152,9 +152,6 @@ class TestSweepParallelFlags:
 
 class TestUnsupportedCombinations:
     @pytest.mark.parametrize("argv,message", [
-        (["fig3", "--trains", "16",
-          "--faults", "iid-loss:rate=0.001,links=bottleneck"],
-         "error: --trains: cannot combine with --faults"),
         (["sweep", "--shards", "2",
           "--controller", "theorem:period=0.0005"],
          "error: --shards: cannot combine with --controller"),
@@ -165,10 +162,6 @@ class TestUnsupportedCombinations:
         (["fig9", "--shards", "2"],
          "error: --shards: fig9 does not support it (only sweep, "
          "chaos-sweep, xscale do)"),
-        (["chaos3", "--trains", "16"],
-         "error: --trains: chaos3 does not support it"),
-        (["xscale", "--trains", "16"],
-         "error: --trains: xscale does not support it"),
         (["xscale", "--faults", "iid-loss:rate=0.2,links=*"],
          "error: --faults: xscale does not support it"),
         (["xscale", "--controller", "theorem:period=0.0005"],
@@ -204,6 +197,22 @@ class TestUnsupportedCombinations:
         (["xscale", "--profile", "tiny", "--ladder",
           "clos:tiers=2,ports=4,oversub=1"],
          "error: fabric has 8 hosts but the scenario needs 10"),
+        # Numeric execution flags are checked once, by RunConfig.
+        (["sweep", "--shards", "0"], "error: --shards: must be at least 1"),
+        (["sweep", "--shards", "-1"], "error: --shards: must be at least 1"),
+        (["fig3", "--duration", "inf"],
+         "error: --duration: must be a finite number of seconds > 0"),
+        (["fig3", "--duration", "-1"],
+         "error: --duration: must be a finite number of seconds > 0"),
+        (["fig3", "--duration", "0"],
+         "error: --duration: must be a finite number of seconds > 0"),
+        (["fig8", "--duration", "nan"],
+         "error: --duration: must be a finite number of seconds > 0"),
+        (["sweep", "--jobs", "-3"],
+         "error: --jobs: must be 0 (all cores) or a positive worker count"),
+        # The packet-train tier is gone; its flag is not parsed at all.
+        (["fig3", "--trains", "16"],
+         "error: unrecognized arguments: --trains 16"),
     ])
     def test_exits_2_with_one_error_line(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
@@ -229,9 +238,9 @@ class TestUnsupportedCombinations:
             main(["fig3", "--duration", "0.004"])
 
     def test_neutral_values_and_reading_commands_pass(self, capsys):
-        # --shards 1 / --trains 1 ask for nothing; xscale reads --shards.
+        # --shards 1 / --jobs 0 ask for nothing; xscale reads --shards.
         assert main(["fig8", "--duration", "0.004", "--shards", "1",
-                     "--trains", "1"]) == 0
+                     "--jobs", "0"]) == 0
         assert main(["xscale", "--profile", "tiny", "--schemes", "pmsb",
                      "--hogs", "4", "--jobs", "1", "--shards", "2",
                      "--ladder", "clos:tiers=2,ports=4,oversub=3"]) == 0

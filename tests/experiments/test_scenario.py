@@ -128,16 +128,12 @@ class TestRunIncast:
         assert total >= len(result.rtt_samples(queue_index=1))
 
 
-TRAINS_FAULTS = ("--trains: cannot combine with --faults (per-link loss "
-                 "draws are per-packet; a train would consume one draw for "
-                 "N packets)")
+SHARDS_SINGLE_BOTTLENECK = ("--shards: needs a multi-switch fabric "
+                            "(leaf-spine / fat-tree / clos), not "
+                            "single-bottleneck")
 
 #: Every cell of the capability table and the one message it raises.
 INCOMPATIBLE_CELLS = [
-    ("trains", "shards",
-     "--trains: cannot combine with --shards (train units cross shard "
-     "boundaries as one event)"),
-    ("trains", "faults", TRAINS_FAULTS),
     ("shards", "controller",
      "--shards: cannot combine with --controller (closed-loop controllers "
      "read and retune global state)"),
@@ -150,9 +146,7 @@ INCOMPATIBLE_CELLS = [
     ("shards", "record_rtt",
      "--shards: record_rtt is not supported (flow handles stay in the "
      "workers)"),
-    ("shards", "single_bottleneck",
-     "--shards: needs a multi-switch fabric (leaf-spine / fat-tree / "
-     "clos), not single-bottleneck"),
+    ("shards", "single_bottleneck", SHARDS_SINGLE_BOTTLENECK),
 ]
 
 
@@ -168,26 +162,24 @@ class TestCheckCompatibility:
 
     def test_supported_combinations_pass(self):
         check_compatibility()
-        check_compatibility(shards=True, faults=True)
-        check_compatibility(trains=True, controller=True, record_rtt=True,
+        check_compatibility(controller=True, record_rtt=True,
                             trace_occupancy=True, single_bottleneck=True)
 
     def test_unknown_feature_is_a_type_error(self):
         with pytest.raises(TypeError, match="shard"):
             check_compatibility(shard=True)
 
-    def test_size_distribution_is_no_longer_a_feature(self):
-        # The one builder takes size_distribution at any shard count, so
-        # the table has no row (and no name) for it.
-        with pytest.raises(TypeError, match="size_distribution"):
-            check_compatibility(shards=True, size_distribution=True)
+    @pytest.mark.parametrize("name", ["size_distribution", "faults"])
+    def test_size_distribution_is_no_longer_a_feature(self, name):
+        # The one builder takes size_distribution at any shard count and
+        # faults combine with every remaining feature, so the table has
+        # no row (and no name) for either.
+        with pytest.raises(TypeError, match=name):
+            check_compatibility(shards=True, **{name: True})
 
     def test_run_incast_raises_the_same_text(self):
-        from repro.sim.faults import FaultSpec
-
-        faults = [FaultSpec.parse("iid-loss:rate=0.001,links=bottleneck")]
         with pytest.raises(ValueError) as excinfo:
             run_incast(make_scheme("pmsb"), lambda: DwrrScheduler(2),
-                       incast_flows([1, 1]), faults=faults,
-                       config=RunConfig(duration=0.002, trains=16))
-        assert str(excinfo.value) == TRAINS_FAULTS
+                       incast_flows([1, 1]),
+                       config=RunConfig(duration=0.002, shards=2))
+        assert str(excinfo.value) == SHARDS_SINGLE_BOTTLENECK

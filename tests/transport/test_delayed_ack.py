@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.pmsb import PmsbMarker
 from repro.net.host import Host
 from repro.net.packet import make_data
+from repro.net.topology import TopologySpec
+from repro.scheduling.dwrr import DwrrScheduler
+from repro.sim.audit import FabricAuditor
+from repro.sim.engine import Simulator
+from repro.transport.base import PAYLOAD_BYTES, DctcpConfig
+from repro.transport.endpoints import open_flow
 from repro.transport.flow import Flow
 from repro.transport.receiver import DctcpReceiver
 
@@ -191,3 +198,43 @@ class TestOutOfOrderBypassesDelay:
             receiver.on_data(data(flow, seq))
         dups = [a for a in host.sent if a.ack_seq == 1]
         assert len(dups) >= 3
+
+
+class TestSenderWithDelayedAcks:
+    """``ack_every > 1`` end to end: DCTCP senders clocked by coalescing
+    receivers on a congested 2:1 PMSB incast."""
+
+    @pytest.mark.parametrize("mode", ["fast", "slow-path", "audit"])
+    def test_incast_completes_and_alpha_tracks_marks(self, mode, monkeypatch):
+        if mode == "slow-path":
+            monkeypatch.setenv("REPRO_SLOW_PATH", "1")
+        else:
+            monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
+        sim = Simulator()
+        auditor = FabricAuditor(sim) if mode == "audit" else None
+        net = TopologySpec("single-bottleneck", senders=2).build(
+            sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
+        config = DctcpConfig(ack_every=2)
+        incast = [Flow(src=src, dst=2, size_bytes=400 * PAYLOAD_BYTES)
+                  for src in (0, 1)]
+        # An odd packet count on an idle fabric: no CE transition resets
+        # the coalescing parity, so the last segment is left pending
+        # alone and only the delack timer acknowledges it.
+        straggler = Flow(src=0, dst=2, size_bytes=21 * PAYLOAD_BYTES,
+                         start_time=5e-3)
+        handles = [open_flow(net, flow, config)
+                   for flow in incast + [straggler]]
+        if auditor is not None:
+            auditor.attach_network(net)
+            for handle in handles:
+                auditor.watch_flow(handle)
+        sim.run(until=0.02)
+        if auditor is not None:
+            auditor.verify_fabric()
+
+        assert all(handle.sender.completed for handle in handles)
+        for handle in handles[:2]:
+            assert handle.sender.marks_accepted > 0
+            assert 0.0 < handle.sender.alpha < 1.0
+        assert straggler.size_packets % 2 == 1
+        assert handles[2].sender.fct >= config.delack_timeout
