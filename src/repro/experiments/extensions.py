@@ -136,21 +136,22 @@ def service_pool_victim(
     auditor = _attach_auditor(sim, audit)
     pool = BufferPool(name="service-pool")
 
-    def pooled_port(dst_host, name):
+    def member_port(dst_host, name):
         link = Link(sim, link_rate, DEFAULT_LINK_DELAY, dst_host, name=name)
         marker = ServicePoolMarker(pool, pool_threshold)
         return Port(sim, link, FifoScheduler(1), marker,
                     buffer_packets=1000, name=name, pool=pool)
 
     n_senders = 1 + flows_port_b
-    network = _dual_port_network(sim, n_senders, pooled_port, link_rate)
+    network = _dual_port_network(sim, n_senders, member_port, link_rate)
     if auditor is not None:
         auditor.attach_network(network)
     receiver_a = n_senders
     receiver_b = n_senders + 1
-    handles = [open_flow(network, Flow(src=0, dst=receiver_a))]
+    handles = [open_flow(network, Flow(src=0, dst=receiver_a, flow_id=1))]
     for sender in range(1, n_senders):
-        handles.append(open_flow(network, Flow(src=sender, dst=receiver_b)))
+        handles.append(open_flow(network, Flow(src=sender, dst=receiver_b,
+                                               flow_id=sender + 1)))
     sim.run(until=duration)
     if auditor is not None:
         auditor.verify_fabric()
@@ -330,7 +331,8 @@ def microburst_absorption(
             # Long-lived, loss-driven flows (no ECN): they fill whatever
             # buffer the policy lets them take.
             hog_handles.append(
-                open_flow(network, Flow(src=sender, dst=receiver_a),
+                open_flow(network, Flow(src=sender, dst=receiver_a,
+                                        flow_id=sender + 1),
                           DctcpConfig(min_rto=2e-3))
             )
 
@@ -341,7 +343,7 @@ def microburst_absorption(
         open_flow(
             network,
             Flow(src=sender, dst=receiver_b, size_bytes=burst_size_bytes,
-                 start_time=burst_start),
+                 start_time=burst_start, flow_id=sender + 1),
             DctcpConfig(init_cwnd=16.0, min_rto=2e-3),
             on_complete=collector.on_complete,
         )
@@ -548,7 +550,7 @@ def _incast_point(point, provenance: "Dict[str, Any]") -> IncastRow:
         handles.append(open_flow(
             network,
             Flow(src=sender, dst=fanin, size_bytes=response_bytes,
-                 service=sender % 2),
+                 service=sender % 2, flow_id=sender + 1),
             scheme.transport_config(init_cwnd=16.0, min_rto=2e-3),
             on_complete=collector.on_complete,
         ))

@@ -13,7 +13,11 @@ own RNG from an explicit seed, so runs share no state.
   the same configs give byte-identical results at any ``--jobs`` level;
 - **graceful fallback** — ``jobs=1``, a single config, a platform
   without ``fork``, or a pool-startup failure all degrade to a plain
-  serial loop with identical results.
+  serial loop with identical results;
+- **surviving a broken pool** — a worker killed mid-run costs one line
+  on stderr, and the run is finished serially by a caller-supplied
+  ``finish`` (the store-backed sweep reads back what the dead pool's
+  workers persisted).
 
 Workers must be module-level (picklable) functions and configs picklable
 values — the same constraint ``multiprocessing`` always imposes.
@@ -22,6 +26,7 @@ values — the same constraint ``multiprocessing`` always imposes.
 from __future__ import annotations
 
 import os
+import sys
 from typing import Callable, Iterable, List, Optional, TypeVar
 
 from ..sim.rng import stable_hash
@@ -60,6 +65,7 @@ def run_parallel(
     configs: Iterable[ConfigT],
     worker: Callable[[ConfigT], ResultT],
     jobs: Optional[int] = None,
+    finish: Optional[Callable[[ConfigT], ResultT]] = None,
 ) -> List[ResultT]:
     """Map ``worker`` over ``configs``, possibly across processes.
 
@@ -67,6 +73,13 @@ def run_parallel(
     computed with up to ``jobs`` forked worker processes.  ``jobs=None``
     or ``jobs=1`` runs serially in-process (no pool, no pickling);
     ``jobs <= 0`` means "all cores" (:func:`available_jobs`).
+
+    If the pool breaks — a worker is killed, or a sandbox refuses
+    process creation once the first worker spawns — one line goes to
+    stderr and every config is finished here, through ``finish``
+    (default: ``worker``).  An exception raised *by the worker itself*
+    (e.g. the run store's injected-crash hook) propagates unchanged:
+    retrying it serially would mask a real failure.
     """
     config_list = list(configs)
     if jobs is None:
@@ -92,11 +105,7 @@ def run_parallel(
     try:
         with pool:
             return list(pool.map(worker, config_list))
-    except (BrokenProcessPool, PermissionError):
-        # Sandboxes can refuse process creation only once the first
-        # worker actually spawns.  Only pool-infrastructure failures
-        # degrade to the serial path — an exception raised *by the
-        # worker itself* (e.g. the run store's injected-crash hook)
-        # propagates unchanged, because retrying it serially would
-        # silently mask real failures.
-        return [worker(config) for config in config_list]
+    except (BrokenProcessPool, PermissionError) as error:
+        print(f"warning: worker pool failed ({type(error).__name__}); "
+              "finishing in this process", file=sys.stderr)
+        return [(finish or worker)(config) for config in config_list]

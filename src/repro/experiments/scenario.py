@@ -155,7 +155,9 @@ def incast_flows(flows_per_queue: Sequence[int],
                  start_times: Optional[Sequence[float]] = None) -> List[Flow]:
     """Long-lived incast flows: queue ``q`` gets ``flows_per_queue[q]``
     flows, each from its own sender.  The receiver is the host after the
-    last sender (the ``single-bottleneck`` preset's convention)."""
+    last sender (the ``single-bottleneck`` preset's convention).  Flow
+    ids are numbered from 1 in sender order, so the ids — and the ECMP
+    paths hashed from them — are a function of the arguments alone."""
     n_senders = sum(flows_per_queue)
     receiver = n_senders
     flows: List[Flow] = []
@@ -164,7 +166,7 @@ def incast_flows(flows_per_queue: Sequence[int],
         for _ in range(count):
             start = 0.0 if start_times is None else start_times[queue_index]
             flows.append(Flow(src=sender, dst=receiver, service=queue_index,
-                              start_time=start))
+                              start_time=start, flow_id=sender + 1))
             sender += 1
     return flows
 

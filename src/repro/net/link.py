@@ -24,7 +24,7 @@ from ..sim.engine import Simulator
 from ..sim.faults import DROP_CRC as _VERDICT_CRC
 from ..sim.faults import DROP_WIRE as _VERDICT_WIRE
 from .interfaces import Device
-from .packet import Packet, release
+from .packet import Packet
 
 __all__ = ["Link", "DROP_DOWN", "DROP_WIRE", "DROP_CRC", "DROP_FLIGHT"]
 
@@ -122,8 +122,6 @@ class Link:
             self.packets_lost += 1
             self.lost_down += 1
             self._note_drop(packet, DROP_DOWN)
-            # The wire is this packet's terminal consumer.
-            release(packet)
             return
         fault = self.fault
         if fault is not None:
@@ -132,17 +130,13 @@ class Link:
                 self.packets_lost += 1
                 self.lost_wire += 1
                 self._note_drop(packet, DROP_WIRE)
-                release(packet)
                 return
             if verdict == _VERDICT_CRC:
-                # Charged as lost now (the link never "delivered" it),
-                # but the object propagates and is discarded by the
-                # receiving port's CRC check on arrival.
+                # Charged as lost now: the link never "delivers" it, since
+                # the receiving port would discard it on the CRC check.
                 self.packets_lost += 1
                 self.lost_crc += 1
                 self._note_drop(packet, DROP_CRC)
-                self._sim_at(self.sim._now + self.delay,
-                             self._arrive_corrupt, packet)
                 return
         self.packets_delivered += 1
         self.bytes_delivered += packet.size
@@ -160,15 +154,8 @@ class Link:
             self.packets_lost += 1
             self.lost_flight += 1
             self._note_drop(packet, DROP_FLIGHT)
-            release(packet)
             return
         self._dst_receive(packet)
-
-    def _arrive_corrupt(self, packet: Packet) -> None:
-        """A corrupted packet reached the far end; the receiving port
-        drops it on the CRC check.  Already counted lost at deliver
-        time — this is only the object's terminal consumer."""
-        release(packet)
 
     def set_down(self) -> None:
         """Fail the link: subsequent packets are lost, and packets

@@ -18,16 +18,12 @@ index the same way.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
-from ..sim.engine import slow_path_default
-
 __all__ = [
-    "Packet", "PacketPool", "POOL",
+    "Packet",
     "DATA", "ACK", "MTU_BYTES", "ACK_BYTES", "HEADER_BYTES",
-    "make_data", "make_ack", "make_reply_ack",
-    "release", "set_pooling",
+    "make_data", "make_ack", "make_reply_ack", "release",
 ]
 
 #: Wire size of a full-sized data packet (bytes).  The paper's experiments
@@ -48,14 +44,11 @@ CNP = 2
 #: Negative acknowledgement (DCQCN/RoCE go-back-N): "resend from seq".
 NACK = 3
 
-_packet_counter = itertools.count()
-
 
 class Packet:
     """One simulated packet (data segment or ACK)."""
 
     __slots__ = (
-        "uid",
         "kind",
         "flow_id",
         "src",
@@ -71,8 +64,6 @@ class Packet:
         "sent_time",
         "enqueue_time",
         "retransmit",
-        "pinned",
-        "pooled",
     )
 
     def __init__(
@@ -86,7 +77,6 @@ class Packet:
         service: int = 0,
         ect: bool = True,
     ):
-        self.uid = next(_packet_counter)
         self.kind = kind
         self.flow_id = flow_id
         self.src = src
@@ -108,13 +98,6 @@ class Packet:
         #: Stamped by a switch port at enqueue (TCN sojourn time).
         self.enqueue_time: Optional[float] = None
         self.retransmit = False
-        #: Set by observers that keep a reference past the packet's
-        #: network lifetime (``repro.net.tracing``, the fabric auditor):
-        #: a pinned packet is never recycled through the pool.
-        self.pinned = False
-        #: True while the object sits in the free-list (double-release
-        #: guard; also lets observers detect a recycled handle).
-        self.pooled = False
 
     @property
     def is_data(self) -> bool:
@@ -138,144 +121,16 @@ class Packet:
         )
 
 
-class PacketPool:
-    """Bounded free-list of recycled :class:`Packet` objects.
-
-    Packet workloads allocate one object per data segment and per ACK;
-    at millions of events per sweep point that is pure allocator and GC
-    churn.  The pool lets terminal consumers (the endpoint that a packet
-    is dispatched to, the drop site, a downed link) hand objects back
-    for reuse by :func:`make_data`/:func:`make_ack`.
-
-    Determinism contract: a recycled packet gets a **fresh uid** from the
-    same global counter a newly constructed packet would draw, so uid
-    sequences — and therefore every trace and export — are identical
-    with the pool enabled, disabled (``REPRO_SLOW_PATH=1``), or bypassed.
-
-    Safety contract: observers that retain packet references past the
-    network lifetime (``repro.net.tracing.PacketTrace``, the
-    :class:`~repro.sim.audit.FabricAuditor`) set ``packet.pinned``;
-    :meth:`release` refuses pinned packets (counted in ``pinned_skips``),
-    so captured objects are never mutated behind the observer's back
-    while the rest of the fabric keeps pooling.
-    """
-
-    __slots__ = ("free", "max_free", "enabled",
-                 "allocated", "reused", "released", "pinned_skips")
-
-    def __init__(self, max_free: int = 8192, enabled: bool = True):
-        self.free: list[Packet] = []
-        self.max_free = max_free
-        self.enabled = enabled
-        #: Pool misses: a fresh object had to be constructed.
-        self.allocated = 0
-        #: Pool hits: an allocation was avoided.
-        self.reused = 0
-        #: Packets accepted back into the free-list.
-        self.released = 0
-        #: Releases refused because the packet was pinned by an observer.
-        self.pinned_skips = 0
-
-    def acquire(self, kind: int, flow_id: int, src: int, dst: int,
-                seq: int, size: int, service: int, ect: bool) -> Packet:
-        """Return a packet with all fields reset, reusing a released one."""
-        free = self.free
-        if free:
-            self.reused += 1
-            packet = free.pop()
-            packet.pooled = False
-            packet.uid = next(_packet_counter)
-            packet.kind = kind
-            packet.flow_id = flow_id
-            packet.src = src
-            packet.dst = dst
-            packet.seq = seq
-            packet.size = size
-            packet.service = service
-            packet.ect = ect
-            packet.ce = False
-            packet.ece = False
-            packet.ack_seq = 0
-            packet.echo_time = None
-            packet.sent_time = None
-            packet.enqueue_time = None
-            packet.retransmit = False
-            packet.pinned = False
-            return packet
-        self.allocated += 1
-        return Packet(kind, flow_id, src, dst, seq, size, service, ect)
-
-    def release(self, packet: Packet) -> None:
-        """Hand a packet at end-of-life back for reuse.
-
-        No-op when pooling is disabled, when the packet is pinned by an
-        observer, or when it was already released (double-release guard).
-        """
-        if not self.enabled:
-            return
-        if packet.pinned:
-            self.pinned_skips += 1
-            return
-        if packet.pooled:
-            return
-        free = self.free
-        if len(free) < self.max_free:
-            packet.pooled = True
-            self.released += 1
-            free.append(packet)
-
-    @property
-    def acquires(self) -> int:
-        """Total acquire calls (``allocated + reused``)."""
-        return self.allocated + self.reused
-
-    def hit_rate(self) -> float:
-        """Fraction of acquires served from the free-list."""
-        total = self.allocated + self.reused
-        return self.reused / total if total else 0.0
-
-    def stats(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "allocated": self.allocated,
-            "reused": self.reused,
-            "released": self.released,
-            "pinned_skips": self.pinned_skips,
-            "free": len(self.free),
-            "hit_rate": self.hit_rate(),
-        }
-
-    def reset(self) -> None:
-        """Drop the free-list and zero the counters (test isolation)."""
-        self.free.clear()
-        self.allocated = 0
-        self.reused = 0
-        self.released = 0
-        self.pinned_skips = 0
-
-
-#: Process-wide pool.  ``REPRO_SLOW_PATH=1`` starts it disabled so the
-#: escape-hatch path is allocation-for-allocation the pre-pool datapath.
-POOL = PacketPool(enabled=not slow_path_default())
-
-
-def set_pooling(enabled: bool) -> None:
-    """Enable/disable packet recycling (the free-list is dropped on
-    disable so stale objects cannot resurface later)."""
-    POOL.enabled = enabled
-    if not enabled:
-        POOL.free.clear()
-
-
 def release(packet: Packet) -> None:
-    """Module-level convenience for :meth:`PacketPool.release`."""
-    POOL.release(packet)
+    """No-op.  Packets are plain garbage-collected objects; this name
+    stays only so callers written against the former packet pool (the
+    perfbench layer probes) keep importing and running."""
 
 
 def make_data(flow_id: int, src: int, dst: int, seq: int,
               size: int = MTU_BYTES, service: int = 0, ect: bool = True) -> Packet:
-    """Convenience constructor for a data packet (pool-backed)."""
-    return POOL.acquire(DATA, flow_id, src, dst, seq, size, service, ect)
+    """Convenience constructor for a data packet."""
+    return Packet(DATA, flow_id, src, dst, seq, size, service, ect)
 
 
 def make_ack(data: Packet, ack_seq: int, ece: bool) -> Packet:
@@ -296,10 +151,10 @@ def make_reply_ack(flow_id: int, src: int, dst: int, seq: int, service: int,
     """Build an ACK from the scalar fields of the data packet it answers.
 
     Same wire semantics as :func:`make_ack` but without needing the data
-    packet object itself — receivers that already released the packet
-    (delayed ACKs) keep only this metadata.
+    packet object itself — receivers that coalesce ACKs keep only this
+    metadata.
     """
-    ack = POOL.acquire(ACK, flow_id, src, dst, seq, ACK_BYTES, service, False)
+    ack = Packet(ACK, flow_id, src, dst, seq, ACK_BYTES, service, False)
     ack.ack_seq = ack_seq
     ack.ece = ece
     ack.echo_time = echo_time

@@ -30,7 +30,7 @@ from ..scheduling.base import Scheduler
 from ..sim.engine import Simulator
 from .interfaces import DequeueListener, DropListener, EnqueueListener
 from .link import Link
-from .packet import Packet, release
+from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..ecn.service_pool import BufferPool
@@ -57,7 +57,11 @@ class Port:
         "_queue_packets",
         "_queue_bytes",
         "busy",
-        "_tx_event",
+        # In-service record, read by the fabric auditor: the queue index
+        # of the packet on the wire (None between packets) and the
+        # ``Simulator.clears`` generation its completion was scheduled in.
+        "_in_service",
+        "_tx_clears",
         "drops",
         "queue_drops",
         "tx_packets",
@@ -77,7 +81,6 @@ class Port:
         "_marker_on_enqueue",
         "_marker_on_dequeue",
         "_tx_time",
-        "_sim_at",
         "_sim_at_ff",
         # Reset generation for fire-and-forget completions (see
         # _transmission_done_ff): bumped by reset() so in-flight
@@ -110,7 +113,8 @@ class Port:
         self._queue_packets = [0] * scheduler.n_queues
         self._queue_bytes = [0] * scheduler.n_queues
         self.busy = False
-        self._tx_event = None
+        self._in_service: Optional[int] = None
+        self._tx_clears = sim.clears
         self.drops = 0
         self.queue_drops = [0] * scheduler.n_queues
         self.tx_packets = 0
@@ -130,7 +134,6 @@ class Port:
         self._marker_on_enqueue = self.marker.on_enqueue
         self._marker_on_dequeue = self.marker.on_dequeue
         self._tx_time = link.tx_time
-        self._sim_at = sim.at
         self._sim_at_ff = sim.at_ff
         self._tx_epoch = 0
         self.marker.attach(self)
@@ -204,9 +207,6 @@ class Port:
         if listeners:
             for listener in listeners:
                 listener(self, queue_index, packet)
-        # The drop site is the packet's terminal consumer (listeners have
-        # observed it above; pinned packets are left untouched).
-        release(packet)
         return False
 
     def _transmit_next(self) -> None:
@@ -219,23 +219,15 @@ class Port:
         self._marker_on_dequeue(self, queue_index, packet)
         self.busy = True
         sim = self.sim
-        if sim.auditor is None:
-            # Unaudited ports ride the engine's fire-and-forget lane: no
-            # Event object per transmission.  reset() cannot cancel such
-            # a completion, so it carries the current reset epoch and
-            # _transmission_done_ff discards stale generations.
-            self._sim_at_ff(
-                sim._now + self._tx_time(packet.size),
-                self._transmission_done_ff, queue_index, packet,
-                self._tx_epoch,
-            )
-            return
-        # With a FabricAuditor installed the completion must be a live,
-        # inspectable Event: the auditor's engine-hygiene and in-service
-        # cross-checks read port._tx_event.
-        self._tx_event = self._sim_at(
+        self._in_service = queue_index
+        self._tx_clears = sim.clears
+        # The completion rides the engine's fire-and-forget lane: no
+        # Event object per transmission.  reset() cannot cancel such a
+        # completion, so it carries the current reset epoch and
+        # _transmission_done_ff discards stale generations.
+        self._sim_at_ff(
             sim._now + self._tx_time(packet.size),
-            self._transmission_done, queue_index, packet,
+            self._transmission_done_ff, queue_index, packet, self._tx_epoch,
         )
 
     def _transmission_done_ff(self, queue_index: int, packet: Packet,
@@ -244,6 +236,8 @@ class Port:
         # in flight (the fire-and-forget lane has no cancel).
         if epoch != self._tx_epoch:
             return
+        # The packet has left the buffer only now that it is on the wire.
+        self._in_service = None
         sim = self.sim
         profiler = sim.profiler
         if profiler is not None:
@@ -267,11 +261,6 @@ class Port:
                 listener(self, queue_index, packet)
         self._transmit_next()
 
-    def _transmission_done(self, queue_index: int, packet: Packet) -> None:
-        # The packet has left the buffer only now that it is on the wire.
-        self._tx_event = None
-        self._transmission_done_ff(queue_index, packet, self._tx_epoch)
-
     # -- teardown ---------------------------------------------------------
 
     def reset(self) -> None:
@@ -279,9 +268,9 @@ class Port:
 
         Required after :meth:`repro.sim.engine.Simulator.clear` (or any
         teardown that discards pending events): a cleared simulator drops
-        the in-flight ``_transmission_done`` event, which would otherwise
+        the in-flight transmission completion, which would otherwise
         leave ``busy`` latched forever — the port would never transmit
-        again — and leak buffer/pool occupancy.  ``reset`` cancels the
+        again — and leak buffer/pool occupancy.  ``reset`` invalidates the
         in-flight transmission, discards all queued packets, zeroes the
         occupancy accounting, credits any shared pool, clears the
         marker's per-port state (:meth:`~repro.ecn.base.Marker.on_reset`)
@@ -290,12 +279,10 @@ class Port:
         Cumulative statistics (``tx_packets``, ``drops``, …) are
         preserved.
         """
-        if self._tx_event is not None:
-            self._tx_event.cancel()
-            self._tx_event = None
-        # Invalidate any fire-and-forget completion still in flight.
+        # Invalidate any completion still in flight.
         self._tx_epoch += 1
         self.busy = False
+        self._in_service = None
         if self.pool is not None and self._packet_count:
             # Through the pool's credit API — never by mutating its
             # counters directly — so the negative-accounting guard and

@@ -50,13 +50,17 @@ Validators
   ``threshold_epoch``.  Thresholds that differ between two datapath
   events without an epoch bump — e.g. mutated raw between a packet's
   enqueue decision and its dequeue decision — are a violation.
-- **engine hygiene**: a port whose ``_tx_event`` is cancelled or no
-  longer in the heap (the wedged-port state left behind by
-  :meth:`~repro.sim.engine.Simulator.clear` without
-  :meth:`~repro.net.port.Port.reset`) is reported at its next datapath
-  event; a ``scheduler.clear()`` that bypasses ``Port.reset`` (leaving
-  port counters pointing at discarded packets) is caught through the
-  scheduler's ``clear_observer`` hook.
+- **engine hygiene**: every port keeps an in-service record — the queue
+  of the packet on the wire and the :attr:`Simulator.clears
+  <repro.sim.engine.Simulator.clears>` generation its completion was
+  scheduled in.  A busy port whose generation is stale had its
+  completion dropped by :meth:`~repro.sim.engine.Simulator.clear`
+  without :meth:`~repro.net.port.Port.reset` (a wedged port) and is
+  reported at its next datapath event; a ``scheduler.clear()`` that
+  bypasses ``Port.reset`` (leaving port counters pointing at discarded
+  packets) is caught through the scheduler's ``clear_observer`` hook.
+  Audited and unaudited runs take the same datapath: the auditor reads
+  the port's record and never changes how a completion is scheduled.
 
 Zero cost when disabled
 -----------------------
@@ -64,7 +68,7 @@ Zero cost when disabled
 All checks ride existing listener lists and observer slots; when no
 auditor is constructed, no hook is installed anywhere — the engine and
 port hot paths are untouched (the only added cost in the whole codebase
-is one ``None`` check in ``Simulator.clear`` and one per ``open_flow``).
+is one ``None`` check per ``Port.reset`` and one per ``open_flow``).
 
 Usage::
 
@@ -129,6 +133,11 @@ class InvariantViolation(AssertionError):
         )
 
 
+def _name(packet) -> str:
+    """How violation messages name a packet."""
+    return f"flow={packet.flow_id}/seq={packet.seq}"
+
+
 class _PortAudit:
     """Per-port listener counters and attach-time baselines."""
 
@@ -155,9 +164,9 @@ class _PortAudit:
         #: conservation equation compares against the host/switch
         #: baselines, which are also attach-time quantities.
         self.attach_delivered = port.link.packets_delivered
-        #: packet uid -> CE bit observed at enqueue, for packets
-        #: currently buffered in this port (bounded by occupancy).
-        self.transit_ce: Dict[int, bool] = {}
+        #: packet -> CE bit observed at enqueue, for packets currently
+        #: buffered in this port (bounded by occupancy).
+        self.transit_ce: Dict[Any, bool] = {}
 
     def rebaseline(self, port: "Port") -> None:
         """Re-anchor all baselines at the port's current counters."""
@@ -214,8 +223,7 @@ class FabricAuditor:
         self.checks = 0
         #: Flows being watched (count only; handlers are closures).
         self.flows_watched = 0
-        #: ``Simulator.clear`` calls observed.
-        self.clears_observed = 0
+        self._clears_at_attach = sim.clears
         #: Packets handed to another shard (captured at a boundary stub).
         self.external_exported = 0
         #: Packets injected from another shard's export batch.
@@ -223,6 +231,11 @@ class FabricAuditor:
         #: When sharded, the host ids owned by this shard; ``None`` means
         #: the whole fabric is local (single-process run).
         self.local_host_ids: Optional[set] = None
+
+    @property
+    def clears_observed(self) -> int:
+        """``Simulator.clear`` calls since this auditor was installed."""
+        return self.sim.clears - self._clears_at_attach
 
     # -- attachment --------------------------------------------------------
 
@@ -361,28 +374,24 @@ class FabricAuditor:
 
     def _on_enqueue(self, port: "Port", queue_index: int, packet) -> None:
         state = self._ports[port]
-        # Audited packets are exempt from pool recycling: the transit
-        # ledger cross-checks their fields between enqueue and dequeue,
-        # which a reused object would silently falsify.
-        packet.pinned = True
         state.enq_packets += 1
         state.enq_bytes += packet.size
-        event = f"enqueue(queue={queue_index}, pkt={packet.uid})"
+        event = f"enqueue(queue={queue_index}, {_name(packet)})"
         if packet.ce and not packet.ect:
             self._fail("ecn-legality", port.name,
                        ("packet.ce", True), ("packet.ect", False), event)
-        state.transit_ce[packet.uid] = packet.ce
+        state.transit_ce[packet] = packet.ce
         self._check_port(port, state, event)
 
     def _on_dequeue(self, port: "Port", queue_index: int, packet) -> None:
         state = self._ports[port]
         state.tx_packets += 1
         state.tx_bytes += packet.size
-        event = f"dequeue(queue={queue_index}, pkt={packet.uid})"
+        event = f"dequeue(queue={queue_index}, {_name(packet)})"
         if packet.ce and not packet.ect:
             self._fail("ecn-legality", port.name,
                        ("packet.ce", True), ("packet.ect", False), event)
-        entry_ce = state.transit_ce.pop(packet.uid, None)
+        entry_ce = state.transit_ce.pop(packet, None)
         if entry_ce is False and packet.ce:
             from ..ecn.base import MarkPoint
             if port.marker.mark_point is not MarkPoint.DEQUEUE:
@@ -396,7 +405,7 @@ class FabricAuditor:
     def _on_drop(self, port: "Port", queue_index: int, packet) -> None:
         state = self._ports[port]
         state.drops += 1
-        event = f"drop(queue={queue_index}, pkt={packet.uid})"
+        event = f"drop(queue={queue_index}, {_name(packet)})"
         buffer_full = (port.buffer_packets is not None
                        and port._packet_count >= port.buffer_packets)
         pool_reject = (port.pool is not None
@@ -430,14 +439,14 @@ class FabricAuditor:
             self._fail("link-drop-ledger", link.name,
                        ("drop reports by reason", ledger),
                        ("link.packets_lost delta", lost),
-                       f"link_drop(reason={reason}, pkt={packet.uid})")
+                       f"link_drop(reason={reason}, {_name(packet)})")
 
     def _on_scheduler_clear(self, port: "Port") -> None:
         """``Scheduler.clear`` fired — legal only via ``Port.reset``.
 
-        ``Port.reset`` zeroes the port's occupancy counters (and cancels
-        the in-service transmission) *before* clearing the scheduler, so
-        at this point a legitimate reset shows an empty port.  A direct
+        ``Port.reset`` zeroes the port's occupancy counters (and drops
+        its in-service record) *before* clearing the scheduler, so at
+        this point a legitimate reset shows an empty port.  A direct
         ``scheduler.clear()`` mid-traffic leaves the port counting
         packets the scheduler just discarded.
         """
@@ -445,9 +454,8 @@ class FabricAuditor:
         if state is None:
             return
         self.checks += 1
-        tx = port._tx_event
-        in_service = 1 if (tx is not None and not tx.cancelled
-                           and tx.scheduled) else 0
+        in_service = 1 if (port._in_service is not None
+                           and port._tx_clears == self.sim.clears) else 0
         if port._packet_count != in_service:
             self._fail(
                 "scheduler-cleared-under-port", port.name,
@@ -468,16 +476,6 @@ class FabricAuditor:
         state.rebaseline(port)
         state.transit_ce.clear()
 
-    def on_clear(self) -> None:
-        """``Simulator.clear`` notification (engine hygiene).
-
-        Clearing mid-run legitimately precedes ``Port.reset``, so no
-        violation is raised here; instead every audited port's next
-        datapath event checks ``_tx_event`` liveness and reports a
-        wedged port that was reused without reset.
-        """
-        self.clears_observed += 1
-
     # -- validators --------------------------------------------------------
 
     def _fail(self, counter: str, subject: str, view_a: Tuple[str, Any],
@@ -489,18 +487,18 @@ class FabricAuditor:
                     event: str) -> None:
         self.checks += 1
         name = port.name
-        # Engine hygiene: the in-service completion event must be live.
-        tx = port._tx_event
-        in_service_queue = None
-        if tx is not None:
-            if tx.cancelled or not tx.scheduled:
-                self._fail(
-                    "engine-hygiene", name,
-                    ("port._tx_event", "cancelled/unscheduled"),
-                    ("expected", "live heap or wheel entry (reset the "
-                     "port after Simulator.clear)"), event)
-            else:
-                in_service_queue = tx.args[0]
+        # Engine hygiene: a busy port's completion must have been
+        # scheduled since the last Simulator.clear, which drops it.
+        # Clearing mid-run legitimately precedes Port.reset, so this is
+        # checked at the port's next datapath event, not at the clear.
+        if port.busy and port._tx_clears != self.sim.clears:
+            self._fail(
+                "engine-hygiene", name,
+                ("port in-service completion",
+                 f"scheduled before Simulator.clear #{self.sim.clears}"),
+                ("expected", "live completion (reset the port after "
+                 "Simulator.clear)"), event)
+        in_service_queue = port._in_service
         # Port-internal consistency: total vs per-queue sums.
         queue_sum = sum(port._queue_packets)
         if port._packet_count != queue_sum:

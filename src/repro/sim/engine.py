@@ -94,8 +94,7 @@ _INF = float("inf")
 def slow_path_default() -> bool:
     """True when ``REPRO_SLOW_PATH`` requests the pre-optimization path.
 
-    Read at :class:`Simulator` construction (and by
-    :mod:`repro.net.packet` for the packet pool), so tests can flip the
+    Read at :class:`Simulator` construction, so tests can flip the
     environment variable between simulator instances.
     """
     value = os.environ.get("REPRO_SLOW_PATH", "")
@@ -143,9 +142,8 @@ class Event:
     def scheduled(self) -> bool:
         """True while the event is pending in the engine (either tier).
 
-        Observers that previously checked ``in_heap`` (e.g. the fabric
-        auditor's engine-hygiene pass) must use this instead: a
-        short-horizon event lives in the timing wheel, not the heap.
+        Use this rather than ``in_heap``: a short-horizon event lives in
+        the timing wheel, not the heap.
         """
         return self.in_heap or self.in_wheel
 
@@ -203,7 +201,7 @@ class Simulator:
         "_slow", "_wheel", "_cursor", "_active", "_active_pos",
         "_now_bucket", "_wheel_count", "_wheel_cancelled",
         "_wheel_scheduled", "_heap_scheduled",
-        "_wheel_processed", "_heap_processed", "barrier_hook",
+        "_wheel_processed", "_heap_processed", "barrier_hook", "clears",
     )
 
     def __init__(self, slow_path: Optional[bool] = None) -> None:
@@ -244,6 +242,10 @@ class Simulator:
         #: Optional shard-synchronisation callback: called with the LBTS
         #: bound after every :meth:`run_until_lbts` window completes.
         self.barrier_hook: Optional[Callable[[float], None]] = None
+        #: :meth:`clear` calls so far.  A component that scheduled work
+        #: records the value at the time; a different value later means
+        #: that work was dropped (the auditor's engine-hygiene check).
+        self.clears = 0
 
     @property
     def now(self) -> float:
@@ -883,5 +885,4 @@ class Simulator:
             self._active_pos = 0
             self._wheel_count = 0
             self._wheel_cancelled = 0
-        if self.auditor is not None:
-            self.auditor.on_clear()
+        self.clears += 1

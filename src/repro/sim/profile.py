@@ -1,7 +1,7 @@
 """Lightweight observability for simulation runs.
 
 A :class:`SimProfiler` attaches to one :class:`~repro.sim.engine.Simulator`
-(via ``sim.profiler``) and collects three kinds of data:
+(via ``sim.profiler``) and collects four kinds of data:
 
 - **per-category event counters** — hot-path components report coarse
   categories through :meth:`SimProfiler.count`: the port datapath reports
@@ -15,10 +15,8 @@ A :class:`SimProfiler` attaches to one :class:`~repro.sim.engine.Simulator`
   ``pending_events`` bounded;
 - **events/sec** — executed events divided by wall-clock time between
   :meth:`start` and :meth:`stop`;
-- **engine tier split and pool hit rate** — how many executed events
-  came from the timing-wheel vs. heap tier, and what fraction of packet
-  acquisitions the packet free-list pool served without allocating
-  (both deltas over the profiled span).
+- **engine tier split** — how many executed events came from the
+  timing-wheel vs. heap tier (deltas over the profiled span).
 
 The component hooks cost one attribute load and a None check per event
 when no profiler is attached, so profiling is safe to leave compiled in.
@@ -71,8 +69,6 @@ class SimProfiler:
         self._wheel_at_stop: Optional[int] = None
         self._heap_start = 0
         self._heap_at_stop: Optional[int] = None
-        self._pool_start = (0, 0)
-        self._pool_at_stop: Optional[tuple] = None
         sim.profiler = self
 
     # -- counters (the hot-path entry point) ------------------------------
@@ -83,11 +79,6 @@ class SimProfiler:
         counters[category] = counters.get(category, 0) + n
 
     # -- lifecycle ---------------------------------------------------------
-
-    @staticmethod
-    def _pool_counters() -> tuple:
-        from ..net.packet import POOL
-        return (POOL.allocated, POOL.reused)
 
     def start(self) -> None:
         """Begin wall-clock accounting and periodic heap sampling."""
@@ -100,8 +91,6 @@ class SimProfiler:
         self._wheel_at_stop = None
         self._heap_start = self.sim.heap_events_processed
         self._heap_at_stop = None
-        self._pool_start = self._pool_counters()
-        self._pool_at_stop = None
         self._task.start()
 
     def stop(self) -> None:
@@ -113,7 +102,6 @@ class SimProfiler:
             self._events_at_stop = self.sim.events_processed
             self._wheel_at_stop = self.sim.wheel_events_processed
             self._heap_at_stop = self.sim.heap_events_processed
-            self._pool_at_stop = self._pool_counters()
 
     def detach(self) -> None:
         """Stop and disconnect from the simulator's hot-path hook."""
@@ -170,19 +158,6 @@ class SimProfiler:
             end = self.sim.heap_events_processed
         return end - self._heap_start
 
-    def pool_hit_rate(self) -> float:
-        """Fraction of packet acquisitions served from the free pool
-        over the profiled span (0.0 when no packet was acquired)."""
-        end = self._pool_at_stop
-        if end is None:
-            end = self._pool_counters()
-        allocated = end[0] - self._pool_start[0]
-        reused = end[1] - self._pool_start[1]
-        total = allocated + reused
-        if total == 0:
-            return 0.0
-        return reused / total
-
     @property
     def max_pending_events(self) -> int:
         """Largest sampled heap size (0 when nothing was sampled)."""
@@ -205,7 +180,6 @@ class SimProfiler:
                 f"({100.0 * wheel / executed:.1f}%) / heap {heap} "
                 f"({100.0 * heap / executed:.1f}%)"
             )
-        lines.append(f"  pool hit rate   : {100.0 * self.pool_hit_rate():.1f}%")
         lines.append(f"  heap compactions: {sim.compactions}")
         lines.append(f"  cancelled in heap: {sim.cancelled_pending}")
         if self.counters:

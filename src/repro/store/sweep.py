@@ -12,6 +12,7 @@ worker pool.
 from __future__ import annotations
 
 import os
+import time
 from importlib import import_module
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -104,8 +105,12 @@ def cached_sweep(
     *before* returning, so a crash between points — real or injected
     via :data:`CRASH_AFTER_ENV` — loses at most the points in flight.
     Workers on different points write different keys, so the store
-    stays consistent and the rows identical at any ``jobs`` level.
+    stays consistent and the rows identical at any ``jobs`` level.  If
+    a worker is killed, the sweep is finished in this process: what the
+    pool's workers persisted before it broke is read back, and only the
+    points still missing from the store are computed.
     """
+    started = time.time()
     rows: List[Any] = [None] * len(points)
     misses = []
     for index, spec in enumerate(specs):
@@ -121,10 +126,20 @@ def cached_sweep(
             # Resolved once here; forked workers inherit the cached value
             # instead of each spawning `git rev-parse`.
             git_revision()
+
+        def finish(job) -> Any:
+            # Written since this sweep started: a dead pool's worker
+            # computed it (``force`` may leave older records in place).
+            record = store.get(job[2]) if store is not None else None
+            if record is not None and record.provenance.get(
+                    "wall_time_unix", 0.0) >= started:
+                return load_row(record.result)
+            return _compute_point(job)
+
         fresh = run_parallel(
             [(function, points[index], specs[index], store, profile_name)
              for index in misses],
-            _compute_point, jobs=jobs)
+            _compute_point, jobs=jobs, finish=finish)
         for index, row in zip(misses, fresh):
             rows[index] = row
     return rows

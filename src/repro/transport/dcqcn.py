@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 from ..net.host import Host
 from ..net.packet import (ACK, ACK_BYTES, CNP, MTU_BYTES, NACK,
-                          Packet, POOL, make_data, release)
+                          Packet, make_data)
 from ..sim.engine import Simulator
 from ..sim.timers import Timer
 from .flow import Flow
@@ -124,13 +124,11 @@ class DcqcnReceiver:
             self.nacks_sent += 1
             self._send_control(NACK, packet)
         # seq < expected: duplicate from a rewind — silently dropped.
-        # This receiver is the data packet's terminal consumer.
-        release(packet)
 
     def _send_control(self, kind: int, trigger: Packet) -> None:
-        control = POOL.acquire(kind, self.flow.flow_id, self.flow.dst,
-                               self.flow.src, trigger.seq, ACK_BYTES,
-                               self.flow.service, False)
+        control = Packet(kind, self.flow.flow_id, self.flow.dst,
+                         self.flow.src, trigger.seq, ACK_BYTES,
+                         self.flow.service, False)
         control.ack_seq = self.expected_seq
         self.host.send(control)
 
@@ -214,12 +212,8 @@ class DcqcnSender:
     # -- control-plane input -----------------------------------------------
 
     def on_ack(self, packet: Packet) -> None:
-        """Demux entry for all reverse-path packets (CNP/NACK/final ACK).
-
-        Terminal consumer: recycles the control packet on return.
-        """
+        """Demux entry for all reverse-path packets (CNP/NACK/final ACK)."""
         if self.completed:
-            release(packet)
             return
         if packet.kind == CNP:
             self._on_cnp()
@@ -235,7 +229,6 @@ class DcqcnSender:
             self.stop()
             if self.on_complete is not None:
                 self.on_complete(self.flow, self.fct, self)
-        release(packet)
 
     def _on_cnp(self) -> None:
         self.cnps_received += 1

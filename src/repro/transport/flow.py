@@ -3,7 +3,10 @@
 A :class:`Flow` names one sender→receiver transfer: who talks to whom, in
 which service class (→ switch queue), how many bytes (None = long-lived),
 and when it starts.  Flow ids are globally unique within a scenario; the
-ECMP hash and the host demultiplexers key on them.
+ECMP hash and the host demultiplexers key on them.  Code under
+``src/repro`` always passes ``flow_id``, so a row never depends on what
+ran earlier in the process; the default draws from a process-wide
+counter, a convenience for tests and examples.
 """
 
 from __future__ import annotations

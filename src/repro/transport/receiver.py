@@ -16,11 +16,8 @@ Two acknowledgement modes:
 Out-of-order data always triggers an immediate duplicate ACK so fast
 retransmit works regardless of mode.
 
-The receiver is the terminal consumer of every data packet dispatched to
-it: ``on_data`` recycles the packet through the packet pool when it
-returns.  Coalesced-ACK state therefore keeps only a scalar metadata
-tuple of the last data packet (never the object itself), so a delayed
-ACK can be built long after the packet was recycled.
+Coalesced-ACK state keeps only a scalar metadata tuple of the last data
+packet, not the object itself, from which a delayed ACK is built later.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from __future__ import annotations
 from typing import Optional, Set, Tuple
 
 from ..net.host import Host
-from ..net.packet import Packet, make_reply_ack, release
+from ..net.packet import Packet, make_reply_ack
 from ..sim.engine import Simulator
 from ..sim.timers import Timer
 from .flow import Flow
@@ -135,7 +132,6 @@ class DctcpReceiver:
         if self.ack_every == 1 or not in_order or self._out_of_order:
             # Accurate-echo mode, or a gap: acknowledge immediately.
             self._flush_pending(ece=packet.ce)
-            release(packet)
             return
 
         # Delayed-ACK mode with the DCTCP CE state machine (any pending
@@ -147,7 +143,6 @@ class DctcpReceiver:
             self._flush_pending(ece=packet.ce)
         else:
             self._delack_timer.restart(self.delack_timeout)
-        release(packet)
 
     def _flush_pending(self, ece: bool) -> None:
         self._pending_acks = 0

@@ -98,6 +98,23 @@ class TestIncastFlows:
     def test_long_lived(self):
         assert all(f.is_long_lived for f in incast_flows([2, 2]))
 
+    def test_ids_numbered_from_one_on_every_call(self):
+        assert [f.flow_id for f in incast_flows([1, 3])] == [1, 2, 3, 4]
+        assert [f.flow_id for f in incast_flows([1, 3])] == [1, 2, 3, 4]
+
+    def test_multipath_rows_do_not_depend_on_earlier_runs(self):
+        # ECMP hashes flow ids: ids drawn from a process-wide counter
+        # put the second of two identical runs on other paths.
+        def row():
+            return run_incast(
+                make_scheme("pmsb"), lambda: DwrrScheduler(2),
+                incast_flows([1, 8]),
+                config=RunConfig(duration=0.004),
+                topology="leaf-spine:leaf=8,spine=4,hosts_per_leaf=2",
+            ).queue_gbps
+
+        assert row() == row()
+
 
 class TestRunIncast:
     def test_returns_queue_rates(self):

@@ -58,6 +58,33 @@ class TestAuditedIncast:
         assert "0 violations" in auditor.report()
 
 
+class TestOneDatapath:
+    def test_audited_run_schedules_the_same_events(self, monkeypatch):
+        # The auditor only observes: an audited run must schedule exactly
+        # the events an unaudited one does, with the same callbacks.
+        log = []
+        at, at_ff = Simulator.at, Simulator.at_ff
+
+        def logged(schedule):
+            def wrapper(sim, time, callback, *args):
+                log.append((time, callback.__qualname__))
+                return schedule(sim, time, callback, *args)
+            return wrapper
+
+        monkeypatch.setattr(Simulator, "at", logged(at))
+        monkeypatch.setattr(Simulator, "at_ff", logged(at_ff))
+
+        def schedule_log(audit):
+            del log[:]
+            run_incast(make_scheme("pmsb"), lambda: DwrrScheduler(2),
+                       incast_flows([1, 8]),
+                       config=RunConfig(duration=0.002, audit=audit))
+            return list(log)
+
+        plain = schedule_log(False)
+        assert plain and plain == schedule_log(True)
+
+
 class TestAuditedFctPoint:
     def test_tiny_leaf_spine_passes_audit(self):
         from repro.experiments.largescale import run_fct_point

@@ -7,7 +7,7 @@ import pytest
 from repro.core.pmsb import PmsbMarker
 from repro.ecn.base import NullMarker
 from repro.net.link import Link
-from repro.net.packet import POOL, make_data, set_pooling
+from repro.net.packet import make_data
 from repro.net.topology import TopologySpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.scheduling.fifo import FifoScheduler
@@ -17,13 +17,6 @@ from repro.transport.endpoints import open_flow
 from repro.transport.flow import Flow
 
 pytestmark = pytest.mark.slow
-
-
-@pytest.fixture(autouse=True)
-def _restore_pooling():
-    baseline = POOL.enabled
-    yield
-    set_pooling(baseline)
 
 
 class Sink:
@@ -94,19 +87,19 @@ class TestInFlightKill:
         assert [p.seq for p in sink.received] == [1]
         assert link.packets_delivered == 1
 
-    def test_killed_packet_released_to_pool_exactly_once(self, sim):
-        set_pooling(True)
-        POOL.free.clear()
-        released_before = POOL.released
+    def test_killed_packet_reported_lost_once(self, sim):
+        # The auditor's drop channel hears of the kill once, with its
+        # reason, and its ledger agrees with the link's counters.
+        from repro.sim.audit import FabricAuditor
+        auditor = FabricAuditor(sim)
         sink = Sink()
         link = Link(sim, 1e9, 1e-3, sink)
-        packet = make_data(1, 0, 1, 0)
-        link.deliver(packet)
+        link.deliver(make_data(1, 0, 1, 0))
         sim.at(0.5e-3, link.set_down)
         sim.run()
-        assert POOL.released == released_before + 1
-        assert packet.pooled
-        assert POOL.free.count(packet) == 1
+        assert auditor.unattached_link_drops == 1
+        assert link.loss_breakdown == {"down": 0, "wire": 0, "crc": 0,
+                                       "flight": 1}
 
 
 class TestTransportSurvivesFlap:

@@ -39,7 +39,6 @@ from repro.experiments.largescale import (
 )
 from repro.experiments.scale import BENCH, TINY
 from repro.experiments.scenario import incast_flows, make_scheme, run_incast
-from repro.net.packet import POOL, set_pooling
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.faults import FaultSpec
 from repro.sim.shard import ShardedSimulator
@@ -55,13 +54,6 @@ PROFILES = {"tiny": TINY, "bench": BENCH}
 #: argument: shrink the set if a change to event ordering moves a case
 #: out of it, and only grow it with a fix that explains why.
 EXACT = {("tiny", 2), ("tiny", 3)}
-
-
-@pytest.fixture(autouse=True)
-def _restore_pooling():
-    baseline = POOL.enabled
-    yield
-    set_pooling(baseline)
 
 
 def _fct_row(scheme, scheduler, shards, profile=TINY, seed=3, **kw):
@@ -101,7 +93,6 @@ class TestFctByteIdentity:
 
     def test_slow_path_matches(self, monkeypatch):
         monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-        set_pooling(False)
         assert _fct_row("pmsb", "dwrr", 1) == _fct_row("pmsb", "dwrr", 2)
 
     def test_serial_executor_matches(self):

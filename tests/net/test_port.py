@@ -224,7 +224,7 @@ class TestPoolIntegration:
 class TestReset:
     """Regression: ``Simulator.clear()`` used to wedge a busy port.
 
-    ``clear()`` drops the pending ``_transmission_done`` event, so a port
+    ``clear()`` drops the pending transmission completion, so a port
     that was mid-transmission stayed ``busy`` forever and never sent
     another packet.  ``Port.reset()`` is the matching reset hook.
     """

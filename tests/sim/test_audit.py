@@ -338,6 +338,23 @@ class TestEngineHygiene:
             port.scheduler.clear()  # bypasses Port.reset
         assert err.value.counter == "scheduler-cleared-under-port"
 
+    def test_broken_epoch_guard_caught(self, sim, monkeypatch):
+        # Port.reset cannot cancel a fire-and-forget completion; only the
+        # reset-epoch guard stops the stale one.  Audited ports take the
+        # same completion path, so breaking the guard must trip the
+        # auditor when the stale completion lands on the reset port.
+        guarded = Port._transmission_done_ff
+
+        def unguarded(self, queue_index, packet, epoch):
+            guarded(self, queue_index, packet, self._tx_epoch)
+
+        monkeypatch.setattr(Port, "_transmission_done_ff", unguarded)
+        _auditor, port, _sink = audited_port(sim)
+        port.enqueue(make_data(1, 0, 1, 0), 0)  # in service
+        port.reset()
+        with pytest.raises(InvariantViolation):
+            sim.run()
+
     def test_port_reset_rebaselines(self, sim):
         auditor, port, sink = audited_port(sim)
         port.enqueue(make_data(1, 0, 1, 0), 0)

@@ -168,9 +168,9 @@ class TestCutFabric:
         (sim0, sim1), (fab0, fab1) = self._cut_pair()
         # Send one packet from a shard-0 host toward a shard-1 host and
         # run a few conservative windows by hand.
-        from repro.net.packet import POOL
+        from repro.net.packet import make_data
 
-        pkt = POOL.acquire(0, 7, 0, 4, 0, 1500, 1, True)
+        pkt = make_data(7, 0, 4, 0, service=1)
         host0 = fab0.network.hosts[0]
         sim0.at(0.0, host0.send, pkt)
         lookahead = fab0.plan.lookahead

@@ -5,6 +5,8 @@ misses computed and persisted, rows in point order at every jobs level."""
 from __future__ import annotations
 
 import os
+import signal
+import time
 from dataclasses import asdict, dataclass
 
 import pytest
@@ -12,6 +14,8 @@ import pytest
 from repro.store import ExperimentSpec, RunStore, cached_sweep
 
 COMPUTE = f"{__name__}:compute_square"
+#: The pytest process; forked sweep workers inherit this value.
+PARENT_PID = os.getpid()
 
 
 @dataclass
@@ -31,6 +35,16 @@ class Row:
 def compute_square(point, provenance):
     provenance["elapsed_s"] = 0.25
     return Row(n=point, square=point * point, pid=os.getpid())
+
+
+def compute_or_die(point, provenance):
+    """``compute_square``, except that a forked worker handed point 0
+    SIGKILLs itself — after a pause that lets the other points finish
+    and persist."""
+    if point == 0 and os.getpid() != PARENT_PID:
+        time.sleep(0.5)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return compute_square(point, provenance)
 
 
 def _path(store, key):
@@ -92,6 +106,23 @@ class TestCachedSweep:
         assert store.corrupt == [damaged]
         assert all(record is not None for record in map(store.get,
                                                         store.keys()))
+
+    def test_a_killed_worker_costs_one_line_and_only_the_missing_point(
+            self, tmp_path, capsys):
+        store = RunStore(tmp_path)
+        points = [1, 2, 3, 0]
+        specs = [ExperimentSpec.create("square", params={"n": n})
+                 for n in points]
+        rows = cached_sweep(points, specs, f"{__name__}:compute_or_die",
+                            Row.from_payload, store, jobs=2)
+        assert [row.square for row in rows] == [1, 4, 9, 0]
+        # Points the pool's workers persisted are read back (their rows
+        # carry a worker's pid); only the killed point is computed here.
+        assert [row.pid == os.getpid() for row in rows] == [
+            False, False, False, True]
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "BrokenProcessPool" in line
+        assert len(store) == 4
 
     def test_a_sweep_of_hits_does_not_import_the_compute_module(
             self, tmp_path):

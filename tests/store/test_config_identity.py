@@ -82,9 +82,9 @@ def shipped(monkeypatch):
     points = []
     real = store_sweep.run_parallel
 
-    def recording(jobs_list, worker, jobs=None):
+    def recording(jobs_list, worker, **kwargs):
         points.extend((job[1], job[2].key()) for job in jobs_list)
-        return real(jobs_list, worker, jobs=jobs)
+        return real(jobs_list, worker, **kwargs)
 
     monkeypatch.setattr(store_sweep, "run_parallel", recording)
     return points
