@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass
 from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
                     Tuple)
 
+from .._specparse import parse_spec
 from ..core.analysis import port_threshold_lower_bound
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -137,19 +138,10 @@ class ControllerSpec:
         Example: ``theorem:period=0.0005,margin=1.5`` or
         ``cem:t1=0.01,k0=12,k1=24``.
         """
-        name, _, body = text.partition(":")
-        fields: Dict[str, Any] = {}
-        if body:
-            for item in body.split(","):
-                key, sep, value = item.partition("=")
-                key = key.strip()
-                if not sep or not key:
-                    raise ValueError(
-                        f"malformed controller option {item!r} "
-                        "(expected key=value)")
-                fields[key] = float(value)
+        name, fields = parse_spec(text, "controller", dict.fromkeys(
+            set(cls.__dataclass_fields__) - {"name"}, float))
         try:
-            return cls(name=name.strip(), **fields)
+            return cls(name=name, **fields)
         except TypeError as exc:
             raise ValueError(str(exc)) from None
 

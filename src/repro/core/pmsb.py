@@ -131,3 +131,31 @@ class PmsbMarker(Marker):
             return True
         self.victims_protected += 1
         return False
+
+    def hop_hooks(self):
+        if (type(self) is PmsbMarker and self.average_weight is None
+                and self.mark_point is MarkPoint.ENQUEUE):
+            return self.mark_enqueue, False
+        return super().hop_hooks()
+
+    def mark_enqueue(self, port: "Port", queue_index: int,
+                     packet: Packet) -> None:
+        """:meth:`on_enqueue` in straight-line form (instantaneous
+        occupancy, enqueue point): the same decision, counters and
+        threshold staging, read directly off the port's counters."""
+        if self._pending_thresholds is not None:
+            self.on_enqueue(port, queue_index, packet)
+            return
+        if not packet.ect:
+            return
+        self.packets_seen += 1
+        threshold = self.port_threshold_packets
+        if port._packet_count < threshold:
+            return
+        if port._queue_packets[queue_index] >= (
+                port.scheduler.weights[queue_index] / self._weight_sum
+                * threshold * self.blindness_scale):
+            packet.ce = True
+            self.packets_marked += 1
+        else:
+            self.victims_protected += 1

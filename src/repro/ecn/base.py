@@ -32,7 +32,8 @@ controller-tuned ports re-enter a sweep iteration exactly as built.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Optional,
+                    Tuple)
 
 from ..net.packet import Packet
 
@@ -203,6 +204,21 @@ class Marker:
         """Return True when the scheme says this packet should carry CE."""
         raise NotImplementedError
 
+    def hop_hooks(self) -> Tuple[Optional[Callable[..., None]], bool]:
+        """How the port's specialised hop calls this marker.
+
+        Returns ``(enqueue_hook, dequeue_every_packet)``: the callable
+        run on every admitted packet (None: no call), and whether
+        :meth:`on_dequeue` runs for every departing packet — otherwise
+        the port calls it only while a ``set_thresholds`` batch is
+        staged, the one thing the base hook does for an enqueue-side
+        marker.  A subclass overriding either hook differently from
+        what this infers overrides this too.
+        """
+        every_dequeue = (self.mark_point is MarkPoint.DEQUEUE
+                         or type(self).on_dequeue is not Marker.on_dequeue)
+        return self.on_enqueue, every_dequeue
+
     def _evaluate(self, port: "Port", queue_index: int, packet: Packet) -> None:
         if not packet.ect:
             return
@@ -230,3 +246,7 @@ class NullMarker(Marker):
 
     def decide(self, port: "Port", queue_index: int, packet: Packet) -> bool:
         return False
+
+    def hop_hooks(self) -> Tuple[Optional[Callable[..., None]], bool]:
+        # No thresholds to stage, so no call at either point.
+        return None, False

@@ -12,18 +12,21 @@ or numpy (:func:`~repro.store.sweep.cached_sweep`).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Sequence, Union)
 
-from ..control.controller import ControllerSpec
 from ..metrics.fct import SizeClass
 from ..metrics.stats import SummaryStats
-from ..net.sharedbuf import SharedBufferSpec
 from ..net.topology import TopologySpec, as_topology
-from ..sim.faults import FaultSpec
 from ..store.runstore import RunStore
 from ..store.spec import ExperimentSpec, RunConfig, extension_params
 from ..store.sweep import cached_sweep, sweep_setup
 from .scale import ScaleProfile
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..control.controller import ControllerSpec
+    from ..net.sharedbuf import SharedBufferSpec
+    from ..sim.faults import FaultSpec
 
 __all__ = ["FctRow", "fct_point_spec", "topology_params",
            "resolve_fct_topology", "run_fct_sweep", "reduction_percent",

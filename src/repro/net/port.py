@@ -19,6 +19,29 @@ occupancy 2 at every enqueue — which is exactly why the paper's Fig. 2
 per-queue *fractional* thresholds (K=2) throttle a lone flow while K=16
 does not.  Marking at dequeue is evaluated when transmission starts,
 while the packet still counts toward occupancy.
+
+The hop
+-------
+
+A port is bound at construction to one of two hops.  The *general*
+hop calls the scheduler's ``enqueue``/``dequeue`` pair and the marker's
+``on_enqueue``/``on_dequeue`` hooks for every packet; it runs under
+``Simulator(slow_path=True)`` (``REPRO_SLOW_PATH=1``) and is what the
+differential tests hold the other one to.  The *specialised* hop does
+less per packet with the same outcome:
+
+- a packet that reaches an idle port (and so an empty scheduler) goes
+  straight onto the wire when :meth:`Scheduler.pass_through
+  <repro.scheduling.base.Scheduler.pass_through>` applies the pair's
+  state change in closed form — unless the port has an enqueue
+  listener (an auditor or a trace must see the scheduler holding the
+  packet);
+- the marker is called through :meth:`Marker.hop_hooks
+  <repro.ecn.base.Marker.hop_hooks>`: no call for a marker that never
+  marks, a straight-line decision for PMSB, and no dequeue call for an
+  enqueue-side marker unless thresholds are staged;
+- a completion that leaves the port empty does not ask the scheduler
+  for a next packet.
 """
 
 from __future__ import annotations
@@ -80,8 +103,15 @@ class Port:
         "_sched_dequeue",
         "_marker_on_enqueue",
         "_marker_on_dequeue",
-        "_tx_time",
+        "_bandwidth",
         "_sim_at_ff",
+        # The hop bound at construction (module docstring): the
+        # reference hop or not, idle pass-through allowed, and whether
+        # the marker needs ``on_dequeue`` for every packet (otherwise
+        # only while thresholds are staged).
+        "_general",
+        "_idle_pass",
+        "_dequeue_hook",
         # Reset generation for fire-and-forget completions (see
         # _transmission_done_ff): bumped by reset() so in-flight
         # completions scheduled before the reset are ignored.
@@ -131,12 +161,23 @@ class Port:
         self.drop_listeners: List[DropListener] = []
         self._sched_enqueue = scheduler.enqueue
         self._sched_dequeue = scheduler.dequeue
-        self._marker_on_enqueue = self.marker.on_enqueue
-        self._marker_on_dequeue = self.marker.on_dequeue
-        self._tx_time = link.tx_time
+        #: The link's bit rate (fixed for its lifetime): serialization
+        #: time is ``Link.tx_time``, computed inline.
+        self._bandwidth = link.bandwidth
         self._sim_at_ff = sim.at_ff
         self._tx_epoch = 0
         self.marker.attach(self)
+        marker = self.marker
+        self._marker_on_dequeue = marker.on_dequeue
+        self._general = sim.slow_path
+        if self._general:
+            self._idle_pass = False
+            self._marker_on_enqueue = marker.on_enqueue
+            self._dequeue_hook = True
+        else:
+            self._idle_pass = (type(scheduler).pass_through
+                               is not Scheduler.pass_through)
+            self._marker_on_enqueue, self._dequeue_hook = marker.hop_hooks()
 
     # -- occupancy views (what markers read) -----------------------------
 
@@ -189,9 +230,33 @@ class Port:
         self._queue_bytes[queue_index] += size
         if pool is not None:
             pool.add(size)
-        packet.enqueue_time = self.sim._now
+        sim = self.sim
+        now = sim._now
+        packet.enqueue_time = now
+        if (not self.busy and self._idle_pass and not self.enqueue_listeners
+                and self.scheduler.pass_through(queue_index, packet)):
+            # Exact idle pass-through: the scheduler has applied the
+            # state change of its enqueue/dequeue pair, so the packet
+            # goes onto the wire here, seen by the marker at both points
+            # with the occupancy the pair would have shown it.
+            hook = self._marker_on_enqueue
+            if hook is not None:
+                hook(self, queue_index, packet)
+            if self._dequeue_hook or self.marker._pending_thresholds is not None:
+                self._marker_on_dequeue(self, queue_index, packet)
+            self.busy = True
+            self._in_service = queue_index
+            self._tx_clears = sim.clears
+            self._sim_at_ff(
+                now + size * 8.0 / self._bandwidth,
+                self._transmission_done_ff, queue_index, packet,
+                self._tx_epoch,
+            )
+            return True
         self._sched_enqueue(queue_index, packet)
-        self._marker_on_enqueue(self, queue_index, packet)
+        hook = self._marker_on_enqueue
+        if hook is not None:
+            hook(self, queue_index, packet)
         listeners = self.enqueue_listeners
         if listeners:
             for listener in listeners:
@@ -216,7 +281,8 @@ class Port:
             return
         queue_index, packet = item
         # Dequeue marking sees occupancy that still includes this packet.
-        self._marker_on_dequeue(self, queue_index, packet)
+        if self._dequeue_hook or self.marker._pending_thresholds is not None:
+            self._marker_on_dequeue(self, queue_index, packet)
         self.busy = True
         sim = self.sim
         self._in_service = queue_index
@@ -226,7 +292,7 @@ class Port:
         # completion, so it carries the current reset epoch and
         # _transmission_done_ff discards stale generations.
         self._sim_at_ff(
-            sim._now + self._tx_time(packet.size),
+            sim._now + packet.size * 8.0 / self._bandwidth,
             self._transmission_done_ff, queue_index, packet, self._tx_epoch,
         )
 
@@ -242,6 +308,7 @@ class Port:
         profiler = sim.profiler
         if profiler is not None:
             profiler.count("tx")
+        now = sim._now
         size = packet.size
         self._packet_count -= 1
         self._byte_count -= size
@@ -250,16 +317,31 @@ class Port:
         pool = self.pool
         if pool is not None:
             pool.remove(size)
-        self.link.deliver(packet)
+        link = self.link
+        if (link.up and link.fault is None and not self._general
+                and link._dst_receive is not None):
+            # Link.deliver when it has nothing to drop, inline: count
+            # the delivery and start propagation.
+            link.packets_delivered += 1
+            link.bytes_delivered += size
+            self._sim_at_ff(now + link.delay, link._arrive, packet,
+                            link._epoch)
+        else:
+            link.deliver(packet)
         self.tx_packets += 1
         self.tx_bytes += size
         self.queue_tx_bytes[queue_index] += size
-        self.last_departure = sim._now
+        self.last_departure = now
         listeners = self.dequeue_listeners
         if listeners:
             for listener in listeners:
                 listener(self, queue_index, packet)
-        self._transmit_next()
+        if self._packet_count or self._general:
+            self._transmit_next()
+        else:
+            # Nothing left to send: the scheduler is empty and its
+            # dequeue would only say so.
+            self.busy = False
 
     # -- teardown ---------------------------------------------------------
 

@@ -59,6 +59,8 @@ from dataclasses import asdict, dataclass, fields
 from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
                     TYPE_CHECKING)
 
+from .._specparse import parse_spec
+
 if TYPE_CHECKING:  # pragma: no cover
     from .link import Link
 
@@ -410,22 +412,8 @@ class SharedBufferSpec:
         ``bshare:capacity=128,target_delay=100e-6``.  ``capacity`` is an
         int, everything else a float.
         """
-        policy, _, body = text.partition(":")
-        policy = policy.strip()
-        kwargs: Dict[str, Any] = {}
-        if body.strip():
-            for item in body.split(","):
-                key, sep, value = item.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if not sep or not key:
-                    raise ValueError(
-                        f"bad shared-buffer option {item!r} in {text!r} "
-                        f"(expected key=value)")
-                if key == "capacity":
-                    kwargs[key] = int(value)
-                else:
-                    kwargs[key] = float(value)
+        policy, kwargs = parse_spec(text, "shared-buffer", {
+            "capacity": int, "alpha": float, "target_delay": float})
         try:
             return cls(policy=policy, **kwargs)
         except TypeError as exc:

@@ -33,18 +33,24 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass, fields
-from typing import (Any, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Sequence, Tuple, Union)
 
-from ..ecn.base import Marker, NullMarker
-from ..scheduling.base import Scheduler
-from ..scheduling.fifo import FifoScheduler
-from ..sim.engine import Simulator
-from .host import Host
-from .link import Link
-from .port import Port
+from .._specparse import parse_spec
 from .sharedbuf import SharedBufferSpec
-from .switch import Switch
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..ecn.base import Marker
+    from ..scheduling.base import Scheduler
+    from ..sim.engine import Simulator
+    from .host import Host
+    from .link import Link
+    from .port import Port
+    from .switch import Switch
+
+# The fabric classes are imported where a fabric is built, not here:
+# parsing a spec or rendering its cache key (a cache-hit sweep) must not
+# load the simulator.
 
 __all__ = [
     "Network",
@@ -55,8 +61,8 @@ __all__ = [
     "partition_groups",
 ]
 
-SchedulerFactory = Callable[[], Scheduler]
-MarkerFactory = Callable[[], Marker]
+SchedulerFactory = Callable[[], "Scheduler"]
+MarkerFactory = Callable[[], "Marker"]
 
 #: Default one-way propagation delay per hop (5 µs → ~20 µs base RTT
 #: through one switch, a typical datacenter figure).
@@ -123,6 +129,7 @@ class Network:
 
     def all_marked_ports(self) -> List[Port]:
         """Every port carrying a non-null marker (the congestion points)."""
+        from ..ecn.base import NullMarker
         ports = []
         for switch in self.switches:
             for port in switch.ports:
@@ -140,6 +147,9 @@ def _plain_port(sim: Simulator, link: Link, name: str,
     elastic queue avoids the unrealistic failure mode of a sender
     dropping its own retransmission at the local NIC.
     """
+    from ..ecn.base import NullMarker
+    from ..scheduling.fifo import FifoScheduler
+    from .port import Port
     return Port(sim, link, FifoScheduler(1), NullMarker(),
                 buffer_packets=buffer_packets, name=name, pool=pool)
 
@@ -183,6 +193,10 @@ def _build_single_bottleneck(
     multi-queue, marking port in the fabric — is published under the
     ``"bottleneck"`` role.
     """
+    from .host import Host
+    from .link import Link
+    from .port import Port
+    from .switch import Switch
     if n_senders < 1:
         raise ValueError("single-bottleneck needs at least one sender")
     network = Network(sim)
@@ -374,6 +388,7 @@ class ClosGenerator:
 
     def _managed_port_factory(self, network: Network, scheduler_factory,
                               marker_factory, shared_buffer):
+        from .port import Port
         sim = network.sim
         bufs = {id(switch): _switch_buffer(switch, shared_buffer)
                 for switch in network.switches}
@@ -387,6 +402,9 @@ class ClosGenerator:
 
     def _lay_out_leaf_spine(self, network, scheduler_factory, marker_factory,
                             shared_buffer, down, up) -> None:
+        from .host import Host
+        from .link import Link
+        from .switch import Switch
         sim = network.sim
         rate, delay = self.link_rate, self.link_delay
         hosts = [Host(sim, i) for i in range(self.n_hosts)]
@@ -431,6 +449,9 @@ class ClosGenerator:
 
     def _lay_out_fat_tree(self, network, scheduler_factory, marker_factory,
                           shared_buffer, down, up) -> None:
+        from .host import Host
+        from .link import Link
+        from .switch import Switch
         sim = network.sim
         rate, delay = self.link_rate, self.link_delay
         k, half, h = self.k, self.k // 2, self.hosts_per_leaf
@@ -521,6 +542,7 @@ class ClosGenerator:
         the hosts' own id objects) and a top-tier switch has no default:
         an unknown destination ends there in "no route to host".
         """
+        from .host import Host
         memo: Dict[int, List[int]] = {}
 
         def downstream(device) -> List[int]:
@@ -558,6 +580,8 @@ def _whole(value: float, what: str) -> int:
 _INT_FIELDS = frozenset({"tiers", "ports", "n_leaf", "n_spine",
                          "hosts_per_leaf", "k", "senders", "buffer_packets"})
 _FLOAT_FIELDS = frozenset({"oversub", "link_rate", "link_delay"})
+_CONVERTERS = {**dict.fromkeys(_INT_FIELDS, int),
+               **dict.fromkeys(_FLOAT_FIELDS, float)}
 #: CLI spellings accepted for spec fields.
 _FIELD_ALIASES = {
     "ports_per_switch": "ports",
@@ -672,31 +696,8 @@ class TopologySpec:
         ``ports_per_switch``→``ports``, ``oversubscription``→``oversub``,
         ``leaf``/``spine``/``hosts`` for the explicit tier counts.
         """
-        preset, _, body = text.partition(":")
-        preset = preset.strip()
-        kwargs: Dict[str, Any] = {}
-        if body.strip():
-            for item in body.split(","):
-                key, sep, value = item.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if not sep or not key:
-                    raise ValueError(
-                        f"bad topology option {item!r} in {text!r} "
-                        f"(expected key=value)")
-                key = _FIELD_ALIASES.get(key, key)
-                if key not in _INT_FIELDS and key not in _FLOAT_FIELDS:
-                    raise ValueError(
-                        f"bad topology spec {text!r}: unknown field {key!r}")
-                try:
-                    if key in _INT_FIELDS:
-                        kwargs[key] = int(value)
-                    else:
-                        kwargs[key] = float(value)
-                except ValueError:
-                    raise ValueError(
-                        f"bad topology spec {text!r}: field {key!r} needs "
-                        f"a number, got {value!r}") from None
+        preset, kwargs = parse_spec(text, "topology", _CONVERTERS,
+                                    _FIELD_ALIASES)
         try:
             return cls(preset=preset, **kwargs)
         except (TypeError, ValueError) as exc:

@@ -89,6 +89,18 @@ class Scheduler:
         """Remove and return ``(queue_index, packet)``; None when empty."""
         raise NotImplementedError
 
+    def pass_through(self, queue_index: int, packet: Packet) -> bool:
+        """Serve ``packet`` at once, without storing it.
+
+        Called by an idle port, so only on an empty scheduler.  Returns
+        True after applying exactly the state change that
+        ``enqueue(queue_index, packet)`` followed by ``dequeue()`` would
+        have made (that pair would return this packet); False, with no
+        state change, when the pair is not known in closed form — the
+        port then runs it.  The base class always declines.
+        """
+        return False
+
     def clear(self) -> None:
         """Discard all stored packets and reset scheduling state.
 

@@ -58,6 +58,18 @@ class DwrrScheduler(Scheduler):
             self._is_active[queue_index] = True
             self._active.append(queue_index)
 
+    def pass_through(self, queue_index: int, packet: Packet) -> bool:
+        # On an empty scheduler every deficit is 0 and no round is open:
+        # a packet that fits one quantum is served on the first visit,
+        # and retiring the drained queue undoes that visit's bookkeeping.
+        # A bigger one would carry a deficit into a second visit (and
+        # close a round), so the pair has to run.
+        if packet.size > self.quantum[queue_index]:
+            return False
+        if self._queues[queue_index] is None:
+            self._queues[queue_index] = deque()
+        return True
+
     def dequeue(self) -> Optional[Tuple[int, Packet]]:
         if self._total_packets == 0:
             return None

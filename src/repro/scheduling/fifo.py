@@ -35,6 +35,12 @@ class FifoScheduler(Scheduler):
         self._total_packets += 1
         self._order.append(queue_index)
 
+    def pass_through(self, queue_index: int, packet: Packet) -> bool:
+        # The pair leaves only the queue's storage behind.
+        if self._queues[queue_index] is None:
+            self._queues[queue_index] = deque()
+        return True
+
     def dequeue(self) -> Optional[Tuple[int, Packet]]:
         if self._total_packets == 0:
             return None

@@ -59,6 +59,15 @@ class WfqScheduler(Scheduler):
         self._backlog[queue_index] += 1
         self._total_packets += 1
 
+    def pass_through(self, queue_index: int, packet: Packet) -> bool:
+        # The pair tags the packet and serves it at once: only the tags,
+        # the virtual time and the arrival count move.
+        start = max(self._virtual_time, self._finish_tag[queue_index])
+        self._finish_tag[queue_index] = start + packet.size / self.weights[queue_index]
+        self._arrivals += 1
+        self._virtual_time = start
+        return True
+
     def dequeue(self) -> Optional[Tuple[int, Packet]]:
         if self._total_packets == 0:
             return None

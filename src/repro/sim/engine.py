@@ -27,8 +27,9 @@ Determinism is preserved exactly: the run loop merges the wheel and the
 heap by global ``(time, seq)`` order, so the firing order is identical to
 a single-heap engine.  ``REPRO_SLOW_PATH=1`` (or
 ``Simulator(slow_path=True)``) disables the wheel and runs the original
-heap-only loop — differential tests assert byte-identical experiment
-exports between the two paths.
+heap-only loop; ports and DCTCP endpoints built on such a simulator take
+their general paths too (:mod:`repro.net.port`) — differential tests
+assert byte-identical experiment exports between the two modes.
 
 Cancellation and compaction
 ---------------------------
@@ -254,7 +255,9 @@ class Simulator:
 
     @property
     def slow_path(self) -> bool:
-        """True when the timing-wheel tier is disabled."""
+        """True when the timing-wheel tier is disabled (ports and DCTCP
+        endpoints built on this simulator then take their general
+        paths too)."""
         return self._slow
 
     @property

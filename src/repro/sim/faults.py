@@ -61,6 +61,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
                     TYPE_CHECKING)
 
+from .._specparse import parse_spec
 from .engine import Simulator
 from .rng import make_rng, stable_digest, stable_hash
 
@@ -85,6 +86,17 @@ DROP_CRC = 2
 
 
 # -- fault specification ------------------------------------------------------
+
+def _stop(value: str) -> Optional[float]:
+    return None if value.lower() in ("none", "inf") else float(value)
+
+
+#: How ``FaultSpec.parse`` reads each field: ``links`` stays a string,
+#: ``salt`` is an int, ``stop=none`` means forever, the rest are floats.
+_CONVERTERS = {"links": str, "salt": int, "stop": _stop,
+               **dict.fromkeys(("rate", "p", "r", "h", "k", "down", "up",
+                                "period", "start"), float)}
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -181,26 +193,7 @@ class FaultSpec:
         are coerced by field: ``links`` stays a string, ``salt`` is an
         int, ``stop=none`` means forever, everything else is a float.
         """
-        model, _, body = text.partition(":")
-        model = model.strip()
-        kwargs: Dict[str, Any] = {}
-        if body.strip():
-            for item in body.split(","):
-                key, sep, value = item.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if not sep or not key:
-                    raise ValueError(
-                        f"bad fault option {item!r} in {text!r} "
-                        f"(expected key=value)")
-                if key == "links":
-                    kwargs[key] = value
-                elif key == "salt":
-                    kwargs[key] = int(value)
-                elif key == "stop" and value.lower() in ("none", "inf"):
-                    kwargs[key] = None
-                else:
-                    kwargs[key] = float(value)
+        model, kwargs = parse_spec(text, "fault", _CONVERTERS)
         try:
             return cls(model=model, **kwargs)
         except TypeError as exc:

@@ -56,7 +56,7 @@ class Timer:
                 f"cannot arm a timer {delay} seconds in the past"
             )
         sim = self._sim
-        deadline = sim.now + delay
+        deadline = sim._now + delay
         event = self._event
         if event is not None and not event.cancelled:
             if deadline >= event.time:
@@ -74,7 +74,7 @@ class Timer:
             self._event = None
 
     def _fire(self) -> None:
-        if self._deadline > self._sim.now:
+        if self._deadline > self._sim._now:
             # Stale early wake-up from a lazily pushed-back restart:
             # re-arm for the remainder instead of firing.
             self._event = self._sim.at(self._deadline, self._fire)

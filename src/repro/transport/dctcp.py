@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..net.host import Host
-from ..net.packet import Packet, make_data
+from ..net.packet import DATA, Packet
 from ..sim.engine import Simulator
 from ..sim.timers import Timer
 from .base import DctcpConfig
@@ -53,6 +53,8 @@ class DctcpSender:
         "srtt", "rttvar", "rto", "last_rtt", "_rto_timer",
         # pacing
         "pacing_rate", "_next_send_time", "_pace_timer",
+        # True when on_ack runs its hooks inline (see there)
+        "_straight",
         # filter + counters
         "ecn_filter", "packets_sent", "retransmissions", "fast_retransmits",
         "timeouts", "acks_received", "marks_accepted", "marks_filtered",
@@ -115,6 +117,9 @@ class DctcpSender:
         self.marks_filtered = 0
         self.nic_drops = 0
         self.rtt_samples: Optional[list] = [] if self.config.record_rtt else None
+        # Subclasses keep their hooks; the reference path (slow_path)
+        # takes them too.
+        self._straight = type(self) is DctcpSender and not sim.slow_path
 
     # -- public API --------------------------------------------------------
 
@@ -149,9 +154,41 @@ class DctcpSender:
         if self.completed:
             return
         self.acks_received += 1
-        rtt_sample = self._take_rtt_sample(ack)
-        accepted_mark = self._filter_mark(ack, rtt_sample)
-        cut_applied = self._account_alpha_window(accepted_mark)
+        if self._straight:
+            # _take_rtt_sample → _filter_mark → _account_alpha_window of
+            # this class, in one piece: same state changes, same order.
+            sample = None
+            echo_time = ack.echo_time
+            if not ack.retransmit and echo_time is not None:
+                sample = self.sim._now - echo_time
+                self.last_rtt = sample
+                if self.rtt_samples is not None:
+                    self.rtt_samples.append(sample)
+                srtt = self.srtt
+                if srtt is None:
+                    srtt = self.srtt = sample
+                    self.rttvar = sample / 2.0
+                else:
+                    self.rttvar = (0.75 * self.rttvar
+                                   + 0.25 * abs(srtt - sample))
+                    srtt = self.srtt = 0.875 * srtt + 0.125 * sample
+                config = self.config
+                self.rto = min(max(srtt + 4.0 * self.rttvar, config.min_rto),
+                               config.max_rto)
+            self._acks_in_window += 1
+            cut_applied = False
+            if ack.ece and self._filter_mark(ack, sample):
+                self._marks_in_window += 1
+                if not self._cut_done:
+                    self._cut_done = True
+                    self.ssthresh = max(2.0,
+                                        self.cwnd * (1.0 - self.alpha / 2.0))
+                    self.cwnd = self.ssthresh
+                    cut_applied = True
+        else:
+            rtt_sample = self._take_rtt_sample(ack)
+            accepted_mark = self._filter_mark(ack, rtt_sample)
+            cut_applied = self._account_alpha_window(accepted_mark)
 
         if ack.ack_seq > self.snd_una:
             self._on_new_ack(ack.ack_seq, grow=not cut_applied)
@@ -206,21 +243,10 @@ class DctcpSender:
                 return True
         return False
 
-    def _maybe_roll_alpha_window(self) -> None:
-        if self.snd_una < self._window_end or self._acks_in_window == 0:
-            return
-        fraction = self._marks_in_window / self._acks_in_window
-        g = self.config.g
-        self.alpha = (1.0 - g) * self.alpha + g * fraction
-        self._acks_in_window = 0
-        self._marks_in_window = 0
-        self._cut_done = False
-        self._window_end = self.next_seq
-
     def _on_new_ack(self, ack_seq: int, grow: bool) -> None:
         newly_acked = ack_seq - self.snd_una
         self.snd_una = ack_seq
-        if self.next_seq < self.snd_una:
+        if self.next_seq < ack_seq:
             # An RTO rewound next_seq to the old snd_una while ACKs for the
             # original (pre-rewind) transmissions were still in flight; this
             # late ACK just acknowledged past the rewind point.  The acked
@@ -228,31 +254,37 @@ class DctcpSender:
             # cumulative point — never below it (snd_una <= next_seq must
             # hold, or in_flight goes negative and already-acked sequence
             # numbers get resent).
-            self.next_seq = self.snd_una
+            self.next_seq = ack_seq
         self.dup_acks = 0
-        if self.in_recovery and self.snd_una >= self._recover_seq:
+        if self.in_recovery and ack_seq >= self._recover_seq:
             self.in_recovery = False
-        self._maybe_roll_alpha_window()
+        if ack_seq >= self._window_end and self._acks_in_window:
+            # A window of data is acknowledged: roll the alpha estimate.
+            g = self.config.g
+            fraction = self._marks_in_window / self._acks_in_window
+            self.alpha = (1.0 - g) * self.alpha + g * fraction
+            self._acks_in_window = 0
+            self._marks_in_window = 0
+            self._cut_done = False
+            self._window_end = self.next_seq
         # No additive increase on the ACK that carried the congestion cut
         # (CWR semantics) nor while recovering from loss.
         if grow and not self.in_recovery:
-            self._grow_window(newly_acked)
-        if self.total_packets is not None and self.snd_una >= self.total_packets:
+            cwnd = self.cwnd
+            if cwnd < self.ssthresh:
+                self.cwnd = min(cwnd + newly_acked, self.config.max_cwnd)
+            else:
+                self.cwnd = min(cwnd + newly_acked / cwnd,
+                                self.config.max_cwnd)
+        total = self.total_packets
+        if total is not None and ack_seq >= total:
             self._complete()
             return
-        if self.in_flight > 0:
+        if self.next_seq > ack_seq:
             self._rto_timer.restart(self.rto)
         else:
             self._rto_timer.cancel()
         self._try_send()
-
-    def _grow_window(self, newly_acked: int) -> None:
-        if self.cwnd < self.ssthresh:
-            self.cwnd = min(self.cwnd + newly_acked, self.config.max_cwnd)
-        else:
-            self.cwnd = min(
-                self.cwnd + newly_acked / self.cwnd, self.config.max_cwnd
-            )
 
     def _on_duplicate_ack(self) -> None:
         self.dup_acks += 1
@@ -289,17 +321,14 @@ class DctcpSender:
 
     # -- transmission ------------------------------------------------------
 
-    def _window_allows(self) -> bool:
-        return self.in_flight < max(1, int(self.cwnd))
-
-    def _has_data(self) -> bool:
-        return self.total_packets is None or self.next_seq < self.total_packets
-
     def _try_send(self) -> None:
         if self.completed or not self.started:
             return
         rate = self.pacing_rate
-        while self._window_allows() and self._has_data():
+        total = self.total_packets
+        # The window has room and there is data left.
+        while (self.next_seq - self.snd_una < max(1, int(self.cwnd))
+               and (total is None or self.next_seq < total)):
             if rate is not None:
                 now = self.sim.now
                 if now < self._next_send_time:
@@ -311,16 +340,16 @@ class DctcpSender:
             is_retransmit = self.next_seq < self.snd_una  # guarded in _on_new_ack
             self._transmit(self.next_seq, retransmit=is_retransmit)
             self.next_seq += 1
-        if self.in_flight > 0 and not self._rto_timer.armed:
+        if self.next_seq > self.snd_una and not self._rto_timer.armed:
             self._rto_timer.restart(self.rto)
 
     def _transmit(self, seq: int, retransmit: bool) -> None:
         cfg = self.config
-        packet = make_data(
-            self.flow.flow_id, self.flow.src, self.flow.dst,
-            seq, cfg.mss_bytes, self.flow.service, ect=True,
-        )
-        packet.sent_time = self.sim.now
+        flow = self.flow
+        packet = Packet(DATA, flow.flow_id, flow.src, flow.dst, seq,
+                        cfg.mss_bytes, flow.service, True)
+        now = self.sim._now
+        packet.sent_time = now
         packet.retransmit = retransmit
         self.packets_sent += 1
         if retransmit:
@@ -331,7 +360,7 @@ class DctcpSender:
             self.nic_drops += 1
         if self.pacing_rate is not None:
             interval = cfg.mss_bytes * 8.0 / self.pacing_rate
-            self._next_send_time = max(self._next_send_time, self.sim.now) + interval
+            self._next_send_time = max(self._next_send_time, now) + interval
         if not self._rto_timer.armed:
             self._rto_timer.restart(self.rto)
 

@@ -59,6 +59,9 @@ class DctcpReceiver:
         "acks_sent",
         "first_arrival",
         "last_arrival",
+        # False on the reference path (slow_path): every packet takes
+        # the general on_data.
+        "_straight",
     )
 
     def __init__(self, sim: Simulator, host: Host, flow: Flow,
@@ -84,6 +87,7 @@ class DctcpReceiver:
         self.acks_sent = 0
         self.first_arrival: Optional[float] = None
         self.last_arrival: Optional[float] = None
+        self._straight = not sim.slow_path
 
     @staticmethod
     def _meta(packet: Packet) -> AckMeta:
@@ -93,12 +97,28 @@ class DctcpReceiver:
 
     def on_data(self, packet: Packet) -> None:
         """Host demux entry point for this flow's data packets."""
-        now = self.sim.now
+        now = self.sim._now
         if self.first_arrival is None:
             self.first_arrival = now
         self.last_arrival = now
-        if packet.ce:
+        ce = packet.ce
+        if ce:
             self.marked_packets += 1
+        seq = packet.seq
+        if (self._straight and seq == self.expected_seq
+                and self.ack_every == 1 and not self._out_of_order):
+            # In order, per-packet ACKs: the general path below reduced
+            # to what it does here (nothing is pending, no gap to fill).
+            seq += 1
+            self.expected_seq = seq
+            self.packets_received += 1
+            self.bytes_received += packet.size
+            self.acks_sent += 1
+            self.host.send(make_reply_ack(
+                packet.flow_id, packet.dst, packet.src, packet.seq,
+                packet.service, packet.sent_time, packet.retransmit,
+                seq, ce))
+            return
 
         if (self.ack_every > 1 and self._pending_acks > 0
                 and packet.ce != self._ce_state):
@@ -108,7 +128,6 @@ class DctcpReceiver:
             # uses the *previous* packet's metadata.
             self._flush_pending(ece=self._ce_state)
 
-        seq = packet.seq
         in_order = seq == self.expected_seq
         if in_order:
             self.expected_seq += 1

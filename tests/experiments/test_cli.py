@@ -213,6 +213,16 @@ class TestUnsupportedCombinations:
         # The packet-train tier is gone; its flag is not parsed at all.
         (["fig3", "--trains", "16"],
          "error: unrecognized arguments: --trains 16"),
+        # One spec grammar: a bad number names its field, whichever flag.
+        (["fig3", "--faults", "iid:rate=abc"],
+         "error: --faults: bad fault spec 'iid:rate=abc': field 'rate' "
+         "needs a number, got 'abc'"),
+        (["fig3", "--controller", "theorem:margin=x"],
+         "error: --controller: bad controller spec 'theorem:margin=x': "
+         "field 'margin' needs a number, got 'x'"),
+        (["fig3", "--shared-buffer", "dt:alpha="],
+         "error: --shared-buffer: bad shared-buffer spec 'dt:alpha=': "
+         "field 'alpha' needs a number, got ''"),
     ])
     def test_exits_2_with_one_error_line(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
@@ -388,7 +398,7 @@ class TestSpecFlags:
         ("--topology", "leaf-spine:weird=1", "unknown field 'weird'"),
         ("--faults", "nope", "unknown fault model"),
         ("--shared-buffer", "bogus", "sharing policy"),
-        ("--shared-buffer", "dt:capacity=lots", "invalid literal"),
+        ("--shared-buffer", "dt:capacity=lots", "needs a number"),
         ("--controller", "zeta", "unknown controller"),
     ])
     def test_bad_spec_names_the_flag(self, capsys, flag, value, needle):

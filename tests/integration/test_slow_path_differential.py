@@ -1,11 +1,14 @@
 """Differential determinism: slow path vs. optimized datapath.
 
-The engine's fast path (timing-wheel tier, fire-and-forget scheduling)
-is a pure performance substitution — it must never change *what* a
-simulation computes, only how fast.  ``REPRO_SLOW_PATH=1`` selects only
-the engine tier: the heap-only reference loop, in which fire-and-forget
-entries become ordinary events.  Every other layer — packets, ports,
-transports, the auditor — runs the same code in both modes.  These tests
+The fast paths — the engine's timing-wheel tier and fire-and-forget
+scheduling, the ports' specialised hop and the DCTCP endpoints'
+straight-line ACK/data paths — are pure performance substitutions: they
+must never change *what* a simulation computes, only how fast.
+``REPRO_SLOW_PATH=1`` selects every reference: the heap-only loop, in
+which fire-and-forget entries become ordinary events, the general hop on
+every port (scheduler pair and both marker hooks per packet, see
+``tests/net/test_hop_differential.py`` for the per-port differential)
+and the general transport paths.  These tests
 run the same experiments twice, once on each engine, and require exact
 equality of the results — byte-identical JSON exports for the CLI
 figures, field-exact FCT rows for the sweep point — across schemes,

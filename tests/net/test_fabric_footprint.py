@@ -6,6 +6,10 @@ entries exist only once traffic needs them.  The ceiling is on bytes
 allocated (``tracemalloc``), not resident memory, so it reads the same
 on any host: 94.4 MiB when every queue and pair was built up front,
 20 MiB (WFQ + TCN) / 27 MiB (DWRR + PMSB) since.
+
+The same bytes per port are pinned tightly: a per-port field costs
+6,144 times over, and a few hundred bytes per port is what moves the
+1024-host benchmark's peak RSS past its bound.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ CEILING_MIB = 30.0
 #: Σ hosts below each switch of the k=16 fat-tree: 128 edge switches × 8
 #: + 128 aggregation × 64 + 64 core × 1024.
 DOWNWARD_ENTRIES = 74_752
+
+#: Build bytes per port (links, switches and routes included) before
+#: the specialised hop was bound, plus 2 %: the hop may not grow a port.
+PER_PORT_CEILING = {"wfq+tcn": 3388 * 1.02, "dwrr+pmsb": 4572 * 1.02}
 
 FABRICS = {
     "wfq+tcn": (lambda: WfqScheduler(8), lambda: TcnMarker(100e-6)),
@@ -73,6 +81,13 @@ def test_an_idle_fabric_allocates_no_queues_and_no_upward_routes(kind):
     assert not any(owns_storage(port) for port in ports_of(network))
     assert sum(len(switch.routes)
                for switch in network.switches) == DOWNWARD_ENTRIES
+
+
+@pytest.mark.parametrize("kind", sorted(FABRICS))
+def test_bytes_per_port_stay_pinned(kind):
+    network, allocated_mib = build_traced(kind)
+    ports = sum(1 for _port in ports_of(network))
+    assert allocated_mib * 2**20 / ports <= PER_PORT_CEILING[kind]
 
 
 def test_one_flow_materialises_only_its_path():

@@ -105,6 +105,11 @@ class TestCachedSweep:
             " == 0")
         assert_light(report, experiments={"repro.experiments.fct_sweep"})
         assert "concurrent.futures" not in report["modules"]
+        # Not the engine, not a port, not a controller: parsing the
+        # flags and rendering the points' keys is all a full hit does.
+        simulating = {"repro.sim.engine", "repro.net.port",
+                      "repro.control.controller"}
+        assert simulating.isdisjoint(report["modules"])
         assert (tmp_path / "warm.json").read_bytes() \
             == (tmp_path / "cold.json").read_bytes()
 
