@@ -78,9 +78,9 @@ class Marker:
         #: behind the staging surface.
         self.threshold_epoch = 0
         self._pending_thresholds: Optional[Dict[str, Any]] = None
-        #: Construction-time threshold values, captured at attach;
-        #: ``Port.reset`` restores them.
-        self._baseline_thresholds: Dict[str, Any] = {}
+        #: What ``Port.reset`` restores: captured by the first
+        #: ``set_thresholds``; until then the current values are it.
+        self._baseline_thresholds: Optional[Dict[str, Any]] = None
 
     def attach(self, port: "Port") -> None:
         """Called once when the owning port is constructed.
@@ -102,7 +102,6 @@ class Marker:
                 "construct one instance per port"
             )
         self._attached_port = port
-        self._baseline_thresholds = self.thresholds()
 
     # -- runtime-tunable thresholds ---------------------------------------
 
@@ -137,6 +136,8 @@ class Marker:
             merged.update(self._pending_thresholds)
         merged.update(changes)
         self._validate_thresholds(merged)
+        if self._baseline_thresholds is None:
+            self._baseline_thresholds = current
         pending = self._pending_thresholds
         if pending is None:
             pending = {}
@@ -175,8 +176,9 @@ class Marker:
         the restore registers as a legal boundary change.
         """
         self._pending_thresholds = None
-        if self._baseline_thresholds:
-            self._apply_thresholds(dict(self._baseline_thresholds))
+        baseline = self._baseline_thresholds or self.thresholds()
+        if baseline:
+            self._apply_thresholds(dict(baseline))
             self.threshold_epoch += 1
 
     @property

@@ -78,9 +78,6 @@ class MqEcnMarker(Marker):
         self._capacity_bps = port.link.bandwidth
         if self.t_idle is None:
             self.t_idle = MTU_BYTES * 8.0 / self._capacity_bps
-            # Re-capture: the baseline must hold the resolved default,
-            # not the ``None`` placeholder ``super().attach`` saw.
-            self._baseline_thresholds = self.thresholds()
         port.scheduler.round_observer = self._on_round
 
     def _validate_thresholds(self, merged) -> None:

@@ -224,7 +224,7 @@ def sharedbuf_point(
     burst_drops = port.queue_drops[1]
     # Everything queue 1 offered the port: what it dropped plus what it
     # serialized (data packets are MTU-sized) plus what is still queued.
-    offered = (burst_drops + round(port.queue_tx_bytes[1] / MTU_BYTES)
+    offered = (burst_drops + round(burst.meter.total_bytes(1) / MTU_BYTES)
                + port.queue_packet_count(1))
     burst_loss = burst_drops / offered if offered else 0.0
     pool_peak, pool_rejections = _pool_stats(burst)

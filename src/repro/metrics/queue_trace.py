@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
     from ..net.packet import Packet
     from ..net.port import Port
 
@@ -59,6 +58,7 @@ class QueueOccupancyTrace:
         """Time-weighted mean occupancy over the trace."""
         if len(self.times) < 2:
             return float(self.occupancy[0]) if self.occupancy else 0.0
+        import numpy as np  # only the summaries need arrays
         times = np.asarray(self.times)
         values = np.asarray(self.occupancy, dtype=float)
         durations = np.diff(times)
@@ -68,4 +68,5 @@ class QueueOccupancyTrace:
         return float((values[:-1] * durations).sum() / total)
 
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        import numpy as np
         return np.asarray(self.times), np.asarray(self.occupancy)

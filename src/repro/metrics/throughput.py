@@ -11,11 +11,10 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Hashable, List, Optional, Tuple, TYPE_CHECKING
 
-import numpy as np
-
 from ..sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
     from ..net.packet import Packet
     from ..net.port import Port
 
@@ -71,6 +70,7 @@ class ThroughputMeter:
     def series(self, key: Hashable, t0: float = 0.0,
                t1: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
         """Throughput time series ``(bin_centers_s, bits_per_second)``."""
+        import numpy as np  # only the series needs arrays
         if t1 is None:
             t1 = self._last_time if self._last_time is not None else t0
         bins = self._bins.get(key, {})

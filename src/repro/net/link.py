@@ -40,7 +40,7 @@ class Link:
 
     __slots__ = ("sim", "bandwidth", "delay", "_dst", "name",
                  "packets_delivered", "bytes_delivered", "up",
-                 "packets_lost", "_dst_receive", "_sim_at",
+                 "packets_lost", "_dst_receive",
                  "fault", "_epoch", "lost_down", "lost_wire",
                  "lost_crc", "lost_flight")
 
@@ -63,10 +63,6 @@ class Link:
         self.delay = delay
         self._dst = dst
         self._dst_receive = None if dst is None else dst.receive
-        # Delivery completions are the highest-volume timer class and are
-        # never cancelled individually, so they ride the engine's
-        # fire-and-forget lane (no Event object per packet).
-        self._sim_at = sim.at_ff
         self.name = name
         self.packets_delivered = 0
         self.bytes_delivered = 0
@@ -140,8 +136,9 @@ class Link:
                 return
         self.packets_delivered += 1
         self.bytes_delivered += packet.size
+        # Never cancelled one by one: the fire-and-forget lane, no Event.
         sim = self.sim
-        self._sim_at(sim._now + self.delay, self._arrive, packet, self._epoch)
+        sim.at_ff(sim._now + self.delay, self._arrive, packet, self._epoch)
 
     def _arrive(self, packet: Packet, epoch: int) -> None:
         """Propagation completed.  A stale epoch means the link went

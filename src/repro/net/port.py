@@ -23,25 +23,18 @@ while the packet still counts toward occupancy.
 The hop
 -------
 
-A port is bound at construction to one of two hops.  The *general*
-hop calls the scheduler's ``enqueue``/``dequeue`` pair and the marker's
-``on_enqueue``/``on_dequeue`` hooks for every packet; it runs under
-``Simulator(slow_path=True)`` (``REPRO_SLOW_PATH=1``) and is what the
-differential tests hold the other one to.  The *specialised* hop does
-less per packet with the same outcome:
-
-- a packet that reaches an idle port (and so an empty scheduler) goes
-  straight onto the wire when :meth:`Scheduler.pass_through
-  <repro.scheduling.base.Scheduler.pass_through>` applies the pair's
-  state change in closed form — unless the port has an enqueue
-  listener (an auditor or a trace must see the scheduler holding the
-  packet);
-- the marker is called through :meth:`Marker.hop_hooks
-  <repro.ecn.base.Marker.hop_hooks>`: no call for a marker that never
-  marks, a straight-line decision for PMSB, and no dequeue call for an
-  enqueue-side marker unless thresholds are staged;
-- a completion that leaves the port empty does not ask the scheduler
-  for a next packet.
+A port is bound at construction to one of two hops.  The *general* hop
+runs the scheduler's ``enqueue``/``dequeue`` pair and both marker hooks
+for every packet; it runs under ``Simulator(slow_path=True)``
+(``REPRO_SLOW_PATH=1``) and is what the differential tests hold the
+other one to.  The *specialised* hop does less per packet with the same
+outcome: an idle port puts a packet straight onto the wire when
+:meth:`Scheduler.pass_through
+<repro.scheduling.base.Scheduler.pass_through>` applies the pair's state
+change in closed form (unless an enqueue listener must see the packet
+held), the marker is called as :meth:`Marker.hop_hooks
+<repro.ecn.base.Marker.hop_hooks>` says, and a completion that leaves
+the port empty does not ask the scheduler for a next packet.
 """
 
 from __future__ import annotations
@@ -89,28 +82,19 @@ class Port:
         "queue_drops",
         "tx_packets",
         "tx_bytes",
-        "queue_tx_bytes",
         "last_departure",
         "dequeue_listeners",
         "enqueue_listeners",
         "drop_listeners",
-        # Hot-path method bindings, resolved once at construction: the
-        # datapath fires them hundreds of thousands of times per run and
-        # repeated attribute chains (self.scheduler.enqueue, …) would pay
-        # two lookups per call.  Scheduler/marker/link identities are
-        # fixed for the port's lifetime.
-        "_sched_enqueue",
-        "_sched_dequeue",
-        "_marker_on_enqueue",
-        "_marker_on_dequeue",
         "_bandwidth",
-        "_sim_at_ff",
         # The hop bound at construction (module docstring): the
-        # reference hop or not, idle pass-through allowed, and whether
-        # the marker needs ``on_dequeue`` for every packet (otherwise
-        # only while thresholds are staged).
+        # reference hop or not, idle pass-through allowed, the marker's
+        # enqueue hook (None: no call) and whether it needs
+        # ``on_dequeue`` for every packet (else only while thresholds
+        # are staged).
         "_general",
         "_idle_pass",
+        "_marker_on_enqueue",
         "_dequeue_hook",
         # Reset generation for fire-and-forget completions (see
         # _transmission_done_ff): bumped by reset() so in-flight
@@ -149,7 +133,6 @@ class Port:
         self.queue_drops = [0] * scheduler.n_queues
         self.tx_packets = 0
         self.tx_bytes = 0
-        self.queue_tx_bytes = [0] * scheduler.n_queues
         #: Simulation time of the most recent transmission completion,
         #: anchored at construction time: a port built mid-run has not
         #: been idle since t=0, and idle-detecting markers (MQ-ECN's
@@ -159,16 +142,12 @@ class Port:
         self.dequeue_listeners: List[DequeueListener] = []
         self.enqueue_listeners: List[EnqueueListener] = []
         self.drop_listeners: List[DropListener] = []
-        self._sched_enqueue = scheduler.enqueue
-        self._sched_dequeue = scheduler.dequeue
         #: The link's bit rate (fixed for its lifetime): serialization
         #: time is ``Link.tx_time``, computed inline.
         self._bandwidth = link.bandwidth
-        self._sim_at_ff = sim.at_ff
         self._tx_epoch = 0
         self.marker.attach(self)
         marker = self.marker
-        self._marker_on_dequeue = marker.on_dequeue
         self._general = sim.slow_path
         if self._general:
             self._idle_pass = False
@@ -242,18 +221,19 @@ class Port:
             hook = self._marker_on_enqueue
             if hook is not None:
                 hook(self, queue_index, packet)
-            if self._dequeue_hook or self.marker._pending_thresholds is not None:
-                self._marker_on_dequeue(self, queue_index, packet)
+            marker = self.marker
+            if self._dequeue_hook or marker._pending_thresholds is not None:
+                marker.on_dequeue(self, queue_index, packet)
             self.busy = True
             self._in_service = queue_index
             self._tx_clears = sim.clears
-            self._sim_at_ff(
+            sim.at_ff(
                 now + size * 8.0 / self._bandwidth,
                 self._transmission_done_ff, queue_index, packet,
                 self._tx_epoch,
             )
             return True
-        self._sched_enqueue(queue_index, packet)
+        self.scheduler.enqueue(queue_index, packet)
         hook = self._marker_on_enqueue
         if hook is not None:
             hook(self, queue_index, packet)
@@ -275,14 +255,15 @@ class Port:
         return False
 
     def _transmit_next(self) -> None:
-        item = self._sched_dequeue()
+        item = self.scheduler.dequeue()
         if item is None:
             self.busy = False
             return
         queue_index, packet = item
         # Dequeue marking sees occupancy that still includes this packet.
-        if self._dequeue_hook or self.marker._pending_thresholds is not None:
-            self._marker_on_dequeue(self, queue_index, packet)
+        marker = self.marker
+        if self._dequeue_hook or marker._pending_thresholds is not None:
+            marker.on_dequeue(self, queue_index, packet)
         self.busy = True
         sim = self.sim
         self._in_service = queue_index
@@ -291,7 +272,7 @@ class Port:
         # Event object per transmission.  reset() cannot cancel such a
         # completion, so it carries the current reset epoch and
         # _transmission_done_ff discards stale generations.
-        self._sim_at_ff(
+        sim.at_ff(
             sim._now + packet.size * 8.0 / self._bandwidth,
             self._transmission_done_ff, queue_index, packet, self._tx_epoch,
         )
@@ -324,13 +305,11 @@ class Port:
             # the delivery and start propagation.
             link.packets_delivered += 1
             link.bytes_delivered += size
-            self._sim_at_ff(now + link.delay, link._arrive, packet,
-                            link._epoch)
+            sim.at_ff(now + link.delay, link._arrive, packet, link._epoch)
         else:
             link.deliver(packet)
         self.tx_packets += 1
         self.tx_bytes += size
-        self.queue_tx_bytes[queue_index] += size
         self.last_departure = now
         listeners = self.dequeue_listeners
         if listeners:
@@ -376,9 +355,8 @@ class Port:
         # see the port counting packets the scheduler already discarded.
         self._packet_count = 0
         self._byte_count = 0
-        for queue_index in range(self.scheduler.n_queues):
-            self._queue_packets[queue_index] = 0
-            self._queue_bytes[queue_index] = 0
+        self._queue_packets = [0] * self.n_queues
+        self._queue_bytes = [0] * self.n_queues
         self.scheduler.clear()
         self.marker.on_reset(self)
         self.last_departure = self.sim.now

@@ -13,7 +13,8 @@ port's queue count, matching how operators pin services to switch queues.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import (AbstractSet, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..sim.engine import Simulator
 from ..sim.rng import stable_hash
@@ -32,22 +33,29 @@ def service_classifier(packet: Packet, port: Port) -> int:
 
 
 class RouteTable(dict):
-    """``dst host id -> ECMP group`` with an optional default group.
+    """``dst host id -> ECMP group``, resolved on first lookup.
 
     ``table[dst]`` is the lookup for every reachable destination.  A Clos
-    switch lists only the hosts *below* it; anything else resolves to
-    :attr:`default` (its uplinks) and is stored on first use, so only
-    that first lookup per destination runs Python code.  Without a
-    default a miss is the plain ``KeyError`` of a hand-wired table.
+    switch lists nothing up front: a destination's first lookup finds
+    the down port whose host set (:attr:`below`) holds it, else takes
+    :attr:`default` (its uplinks), and stores the group, so only that
+    first lookup runs Python code.  Without either a miss is the plain
+    ``KeyError`` of a hand-wired table.
     """
 
-    #: Group for every destination the table does not list.
+    #: Group for every destination neither listed nor below a down port.
     default: Optional[Sequence[int]] = None
+    #: ``(group, hosts)`` per down port: ``hosts`` answers ``in``.
+    below: Tuple[Tuple[Sequence[int], AbstractSet[int]], ...] = ()
 
     def __missing__(self, dst_host: int) -> Sequence[int]:
-        group = self.default
-        if group is None:
-            raise KeyError(dst_host)
+        for group, hosts in self.below:
+            if dst_host in hosts:
+                break
+        else:
+            group = self.default
+            if group is None:
+                raise KeyError(dst_host)
         self[dst_host] = group
         return group
 
@@ -106,31 +114,33 @@ class Switch:
         return tuple(group)
 
     def install_routes(self, routes: Mapping[int, Sequence[int]],
-                       default: Optional[Sequence[int]] = None) -> None:
+                       default: Optional[Sequence[int]] = None,
+                       below: Optional[Mapping[int, AbstractSet[int]]] = None,
+                       ) -> None:
         """Bulk-install ECMP groups (the topology generator's path).
 
         Semantically ``set_route`` per destination, but each *distinct*
         group object is validated and frozen to a tuple once and then
-        shared by every destination that references it.  ``default`` (a
-        Clos switch's uplinks) answers every destination ``routes`` does
-        not list — see :class:`RouteTable` — so a generated 1k-host
-        fabric installs ~75k entries, the hosts below each switch, not
-        one per (switch, host) pair.
+        shared by every destination that references it.  ``below`` (down
+        port index -> hosts beneath it) and ``default`` (a Clos switch's
+        uplinks) replace the tables :class:`RouteTable` resolves from,
+        and every entry resolved from the old ones is dropped.
         """
-        frozen: Dict[int, tuple] = {}
         table = self.routes
+        lazy = {id(group) for group, _hosts in table.below}
+        lazy.add(id(table.default))
+        for dst_host in [d for d, g in table.items() if id(g) in lazy]:
+            del table[dst_host]
+        frozen: Dict[int, tuple] = {}
         for dst_host, group in routes.items():
             cached = frozen.get(id(group))
             if cached is None:
                 cached = frozen[id(group)] = self._checked_group(group)
             table[dst_host] = cached
+        if below is not None:
+            table.below = tuple((self._checked_group((index,)), hosts)
+                                for index, hosts in below.items())
         if default is not None:
-            stale = table.default
-            if stale is not None:
-                # Destinations resolved through the earlier default
-                # follow the new one.
-                for dst_host in [d for d, g in table.items() if g is stale]:
-                    del table[dst_host]
             table.default = self._checked_group(default)
         self._ecmp_cache.clear()
 

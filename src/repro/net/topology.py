@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass, fields
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
-                    Optional, Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable,
+                    List, Optional, Sequence, Tuple, Union)
 
 from .._specparse import parse_spec
 from .sharedbuf import SharedBufferSpec
@@ -532,35 +532,34 @@ class ClosGenerator:
 
     @staticmethod
     def _derive_routes(network: Network, down, up) -> None:
-        """Install next-hop tables derived from the generated down-graph.
+        """Hand each switch the tables its routes resolve from.
 
         A destination below one of a switch's down ports routes out that
-        port (recursing through the subtree); every other destination
-        ECMPs across the switch's up ports, installed once as the
-        table's default group — so a switch's table lists only the
-        hosts below it (~75k entries on the 1k-host fat-tree, keyed by
-        the hosts' own id objects) and a top-tier switch has no default:
-        an unknown destination ends there in "no route to host".
+        port; every other destination ECMPs across the switch's up ports
+        (the table's default group), and a top-tier switch has no
+        default: an unknown destination ends there in "no route to
+        host".  A down port gets the frozenset of hosts beneath it, one
+        set per distinct subtree, and entries appear only as lookups
+        resolve them (:class:`~repro.net.switch.RouteTable`).
         """
         from .host import Host
-        memo: Dict[int, List[int]] = {}
+        memo: Dict[int, FrozenSet[int]] = {}
+        shared: Dict[FrozenSet[int], FrozenSet[int]] = {}
 
-        def downstream(device) -> List[int]:
+        def downstream(device) -> FrozenSet[int]:
             if isinstance(device, Host):
-                return [device.host_id]
-            cached = memo.get(id(device))
-            if cached is None:
-                cached = []
-                for _index, child in down.get(id(device), ()):
-                    cached.extend(downstream(child))
-                memo[id(device)] = cached
-            return cached
+                return frozenset((device.host_id,))
+            key = id(device)
+            if key not in memo:
+                hosts = frozenset().union(*(
+                    downstream(child) for _index, child in down.get(key, ())))
+                memo[key] = shared.setdefault(hosts, hosts)
+            return memo[key]
 
         for switch in network.switches:
-            routes: Dict[int, Sequence[int]] = {}
-            for index, child in down.get(id(switch), ()):
-                routes.update(dict.fromkeys(downstream(child), (index,)))
-            switch.install_routes(routes, default=up.get(id(switch)))
+            switch.install_routes({}, default=up.get(id(switch)), below={
+                index: downstream(child)
+                for index, child in down.get(id(switch), ())})
 
 
 def _whole(value: float, what: str) -> int:

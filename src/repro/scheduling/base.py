@@ -81,9 +81,15 @@ class Scheduler:
         """Append ``packet`` to ``queue_index``."""
         queue = self._queues[queue_index]
         if queue is None:
-            queue = self._queues[queue_index] = deque()
+            queue = self._open(queue_index)
         queue.append(packet)
         self._total_packets += 1
+
+    def _open(self, queue_index: int) -> Deque[Packet]:
+        """Create a queue's storage; subclasses create their per-queue
+        arrays with the first one, so an idle port holds none."""
+        queue = self._queues[queue_index] = deque()
+        return queue
 
     def dequeue(self) -> Optional[Tuple[int, Packet]]:
         """Remove and return ``(queue_index, packet)``; None when empty."""

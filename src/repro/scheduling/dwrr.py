@@ -14,7 +14,7 @@ reported through ``round_observer``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Sequence, Set, Tuple
+from typing import Deque, Optional, Sequence, Tuple
 
 from ..net.packet import MTU_BYTES, Packet
 from .base import Scheduler
@@ -37,11 +37,17 @@ class DwrrScheduler(Scheduler):
         if quantum_bytes < 1:
             raise ValueError("quantum_bytes must be at least 1")
         self.quantum = [w * quantum_bytes for w in self.weights]
-        self._deficit = [0.0] * n_queues
-        self._visiting = [False] * n_queues
-        self._active: Deque[int] = deque()
-        self._is_active = [False] * n_queues
-        self._served_this_round: Set[int] = set()
+        self.clear()
+
+    def _open(self, queue_index: int) -> Deque[Packet]:
+        # The round state is created with the first queue's storage.  A
+        # queue is in ``_active`` exactly while it holds packets, and
+        # only its head can be part-way through a visit.
+        if self._active is None:
+            self._deficit = [0.0] * self.n_queues
+            self._active = deque()
+            self._served_this_round = set()
+        return super()._open(queue_index)
 
     def queue_quantum(self, queue_index: int) -> float:
         """The quantum (bytes added per round) of one queue — MQ-ECN input."""
@@ -51,12 +57,11 @@ class DwrrScheduler(Scheduler):
         # Inlined base bookkeeping (hot path).
         queue = self._queues[queue_index]
         if queue is None:
-            queue = self._queues[queue_index] = deque()
+            queue = self._open(queue_index)
+        if not queue:
+            self._active.append(queue_index)
         queue.append(packet)
         self._total_packets += 1
-        if not self._is_active[queue_index]:
-            self._is_active[queue_index] = True
-            self._active.append(queue_index)
 
     def pass_through(self, queue_index: int, packet: Packet) -> bool:
         # On an empty scheduler every deficit is 0 and no round is open:
@@ -67,26 +72,25 @@ class DwrrScheduler(Scheduler):
         if packet.size > self.quantum[queue_index]:
             return False
         if self._queues[queue_index] is None:
-            self._queues[queue_index] = deque()
+            self._open(queue_index)
         return True
 
     def dequeue(self) -> Optional[Tuple[int, Packet]]:
         if self._total_packets == 0:
             return None
         active = self._active
-        visiting = self._visiting
         deficit = self._deficit
         served = self._served_this_round
         while True:
             queue_index = active[0]
-            if not visiting[queue_index]:
+            if not self._visiting:
                 # Begin a visit: a queue seen twice closes the round.
                 if queue_index in served:
                     served.clear()
                     self._notify_round()
                 served.add(queue_index)
                 deficit[queue_index] += self.quantum[queue_index]
-                visiting[queue_index] = True
+                self._visiting = True
             queue = self._queues[queue_index]
             if queue[0].size <= deficit[queue_index]:
                 packet = queue.popleft()
@@ -100,23 +104,18 @@ class DwrrScheduler(Scheduler):
                     # round_observer notification (skewing MQ-ECN's
                     # T_round low).
                     active.popleft()
-                    self._is_active[queue_index] = False
                     deficit[queue_index] = 0.0
-                    visiting[queue_index] = False
+                    self._visiting = False
                     served.discard(queue_index)
                     if not active:
                         served.clear()
                 return queue_index, packet
             # Head does not fit this visit: carry the deficit to the next
             # round and move on.
-            visiting[queue_index] = False
+            self._visiting = False
             active.rotate(-1)
 
     def clear(self) -> None:
         super().clear()
-        for queue_index in range(self.n_queues):
-            self._deficit[queue_index] = 0.0
-            self._visiting[queue_index] = False
-            self._is_active[queue_index] = False
-        self._active.clear()
-        self._served_this_round.clear()
+        self._deficit = self._active = self._served_this_round = None
+        self._visiting = False

@@ -23,14 +23,20 @@ class FifoScheduler(Scheduler):
 
     def __init__(self, n_queues: int = 1, weights: Optional[Sequence[float]] = None):
         super().__init__(n_queues, weights)
-        self._order: Deque[int] = deque()
+        #: Queue index of every stored packet, in arrival order (_open).
+        self._order: Optional[Deque[int]] = None
+
+    def _open(self, queue_index: int) -> Deque[Packet]:
+        if self._order is None:
+            self._order = deque()
+        return super()._open(queue_index)
 
     def enqueue(self, queue_index: int, packet: Packet) -> None:
         # Inlined base bookkeeping: host NIC ports make this the most
         # frequently called scheduler method in the fabric.
         queue = self._queues[queue_index]
         if queue is None:
-            queue = self._queues[queue_index] = deque()
+            queue = self._open(queue_index)
         queue.append(packet)
         self._total_packets += 1
         self._order.append(queue_index)
@@ -38,7 +44,7 @@ class FifoScheduler(Scheduler):
     def pass_through(self, queue_index: int, packet: Packet) -> bool:
         # The pair leaves only the queue's storage behind.
         if self._queues[queue_index] is None:
-            self._queues[queue_index] = deque()
+            self._open(queue_index)
         return True
 
     def dequeue(self) -> Optional[Tuple[int, Packet]]:
@@ -50,4 +56,4 @@ class FifoScheduler(Scheduler):
 
     def clear(self) -> None:
         super().clear()
-        self._order.clear()
+        self._order = None

@@ -34,14 +34,12 @@ class WfqScheduler(Scheduler):
 
     def __init__(self, n_queues: int, weights: Optional[Sequence[float]] = None):
         super().__init__(n_queues, weights)
-        self._reset()
+        self.clear()
 
-    def _reset(self) -> None:
-        self._virtual_time = 0.0
-        self._finish_tag = [0.0] * self.n_queues
-        self._heap: List[Tuple[float, int, int, Packet]] = []
-        self._backlog = [0] * self.n_queues
-        self._arrivals = 0
+    def _allocate(self) -> List[float]:
+        self._heap, self._backlog = [], [0] * self.n_queues
+        tags = self._finish_tag = [0.0] * self.n_queues
+        return tags
 
     @property
     def virtual_time(self) -> float:
@@ -49,11 +47,15 @@ class WfqScheduler(Scheduler):
         return self._virtual_time
 
     def queue_len(self, queue_index: int) -> int:
-        return self._backlog[queue_index]
+        backlog = self._backlog
+        return 0 if backlog is None else backlog[queue_index]
 
     def enqueue(self, queue_index: int, packet: Packet) -> None:
-        start = max(self._virtual_time, self._finish_tag[queue_index])
-        self._finish_tag[queue_index] = start + packet.size / self.weights[queue_index]
+        tags = self._finish_tag
+        if tags is None:
+            tags = self._allocate()
+        start = max(self._virtual_time, tags[queue_index])
+        tags[queue_index] = start + packet.size / self.weights[queue_index]
         self._arrivals += 1
         heappush(self._heap, (start, queue_index, self._arrivals, packet))
         self._backlog[queue_index] += 1
@@ -62,8 +64,11 @@ class WfqScheduler(Scheduler):
     def pass_through(self, queue_index: int, packet: Packet) -> bool:
         # The pair tags the packet and serves it at once: only the tags,
         # the virtual time and the arrival count move.
-        start = max(self._virtual_time, self._finish_tag[queue_index])
-        self._finish_tag[queue_index] = start + packet.size / self.weights[queue_index]
+        tags = self._finish_tag
+        if tags is None:
+            tags = self._allocate()
+        start = max(self._virtual_time, tags[queue_index])
+        tags[queue_index] = start + packet.size / self.weights[queue_index]
         self._arrivals += 1
         self._virtual_time = start
         return True
@@ -78,4 +83,7 @@ class WfqScheduler(Scheduler):
 
     def clear(self) -> None:
         super().clear()
-        self._reset()
+        self._virtual_time = 0.0
+        self._arrivals = 0
+        # Per-queue finish tags, backlogs and the heap: from a first packet.
+        self._finish_tag = self._heap = self._backlog = None

@@ -27,8 +27,8 @@ class WrrScheduler(Scheduler):
         #: Packets a queue may send per visit (at least one).
         self._per_visit = [max(1, int(round(w))) for w in self.weights]
         self._credit = [0] * n_queues
+        #: Queues holding packets, in visiting order.
         self._active: Deque[int] = deque()
-        self._is_active = [False] * n_queues
         self._served_this_round: Set[int] = set()
 
     def queue_quantum(self, queue_index: int) -> float:
@@ -38,8 +38,7 @@ class WrrScheduler(Scheduler):
 
     def enqueue(self, queue_index: int, packet: Packet) -> None:
         super().enqueue(queue_index, packet)
-        if not self._is_active[queue_index]:
-            self._is_active[queue_index] = True
+        if len(self._queues[queue_index]) == 1:
             self._active.append(queue_index)
 
     def dequeue(self) -> Optional[Tuple[int, Packet]]:
@@ -65,7 +64,6 @@ class WrrScheduler(Scheduler):
 
     def _retire(self, queue_index: int) -> None:
         self._active.popleft()
-        self._is_active[queue_index] = False
         self._credit[queue_index] = 0
         # Same round-bookkeeping rule as DWRR: a drained queue that
         # re-activates within the round must not look like a new round.
@@ -76,8 +74,6 @@ class WrrScheduler(Scheduler):
 
     def clear(self) -> None:
         super().clear()
-        for queue_index in range(self.n_queues):
-            self._credit[queue_index] = 0
-            self._is_active[queue_index] = False
+        self._credit = [0] * self.n_queues
         self._active.clear()
         self._served_this_round.clear()

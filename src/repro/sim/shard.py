@@ -35,7 +35,6 @@ on the timestamp.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import re
 import time as _time
@@ -531,6 +530,7 @@ def _worker_loop(shard_id: int, n_shards: int,
 
 def _run_process(builder: Callable[[int, int], ShardScenario],
                  n_shards: int, sync_timeout: float) -> List[ShardResult]:
+    import multiprocessing  # only a sharded run forks
     ctx = multiprocessing.get_context("fork")
     inboxes = [ctx.Queue() for _ in range(n_shards)]
     results_q = ctx.Queue()
@@ -608,9 +608,7 @@ class ShardedSimulator:
     def run(self) -> List[ShardResult]:
         mode = self.executor
         if mode == "auto":
-            mode = ("process"
-                    if "fork" in multiprocessing.get_all_start_methods()
-                    else "serial")
+            mode = "process" if hasattr(os, "fork") else "serial"
         if mode == "process":
             try:
                 return _run_process(self.builder, self.n_shards,

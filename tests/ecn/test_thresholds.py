@@ -28,7 +28,7 @@ from repro.ecn.red import RedMarker
 from repro.ecn.service_pool import BufferPool, ServicePoolMarker
 from repro.ecn.tcn import TcnMarker
 from repro.net.link import Link
-from repro.net.packet import make_data
+from repro.net.packet import MTU_BYTES, make_data
 from repro.net.port import Port
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.audit import FabricAuditor, InvariantViolation
@@ -212,3 +212,40 @@ class TestRuntimeThresholds:
         if case.dequeue:
             sim.run()
         assert not after[0].ce, "discarded stage must not leak into decisions"
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+@pytest.mark.parametrize("tunings", [0, 1, 2])
+def test_reset_restores_the_attach_time_values_and_counts_epochs(
+        sim, case, tunings):
+    # The baseline is captured by the first staged change, not at
+    # attach; observably it is still the attach-time snapshot, and every
+    # reset is one boundary change whether or not the marker was tuned.
+    marker = case.build()
+    port = make_port(sim, marker)
+    attached = dict(marker.thresholds())
+    for round_no in range(tunings):
+        marker.set_thresholds(**case.low)
+        send(port, 1, start_seq=10 * round_no)  # commit: one epoch
+        assert marker.thresholds() != attached
+        port.reset()
+        assert marker.thresholds() == attached
+    assert marker.threshold_epoch == 2 * tunings
+    port.reset()
+    port.reset()
+    assert marker.thresholds() == attached
+    assert marker.threshold_epoch == 2 * tunings + 2
+
+
+def test_mq_ecn_reset_restores_the_resolved_idle_default(sim):
+    marker = MqEcnMarker(rtt=1.0)
+    port = make_port(sim, marker)
+    resolved = marker.t_idle
+    assert resolved == MTU_BYTES * 8 / 1e9
+    port.reset()
+    assert (marker.t_idle, marker.threshold_epoch) == (resolved, 1)
+    marker.set_thresholds(t_idle=1e-3, rtt=2.0)
+    send(port, 1)
+    port.reset()
+    assert marker.thresholds() == {"rtt": 1.0, "lam": 1.0, "t_idle": resolved}
+    assert marker.threshold_epoch == 3

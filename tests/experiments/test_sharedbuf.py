@@ -105,19 +105,28 @@ def _sweep(cache_dir, force=False, audit=None):
 
 
 class TestStoreContract:
-    def test_cold_run_populates_store(self, tmp_path):
-        rows = _sweep(tmp_path / "cache")
-        assert len(RunStore(tmp_path / "cache")) == len(rows) == 6
-        assert sweep._points_computed == 6
+    """One cold six-point sweep into its own store, shared by the class:
+    each test reads it, and the warm test sweeps it again."""
 
-    def test_warm_run_computes_nothing(self, tmp_path):
-        cold = _sweep(tmp_path / "cache")
-        warm = _sweep(tmp_path / "cache")
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        cache = tmp_path_factory.mktemp("sharedbuf-store") / "cache"
+        rows = _sweep(cache)
+        return cache, rows, sweep._points_computed
+
+    def test_cold_run_populates_store(self, cold):
+        cache, rows, computed = cold
+        assert len(RunStore(cache)) == len(rows) == 6
+        assert computed == 6
+
+    def test_warm_run_computes_nothing(self, cold):
+        cache, cold_rows, _computed = cold
+        warm = _sweep(cache)
         assert sweep._points_computed == 0
-        assert warm == cold
+        assert warm == cold_rows
 
-    def test_policies_differentiate(self, tmp_path):
-        rows = _sweep(tmp_path / "cache")
+    def test_policies_differentiate(self, cold):
+        _cache, rows, _computed = cold
         by_policy = {(row.scheme, row.policy, row.alpha): row for row in rows}
         assert len(by_policy) == 6
         # The shallow shared memory must actually bind: some policy point

@@ -138,7 +138,7 @@ def _port_state(port):
     state = {name: _plain(getattr(port, name)) for name in (
         "busy", "_packet_count", "_byte_count", "_queue_packets",
         "_queue_bytes", "drops", "queue_drops", "tx_packets", "tx_bytes",
-        "queue_tx_bytes", "last_departure", "_in_service")}
+        "last_departure", "_in_service")}
     state["link"] = (port.link.packets_delivered, port.link.bytes_delivered,
                      port.link.loss_breakdown)
     return state

@@ -9,6 +9,7 @@ import pytest
 from repro.ecn.base import Marker, MarkPoint
 from repro.ecn.service_pool import BufferPool, DynamicThresholdPool
 from repro.sim.audit import FabricAuditor
+from repro.metrics.throughput import ThroughputMeter
 from repro.sim.engine import Simulator
 from repro.net.link import Link
 from repro.net.packet import make_data
@@ -101,11 +102,14 @@ class TestAccounting:
 
     def test_tx_counters(self, sim):
         port, _sink = make_port(sim)
+        # Per-queue departures are a meter's to count, not the port's.
+        meter = ThroughputMeter(sim)
+        meter.attach_port(port)
         port.enqueue(make_data(1, 0, 1, 0, size=1000), 0)
         sim.run()
         assert port.tx_packets == 1
         assert port.tx_bytes == 1000
-        assert port.queue_tx_bytes[0] == 1000
+        assert meter.total_bytes(0) == 1000
 
 
 class TestDropTail:

@@ -182,7 +182,7 @@ class TestClassification:
         assert [port.scheduler.queue_len(q) for q in range(4)] == [0] * 4
         assert switch.forwarded == 0
         sim.run()
-        assert sink.received == [] and port.queue_tx_bytes == [0] * 4
+        assert sink.received == [] and port.tx_bytes == 0
 
 
 class TestDefaultGroup:
@@ -231,6 +231,49 @@ class TestDefaultGroup:
         with pytest.raises(KeyError):
             switch.routes[1]
         assert len(switch.routes) == 1
+
+
+class TestResolvedRoutes:
+    """Down-port host sets resolve on first lookup, like the default."""
+
+    def _switch(self, sim):
+        switch = Switch(sim)
+        for _ in range(4):
+            add_port(sim, switch)
+        switch.install_routes({}, default=[2, 3], below={
+            0: frozenset({0, 1}), 1: frozenset({5})})
+        return switch
+
+    def test_a_lookup_resolves_and_stores_its_entry(self, sim):
+        switch = self._switch(sim)
+        assert len(switch.routes) == 0
+        assert switch.routes[1] == (0,) and switch.routes[5] == (1,)
+        assert switch.routes[0] is switch.routes[1]  # one group per port
+        assert switch.routes[9] is switch.routes.default
+        assert dict(switch.routes) == {1: (0,), 5: (1,), 0: (0,), 9: (2, 3)}
+
+    def test_reinstalling_drops_every_resolved_entry(self, sim):
+        switch = self._switch(sim)
+        for dst in (0, 5, 9):
+            switch.routes[dst]
+        switch.install_routes({7: [3]}, below={
+            0: frozenset({5}), 1: frozenset({0})})
+        assert dict(switch.routes) == {7: (3,)}
+        assert switch.routes[5] == (0,) and switch.routes[0] == (1,)
+        assert switch.routes[9] == (2, 3)  # the default stays
+
+    def test_reinstalling_keeps_listed_entries(self, sim):
+        switch = self._switch(sim)
+        switch.set_route(4, [1])
+        switch.routes[0]
+        switch.install_routes({}, default=[3])
+        assert dict(switch.routes) == {4: [1]}
+        assert switch.routes[1] == (0,) and switch.routes[8] == (3,)
+
+    def test_down_ports_are_validated(self, sim):
+        switch = self._switch(sim)
+        with pytest.raises(ValueError, match="no port with index 4"):
+            switch.install_routes({}, below={4: frozenset({2})})
 
 
 class TestEcmpCache:

@@ -195,7 +195,9 @@ class TestDerivedRoutes:
     def test_broken_tables_fail_validation(self):
         network = _build("fat-tree:k=4")
         core = network.switches[-1]
-        del core.routes[5]
+        # Re-install the core's down-port host sets without host 5.
+        core.install_routes({}, below={
+            group[0]: hosts - {5} for group, hosts in core.routes.below})
         with pytest.raises(ValueError,
                            match=f"{core.name} has no route to host 5"):
             validate_routes(network)
@@ -272,7 +274,7 @@ class TestRouteOracle:
         expanded = _expanded_tables(network)
         for switch in network.switches:
             down, up = expanded[switch.name]
-            assert len(switch.routes) == len(down)  # installed: downward only
+            assert len(switch.routes) == 0  # nothing installed before the first lookup
             assert up or len(down) == len(hosts)
             shared = {}
             for dst in hosts:

@@ -89,6 +89,24 @@ class TestStartUp:
             "from repro.cli import main; assert main(['table1']) == 0"))
 
 
+class TestVictimScenario:
+    def test_an_incast_loads_neither_numpy_nor_a_pool(self):
+        # The Fig. 3/8 scenario's rates come from ``average_bps``: no
+        # array is built, and nothing forks in a single-process run.
+        report = probe(
+            "from repro.experiments.scenario import (incast_flows,\n"
+            "    make_scheme, run_incast)\n"
+            "from repro.scheduling.dwrr import DwrrScheduler\n"
+            "from repro.store.spec import RunConfig\n"
+            "result = run_incast(make_scheme('pmsb'), lambda: DwrrScheduler(2),\n"
+            "                    incast_flows([1, 2]),\n"
+            "                    config=RunConfig(duration=0.001))\n"
+            "assert result.total_gbps > 0")
+        assert "numpy" not in report["modules"]
+        assert "multiprocessing" not in report["modules"]
+        assert report["spawned"] == 0
+
+
 @pytest.mark.slow
 class TestCachedSweep:
     def test_full_hit_sweep_simulates_nothing(self, tmp_path):
