@@ -171,7 +171,6 @@ def _run_config(args, specs: Dict[str, Any]) -> RunConfig:
         profile_events=getattr(args, "profile_events", False),
         cache_dir=getattr(args, "cache_dir", None),
         force=getattr(args, "force", False),
-        shards=args.shards,
         **specs,
     )
 
@@ -604,7 +603,6 @@ _INCAST = tuple(f"fig{n}" for n in range(1, 16)) + ("theorem", "ablation")
 #: extension builders (pool / coexist / burst / transports) wire their
 #: own two-port fabrics and table1 simulates nothing.
 _READ_BY = {
-    "shards": ("sweep", "chaos-sweep", "xscale"),
     "faults": _INCAST + ("sweep", "sharedbuf"),
     "controller": _INCAST + ("chaos3", "chaos8", "sweep", "chaos-sweep",
                              "sharedbuf"),
@@ -848,11 +846,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                         help="run under the fabric invariant auditor "
                              "(cross-layer conservation checks; raises "
                              "on the first violation)")
-    common.add_argument("--shards", type=int, default=None,
-                        help="split each scenario across N conservative-"
-                             "lookahead shard processes (leaf/pod "
-                             "partition, deterministic merge; needs a "
-                             "multi-switch fabric — see docs/API.md)")
     for dest, (_module, _spec_class, help_text) in SPEC_FLAGS.items():
         if dest == "faults":
             common.add_argument(_flag(dest), action="append",
@@ -959,15 +952,14 @@ def _dispatch(argv: Optional[List[str]]) -> int:
     fn, _help = COMMANDS[args.command]
     specs = _parse_spec_flags(parser, args)
     for dest, commands in _READ_BY.items():
-        if (getattr(args, dest) not in (None, 1)
-                and args.command not in commands):
+        if getattr(args, dest) is not None and args.command not in commands:
             only = (f" (only {', '.join(commands)} do)"
                     if len(commands) <= 5 else "")
             parser.error(f"{_flag(dest)}: {args.command} does not support "
                          f"it{only}")
-    # Input a runner cannot honour — a flag pair check_compatibility
-    # rejects, a fabric too small for the scenario — is one `error:`
-    # line and exit 2; anything else keeps its traceback.
+    # Input a runner cannot honour — a fabric too small for the
+    # scenario, say — is one `error:` line and exit 2; anything else
+    # keeps its traceback.
     try:
         payload = fn(args, _run_config(args, specs))
     except ValueError as exc:

@@ -13,15 +13,14 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:  # pragma: no cover
     from .cem import CemResult, cross_entropy_search
     from .controller import (CemController, ControllerRuntime, ControllerSpec,
-                             TheoremController, ThresholdController,
-                             build_runtime)
+                             TheoremController, ThresholdController)
     from .observation import ObservationVector, PortSampler
 
 _EXPORTS = {
     ".cem": ("CemResult", "cross_entropy_search"),
     ".controller": (
         "CemController", "ControllerRuntime", "ControllerSpec",
-        "TheoremController", "ThresholdController", "build_runtime",
+        "TheoremController", "ThresholdController",
     ),
     ".observation": ("ObservationVector", "PortSampler"),
 }

@@ -307,12 +307,3 @@ class ControllerRuntime:
         return {"ticks": self.ticks, "changes_staged": self.changes_staged,
                 "ports": len(self.ports),
                 "rtt_sources": len(self._rtt_sources)}
-
-
-def build_runtime(sim: "Simulator", network,
-                  spec: ControllerSpec) -> ControllerRuntime:
-    """Wire a spec'd controller over a built network's marked ports."""
-    runtime = ControllerRuntime(
-        sim, network.all_marked_ports(), spec.build(), spec.period)
-    runtime.start()
-    return runtime

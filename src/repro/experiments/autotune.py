@@ -182,14 +182,15 @@ def run_autotune_point(
     # ECMP path choices stay a pure function of the combined schedule.
     hosts = [h.host_id for h in network.hosts]
     size_distribution = PAPER_MIX.scaled(profile.size_scale)
+    link_rate = topo.physics(profile.link_rate)[0]
     flows_a = PoissonFlowGenerator(
         make_rng(seed), hosts, size_distribution, load=load_lo,
-        link_rate_bps=profile.link_rate, n_services=N_SERVICES,
+        link_rate_bps=link_rate, n_services=N_SERVICES,
     ).generate(n_flows=profile.largescale_flows)
     t_shift = flows_a[-1].start_time
     flows_b = PoissonFlowGenerator(
         make_rng(stable_hash(seed, 1)), hosts, size_distribution,
-        load=load_hi, link_rate_bps=profile.link_rate,
+        load=load_hi, link_rate_bps=link_rate,
         n_services=N_SERVICES, start_time=t_shift,
     ).generate(n_flows=profile.largescale_flows)
     flows = flows_a + [

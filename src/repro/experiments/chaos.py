@@ -212,7 +212,6 @@ def chaos_point_spec(
     loss_rate: float,
     audit: bool = False,
     topology: "Union[str, TopologySpec, None]" = None,
-    shards: int = 1,
     controller: Optional[ControllerSpec] = None,
     shared_buffer: Optional[SharedBufferSpec] = None,
 ) -> ExperimentSpec:
@@ -233,12 +232,6 @@ def chaos_point_spec(
         "faults": tuple(spec.to_param() for spec in faults),
     })
     params.update(extension_params((), controller, shared_buffer))
-    # Sharded execution is keyed like the clean FCT sweep: fault
-    # streams replay identically at any shard count, but the execution
-    # substrate differs, so shards > 1 re-keys while shards=1 keys stay
-    # byte-for-byte what they were before the sharding layer existed.
-    if shards and shards > 1:
-        params["shards"] = int(shards)
     return ExperimentSpec.create(
         CHAOS_EXPERIMENT, scheme=scheme_name, scheduler=scheduler_name,
         load=load, seed=seed, profile=profile, audit=audit, params=params,
@@ -249,13 +242,12 @@ def _chaos_point(point, provenance: Dict[str, Any]) -> ChaosFctRow:
     """Simulate one chaos sweep point (the ``compute`` of
     :func:`~repro.store.sweep.cached_sweep`)."""
     (scheme_name, scheduler_name, load, profile, seed, model, loss_rate,
-     audit, topology, shards, controller, shared_buffer) = point
+     audit, topology, controller, shared_buffer) = point
     fault_stats: Dict[str, Any] = {}
     fct = run_fct_point(
         scheme_name, scheduler_name, load, profile, seed,
         topology=topology,
-        config=RunConfig(audit=audit, shards=shards,
-                         shared_buffer=shared_buffer),
+        config=RunConfig(audit=audit, shared_buffer=shared_buffer),
         provenance_out=provenance,
         faults=chaos_faults(model, loss_rate),
         fault_stats_out=fault_stats, controller=controller,
@@ -295,8 +287,8 @@ def run_chaos_sweep(
     # A point is chaos_point_spec's arguments, in order.
     points = [
         (name, scheduler_name, load, profile, seed, model, loss_rate,
-         bool(config.audit), topology_spec, config.shards,
-         config.controller, config.shared_buffer)
+         bool(config.audit), topology_spec, config.controller,
+         config.shared_buffer)
         for loss_rate in loss_rates
         for load in profile.loads
         for name in scheme_names

@@ -98,8 +98,9 @@ def topology_params(topology: Union[str, TopologySpec, None]) -> Dict[str, Any]:
     :meth:`~repro.net.topology.TopologySpec.cache_params`), so every
     pre-redesign run-store key is unchanged; non-default
     :class:`~repro.net.topology.TopologySpec` instances add a canonical
-    ``topology_params`` tuple, and ``thresholds="fabric-physics"`` when
-    they set ``link_rate`` or ``link_delay``.
+    ``topology_params`` tuple, ``thresholds="fabric-physics"`` when
+    they set ``link_rate`` or ``link_delay``, and
+    ``arrivals="fabric-rate"`` when they set ``link_rate``.
     """
     if topology is None:
         return {"topology": "leaf-spine"}
@@ -112,6 +113,11 @@ def topology_params(topology: Union[str, TopologySpec, None]) -> Dict[str, Any]:
             # and delay (they once assumed the profile's rate and a
             # 5 us hop), so such points key apart from rows stored then.
             params["thresholds"] = "fabric-physics"
+        if topology.link_rate:
+            # Offered load follows the built link rate (it once used
+            # the profile's), so the flows drawn differ from rows
+            # stored then.
+            params["arrivals"] = "fabric-rate"
         return params
     return {"topology": topology}
 
@@ -126,7 +132,6 @@ def fct_point_spec(
     topology: Union[str, TopologySpec, None] = "leaf-spine",
     faults: Sequence[FaultSpec] = (),
     controller: Optional[ControllerSpec] = None,
-    shards: int = 1,
     shared_buffer: Optional[SharedBufferSpec] = None,
 ) -> ExperimentSpec:
     """The canonical identity of one §VI-B FCT point (store cache key).
@@ -147,10 +152,6 @@ def fct_point_spec(
     """
     params = topology_params(topology)
     params.update(extension_params(faults or (), controller, shared_buffer))
-    # Sharded points key separately (incast ties make them
-    # tolerance-equal, not byte-equal); shards=1 keys are untouched.
-    if shards and shards > 1:
-        params["shards"] = int(shards)
     return ExperimentSpec.create(
         "fct-point", scheme=scheme_name, scheduler=scheduler_name,
         load=load, seed=seed, profile=profile, audit=audit, params=params,
@@ -221,7 +222,7 @@ def run_fct_sweep(
     topology_spec = resolve_fct_topology(topology)
     points = [
         (name, scheduler_name, load, profile, seed, bool(config.audit),
-         topology_spec, tuple(faults or ()), controller, config.shards,
+         topology_spec, tuple(faults or ()), controller,
          config.shared_buffer, config.profile_events)
         for load in profile.loads
         for name in scheme_names

@@ -36,21 +36,19 @@ from ..sim.audit import FabricAuditor
 from ..sim.engine import Simulator
 from ..sim.faults import FaultScheduler, FaultSpec
 from ..sim.rng import make_rng
-from ..sim.shard import (ShardResult, ShardScenario, cut_fabric,
-                         verify_fabric)
 from ..store.spec import RunConfig
+from ..transport.endpoints import open_flow
 from ..workloads.distributions import PAPER_MIX, SizeDistribution
 from ..workloads.generator import PoissonFlowGenerator
 from .fct_sweep import (LARGESCALE_SCHEMES, FctRow, fct_point_spec,
                         reduction_percent, resolve_fct_topology,
                         run_fct_sweep, topology_params)
 from .scale import BENCH, ScaleProfile
-from .scenario import SchemeSpec, check_compatibility, make_scheme
-from .sharded import _merge_fault_stats, execute, wire_local_flows
+from .scenario import Scenario, SchemeSpec, make_scheme, run_scenario
 
 __all__ = ["FctRow", "fct_point_spec", "topology_params", "largescale_scheme",
            "fabric_scheme",
-           "resolve_fct_topology", "fct_scenario", "fct_row", "run_fct_point",
+           "resolve_fct_topology", "fct_scenario", "run_fct_point",
            "run_fct_sweep", "reduction_percent", "LARGESCALE_SCHEMES"]
 
 N_SERVICES = 8
@@ -70,11 +68,6 @@ def fabric_base_rtt(link_rate: float, hops: int = 4,
     data_path = hops * (link_delay + MTU_BYTES * 8.0 / link_rate)
     ack_path = hops * (link_delay + ACK_BYTES * 8.0 / link_rate)
     return data_path + ack_path
-
-
-def leaf_spine_base_rtt(link_rate: float, link_delay: float = 5e-6) -> float:
-    """Unloaded inter-rack RTT of the leaf-spine fabric."""
-    return fabric_base_rtt(link_rate, hops=4, link_delay=link_delay)
 
 
 def largescale_scheme(name: str, link_rate: float = 10e9,
@@ -125,8 +118,6 @@ def _make_scheduler_factory(scheduler_name: str):
 
 
 def fct_scenario(
-    shard_id: int,
-    n_shards: int,
     scheme_name: str,
     scheduler_name: str,
     load: float,
@@ -140,15 +131,15 @@ def fct_scenario(
     size_distribution: Optional[SizeDistribution] = None,
     size_scale: Optional[float] = None,
     profile_events: bool = False,
-) -> ShardScenario:
-    """Build one shard of an FCT point — the whole point at
-    ``n_shards == 1``.  :func:`run_fct_point` resolves defaults and
-    rejects unsupported combinations before calling this."""
+) -> Scenario:
+    """Build one FCT point.  :func:`run_fct_point` resolves defaults
+    before calling this; the scenario finalizes to a dict holding the
+    :class:`FctRow` and the run's fault, controller and profiler
+    reports."""
     scheme = fabric_scheme(scheme_name, topo, profile)
     rng = make_rng(seed)
     sim = Simulator()
-    if audit:
-        FabricAuditor(sim)
+    auditor = FabricAuditor(sim) if audit else None
     profiler = None
     if profile_events:
         from ..sim.profile import SimProfiler
@@ -159,7 +150,8 @@ def fct_scenario(
         shared_buffer=shared_buffer, default_fabric=profile.fabric,
         link_rate=profile.link_rate,
     )
-    fabric = cut_fabric(network, shard_id, n_shards)
+    if auditor is not None:
+        auditor.attach_network(network)
     chaos = None
     if fault_specs:
         chaos = FaultScheduler(sim, fault_specs, seed=seed)
@@ -173,20 +165,21 @@ def fct_scenario(
         size_scale = profile.size_scale
     elif size_scale is None:
         size_scale = 1.0
+    # Offered load is a share of the rate the links were built with.
     generator = PoissonFlowGenerator(
         rng, [h.host_id for h in network.hosts], size_distribution,
-        load=load, link_rate_bps=profile.link_rate, n_services=N_SERVICES,
+        load=load, link_rate_bps=topo.physics(profile.link_rate)[0],
+        n_services=N_SERVICES,
     )
     flows = generator.generate(n_flows=profile.largescale_flows)
 
     collector = FctCollector(size_scale=size_scale)
     want_rtt = runtime is not None and controller.wants_rtt
-
-    handles = wire_local_flows(
-        network, fabric, flows,
-        lambda _flow: scheme.transport_config(init_cwnd=16.0,
-                                              record_rtt=want_rtt),
-        on_complete=collector.on_complete)
+    handles = [open_flow(network, flow,
+                         scheme.transport_config(init_cwnd=16.0,
+                                                 record_rtt=want_rtt),
+                         on_complete=collector.on_complete)
+               for flow in flows]
     if runtime is not None:
         if want_rtt:
             for handle in handles:
@@ -194,15 +187,21 @@ def fct_scenario(
         runtime.start()
 
     def finalize() -> Dict[str, Any]:
-        verify_fabric(network, fabric)
+        if auditor is not None:
+            auditor.verify_fabric()
         if runtime is not None:
             runtime.stop()
         if profiler is not None:
             profiler.stop()
+        by_class = collector.summary_by_class()
         return {
-            "scheme": scheme.name, "scheduler": scheduler_name,
-            "load": load, "n_flows": len(flows), "size_scale": size_scale,
-            "records": collector.records,
+            "row": FctRow(
+                scheme=scheme.name, scheduler=scheduler_name, load=load,
+                n_flows=len(flows), completed=len(collector),
+                overall=collector.summary(),
+                small=by_class[SizeClass.SMALL],
+                medium=by_class[SizeClass.MEDIUM],
+                large=by_class[SizeClass.LARGE]),
             "fault_stats": chaos.stats() if chaos is not None else None,
             "controller_stats": (runtime.stats() if runtime is not None
                                  else None),
@@ -210,38 +209,10 @@ def fct_scenario(
                                else None),
         }
 
-    return ShardScenario(sim=sim, fabric=fabric,
-                         deadline=flows[-1].start_time + profile.time_cap,
-                         total_units=len(flows),
-                         completed=collector.__len__, finalize=finalize)
-
-
-def fct_row(results: Sequence[ShardResult]) -> FctRow:
-    """The :class:`FctRow` of one executed :func:`fct_scenario`.
-
-    Several shards' completion records are merged chronologically by
-    ``(completion time, flow id)``; a single shard's are already in
-    completion order and stay as collected.
-    """
-    first = results[0].payload
-    collector = FctCollector(size_scale=first["size_scale"])
-    for result in results:
-        collector.records.extend(result.payload["records"])
-    if len(results) > 1:
-        collector.records.sort(
-            key=lambda r: (r.start_time + r.fct, r.flow_id))
-    by_class = collector.summary_by_class()
-    return FctRow(
-        scheme=first["scheme"],
-        scheduler=first["scheduler"],
-        load=first["load"],
-        n_flows=first["n_flows"],
-        completed=len(collector),
-        overall=collector.summary(),
-        small=by_class[SizeClass.SMALL],
-        medium=by_class[SizeClass.MEDIUM],
-        large=by_class[SizeClass.LARGE],
-    )
+    return Scenario(sim=sim, deadline=flows[-1].start_time + profile.time_cap,
+                    finalize=finalize,
+                    done=lambda: len(collector) >= len(flows),
+                    poll=max(profile.time_cap / 100.0, 1e-3))
 
 
 def run_fct_point(
@@ -277,13 +248,7 @@ def run_fct_point(
     :class:`~repro.sim.profile.SimProfiler` rides along and its
     plain-text report is printed after the run; ``config.audit``
     attaches a :class:`~repro.sim.audit.FabricAuditor` across the whole
-    fabric; ``config.shards``
-    spreads the same :func:`fct_scenario` over that many
-    conservative-lookahead shards
-    (:func:`~repro.experiments.sharded.execute`).  Unsupported
-    combinations (shards with a controller or ``profile_events``) are
-    rejected up front by
-    :func:`~repro.experiments.scenario.check_compatibility`.
+    fabric.
     ``provenance_out``, when given, is filled with wall time and engine
     counters for run-store provenance.  ``faults`` injects a chaos
     layer (:mod:`repro.sim.faults`) over the fabric's links, seeded
@@ -298,72 +263,27 @@ def run_fct_point(
         profile = config.profile if config.profile is not None else BENCH
     if seed is None:
         seed = config.seed if config.seed is not None else 1
-    shards = config.shards if config.shards is not None else 1
     faults, controller, topology = config.resolve(
         faults=faults, controller=controller, topology=topology)
-    fault_specs = tuple(faults or ())
-    check_compatibility(
-        shards=shards > 1, controller=controller is not None,
-        profile_events=config.profile_events)
-    topo = resolve_fct_topology(topology)
-    results = execute(
+    result = run_scenario(
         partial(fct_scenario, scheme_name=scheme_name,
                 scheduler_name=scheduler_name, load=load, profile=profile,
-                seed=seed, topo=topo, audit=bool(config.audit),
-                fault_specs=fault_specs, controller=controller,
-                shared_buffer=config.shared_buffer,
+                seed=seed, topo=resolve_fct_topology(topology),
+                audit=bool(config.audit), fault_specs=tuple(faults or ()),
+                controller=controller, shared_buffer=config.shared_buffer,
                 size_distribution=size_distribution, size_scale=size_scale,
                 profile_events=config.profile_events),
-        shards, poll=max(profile.time_cap / 100.0, 1e-3),
-        provenance_out=provenance_out)
-
-    fault_stats = [result.payload["fault_stats"] for result in results]
-    if fault_stats_out is not None and any(fault_stats):
-        fault_stats_out.update(_merge_fault_stats(fault_stats))
-    first = results[0].payload
+        provenance_out)
+    if fault_stats_out is not None and result["fault_stats"] is not None:
+        fault_stats_out.update(result["fault_stats"])
     if (controller_stats_out is not None
-            and first["controller_stats"] is not None):
-        controller_stats_out.update(first["controller_stats"])
-    if first["profile_report"] is not None:
+            and result["controller_stats"] is not None):
+        controller_stats_out.update(result["controller_stats"])
+    if result["profile_report"] is not None:
         print(f"\n[{scheme_name} / {scheduler_name} / load {load:.2f} / "
               f"seed {seed}]")
-        print(first["profile_report"])
-    return fct_row(results)
-
-
-def run_fct_point_multi(
-    scheme_name: str,
-    scheduler_name: str = "dwrr",
-    load: float = 0.5,
-    profile: Optional[ScaleProfile] = None,
-    seeds: Sequence[int] = (1, 2, 3),
-) -> FctRow:
-    """One load point averaged over several workload seeds.
-
-    Each seed generates an independent arrival sequence; the per-class
-    summaries are averaged point-wise (counts summed), smoothing the
-    sampling noise a single 10²-flow run carries.
-    """
-    from ..metrics.export import mean_of_summaries
-
-    rows = [run_fct_point(scheme_name, scheduler_name, load, profile, seed)
-            for seed in seeds]
-
-    def merge(pick):
-        values = [pick(row) for row in rows if pick(row) is not None]
-        return mean_of_summaries(values) if values else None
-
-    return FctRow(
-        scheme=rows[0].scheme,
-        scheduler=scheduler_name,
-        load=load,
-        n_flows=sum(row.n_flows for row in rows),
-        completed=sum(row.completed for row in rows),
-        overall=merge(lambda r: r.overall),
-        small=merge(lambda r: r.small),
-        medium=merge(lambda r: r.medium),
-        large=merge(lambda r: r.large),
-    )
+        print(result["profile_report"])
+    return result["row"]
 
 
 def fct_sweep_point(point, provenance: Dict[str, Any]) -> FctRow:
@@ -371,9 +291,9 @@ def fct_sweep_point(point, provenance: Dict[str, Any]) -> FctRow:
     :func:`~repro.store.sweep.cached_sweep` to simulate one missed
     point."""
     (scheme_name, scheduler_name, load, profile, seed, audit, topology,
-     faults, controller, shards, shared_buffer, profile_events) = point
+     faults, controller, shared_buffer, profile_events) = point
     return run_fct_point(
         scheme_name, scheduler_name, load, profile, seed, topology=topology,
         config=RunConfig(profile_events=profile_events, audit=audit,
-                         shards=shards, shared_buffer=shared_buffer),
+                         shared_buffer=shared_buffer),
         provenance_out=provenance, faults=faults, controller=controller)

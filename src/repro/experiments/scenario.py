@@ -1,11 +1,15 @@
 """Shared experiment plumbing.
 
-Two things live here:
+Three things live here:
 
 - the **scheme registry**: :func:`make_scheme` builds a
   :class:`SchemeSpec` (marker factory + transport filter factory) for any
   of the marking schemes the paper compares, with the paper's §VI
   parameter conventions baked in as defaults;
+- the **run loop**: a family's builder returns the :class:`Scenario` it
+  built and :func:`run_scenario` runs it — to its deadline, or until
+  its flows are all in — and reads the engine counters the run store
+  records;
 - the **incast runner**: most static experiments are "N senders → one
   multi-queue bottleneck → one receiver, measure per-queue throughput /
   RTT"; :func:`run_incast` packages that.
@@ -13,6 +17,7 @@ Two things live here:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
@@ -34,17 +39,14 @@ from ..scheduling.base import Scheduler
 from ..sim.audit import FabricAuditor
 from ..sim.engine import Simulator
 from ..sim.faults import FaultScheduler, FaultSpec
-from ..sim.shard import (ShardResult, ShardScenario, cut_fabric,
-                         verify_fabric)
-from ..store.spec import RunConfig, check_compatibility
+from ..store.spec import RunConfig
 from ..transport.base import DctcpConfig
-from ..transport.endpoints import FlowHandle
+from ..transport.endpoints import FlowHandle, open_flow
 from ..transport.flow import Flow
-from .sharded import execute, wire_local_flows
 
-__all__ = ["SchemeSpec", "make_scheme", "IncastResult", "run_incast",
-           "incast_scenario", "incast_result", "incast_flows",
-           "with_duration", "check_compatibility", "SCHEME_NAMES"]
+__all__ = ["SchemeSpec", "make_scheme", "Scenario", "run_scenario",
+           "IncastResult", "run_incast", "incast_scenario", "incast_flows",
+           "with_duration", "SCHEME_NAMES"]
 
 SCHEME_NAMES = (
     "pmsb",
@@ -151,6 +153,54 @@ def make_scheme(
     raise ValueError(f"unknown scheme {name!r}; choose from {SCHEME_NAMES}")
 
 
+@dataclass
+class Scenario:
+    """One built experiment, ready to run.
+
+    ``done`` is None for a fixed-duration scenario (run to
+    ``deadline``); otherwise the run stops early once it returns True,
+    checked every ``poll`` simulated seconds.  ``finalize`` runs after
+    the last event and returns the family's result.
+    """
+
+    sim: Simulator
+    deadline: float
+    finalize: Callable[[], Any]
+    done: Optional[Callable[[], bool]] = None
+    poll: float = 0.0
+
+
+#: The engine counters run-store provenance records (its ``engine``
+#: block), in order.
+ENGINE_COUNTERS = ("events_processed", "wheel_events_processed",
+                   "heap_events_processed", "cancelled_pending",
+                   "compactions")
+
+
+def run_scenario(build: Callable[[], Scenario],
+                 provenance_out: Optional[Dict[str, Any]] = None) -> Any:
+    """Build a scenario, run it and return what it finalizes to.
+
+    ``provenance_out``, when given, receives the run-store provenance:
+    ``elapsed_s`` (build included) and the ``engine`` counters — the one
+    place they are read off a simulator.
+    """
+    start = time.perf_counter()
+    scenario = build()
+    sim, deadline, done = scenario.sim, scenario.deadline, scenario.done
+    if done is None:
+        sim.run(until=deadline)
+    else:
+        while not done() and sim.now < deadline:
+            sim.run(until=min(sim.now + scenario.poll, deadline))
+    result = scenario.finalize()
+    if provenance_out is not None:
+        provenance_out["elapsed_s"] = time.perf_counter() - start
+        provenance_out["engine"] = {key: getattr(sim, key)
+                                    for key in ENGINE_COUNTERS}
+    return result
+
+
 def incast_flows(flows_per_queue: Sequence[int],
                  start_times: Optional[Sequence[float]] = None) -> List[Flow]:
     """Long-lived incast flows: queue ``q`` gets ``flows_per_queue[q]``
@@ -203,8 +253,6 @@ class IncastResult:
 
 
 def incast_scenario(
-    shard_id: int,
-    n_shards: int,
     scheme: SchemeSpec,
     scheduler_factory: Callable[[], Scheduler],
     flows: Sequence[Flow],
@@ -222,16 +270,13 @@ def incast_scenario(
     fault_seed: int = 0,
     shared_buffer: Optional[SharedBufferSpec] = None,
     controller: Optional[ControllerSpec] = None,
-) -> ShardScenario:
-    """Build one shard of an incast — the whole incast at
-    ``n_shards == 1``.  :func:`run_incast` resolves defaults, validates
-    the flow layout against the fabric and rejects unsupported
-    combinations before calling this."""
+) -> Scenario:
+    """Build one incast.  :func:`run_incast` resolves defaults and
+    validates the flow layout against the fabric before calling this."""
     n_senders = max(flow.src for flow in flows) + 1
     receiver_id = n_senders
     sim = Simulator()
-    if audit:
-        FabricAuditor(sim)
+    auditor = FabricAuditor(sim) if audit else None
     network = topo.build(
         sim, scheduler_factory, scheme.marker_factory,
         shared_buffer=shared_buffer, default_senders=n_senders,
@@ -246,7 +291,8 @@ def incast_scenario(
                 f"topology {topo.preset!r} has no port facing the receiver "
                 f"(host {receiver_id})")
         network.register_observed("bottleneck", observed)
-    fabric = cut_fabric(network, shard_id, n_shards)
+    if auditor is not None:
+        auditor.attach_network(network)
     chaos = None
     if fault_specs:
         chaos = FaultScheduler(sim, fault_specs, seed=fault_seed)
@@ -256,63 +302,34 @@ def incast_scenario(
         runtime = ControllerRuntime(sim, network.all_marked_ports(),
                                     controller.build(), controller.period)
         record_rtt = record_rtt or controller.wants_rtt
-    # The observed port transmits only in the shard that owns the
-    # receiver's leaf; the other shards have nothing to measure.
-    meter = trace = None
-    if fabric is None or receiver_id in fabric.local_host_ids:
-        meter = ThroughputMeter(sim, bin_width=duration / 100.0)
-        meter.attach_port(observed)
-        trace = QueueOccupancyTrace(observed) if trace_occupancy else None
+    meter = ThroughputMeter(sim, bin_width=duration / 100.0)
+    meter.attach_port(observed)
+    trace = QueueOccupancyTrace(observed) if trace_occupancy else None
 
-    def make_config(flow: Flow) -> DctcpConfig:
+    handles = []
+    for flow in flows:
         rate = None if rate_limits is None else rate_limits.get(flow.src)
-        return scheme.transport_config(
-            record_rtt=record_rtt, rate_limit_bps=rate, init_cwnd=init_cwnd)
-
-    handles = wire_local_flows(network, fabric, flows, make_config)
+        handles.append(open_flow(network, flow, scheme.transport_config(
+            record_rtt=record_rtt, rate_limit_bps=rate, init_cwnd=init_cwnd)))
     if runtime is not None:
         for handle in handles:
             runtime.add_rtt_source(handle.sender)
         runtime.start()
     warmup = duration * warmup_fraction
 
-    def finalize() -> Dict[str, Any]:
+    def finalize() -> IncastResult:
         if runtime is not None:
             runtime.stop()
-        verify_fabric(network, fabric)
-        payload: Dict[str, Any] = {
-            "scheme": scheme.name, "duration": duration, "warmup": warmup,
-            "queue_gbps": None if meter is None else {
-                q: meter.average_bps(q, warmup, duration) / 1e9
-                for q in range(observed.n_queues)},
-        }
-        if fabric is None:
-            # Nothing pickles an in-process payload: hand back the live
-            # objects (sharded runs leave them in the workers).
-            payload["live"] = dict(network=network, meter=meter,
-                                   handles=handles, trace=trace, chaos=chaos)
-        return payload
+        if auditor is not None:
+            auditor.verify_fabric()
+        return IncastResult(
+            scheme=scheme.name, duration=duration, warmup=warmup,
+            queue_gbps={q: meter.average_bps(q, warmup, duration) / 1e9
+                        for q in range(observed.n_queues)},
+            network=network, meter=meter, handles=handles, trace=trace,
+            chaos=chaos)
 
-    return ShardScenario(sim=sim, fabric=fabric, deadline=duration,
-                         total_units=None, completed=lambda: 0,
-                         finalize=finalize)
-
-
-def incast_result(results: Sequence[ShardResult]) -> IncastResult:
-    """The :class:`IncastResult` of one executed :func:`incast_scenario`:
-    rates from the shard that metered the observed port, live objects
-    only from an in-process run."""
-    metered = [result.payload for result in results
-               if result.payload["queue_gbps"] is not None]
-    if len(metered) != 1:
-        raise RuntimeError(f"{len(metered)} shards reported the observed "
-                           "port's rates; expected exactly one")
-    payload = metered[0]
-    live = payload.get("live") or dict(network=None, meter=None, handles=[],
-                                       trace=None, chaos=None)
-    return IncastResult(
-        scheme=payload["scheme"], duration=payload["duration"],
-        warmup=payload["warmup"], queue_gbps=payload["queue_gbps"], **live)
+    return Scenario(sim=sim, deadline=duration, finalize=finalize)
 
 
 def with_duration(config: Optional[RunConfig], default: float) -> RunConfig:
@@ -350,14 +367,7 @@ def run_incast(
     (:class:`~repro.store.RunConfig`): ``config.duration`` is the
     simulated time (default 0.04 s) and ``config.audit`` attaches a
     :class:`~repro.sim.audit.FabricAuditor` to the whole fabric and runs
-    a final conservation pass.  ``config.shards`` spreads the same
-    :func:`incast_scenario` over that many conservative-lookahead shards
-    (:func:`~repro.experiments.sharded.execute`); the result then
-    carries ``queue_gbps`` only — the live ``network`` / ``meter`` /
-    ``handles`` stay in the workers and come back None / empty.
-    Combinations the runner cannot honour (shards with a controller, an
-    occupancy trace, ``record_rtt`` or a single-bottleneck fabric) are
-    rejected up front by :func:`check_compatibility`.
+    a final conservation pass.
     ``faults`` / ``shared_buffer`` / ``controller`` / ``topology``
     follow the one resolution rule
     (:meth:`~repro.store.RunConfig.resolve`): an explicit argument wins,
@@ -378,16 +388,11 @@ def run_incast(
     """
     config = config or RunConfig()
     duration = config.duration if config.duration is not None else 0.04
-    shards = config.shards if config.shards is not None else 1
     faults, shared_buffer, controller, topology = config.resolve(
         faults=faults, shared_buffer=shared_buffer, controller=controller,
         topology=topology)
     topo = as_topology(topology) or TopologySpec(preset="single-bottleneck")
     fault_specs = tuple(faults or ())
-    check_compatibility(
-        shards=shards > 1, controller=controller is not None,
-        trace_occupancy=trace_occupancy, record_rtt=record_rtt,
-        single_bottleneck=topo.preset == "single-bottleneck")
     n_senders = max(flow.src for flow in flows) + 1
     if (topo.preset == "single-bottleneck" and topo.senders
             and topo.senders != n_senders):
@@ -399,7 +404,7 @@ def run_incast(
         raise ValueError(
             f"topology {topo.preset!r} has {n_hosts} hosts but the "
             f"flow layout needs {n_senders} senders plus a receiver")
-    return incast_result(execute(
+    return run_scenario(
         partial(incast_scenario, scheme=scheme,
                 scheduler_factory=scheduler_factory, flows=list(flows),
                 duration=duration, topo=topo,
@@ -409,5 +414,4 @@ def run_incast(
                 buffer_packets=buffer_packets,
                 audit=bool(config.audit), fault_specs=fault_specs,
                 fault_seed=fault_seed, shared_buffer=shared_buffer,
-                controller=controller),
-        shards))
+                controller=controller))

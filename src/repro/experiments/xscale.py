@@ -38,16 +38,14 @@ from ..net.sharedbuf import SharedBufferSpec
 from ..net.topology import TopologySpec, as_topology
 from ..sim.audit import FabricAuditor
 from ..sim.engine import Simulator
-from ..sim.shard import (ShardResult, ShardScenario, cut_fabric,
-                         verify_fabric)
 from ..store.runstore import RunStore
 from ..store.spec import ExperimentSpec, RunConfig, extension_params
 from ..store.sweep import cached_sweep, sweep_setup
+from ..transport.endpoints import open_flow
 from ..transport.flow import Flow
 from ..metrics.throughput import ThroughputMeter
 from .scale import ScaleProfile
-from .scenario import make_scheme
-from .sharded import execute, wire_local_flows
+from .scenario import Scenario, make_scheme, run_scenario
 
 __all__ = [
     "SCALE_LADDER",
@@ -57,7 +55,6 @@ __all__ = [
     "run_xscale_sweep",
     "xscale_point",
     "xscale_point_spec",
-    "xscale_row",
     "xscale_scenario",
 ]
 
@@ -128,7 +125,6 @@ def xscale_point_spec(
     seed: int,
     hogs: int = 8,
     audit: bool = False,
-    shards: int = 1,
     shared_buffer: Optional[SharedBufferSpec] = None,
 ) -> ExperimentSpec:
     """The canonical identity of one scale point (cache key)."""
@@ -136,10 +132,6 @@ def xscale_point_spec(
     params: Dict[str, Any] = dict(topo.cache_params())
     params["hogs"] = int(hogs)
     params.update(extension_params(shared_buffer=shared_buffer))
-    # Sharded points key separately (synchronized starts make them
-    # tolerance-equal, not byte-equal); shards=1 keys are untouched.
-    if shards and shards > 1:
-        params["shards"] = int(shards)
     return ExperimentSpec.create(
         XSCALE_EXPERIMENT, scheme=scheme_name, scheduler=scheduler_name,
         load=0.0, seed=seed, profile=profile, audit=audit, params=params,
@@ -176,8 +168,6 @@ def _pick_endpoints(host_ids: Sequence[int], hogs: int,
 
 
 def xscale_scenario(
-    shard_id: int,
-    n_shards: int,
     scheme_name: str,
     topo: TopologySpec,
     scheduler_name: str = "dwrr",
@@ -187,21 +177,20 @@ def xscale_scenario(
     duration: float = 0.02,
     audit: bool = False,
     shared_buffer: Optional[SharedBufferSpec] = None,
-) -> ShardScenario:
-    """Build one shard of a scale point — the whole point at
-    ``n_shards == 1``."""
+) -> Scenario:
+    """Build one scale point; it finalizes to its :class:`XScaleRow`."""
     from .sharedbuf import _scheduler_factory
 
     scheme = make_scheme(scheme_name, link_rate=link_rate, n_queues=2)
     sim = Simulator()
-    if audit:
-        FabricAuditor(sim)
+    auditor = FabricAuditor(sim) if audit else None
     build_start = time.perf_counter()
     network = topo.build(sim, _scheduler_factory(scheduler_name, 2),
                          scheme.marker_factory, shared_buffer=shared_buffer,
                          link_rate=link_rate)
     build_s = time.perf_counter() - build_start
-    fabric = cut_fabric(network, shard_id, n_shards)
+    if auditor is not None:
+        auditor.attach_network(network)
 
     host_ids = [host.host_id for host in network.hosts]
     receiver, victim, sources = _pick_endpoints(host_ids, hogs, seed)
@@ -209,64 +198,36 @@ def xscale_scenario(
     if downlink is None:
         raise ValueError(f"fabric has no host-facing port for receiver "
                          f"{receiver}")
-    # The downlink transmits only in the shard that owns the receiver.
-    meter = None
-    if fabric is None or receiver in fabric.local_host_ids:
-        meter = ThroughputMeter(sim, bin_width=1e-3)
-        meter.attach_port(downlink)
+    meter = ThroughputMeter(sim, bin_width=1e-3)
+    meter.attach_port(downlink)
 
     # Explicit flow ids (ECMP hashes on them): Flow's default draws from
     # a process-global counter, which would tie a row to whatever ran
-    # earlier in the process and differ between shard workers.
+    # earlier in the process.
     flows = [Flow(src=victim, dst=receiver, service=0, flow_id=1)]
     flows += [Flow(src=src, dst=receiver, service=1, flow_id=2 + index)
               for index, src in enumerate(sources)]
-    wire_local_flows(network, fabric, flows,
-                     lambda _flow: scheme.transport_config(init_cwnd=4.0))
+    for flow in flows:
+        open_flow(network, flow, scheme.transport_config(init_cwnd=4.0))
     warmup = duration / 3.0
 
-    def finalize() -> Dict[str, Any]:
-        verify_fabric(network, fabric)
-        return {
-            "scheme": scheme.name, "scheduler": scheduler_name,
-            "topology": _spec_text(topo),
-            "n_hosts": len(network.hosts),
-            "n_switches": len(network.switches),
-            "hogs": hogs, "seed": seed, "build_s": build_s,
-            "rates": None if meter is None else (
-                meter.average_bps(0, warmup, duration) / 1e9,
-                meter.average_bps(1, warmup, duration) / 1e9,
-                downlink.drops),
-        }
+    def finalize() -> XScaleRow:
+        if auditor is not None:
+            auditor.verify_fabric()
+        victim_gbps = meter.average_bps(0, warmup, duration) / 1e9
+        hogs_gbps = meter.average_bps(1, warmup, duration) / 1e9
+        total = victim_gbps + hogs_gbps
+        fair = total / 2.0
+        return XScaleRow(
+            scheme=scheme.name, scheduler=scheduler_name,
+            topology=_spec_text(topo),
+            n_hosts=len(network.hosts), n_switches=len(network.switches),
+            hogs=hogs, seed=seed,
+            victim_gbps=victim_gbps, hogs_gbps=hogs_gbps,
+            victim_err=abs(victim_gbps - fair) / fair if total else 0.0,
+            drops=downlink.drops, build_s=build_s)
 
-    return ShardScenario(sim=sim, fabric=fabric, deadline=duration,
-                         total_units=None, completed=lambda: 0,
-                         finalize=finalize)
-
-
-def xscale_row(results: Sequence[ShardResult]) -> XScaleRow:
-    """The :class:`XScaleRow` of one executed :func:`xscale_scenario`:
-    rates from the shard that metered the receiver's downlink, build
-    time from the slowest shard."""
-    metered = [result.payload["rates"] for result in results
-               if result.payload["rates"] is not None]
-    if len(metered) != 1:
-        raise RuntimeError(f"{len(metered)} shards reported the receiver "
-                           "downlink rates; expected exactly one")
-    victim_gbps, hogs_gbps, drops = metered[0]
-    total = victim_gbps + hogs_gbps
-    fair = total / 2.0
-    first = results[0].payload
-    return XScaleRow(
-        scheme=first["scheme"], scheduler=first["scheduler"],
-        topology=first["topology"],
-        n_hosts=first["n_hosts"], n_switches=first["n_switches"],
-        hogs=first["hogs"], seed=first["seed"],
-        victim_gbps=victim_gbps, hogs_gbps=hogs_gbps,
-        victim_err=abs(victim_gbps - fair) / fair if total else 0.0,
-        drops=drops,
-        build_s=max(result.payload["build_s"] for result in results),
-    )
+    return Scenario(sim=sim, deadline=duration, finalize=finalize)
 
 
 def xscale_point(
@@ -284,20 +245,18 @@ def xscale_point(
     Builds ``topology``, opens 1 victim (service 0) and ``hogs`` hog
     flows (service 1) toward one receiver, and reports per-queue
     goodput on the receiver's downlink after a third of the run has
-    warmed the fabric up.  ``config.shards`` spreads the same
-    :func:`xscale_scenario` over that many shards and
-    ``config.shared_buffer`` gives every switch a shared memory; the
-    scenario is clean and open-loop, so ``config.faults`` and
-    ``config.controller`` are not consulted.  ``provenance_out``,
-    when given, receives wall time and engine counters for run-store
-    provenance.
+    warmed the fabric up.  ``config.shared_buffer`` gives every switch
+    a shared memory; the scenario is clean and open-loop, so
+    ``config.faults`` and ``config.controller`` are not consulted.
+    ``provenance_out``, when given, receives wall time and engine
+    counters for run-store provenance.
     """
     config = config or RunConfig()
     topo = as_topology(topology)
     if topo is None or topo.preset == "single-bottleneck":
         raise ValueError("xscale needs a multi-host fabric spec "
                          "(leaf-spine / fat-tree / clos)")
-    return xscale_row(execute(
+    return run_scenario(
         partial(xscale_scenario, scheme_name=scheme_name, topo=topo,
                 scheduler_name=scheduler_name, hogs=hogs,
                 link_rate=link_rate, seed=seed,
@@ -305,20 +264,19 @@ def xscale_point(
                           else 0.02),
                 audit=bool(config.audit),
                 shared_buffer=config.shared_buffer),
-        config.shards if config.shards is not None else 1,
-        provenance_out=provenance_out))
+        provenance_out)
 
 
 def _xscale_sweep_point(point, provenance: Dict[str, Any]) -> XScaleRow:
     """Simulate one sweep point (the ``compute`` of
     :func:`~repro.store.sweep.cached_sweep`)."""
     (scheme_name, scheduler_name, topology, profile, seed, hogs, audit,
-     shards, shared_buffer, expected_hosts) = point
+     shared_buffer, expected_hosts) = point
     row = xscale_point(
         scheme_name, topology, scheduler_name=scheduler_name, hogs=hogs,
         link_rate=profile.link_rate, seed=seed,
         config=RunConfig(duration=profile.static_duration, audit=audit,
-                         shards=shards, shared_buffer=shared_buffer),
+                         shared_buffer=shared_buffer),
         provenance_out=provenance,
     )
     if expected_hosts and row.n_hosts != expected_hosts:
@@ -359,7 +317,7 @@ def run_xscale_sweep(
     # rung's pinned host count (a check, not identity).
     points = [
         (name, scheduler_name, topo, profile, seed, hogs,
-         bool(config.audit), config.shards, config.shared_buffer, expected)
+         bool(config.audit), config.shared_buffer, expected)
         for topo, expected in rungs
         for name in scheme_names
     ]

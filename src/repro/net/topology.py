@@ -31,7 +31,6 @@ and reverse-path ports are plain FIFO with no marking.
 
 from __future__ import annotations
 
-import re
 from dataclasses import asdict, dataclass, fields
 from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable,
                     List, Optional, Sequence, Tuple, Union)
@@ -58,7 +57,6 @@ __all__ = [
     "TopologySpec",
     "TOPOLOGY_PRESETS",
     "as_topology",
-    "partition_groups",
 ]
 
 SchedulerFactory = Callable[[], "Scheduler"]
@@ -842,51 +840,3 @@ def as_topology(value: Union[str, TopologySpec, None]) -> Optional[TopologySpec]
     if value is None or isinstance(value, TopologySpec):
         return value
     return TopologySpec.parse(value)
-
-
-# -- shard partitioning -------------------------------------------------------
-
-_POD_EDGE_NAME = re.compile(r"^edge(\d+)_\d+$")
-
-
-def partition_groups(network: Network) -> List[List[Switch]]:
-    """Host-facing switches grouped along natural shard-cut boundaries.
-
-    The unit of fabric partitioning (:mod:`repro.sim.shard`) is the set
-    of hosts behind one leaf — every host's only attachment point is its
-    leaf's downlink, so cutting above the leaves never severs a host
-    from its own shard.  On a 3-tier Clos the :class:`ClosGenerator`
-    names edge switches ``edge{pod}_{i}``; edges of one pod are grouped
-    together so the cut falls on the agg↔core links (the pod boundary)
-    rather than inside a pod.  Any other host-facing switch (2-tier
-    leaves, hand-wired fabrics) is its own group.
-
-    Groups are returned in ``network.switches`` order, which is the
-    generator's construction order — every process that builds the same
-    fabric computes the identical grouping.
-    """
-    order = {id(switch): index
-             for index, switch in enumerate(network.switches)}
-    facing: List[Switch] = []
-    seen: set = set()
-    for host in network.hosts:
-        nic = host.nic
-        leaf = None if nic is None or nic.link is None else nic.link.dst
-        if leaf is None or id(leaf) not in order:
-            raise ValueError(
-                f"{host.name} has no switch-facing uplink; only fully "
-                "wired fabrics can be partitioned")
-        if id(leaf) not in seen:
-            seen.add(id(leaf))
-            facing.append(leaf)
-    facing.sort(key=lambda switch: order[id(switch)])
-    grouped: Dict[str, List[Switch]] = {}
-    keys: List[str] = []
-    for switch in facing:
-        match = _POD_EDGE_NAME.match(switch.name)
-        key = f"pod{match.group(1)}" if match else switch.name
-        if key not in grouped:
-            grouped[key] = []
-            keys.append(key)
-        grouped[key].append(switch)
-    return [grouped[key] for key in keys]

@@ -87,7 +87,7 @@ does.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.port import Port
@@ -224,13 +224,6 @@ class FabricAuditor:
         #: Flows being watched (count only; handlers are closures).
         self.flows_watched = 0
         self._clears_at_attach = sim.clears
-        #: Packets handed to another shard (captured at a boundary stub).
-        self.external_exported = 0
-        #: Packets injected from another shard's export batch.
-        self.external_imported = 0
-        #: When sharded, the host ids owned by this shard; ``None`` means
-        #: the whole fabric is local (single-process run).
-        self.local_host_ids: Optional[set] = None
 
     @property
     def clears_observed(self) -> int:
@@ -283,20 +276,14 @@ class FabricAuditor:
             return
         flow_id = handle.flow.flow_id
         name = f"flow{flow_id}"
-        # Under sharding the data-path receiver may live in another
-        # shard; the local mirror never sees CE marks, so the ecn-echo
-        # cross-check would false-positive on remote-receiver flows.
-        receiver_local = (self.local_host_ids is None
-                          or handle.flow.dst in self.local_host_ids)
 
-        def audited_on_ack(ack, _s=sender, _r=receiver, _name=name,
-                           _rl=receiver_local):
+        def audited_on_ack(ack, _s=sender, _r=receiver, _name=name):
             prev_una = _s.snd_una
             prev_rtt_state = (_s.last_rtt, _s.srtt, _s.rto)
             _s.on_ack(ack)
             self.checks += 1
             event = f"ack(ack_seq={ack.ack_seq})"
-            if _rl and ack.ece and _r.marked_packets == 0:
+            if ack.ece and _r.marked_packets == 0:
                 self._fail("ecn-echo", _name,
                            ("ack.ece", True),
                            ("receiver.marked_packets", 0), event)
@@ -330,24 +317,6 @@ class FabricAuditor:
 
         sender.host.register_flow(flow_id, ack_handler=audited_on_ack)
         receiver.host.register_flow(flow_id, data_handler=audited_on_data)
-        self.flows_watched += 1
-
-    def watch_receiver(self, flow, receiver) -> None:
-        """Wrap a receiver-only wiring (sharded run, sender elsewhere)."""
-        name = f"flow{flow.flow_id}"
-
-        def audited_on_data(packet, _r=receiver, _name=name):
-            prev_expected = _r.expected_seq
-            _r.on_data(packet)
-            self.checks += 1
-            if _r.expected_seq < prev_expected:
-                self._fail("receiver-cumulative-monotone", _name,
-                           ("expected_seq before", prev_expected),
-                           ("expected_seq after", _r.expected_seq),
-                           f"data(seq={packet.seq})")
-
-        receiver.host.register_flow(flow.flow_id,
-                                    data_handler=audited_on_data)
         self.flows_watched += 1
 
     def detach(self) -> None:
@@ -679,12 +648,7 @@ class FabricAuditor:
             forwarded = sum(
                 switch.forwarded - base for switch, base in
                 zip(self._switches, self._base_switch_forwarded))
-            # Sharded runs: packets captured at a boundary stub were
-            # delivered here but consumed elsewhere (exported), and
-            # injected packets are consumed here without a local
-            # delivery (imported).
-            in_flight = (delivered + self.external_imported
-                         - received - forwarded - self.external_exported)
+            in_flight = delivered - received - forwarded
             if in_flight < 0:
                 self._fail("global-conservation", "fabric",
                            ("links delivered", delivered),

@@ -18,10 +18,12 @@ link serialization/propagation completions, paced transmissions and
 delayed ACKs all land microseconds-to-a-millisecond ahead of ``now``.
 Those go into a bucketed timing wheel (:data:`_WHEEL_SLOTS` buckets of
 :data:`_WHEEL_TICK` seconds, ~4 ms of horizon); only sparse long-horizon
-timers (RTOs, periodic sampling tasks) still use the heap.  Wheel buckets
-store plain ``(time, seq, event)`` tuples so sorting and the wheel/heap
-merge compare at C speed instead of through ``Event.__lt__``, which
-profiling shows is the dominant heap cost (~7 comparisons per event).
+timers (RTOs, periodic sampling tasks) still use the heap.  Both tiers
+hold plain tuples — ``(time, seq, event)`` for an :class:`Event`,
+``(time, seq, callback, args)`` for a fire-and-forget entry — so
+sorting, heap sifts and the wheel/heap merge compare at C speed (a
+sequence number is unique, so a comparison never reaches the third
+element).
 
 Determinism is preserved exactly: the run loop merges the wheel and the
 heap by global ``(time, seq)`` order, so the firing order is identical to
@@ -57,14 +59,15 @@ A scheduled event costs one Python call besides its callback:
 :meth:`Simulator.at_ff` each insert directly, and an :class:`Event` is
 built without a Python ``__init__`` frame.  The run loop drains a wheel
 bucket with one list iterator and settles its counters once per bucket
-(see :meth:`Simulator._run_fast`); ``tests/sim/test_engine_cost.py``
-pins the call count.
+(see :meth:`Simulator._run_fast`); a heap push or sift calls no Python
+method, and cancelling an event settles the heap's books in
+:meth:`Event.cancel` itself.  ``tests/sim/test_engine_cost.py`` pins
+the call counts.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import os
 from bisect import insort
 from typing import Any, Callable, Optional, TYPE_CHECKING
@@ -154,14 +157,14 @@ class Event:
         self.callback = _noop
         self.args = ()
         if self.in_heap:
-            self._sim._note_cancelled()
+            # One live heap entry is dead; compact when they dominate.
+            sim = self._sim
+            sim._cancelled = dead = sim._cancelled + 1
+            size = len(sim._heap)
+            if dead * 2 > size and size >= _COMPACT_MIN_HEAP:
+                sim._compact()
         elif self.in_wheel:
             self._sim._note_cancelled_wheel()
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -195,11 +198,11 @@ class Simulator:
         "_cancelled", "_compactions", "profiler", "auditor",
         "_slow", "_wheel", "_cursor", "_active",
         "_now_bucket", "_wheel_count", "_wheel_cancelled",
-        "_wheel_processed", "_heap_processed", "barrier_hook", "clears",
+        "_wheel_processed", "_heap_processed", "clears",
     )
 
     def __init__(self, slow_path: Optional[bool] = None) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple] = []
         self._now = 0.0
         self._seq = 0
         self._events_processed = 0
@@ -230,9 +233,6 @@ class Simulator:
         #: by its constructor.  When None (the default) no audit hook
         #: exists anywhere on the datapath.
         self.auditor: Optional["FabricAuditor"] = None
-        #: Optional shard-synchronisation callback: called with the LBTS
-        #: bound after every :meth:`run_until_lbts` window completes.
-        self.barrier_hook: Optional[Callable[[float], None]] = None
         #: :meth:`clear` calls so far.  A component that scheduled work
         #: records the value at the time; a different value later means
         #: that work was dropped (the auditor's engine-hygiene check).
@@ -332,7 +332,7 @@ class Simulator:
             return event
         event.in_wheel = False
         event.in_heap = True
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
@@ -365,7 +365,7 @@ class Simulator:
             return event
         event.in_wheel = False
         event.in_heap = True
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def at_ff(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
@@ -379,20 +379,20 @@ class Simulator:
 
         Firing order is identical to :meth:`at`: a sequence number is
         allocated the same way, so fire-and-forget entries interleave
-        deterministically with Event-backed ones, and the slow path
-        (``REPRO_SLOW_PATH=1``) degrades to a plain :meth:`at` call.
+        deterministically with Event-backed ones; beyond the wheel's
+        window (always, on the slow path ``REPRO_SLOW_PATH=1``) the same
+        4-tuple goes to the heap.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self._now})"
             )
+        self._seq = seq = self._seq + 1
         bucket_index = int(time * _INV_TICK)
         if bucket_index - self._now_bucket >= _WHEEL_SLOTS:
-            # Beyond the wheel window (always, on the slow path): fall
-            # back to an Event in the heap.
-            self.at(time, callback, *args)
+            # Beyond the wheel window (always, on the slow path).
+            heapq.heappush(self._heap, (time, seq, callback, args))
             return
-        self._seq = seq = self._seq + 1
         self._wheel_count += 1
         if bucket_index == self._cursor and self._active is not None:
             insort(self._active, (time, seq, callback, args))
@@ -402,15 +402,6 @@ class Simulator:
                 self._cursor = bucket_index
             self._wheel[bucket_index & _WHEEL_MASK].append(
                 (time, seq, callback, args))
-
-    def _note_cancelled(self) -> None:
-        """One live heap entry was cancelled; compact when they dominate."""
-        self._cancelled += 1
-        if (
-            self._cancelled * 2 > len(self._heap)
-            and len(self._heap) >= _COMPACT_MIN_HEAP
-        ):
-            self._compact()
 
     def _note_cancelled_wheel(self) -> None:
         """One live wheel entry was cancelled; compact when they dominate."""
@@ -429,11 +420,12 @@ class Simulator:
         """
         heap = self._heap
         live = []
-        for event in heap:
-            if event.cancelled:
-                event.in_heap = False
+        for entry in heap:
+            # Fire-and-forget 4-tuples are never cancelled.
+            if len(entry) == 3 and entry[2].cancelled:
+                entry[2].in_heap = False
             else:
-                live.append(event)
+                live.append(entry)
         heap[:] = live
         heapq.heapify(heap)
         self._cancelled = 0
@@ -467,38 +459,25 @@ class Simulator:
         self._wheel_cancelled -= removed
         self._compactions += 1
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None,
-            exclusive: bool = False) -> int:
+    def run(self, until: Optional[float] = None,
+            max_events: Optional[int] = None) -> int:
         """Run events until both tiers drain, ``until`` is reached, or
         ``max_events`` have executed.
 
         Returns the number of events executed by this call.  When ``until``
         is given the clock is advanced to exactly ``until`` on return even
         if the engine drained earlier, so back-to-back ``run`` calls
-        observe a consistent timeline.
-
-        ``until`` is normally *inclusive* (an event scheduled exactly at
-        ``until`` fires).  With ``exclusive=True`` the window is
-        half-open ``[now, until)``: events at exactly ``until`` stay
-        pending and fire on the next call.  This is the conservative
-        shard-synchronisation contract — a shard may only execute events
-        strictly before the fabric's lower bound on incoming timestamps
-        (LBTS), because a cross-shard arrival can land exactly *at* it.
-        The hot loops are untouched: the bound is simply tightened to
-        the largest float below ``until`` before dispatch, and the clock
-        is still clamped to the true ``until`` on return.
+        observe a consistent timeline.  An event scheduled exactly at
+        ``until`` fires.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly from within an event")
-        bound = until
-        if exclusive and until is not None:
-            bound = math.nextafter(until, -math.inf)
         self._running = True
         try:
             if self._slow:
-                executed = self._run_slow(bound, max_events)
+                executed = self._run_slow(until, max_events)
             else:
-                executed = self._run_fast(bound, max_events)
+                executed = self._run_fast(until, max_events)
         finally:
             self._running = False
         if until is not None and self._now < until:
@@ -508,30 +487,12 @@ class Simulator:
             # ``until``-bounded run idles, the cursor hunts forward to
             # the next nonempty bucket and drags ``_now_bucket`` with it
             # past the clock; if that stale anchor persisted, an event
-            # scheduled between the clock and the anchor (a cross-shard
-            # injection, say) would be skipped by the cursor clamp and
-            # only resurface a full wheel lap later, with its original
-            # timestamp regressing the clock.  Re-anchoring restores the
-            # invariant the clamp relies on: no live wheel entry below
-            # ``_now_bucket``.
+            # scheduled between the clock and the anchor would be
+            # skipped by the cursor clamp and only resurface a full
+            # wheel lap later, with its original timestamp regressing
+            # the clock.  Re-anchoring restores the invariant the clamp
+            # relies on: no live wheel entry below ``_now_bucket``.
             self._now_bucket = int(self._now * _INV_TICK)
-        return executed
-
-    def run_until_lbts(self, lbts: float, inclusive: bool = False) -> int:
-        """One conservative synchronisation window: run ``[now, lbts)``.
-
-        The exclusive upper bound makes the window safe under the
-        null-message protocol (see :meth:`run`); ``inclusive=True`` is
-        for a final window that must consume events at the deadline
-        itself.  After the window completes the optional
-        :attr:`barrier_hook` is invoked with the bound, so shard runners
-        and profilers can observe synchronisation rounds without a hook
-        in the event loop.
-        """
-        executed = self.run(until=lbts, exclusive=not inclusive)
-        hook = self.barrier_hook
-        if hook is not None:
-            hook(lbts)
         return executed
 
     def _run_slow(self, until: Optional[float], max_events: Optional[int]) -> int:
@@ -540,18 +501,22 @@ class Simulator:
         heappop = heapq.heappop
         executed = 0
         while heap:
-            event = heap[0]
-            if event.cancelled:
+            entry = heap[0]
+            if len(entry) == 3 and entry[2].cancelled:
                 heappop(heap)
-                event.in_heap = False
+                entry[2].in_heap = False
                 self._cancelled -= 1
                 continue
-            if until is not None and event.time > until:
+            if until is not None and entry[0] > until:
                 break
             heappop(heap)
-            event.in_heap = False
-            self._now = event.time
-            event.callback(*event.args)
+            self._now = entry[0]
+            if len(entry) == 4:
+                entry[2](*entry[3])
+            else:
+                event = entry[2]
+                event.in_heap = False
+                event.callback(*event.args)
             executed += 1
             self._events_processed += 1
             self._heap_processed += 1
@@ -615,22 +580,22 @@ class Simulator:
             self._cursor = cursor
             self._active = active
             # -- the earliest live heap entry ----------------------------
-            heap_event = None
+            heap_top = None
             while heap:
-                heap_event = heap[0]
-                if not heap_event.cancelled:
+                heap_top = heap[0]
+                if len(heap_top) == 4 or not heap_top[2].cancelled:
                     break
                 heappop(heap)
-                heap_event.in_heap = False
+                heap_top[2].in_heap = False
                 self._cancelled -= 1
-                heap_event = None
+                heap_top = None
             if active is None:
-                if heap_event is None:
+                if heap_top is None:
                     break
                 entry = None
             elif max_events is None and (
-                heap_event is None
-                or heap_event.time >= (cursor + 1) * _WHEEL_TICK
+                heap_top is None
+                or heap_top[0] >= (cursor + 1) * _WHEEL_TICK
             ):
                 # -- bucket drain: nothing can preempt this bucket -------
                 self._now_bucket = cursor
@@ -690,10 +655,7 @@ class Simulator:
                     self._wheel_count -= 1
                     self._wheel_cancelled -= 1
                     continue
-            if heap_event is None or (entry is not None and (
-                entry[0] < heap_event.time
-                or (entry[0] == heap_event.time and entry[1] < heap_event.seq)
-            )):
+            if heap_top is None or (entry is not None and entry < heap_top):
                 # -- single wheel event: a pre-existing heap entry is due
                 # inside this bucket and may interleave -------------------
                 if entry[0] > until_f:
@@ -710,16 +672,21 @@ class Simulator:
                     event.callback(*event.args)
                 self._wheel_processed += 1
             else:
-                # -- heap event fires ------------------------------------
-                if heap_event.time > until_f:
+                # -- heap entry fires ------------------------------------
+                event_time = heap_top[0]
+                if event_time > until_f:
                     break
                 heappop(heap)
-                heap_event.in_heap = False
-                self._now = heap_event.time
-                now_bucket = int(heap_event.time * _INV_TICK)
+                self._now = event_time
+                now_bucket = int(event_time * _INV_TICK)
                 if now_bucket > self._now_bucket:
                     self._now_bucket = now_bucket
-                heap_event.callback(*heap_event.args)
+                if len(heap_top) == 4:
+                    heap_top[2](*heap_top[3])
+                else:
+                    event = heap_top[2]
+                    event.in_heap = False
+                    event.callback(*event.args)
                 self._heap_processed += 1
             executed += 1
             self._events_processed += 1
@@ -743,8 +710,9 @@ class Simulator:
         :meth:`repro.net.port.Port.reset` on every port afterwards (or
         instead) to return the datapath to a consistent idle state.
         """
-        for event in self._heap:
-            event.in_heap = False
+        for entry in self._heap:
+            if len(entry) == 3:
+                entry[2].in_heap = False
         self._heap.clear()
         self._cancelled = 0
         wheel = self._wheel

@@ -19,17 +19,13 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .spec import (ExperimentSpec, RunConfig, SPEC_SCHEMA_VERSION,
-                       check_compatibility)
+    from .spec import ExperimentSpec, RunConfig, SPEC_SCHEMA_VERSION
     from .sweep import cached_sweep, sweep_setup
     from .runstore import (RunRecord, RunStore, diff_records, git_revision,
                            make_provenance, open_store)
 
 _EXPORTS = {
-    ".spec": (
-        "ExperimentSpec", "RunConfig", "SPEC_SCHEMA_VERSION",
-        "check_compatibility",
-    ),
+    ".spec": ("ExperimentSpec", "RunConfig", "SPEC_SCHEMA_VERSION"),
     ".sweep": ("cached_sweep", "sweep_setup"),
     ".runstore": (
         "RunRecord", "RunStore", "diff_records", "git_revision",

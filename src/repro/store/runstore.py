@@ -69,8 +69,7 @@ def git_revision() -> str:
 
 def make_provenance(profile_name: Optional[str] = None,
                     elapsed_s: Optional[float] = None,
-                    engine: Optional[Dict[str, int]] = None,
-                    shards: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+                    engine: Optional[Dict[str, int]] = None) -> Dict[str, Any]:
     """The standard provenance block stored with every record.
 
     Provenance is *descriptive* (where did this number come from), never
@@ -78,8 +77,7 @@ def make_provenance(profile_name: Optional[str] = None,
     content addressing.  When both ``elapsed_s`` and engine counters are
     supplied, a derived ``events_per_second`` rides along so
     ``repro runs show`` can answer "how fast was this run"
-    retroactively; ``shards`` carries the per-shard counter block of a
-    sharded run (see :func:`repro.sim.shard.aggregate_shard_stats`).
+    retroactively.
     """
     import platform
     prov: Dict[str, Any] = {
@@ -98,8 +96,6 @@ def make_provenance(profile_name: Optional[str] = None,
         events = engine.get("events_processed")
         if elapsed_s and events is not None:
             prov["events_per_second"] = events / elapsed_s
-    if shards is not None:
-        prov["shards"] = dict(shards)
     return prov
 
 

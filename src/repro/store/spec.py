@@ -16,10 +16,6 @@ scattered keyword arguments:
   :func:`repro.sim.rng.stable_digest`, so the same point gets the same
   key in every process, at every ``--jobs`` level, on every platform —
   the content address the run store files records under.
-
-:func:`check_compatibility` sits beside :class:`RunConfig` because it
-judges its knobs: the one table of execution features (shards,
-controller, …) no runner can honour together.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.faults import FaultSpec
 
 __all__ = ["ExperimentSpec", "RunConfig", "SPEC_SCHEMA_VERSION",
-           "check_compatibility", "extension_params"]
+           "extension_params"]
 
 #: Bump when the meaning of stored results changes (different statistics,
 #: different simulation semantics…): old records stop matching and
@@ -87,9 +83,6 @@ class RunConfig:
     resume: bool = True
     #: Recompute (and overwrite) even when a stored record exists.
     force: bool = False
-    #: Shards for conservative-lookahead parallel execution of a single
-    #: scenario (None / 1 = classic single-process run).
-    shards: Optional[int] = None
     #: Faults injected into every fabric the run builds (``--faults``).
     faults: Optional[Sequence[FaultSpec]] = None
     #: Switch-wide shared memory every switch's ports draw from
@@ -110,9 +103,6 @@ class RunConfig:
                 math.isfinite(self.duration) and self.duration > 0):
             raise ValueError(f"--duration: must be a finite number of "
                              f"seconds > 0, got {self.duration!r}")
-        if self.shards is not None and self.shards < 1:
-            raise ValueError(f"--shards: must be at least 1, got "
-                             f"{self.shards!r}")
         if self.jobs is not None and self.jobs < 0:
             raise ValueError(f"--jobs: must be 0 (all cores) or a positive "
                              f"worker count, got {self.jobs!r}")
@@ -128,50 +118,6 @@ class RunConfig:
     def evolve(self, **changes: Any) -> "RunConfig":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
         return replace(self, **changes)
-
-
-#: Feature pairs no runner can honour together — one row, one message
-#: per cell.  ``shards``/``controller`` apply to every runner; the rest
-#: are runner-specific arguments.
-_INCOMPATIBLE = (
-    ("shards", "controller",
-     "--shards: cannot combine with --controller (closed-loop controllers "
-     "read and retune global state)"),
-    ("shards", "profile_events",
-     "--shards: cannot combine with --profile-events (per-shard counters "
-     "land in provenance instead)"),
-    ("shards", "trace_occupancy",
-     "--shards: occupancy tracing is not supported (the observed port "
-     "lives in a worker)"),
-    ("shards", "record_rtt",
-     "--shards: record_rtt is not supported (flow handles stay in the "
-     "workers)"),
-    ("shards", "single_bottleneck",
-     "--shards: needs a multi-switch fabric (leaf-spine / fat-tree / "
-     "clos), not single-bottleneck"),
-)
-_FEATURES = frozenset(name for row in _INCOMPATIBLE for name in row[:2])
-
-
-def check_compatibility(**active: bool) -> None:
-    """Reject feature combinations the runners cannot honour.
-
-    Keyword names are features (``shards``, ``controller``,
-    ``profile_events``, ``trace_occupancy``,
-    ``record_rtt``, ``single_bottleneck``), values whether the run uses
-    them.  Raises :class:`ValueError` with the
-    table's message for the first unsupported pair.  ``run_incast`` and
-    ``run_fct_point`` call it before building anything; the CLI reports
-    a runner's ``ValueError`` through ``parser.error``, so the same text
-    reaches the command line.
-    """
-    unknown = active.keys() - _FEATURES
-    if unknown:
-        raise TypeError(f"unknown feature(s) {sorted(unknown)}; "
-                        f"known: {sorted(_FEATURES)}")
-    for first, second, message in _INCOMPATIBLE:
-        if active.get(first) and active.get(second):
-            raise ValueError(message)
 
 
 def extension_params(faults: Sequence[Any] = (), controller: Any = None,

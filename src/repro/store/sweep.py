@@ -74,7 +74,6 @@ def _compute_point(job) -> Any:
             profile_name=profile_name,
             elapsed_s=provenance.get("elapsed_s"),
             engine=provenance.get("engine"),
-            shards=provenance.get("shards"),
         ))
         _note_point_computed()
     return row

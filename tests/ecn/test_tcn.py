@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.ecn.base import MarkPoint
@@ -11,6 +13,7 @@ from repro.net.packet import make_data
 from repro.net.port import Port
 from repro.scheduling.fifo import FifoScheduler
 from repro.scheduling.wfq import WfqScheduler
+from repro.sim.engine import Simulator
 
 
 class Sink:
@@ -68,3 +71,22 @@ class TestTcn:
         sim.run()
         # Threshold zero: the second packet surely waited > 0.
         assert any(p.ce for p in sink.received)
+
+    @pytest.mark.parametrize("slow_path", [False, True])
+    @pytest.mark.parametrize("threshold,marked", [
+        (TX, False),                        # sojourn == threshold
+        (math.nextafter(TX, 0.0), True),    # one ulp below it
+    ])
+    def test_threshold_is_strict(self, slow_path, threshold, marked):
+        # Two back-to-back MTUs: the second waits exactly one
+        # transmission time, so its sojourn equals TX bit for bit and
+        # only a strictly longer wait marks it.
+        sim = Simulator(slow_path=slow_path)
+        sink = Sink()
+        port = Port(sim, Link(sim, RATE, 1e-6, sink), FifoScheduler(1),
+                    TcnMarker(sojourn_threshold=threshold))
+        port.enqueue(make_data(1, 0, 1, 0), 0)
+        port.enqueue(make_data(1, 0, 1, 1), 0)
+        sim.run()
+        assert [p.ce for p in sorted(sink.received, key=lambda p: p.seq)] \
+            == [False, marked]

@@ -59,16 +59,6 @@ class TestChaosPointSpec:
                               "gilbert-elliott", 1e-3)
         assert iid.key() != ge.key()
 
-    def test_shards_re_key_but_single_process_is_unchanged(self):
-        base = chaos_point_spec("pmsb", "dwrr", 0.5, TINY, SEED,
-                                "iid-loss", 1e-3)
-        single = chaos_point_spec("pmsb", "dwrr", 0.5, TINY, SEED,
-                                  "iid-loss", 1e-3, shards=1)
-        sharded = chaos_point_spec("pmsb", "dwrr", 0.5, TINY, SEED,
-                                   "iid-loss", 1e-3, shards=2)
-        assert base.key() == single.key()
-        assert base.key() != sharded.key()
-
     def test_distinct_from_clean_sweep_family(self):
         chaos_spec = chaos_point_spec("pmsb", "dwrr", 0.5, TINY, SEED,
                                       "iid-loss", 0.0)
@@ -88,17 +78,6 @@ class TestStoreContract:
         warm = _sweep(tmp_path / "cache")
         assert sweep._points_computed == 0
         assert warm == cold
-
-    def test_sharded_points_record_their_fleet_block(self, tmp_path):
-        # The chaos worker was a copy of the FCT one that dropped
-        # provenance.shards; both now go through cached_point.
-        run_chaos_sweep(
-            scheme_names=("pmsb",), loss_rates=(1e-3,),
-            config=RunConfig(profile=TINY, seed=SEED, jobs=1, shards=2,
-                             cache_dir=str(tmp_path)))
-        (record,) = RunStore(tmp_path).records()
-        assert record.provenance["shards"]["n"] == 2
-        assert record.provenance["engine"]["events_processed"] > 0
 
     def test_parallel_cold_run_matches_serial(self, tmp_path):
         serial = _export(_sweep(tmp_path / "cache-a"), tmp_path / "a.json")
@@ -152,28 +131,6 @@ class TestLossActuallyHappens:
         assert stats["drops"].get("wire", 0) > 0
         assert sum(link["lost"] for link in stats["links"].values()) == \
             sum(stats["drops"].values())
-
-    @pytest.mark.parametrize("model,rate", [
-        ("iid-loss", 1e-3),
-        ("gilbert-elliott", 1e-3),
-    ])
-    def test_fault_streams_survive_sharding(self, model, rate):
-        """Per-link fault RNG streams key on (seed, salt, link name),
-        never on process layout — splitting the fabric into shards must
-        replay the identical loss pattern on every link."""
-        results = []
-        for shards in (None, 2):
-            stats = {}
-            row = run_fct_point(
-                "pmsb", "dwrr", 0.5, TINY, seed=SEED,
-                config=RunConfig(shards=shards),
-                faults=chaos_faults(model, rate, links="leaf*->spine*"),
-                fault_stats_out=stats,
-            )
-            results.append((row, stats))
-        (base_row, base_stats), (shard_row, shard_stats) = results
-        assert base_stats == shard_stats
-        assert base_row == shard_row
 
 
 class TestStaticVariants:

@@ -152,16 +152,15 @@ class TestSweepParallelFlags:
 
 class TestUnsupportedCombinations:
     @pytest.mark.parametrize("argv,message", [
-        (["sweep", "--shards", "2",
-          "--controller", "theorem:period=0.0005"],
-         "error: --shards: cannot combine with --controller"),
-        (["sweep", "--shards", "2", "--profile-events"],
-         "error: --shards: cannot combine with --profile-events"),
+        # Sharded execution is gone; its flag is not parsed at all.
+        (["sweep", "--shards", "2"],
+         "error: unrecognized arguments: --shards 2"),
+        (["chaos-sweep", "--shards", "2"],
+         "error: unrecognized arguments: --shards 2"),
+        (["xscale", "--shards", "2"],
+         "error: unrecognized arguments: --shards 2"),
         # Flags the command's runner never reads are rejected, not
         # parsed and dropped.
-        (["fig9", "--shards", "2"],
-         "error: --shards: fig9 does not support it (only sweep, "
-         "chaos-sweep, xscale do)"),
         (["xscale", "--faults", "iid-loss:rate=0.2,links=*"],
          "error: --faults: xscale does not support it"),
         (["xscale", "--controller", "theorem:period=0.0005"],
@@ -198,8 +197,10 @@ class TestUnsupportedCombinations:
           "clos:tiers=2,ports=4,oversub=1"],
          "error: fabric has 8 hosts but the scenario needs 10"),
         # Numeric execution flags are checked once, by RunConfig.
-        (["sweep", "--shards", "0"], "error: --shards: must be at least 1"),
-        (["sweep", "--shards", "-1"], "error: --shards: must be at least 1"),
+        (["sweep", "--shards", "1"],
+         "error: unrecognized arguments: --shards 1"),
+        (["fig9", "--shards", "2"],
+         "error: unrecognized arguments: --shards 2"),
         (["fig3", "--duration", "inf"],
          "error: --duration: must be a finite number of seconds > 0"),
         (["fig3", "--duration", "-1"],
@@ -248,11 +249,10 @@ class TestUnsupportedCombinations:
             main(["fig3", "--duration", "0.004"])
 
     def test_neutral_values_and_reading_commands_pass(self, capsys):
-        # --shards 1 / --jobs 0 ask for nothing; xscale reads --shards.
-        assert main(["fig8", "--duration", "0.004", "--shards", "1",
-                     "--jobs", "0"]) == 0
+        # --jobs 0 asks for nothing.
+        assert main(["fig8", "--duration", "0.004", "--jobs", "0"]) == 0
         assert main(["xscale", "--profile", "tiny", "--schemes", "pmsb",
-                     "--hogs", "4", "--jobs", "1", "--shards", "2",
+                     "--hogs", "4", "--jobs", "1",
                      "--ladder", "clos:tiers=2,ports=4,oversub=3"]) == 0
         assert "PMSB" in capsys.readouterr().out
 
@@ -343,6 +343,33 @@ class TestRunsGroup:
         assert main(["runs", "gc", "--cache-dir", cache]) == 0
         assert "removed 1 file(s) (unreadable=1)" in capsys.readouterr().out
         assert RunStore(cache).keys() == [good.key]
+
+    def test_old_record_with_a_shards_block_still_reads(self, tmp_path,
+                                                        capsys):
+        # Records written while sharded execution existed carry a
+        # ``shards`` spec param and a provenance ``shards`` block; both
+        # are plain data that list and show print as they are.
+        from repro.experiments.scale import TINY
+        from repro.store import ExperimentSpec, RunStore, make_provenance
+        provenance = make_provenance(
+            profile_name="tiny", elapsed_s=1.5,
+            engine={"events_processed": 1000})
+        provenance["shards"] = {"n": 2, "sync_rounds": 40,
+                                "blocked_s": 0.25}
+        record = RunStore(tmp_path).put(
+            ExperimentSpec.create("fct-point", scheme="pmsb",
+                                  scheduler="dwrr", load=0.5, seed=1,
+                                  profile=TINY, params={"shards": 2}),
+            {"completed": 10}, provenance)
+        cache = str(tmp_path)
+
+        assert main(["runs", "list", "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        assert record.key[:12] in out and "shards=2" in out
+        assert main(["runs", "show", "--cache-dir", cache,
+                     record.key[:12]]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["provenance"]["shards"] == provenance["shards"]
 
     def test_show_miss_exits_nonzero(self, tmp_path, capsys):
         assert main(["runs", "show", "--cache-dir",

@@ -184,6 +184,28 @@ class TestFabricThresholds:
         assert scheme.marker_factory().sojourn_threshold == pytest.approx(
             65 * 1500 * 8 / 40e9)
 
+    def test_offered_load_follows_the_built_link_rate(self, monkeypatch):
+        from repro.net.topology import TopologySpec
+        from repro.sim.rng import make_rng
+        from repro.workloads.distributions import PAPER_MIX
+        from repro.workloads.generator import PoissonFlowGenerator
+        drawn = []
+
+        class Recording(PoissonFlowGenerator):
+            def generate(self, *args, **kwargs):
+                flows = super().generate(*args, **kwargs)
+                drawn.append((self.host_ids, flows))
+                return flows
+
+        monkeypatch.setattr(largescale, "PoissonFlowGenerator", Recording)
+        topo = TopologySpec.parse("leaf-spine:link_rate=40e9")
+        largescale.fct_scenario("pmsb", "dwrr", 0.5, TINY, 1, topo)
+        ((hosts, flows),) = drawn
+        assert flows == PoissonFlowGenerator(
+            make_rng(1), hosts, PAPER_MIX.scaled(TINY.size_scale),
+            load=0.5, link_rate_bps=40e9, n_services=8,
+        ).generate(n_flows=TINY.largescale_flows)
+
     def test_default_fabric_keeps_the_profile_thresholds(self):
         from repro.net.topology import TopologySpec
         for name in ("pmsb-e", "tcn"):
@@ -206,6 +228,12 @@ class TestFabricThresholds:
             topology=TopologySpec.parse(self.DELAYED))
         assert "thresholds" not in dict(plain.params)
         assert dict(delayed.params)["thresholds"] == "fabric-physics"
+        # Only a link rate moves the arrivals as well.
+        assert "arrivals" not in dict(delayed.params)
+        fast = largescale.fct_point_spec(
+            "pmsb", "dwrr", 0.5, TINY, 1,
+            topology=TopologySpec.parse("leaf-spine:link_rate=40e9"))
+        assert dict(fast.params)["arrivals"] == "fabric-rate"
 
 
 class TestAnalysisValidation:
@@ -242,14 +270,6 @@ class TestLargescaleExtensions:
         with pytest.raises(ValueError):
             largescale.run_fct_point("pmsb", "dwrr", 0.5, TINY,
                                      topology="torus")
-
-    def test_multi_seed_merges(self):
-        merged = largescale.run_fct_point_multi(
-            "pmsb", "dwrr", 0.5, TINY, seeds=(1, 2))
-        single = largescale.run_fct_point("pmsb", "dwrr", 0.5, TINY, seed=1)
-        assert merged.n_flows == 2 * single.n_flows
-        assert merged.completed == merged.n_flows
-        assert merged.overall.count == merged.completed
 
     def test_wrr_scheduler_supported(self):
         row = largescale.run_fct_point("mq-ecn", "wrr", 0.5, TINY, seed=1)

@@ -11,9 +11,8 @@ from repro.ecn.mq_ecn import MqEcnMarker
 from repro.ecn.per_port import PerPortMarker
 from repro.ecn.per_queue import PerQueueMarker
 from repro.ecn.tcn import TcnMarker
-from repro.experiments.scenario import (SCHEME_NAMES, check_compatibility,
-                                        incast_flows, make_scheme,
-                                        run_incast)
+from repro.experiments.scenario import (SCHEME_NAMES, incast_flows,
+                                        make_scheme, run_incast)
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.store import RunConfig
 
@@ -143,60 +142,3 @@ class TestRunIncast:
         assert len(result.rtt_samples(queue_index=1)) > 0
         total = len(result.rtt_samples())
         assert total >= len(result.rtt_samples(queue_index=1))
-
-
-SHARDS_SINGLE_BOTTLENECK = ("--shards: needs a multi-switch fabric "
-                            "(leaf-spine / fat-tree / clos), not "
-                            "single-bottleneck")
-
-#: Every cell of the capability table and the one message it raises.
-INCOMPATIBLE_CELLS = [
-    ("shards", "controller",
-     "--shards: cannot combine with --controller (closed-loop controllers "
-     "read and retune global state)"),
-    ("shards", "profile_events",
-     "--shards: cannot combine with --profile-events (per-shard counters "
-     "land in provenance instead)"),
-    ("shards", "trace_occupancy",
-     "--shards: occupancy tracing is not supported (the observed port "
-     "lives in a worker)"),
-    ("shards", "record_rtt",
-     "--shards: record_rtt is not supported (flow handles stay in the "
-     "workers)"),
-    ("shards", "single_bottleneck", SHARDS_SINGLE_BOTTLENECK),
-]
-
-
-class TestCheckCompatibility:
-    @pytest.mark.parametrize("first,second,message", INCOMPATIBLE_CELLS)
-    def test_cell_raises_its_message(self, first, second, message):
-        with pytest.raises(ValueError) as excinfo:
-            check_compatibility(**{first: True, second: True})
-        assert str(excinfo.value) == message
-        # Either feature alone is fine.
-        check_compatibility(**{first: True, second: False})
-        check_compatibility(**{first: False, second: True})
-
-    def test_supported_combinations_pass(self):
-        check_compatibility()
-        check_compatibility(controller=True, record_rtt=True,
-                            trace_occupancy=True, single_bottleneck=True)
-
-    def test_unknown_feature_is_a_type_error(self):
-        with pytest.raises(TypeError, match="shard"):
-            check_compatibility(shard=True)
-
-    @pytest.mark.parametrize("name", ["size_distribution", "faults"])
-    def test_size_distribution_is_no_longer_a_feature(self, name):
-        # The one builder takes size_distribution at any shard count and
-        # faults combine with every remaining feature, so the table has
-        # no row (and no name) for either.
-        with pytest.raises(TypeError, match=name):
-            check_compatibility(shards=True, **{name: True})
-
-    def test_run_incast_raises_the_same_text(self):
-        with pytest.raises(ValueError) as excinfo:
-            run_incast(make_scheme("pmsb"), lambda: DwrrScheduler(2),
-                       incast_flows([1, 1]),
-                       config=RunConfig(duration=0.002, shards=2))
-        assert str(excinfo.value) == SHARDS_SINGLE_BOTTLENECK

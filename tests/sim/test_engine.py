@@ -128,6 +128,41 @@ class TestRun:
         sim.run()
         assert seen == []
 
+    def test_idle_windows_then_near_schedule_fires_on_time(self):
+        """Regression: windowed idling must not strand later schedules.
+
+        With a timer pending, consecutive idle ``run(until)`` windows
+        used to drag the wheel's routing anchor ahead of the clock; an
+        event then scheduled between the clock and the stale anchor was
+        skipped by the cursor clamp and only resurfaced a full wheel lap
+        (~4 ms) later, firing with its original timestamp and regressing
+        the clock.  ``run()`` re-anchors to the clock on exit.
+        """
+        sim = Simulator(slow_path=False)
+        fired = []
+        sim.at(9.3e-5, fired.append, "timer")
+        for k in range(1, 17):  # idle-step to t=80us in 5us windows
+            sim.run(until=k * 5e-6)
+        assert sim.now == 8e-5
+        assert fired == []
+        sim.at(8.17e-5, lambda: fired.append(("near", sim.now)))
+        sim.run(until=8.5e-5)
+        assert fired == [("near", 8.17e-5)]
+        sim.run(until=9.5e-5)
+        assert fired == [("near", 8.17e-5), "timer"]
+
+    def test_clock_never_regresses_across_windows(self):
+        sim = Simulator(slow_path=False)
+        times = []
+        sim.at(2e-6, lambda: times.append(sim.now))
+        sim.at(4.2e-5, lambda: times.append(sim.now))
+        seen = []
+        for k in range(1, 30):
+            sim.run(until=k * 5e-6)
+            seen.append(sim.now)
+        assert times == [2e-6, 4.2e-5]
+        assert seen == sorted(seen)
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
