@@ -24,8 +24,8 @@ def test_markpoint_at_scale(benchmark):
         # scheme registry (the harness's default is enqueue).
         original = ls.largescale_scheme
 
-        def patched(name, link_rate=10e9, base_rtt_hops=4):
-            spec = original(name, link_rate, base_rtt_hops)
+        def patched(name, *args, **kwargs):
+            spec = original(name, *args, **kwargs)
             if name == "pmsb":
                 from repro.core.pmsb import PmsbMarker
                 spec.marker_factory = lambda: PmsbMarker(

@@ -22,8 +22,8 @@ THRESHOLDS = (4, 8, 12, 24, 48, 96)
 def _point_at(threshold):
     original = ls.largescale_scheme
 
-    def patched(name, link_rate=10e9, base_rtt_hops=4):
-        spec = original(name, link_rate, base_rtt_hops)
+    def patched(name, *args, **kwargs):
+        spec = original(name, *args, **kwargs)
         if name == "pmsb":
             spec.marker_factory = lambda: PmsbMarker(float(threshold))
         return spec

@@ -28,8 +28,8 @@ BASELINES = {
 def _point_with(marker_factory):
     original = ls.largescale_scheme
 
-    def patched(name, link_rate=10e9, base_rtt_hops=4):
-        spec = original(name, link_rate, base_rtt_hops)
+    def patched(name, *args, **kwargs):
+        spec = original(name, *args, **kwargs)
         if marker_factory is not None and name == "pmsb":
             spec.marker_factory = marker_factory
         return spec

@@ -1,8 +1,8 @@
 """The ``name:key=val,key=val`` grammar of the CLI's spec flags.
 
-``--topology``, ``--faults``, ``--controller`` and ``--shared-buffer``
-all spell a spec the same way; :func:`parse_spec` reads that spelling
-once for all four, so a bad field is reported in the same words
+``--topology``, ``--faults`` and ``--shared-buffer`` all spell a spec
+the same way; :func:`parse_spec` reads that spelling once for all
+three, so a bad field is reported in the same words
 whichever flag carried it.  Imports nothing: a cache-hit sweep parses
 its flags without loading the simulator.
 """

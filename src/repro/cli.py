@@ -62,7 +62,7 @@ PROFILES = {"tiny": TINY, "bench": BENCH, "paper": PAPER}
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
-#: The four ``--flag name:key=val,…`` spec options every experiment
+#: The three ``--flag name:key=val,…`` spec options every experiment
 #: command shares: dest (the :class:`~repro.store.RunConfig` field it
 #: fills) -> (module, spec class, help).  The class's ``parse`` reads
 #: the flag's text; it is named, not imported — the module loads when
@@ -82,13 +82,6 @@ SPEC_FLAGS = {
         "gilbert-elliott / crc-corrupt / flap, e.g. "
         "'iid-loss:rate=0.001,links=leaf*->spine*' or "
         "'flap:links=bottleneck,down=0.01,up=0.02' (repeatable)"),
-    "controller": (
-        "repro.control.controller", "ControllerSpec",
-        "attach a closed-loop threshold controller to every fabric "
-        "the command builds; SPEC is name:key=val,key=val with "
-        "controllers theorem / cem, e.g. "
-        "'theorem:period=0.0005,margin=1.5' or "
-        "'cem:t1=0.01,k0=12,k1=24'"),
     "topology": (
         "repro.net.topology", "TopologySpec",
         "build every fabric the command uses from this declarative "
@@ -488,39 +481,6 @@ def cmd_sharedbuf(args, config) -> Any:
     return rows
 
 
-def cmd_autotune(args, config) -> Any:
-    from .experiments import autotune
-    report = autotune.run_autotune(
-        grid=tuple(args.grid),
-        scheduler_name=args.scheduler,
-        load_lo=args.load_lo,
-        load_hi=args.load_hi,
-        chaos=args.chaos,
-        rounds=args.rounds,
-        population=args.population,
-        config=config,
-    )
-    chaos_note = " + uplink flap" if args.chaos else ""
-    print(f"X-AUTOTUNE: load shift {args.load_lo:.2f} -> "
-          f"{args.load_hi:.2f}{chaos_note}, small-flow p99 FCT "
-          f"(t_shift {report.best_static.t_shift * 1e3:.2f} ms)")
-    print(f"{'K static':>9s} {'sm p99':>10s} {'sm mean':>10s} "
-          f"{'overall':>10s}")
-    for row in report.static_rows:
-        small_mean = (f"{row.small_mean * 1e6:9.1f}u"
-                      if row.small_mean is not None else "        --")
-        print(f"{row.k0:9.0f} {row.objective * 1e6:9.1f}u {small_mean} "
-              f"{row.overall_mean * 1e6:9.1f}u")
-    best = report.best_tuned
-    print(f"best static  K={report.best_static.k0:<4.0f}"
-          f" -> {report.best_static.objective * 1e6:9.1f}u")
-    print(f"best tuned   K={best.k0:.0f}->{best.k1:<4.0f}"
-          f" -> {best.objective * 1e6:9.1f}u "
-          f"({report.improvement_percent:+.1f}% vs static, "
-          f"{report.n_evaluations} candidates)")
-    return report.to_payload()
-
-
 def cmd_xscale(args, config) -> Any:
     from .experiments import xscale
     rows = xscale.run_xscale_sweep(
@@ -582,34 +542,30 @@ COMMANDS = {
                     "C-SWEEP — FCT sweep across loss rates"),
     "sharedbuf": (cmd_sharedbuf,
                   "X-SHAREDBUF — buffer-contention sweep (DT + BShare)"),
-    "autotune": (cmd_autotune,
-                 "X-AUTOTUNE — static vs closed-loop PMSB thresholds"),
     "xscale": (cmd_xscale,
                "X-SCALE — victim-flow error vs fabric size (48-1024)"),
 }
 
 #: Commands that understand the run-store cache flags.
-_STORE_BACKED = ("sweep", "chaos-sweep", "sharedbuf", "autotune", "xscale")
+_STORE_BACKED = ("sweep", "chaos-sweep", "sharedbuf", "xscale")
 
 #: The paper-figure commands: each hands the CLI's RunConfig to
-#: ``run_incast`` whole, so all four spec flags reach the fabric.
+#: ``run_incast`` whole, so all three spec flags reach the fabric.
 _INCAST = tuple(f"fig{n}" for n in range(1, 16)) + ("theorem", "ablation")
 
 #: Flag -> the commands whose runner reads it *and* keys it.  The table
 #: is total: anywhere else the flag exits 2 instead of being parsed and
 #: dropped.  A family's own sweep variable beats the matching flag
 #: (chaos* inject their loss grid, sharedbuf its policy grid, xscale
-#: its ladder, autotune its schedule controller and flap); the
-#: extension builders (pool / coexist / burst / transports) wire their
-#: own two-port fabrics and table1 simulates nothing.
+#: its ladder); the extension builders (pool / coexist / burst /
+#: transports) wire their own two-port fabrics and table1 simulates
+#: nothing.
 _READ_BY = {
     "faults": _INCAST + ("sweep", "sharedbuf"),
-    "controller": _INCAST + ("chaos3", "chaos8", "sweep", "chaos-sweep",
-                             "sharedbuf"),
     "topology": _INCAST + ("chaos3", "chaos8", "sweep", "chaos-sweep",
-                           "sharedbuf", "autotune"),
+                           "sharedbuf"),
     "shared_buffer": _INCAST + ("chaos3", "chaos8", "sweep", "chaos-sweep",
-                                "autotune", "xscale"),
+                                "xscale"),
 }
 
 
@@ -796,26 +752,6 @@ def _add_family_options(name: str, cmd: argparse.ArgumentParser) -> None:
                               "the built-in 48-1024 host Clos "
                               "ladder, e.g. "
                               "'clos:tiers=2,ports=16,oversub=2'")
-    if name == "autotune":
-        from .experiments import autotune
-        cmd.add_argument("--grid", type=float, nargs="+",
-                         default=list(autotune.DEFAULT_GRID),
-                         help="port-threshold grid in packets "
-                              f"(default: "
-                              f"{' '.join(str(k) for k in autotune.DEFAULT_GRID)})")
-        cmd.add_argument("--load-lo", type=float, default=0.3,
-                         help="phase-A offered load (default: 0.3)")
-        cmd.add_argument("--load-hi", type=float, default=0.7,
-                         help="phase-B offered load after the shift "
-                              "(default: 0.7)")
-        cmd.add_argument("--chaos", action="store_true",
-                         help="also flap a spine uplink for 2 ms "
-                              "right after the load shift")
-        cmd.add_argument("--rounds", type=int, default=3,
-                         help="cross-entropy rounds (default: 3)")
-        cmd.add_argument("--population", type=int, default=6,
-                         help="candidates drawn per round "
-                              "(default: 6)")
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:

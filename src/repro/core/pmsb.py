@@ -77,16 +77,6 @@ class PmsbMarker(Marker):
         super().attach(port)
         self._weight_sum = self._compute_weight_sum(port)
 
-    def _validate_thresholds(self, merged) -> None:
-        if merged["port_threshold_packets"] < 0:
-            raise ValueError("port threshold cannot be negative")
-        if merged["blindness_scale"] < 0:
-            raise ValueError("blindness_scale cannot be negative")
-
-    def _apply_thresholds(self, changes) -> None:
-        for name, value in changes.items():
-            setattr(self, name, float(value))
-
     def on_reset(self, port: "Port") -> None:
         super().on_reset(port)
         # §IV-C averaged-occupancy variant: the port EWMA tracks the
@@ -141,11 +131,8 @@ class PmsbMarker(Marker):
     def mark_enqueue(self, port: "Port", queue_index: int,
                      packet: Packet) -> None:
         """:meth:`on_enqueue` in straight-line form (instantaneous
-        occupancy, enqueue point): the same decision, counters and
-        threshold staging, read directly off the port's counters."""
-        if self._pending_thresholds is not None:
-            self.on_enqueue(port, queue_index, packet)
-            return
+        occupancy, enqueue point): the same decision and counters, read
+        directly off the port's counters."""
         if not packet.ect:
             return
         self.packets_seen += 1

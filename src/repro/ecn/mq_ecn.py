@@ -80,12 +80,6 @@ class MqEcnMarker(Marker):
             self.t_idle = MTU_BYTES * 8.0 / self._capacity_bps
         port.scheduler.round_observer = self._on_round
 
-    def _validate_thresholds(self, merged) -> None:
-        if merged["rtt"] <= 0:
-            raise ValueError("rtt must be positive")
-        if merged["t_idle"] is not None and merged["t_idle"] < 0:
-            raise ValueError("t_idle cannot be negative")
-
     def on_reset(self, port: "Port") -> None:
         super().on_reset(port)
         # Round bookkeeping is per-traffic-epoch: a reset port starts

@@ -35,12 +35,5 @@ class PerPortMarker(Marker):
             raise ValueError("threshold cannot be negative")
         self.threshold_packets = float(threshold_packets)
 
-    def _validate_thresholds(self, merged) -> None:
-        if merged["threshold_packets"] < 0:
-            raise ValueError("threshold cannot be negative")
-
-    def _apply_thresholds(self, changes) -> None:
-        self.threshold_packets = float(changes["threshold_packets"])
-
     def decide(self, port: "Port", queue_index: int, packet: Packet) -> bool:
         return port.packet_count >= self.threshold_packets

@@ -48,36 +48,23 @@ class PerQueueMarker(Marker):
         mark_point: MarkPoint = MarkPoint.ENQUEUE,
     ):
         super().__init__(mark_point)
+        #: A scalar threshold for every queue (-1 when per-queue), or
+        #: one threshold per queue (empty when scalar).
         self._scalar: float = -1.0
         self._vector: List[float] = []
-        self._install(thresholds)
-
-    def _install(self, thresholds: Union[float, Sequence[float]]) -> None:
         if isinstance(thresholds, (int, float)):
             self._scalar = float(thresholds)
-            self._vector = []
+            values = [self._scalar]
         else:
-            self._scalar = -1.0
-            self._vector = [float(t) for t in thresholds]
-            if any(t < 0 for t in self._vector):
-                raise ValueError("thresholds cannot be negative")
+            self._vector = values = [float(t) for t in thresholds]
+        if any(t < 0 for t in values):
+            raise ValueError("thresholds cannot be negative")
 
-    # The tunable value is scalar-or-vector, so the generic attribute
-    # mapping does not apply; ``queue_thresholds`` is the uniform key.
+    # The value is scalar-or-vector, so the generic attribute mapping
+    # does not apply; ``queue_thresholds`` is the uniform key.
     def thresholds(self):
         value = tuple(self._vector) if self._vector else self._scalar
         return {"queue_thresholds": value}
-
-    def _validate_thresholds(self, merged) -> None:
-        value = merged["queue_thresholds"]
-        if isinstance(value, (int, float)):
-            if value < 0:
-                raise ValueError("thresholds cannot be negative")
-        elif any(t < 0 for t in value):
-            raise ValueError("thresholds cannot be negative")
-
-    def _apply_thresholds(self, changes) -> None:
-        self._install(changes["queue_thresholds"])
 
     def threshold(self, queue_index: int) -> float:
         """The marking threshold (packets) applied to one queue."""

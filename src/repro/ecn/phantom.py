@@ -49,18 +49,6 @@ class PhantomQueueMarker(Marker):
         super().attach(port)
         self._drain_Bps = self.drain_factor * port.link.bandwidth / 8.0
 
-    def _validate_thresholds(self, merged) -> None:
-        if merged["threshold_bytes"] < 0:
-            raise ValueError("threshold cannot be negative")
-        if not 0.0 < merged["drain_factor"] <= 1.0:
-            raise ValueError("drain_factor must be in (0, 1]")
-
-    def _apply_thresholds(self, changes) -> None:
-        super()._apply_thresholds(changes)
-        if "drain_factor" in changes and self._attached_port is not None:
-            self._drain_Bps = (self.drain_factor
-                               * self._attached_port.link.bandwidth / 8.0)
-
     def on_reset(self, port: "Port") -> None:
         super().on_reset(port)
         # The virtual queue drains with the discarded real one; anchoring

@@ -111,18 +111,6 @@ class RedMarker(Marker):
             token = int(stable_digest(self._attached_port.name)[:16], 16)
         return make_rng(stable_hash(self.seed, token))
 
-    def _validate_thresholds(self, merged) -> None:
-        if not 0 <= merged["min_threshold"] <= merged["max_threshold"]:
-            raise ValueError("need 0 <= min_threshold <= max_threshold")
-        if not 0.0 < merged["max_probability"] <= 1.0:
-            raise ValueError("max_probability must be in (0, 1]")
-        if not 0.0 < merged["weight"] <= 1.0:
-            raise ValueError("weight must be in (0, 1]")
-
-    def _apply_thresholds(self, changes) -> None:
-        for name, value in changes.items():
-            setattr(self, name, float(value))
-
     def on_reset(self, port: "Port") -> None:
         super().on_reset(port)
         # The EWMA and the count correction describe the discarded

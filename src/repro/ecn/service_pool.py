@@ -128,12 +128,5 @@ class ServicePoolMarker(Marker):
         self.pool = pool
         self.threshold_packets = float(threshold_packets)
 
-    def _validate_thresholds(self, merged) -> None:
-        if merged["threshold_packets"] < 0:
-            raise ValueError("threshold cannot be negative")
-
-    def _apply_thresholds(self, changes) -> None:
-        self.threshold_packets = float(changes["threshold_packets"])
-
     def decide(self, port: "Port", queue_index: int, packet: Packet) -> bool:
         return self.pool.packet_count >= self.threshold_packets

@@ -34,10 +34,6 @@ class TcnMarker(Marker):
             raise ValueError("sojourn threshold cannot be negative")
         self.sojourn_threshold = sojourn_threshold
 
-    def _validate_thresholds(self, merged) -> None:
-        if merged["sojourn_threshold"] < 0:
-            raise ValueError("sojourn threshold cannot be negative")
-
     def decide(self, port: "Port", queue_index: int, packet: Packet) -> bool:
         if packet.enqueue_time is None:  # pragma: no cover - port always stamps
             return False

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
-from ..control.controller import ControllerSpec
 from ..net.sharedbuf import SharedBufferSpec
 from ..net.topology import TopologySpec
 from ..scheduling.dwrr import DwrrScheduler
@@ -212,7 +211,6 @@ def chaos_point_spec(
     loss_rate: float,
     audit: bool = False,
     topology: "Union[str, TopologySpec, None]" = None,
-    controller: Optional[ControllerSpec] = None,
     shared_buffer: Optional[SharedBufferSpec] = None,
 ) -> ExperimentSpec:
     """The canonical identity of one chaos FCT point (store cache key).
@@ -231,7 +229,7 @@ def chaos_point_spec(
         "loss_rate": loss_rate,
         "faults": tuple(spec.to_param() for spec in faults),
     })
-    params.update(extension_params((), controller, shared_buffer))
+    params.update(extension_params((), shared_buffer))
     return ExperimentSpec.create(
         CHAOS_EXPERIMENT, scheme=scheme_name, scheduler=scheduler_name,
         load=load, seed=seed, profile=profile, audit=audit, params=params,
@@ -242,7 +240,7 @@ def _chaos_point(point, provenance: Dict[str, Any]) -> ChaosFctRow:
     """Simulate one chaos sweep point (the ``compute`` of
     :func:`~repro.store.sweep.cached_sweep`)."""
     (scheme_name, scheduler_name, load, profile, seed, model, loss_rate,
-     audit, topology, controller, shared_buffer) = point
+     audit, topology, shared_buffer) = point
     fault_stats: Dict[str, Any] = {}
     fct = run_fct_point(
         scheme_name, scheduler_name, load, profile, seed,
@@ -250,7 +248,7 @@ def _chaos_point(point, provenance: Dict[str, Any]) -> ChaosFctRow:
         config=RunConfig(audit=audit, shared_buffer=shared_buffer),
         provenance_out=provenance,
         faults=chaos_faults(model, loss_rate),
-        fault_stats_out=fault_stats, controller=controller,
+        fault_stats_out=fault_stats,
     )
     return ChaosFctRow(
         model=model, loss_rate=loss_rate,
@@ -277,7 +275,7 @@ def run_chaos_sweep(
     processes and cache/resume exactly like
     :func:`~repro.experiments.largescale.run_fct_sweep`.  The loss grid
     is this sweep's variable, so ``config.faults`` is not consulted;
-    ``config.controller`` and ``config.shared_buffer`` are, and
+    ``config.shared_buffer`` is, and
     ``topology=None`` means ``config.topology``.
     """
     config, profile, seed, jobs, store, force = sweep_setup(
@@ -287,8 +285,7 @@ def run_chaos_sweep(
     # A point is chaos_point_spec's arguments, in order.
     points = [
         (name, scheduler_name, load, profile, seed, model, loss_rate,
-         bool(config.audit), topology_spec, config.controller,
-         config.shared_buffer)
+         bool(config.audit), topology_spec, config.shared_buffer)
         for loss_rate in loss_rates
         for load in profile.loads
         for name in scheme_names

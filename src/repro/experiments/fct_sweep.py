@@ -24,7 +24,6 @@ from ..store.sweep import cached_sweep, sweep_setup
 from .scale import ScaleProfile
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..control.controller import ControllerSpec
     from ..net.sharedbuf import SharedBufferSpec
     from ..sim.faults import FaultSpec
 
@@ -131,7 +130,6 @@ def fct_point_spec(
     audit: bool = False,
     topology: Union[str, TopologySpec, None] = "leaf-spine",
     faults: Sequence[FaultSpec] = (),
-    controller: Optional[ControllerSpec] = None,
     shared_buffer: Optional[SharedBufferSpec] = None,
 ) -> ExperimentSpec:
     """The canonical identity of one §VI-B FCT point (store cache key).
@@ -141,17 +139,16 @@ def fct_point_spec(
     ``"fat-tree"`` strings or a
     :class:`~repro.net.topology.TopologySpec`, rendered through
     :func:`topology_params` so default fabrics keep their historical
-    keys), any injected :class:`~repro.sim.faults.FaultSpec` set, any
-    :class:`~repro.control.ControllerSpec` and any
+    keys), any injected :class:`~repro.sim.faults.FaultSpec` set and any
     :class:`~repro.net.sharedbuf.SharedBufferSpec`, rendered by
-    :func:`~repro.store.spec.extension_params` so chaos, closed-loop and
+    :func:`~repro.store.spec.extension_params` so chaos and
     shared-memory points key differently from clean ones (and a point
     without them keys exactly as before these layers existed);
     execution mechanics (worker count, profiler, cache location)
     deliberately are not — see :class:`~repro.store.ExperimentSpec`.
     """
     params = topology_params(topology)
-    params.update(extension_params(faults or (), controller, shared_buffer))
+    params.update(extension_params(faults or (), shared_buffer))
     return ExperimentSpec.create(
         "fct-point", scheme=scheme_name, scheduler=scheduler_name,
         load=load, seed=seed, profile=profile, audit=audit, params=params,
@@ -185,7 +182,6 @@ def run_fct_sweep(
     config: Optional[RunConfig] = None,
     store: Optional[Union[RunStore, str]] = None,
     faults: Optional[Sequence[FaultSpec]] = None,
-    controller: Optional[ControllerSpec] = None,
     topology: Union[str, TopologySpec, None] = None,
 ) -> List[FctRow]:
     """The full figure set: every scheme × every load point.
@@ -207,7 +203,7 @@ def run_fct_sweep(
     whatever its workers persisted, and ``config.force`` (or
     ``config.resume=False``) recomputes and overwrites.
 
-    ``faults`` / ``controller`` / ``topology`` follow the one resolution
+    ``faults`` / ``topology`` follow the one resolution
     rule (:meth:`~repro.store.RunConfig.resolve`); the shared buffer is
     ``config.shared_buffer``.
     """
@@ -217,13 +213,12 @@ def run_fct_sweep(
     # the value that keys a point is the value its worker simulates.  A
     # point is fct_point_spec's arguments, in order, plus the profiler
     # switch (execution only, not identity).
-    faults, controller, topology = config.resolve(
-        faults=faults, controller=controller, topology=topology)
+    faults, topology = config.resolve(faults=faults, topology=topology)
     topology_spec = resolve_fct_topology(topology)
     points = [
         (name, scheduler_name, load, profile, seed, bool(config.audit),
-         topology_spec, tuple(faults or ()), controller,
-         config.shared_buffer, config.profile_events)
+         topology_spec, tuple(faults or ()), config.shared_buffer,
+         config.profile_events)
         for load in profile.loads
         for name in scheme_names
         if not (scheduler_name == "wfq" and name == "mq-ecn")

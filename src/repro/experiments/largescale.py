@@ -26,7 +26,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict, Optional, Sequence, Union
 
-from ..control.controller import ControllerRuntime, ControllerSpec
 from ..metrics.fct import FctCollector, SizeClass
 from ..net.sharedbuf import SharedBufferSpec
 from ..net.topology import DEFAULT_LINK_DELAY, TopologySpec
@@ -126,7 +125,6 @@ def fct_scenario(
     topo: TopologySpec,
     audit: bool = False,
     fault_specs: Sequence[FaultSpec] = (),
-    controller: Optional[ControllerSpec] = None,
     shared_buffer: Optional[SharedBufferSpec] = None,
     size_distribution: Optional[SizeDistribution] = None,
     size_scale: Optional[float] = None,
@@ -134,8 +132,7 @@ def fct_scenario(
 ) -> Scenario:
     """Build one FCT point.  :func:`run_fct_point` resolves defaults
     before calling this; the scenario finalizes to a dict holding the
-    :class:`FctRow` and the run's fault, controller and profiler
-    reports."""
+    :class:`FctRow` and the run's fault and profiler reports."""
     scheme = fabric_scheme(scheme_name, topo, profile)
     rng = make_rng(seed)
     sim = Simulator()
@@ -156,10 +153,6 @@ def fct_scenario(
     if fault_specs:
         chaos = FaultScheduler(sim, fault_specs, seed=seed)
         chaos.apply(network)
-    runtime = None
-    if controller is not None:
-        runtime = ControllerRuntime(sim, network.all_marked_ports(),
-                                    controller.build(), controller.period)
     if size_distribution is None:
         size_distribution = PAPER_MIX.scaled(profile.size_scale)
         size_scale = profile.size_scale
@@ -174,23 +167,14 @@ def fct_scenario(
     flows = generator.generate(n_flows=profile.largescale_flows)
 
     collector = FctCollector(size_scale=size_scale)
-    want_rtt = runtime is not None and controller.wants_rtt
-    handles = [open_flow(network, flow,
-                         scheme.transport_config(init_cwnd=16.0,
-                                                 record_rtt=want_rtt),
-                         on_complete=collector.on_complete)
-               for flow in flows]
-    if runtime is not None:
-        if want_rtt:
-            for handle in handles:
-                runtime.add_rtt_source(handle.sender)
-        runtime.start()
+    transport = scheme.transport_config(init_cwnd=16.0)
+    for flow in flows:
+        open_flow(network, flow, transport,
+                  on_complete=collector.on_complete)
 
     def finalize() -> Dict[str, Any]:
         if auditor is not None:
             auditor.verify_fabric()
-        if runtime is not None:
-            runtime.stop()
         if profiler is not None:
             profiler.stop()
         by_class = collector.summary_by_class()
@@ -203,8 +187,6 @@ def fct_scenario(
                 medium=by_class[SizeClass.MEDIUM],
                 large=by_class[SizeClass.LARGE]),
             "fault_stats": chaos.stats() if chaos is not None else None,
-            "controller_stats": (runtime.stats() if runtime is not None
-                                 else None),
             "profile_report": (profiler.report() if profiler is not None
                                else None),
         }
@@ -228,12 +210,10 @@ def run_fct_point(
     provenance_out: Optional[Dict[str, Any]] = None,
     faults: Optional[Sequence[FaultSpec]] = None,
     fault_stats_out: Optional[Dict[str, Any]] = None,
-    controller: Optional[ControllerSpec] = None,
-    controller_stats_out: Optional[Dict[str, Any]] = None,
 ) -> FctRow:
     """Run one load point for one scheme and collect FCT statistics.
 
-    ``faults`` / ``controller`` / ``topology`` follow the one resolution
+    ``faults`` / ``topology`` follow the one resolution
     rule (:meth:`~repro.store.RunConfig.resolve`): an explicit argument
     wins, None means the ``config`` field of the same name; the shared
     buffer is ``config.shared_buffer``.  ``topology`` selects the
@@ -253,32 +233,25 @@ def run_fct_point(
     counters for run-store provenance.  ``faults`` injects a chaos
     layer (:mod:`repro.sim.faults`) over the fabric's links, seeded
     from the point's ``seed``; ``fault_stats_out`` receives the
-    per-link drop breakdown afterwards.  ``controller`` attaches a
-    closed-loop :class:`~repro.control.ControllerRuntime` retuning
-    marker thresholds on the spec's period; ``controller_stats_out``
-    receives its tick/change counters.
+    per-link drop breakdown afterwards.
     """
     config = config or RunConfig()
     if profile is None:
         profile = config.profile if config.profile is not None else BENCH
     if seed is None:
         seed = config.seed if config.seed is not None else 1
-    faults, controller, topology = config.resolve(
-        faults=faults, controller=controller, topology=topology)
+    faults, topology = config.resolve(faults=faults, topology=topology)
     result = run_scenario(
         partial(fct_scenario, scheme_name=scheme_name,
                 scheduler_name=scheduler_name, load=load, profile=profile,
                 seed=seed, topo=resolve_fct_topology(topology),
                 audit=bool(config.audit), fault_specs=tuple(faults or ()),
-                controller=controller, shared_buffer=config.shared_buffer,
+                shared_buffer=config.shared_buffer,
                 size_distribution=size_distribution, size_scale=size_scale,
                 profile_events=config.profile_events),
         provenance_out)
     if fault_stats_out is not None and result["fault_stats"] is not None:
         fault_stats_out.update(result["fault_stats"])
-    if (controller_stats_out is not None
-            and result["controller_stats"] is not None):
-        controller_stats_out.update(result["controller_stats"])
     if result["profile_report"] is not None:
         print(f"\n[{scheme_name} / {scheduler_name} / load {load:.2f} / "
               f"seed {seed}]")
@@ -291,9 +264,9 @@ def fct_sweep_point(point, provenance: Dict[str, Any]) -> FctRow:
     :func:`~repro.store.sweep.cached_sweep` to simulate one missed
     point."""
     (scheme_name, scheduler_name, load, profile, seed, audit, topology,
-     faults, controller, shared_buffer, profile_events) = point
+     faults, shared_buffer, profile_events) = point
     return run_fct_point(
         scheme_name, scheduler_name, load, profile, seed, topology=topology,
         config=RunConfig(profile_events=profile_events, audit=audit,
                          shared_buffer=shared_buffer),
-        provenance_out=provenance, faults=faults, controller=controller)
+        provenance_out=provenance, faults=faults)

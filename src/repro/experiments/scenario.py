@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..control.controller import ControllerRuntime, ControllerSpec
 from ..core.pmsb import PmsbMarker
 from ..core.pmsb_endhost import AcceptAllFilter, EcnFilter, RttEcnFilter
 from ..ecn.base import Marker, MarkPoint, NullMarker
@@ -269,7 +268,6 @@ def incast_scenario(
     fault_specs: Sequence[FaultSpec] = (),
     fault_seed: int = 0,
     shared_buffer: Optional[SharedBufferSpec] = None,
-    controller: Optional[ControllerSpec] = None,
 ) -> Scenario:
     """Build one incast.  :func:`run_incast` resolves defaults and
     validates the flow layout against the fabric before calling this."""
@@ -297,11 +295,6 @@ def incast_scenario(
     if fault_specs:
         chaos = FaultScheduler(sim, fault_specs, seed=fault_seed)
         chaos.apply(network)
-    runtime = None
-    if controller is not None:
-        runtime = ControllerRuntime(sim, network.all_marked_ports(),
-                                    controller.build(), controller.period)
-        record_rtt = record_rtt or controller.wants_rtt
     meter = ThroughputMeter(sim, bin_width=duration / 100.0)
     meter.attach_port(observed)
     trace = QueueOccupancyTrace(observed) if trace_occupancy else None
@@ -311,15 +304,9 @@ def incast_scenario(
         rate = None if rate_limits is None else rate_limits.get(flow.src)
         handles.append(open_flow(network, flow, scheme.transport_config(
             record_rtt=record_rtt, rate_limit_bps=rate, init_cwnd=init_cwnd)))
-    if runtime is not None:
-        for handle in handles:
-            runtime.add_rtt_source(handle.sender)
-        runtime.start()
     warmup = duration * warmup_fraction
 
     def finalize() -> IncastResult:
-        if runtime is not None:
-            runtime.stop()
         if auditor is not None:
             auditor.verify_fabric()
         return IncastResult(
@@ -356,7 +343,6 @@ def run_incast(
     faults: Optional[Sequence[FaultSpec]] = None,
     fault_seed: int = 0,
     shared_buffer: Optional[SharedBufferSpec] = None,
-    controller: Optional[ControllerSpec] = None,
     topology: Union[str, TopologySpec, None] = None,
 ) -> IncastResult:
     """Run one incast scenario to completion and measure per-queue rates.
@@ -368,29 +354,24 @@ def run_incast(
     simulated time (default 0.04 s) and ``config.audit`` attaches a
     :class:`~repro.sim.audit.FabricAuditor` to the whole fabric and runs
     a final conservation pass.
-    ``faults`` / ``shared_buffer`` / ``controller`` / ``topology``
-    follow the one resolution rule
-    (:meth:`~repro.store.RunConfig.resolve`): an explicit argument wins,
-    None means the ``config`` field of the same name.  ``faults``
-    injects a deterministic chaos layer (:mod:`repro.sim.faults`) over
-    the fabric, with RNG streams derived from ``fault_seed``.
-    ``shared_buffer`` gives the switch a
+    ``faults`` / ``shared_buffer`` / ``topology`` follow the one
+    resolution rule (:meth:`~repro.store.RunConfig.resolve`): an
+    explicit argument wins, None means the ``config`` field of the same
+    name.  ``faults`` injects a deterministic chaos layer
+    (:mod:`repro.sim.faults`) over the fabric, with RNG streams derived
+    from ``fault_seed``.  ``shared_buffer`` gives the switch a
     :class:`~repro.net.sharedbuf.SharedBuffer` built from the spec.
-    ``controller`` attaches a closed-loop
-    :class:`~repro.control.ControllerRuntime` retuning marker thresholds
-    on the spec's period; controllers that consume RTT force
-    ``record_rtt`` on.  ``topology`` is a
-    :class:`~repro.net.topology.TopologySpec` (or its string spelling;
-    unset everywhere, the historical single-bottleneck fabric): on a
-    multi-switch fabric the flows' receiver keeps the single-bottleneck
-    convention (host ``n_senders``) and the observed port is the
-    receiver's host-facing downlink — the port the incast converges on.
+    ``topology`` is a :class:`~repro.net.topology.TopologySpec` (or
+    its string spelling; unset everywhere, the historical
+    single-bottleneck fabric): on a multi-switch fabric the flows'
+    receiver keeps the single-bottleneck convention (host
+    ``n_senders``) and the observed port is the receiver's host-facing
+    downlink — the port the incast converges on.
     """
     config = config or RunConfig()
     duration = config.duration if config.duration is not None else 0.04
-    faults, shared_buffer, controller, topology = config.resolve(
-        faults=faults, shared_buffer=shared_buffer, controller=controller,
-        topology=topology)
+    faults, shared_buffer, topology = config.resolve(
+        faults=faults, shared_buffer=shared_buffer, topology=topology)
     topo = as_topology(topology) or TopologySpec(preset="single-bottleneck")
     fault_specs = tuple(faults or ())
     n_senders = max(flow.src for flow in flows) + 1
@@ -413,5 +394,4 @@ def run_incast(
                 rate_limits=rate_limits, init_cwnd=init_cwnd,
                 buffer_packets=buffer_packets,
                 audit=bool(config.audit), fault_specs=fault_specs,
-                fault_seed=fault_seed, shared_buffer=shared_buffer,
-                controller=controller))
+                fault_seed=fault_seed, shared_buffer=shared_buffer))

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
-from ..control.controller import ControllerSpec
 from ..net.packet import MTU_BYTES
 from ..net.sharedbuf import SharedBufferSpec
 from ..net.topology import TopologySpec, as_topology
@@ -179,7 +178,7 @@ def sharedbuf_point(
     Two audited-capable incast runs on a single bottleneck whose switch
     memory is ``shared_buffer`` — this experiment's variable, so None is
     the private-buffer baseline and ``config.shared_buffer`` is not
-    consulted (``config.faults`` / ``controller`` / ``topology`` reach
+    consulted (``config.faults`` / ``topology`` reach
     :func:`~repro.experiments.scenario.run_incast` as usual):
 
     - *victim*: 1 queue-0 flow vs ``hog_flows`` queue-1 flows from t=0;
@@ -251,7 +250,6 @@ def sharedbuf_point_spec(
     audit: bool = False,
     topology: Union[str, TopologySpec, None] = None,
     faults: Sequence[FaultSpec] = (),
-    controller: Optional[ControllerSpec] = None,
 ) -> ExperimentSpec:
     """The canonical identity of one shared-buffer point (cache key).
 
@@ -268,7 +266,7 @@ def sharedbuf_point_spec(
         else {"topology": "single-bottleneck"})
     params["shared_buffer"] = (shared_buffer.to_param()
                                if shared_buffer is not None else "none")
-    params.update(extension_params(faults, controller))
+    params.update(extension_params(faults))
     return ExperimentSpec.create(
         SHAREDBUF_EXPERIMENT, scheme=scheme_name, scheduler=scheduler_name,
         load=0.0, seed=seed, profile=profile, audit=audit, params=params,
@@ -280,13 +278,13 @@ def _sharedbuf_sweep_point(point,
     """Simulate one sweep point (the ``compute`` of
     :func:`~repro.store.sweep.cached_sweep`)."""
     (scheme_name, scheduler_name, shared_buffer, profile, _seed, audit,
-     topology, faults, controller) = point
+     topology, faults) = point
     started = time.perf_counter()
     row = sharedbuf_point(
         scheme_name, scheduler_name, shared_buffer,
         link_rate=profile.link_rate,
         config=RunConfig(duration=profile.static_duration, audit=audit,
-                         faults=faults, controller=controller),
+                         faults=faults),
         topology=topology,
     )
     provenance["elapsed_s"] = time.perf_counter() - started
@@ -313,7 +311,7 @@ def run_sharedbuf_sweep(
     worker processes and cache/resume exactly like
     :func:`~repro.experiments.largescale.run_fct_sweep`.  The policy
     grid is this sweep's variable, so ``config.shared_buffer`` is not
-    consulted; ``config.faults`` and ``config.controller`` are, and
+    consulted; ``config.faults`` is, and
     ``topology=None`` means ``config.topology``.
     """
     config, profile, seed, jobs, store, force = sweep_setup(
@@ -327,8 +325,7 @@ def run_sharedbuf_sweep(
     # A point is sharedbuf_point_spec's arguments, in order.
     points = [
         (name, scheduler_name, policy, profile, seed, bool(config.audit),
-         as_topology(topology), tuple(config.faults or ()),
-         config.controller)
+         as_topology(topology), tuple(config.faults or ()))
         for policy in policy_points
         for name in scheme_names
         if not (scheduler_name == "wfq" and name == "mq-ecn")

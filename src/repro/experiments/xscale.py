@@ -246,8 +246,8 @@ def xscale_point(
     flows (service 1) toward one receiver, and reports per-queue
     goodput on the receiver's downlink after a third of the run has
     warmed the fabric up.  ``config.shared_buffer`` gives every switch
-    a shared memory; the scenario is clean and open-loop, so
-    ``config.faults`` and ``config.controller`` are not consulted.
+    a shared memory; the scenario is clean, so ``config.faults`` is not
+    consulted.
     ``provenance_out``, when given, receives wall time and engine
     counters for run-store provenance.
     """

@@ -90,8 +90,7 @@ class Port:
         # The hop bound at construction (module docstring): the
         # reference hop or not, idle pass-through allowed, the marker's
         # enqueue hook (None: no call) and whether it needs
-        # ``on_dequeue`` for every packet (else only while thresholds
-        # are staged).
+        # ``on_dequeue`` for every packet (else never).
         "_general",
         "_idle_pass",
         "_marker_on_enqueue",
@@ -221,9 +220,8 @@ class Port:
             hook = self._marker_on_enqueue
             if hook is not None:
                 hook(self, queue_index, packet)
-            marker = self.marker
-            if self._dequeue_hook or marker._pending_thresholds is not None:
-                marker.on_dequeue(self, queue_index, packet)
+            if self._dequeue_hook:
+                self.marker.on_dequeue(self, queue_index, packet)
             self.busy = True
             self._in_service = queue_index
             self._tx_clears = sim.clears
@@ -261,9 +259,8 @@ class Port:
             return
         queue_index, packet = item
         # Dequeue marking sees occupancy that still includes this packet.
-        marker = self.marker
-        if self._dequeue_hook or marker._pending_thresholds is not None:
-            marker.on_dequeue(self, queue_index, packet)
+        if self._dequeue_hook:
+            self.marker.on_dequeue(self, queue_index, packet)
         self.busy = True
         sim = self.sim
         self._in_service = queue_index

@@ -44,12 +44,11 @@ Validators
 - **ECN legality** (per hop): CE without ECT is always illegal, and a
   packet that enters a port unmarked may leave it marked only if that
   port's marker marks at dequeue.
-- **marker threshold boundary**: a marker's tunable thresholds may only
-  change through the :meth:`~repro.ecn.base.Marker.set_thresholds`
-  staging surface, whose commits land at packet boundaries and bump
-  ``threshold_epoch``.  Thresholds that differ between two datapath
-  events without an epoch bump — e.g. mutated raw between a packet's
-  enqueue decision and its dequeue decision — are a violation.
+- **marker threshold boundary**: a marker's thresholds are fixed for
+  the run.  :meth:`~repro.ecn.base.Marker.thresholds` is snapshot when
+  the port is attached; a datapath event that finds them changed — e.g.
+  mutated between a packet's enqueue decision and its dequeue decision
+  — is a violation.
 - **engine hygiene**: every port keeps an in-service record — the queue
   of the packet on the wire and the :attr:`Simulator.clears
   <repro.sim.engine.Simulator.clears>` generation its completion was
@@ -146,7 +145,7 @@ class _PortAudit:
         "base_occ_packets", "base_occ_bytes", "base_tx_packets",
         "base_tx_bytes", "base_drops", "base_delivered", "base_lost",
         "attach_delivered", "transit_ce", "link_drops",
-        "marker_epoch", "marker_thresholds",
+        "marker_thresholds",
     )
 
     def __init__(self, port: "Port"):
@@ -159,6 +158,10 @@ class _PortAudit:
         #: must always sum to the link's ``packets_lost`` delta.
         self.link_drops: Dict[str, int] = {}
         self.rebaseline(port)
+        #: The marker's thresholds at attach time; they never change
+        #: (the ``marker-threshold-boundary`` rule), so a port reset
+        #: does not re-anchor them.
+        self.marker_thresholds = port.marker.thresholds()
         #: Link deliveries at attach time.  Unlike ``base_delivered``
         #: this is never re-anchored by a port reset: the fabric-wide
         #: conservation equation compares against the host/switch
@@ -181,11 +184,6 @@ class _PortAudit:
         self.base_delivered = port.link.packets_delivered
         self.base_lost = port.link.packets_lost
         self.link_drops.clear()
-        #: Marker threshold snapshot + epoch: values that change while
-        #: the epoch stands still were mutated behind the staging
-        #: surface (the ``marker-threshold-boundary`` rule).
-        self.marker_epoch = port.marker.threshold_epoch
-        self.marker_thresholds = port.marker.thresholds()
 
 
 class FabricAuditor:
@@ -519,25 +517,16 @@ class FabricAuditor:
             self._fail("drop-counter", name,
                        ("port.drops delta", port.drops - state.base_drops),
                        ("drop events seen", state.drops), event)
-        # Threshold boundary: a marker's tunable parameters may change
-        # only through a set_thresholds() commit, which lands at a
-        # packet boundary and bumps threshold_epoch.  Values that
-        # differ from the last event's snapshot at an *unchanged* epoch
-        # were mutated raw — mid-packet, between a packet's enqueue
-        # decision and its dequeue decision, the decisions disagree
-        # about which scheme was in force.
-        marker = port.marker
-        epoch = marker.threshold_epoch
-        if epoch != state.marker_epoch:
-            state.marker_epoch = epoch
-            state.marker_thresholds = marker.thresholds()
-        else:
-            live = marker.thresholds()
-            if live != state.marker_thresholds:
-                self._fail("marker-threshold-boundary", name,
-                           ("thresholds at last boundary commit",
-                            state.marker_thresholds),
-                           ("thresholds now (no epoch bump)", live), event)
+        # Threshold boundary: a marker's thresholds are fixed for the
+        # run.  Values that differ from the attach-time snapshot were
+        # mutated — mid-packet, between a packet's enqueue decision
+        # and its dequeue decision, the decisions disagree about which
+        # scheme was in force.
+        live = port.marker.thresholds()
+        if live != state.marker_thresholds:
+            self._fail("marker-threshold-boundary", name,
+                       ("thresholds at attach", state.marker_thresholds),
+                       ("thresholds now", live), event)
         # Port vs link: transmitted == delivered + lost.
         link = port.link
         delivered = link.packets_delivered - state.base_delivered

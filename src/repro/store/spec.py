@@ -6,9 +6,9 @@ scattered keyword arguments:
 - :class:`RunConfig` — *how* to run: duration, scale profile, seed,
   worker processes, auditing, event profiling, the run-store knobs
   (``cache_dir`` / ``resume`` / ``force``) and the fabric extensions
-  (``faults`` / ``shared_buffer`` / ``controller`` / ``topology``).  It
-  is the only carrier of configuration — no module holds a default —
-  and every experiment entry point accepts ``config=RunConfig(...)``.
+  (``faults`` / ``shared_buffer`` / ``topology``).  It is the only
+  carrier of configuration — no module holds a default — and every
+  experiment entry point accepts ``config=RunConfig(...)``.
 - :class:`ExperimentSpec` — *what* was run: the canonical identity of
   one experiment point (experiment name, scheme, scheduler, load, seed,
   scale-profile physics, audit flag, extra parameters, schema/code
@@ -28,7 +28,6 @@ from typing import (TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence,
 from ..sim.rng import stable_digest
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..control.controller import ControllerSpec
     from ..net.sharedbuf import SharedBufferSpec
     from ..net.topology import TopologySpec
     from ..sim.faults import FaultSpec
@@ -88,9 +87,6 @@ class RunConfig:
     #: Switch-wide shared memory every switch's ports draw from
     #: (``--shared-buffer``; None = private per-port buffers).
     shared_buffer: Optional[SharedBufferSpec] = None
-    #: Closed-loop threshold controller attached to every fabric
-    #: (``--controller``).
-    controller: Optional[ControllerSpec] = None
     #: Fabric to build instead of the runner's own default
     #: (``--topology``; a spec or its ``preset:key=val`` spelling).
     topology: Union[str, TopologySpec, None] = None
@@ -120,7 +116,7 @@ class RunConfig:
         return replace(self, **changes)
 
 
-def extension_params(faults: Sequence[Any] = (), controller: Any = None,
+def extension_params(faults: Sequence[Any] = (),
                      shared_buffer: Any = None) -> Dict[str, Any]:
     """What the fabric extensions a point *resolved to* add to its spec
     params: one canonical entry per extension that is set, nothing for
@@ -129,8 +125,6 @@ def extension_params(faults: Sequence[Any] = (), controller: Any = None,
     params: Dict[str, Any] = {}
     if faults:
         params["faults"] = tuple(spec.to_param() for spec in faults)
-    if controller is not None:
-        params["controller"] = controller.to_param()
     if shared_buffer is not None:
         params["shared_buffer"] = shared_buffer.to_param()
     return params

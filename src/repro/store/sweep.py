@@ -1,7 +1,7 @@
 """The store-backed sweep boundary: hits answered here, misses fanned out.
 
 Every store-backed family (``sweep``, ``chaos-sweep``, ``xscale``,
-``sharedbuf``, ``autotune``, ``incast_sweep``) runs its points through
+``sharedbuf``, ``incast_sweep``) runs its points through
 :func:`cached_sweep`.  This module imports only the store, the scale
 profiles and the runner, and names the function that simulates instead
 of importing it, so a sweep whose every point is already stored reads
@@ -11,6 +11,7 @@ worker pool.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from importlib import import_module
@@ -69,6 +70,11 @@ def _compute_point(job) -> Any:
     compute, point, spec, store, profile_name = job
     provenance: Dict[str, Any] = {}
     row = compute(point, provenance)
+    # A finished fabric (simulator, ports, links, pending events) is a
+    # web of reference cycles that only a full collection frees: free
+    # it now, so a worker holds one point's fabric at a time rather than
+    # however many the collector has not reached yet.
+    gc.collect()
     if store is not None:
         store.put(spec, row.to_payload(), make_provenance(
             profile_name=profile_name,

@@ -163,8 +163,9 @@ class TestUnsupportedCombinations:
         # parsed and dropped.
         (["xscale", "--faults", "iid-loss:rate=0.2,links=*"],
          "error: --faults: xscale does not support it"),
-        (["xscale", "--controller", "theorem:period=0.0005"],
-         "error: --controller: xscale does not support it"),
+        # Closed-loop threshold control is gone: no command, no flag.
+        (["autotune", "--profile", "tiny"],
+         "error: argument command: invalid choice: 'autotune'"),
         # A family's own sweep variable beats the matching flag.
         (["chaos-sweep", "--faults", "iid-loss:rate=0.05,links=*"],
          "error: --faults: chaos-sweep does not support it"),
@@ -174,15 +175,15 @@ class TestUnsupportedCombinations:
          "error: --topology: xscale does not support it"),
         (["sharedbuf", "--shared-buffer", "dt:capacity=40,alpha=0.5"],
          "error: --shared-buffer: sharedbuf does not support it"),
-        (["autotune", "--controller", "theorem:period=0.0005"],
-         "error: --controller: autotune does not support it"),
-        (["autotune", "--faults", "iid-loss:rate=0.05,links=*"],
-         "error: --faults: autotune does not support it"),
+        (["fig3", "--controller", "theorem"],
+         "error: unrecognized arguments: --controller theorem"),
+        (["sweep", "--controller", "theorem:period=0.0005"],
+         "error: unrecognized arguments: --controller"),
         # The extension builders wire their own two-port fabrics.
         (["pool", "--faults", "iid-loss:rate=0.05,links=*"],
          "error: --faults: pool does not support it"),
-        (["coexist", "--controller", "theorem:period=0.0005"],
-         "error: --controller: coexist does not support it"),
+        (["coexist", "--faults", "iid-loss:rate=0.05,links=*"],
+         "error: --faults: coexist does not support it"),
         (["burst", "--topology", "leaf-spine"],
          "error: --topology: burst does not support it"),
         (["transports", "--shared-buffer", "dt:capacity=64"],
@@ -218,9 +219,9 @@ class TestUnsupportedCombinations:
         (["fig3", "--faults", "iid:rate=abc"],
          "error: --faults: bad fault spec 'iid:rate=abc': field 'rate' "
          "needs a number, got 'abc'"),
-        (["fig3", "--controller", "theorem:margin=x"],
-         "error: --controller: bad controller spec 'theorem:margin=x': "
-         "field 'margin' needs a number, got 'x'"),
+        (["fig3", "--topology", "clos:ports=x"],
+         "error: --topology: bad topology spec 'clos:ports=x': "
+         "field 'ports' needs a number, got 'x'"),
         (["fig3", "--shared-buffer", "dt:alpha="],
          "error: --shared-buffer: bad shared-buffer spec 'dt:alpha=': "
          "field 'alpha' needs a number, got ''"),
@@ -371,6 +372,57 @@ class TestRunsGroup:
         payload = json.loads(capsys.readouterr().out)
         assert payload["provenance"]["shards"] == provenance["shards"]
 
+    def test_old_closed_loop_records_still_read(self, tmp_path, capsys):
+        # Records written while closed-loop threshold control existed:
+        # an ``autotune-point`` and an ``fct-point`` whose params carry
+        # a ``controller``.  They are plain data to list, show and diff,
+        # and their specs still hash to the keys they are filed under.
+        from repro.store import ExperimentSpec
+        profile = {"fabric": [2, 2, 3], "largescale_flows": 30,
+                   "link_rate": 10000000000.0, "name": "tiny",
+                   "size_scale": 0.05, "static_duration": 0.015,
+                   "time_cap": 0.5}
+        base = {"audit": False, "code_version": "1.0.0", "profile": profile,
+                "scheduler": "dwrr", "schema_version": 1, "scheme": "pmsb",
+                "seed": 1}
+        autotune = dict(base, experiment="autotune-point", load=0.3,
+                        params={"chaos": False, "k0": 12.0, "k1": 24.0,
+                                "load_hi": 0.7, "period": 0.0005})
+        controlled = dict(base, experiment="fct-point", load=0.5, params={
+            "controller": [["floor", 1.0], ["k0", 12.0], ["k1", 12.0],
+                           ["margin", 1.5], ["name", "theorem"],
+                           ["period", 0.0005], ["t1", 0.0]],
+            "topology": "leaf-spine"})
+        records = {
+            "50b93abfd5bd520033dbd3bf18243b08a62b98fbd6815956f959115083ea01dc":
+                (autotune, {"k0": 12.0, "k1": 24.0, "objective": 0.001}),
+            "ce2108ef522489aaf43cdac287d5d3ea86fc4f943203aa67045dd970e365840e":
+                (controlled, {"completed": 30, "n_flows": 30}),
+        }
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        for key, (spec, result) in records.items():
+            assert ExperimentSpec.from_canonical(spec).key() == key
+            (runs / f"{key}.json").write_text(json.dumps(
+                {"key": key, "spec": spec, "result": result,
+                 "provenance": {"profile_name": "tiny"}}) + "\n")
+        old, fct = records
+        cache = str(tmp_path)
+
+        assert main(["runs", "list", "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        assert "autotune-point" in out and old[:12] in out
+        assert "controller=" in out and fct[:12] in out
+        assert "[2 record(s)" in out
+        assert main(["runs", "show", "--cache-dir", cache, old[:12]]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown["spec"] == autotune and shown["key"] == old
+        assert main(["runs", "show", "--cache-dir", cache, fct[:12]]) == 0
+        assert json.loads(capsys.readouterr().out)["spec"] == controlled
+        assert main(["runs", "diff", "--cache-dir", cache, old, fct]) == 0
+        out = capsys.readouterr().out
+        assert "spec.experiment" in out and "spec.params.controller" in out
+
     def test_show_miss_exits_nonzero(self, tmp_path, capsys):
         assert main(["runs", "show", "--cache-dir",
                      str(tmp_path / "c"), "deadbeef"]) == 1
@@ -415,7 +467,7 @@ class TestSharedBufferFlag:
 
 
 class TestSpecFlags:
-    """The four spec-valued flags share one table and one parse
+    """The three spec-valued flags share one table and one parse
     function: every bad input must die in argparse with the flag's own
     name prefixed, and a flag reaches only the command it was given to."""
 
@@ -426,7 +478,6 @@ class TestSpecFlags:
         ("--faults", "nope", "unknown fault model"),
         ("--shared-buffer", "bogus", "sharing policy"),
         ("--shared-buffer", "dt:capacity=lots", "needs a number"),
-        ("--controller", "zeta", "unknown controller"),
     ])
     def test_bad_spec_names_the_flag(self, capsys, flag, value, needle):
         with pytest.raises(SystemExit):
@@ -441,8 +492,7 @@ class TestSpecFlags:
             args = parser.parse_args(
                 [name, "--topology", "clos:tiers=2,ports=8,oversub=1.5",
                  "--faults", "iid-loss:rate=0.001",
-                 "--shared-buffer", "dt:capacity=64",
-                 "--controller", "pi:target=0.6"])
+                 "--shared-buffer", "dt:capacity=64"])
             assert args.topology == "clos:tiers=2,ports=8,oversub=1.5"
             assert args.faults == ["iid-loss:rate=0.001"]
 

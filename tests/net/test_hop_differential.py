@@ -213,24 +213,6 @@ def test_specialised_hop_matches_general(scheduler, marker, point, pattern):
         assert passed  # … and some of it straight through
 
 
-def _halve_thresholds(sim, port):
-    current = port.marker.thresholds()
-    changes = {key: value * 0.5 for key, value in current.items()
-               if isinstance(value, (int, float)) and value}
-    if changes:
-        port.marker.set_thresholds(**changes)
-
-
-@pytest.mark.parametrize("scheduler,marker,point", COMBOS, ids=IDS)
-def test_thresholds_staged_between_packets(scheduler, marker, point):
-    # Staged at an idle instant and in the middle of a backlog: the
-    # commit lands at the same packet boundary on both hops.
-    actions = [(1e-6 + 5.5 * TX, _halve_thresholds),
-               (1e-6 + 24.3 * TX, _halve_thresholds)]
-    assert_same(scheduler, marker, point, "back-to-back", actions)
-    assert_same(scheduler, marker, point, "idle-gaps", actions)
-
-
 def _reset(sim, port):
     assert port.busy
     port.reset()

@@ -11,7 +11,6 @@ TopologySpec) may mint new keys.
 
 from __future__ import annotations
 
-from repro.experiments.autotune import autotune_point_spec
 from repro.experiments.chaos import chaos_point_spec
 from repro.experiments.largescale import fct_point_spec
 from repro.experiments.scale import BENCH, TINY
@@ -30,8 +29,6 @@ FROZEN_KEYS = {
         "8219d033f0bd7d208a058b310de0274a8c2f044684c477f9957b2c7987fbac41",
     "chaos-iid":
         "3815883cd89e77ebbdad705b388fd070d2387aebbf3207c22c7d42fa38708a1a",
-    "autotune":
-        "50b93abfd5bd520033dbd3bf18243b08a62b98fbd6815956f959115083ea01dc",
 }
 
 
@@ -71,11 +68,6 @@ class TestHistoricalKeysUnchanged:
                                 model="iid-loss", loss_rate=0.001)
         assert spec.key() == FROZEN_KEYS["chaos-iid"]
 
-    def test_autotune(self):
-        spec = autotune_point_spec(12.0, 24.0, "dwrr", 0.3, 0.7, TINY, 1,
-                                   chaos=False)
-        assert spec.key() == FROZEN_KEYS["autotune"]
-
 
 class TestNewFabricsReKey:
     def test_non_default_topology_mints_a_new_fct_key(self):
@@ -91,14 +83,3 @@ class TestNewFabricsReKey:
             "pmsb", "dwrr", policy, TINY, 7,
             topology=TopologySpec.parse("leaf-spine:leaf=2,spine=2,hosts=3"))
         assert spec.key() != FROZEN_KEYS["sharedbuf-dt"]
-
-    def test_non_default_topology_re_keys_autotune(self):
-        spec = autotune_point_spec(
-            12.0, 24.0, "dwrr", 0.3, 0.7, TINY, 1, chaos=False,
-            topology=TopologySpec.parse("clos:tiers=2,ports=8,oversub=1.5"))
-        assert spec.key() != FROZEN_KEYS["autotune"]
-
-    def test_default_spec_leaves_autotune_key_alone(self):
-        spec = autotune_point_spec(12.0, 24.0, "dwrr", 0.3, 0.7, TINY, 1,
-                                   chaos=False, topology=TopologySpec())
-        assert spec.key() == FROZEN_KEYS["autotune"]

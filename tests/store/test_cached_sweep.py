@@ -4,14 +4,15 @@ misses computed and persisted, rows in point order at every jobs level."""
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import pytest
 
-from repro.store import ExperimentSpec, RunStore, cached_sweep
+from repro.store import ExperimentSpec, RunConfig, RunStore, cached_sweep
 
 COMPUTE = f"{__name__}:compute_square"
 #: The pytest process; forked sweep workers inherit this value.
@@ -59,6 +60,26 @@ def _sweep(points, store, **kwargs):
 
 
 class TestCachedSweep:
+    def test_a_computed_point_leaves_no_simulator_alive(self):
+        # A fabric is a web of reference cycles; with the collector off,
+        # only the sweep's own collection after each point frees it.
+        from repro.experiments.fct_sweep import run_fct_sweep
+        from repro.experiments.scale import TINY
+        from repro.sim.engine import Simulator
+
+        config = RunConfig(profile=replace(TINY, loads=(0.5,)), seed=1,
+                           jobs=1)
+        gc.collect()
+        gc.disable()
+        try:
+            rows = run_fct_sweep(("pmsb",), config=config)
+            alive = [obj for obj in gc.get_objects()
+                     if isinstance(obj, Simulator)]
+        finally:
+            gc.enable()
+        assert rows[0].completed == rows[0].n_flows
+        assert alive == []
+
     def test_without_a_store_every_point_is_computed(self):
         rows = _sweep([3, 1, 2], None)
         assert [row.square for row in rows] == [9, 1, 4]

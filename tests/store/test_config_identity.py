@@ -1,7 +1,7 @@
 """Configuration is a value: what configures the fabric is what keys it.
 
-``RunConfig.faults`` / ``shared_buffer`` / ``controller`` / ``topology``
-are resolved once, in the runner; the resolved values are what each
+``RunConfig.faults`` / ``shared_buffer`` / ``topology`` are resolved
+once, in the runner; the resolved values are what each
 sweep point ships to its worker *and* what its
 :class:`~repro.store.ExperimentSpec` is built from.  So for every
 store-backed family × every field it honours: the key moves with the
@@ -9,17 +9,14 @@ field, a store filled without it answers nothing once it is set, and
 the shipped point tuple — not process state a forked worker happens to
 inherit — carries the spec.
 
-The two stale hits this replaced (``sweep`` + shared buffer answered
-from private-buffer records; ``chaos-sweep`` + controller from
-open-loop ones) are rows of ``HONOURED`` below.
+The stale hit this replaced (``sweep`` + shared buffer answered from
+private-buffer records) is a row of ``HONOURED`` below.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.control.controller import ControllerSpec
-from repro.experiments.autotune import autotune_point_spec, run_autotune
 from repro.experiments.chaos import chaos_point_spec, run_chaos_sweep
 from repro.experiments.largescale import fct_point_spec, run_fct_sweep
 from repro.experiments.scale import TINY
@@ -36,7 +33,6 @@ FABRIC = "clos:tiers=2,ports=4,oversub=3"
 VALUES = {
     "faults": (FaultSpec(model="iid-loss", rate=0.001, links="*"),),
     "shared_buffer": SharedBufferSpec(policy="dt", capacity=40, alpha=0.5),
-    "controller": ControllerSpec.parse("theorem:period=0.0005,margin=1.5"),
     "topology": TopologySpec.parse(FABRIC),
 }
 
@@ -44,27 +40,21 @@ VALUES = {
 #: those fields as keywords, its smallest sweep as ``run(config)``).
 FAMILIES = {
     "sweep": (
-        ("faults", "shared_buffer", "controller", "topology"),
+        ("faults", "shared_buffer", "topology"),
         lambda **kw: fct_point_spec("pmsb", "dwrr", 0.5, TINY, 3, **kw),
         lambda config: run_fct_sweep(("pmsb",), config=config)),
     "chaos-sweep": (
-        ("shared_buffer", "controller", "topology"),
+        ("shared_buffer", "topology"),
         lambda **kw: chaos_point_spec("pmsb", "dwrr", 0.5, TINY, 3,
                                       "iid-loss", 0.001, **kw),
         lambda config: run_chaos_sweep(("pmsb",), loss_rates=(0.001,),
                                        config=config)),
     "sharedbuf": (
-        ("faults", "controller", "topology"),
+        ("faults", "topology"),
         lambda **kw: sharedbuf_point_spec("pmsb", "dwrr", None, TINY, 3,
                                           **kw),
         lambda config: run_sharedbuf_sweep(("pmsb",), policies=(),
                                            config=config)),
-    "autotune": (
-        ("shared_buffer", "topology"),
-        lambda **kw: autotune_point_spec(12.0, 12.0, "dwrr", 0.3, 0.7,
-                                         TINY, 3, **kw),
-        lambda config: run_autotune(grid=(12.0,), rounds=1, population=1,
-                                    config=config).static_rows),
     "xscale": (
         ("shared_buffer",),
         lambda **kw: xscale_point_spec("pmsb", "dwrr", FABRIC, TINY, 3,
@@ -126,7 +116,7 @@ def test_store_filled_without_the_field_recomputes_with_it(
     assert shipped == []
 
 
-@pytest.mark.parametrize("field", ["shared_buffer", "controller"])
+@pytest.mark.parametrize("field", ["shared_buffer"])
 def test_jobs_2_rows_equal_jobs_1(field, shipped):
     config = RunConfig(profile=TINY, seed=3, **{field: VALUES[field]})
     serial = run_fct_sweep(("pmsb", "tcn"), config=config.evolve(jobs=1))

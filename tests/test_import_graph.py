@@ -19,7 +19,7 @@ import pytest
 
 import repro
 
-PACKAGES = ["repro", "repro.control", "repro.core", "repro.ecn",
+PACKAGES = ["repro", "repro.core", "repro.ecn",
             "repro.experiments", "repro.metrics", "repro.net",
             "repro.scheduling", "repro.sim", "repro.store",
             "repro.transport", "repro.workloads"]
@@ -123,10 +123,9 @@ class TestCachedSweep:
             " == 0")
         assert_light(report, experiments={"repro.experiments.fct_sweep"})
         assert "concurrent.futures" not in report["modules"]
-        # Not the engine, not a port, not a controller: parsing the
-        # flags and rendering the points' keys is all a full hit does.
-        simulating = {"repro.sim.engine", "repro.net.port",
-                      "repro.control.controller"}
+        # Not the engine, not a port: parsing the flags and rendering
+        # the points' keys is all a full hit does.
+        simulating = {"repro.sim.engine", "repro.net.port"}
         assert simulating.isdisjoint(report["modules"])
         assert (tmp_path / "warm.json").read_bytes() \
             == (tmp_path / "cold.json").read_bytes()
