@@ -49,14 +49,11 @@ def test_disabled_auditor_installs_no_hooks(benchmark):
 
     sim, network = benchmark.pedantic(run, rounds=1, iterations=1)
     heading("Audit overhead — disabled path carries no hooks")
-    ports = [p for s in network.switches for p in s.ports] + [
-        h.nic for h in network.hosts]
+    ports = network.ports()
     print(f"{len(ports)} ports checked, {sim.events_processed} events")
     assert sim.auditor is None
     for port in ports:
-        assert port.enqueue_listeners == []
-        assert port.dequeue_listeners == []
-        assert port.drop_listeners == []
+        assert port.observers == ()
         assert port.scheduler.clear_observer is None
 
 

@@ -29,7 +29,7 @@ def run(upgraded_senders):
         marker_factory=lambda: PerPortMarker(PORT_THRESHOLD),
         link_rate=LINK_RATE)
     meter = ThroughputMeter(sim, bin_width=1e-3)
-    meter.attach_port(network.observed_ports("bottleneck")[0])
+    network.observed_ports("bottleneck")[0].observe(meter)
 
     receiver = network.hosts[-1].host_id
     handles = []

@@ -25,7 +25,7 @@ def run_scenario(marker_factory, label):
         sim, scheduler_factory=lambda: DwrrScheduler(2),
         marker_factory=marker_factory, link_rate=LINK_RATE)
     meter = ThroughputMeter(sim, bin_width=1e-3)
-    meter.attach_port(network.observed_ports("bottleneck")[0])
+    network.observed_ports("bottleneck")[0].observe(meter)
 
     receiver = network.hosts[-1].host_id
     # Sender 0 alone in queue 0; senders 1..8 share queue 1.

@@ -34,7 +34,7 @@ def build():
         marker_factory=lambda: PmsbMarker(port_threshold_packets=16),
         link_rate=LINK_RATE)
     meter = ThroughputMeter(sim, bin_width=1e-3)
-    meter.attach_port(network.observed_ports("bottleneck")[0])
+    network.observed_ports("bottleneck")[0].observe(meter)
     return sim, network, meter
 
 

@@ -491,11 +491,11 @@ def cmd_xscale(args, config) -> Any:
         config=config,
     )
     print(f"{'hosts':>6s} {'fabric':30s} {'scheme':10s} {'victim':>7s} "
-          f"{'hogs':>7s} {'err':>6s} {'build':>8s}")
+          f"{'hogs':>7s} {'err':>6s}")
     for row in rows:
         print(f"{row.n_hosts:6d} {row.topology:30s} {row.scheme:10s} "
               f"{row.victim_gbps:6.2f}G {row.hogs_gbps:6.2f}G "
-              f"{row.victim_err:6.3f} {row.build_s * 1e3:6.1f}ms")
+              f"{row.victim_err:6.3f}")
     return rows
 
 

@@ -221,7 +221,7 @@ def pmsbe_coexistence(
     if auditor is not None:
         auditor.attach_network(network)
     meter = ThroughputMeter(sim, bin_width=1e-3)
-    meter.attach_port(network.observed_ports("bottleneck")[0])
+    network.observed_ports("bottleneck")[0].observe(meter)
 
     flows = incast_flows([1, flows_queue2])
     handles = []
@@ -429,7 +429,7 @@ def transport_agnostic_victim(
     if auditor is not None:
         auditor.attach_network(network)
     meter = ThroughputMeter(sim, bin_width=1e-3)
-    meter.attach_port(network.observed_ports("bottleneck")[0])
+    network.observed_ports("bottleneck")[0].observe(meter)
     for flow in incast_flows([1, flows_queue2]):
         if transport == "dcqcn":
             open_dcqcn_flow(network, flow)

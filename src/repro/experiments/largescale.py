@@ -149,6 +149,9 @@ def fct_scenario(
     )
     if auditor is not None:
         auditor.attach_network(network)
+    if profiler is not None:
+        for port in network.ports():
+            port.observe(profiler)
     chaos = None
     if fault_specs:
         chaos = FaultScheduler(sim, fault_specs, seed=seed)

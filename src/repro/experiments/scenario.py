@@ -296,7 +296,7 @@ def incast_scenario(
         chaos = FaultScheduler(sim, fault_specs, seed=fault_seed)
         chaos.apply(network)
     meter = ThroughputMeter(sim, bin_width=duration / 100.0)
-    meter.attach_port(observed)
+    observed.observe(meter)
     trace = QueueOccupancyTrace(observed) if trace_occupancy else None
 
     handles = []

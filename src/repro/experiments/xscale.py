@@ -21,14 +21,14 @@ The sweep walks :data:`SCALE_LADDER` (48 -> 1024 hosts, two- and
 three-tier Clos at several oversubscription ratios) for each scheme
 and is store-backed like every other sweep: points key on the
 topology's canonical params, fan out across ``--jobs`` workers, and
-resume from the content-addressed run store.  Rows also carry the
-fabric build time, so the sweep doubles as a coarse generator
-benchmark at experiment scale.
+resume from the content-addressed run store.  A row holds simulated
+results only, so two runs of the same point print the same bytes
+(generator cost is measured by perfbench's ``fct_fattree1024``
+``setup_s``).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
@@ -96,8 +96,6 @@ class XScaleRow:
     victim_err: float
     #: Drops on the measured downlink over the whole run.
     drops: int
-    #: Wall-clock seconds spent generating + wiring the fabric.
-    build_s: float
 
     def to_payload(self) -> Dict[str, Any]:
         return asdict(self)
@@ -107,7 +105,7 @@ class XScaleRow:
         return cls(**{name: data[name] for name in (
             "scheme", "scheduler", "topology", "n_hosts", "n_switches",
             "hogs", "seed", "victim_gbps", "hogs_gbps", "victim_err",
-            "drops", "build_s")})
+            "drops")})
 
 
 def _spec_text(spec: TopologySpec) -> str:
@@ -184,11 +182,9 @@ def xscale_scenario(
     scheme = make_scheme(scheme_name, link_rate=link_rate, n_queues=2)
     sim = Simulator()
     auditor = FabricAuditor(sim) if audit else None
-    build_start = time.perf_counter()
     network = topo.build(sim, _scheduler_factory(scheduler_name, 2),
                          scheme.marker_factory, shared_buffer=shared_buffer,
                          link_rate=link_rate)
-    build_s = time.perf_counter() - build_start
     if auditor is not None:
         auditor.attach_network(network)
 
@@ -199,7 +195,7 @@ def xscale_scenario(
         raise ValueError(f"fabric has no host-facing port for receiver "
                          f"{receiver}")
     meter = ThroughputMeter(sim, bin_width=1e-3)
-    meter.attach_port(downlink)
+    downlink.observe(meter)
 
     # Explicit flow ids (ECMP hashes on them): Flow's default draws from
     # a process-global counter, which would tie a row to whatever ran
@@ -225,7 +221,7 @@ def xscale_scenario(
             hogs=hogs, seed=seed,
             victim_gbps=victim_gbps, hogs_gbps=hogs_gbps,
             victim_err=abs(victim_gbps - fair) / fair if total else 0.0,
-            drops=downlink.drops, build_s=build_s)
+            drops=downlink.drops)
 
     return Scenario(sim=sim, deadline=duration, finalize=finalize)
 

@@ -3,7 +3,7 @@
 The marking-point experiments (Figs. 4/5/11/12) plot the bottleneck
 buffer occupancy over time and compare slow-start *peaks* between enqueue
 and dequeue marking.  :class:`QueueOccupancyTrace` records the occupancy
-at every enqueue and dequeue event of one port, so peaks are captured
+at every admission and departure of one port, so peaks are captured
 exactly rather than sampled.
 """
 
@@ -27,16 +27,19 @@ class QueueOccupancyTrace:
         self.queue_index = queue_index
         self.times: List[float] = []
         self.occupancy: List[int] = []
-        port.enqueue_listeners.append(self._on_event)
-        port.dequeue_listeners.append(self._on_event)
+        port.observe(self)
 
-    def _on_event(self, port: "Port", queue_index: int, packet: "Packet") -> None:
+    def admitted(self, port: "Port", queue_index: int,
+                 packet: "Packet") -> None:
+        """Port observer: one sample per admission and per departure."""
         if self.queue_index is None:
             value = port.packet_count
         else:
             value = port.queue_packet_count(self.queue_index)
         self.times.append(port.sim.now)
         self.occupancy.append(value)
+
+    departed = admitted
 
     @property
     def peak(self) -> int:

@@ -1,9 +1,9 @@
 """Throughput measurement.
 
 :class:`ThroughputMeter` bins transmitted bytes by arbitrary keys over
-fixed time windows.  Attached to a port it keys by queue index — the view
-the paper's weighted-fair-sharing figures plot (throughput of queue 1 vs
-queue 2 over time).
+fixed time windows.  Observing a port (``port.observe(meter)``) it keys
+by queue index — the view the paper's weighted-fair-sharing figures plot
+(throughput of queue 1 vs queue 2 over time).
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ class ThroughputMeter:
         self._bins[key][int(now / self.bin_width)] += nbytes
         self._totals[key] += nbytes
 
-    def attach_port(self, port: "Port") -> None:
-        """Meter a port's departures, keyed by queue index."""
-        def listener(_port: "Port", queue_index: int, packet: "Packet") -> None:
-            self.record(queue_index, packet.size)
-        port.dequeue_listeners.append(listener)
+    def departed(self, port: "Port", queue_index: int,
+                 packet: "Packet") -> None:
+        """Port observer: ``port.observe(meter)`` meters the port's
+        departures, keyed by queue index."""
+        self.record(queue_index, packet.size)
 
     def keys(self) -> List[Hashable]:
         return list(self._bins.keys())

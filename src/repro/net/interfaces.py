@@ -8,14 +8,11 @@ argument is anything with a ``receive`` method".
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable, TYPE_CHECKING
+from typing import Protocol, runtime_checkable
 
 from .packet import Packet
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .port import Port
-
-__all__ = ["Device", "EnqueueListener", "DequeueListener", "DropListener"]
+__all__ = ["Device"]
 
 
 @runtime_checkable
@@ -28,23 +25,3 @@ class Device(Protocol):
         """Handle a packet arriving from a link."""
         ...
 
-
-class EnqueueListener(Protocol):
-    """Observer invoked after a packet is admitted into a port queue."""
-
-    def __call__(self, port: "Port", queue_index: int, packet: Packet) -> None:
-        ...
-
-
-class DequeueListener(Protocol):
-    """Observer invoked after a packet finishes serializing (departure)."""
-
-    def __call__(self, port: "Port", queue_index: int, packet: Packet) -> None:
-        ...
-
-
-class DropListener(Protocol):
-    """Observer invoked when a port drops a packet at admission."""
-
-    def __call__(self, port: "Port", queue_index: int, packet: Packet) -> None:
-        ...

@@ -39,7 +39,7 @@ class Link:
     """A unidirectional wire from an output port to a device."""
 
     __slots__ = ("sim", "bandwidth", "delay", "_dst", "name",
-                 "packets_delivered", "bytes_delivered", "up",
+                 "packets_delivered", "up",
                  "packets_lost", "_dst_receive",
                  "fault", "_epoch", "lost_down", "lost_wire",
                  "lost_crc", "lost_flight")
@@ -65,7 +65,6 @@ class Link:
         self._dst_receive = None if dst is None else dst.receive
         self.name = name
         self.packets_delivered = 0
-        self.bytes_delivered = 0
         #: Failure injection: a downed link silently discards everything
         #: handed to it (a cable pull, not a graceful drain).
         self.up = True
@@ -135,7 +134,6 @@ class Link:
                 self._note_drop(packet, DROP_CRC)
                 return
         self.packets_delivered += 1
-        self.bytes_delivered += packet.size
         # Never cancelled one by one: the fire-and-forget lane, no Event.
         sim = self.sim
         sim.at_ff(sim._now + self.delay, self._arrive, packet, self._epoch)
@@ -147,7 +145,6 @@ class Link:
         sender port's ``tx_packets``) and discard it."""
         if epoch != self._epoch:
             self.packets_delivered -= 1
-            self.bytes_delivered -= packet.size
             self.packets_lost += 1
             self.lost_flight += 1
             self._note_drop(packet, DROP_FLIGHT)

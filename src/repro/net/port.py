@@ -31,20 +31,28 @@ other one to.  The *specialised* hop does less per packet with the same
 outcome: an idle port puts a packet straight onto the wire when
 :meth:`Scheduler.pass_through
 <repro.scheduling.base.Scheduler.pass_through>` applies the pair's state
-change in closed form (unless an enqueue listener must see the packet
-held), the marker is called as :meth:`Marker.hop_hooks
+change in closed form, the marker is called as :meth:`Marker.hop_hooks
 <repro.ecn.base.Marker.hop_hooks>` says, and a completion that leaves
 the port empty does not ask the scheduler for a next packet.
+
+Observation
+-----------
+
+:meth:`Port.observe` is the one way to watch a port, and an observed
+port keeps its hop.  An observer defines any of ``admitted(port,
+queue_index, packet)`` — called by both hops after the enqueue-side
+marker decision and before the dequeue-side one, a passed-through packet
+included — ``departed(…)`` at wire completion, ``dropped(…)`` at the
+drop site and ``port_reset(port)`` at the end of :meth:`Port.reset`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Any, List, Optional, Tuple, TYPE_CHECKING
 
 from ..ecn.base import Marker, NullMarker
 from ..scheduling.base import Scheduler
 from ..sim.engine import Simulator
-from .interfaces import DequeueListener, DropListener, EnqueueListener
 from .link import Link
 from .packet import Packet
 
@@ -73,8 +81,8 @@ class Port:
         "_queue_packets",
         "_queue_bytes",
         "busy",
-        # In-service record, read by the fabric auditor: the queue index
-        # of the packet on the wire (None between packets) and the
+        # In-service record, read by the invariant checks: the queue
+        # index of the packet on the wire (None between packets) and the
         # ``Simulator.clears`` generation its completion was scheduled in.
         "_in_service",
         "_tx_clears",
@@ -83,9 +91,13 @@ class Port:
         "tx_packets",
         "tx_bytes",
         "last_departure",
-        "dequeue_listeners",
-        "enqueue_listeners",
-        "drop_listeners",
+        # Observers (see observe) and, per observation point, the bound
+        # methods of those that define it (empty: no call).
+        "_observers",
+        "_admitted",
+        "_departed",
+        "_dropped",
+        "_reset_hooks",
         "_bandwidth",
         # The hop bound at construction (module docstring): the
         # reference hop or not, idle pass-through allowed, the marker's
@@ -138,9 +150,8 @@ class Port:
         #: T_round reset) must not treat "never transmitted" as "long
         #: idle" on the first packet.
         self.last_departure = sim._now
-        self.dequeue_listeners: List[DequeueListener] = []
-        self.enqueue_listeners: List[EnqueueListener] = []
-        self.drop_listeners: List[DropListener] = []
+        self._observers = self._admitted = self._departed = ()
+        self._dropped = self._reset_hooks = ()
         #: The link's bit rate (fixed for its lifetime): serialization
         #: time is ``Link.tx_time``, computed inline.
         self._bandwidth = link.bandwidth
@@ -182,6 +193,28 @@ class Port:
         """Scheduler weight vector (markers use it for per-queue shares)."""
         return self.scheduler.weights
 
+    # -- observation ------------------------------------------------------
+
+    @property
+    def observers(self) -> Tuple[Any, ...]:
+        """The observers registered with :meth:`observe`, in order."""
+        return self._observers
+
+    def observe(self, observer: Any) -> None:
+        """Call ``observer`` at the observation points (module docstring)
+        whose methods it defines; the others cost it nothing."""
+        self._bind(self._observers + (observer,))
+
+    def unobserve(self, observer: Any) -> None:
+        """Stop calling ``observer`` (a no-op if it was not observing)."""
+        self._bind(tuple(o for o in self._observers if o is not observer))
+
+    def _bind(self, observers: Tuple[Any, ...]) -> None:
+        self._observers = observers
+        self._admitted, self._departed, self._dropped, self._reset_hooks = (
+            tuple(getattr(o, point) for o in observers if hasattr(o, point))
+            for point in ("admitted", "departed", "dropped", "port_reset"))
+
     # -- datapath ---------------------------------------------------------
 
     def enqueue(self, packet: Packet, queue_index: int = 0) -> bool:
@@ -196,7 +229,7 @@ class Port:
         if pool is not None and not pool.admits(count):
             # ``admits`` is a pure query; the pool's rejection statistic
             # is charged here, at the drop site, so speculative callers
-            # (metrics probes, the auditor) cannot corrupt it.  A port
+            # (metrics probes, invariant checks) cannot corrupt it.  A port
             # whose own buffer was already full never reaches this point
             # — buffer drops are not pool rejections.
             pool.rejections += 1
@@ -211,20 +244,26 @@ class Port:
         sim = self.sim
         now = sim._now
         packet.enqueue_time = now
-        if (not self.busy and self._idle_pass and not self.enqueue_listeners
+        if (not self.busy and self._idle_pass
                 and self.scheduler.pass_through(queue_index, packet)):
             # Exact idle pass-through: the scheduler has applied the
             # state change of its enqueue/dequeue pair, so the packet
             # goes onto the wire here, seen by the marker at both points
-            # with the occupancy the pair would have shown it.
+            # with the occupancy the pair would have shown it.  Observers
+            # see it in service; ``busy`` is set after the dequeue-side
+            # marker, which may read it.
             hook = self._marker_on_enqueue
             if hook is not None:
                 hook(self, queue_index, packet)
+            self._in_service = queue_index
+            self._tx_clears = sim.clears
+            admitted = self._admitted
+            if admitted:
+                for observer in admitted:
+                    observer(self, queue_index, packet)
             if self._dequeue_hook:
                 self.marker.on_dequeue(self, queue_index, packet)
             self.busy = True
-            self._in_service = queue_index
-            self._tx_clears = sim.clears
             sim.at_ff(
                 now + size * 8.0 / self._bandwidth,
                 self._transmission_done_ff, queue_index, packet,
@@ -235,10 +274,10 @@ class Port:
         hook = self._marker_on_enqueue
         if hook is not None:
             hook(self, queue_index, packet)
-        listeners = self.enqueue_listeners
-        if listeners:
-            for listener in listeners:
-                listener(self, queue_index, packet)
+        admitted = self._admitted
+        if admitted:
+            for observer in admitted:
+                observer(self, queue_index, packet)
         if not self.busy:
             self._transmit_next()
         return True
@@ -246,10 +285,8 @@ class Port:
     def _drop(self, queue_index: int, packet: Packet) -> bool:
         self.drops += 1
         self.queue_drops[queue_index] += 1
-        listeners = self.drop_listeners
-        if listeners:
-            for listener in listeners:
-                listener(self, queue_index, packet)
+        for observer in self._dropped:
+            observer(self, queue_index, packet)
         return False
 
     def _transmit_next(self) -> None:
@@ -283,9 +320,6 @@ class Port:
         # The packet has left the buffer only now that it is on the wire.
         self._in_service = None
         sim = self.sim
-        profiler = sim.profiler
-        if profiler is not None:
-            profiler.count("tx")
         now = sim._now
         size = packet.size
         self._packet_count -= 1
@@ -301,17 +335,16 @@ class Port:
             # Link.deliver when it has nothing to drop, inline: count
             # the delivery and start propagation.
             link.packets_delivered += 1
-            link.bytes_delivered += size
             sim.at_ff(now + link.delay, link._arrive, packet, link._epoch)
         else:
             link.deliver(packet)
         self.tx_packets += 1
         self.tx_bytes += size
         self.last_departure = now
-        listeners = self.dequeue_listeners
-        if listeners:
-            for listener in listeners:
-                listener(self, queue_index, packet)
+        departed = self._departed
+        if departed:
+            for observer in departed:
+                observer(self, queue_index, packet)
         if self._packet_count or self._general:
             self._transmit_next()
         else:
@@ -333,9 +366,9 @@ class Port:
         occupancy accounting, credits any shared pool, clears the
         marker's per-port state (:meth:`~repro.ecn.base.Marker.on_reset`)
         and re-anchors ``last_departure`` at the current time so idle
-        detection does not compare against a pre-reset departure.
-        Cumulative statistics (``tx_packets``, ``drops``, …) are
-        preserved.
+        detection does not compare against a pre-reset departure; then
+        it calls the observers' ``port_reset``.  Cumulative statistics
+        (``tx_packets``, ``drops``, …) are preserved.
         """
         # Invalidate any completion still in flight.
         self._tx_epoch += 1
@@ -348,8 +381,8 @@ class Port:
             # see the bulk return like any other credit.
             self.pool.credit(self._packet_count, self._byte_count)
         # Occupancy counters are zeroed before the scheduler drops its
-        # packets so observers of ``scheduler.clear`` (the auditor) never
-        # see the port counting packets the scheduler already discarded.
+        # packets so the scheduler's ``clear_observer`` never sees the
+        # port counting packets the scheduler already discarded.
         self._packet_count = 0
         self._byte_count = 0
         self._queue_packets = [0] * self.n_queues
@@ -357,9 +390,8 @@ class Port:
         self.scheduler.clear()
         self.marker.on_reset(self)
         self.last_departure = self.sim.now
-        auditor = self.sim.auditor
-        if auditor is not None:
-            auditor.on_port_reset(self)
+        for observer in self._reset_hooks:
+            observer(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

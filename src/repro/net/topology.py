@@ -125,15 +125,16 @@ class Network:
     def _record_host_port(self, host_id: int, port: Port) -> None:
         self._host_ports[host_id] = port
 
+    def ports(self) -> List[Port]:
+        """Every switch port, then every host NIC, in build order."""
+        return ([port for switch in self.switches for port in switch.ports]
+                + [host.nic for host in self.hosts if host.nic is not None])
+
     def all_marked_ports(self) -> List[Port]:
         """Every port carrying a non-null marker (the congestion points)."""
         from ..ecn.base import NullMarker
-        ports = []
-        for switch in self.switches:
-            for port in switch.ports:
-                if not isinstance(port.marker, NullMarker):
-                    ports.append(port)
-        return ports
+        return [port for port in self.ports()
+                if not isinstance(port.marker, NullMarker)]
 
 
 def _plain_port(sim: Simulator, link: Link, name: str,

@@ -1,7 +1,7 @@
 """Per-packet event tracing.
 
-A :class:`PacketTrace` subscribes to one or more ports and records a
-tuple per datapath event — enqueue, drop, departure — optionally
+A :class:`PacketTrace` observes one or more ports and records a tuple per
+datapath event — admission ("enqueue"), drop, departure — optionally
 filtered by flow id or event kind.  It is the debugging companion to the
 aggregate metrics: when a scheme misbehaves, the trace shows exactly
 which packet was marked where and at what occupancy.
@@ -12,6 +12,7 @@ tests.
 
 from __future__ import annotations
 
+from functools import partialmethod
 from typing import Callable, Iterable, List, NamedTuple, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,25 +52,13 @@ class PacketTrace:
         self._flow_filter = flow_filter
         self._kinds = frozenset(kinds)
         for port in ports:
-            self._attach(port)
+            port.observe(self)
 
-    def _attach(self, port: "Port") -> None:
-        if ENQUEUE in self._kinds:
-            port.enqueue_listeners.append(self._make_listener(ENQUEUE))
-        if DEQUEUE in self._kinds:
-            port.dequeue_listeners.append(self._make_listener(DEQUEUE))
-        if DROP in self._kinds:
-            port.drop_listeners.append(self._make_listener(DROP))
-
-    def _make_listener(self, kind: str):
-        def listener(port: "Port", queue_index: int, packet: "Packet"):
-            self._record(port, kind, queue_index, packet)
-        return listener
-
-    def _record(self, port: "Port", kind: str, queue_index: int,
+    def _record(self, kind: str, port: "Port", queue_index: int,
                 packet: "Packet") -> None:
-        if self._flow_filter is not None and not self._flow_filter(
-                packet.flow_id):
+        if kind not in self._kinds or (
+                self._flow_filter is not None
+                and not self._flow_filter(packet.flow_id)):
             return
         self.events.append(
             PacketEvent(
@@ -83,6 +72,10 @@ class PacketTrace:
                 port_occupancy=port.packet_count,
             )
         )
+
+    admitted = partialmethod(_record, ENQUEUE)
+    departed = partialmethod(_record, DEQUEUE)
+    dropped = partialmethod(_record, DROP)
 
     # -- queries -----------------------------------------------------------
 

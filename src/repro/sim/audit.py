@@ -11,10 +11,10 @@ result by a few percent.
 Validators
 ----------
 
-- **packet/byte conservation** (per port): packets seen entering by the
-  enqueue listener minus packets seen leaving by the dequeue listener
-  must equal the port's occupancy delta, and the port's cumulative
-  ``tx_packets``/``drops`` must match the listener counts.
+- **packet/byte conservation** (per port): packets the port reported
+  admitted minus packets it reported departed must equal its occupancy
+  delta, and its cumulative ``tx_packets``/``drops`` must match the
+  reported counts.
 - **port ↔ link conservation**: every transmitted packet is either
   delivered or lost by the attached link.
 - **link drop accounting** (chaos runs): every packet a link loses —
@@ -26,7 +26,9 @@ Validators
 - **port ↔ scheduler occupancy**: ``Port._queue_packets[i]`` must equal
   the scheduler's actual queue depth plus the in-service packet (store-
   and-forward: the packet being serialized left the scheduler but still
-  occupies the buffer).
+  occupies the buffer).  A packet passed straight through an idle port
+  never sat in the scheduler: it is the in-service packet already when
+  the port reports it admitted.
 - **pool debit/credit balance**: a shared pool's count must equal the
   sum over its audited member ports (plus any residual recorded when the
   members were attached).
@@ -58,16 +60,18 @@ Validators
   reported at its next datapath event; a ``scheduler.clear()`` that
   bypasses ``Port.reset`` (leaving port counters pointing at discarded
   packets) is caught through the scheduler's ``clear_observer`` hook.
-  Audited and unaudited runs take the same datapath: the auditor reads
-  the port's record and never changes how a completion is scheduled.
+  Audited and unaudited runs take the same datapath: the auditor is a
+  port observer (:meth:`~repro.net.port.Port.observe`), which leaves the
+  port on its hop, idle pass-through included, and it reads the port's
+  record without changing how a completion is scheduled.
 
 Zero cost when disabled
 -----------------------
 
-All checks ride existing listener lists and observer slots; when no
-auditor is constructed, no hook is installed anywhere — the engine and
-port hot paths are untouched (the only added cost in the whole codebase
-is one ``None`` check per ``Port.reset`` and one per ``open_flow``).
+The per-port checks ride the ports' observation point and the
+schedulers' ``clear_observer`` slot; when no auditor is constructed,
+nothing is registered anywhere.  What stays compiled in is one ``None``
+check of ``sim.auditor`` per ``open_flow`` and one per link drop.
 
 Usage::
 
@@ -138,7 +142,7 @@ def _name(packet) -> str:
 
 
 class _PortAudit:
-    """Per-port listener counters and attach-time baselines."""
+    """Per-port observed counters and attach-time baselines."""
 
     __slots__ = (
         "enq_packets", "enq_bytes", "tx_packets", "tx_bytes", "drops",
@@ -231,14 +235,12 @@ class FabricAuditor:
     # -- attachment --------------------------------------------------------
 
     def attach_port(self, port: "Port") -> None:
-        """Install listeners on one port and record its baselines."""
+        """Observe one port and record its baselines."""
         if port in self._ports:
             return
         self._ports[port] = _PortAudit(port)
         self._link_ports[port.link] = port
-        port.enqueue_listeners.append(self._on_enqueue)
-        port.dequeue_listeners.append(self._on_dequeue)
-        port.drop_listeners.append(self._on_drop)
+        port.observe(self)
         port.scheduler.clear_observer = (
             lambda _port=port: self._on_scheduler_clear(_port)
         )
@@ -253,13 +255,11 @@ class FabricAuditor:
         for switch in network.switches:
             self._switches.append(switch)
             self._base_switch_forwarded.append(switch.forwarded)
-            for port in switch.ports:
-                self.attach_port(port)
         for host in network.hosts:
             self._hosts.append(host)
             self._base_host_received.append(host.received_packets)
-            if host.nic is not None:
-                self.attach_port(host.nic)
+        for port in network.ports():
+            self.attach_port(port)
 
     def watch_flow(self, handle: "FlowHandle") -> None:
         """Wrap one flow's endpoint handlers with transport validators.
@@ -324,22 +324,16 @@ class FabricAuditor:
         original endpoints plus cheap comparisons).
         """
         for port in self._ports:
-            for listeners, hook in (
-                (port.enqueue_listeners, self._on_enqueue),
-                (port.dequeue_listeners, self._on_dequeue),
-                (port.drop_listeners, self._on_drop),
-            ):
-                if hook in listeners:
-                    listeners.remove(hook)
+            port.unobserve(self)
             port.scheduler.clear_observer = None
         self._ports.clear()
         self._link_ports.clear()
         if self.sim.auditor is self:
             self.sim.auditor = None
 
-    # -- event hooks -------------------------------------------------------
+    # -- port observer -----------------------------------------------------
 
-    def _on_enqueue(self, port: "Port", queue_index: int, packet) -> None:
+    def admitted(self, port: "Port", queue_index: int, packet) -> None:
         state = self._ports[port]
         state.enq_packets += 1
         state.enq_bytes += packet.size
@@ -350,7 +344,7 @@ class FabricAuditor:
         state.transit_ce[packet] = packet.ce
         self._check_port(port, state, event)
 
-    def _on_dequeue(self, port: "Port", queue_index: int, packet) -> None:
+    def departed(self, port: "Port", queue_index: int, packet) -> None:
         state = self._ports[port]
         state.tx_packets += 1
         state.tx_bytes += packet.size
@@ -369,7 +363,7 @@ class FabricAuditor:
                      port.marker.mark_point.value), event)
         self._check_port(port, state, event)
 
-    def _on_drop(self, port: "Port", queue_index: int, packet) -> None:
+    def dropped(self, port: "Port", queue_index: int, packet) -> None:
         state = self._ports[port]
         state.drops += 1
         event = f"drop(queue={queue_index}, {_name(packet)})"
@@ -430,16 +424,14 @@ class FabricAuditor:
                 ("scheduler depth + in-service", in_service),
                 "scheduler.clear()")
 
-    def on_port_reset(self, port: "Port") -> None:
+    def port_reset(self, port: "Port") -> None:
         """``Port.reset`` completed: re-anchor this port's baselines.
 
-        Reset discards buffered packets without dequeue events, so the
-        listener ledgers are re-anchored at the (now empty) port state;
+        Reset discards buffered packets without departures, so the
+        observed ledgers are re-anchored at the (now empty) port state;
         cumulative counters are preserved by reset and re-baselined.
         """
-        state = self._ports.get(port)
-        if state is None:
-            return
+        state = self._ports[port]
         state.rebaseline(port)
         state.transit_ce.clear()
 
@@ -502,7 +494,7 @@ class FabricAuditor:
                 ("enqueued - transmitted bytes",
                  state.enq_bytes - state.tx_bytes),
                 ("byte occupancy delta", buffered_bytes), event)
-        # Cumulative counters vs listener ledger.
+        # Cumulative counters vs the observed ledger.
         if port.tx_packets - state.base_tx_packets != state.tx_packets:
             self._fail("tx-counter", name,
                        ("port.tx_packets delta",

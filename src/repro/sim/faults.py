@@ -297,14 +297,7 @@ def _link_token(name: str) -> int:
 def network_links(network: "Network") -> List["Link"]:
     """Every link of a built topology, in deterministic build order
     (switch ports first, then host NICs)."""
-    links: List["Link"] = []
-    for switch in network.switches:
-        for port in switch.ports:
-            links.append(port.link)
-    for host in network.hosts:
-        if host.nic is not None:
-            links.append(host.nic.link)
-    return links
+    return [port.link for port in network.ports()]
 
 
 # -- orchestration ------------------------------------------------------------

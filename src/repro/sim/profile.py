@@ -3,10 +3,11 @@
 A :class:`SimProfiler` attaches to one :class:`~repro.sim.engine.Simulator`
 (via ``sim.profiler``) and collects four kinds of data:
 
-- **per-category event counters** — hot-path components report coarse
-  categories through :meth:`SimProfiler.count`: the port datapath reports
-  ``"tx"`` per transmitted packet, the DCTCP sender reports ``"timer"``
-  per retransmission timeout and ``"pacing"`` per pacing stall;
+- **per-category event counters** — coarse categories counted through
+  :meth:`SimProfiler.count`: ``"tx"`` per transmitted packet of every
+  port the profiler observes (:meth:`~repro.net.port.Port.observe`), and
+  from the DCTCP sender ``"timer"`` per retransmission timeout and
+  ``"pacing"`` per pacing stall;
 - **heap-size-over-time samples** — a
   :class:`~repro.sim.timers.PeriodicTask` records
   ``(sim_time, pending_events, cancelled_pending, events_processed,
@@ -18,8 +19,9 @@ A :class:`SimProfiler` attaches to one :class:`~repro.sim.engine.Simulator`
 - **engine tier split** — how many executed events came from the
   timing-wheel vs. heap tier (deltas over the profiled span).
 
-The component hooks cost one attribute load and a None check per event
-when no profiler is attached, so profiling is safe to leave compiled in.
+The sender's hooks sit on its timer paths and cost one attribute load
+and a None check each when no profiler is attached; the packet path
+carries nothing unless a port is observed.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class SimProfiler:
         sim = Simulator()
         profiler = SimProfiler(sim, sample_interval=1e-3)
         profiler.start()
-        ...build scenario, sim.run(until=...)...
+        ...build scenario; port.observe(profiler) for every port...
+        ...sim.run(until=...)...
         profiler.stop()
         print(profiler.report())
     """
@@ -77,6 +80,10 @@ class SimProfiler:
         """Add ``n`` occurrences of ``category`` (creates it on first use)."""
         counters = self.counters
         counters[category] = counters.get(category, 0) + n
+
+    def departed(self, port, queue_index: int, packet) -> None:
+        """Port observer: one ``"tx"`` per transmitted packet."""
+        self.count("tx")
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.ecn.base import MarkPoint
@@ -53,8 +55,8 @@ class TestPhantomQueue:
                                     drain_factor=0.8)
         port = make_port(sim, marker)
         marked = []
-        port.dequeue_listeners.append(
-            lambda p, q, pkt: marked.append(pkt.ce))
+        port.observe(SimpleNamespace(
+            departed=lambda p, q, pkt: marked.append(pkt.ce)))
         for seq in range(40):
             sim.at(seq * 1500 * 8 / RATE, port.enqueue,
                    make_data(1, 0, 1, seq), 0)
@@ -68,8 +70,8 @@ class TestPhantomQueue:
                                     drain_factor=0.9)
         port = make_port(sim, marker)
         marked = []
-        port.dequeue_listeners.append(
-            lambda p, q, pkt: marked.append(pkt.ce))
+        port.observe(SimpleNamespace(
+            departed=lambda p, q, pkt: marked.append(pkt.ce)))
         for seq in range(30):
             sim.at(seq * 2 * 1500 * 8 / RATE, port.enqueue,
                    make_data(1, 0, 1, seq), 0)

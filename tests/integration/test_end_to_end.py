@@ -72,7 +72,7 @@ class TestPaperHeadlines:
             net = TopologySpec("single-bottleneck", senders=9).build(
                 sim, lambda: DwrrScheduler(2), marker_factory)
             meter = ThroughputMeter(sim, bin_width=1e-3)
-            meter.attach_port(net.observed_ports("bottleneck")[0])
+            net.observed_ports("bottleneck")[0].observe(meter)
             for i in range(9):
                 open_flow(net, Flow(src=i, dst=9, service=0 if i == 0 else 1))
             sim.run(until=0.02)

@@ -70,7 +70,7 @@ class TestThroughputMeter:
     def test_attach_port_keys_by_queue(self, sim):
         meter = ThroughputMeter(sim, bin_width=1e-3)
         port = Port(sim, Link(sim, 1e9, 1e-6, Sink()), FifoScheduler(2))
-        meter.attach_port(port)
+        port.observe(meter)
         port.enqueue(make_data(1, 0, 1, 0, size=1500), 0)
         port.enqueue(make_data(2, 0, 1, 0, size=1500), 1)
         sim.run()

@@ -7,7 +7,10 @@ through ``Marker.hop_hooks`` and no dequeue on an empty completion (see
 :mod:`repro.net.port`).  Every scheduler × marker × supported mark point
 is fed the same scripted arrivals on both; the departure logs
 ``(time, queue, seq, ce)``, a state probe after every arrival and the
-final counters of port, scheduler and marker must be equal.
+final counters of port, scheduler and marker must be equal.  They must
+also be equal, and the specialised hop must still pass packets through,
+when the port is observed — by the fabric auditor and a packet trace —
+from the start: an observed run takes the hop an unobserved one does.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.metrics.queue_trace import QueueOccupancyTrace
 from repro.net.link import Link
 from repro.net.packet import ACK_BYTES, MTU_BYTES, Packet, make_data
 from repro.net.port import Port
+from repro.net.tracing import PacketTrace
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.scheduling.fifo import FifoScheduler
 from repro.scheduling.hybrid import SpWfqScheduler
@@ -139,13 +143,16 @@ def _port_state(port):
         "busy", "_packet_count", "_byte_count", "_queue_packets",
         "_queue_bytes", "drops", "queue_drops", "tx_packets", "tx_bytes",
         "last_departure", "_in_service")}
-    state["link"] = (port.link.packets_delivered, port.link.bytes_delivered,
-                     port.link.loss_breakdown)
+    state["link"] = (port.link.packets_delivered, port.link.loss_breakdown)
     return state
 
 
-def run(slow, scheduler, marker, point, pattern, actions=()):
-    """Run one scripted port; ``actions`` are ``(time, fn(sim, port))``."""
+def run(slow, scheduler, marker, point, pattern, actions=(), observed=False):
+    """Run one scripted port; ``actions`` are ``(time, fn(sim, port))``.
+
+    ``observed``: an auditor and a packet trace observe the port from
+    the start; the trace's events are returned last (else None).
+    """
     sim = Simulator(slow_path=slow)
     log, probes = [], []
     pool = BufferPool(capacity_packets=10)
@@ -162,6 +169,10 @@ def run(slow, scheduler, marker, point, pattern, actions=()):
         return served
 
     port.scheduler.pass_through = counted
+    trace = None
+    if observed:
+        FabricAuditor(sim).attach_port(port)
+        trace = PacketTrace([port])
 
     def arrive(seq, queue, size, ect):
         port.enqueue(make_data(1, 0, 1, seq, size, queue, ect), queue)
@@ -177,7 +188,8 @@ def run(slow, scheduler, marker, point, pattern, actions=()):
         sim.at(time, action, sim, port)
     sim.run()
     probe()
-    return log, probes, sim.events_processed, sum(passed)
+    return (log, probes, sim.events_processed, sum(passed),
+            trace.events if observed else None)
 
 
 def combos():
@@ -193,12 +205,15 @@ COMBOS = list(combos())
 IDS = [f"{s}-{m}-{p.value}" for s, m, p in COMBOS]
 
 
-def assert_same(scheduler, marker, point, pattern, actions=()):
-    general = run(True, scheduler, marker, point, pattern, actions)
-    specialised = run(False, scheduler, marker, point, pattern, actions)
+def assert_same(scheduler, marker, point, pattern, actions=(),
+                observed=False):
+    general = run(True, scheduler, marker, point, pattern, actions, observed)
+    specialised = run(False, scheduler, marker, point, pattern, actions,
+                      observed)
     assert specialised[0] == general[0]  # departures
     assert specialised[1] == general[1]  # state after every arrival
     assert specialised[2] == general[2]  # events
+    assert specialised[4] == general[4]  # the packet trace
     assert general[3] == 0
     return specialised
 
@@ -206,11 +221,20 @@ def assert_same(scheduler, marker, point, pattern, actions=()):
 @pytest.mark.parametrize("pattern", ["idle-gaps", "bursts", "back-to-back"])
 @pytest.mark.parametrize("scheduler,marker,point", COMBOS, ids=IDS)
 def test_specialised_hop_matches_general(scheduler, marker, point, pattern):
-    log, _probes, _events, passed = assert_same(scheduler, marker, point,
-                                                pattern)
+    log, _probes, _events, passed, _trace = assert_same(
+        scheduler, marker, point, pattern)
     assert log  # something crossed the port
     if pattern == "idle-gaps" and scheduler in PASS_THROUGH:
         assert passed  # … and some of it straight through
+
+
+@pytest.mark.parametrize("scheduler,marker,point", COMBOS, ids=IDS)
+def test_observed_hop_matches_general(scheduler, marker, point):
+    log, _probes, _events, passed, trace = assert_same(
+        scheduler, marker, point, "idle-gaps", observed=True)
+    assert log and len(trace) >= 2 * len(log)
+    if scheduler in PASS_THROUGH:
+        assert passed  # observation left the port on pass-through
 
 
 def _reset(sim, port):
@@ -232,13 +256,13 @@ def _attach_auditor(sim, port):
 
 
 def _attach_trace(sim, port):
-    QueueOccupancyTrace(port)  # kept alive by the listeners it installs
+    QueueOccupancyTrace(port)  # kept alive by the port it observes
 
 
 @pytest.mark.parametrize("attach", [_attach_auditor, _attach_trace],
                          ids=["auditor", "queue-trace"])
 @pytest.mark.parametrize("scheduler", ["fifo", "dwrr", "wfq"])
-def test_listener_attached_after_the_build(attach, scheduler):
+def test_observer_attached_after_the_build(attach, scheduler):
     # Attached while a packet is on the wire: the auditor must find the
     # in-service record and the scheduler consistent from then on.
     actions = [(1e-6 + 0.25 * TX, attach)]

@@ -104,7 +104,7 @@ class TestAccounting:
         port, _sink = make_port(sim)
         # Per-queue departures are a meter's to count, not the port's.
         meter = ThroughputMeter(sim)
-        meter.attach_port(port)
+        port.observe(meter)
         port.enqueue(make_data(1, 0, 1, 0, size=1000), 0)
         sim.run()
         assert port.tx_packets == 1
@@ -184,25 +184,84 @@ class TestMarkingHooks:
         assert packet.enqueue_time == 0.5
 
 
+class Recorder:
+    """A port observer that logs every call it gets."""
+
+    def __init__(self):
+        self.calls = []
+
+    def admitted(self, port, queue_index, packet):
+        self.calls.append(("admitted", port.sim.now, queue_index, packet.seq,
+                           port.packet_count, port.busy,
+                           port.scheduler.queue_len(queue_index)))
+
+    def departed(self, port, queue_index, packet):
+        self.calls.append(("departed", port.sim.now, queue_index, packet.seq))
+
+    def dropped(self, port, queue_index, packet):
+        self.calls.append(("dropped", queue_index, packet.seq))
+
+    def port_reset(self, port):
+        self.calls.append(("port_reset", port.packet_count))
+
+
 class TestListeners:
     def test_dequeue_listener_fires_at_wire_completion(self, sim):
         port, _sink = make_port(sim, bandwidth=1e9)
-        events = []
-        port.dequeue_listeners.append(
-            lambda p, q, pkt: events.append((sim.now, q, pkt.seq))
-        )
+        recorder = Recorder()
+        port.observe(recorder)
         port.enqueue(make_data(1, 0, 1, 7), 0)
         sim.run()
-        assert len(events) == 1
-        assert events[0][0] == pytest.approx(1500 * 8 / 1e9)
-        assert events[0][1:] == (0, 7)
+        departed = [c for c in recorder.calls if c[0] == "departed"]
+        assert len(departed) == 1
+        assert departed[0][1] == pytest.approx(1500 * 8 / 1e9)
+        assert departed[0][2:] == (0, 7)
 
     def test_enqueue_listener(self, sim):
         port, _sink = make_port(sim)
-        events = []
-        port.enqueue_listeners.append(lambda p, q, pkt: events.append(pkt.seq))
+        recorder = Recorder()
+        port.observe(recorder)
         port.enqueue(make_data(1, 0, 1, 3), 0)
-        assert events == [3]
+        assert [c[3] for c in recorder.calls if c[0] == "admitted"] == [3]
+
+    def test_observed_idle_port_still_passes_through(self, sim):
+        # The observer sees the packet counted, not yet busy, and out of
+        # the scheduler already: it is the in-service packet.
+        port, _sink = make_port(sim)
+        recorder = Recorder()
+        port.observe(recorder)
+        port.enqueue(make_data(1, 0, 1, 3), 0)
+        assert recorder.calls == [("admitted", 0.0, 0, 3, 1, False, 0)]
+        assert port.busy and port._in_service == 0
+
+    def test_only_the_defined_methods_are_bound(self, sim):
+        port, _sink = make_port(sim)
+        meter = ThroughputMeter(sim)
+        port.observe(meter)
+        assert port._departed == (meter.departed,)
+        assert port._admitted == port._dropped == port._reset_hooks == ()
+
+    def test_drop_and_reset_reach_the_observer(self, sim):
+        port, _sink = make_port(sim, buffer_packets=1)
+        recorder = Recorder()
+        port.observe(recorder)
+        port.enqueue(make_data(1, 0, 1, 0), 0)
+        port.enqueue(make_data(1, 0, 1, 1), 0)
+        sim.clear()
+        port.reset()
+        assert recorder.calls[1:] == [("dropped", 0, 1), ("port_reset", 0)]
+
+    def test_unobserve(self, sim):
+        port, _sink = make_port(sim)
+        recorder, other = Recorder(), Recorder()
+        port.observe(recorder)
+        port.observe(other)
+        port.unobserve(recorder)
+        port.unobserve(recorder)  # no longer observing: a no-op
+        assert port.observers == (other,)
+        port.enqueue(make_data(1, 0, 1, 0), 0)
+        sim.run()
+        assert recorder.calls == [] and len(other.calls) == 2
 
 
 class TestPoolIntegration:

@@ -77,9 +77,7 @@ class TestDefaults:
         # Zero-cost-when-disabled: a bare port carries no audit hooks.
         port, _sink = make_port(sim)
         assert sim.auditor is None
-        assert port.enqueue_listeners == []
-        assert port.dequeue_listeners == []
-        assert port.drop_listeners == []
+        assert port.observers == ()
         assert port.scheduler.clear_observer is None
 
 
@@ -96,15 +94,12 @@ class TestAttachment:
     def test_attach_port_is_idempotent(self, sim):
         auditor, port, _sink = audited_port(sim)
         auditor.attach_port(port)
-        assert len(port.enqueue_listeners) == 1
-        assert len(port.dequeue_listeners) == 1
+        assert port.observers == (auditor,)
 
     def test_detach_removes_all_hooks(self, sim):
         auditor, port, _sink = audited_port(sim)
         auditor.detach()
-        assert port.enqueue_listeners == []
-        assert port.dequeue_listeners == []
-        assert port.drop_listeners == []
+        assert port.observers == ()
         assert port.scheduler.clear_observer is None
         assert sim.auditor is None
         # A fresh auditor can now attach.
@@ -173,7 +168,7 @@ class TestPortValidators:
 
     def test_packet_conservation(self, sim):
         auditor, port, _sink = audited_port(sim)
-        # Sneak a packet in without the enqueue listener seeing it: the
+        # Sneak a packet in without the auditor seeing it admitted: the
         # occupancy views agree with each other but not with the ledger.
         packet = make_data(1, 0, 1, 0)
         port.scheduler.enqueue(0, packet)

@@ -139,6 +139,7 @@ class TestComponentHooks:
     def test_port_counts_transmissions(self, sim):
         profiler = SimProfiler(sim)
         port, _sink = make_port(sim)
+        port.observe(profiler)
         for index in range(4):
             port.enqueue(make_data(1, 0, 1, index), 0)
         sim.run()

@@ -187,7 +187,7 @@ class TestEndToEnd:
             net = TopologySpec("single-bottleneck", senders=9).build(
                 local_sim, lambda: DwrrScheduler(2), marker_factory)
             meter = ThroughputMeter(local_sim, bin_width=1e-3)
-            meter.attach_port(net.observed_ports("bottleneck")[0])
+            net.observed_ports("bottleneck")[0].observe(meter)
             for i in range(9):
                 open_dcqcn_flow(net, Flow(src=i, dst=9,
                                           service=0 if i == 0 else 1))

@@ -131,7 +131,7 @@ class TestConvergence:
             sim, lambda: FifoScheduler(1), NullMarker)
         meter = ThroughputMeter(sim, bin_width=1e-3)
         (bottleneck,) = net.observed_ports("bottleneck")
-        meter.attach_port(bottleneck)
+        bottleneck.observe(meter)
         handles = [
             open_flow(net, Flow(src=i, dst=4), DctcpConfig(),
                       sender_class=TimelySender)
