@@ -6,8 +6,7 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
     from .host import Host
-    from .interfaces import Device
-    from .link import Link
+    from .link import Device, Link
     from .packet import ACK, ACK_BYTES, DATA, HEADER_BYTES, MTU_BYTES, Packet
     from .port import Port
     from .switch import Switch
@@ -15,8 +14,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _EXPORTS = {
     ".host": ("Host",),
-    ".interfaces": ("Device",),
-    ".link": ("Link",),
+    ".link": ("Device", "Link"),
     ".packet": (
         "ACK", "ACK_BYTES", "DATA", "HEADER_BYTES", "MTU_BYTES",
         "Packet",

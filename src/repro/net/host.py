@@ -23,7 +23,7 @@ class Host:
     """A server attached to the fabric by a single NIC."""
 
     __slots__ = ("sim", "host_id", "name", "nic", "_data_handlers", "_ack_handlers",
-                 "received_packets")
+                 "received_packets", "received_bytes")
 
     def __init__(self, sim: Simulator, host_id: int, name: Optional[str] = None):
         self.sim = sim
@@ -33,6 +33,7 @@ class Host:
         self._data_handlers: Dict[int, PacketHandler] = {}
         self._ack_handlers: Dict[int, PacketHandler] = {}
         self.received_packets = 0
+        self.received_bytes = 0
 
     def attach_nic(self, port: Port) -> None:
         """Install the host's output port (done by the topology builder)."""
@@ -63,6 +64,7 @@ class Host:
     def receive(self, packet: Packet) -> None:
         """Dispatch an arriving packet to the registered endpoint."""
         self.received_packets += 1
+        self.received_bytes += packet.size
         # Reverse-path packets (ACK/CNP/NACK) go to the sender endpoint.
         # Direct kind check: the ``to_sender`` property costs a function
         # call per delivered packet on the hottest dispatch point.

@@ -18,21 +18,33 @@ auditor, so conservation invariants hold under loss.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Protocol, runtime_checkable
 
 from ..sim.engine import Simulator
 from ..sim.faults import DROP_CRC as _VERDICT_CRC
 from ..sim.faults import DROP_WIRE as _VERDICT_WIRE
-from .interfaces import Device
 from .packet import Packet
 
-__all__ = ["Link", "DROP_DOWN", "DROP_WIRE", "DROP_CRC", "DROP_FLIGHT"]
+__all__ = ["Device", "Link", "DROP_DOWN", "DROP_WIRE", "DROP_CRC",
+           "DROP_FLIGHT"]
 
 #: Drop reasons (the auditor's per-link ledger keys).
 DROP_DOWN = "down"      # handed to a link that was already down
 DROP_WIRE = "wire"      # lost by an installed loss model
 DROP_CRC = "crc"        # corrupted on the wire, discarded on arrival
 DROP_FLIGHT = "flight"  # in flight when the link went down
+
+
+@runtime_checkable
+class Device(Protocol):
+    """Anything that can terminate a link: a host or a switch (a
+    protocol, so both stay plain slotted classes)."""
+
+    name: str
+
+    def receive(self, packet: Packet) -> None:
+        """Handle a packet arriving from a link."""
+        ...
 
 
 class Link:
