@@ -10,15 +10,15 @@ drop-tail, and the gap widens with fan-in.
 
 from conftest import heading, run_once
 
-from repro.experiments.extensions import incast_sweep
-from repro.store import RunConfig
+from repro.experiments.families import INCAST
+from repro.store import RunConfig, run_sweep
 
 
 def test_incast_fanin_sweep(benchmark):
     def experiment():
         return {
-            scheme: incast_sweep(scheme, fanins=(8, 16, 32, 64),
-                                 config=RunConfig(duration=0.08))
+            scheme: run_sweep(INCAST, {"scheme_name": (scheme,)},
+                              RunConfig(duration=0.08))
             for scheme in ("pmsb", "none")
         }
 

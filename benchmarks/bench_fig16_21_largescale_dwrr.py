@@ -12,9 +12,10 @@ and clearly beats MQ-ECN; PMSB(e) lands between.
 
 from conftest import heading, run_once
 
-from repro.experiments.largescale import (reduction_percent, run_fct_sweep)
+from repro.experiments.families import FCT, reduction_percent
 from repro.experiments.scale import BENCH
 from repro.metrics.fct import SizeClass
+from repro.store import RunConfig, run_sweep
 
 
 def _print_rows(rows):
@@ -44,7 +45,8 @@ def _print_headline(rows):
 def test_figs16_21_dwrr_sweep(benchmark):
     rows = run_once(
         benchmark,
-        lambda: run_fct_sweep(scheduler_name="dwrr", profile=BENCH, seed=1),
+        lambda: run_sweep(FCT, {"scheduler_name": ("dwrr",)},
+                          RunConfig(profile=BENCH, seed=1)),
     )
     heading("Figs. 16-21 — leaf-spine FCT sweep, DWRR scheduler "
             f"({BENCH.name} profile)")

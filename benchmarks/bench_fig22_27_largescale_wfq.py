@@ -10,15 +10,17 @@ and up to tens of percent faster on small-flow FCT at every load.
 
 from conftest import heading, run_once
 
-from repro.experiments.largescale import reduction_percent, run_fct_sweep
+from repro.experiments.families import FCT, reduction_percent
 from repro.experiments.scale import BENCH
 from repro.metrics.fct import SizeClass
+from repro.store import RunConfig, run_sweep
 
 
 def test_figs22_27_wfq_sweep(benchmark):
     rows = run_once(
         benchmark,
-        lambda: run_fct_sweep(scheduler_name="wfq", profile=BENCH, seed=1),
+        lambda: run_sweep(FCT, {"scheduler_name": ("wfq",)},
+                          RunConfig(profile=BENCH, seed=1)),
     )
     heading("Figs. 22-27 — leaf-spine FCT sweep, WFQ scheduler "
             f"({BENCH.name} profile; MQ-ECN excluded)")

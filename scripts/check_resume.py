@@ -7,8 +7,8 @@ Drives the real CLI end to end:
 2. the same sweep against a fresh cache, killed halfway through via the
    deterministic ``REPRO_SWEEP_CRASH_AFTER`` hook (must exit nonzero and
    leave exactly the completed points in the store);
-3. the same command re-run with ``--resume`` and more workers (must exit
-   zero and export JSON byte-identical to the clean run);
+3. the same command re-run against the same cache with more workers
+   (must exit zero and export JSON byte-identical to the clean run);
 4. ``repro runs list`` over the resumed cache (must show every point).
 
 Exits 0 only if every step holds.  Run from the repo root:
@@ -69,7 +69,7 @@ def main():
               f"points persisted")
 
         print("== step 3: resume (more workers) ==")
-        run(SWEEP + ["--cache-dir", cache, "--resume", "--jobs", "2",
+        run(SWEEP + ["--cache-dir", cache, "--jobs", "2",
                      "--json", resumed_json])
         with open(clean_json, "rb") as a, open(resumed_json, "rb") as b:
             clean_bytes, resumed_bytes = a.read(), b.read()

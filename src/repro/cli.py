@@ -6,7 +6,7 @@
     python -m repro fig3                  # per-port victim (Fig. 3)
     python -m repro fig9 --duration 0.06  # RTT distributions
     python -m repro sweep --scheduler wfq --loads 0.3 0.5 --json out.json
-    python -m repro sweep --profile tiny --cache-dir .repro-cache --resume
+    python -m repro sweep --profile tiny --cache-dir .repro-cache
     python -m repro runs list --cache-dir .repro-cache
     python -m repro table1
     python -m repro theorem
@@ -21,15 +21,18 @@
 Every experiment command accepts the same execution flags —
 ``--json/--csv/--duration/--profile/--jobs/--audit`` — spelled
 identically (they come from one shared parent parser).  ``--profile``
-selects the scale profile (tiny/bench/paper; ``--scale`` is an alias)
-and, for static experiments, sets the default simulated duration.
+selects the scale profile (tiny/bench/paper) and, for static
+experiments, sets the default simulated duration.
 
-The sweep additionally understands the content-addressed run store:
-``--cache-dir`` keys every point by its
-:class:`~repro.store.ExperimentSpec` hash, ``--resume`` (the default
-behaviour once a cache dir is given) skips completed points, and
-``--force`` recomputes them.  ``repro runs list|show|diff|gc`` inspects
-and maintains the store.
+The store-backed commands (``sweep``, ``chaos-sweep``, ``sharedbuf``,
+``xscale``) each run one family row of
+:mod:`repro.experiments.families` through
+:func:`~repro.store.sweep.run_sweep`, with a flag per grid axis the row
+sweeps.  ``--cache-dir`` keys every point by its
+:class:`~repro.store.ExperimentSpec` hash and skips completed points
+(so a re-run resumes an interrupted sweep); ``--force`` recomputes
+them.  ``repro runs list|show|diff|gc`` inspects and maintains the
+store.
 
 Each command prints the same rows the corresponding paper figure plots;
 ``--json``/``--csv`` additionally export machine-readable results.
@@ -40,7 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from importlib import import_module
 from typing import Any, Dict, List, Optional
 
@@ -152,12 +155,9 @@ def _run_config(args, specs: Dict[str, Any]) -> RunConfig:
     """The one :class:`~repro.store.RunConfig` a command runs under:
     every execution flag and parsed spec flag, so what configures the
     fabric and what keys the run store are the same value."""
-    profile = _profile(args)
-    if getattr(args, "loads", None):
-        profile = replace(profile or BENCH, loads=tuple(args.loads))
     return RunConfig(
         duration=_duration(args),
-        profile=profile,
+        profile=_profile(args),
         seed=getattr(args, "seed", None),
         jobs=args.jobs,
         audit=True if args.audit else None,
@@ -310,10 +310,8 @@ def cmd_fig15(args, config) -> Any:
     return _policy(static_flows.scheduler_wfq(config=config))
 
 
-def cmd_sweep(args, config) -> Any:
-    from .experiments.fct_sweep import run_fct_sweep
+def _print_fct(rows) -> None:
     from .metrics.fct import SizeClass
-    rows = run_fct_sweep(scheduler_name=args.scheduler, config=config)
     print(f"{'scheme':10s} {'load':>5s} {'overall':>9s} {'sm avg':>9s} "
           f"{'sm p99':>9s} {'lg avg':>9s}")
     for row in rows:
@@ -321,7 +319,6 @@ def cmd_sweep(args, config) -> Any:
               f"{_ms(row, SizeClass.SMALL, 'mean')} "
               f"{_ms(row, SizeClass.SMALL, 'p99')} "
               f"{_ms(row, SizeClass.LARGE, 'mean')}")
-    return rows
 
 
 def cmd_table1(args, config) -> Any:
@@ -395,12 +392,6 @@ def cmd_transports(args, config) -> Any:
     return rows
 
 
-def _chaos_rates(args) -> List[float]:
-    from .experiments import chaos
-    return list(args.loss_rates) if args.loss_rates else list(
-        chaos.DEFAULT_LOSS_RATES)
-
-
 def _print_victim_rows(rows) -> None:
     print(f"{'scheme':16s} {'loss':>8s} {'q1':>6s} {'q2':>6s} "
           f"{'err':>5s} {'drops':>7s}")
@@ -417,7 +408,7 @@ def cmd_chaos3(args, config) -> Any:
           f"(bottleneck wire):")
     rows = []
     for scheme in ("per-port", "pmsb"):
-        for rate in _chaos_rates(args):
+        for rate in args.loss_rates:
             rows.append(chaos.chaos_victim(
                 scheme, loss_rate=rate, model=args.model, config=config))
     _print_victim_rows(rows)
@@ -429,21 +420,13 @@ def cmd_chaos8(args, config) -> Any:
     print(f"PMSB DWRR 1:4 fair sharing under {args.model} loss:")
     rows = [chaos.chaos_fair_share("pmsb", loss_rate=rate,
                                    model=args.model, config=config)
-            for rate in _chaos_rates(args)]
+            for rate in args.loss_rates]
     _print_victim_rows(rows)
     return rows
 
 
-def cmd_chaos_sweep(args, config) -> Any:
-    from .experiments import chaos
+def _print_chaos(rows) -> None:
     from .metrics.fct import SizeClass
-    rows = chaos.run_chaos_sweep(
-        scheme_names=tuple(args.schemes),
-        scheduler_name=args.scheduler,
-        loss_rates=tuple(_chaos_rates(args)),
-        model=args.model,
-        config=config,
-    )
     print(f"{'scheme':16s} {'load':>5s} {'loss':>8s} {'overall':>9s} "
           f"{'sm p99':>9s} {'drops':>8s}")
     for row in rows:
@@ -451,22 +434,9 @@ def cmd_chaos_sweep(args, config) -> Any:
               f"{row.loss_rate:8.4f} {_ms(row, None, 'mean')} "
               f"{_ms(row, SizeClass.SMALL, 'p99')} "
               f"{sum(row.drops.values()):8d}")
-    return rows
 
 
-def cmd_sharedbuf(args, config) -> Any:
-    from .experiments import sharedbuf
-    policies = sharedbuf.default_policies(
-        capacity=args.capacity,
-        alphas=tuple(args.alphas),
-        target_delays=tuple(args.target_delays),
-    )
-    rows = sharedbuf.run_sharedbuf_sweep(
-        scheme_names=tuple(args.schemes),
-        scheduler_name=args.scheduler,
-        policies=policies,
-        config=config,
-    )
+def _print_sharedbuf(rows) -> None:
     print(f"{'scheme':16s} {'policy':7s} {'knob':>8s} {'victim':>7s} "
           f"{'hogs':>7s} {'err':>6s} {'bdrops':>6s} {'bloss':>6s} "
           f"{'peak':>5s}")
@@ -478,24 +448,121 @@ def cmd_sharedbuf(args, config) -> Any:
               f"{row.victim_gbps:6.2f}G {row.hogs_gbps:6.2f}G "
               f"{row.victim_err:6.3f} {row.burst_drops:6d} "
               f"{row.burst_loss_fraction:6.3f} {row.pool_peak:5d}")
-    return rows
 
 
-def cmd_xscale(args, config) -> Any:
-    from .experiments import xscale
-    rows = xscale.run_xscale_sweep(
-        scheme_names=tuple(args.schemes),
-        scheduler_name=args.scheduler,
-        ladder=tuple(args.ladder) if args.ladder else xscale.SCALE_LADDER,
-        hogs=args.hogs,
-        config=config,
-    )
+def _print_xscale(rows) -> None:
     print(f"{'hosts':>6s} {'fabric':30s} {'scheme':10s} {'victim':>7s} "
           f"{'hogs':>7s} {'err':>6s}")
     for row in rows:
         print(f"{row.n_hosts:6d} {row.topology:30s} {row.scheme:10s} "
               f"{row.victim_gbps:6.2f}G {row.hogs_gbps:6.2f}G "
               f"{row.victim_err:6.3f}")
+
+
+#: The store-backed commands: command -> (its row in
+#: :mod:`repro.experiments.families`, its table printer).
+SWEEPS = {
+    "sweep": ("FCT", _print_fct),
+    "chaos-sweep": ("CHAOS", _print_chaos),
+    "sharedbuf": ("SHAREDBUF", _print_sharedbuf),
+    "xscale": ("XSCALE", _print_xscale),
+}
+
+
+def _family(command: str):
+    from .experiments import families
+    return getattr(families, SWEEPS[command][0])
+
+
+#: Grid axis -> (flag, argparse keywords): a store-backed command takes
+#: the flag of every axis its family row sweeps, defaulting to the
+#: row's values (a flag without ``nargs`` sets a one-value axis).
+AXIS_FLAGS = {
+    "load": ("--loads", {"type": float, "nargs": "+",
+                         "help": "override the profile's load points"}),
+    "loss_rate": ("--loss-rates", {"type": float, "nargs": "+",
+                                   "help": "average per-packet loss rates"}),
+    "scheme_name": ("--schemes", {"nargs": "+",
+                                  "help": "marking schemes to compare"}),
+    "scheduler_name": ("--scheduler", {
+        "choices": ("dwrr", "wfq"),
+        "help": "scheduler every switch port runs"}),
+    "model": ("--model", {
+        "choices": ("iid-loss", "gilbert-elliott", "crc-corrupt"),
+        "help": "loss model to inject"}),
+    "hogs": ("--hogs", {"type": int,
+                        "help": "hog flows crushing the victim's downlink"}),
+    "topology": ("--ladder", {
+        "nargs": "+", "metavar": "SPEC",
+        "help": "topology specs to walk, e.g. "
+                "'clos:tiers=2,ports=16,oversub=2'"}),
+}
+
+#: The shared-buffer policy axis is spelled by three flags: the
+#: private-buffer baseline, then DT across ``--alphas`` and BShare
+#: across ``--target-delays``, all at ``--capacity``
+#: (``families.default_policies``).  Flag -> (the families constant
+#: that is its default, argparse keywords).
+POLICY_FLAGS = {
+    "--capacity": ("DEFAULT_CAPACITY", {
+        "type": int, "help": "switch-wide shared memory in packets"}),
+    "--alphas": ("DEFAULT_ALPHAS", {
+        "type": float, "nargs": "+",
+        "help": "dynamic-threshold alpha grid"}),
+    "--target-delays": ("DEFAULT_TARGET_DELAYS", {
+        "type": float, "nargs": "+",
+        "help": "BShare queueing-delay targets in seconds"}),
+}
+
+#: ``sweep`` runs the paper's full scheme line-up (Figs. 16-27): its
+#: scheme axis keeps the row's default and takes no flag.
+_UNFLAGGED = {("sweep", "scheme_name")}
+
+
+def _add_axis_flags(cmd: argparse.ArgumentParser, name: str,
+                    axes) -> None:
+    from .experiments import families
+    flags = []
+    for axis, default in axes:
+        if axis == "shared_buffer":
+            flags += [(flag, getattr(families, constant), options)
+                      for flag, (constant, options) in POLICY_FLAGS.items()]
+        elif (name, axis) not in _UNFLAGGED:
+            flags.append((AXIS_FLAGS[axis][0], default, AXIS_FLAGS[axis][1]))
+    for flag, default, options in flags:
+        if default is not None:
+            values = default if isinstance(default, tuple) else (default,)
+            options = dict(
+                options, default=list(values) if "nargs" in options
+                else values[0],
+                help=f"{options['help']} (default: "
+                     f"{' '.join(str(value) for value in values)})")
+        cmd.add_argument(flag, **options)
+
+
+def _grid(args, family) -> Dict[str, Any]:
+    """The grid a store-backed command's flags select."""
+    grid: Dict[str, Any] = {}
+    for axis, _default in family.axes:
+        if axis == "shared_buffer":
+            from .experiments.families import default_policies
+            grid[axis] = (None,) + default_policies(
+                args.capacity, args.alphas, args.target_delays)
+        elif (args.command, axis) not in _UNFLAGGED:
+            flag, options = AXIS_FLAGS[axis]
+            value = getattr(args, flag[2:].replace("-", "_"))
+            grid[axis] = (value if value is None or "nargs" in options
+                          else (value,))
+    return grid
+
+
+def cmd_sweep(args, config) -> Any:
+    """Every store-backed command: its family row's grid, as its flags
+    select it, through :func:`~repro.store.sweep.run_sweep`."""
+    from .store.sweep import run_sweep
+    family = _family(args.command)
+    rows = run_sweep(family, _grid(args, family), config)
+    SWEEPS[args.command][1](rows)
     return rows
 
 
@@ -538,16 +605,12 @@ COMMANDS = {
                    "E-TRANSPORT — PMSB across DCTCP and DCQCN"),
     "chaos3": (cmd_chaos3, "C-FIG3 — victim scenario under wire loss"),
     "chaos8": (cmd_chaos8, "C-FIG8 — PMSB fair sharing under wire loss"),
-    "chaos-sweep": (cmd_chaos_sweep,
-                    "C-SWEEP — FCT sweep across loss rates"),
-    "sharedbuf": (cmd_sharedbuf,
+    "chaos-sweep": (cmd_sweep, "C-SWEEP — FCT sweep across loss rates"),
+    "sharedbuf": (cmd_sweep,
                   "X-SHAREDBUF — buffer-contention sweep (DT + BShare)"),
-    "xscale": (cmd_xscale,
+    "xscale": (cmd_sweep,
                "X-SCALE — victim-flow error vs fabric size (48-1024)"),
 }
-
-#: Commands that understand the run-store cache flags.
-_STORE_BACKED = ("sweep", "chaos-sweep", "sharedbuf", "xscale")
 
 #: The paper-figure commands: each hands the CLI's RunConfig to
 #: ``run_incast`` whole, so all three spec flags reach the fabric.
@@ -697,68 +760,11 @@ RUNS_COMMANDS = {
 }
 
 
-def _add_family_options(name: str, cmd: argparse.ArgumentParser) -> None:
-    """The options of ``name`` whose defaults live in its experiment
-    family — which this imports."""
-    if name in ("chaos3", "chaos8", "chaos-sweep"):
-        from .experiments import chaos
-        cmd.add_argument("--model",
-                         choices=("iid-loss", "gilbert-elliott",
-                                  "crc-corrupt"),
-                         default="iid-loss",
-                         help="loss model to inject")
-        cmd.add_argument("--loss-rates", type=float, nargs="+",
-                         help="average per-packet loss rates "
-                              f"(default: "
-                              f"{' '.join(str(r) for r in chaos.DEFAULT_LOSS_RATES)})")
-        if name == "chaos-sweep":
-            cmd.add_argument("--schemes", nargs="+",
-                             default=list(chaos.CHAOS_SCHEMES),
-                             help="schemes to compare "
-                                  f"(default: {' '.join(chaos.CHAOS_SCHEMES)})")
-    if name == "sharedbuf":
-        from .experiments import sharedbuf
-        cmd.add_argument("--schemes", nargs="+",
-                         default=list(sharedbuf.SHAREDBUF_SCHEMES),
-                         help="marking schemes to compare "
-                              f"(default: "
-                              f"{' '.join(sharedbuf.SHAREDBUF_SCHEMES)})")
-        cmd.add_argument("--capacity", type=int,
-                         default=sharedbuf.DEFAULT_CAPACITY,
-                         help="switch-wide shared memory in packets "
-                              f"(default: {sharedbuf.DEFAULT_CAPACITY})")
-        cmd.add_argument("--alphas", type=float, nargs="+",
-                         default=list(sharedbuf.DEFAULT_ALPHAS),
-                         help="dynamic-threshold alpha grid "
-                              f"(default: "
-                              f"{' '.join(str(a) for a in sharedbuf.DEFAULT_ALPHAS)})")
-        cmd.add_argument("--target-delays", type=float, nargs="+",
-                         default=list(sharedbuf.DEFAULT_TARGET_DELAYS),
-                         help="BShare queueing-delay targets in "
-                              "seconds (default: "
-                              f"{' '.join(str(d) for d in sharedbuf.DEFAULT_TARGET_DELAYS)})")
-    if name == "xscale":
-        from .experiments import xscale
-        cmd.add_argument("--schemes", nargs="+",
-                         default=list(xscale.XSCALE_SCHEMES),
-                         help="marking schemes to compare "
-                              f"(default: "
-                              f"{' '.join(xscale.XSCALE_SCHEMES)})")
-        cmd.add_argument("--hogs", type=int, default=8,
-                         help="hog flows crushing the victim's "
-                              "downlink (default: 8)")
-        cmd.add_argument("--ladder", nargs="+", metavar="SPEC",
-                         help="topology specs to walk instead of "
-                              "the built-in 48-1024 host Clos "
-                              "ladder, e.g. "
-                              "'clos:tiers=2,ports=16,oversub=2'")
-
-
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The full CLI parser.  ``command`` — the one about to be parsed,
-    which ``_dispatch`` reads off argv — keeps the family-specific
-    options (and the family imports their defaults need) to that
-    command's sub-parser; None builds them for every command."""
+    which ``_dispatch`` reads off argv — keeps the family options (and
+    the family rows their defaults come from) to that command's
+    sub-parser; None builds them for every command."""
     # One shared parent so every experiment command spells the common
     # flags identically (and `fig3 --help` documents the same contract
     # as `sweep --help`).
@@ -769,11 +775,9 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                         help="simulated seconds for static experiments "
                              "(default: the profile's static duration, "
                              "else 0.03)")
-    common.add_argument("--profile", "--scale", dest="profile",
-                        choices=tuple(PROFILES), default=None,
+    common.add_argument("--profile", choices=tuple(PROFILES), default=None,
                         help="scale profile (tiny/bench/paper): sweep "
-                             "fabric size and static default duration; "
-                             "--scale is an alias")
+                             "fabric size and static default duration")
     common.add_argument("--jobs", type=int, default=None,
                         help="worker processes (1 = serial, 0 = all "
                              "cores; points are independent, results "
@@ -803,22 +807,13 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     sub.add_parser("list", help="list available experiments")
     for name, (_fn, help_text) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text, parents=[common])
-        if name in _STORE_BACKED:
-            cmd.add_argument("--scheduler", choices=("dwrr", "wfq"),
-                             default="dwrr")
-            if name in ("sweep", "chaos-sweep"):
-                cmd.add_argument("--loads", type=float, nargs="+",
-                                 help="override the profile's load points")
+        if name in SWEEPS:
             cmd.add_argument("--seed", type=int, default=1)
             cmd.add_argument("--cache-dir", default=None,
                              help="content-addressed run store: completed "
                                   "points are persisted here and skipped "
-                                  "on re-run")
-            cmd.add_argument("--resume", action="store_true",
-                             help="resume an interrupted sweep from "
-                                  "--cache-dir (this is the default "
-                                  "behaviour whenever a cache dir is "
-                                  "given)")
+                                  "on re-run, so a re-run resumes an "
+                                  "interrupted sweep")
             cmd.add_argument("--force", action="store_true",
                              help="recompute cached points and overwrite "
                                   "their records")
@@ -827,8 +822,15 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                              help="print a per-run event/heap profile "
                                   "(events/sec, category counters, heap "
                                   "size over time)")
-        if command in (None, name):
-            _add_family_options(name, cmd)
+        if command not in (None, name):
+            continue
+        if name in SWEEPS:
+            _add_axis_flags(cmd, name, _family(name).axes)
+        elif name in ("chaos3", "chaos8"):
+            # The static chaos variants share the chaos row's loss grid.
+            _add_axis_flags(cmd, name, [
+                (axis, values) for axis, values in _family("chaos-sweep").axes
+                if axis in ("loss_rate", "model")])
 
     runs = sub.add_parser("runs",
                           help="inspect the content-addressed run store")
@@ -882,9 +884,8 @@ def _dispatch(argv: Optional[List[str]]) -> int:
             return 0
         fn, _help = RUNS_COMMANDS[args.runs_command]
         return fn(args)
-    if args.command in _STORE_BACKED:
-        if (args.resume or args.force) and not args.cache_dir:
-            parser.error("--resume/--force require --cache-dir")
+    if getattr(args, "force", False) and not args.cache_dir:
+        parser.error("--force requires --cache-dir")
     fn, _help = COMMANDS[args.command]
     specs = _parse_spec_flags(parser, args)
     for dest, commands in _READ_BY.items():

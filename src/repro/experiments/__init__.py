@@ -6,10 +6,9 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..store import ExperimentSpec, RunConfig, RunRecord, RunStore
-    from . import ablations, analysis_validation, chaos, extensions, largescale
-    from . import marking_point, motivation, runner, static_flows
-    from .chaos import chaos_point_spec, run_chaos_sweep
-    from .fct_sweep import fct_point_spec
+    from . import ablations, analysis_validation, chaos, extensions, families
+    from . import largescale, marking_point, motivation, runner, static_flows
+    from .families import chaos_point_spec, fct_point_spec
     from .runner import available_jobs, run_parallel, seed_for
     from .scale import BENCH, PAPER, ScaleProfile, TINY
     from .scenario import (IncastResult, SCHEME_NAMES, SchemeSpec, incast_flows,
@@ -17,8 +16,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _EXPORTS = {
     "..store": ("ExperimentSpec", "RunConfig", "RunRecord", "RunStore"),
-    ".chaos": ("chaos_point_spec", "run_chaos_sweep"),
-    ".fct_sweep": ("fct_point_spec",),
+    ".families": ("chaos_point_spec", "fct_point_spec"),
     ".runner": ("available_jobs", "run_parallel", "seed_for"),
     ".scale": ("BENCH", "PAPER", "ScaleProfile", "TINY"),
     ".scenario": (
@@ -28,7 +26,7 @@ _EXPORTS = {
 }
 
 _SUBMODULES = (
-    "ablations", "analysis_validation", "chaos", "extensions",
+    "ablations", "analysis_validation", "chaos", "extensions", "families",
     "largescale", "marking_point", "motivation", "runner",
     "static_flows",
 )

@@ -19,8 +19,9 @@ Two claims the paper makes in prose but never evaluates:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Dict, Mapping, Optional
 
 from ..core.pmsb_endhost import RttEcnFilter
 from ..ecn.service_pool import BufferPool, ServicePoolMarker
@@ -34,20 +35,19 @@ from ..scheduling.dwrr import DwrrScheduler
 from ..scheduling.fifo import FifoScheduler
 from ..sim.audit import FabricAuditor
 from ..sim.engine import Simulator
-from ..store.runstore import RunStore, open_store
-from ..store.spec import ExperimentSpec, RunConfig
-from ..store.sweep import cached_sweep
+from ..store.spec import RunConfig
 from ..transport.base import DctcpConfig
 from ..transport.endpoints import open_flow
 from ..transport.flow import Flow
-from .scenario import incast_flows
+from .families import IncastRow
+from .scenario import Scenario, incast_flows, make_scheme, run_scenario
 
 __all__ = ["PoolVictimResult", "service_pool_victim",
            "CoexistenceResult", "pmsbe_coexistence",
            "MicroburstResult", "microburst_absorption",
            "BUFFER_POLICIES",
            "TransportVictimResult", "transport_agnostic_victim",
-           "IncastRow", "incast_point_spec", "incast_sweep"]
+           "incast_fanin_scenario", "incast_sweep_point"]
 
 
 # ---------------------------------------------------------------------------
@@ -450,27 +450,7 @@ def transport_agnostic_victim(
 # E-INCAST: incast fan-in sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IncastRow:
-    """Outcome of one synchronized incast degree under one scheme."""
-
-    scheme: str
-    fanin: int
-    drops: int
-    completed: int
-    fct_p99: Optional[float]
-    retransmission_timeouts: int
-
-    def to_payload(self) -> "dict":
-        """A JSON-able dict for run-store persistence."""
-        return asdict(self)
-
-    @classmethod
-    def from_payload(cls, data: "Mapping[str, Any]") -> "IncastRow":
-        return cls(**data)
-
-
-def incast_point_spec(
+def incast_fanin_scenario(
     scheme_name: str,
     fanin: int,
     response_bytes: int,
@@ -478,62 +458,19 @@ def incast_point_spec(
     link_rate: float,
     duration: float,
     audit: bool = False,
-) -> ExperimentSpec:
-    """Content address of one incast fan-in point (store cache key)."""
-    return ExperimentSpec.create(
-        "incast-sweep", scheme=scheme_name, scheduler="dwrr",
-        audit=audit,
-        params={"fanin": fanin, "response_bytes": response_bytes,
-                "buffer_packets": buffer_packets, "link_rate": link_rate,
-                "duration": duration},
-    )
-
-
-def incast_sweep(
-    scheme_name: str = "pmsb",
-    fanins: "Sequence[int]" = (8, 16, 32, 64),
-    response_bytes: int = 20_000,
-    buffer_packets: int = 128,
-    link_rate: float = 10e9,
-    config: Optional[RunConfig] = None,
-    store: Optional[Union[RunStore, str]] = None,
-) -> "List[IncastRow]":
+) -> Scenario:
     """The classic partition/aggregate incast microbenchmark.
 
     ``fanin`` workers answer an aggregator simultaneously with
     ``response_bytes`` each through one moderately buffered port.  ECN
     cannot prevent the synchronized initial burst, but the scheme
     determines how fast senders back off afterwards and therefore how
-    the tail FCT scales with fan-in.
-
-    With ``store`` (or ``config.cache_dir``) each fan-in point is cached
-    under its :func:`incast_point_spec` content address, with the same
-    skip-completed / ``config.force`` semantics as the FCT sweep
-    (:func:`~repro.store.sweep.cached_sweep`).
+    the tail FCT scales with fan-in.  The scenario finalizes to its
+    :class:`IncastRow`.
     """
-    config = config or RunConfig()
-    duration = config.duration if config.duration is not None else 0.1
-    # A point is incast_point_spec's arguments, in order.
-    points = [(scheme_name, fanin, response_bytes, buffer_packets,
-               link_rate, duration, bool(config.audit))
-              for fanin in fanins]
-    return cached_sweep(
-        points, [incast_point_spec(*point) for point in points],
-        f"{__name__}:_incast_point", IncastRow.from_payload,
-        # `is None`, not `or`: an empty RunStore is falsy.
-        open_store(config.cache_dir if store is None else store),
-        config.force or not config.resume, config.jobs)
-
-
-def _incast_point(point, provenance: "Dict[str, Any]") -> IncastRow:
-    """Simulate one fan-in degree (the ``compute`` of
-    :func:`~repro.store.sweep.cached_sweep`)."""
     from ..metrics.fct import FctCollector
     from ..metrics.stats import summarize
-    from .scenario import make_scheme
 
-    (scheme_name, fanin, response_bytes, buffer_packets, link_rate,
-     duration, audit) = point
     scheme = make_scheme(scheme_name, link_rate=link_rate, n_queues=2)
     sim = Simulator()
     auditor = _attach_auditor(sim, audit)
@@ -554,16 +491,28 @@ def _incast_point(point, provenance: "Dict[str, Any]") -> IncastRow:
             scheme.transport_config(init_cwnd=16.0, min_rto=2e-3),
             on_complete=collector.on_complete,
         ))
-    sim.run(until=duration)
-    if auditor is not None:
-        auditor.verify_fabric()
-    provenance["engine"] = {"events_processed": sim.events_processed}
-    fcts = collector.fcts()
-    return IncastRow(
-        scheme=scheme.name,
-        fanin=fanin,
-        drops=network.observed_ports("bottleneck")[0].drops,
-        completed=len(collector),
-        fct_p99=summarize(fcts).p99 if fcts else None,
-        retransmission_timeouts=sum(h.sender.timeouts for h in handles),
-    )
+
+    def finalize() -> IncastRow:
+        if auditor is not None:
+            auditor.verify_fabric()
+        fcts = collector.fcts()
+        return IncastRow(
+            scheme=scheme.name,
+            fanin=fanin,
+            drops=network.observed_ports("bottleneck")[0].drops,
+            completed=len(collector),
+            fct_p99=summarize(fcts).p99 if fcts else None,
+            retransmission_timeouts=sum(h.sender.timeouts for h in handles),
+        )
+
+    return Scenario(sim=sim, deadline=duration, finalize=finalize)
+
+
+def incast_sweep_point(point: Mapping[str, Any],
+                       provenance: Dict[str, Any]) -> IncastRow:
+    """The ``INCAST`` row's point function: simulate one missed point."""
+    return run_scenario(
+        partial(incast_fanin_scenario, point["scheme_name"], point["fanin"],
+                point["response_bytes"], point["buffer_packets"],
+                point["link_rate"], point["duration"], point["audit"]),
+        provenance)

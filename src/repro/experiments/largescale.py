@@ -16,21 +16,18 @@ mark at enqueue, TCN at dequeue.  MQ-ECN is automatically excluded under
 WFQ (it raises — no round concept), matching the paper.
 
 This module simulates one point (:func:`run_fct_point`); the row, the
-point identity and the sweep live in
-:mod:`repro.experiments.fct_sweep`, which imports nothing that
-simulates, and are re-exported here.
+point identity and the sweep are the
+:data:`~repro.experiments.families.FCT` row.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from ..metrics.fct import FctCollector, SizeClass
 from ..net.sharedbuf import SharedBufferSpec
 from ..net.topology import DEFAULT_LINK_DELAY, TopologySpec
-from ..scheduling.dwrr import DwrrScheduler
-from ..scheduling.wfq import WfqScheduler
 from ..sim.audit import FabricAuditor
 from ..sim.engine import Simulator
 from ..sim.faults import FaultScheduler, FaultSpec
@@ -39,16 +36,13 @@ from ..store.spec import RunConfig
 from ..transport.endpoints import open_flow
 from ..workloads.distributions import PAPER_MIX, SizeDistribution
 from ..workloads.generator import PoissonFlowGenerator
-from .fct_sweep import (LARGESCALE_SCHEMES, FctRow, fct_point_spec,
-                        reduction_percent, resolve_fct_topology,
-                        run_fct_sweep, topology_params)
+from .families import FctRow, resolve_fct_topology
 from .scale import BENCH, ScaleProfile
-from .scenario import Scenario, SchemeSpec, make_scheme, run_scenario
+from .scenario import (Scenario, SchemeSpec, make_scheme, run_scenario,
+                       scheduler_factory)
 
-__all__ = ["FctRow", "fct_point_spec", "topology_params", "largescale_scheme",
-           "fabric_scheme",
-           "resolve_fct_topology", "fct_scenario", "run_fct_point",
-           "run_fct_sweep", "reduction_percent", "LARGESCALE_SCHEMES"]
+__all__ = ["largescale_scheme", "fabric_scheme", "fct_scenario",
+           "run_fct_point", "fct_sweep_point"]
 
 N_SERVICES = 8
 PORT_THRESHOLD_PACKETS = 12.0
@@ -104,18 +98,6 @@ def fabric_scheme(name: str, topo: TopologySpec,
     return largescale_scheme(name, link_rate, topo.base_rtt_hops, link_delay)
 
 
-def _make_scheduler_factory(scheduler_name: str):
-    if scheduler_name == "dwrr":
-        return lambda: DwrrScheduler(N_SERVICES)
-    if scheduler_name == "wrr":
-        from ..scheduling.wrr import WrrScheduler
-        return lambda: WrrScheduler(N_SERVICES)
-    if scheduler_name == "wfq":
-        return lambda: WfqScheduler(N_SERVICES)
-    raise ValueError(
-        f"unknown scheduler {scheduler_name!r} (use 'dwrr', 'wrr' or 'wfq')")
-
-
 def fct_scenario(
     scheme_name: str,
     scheduler_name: str,
@@ -143,7 +125,8 @@ def fct_scenario(
         profiler = SimProfiler(sim, sample_interval=profile.time_cap / 200.0)
         profiler.start()
     network = topo.build(
-        sim, _make_scheduler_factory(scheduler_name), scheme.marker_factory,
+        sim, scheduler_factory(scheduler_name, N_SERVICES),
+        scheme.marker_factory,
         shared_buffer=shared_buffer, default_fabric=profile.fabric,
         link_rate=profile.link_rate,
     )
@@ -262,14 +245,13 @@ def run_fct_point(
     return result["row"]
 
 
-def fct_sweep_point(point, provenance: Dict[str, Any]) -> FctRow:
-    """What :func:`~repro.experiments.fct_sweep.run_fct_sweep` hands
-    :func:`~repro.store.sweep.cached_sweep` to simulate one missed
-    point."""
-    (scheme_name, scheduler_name, load, profile, seed, audit, topology,
-     faults, shared_buffer, profile_events) = point
+def fct_sweep_point(point: Mapping[str, Any],
+                    provenance: Dict[str, Any]) -> FctRow:
+    """The ``FCT`` row's point function: simulate one missed point."""
     return run_fct_point(
-        scheme_name, scheduler_name, load, profile, seed, topology=topology,
-        config=RunConfig(profile_events=profile_events, audit=audit,
-                         shared_buffer=shared_buffer),
-        provenance_out=provenance, faults=faults)
+        point["scheme_name"], point["scheduler_name"], point["load"],
+        point["profile"], point["seed"], topology=point["topology"],
+        config=RunConfig(profile_events=point["profile_events"],
+                         audit=point["audit"],
+                         shared_buffer=point["shared_buffer"]),
+        provenance_out=provenance, faults=point["faults"])

@@ -43,7 +43,8 @@ from ..transport.base import DctcpConfig
 from ..transport.endpoints import FlowHandle, open_flow
 from ..transport.flow import Flow
 
-__all__ = ["SchemeSpec", "make_scheme", "Scenario", "run_scenario",
+__all__ = ["SchemeSpec", "make_scheme", "scheduler_factory", "Scenario",
+           "run_scenario",
            "IncastResult", "run_incast", "incast_scenario", "incast_flows",
            "with_duration", "SCHEME_NAMES"]
 
@@ -150,6 +151,22 @@ def make_scheme(
     if name == "none":
         return SchemeSpec(name="DropTail", marker_factory=NullMarker)
     raise ValueError(f"unknown scheme {name!r}; choose from {SCHEME_NAMES}")
+
+
+def scheduler_factory(name: str, n_queues: int) -> Callable[[], Scheduler]:
+    """A factory of fresh ``name`` schedulers (``"dwrr"``, ``"wrr"`` or
+    ``"wfq"``), ``n_queues`` queues each — one per port a fabric builds."""
+    if name == "dwrr":
+        from ..scheduling.dwrr import DwrrScheduler
+        return lambda: DwrrScheduler(n_queues)
+    if name == "wrr":
+        from ..scheduling.wrr import WrrScheduler
+        return lambda: WrrScheduler(n_queues)
+    if name == "wfq":
+        from ..scheduling.wfq import WfqScheduler
+        return lambda: WfqScheduler(n_queues)
+    raise ValueError(
+        f"unknown scheduler {name!r} (use 'dwrr', 'wrr' or 'wfq')")
 
 
 @dataclass

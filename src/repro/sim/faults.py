@@ -62,10 +62,10 @@ from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
                     TYPE_CHECKING)
 
 from .._specparse import parse_spec
-from .engine import Simulator
 from .rng import make_rng, stable_digest, stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .engine import Simulator
     from ..net.link import Link
     from ..net.topology import Network
 

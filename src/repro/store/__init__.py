@@ -8,6 +8,8 @@ cacheable, addressable and resumable instead of ephemeral stdout:
   its content address;
 - :class:`RunConfig` carries execution knobs (duration / profile / seed
   / jobs / audit / cache-dir) as one object instead of scattered kwargs;
+- :func:`run_sweep` runs a grid of one :class:`Family`'s points, reading
+  stored points back and simulating only the misses;
 - :class:`RunStore` persists :class:`RunRecord` results atomically so
   concurrent workers and killed runs never corrupt the cache;
 - the ``repro runs`` CLI group lists, shows, diffs and garbage-collects
@@ -20,13 +22,13 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
     from .spec import ExperimentSpec, RunConfig, SPEC_SCHEMA_VERSION
-    from .sweep import cached_sweep, sweep_setup
+    from .sweep import Family, cached_sweep, run_sweep
     from .runstore import (RunRecord, RunStore, diff_records, git_revision,
                            make_provenance, open_store)
 
 _EXPORTS = {
     ".spec": ("ExperimentSpec", "RunConfig", "SPEC_SCHEMA_VERSION"),
-    ".sweep": ("cached_sweep", "sweep_setup"),
+    ".sweep": ("Family", "cached_sweep", "run_sweep"),
     ".runstore": (
         "RunRecord", "RunStore", "diff_records", "git_revision",
         "make_provenance", "open_store",

@@ -15,7 +15,7 @@ is a valid ``.jsonl`` stream).  Writes go through a temp file in the
 same directory followed by :func:`os.replace`, so a record is either
 fully present or absent — concurrent ``run_parallel`` workers and a
 ``kill -9`` mid-write can never corrupt the store, which is what makes
-``--resume`` trustworthy.
+resuming an interrupted sweep trustworthy.
 
 Reading is the start-up path of a resumed or fully cached sweep, so the
 modules only a write needs (``subprocess``, ``platform``, ``tempfile``)

@@ -5,7 +5,7 @@ scattered keyword arguments:
 
 - :class:`RunConfig` — *how* to run: duration, scale profile, seed,
   worker processes, auditing, event profiling, the run-store knobs
-  (``cache_dir`` / ``resume`` / ``force``) and the fabric extensions
+  (``cache_dir`` / ``force``) and the fabric extensions
   (``faults`` / ``shared_buffer`` / ``topology``).  It is the only
   carrier of configuration — no module holds a default — and every
   experiment entry point accepts ``config=RunConfig(...)``.
@@ -76,10 +76,9 @@ class RunConfig:
     audit: Optional[bool] = None
     #: Print a per-run event/heap profile.
     profile_events: bool = False
-    #: Root directory of the content-addressed run store (None = off).
+    #: Root directory of the content-addressed run store (None = off);
+    #: completed points found there are reused.
     cache_dir: Optional[str] = None
-    #: Reuse completed points found in the store.
-    resume: bool = True
     #: Recompute (and overwrite) even when a stored record exists.
     force: bool = False
     #: Faults injected into every fabric the run builds (``--faults``).

@@ -1,28 +1,33 @@
-"""The store-backed sweep boundary: hits answered here, misses fanned out.
+"""The store-backed sweep: one family row, one loop.
 
-Every store-backed family (``sweep``, ``chaos-sweep``, ``xscale``,
-``sharedbuf``, ``incast_sweep``) runs its points through
-:func:`cached_sweep`.  This module imports only the store, the scale
-profiles and the runner, and names the function that simulates instead
-of importing it, so a sweep whose every point is already stored reads
-its records back in the calling process — no simulation stack, no
-worker pool.
+Every store-backed family (``sweep``, ``chaos-sweep``, ``sharedbuf``,
+``xscale`` and the incast fan-in sweep) is one :class:`Family` row, and
+:func:`run_sweep` is the one loop that runs a grid of its points
+through :func:`cached_sweep`.  This module imports only the store, the
+scale profiles and the runner, and a row names the function that
+simulates instead of importing it, so a sweep whose every point is
+already stored reads its records back in the calling process — no
+simulation stack, no worker pool.
 """
 
 from __future__ import annotations
 
 import gc
+import inspect
+import itertools
 import os
 import time
+from dataclasses import dataclass
 from importlib import import_module
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..experiments.runner import run_parallel
-from ..experiments.scale import BENCH, ScaleProfile
+from ..experiments.scale import BENCH
 from .runstore import RunStore, git_revision, make_provenance, open_store
 from .spec import ExperimentSpec, RunConfig
 
-__all__ = ["CRASH_AFTER_ENV", "cached_sweep", "sweep_setup"]
+__all__ = ["CRASH_AFTER_ENV", "Family", "cached_sweep", "run_sweep"]
 
 #: Test/CI hook: when set to N > 0, a store-backed sweep raises after
 #: this process has computed (and persisted) N fresh points — a
@@ -43,25 +48,6 @@ def _note_point_computed() -> None:
         raise RuntimeError(
             f"injected crash: {CRASH_AFTER_ENV}={limit} and this process "
             f"computed {_points_computed} points")
-
-
-def sweep_setup(config: Optional[RunConfig], profile: Optional[ScaleProfile],
-                seed: Optional[int], store: Optional[Union[RunStore, str]]):
-    """Resolve what every store-backed sweep shares — ``(config, profile,
-    seed, jobs, store, force)``, ``store`` being the sweep's one
-    :class:`RunStore` or None — and re-arm the crash hook."""
-    global _points_computed
-    _points_computed = 0
-    config = config or RunConfig()
-    if profile is None:
-        profile = config.profile if config.profile is not None else BENCH
-    if seed is None:
-        seed = config.seed if config.seed is not None else 1
-    jobs = config.jobs if config.jobs is not None else profile.jobs
-    if store is None:  # not `or`: an empty RunStore is falsy
-        store = config.cache_dir
-    return (config, profile, seed, jobs, open_store(store),
-            config.force or not config.resume)
 
 
 def _compute_point(job) -> Any:
@@ -148,3 +134,81 @@ def cached_sweep(
         for index, row in zip(misses, fresh):
             rows[index] = row
     return rows
+
+
+@dataclass(frozen=True)
+class Family:
+    """One store-backed experiment family, as :func:`run_sweep` runs it.
+
+    A point is a keyword mapping naming every parameter of ``spec``,
+    whose ``spec(**point)`` is its content address; ``point`` names the
+    ``function(point, provenance) -> row`` that simulates a missed one
+    (``"package.module:function"``); ``row.from_payload`` reads a stored
+    record back.  ``axes`` is the default grid, ``(axis, values)``
+    pairs outermost first; a ``load`` axis of None is the profile's.
+    """
+
+    #: Experiment name the family's records are filed under.
+    experiment: str
+    spec: Callable[..., ExperimentSpec]
+    point: str
+    row: type
+    axes: Tuple[Tuple[str, Any], ...]
+
+
+def run_sweep(
+    family: Family,
+    grid: Optional[Mapping[str, Sequence[Any]]] = None,
+    config: Optional[RunConfig] = None,
+    store: Optional[Union[RunStore, str]] = None,
+) -> List[Any]:
+    """One row per point of ``family`` over ``grid``, in grid order.
+
+    ``grid`` overrides some of the row's default ``axes``; the points
+    are their product, less any that pairs WFQ with MQ-ECN (round-based
+    only, as in the paper).  A spec parameter no axis sets is
+    ``config``'s field of that name (profile BENCH and seed 1 when
+    unset), else the parameter's default — resolved here, once, so the
+    value that keys a point is the value its worker simulates.  Each
+    point also carries ``profile_events``, execution only and unkeyed.
+    Points fan out over ``config.jobs`` workers with rows identical at
+    every jobs level; with ``store`` or ``config.cache_dir`` stored
+    points are read back (an interrupted sweep resumes) unless
+    ``config.force``.
+    """
+    global _points_computed
+    _points_computed = 0
+    config = config or RunConfig()
+    axes = dict(family.axes)
+    unknown = set(grid or ()) - set(axes)
+    if unknown:
+        raise ValueError(f"{family.experiment} has no axis {sorted(unknown)}")
+    axes.update(grid or {})
+    profile = config.profile if config.profile is not None else BENCH
+    if axes.get("load", ()) is None:
+        axes["load"] = profile.loads
+    resolved = {"profile": profile,
+                "seed": config.seed if config.seed is not None else 1,
+                "audit": bool(config.audit)}
+    parameters = inspect.signature(family.spec).parameters
+    fixed: Dict[str, Any] = {}
+    for name, parameter in parameters.items():
+        value = resolved.get(name, getattr(config, name, None))
+        if value is None:
+            value = parameter.default
+        if name not in axes and value is not inspect.Parameter.empty:
+            fixed[name] = value
+    points = [dict(fixed, **dict(zip(axes, values)))
+              for values in itertools.product(*axes.values())]
+    points = [point for point in points
+              if (point.get("scheduler_name"), point.get("scheme_name"))
+              != ("wfq", "mq-ecn")]
+    specs = [family.spec(**point) for point in points]
+    for point in points:
+        point["profile_events"] = config.profile_events
+    return cached_sweep(
+        points, specs, family.point, family.row.from_payload,
+        open_store(config.cache_dir if store is None else store),
+        config.force,
+        config.jobs if config.jobs is not None else profile.jobs,
+        profile.name if "profile" in parameters else None)

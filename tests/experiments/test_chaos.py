@@ -6,15 +6,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import chaos, largescale
-from repro.experiments.chaos import (chaos_fair_share, chaos_faults,
-                                     chaos_point_spec, chaos_victim,
-                                     run_chaos_sweep)
+from repro.experiments.chaos import chaos_fair_share, chaos_victim
+from repro.experiments.families import (CHAOS, ChaosFctRow, chaos_faults,
+                                       chaos_point_spec, fct_point_spec)
 from repro.experiments.largescale import run_fct_point
 from repro.experiments.scale import TINY
 from repro.metrics.export import to_json
 from repro.store import RunConfig, RunStore, sweep
-from repro.store.sweep import CRASH_AFTER_ENV
+from repro.store.sweep import CRASH_AFTER_ENV, run_sweep
 
 pytestmark = pytest.mark.slow
 
@@ -23,11 +22,11 @@ RATES = (0.0, 1e-3)
 
 
 def _sweep(cache_dir, jobs=1, force=False, audit=None, rates=RATES):
-    return run_chaos_sweep(
-        scheme_names=("pmsb", "per-port"), loss_rates=rates,
-        config=RunConfig(profile=TINY, seed=SEED, jobs=jobs, audit=audit,
-                         cache_dir=str(cache_dir) if cache_dir else None,
-                         force=force))
+    return run_sweep(
+        CHAOS, {"scheme_name": ("pmsb", "per-port"), "loss_rate": rates},
+        RunConfig(profile=TINY, seed=SEED, jobs=jobs, audit=audit,
+                  cache_dir=str(cache_dir) if cache_dir else None,
+                  force=force))
 
 
 def _export(rows, path):
@@ -62,8 +61,7 @@ class TestChaosPointSpec:
     def test_distinct_from_clean_sweep_family(self):
         chaos_spec = chaos_point_spec("pmsb", "dwrr", 0.5, TINY, SEED,
                                       "iid-loss", 0.0)
-        clean_spec = largescale.fct_point_spec("pmsb", "dwrr", 0.5, TINY,
-                                               SEED)
+        clean_spec = fct_point_spec("pmsb", "dwrr", 0.5, TINY, SEED)
         assert chaos_spec.key() != clean_spec.key()
 
 
@@ -148,7 +146,7 @@ class TestStaticVariants:
         assert row.fair_share_error < 0.05
 
     def test_payload_round_trip(self):
-        row = chaos.ChaosFctRow(
+        row = ChaosFctRow(
             model="iid-loss", loss_rate=1e-3, drops={"wire": 3},
             fct=run_fct_point("pmsb", "dwrr", 0.5, TINY, seed=SEED))
-        assert chaos.ChaosFctRow.from_payload(row.to_payload()) == row
+        assert ChaosFctRow.from_payload(row.to_payload()) == row

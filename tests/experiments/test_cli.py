@@ -117,14 +117,6 @@ class TestCommonFlags:
             assert args.jobs == 2
             assert args.audit is True
 
-    def test_scale_is_profile_alias(self):
-        parser = build_parser()
-        assert parser.parse_args(["sweep", "--scale", "tiny"]).profile \
-            == "tiny"
-        assert parser.parse_args(["fig3", "--scale", "bench"]).profile \
-            == "bench"
-
-
 class TestSweepParallelFlags:
     def test_jobs_flag(self):
         parser = build_parser()
@@ -142,7 +134,7 @@ class TestSweepParallelFlags:
         assert parser.parse_args(["sweep"]).profile_events is False
 
     def test_sweep_tiny_serial_equals_parallel(self, capsys):
-        argv = ["sweep", "--scale", "tiny", "--seed", "3"]
+        argv = ["sweep", "--profile", "tiny", "--seed", "3"]
         assert main(argv + ["--jobs", "1"]) == 0
         serial_out = capsys.readouterr().out
         assert main(argv + ["--jobs", "2"]) == 0
@@ -225,6 +217,12 @@ class TestUnsupportedCombinations:
         (["fig3", "--shared-buffer", "dt:alpha="],
          "error: --shared-buffer: bad shared-buffer spec 'dt:alpha=': "
          "field 'alpha' needs a number, got ''"),
+        # One spelling per flag: no --scale alias of --profile, and no
+        # --resume (a cache dir alone resumes).
+        (["sweep", "--scale", "tiny"],
+         "error: unrecognized arguments: --scale tiny"),
+        (["sweep", "--cache-dir", "c", "--resume"],
+         "error: unrecognized arguments: --resume"),
     ])
     def test_exits_2_with_one_error_line(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
@@ -261,16 +259,9 @@ class TestUnsupportedCombinations:
 class TestSweepCacheFlags:
     def test_cache_flags_parse(self):
         parser = build_parser()
-        args = parser.parse_args(
-            ["sweep", "--cache-dir", "/tmp/c", "--resume"])
+        args = parser.parse_args(["sweep", "--cache-dir", "/tmp/c"])
         assert args.cache_dir == "/tmp/c"
-        assert args.resume is True
         assert args.force is False
-
-    def test_resume_requires_cache_dir(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--resume"])
-        assert "--cache-dir" in capsys.readouterr().err
 
     def test_force_requires_cache_dir(self, capsys):
         with pytest.raises(SystemExit):

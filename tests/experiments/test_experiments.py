@@ -11,9 +11,11 @@ import pytest
 
 from repro.experiments import (ablations, analysis_validation, largescale,
                                marking_point, motivation, static_flows)
+from repro.experiments.families import FCT, fct_point_spec, reduction_percent
 from repro.experiments.scale import TINY
 from repro.metrics.fct import SizeClass
 from repro.store.spec import RunConfig
+from repro.store.sweep import run_sweep
 
 FAST = 0.008  # seconds of simulated time — enough for direction checks
 FAST_CFG = RunConfig(duration=FAST)
@@ -118,9 +120,9 @@ class TestLargescale:
         assert row.small is not None
 
     def test_wfq_excludes_mq_ecn(self):
-        rows = largescale.run_fct_sweep(
-            ("pmsb", "mq-ecn"), "wfq", TINY, seed=1
-        )
+        rows = run_sweep(FCT, {"scheme_name": ("pmsb", "mq-ecn"),
+                               "scheduler_name": ("wfq",)},
+                         RunConfig(profile=TINY, seed=1))
         assert all(row.scheme != "MQ-ECN" for row in rows)
 
     def test_mq_ecn_runs_under_dwrr(self):
@@ -132,8 +134,9 @@ class TestLargescale:
             largescale.run_fct_point("pmsb", "fifo", 0.5, TINY)
 
     def test_reduction_percent(self):
-        rows = largescale.run_fct_sweep(("pmsb", "tcn"), "dwrr", TINY, seed=1)
-        reductions = largescale.reduction_percent(
+        rows = run_sweep(FCT, {"scheme_name": ("pmsb", "tcn")},
+                         RunConfig(profile=TINY, seed=1))
+        reductions = reduction_percent(
             rows, "PMSB", "TCN", SizeClass.SMALL, "mean"
         )
         assert set(reductions) == set(TINY.loads)
@@ -220,17 +223,17 @@ class TestFabricThresholds:
 
     def test_link_physics_re_keys_the_point(self):
         from repro.net.topology import TopologySpec
-        plain = largescale.fct_point_spec(
+        plain = fct_point_spec(
             "pmsb", "dwrr", 0.5, TINY, 1,
             topology=TopologySpec.parse("leaf-spine:n_leaf=2"))
-        delayed = largescale.fct_point_spec(
+        delayed = fct_point_spec(
             "pmsb", "dwrr", 0.5, TINY, 1,
             topology=TopologySpec.parse(self.DELAYED))
         assert "thresholds" not in dict(plain.params)
         assert dict(delayed.params)["thresholds"] == "fabric-physics"
         # Only a link rate moves the arrivals as well.
         assert "arrivals" not in dict(delayed.params)
-        fast = largescale.fct_point_spec(
+        fast = fct_point_spec(
             "pmsb", "dwrr", 0.5, TINY, 1,
             topology=TopologySpec.parse("leaf-spine:link_rate=40e9"))
         assert dict(fast.params)["arrivals"] == "fabric-rate"

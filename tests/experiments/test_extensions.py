@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.extensions import pmsbe_coexistence, service_pool_victim
-from repro.store import RunConfig
+from repro.experiments.extensions import (pmsbe_coexistence,
+                                          service_pool_victim)
+from repro.experiments.families import INCAST
+from repro.store import RunConfig, run_sweep
 
 FAST = RunConfig(duration=0.01)
 
@@ -50,17 +52,15 @@ class TestCoexistence:
 
 class TestIncastSweep:
     def test_rows_cover_fanins(self):
-        from repro.experiments.extensions import incast_sweep
-        rows = incast_sweep("pmsb", fanins=(8, 16),
-                            config=RunConfig(duration=0.05))
+        rows = run_sweep(INCAST, {"fanin": (8, 16)},
+                         RunConfig(duration=0.05))
         assert [row.fanin for row in rows] == [8, 16]
         assert all(row.completed == row.fanin for row in rows)
 
     def test_ecn_beats_droptail_at_scale(self):
-        from repro.experiments.extensions import incast_sweep
-        slow = RunConfig(duration=0.08)
-        pmsb = incast_sweep("pmsb", fanins=(48,), config=slow)[0]
-        droptail = incast_sweep("none", fanins=(48,), config=slow)[0]
+        pmsb, droptail = run_sweep(
+            INCAST, {"fanin": (48,), "scheme_name": ("pmsb", "none")},
+            RunConfig(duration=0.08))
         assert pmsb.completed == droptail.completed == 48
         assert (pmsb.retransmission_timeouts
                 <= droptail.retransmission_timeouts)

@@ -3,20 +3,20 @@ differential, and pool conservation under injected faults."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments import largescale
 from repro.experiments.scale import TINY
 from repro.experiments.scenario import incast_flows, make_scheme, run_incast
-from repro.experiments.sharedbuf import (SharedBufRow, default_policies,
-                                         run_sharedbuf_sweep,
-                                         sharedbuf_point,
-                                         sharedbuf_point_spec)
+from repro.experiments.families import (SHAREDBUF, SharedBufRow,
+                                       default_policies, fct_point_spec,
+                                       sharedbuf_point_spec)
 from repro.net.sharedbuf import SharedBufferSpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.faults import loss_spec
 from repro.sim.rng import stable_digest
-from repro.store import RunConfig, RunStore, sweep
+from repro.store import RunConfig, RunStore, run_sweep, sweep
 
 pytestmark = pytest.mark.slow
 
@@ -77,15 +77,22 @@ class TestPointSpec:
 
     def test_distinct_from_fct_sweep_family(self):
         ours = sharedbuf_point_spec("pmsb", "dwrr", None, TINY, SEED)
-        fct = largescale.fct_point_spec("pmsb", "dwrr", 0.5, TINY, SEED)
+        fct = fct_point_spec("pmsb", "dwrr", 0.5, TINY, SEED)
         assert ours.key != fct.key
+
+
+def _point(policy, audit=None):
+    """One PMSB point over ``policy``, 4 ms per scenario."""
+    (row,) = run_sweep(SHAREDBUF, {"shared_buffer": (policy,),
+                                   "scheme_name": ("pmsb",)},
+                       RunConfig(profile=replace(TINY, static_duration=0.004),
+                                 audit=audit, jobs=1))
+    return row
 
 
 class TestRow:
     def test_payload_round_trip(self):
-        row = sharedbuf_point(
-            "pmsb", shared_buffer=DT1,
-            config=RunConfig(duration=0.004))
+        row = _point(DT1)
         assert SharedBufRow.from_payload(row.to_payload()) == row
 
     def test_default_policy_grid_shape(self):
@@ -96,12 +103,12 @@ class TestRow:
 
 
 def _sweep(cache_dir, force=False, audit=None):
-    return run_sharedbuf_sweep(
-        scheme_names=("pmsb", "per-port"), policies=(DT1, BSHARE),
-        include_baseline=True,
-        config=RunConfig(profile=TINY, seed=SEED, audit=audit,
-                         cache_dir=str(cache_dir) if cache_dir else None,
-                         force=force))
+    return run_sweep(
+        SHAREDBUF, {"shared_buffer": (None, DT1, BSHARE),
+                    "scheme_name": ("pmsb", "per-port")},
+        RunConfig(profile=TINY, seed=SEED, audit=audit,
+                  cache_dir=str(cache_dir) if cache_dir else None,
+                  force=force))
 
 
 class TestStoreContract:
@@ -141,9 +148,7 @@ class TestAuditedRuns:
         # The fabric auditor re-proves Σ per-port debits == pool totals
         # on every event and once more at verify_fabric; a bookkeeping
         # slip anywhere in the datapath fails the run.
-        row = sharedbuf_point(
-            "pmsb", shared_buffer=spec,
-            config=RunConfig(duration=0.004, audit=True))
+        row = _point(spec, audit=True)
         assert row.policy == spec.policy
 
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import xscale
+from repro.experiments.families import XSCALE, XScaleRow, xscale_point_spec
 from repro.experiments.scale import TINY
 from repro.net.topology import TopologySpec
 from repro.store.runstore import RunStore
 from repro.store.spec import RunConfig
+from repro.store.sweep import run_sweep
 
 SMALL_CLOS = "clos:tiers=2,ports=4,oversub=3"  # 24 hosts, 6 switches
 
@@ -38,37 +42,44 @@ class TestPickEndpoints:
 
 class TestPointSpec:
     def test_keys_on_topology_params(self):
-        spec_a = xscale.xscale_point_spec("pmsb", "dwrr", SMALL_CLOS,
-                                          TINY, 1)
-        spec_b = xscale.xscale_point_spec(
+        spec_a = xscale_point_spec("pmsb", "dwrr", SMALL_CLOS,
+                                   TINY, 1)
+        spec_b = xscale_point_spec(
             "pmsb", "dwrr", "clos:tiers=2,ports=4,oversub=4", TINY, 1)
         assert spec_a.key() != spec_b.key()
 
     def test_hogs_re_key(self):
-        spec_a = xscale.xscale_point_spec("pmsb", "dwrr", SMALL_CLOS,
-                                          TINY, 1, hogs=8)
-        spec_b = xscale.xscale_point_spec("pmsb", "dwrr", SMALL_CLOS,
-                                          TINY, 1, hogs=16)
+        spec_a = xscale_point_spec("pmsb", "dwrr", SMALL_CLOS,
+                                   TINY, 1, hogs=8)
+        spec_b = xscale_point_spec("pmsb", "dwrr", SMALL_CLOS,
+                                   TINY, 1, hogs=16)
         assert spec_a.key() != spec_b.key()
 
     def test_equivalent_spellings_share_a_key(self):
-        spec_a = xscale.xscale_point_spec("pmsb", "dwrr", SMALL_CLOS,
-                                          TINY, 1)
-        spec_b = xscale.xscale_point_spec(
+        spec_a = xscale_point_spec("pmsb", "dwrr", SMALL_CLOS,
+                                   TINY, 1)
+        spec_b = xscale_point_spec(
             "pmsb", "dwrr", TopologySpec.parse(
                 "clos:oversubscription=3,ports_per_switch=4,tiers=2"),
             TINY, 1)
         assert spec_a.key() == spec_b.key()
 
 
+def _point(scheme, topology, duration, hogs=4):
+    profile = replace(TINY, static_duration=duration)
+    (row,) = run_sweep(XSCALE, {"topology": (topology,),
+                                "scheme_name": (scheme,), "hogs": (hogs,)},
+                       RunConfig(profile=profile, jobs=1))
+    return row
+
+
 class TestPoint:
     def test_single_bottleneck_is_rejected(self):
         with pytest.raises(ValueError, match="multi-host"):
-            xscale.xscale_point("pmsb", "single-bottleneck:senders=4")
+            _point("pmsb", "single-bottleneck:senders=4", 0.004, hogs=8)
 
     def test_point_measures_the_receiver_downlink(self):
-        row = xscale.xscale_point("pmsb", SMALL_CLOS, hogs=4, seed=1,
-                                  config=RunConfig(duration=0.008))
+        row = _point("pmsb", SMALL_CLOS, 0.008)
         assert row.n_hosts == 24
         assert row.n_switches == 6
         assert row.topology == "clos:oversub=3.0,ports=4,tiers=2"
@@ -76,58 +87,52 @@ class TestPoint:
         assert 0.0 <= row.victim_err
 
     def test_pmsb_protects_the_victim_better_than_per_port(self):
-        rows = {
-            scheme: xscale.xscale_point(scheme, SMALL_CLOS, hogs=4,
-                                        seed=1,
-                                        config=RunConfig(duration=0.01))
-            for scheme in ("pmsb", "per-port")
-        }
+        rows = {scheme: _point(scheme, SMALL_CLOS, 0.01)
+                for scheme in ("pmsb", "per-port")}
         assert rows["pmsb"].victim_err < rows["per-port"].victim_err
 
     def test_row_is_a_function_of_its_spec(self):
         # Flow ids feed the ECMP hash; drawn from the process-global
         # counter they tied a row to whatever ran earlier in the process.
-        rows = [xscale.xscale_point("per-port",
-                                    "clos:tiers=2,ports=8,oversub=1.5",
-                                    seed=1, config=RunConfig(duration=0.008))
+        rows = [_point("per-port", "clos:tiers=2,ports=8,oversub=1.5",
+                       0.008, hogs=8)
                 for _ in range(2)]
         assert rows[0] == rows[1]
 
     def test_payload_round_trip(self):
-        row = xscale.xscale_point("pmsb", SMALL_CLOS, hogs=4, seed=1,
-                                  config=RunConfig(duration=0.004))
-        assert xscale.XScaleRow.from_payload(row.to_payload()) == row
+        row = _point("pmsb", SMALL_CLOS, 0.004)
+        assert XScaleRow.from_payload(row.to_payload()) == row
         # Records written while rows carried the wall-clock build time
         # still load.
         old = dict(row.to_payload(), build_s=0.0123)
-        assert xscale.XScaleRow.from_payload(old) == row
+        assert XScaleRow.from_payload(old) == row
+
+
+def _sweep(ladder, config):
+    return run_sweep(XSCALE, {"topology": ladder,
+                                     "scheme_name": ("pmsb",), "hogs": (4,)},
+                     config.evolve(profile=TINY))
 
 
 class TestSweep:
     def test_sweep_caches_and_resumes(self, tmp_path):
-        ladder = ((SMALL_CLOS, 24),)
-        config = RunConfig(jobs=1, cache_dir=str(tmp_path), resume=True)
-        first = xscale.run_xscale_sweep(
-            scheme_names=("pmsb",), ladder=ladder, hogs=4,
-            profile=TINY, config=config)
+        config = RunConfig(jobs=1, cache_dir=str(tmp_path))
+        first = _sweep((SMALL_CLOS,), config)
         store = RunStore(str(tmp_path))
         assert len(list(store.records())) == 1
-        second = xscale.run_xscale_sweep(
-            scheme_names=("pmsb",), ladder=ladder, hogs=4,
-            profile=TINY, config=config)
+        second = _sweep((SMALL_CLOS,), config)
         assert [row.to_payload() for row in first] == \
             [row.to_payload() for row in second]
 
-    def test_ladder_pin_catches_shape_regressions(self):
-        config = RunConfig(jobs=1)
+    def test_ladder_pin_catches_shape_regressions(self, monkeypatch):
+        # A rung the ladder pins is checked against the hosts it built,
+        # whichever spelling names it.
+        monkeypatch.setattr(xscale, "SCALE_LADDER",
+                            (("clos:ports=4,oversub=3,tiers=2", 999),))
         with pytest.raises(RuntimeError, match="shape regression"):
-            xscale.run_xscale_sweep(
-                scheme_names=("pmsb",), ladder=((SMALL_CLOS, 999),),
-                hogs=4, profile=TINY, config=config)
+            _sweep((SMALL_CLOS,), RunConfig(jobs=1))
 
     def test_plain_string_ladder_entries(self):
-        rows = xscale.run_xscale_sweep(
-            scheme_names=("pmsb",), ladder=(SMALL_CLOS,), hogs=4,
-            profile=TINY, config=RunConfig(jobs=1))
+        rows = _sweep((SMALL_CLOS,), RunConfig(jobs=1))
         assert len(rows) == 1
         assert rows[0].n_hosts == 24

@@ -25,7 +25,7 @@ import dataclasses
 import pytest
 
 from repro.cli import main
-from repro.experiments.chaos import chaos_faults
+from repro.experiments.families import chaos_faults
 from repro.experiments.largescale import run_fct_point
 from repro.experiments.scale import TINY
 from repro.sim.faults import FaultSpec

@@ -55,7 +55,7 @@ class TestSeriesCsv:
 
 class TestRowsCsv:
     def test_flattens_summaries(self):
-        from repro.experiments.largescale import FctRow
+        from repro.experiments.families import FctRow
         row = FctRow(
             scheme="PMSB", scheduler="dwrr", load=0.5, n_flows=10,
             completed=10, overall=summarize([1.0, 2.0]),

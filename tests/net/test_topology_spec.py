@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ecn.base import NullMarker
-from repro.experiments.xscale import SCALE_LADDER
+from repro.experiments.families import SCALE_LADDER
 from repro.net.graph import validate_routes
 from repro.net.host import Host
 from repro.net.switch import Switch

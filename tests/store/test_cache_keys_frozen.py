@@ -11,10 +11,11 @@ TopologySpec) may mint new keys.
 
 from __future__ import annotations
 
-from repro.experiments.chaos import chaos_point_spec
-from repro.experiments.largescale import fct_point_spec
+from repro.experiments.families import (chaos_point_spec, fct_point_spec,
+                                       incast_point_spec,
+                                       sharedbuf_point_spec,
+                                       xscale_point_spec)
 from repro.experiments.scale import BENCH, TINY
-from repro.experiments.sharedbuf import sharedbuf_point_spec
 from repro.net.sharedbuf import SharedBufferSpec
 from repro.net.topology import TopologySpec
 
@@ -29,6 +30,14 @@ FROZEN_KEYS = {
         "8219d033f0bd7d208a058b310de0274a8c2f044684c477f9957b2c7987fbac41",
     "chaos-iid":
         "3815883cd89e77ebbdad705b388fd070d2387aebbf3207c22c7d42fa38708a1a",
+    "xscale-rung":
+        "c746ae91b06beb762d2e713126d25b0eb3518ef40e61999e38f32cba2fe5c3b4",
+    "xscale-hogs-audit":
+        "d064450f270909b4fb2c27beaa9a5bada7ebf78b973428ac128c60b632bcc135",
+    "incast-fanin8":
+        "0f8496105a2914871a6eed69bec7c775c743da2284c37d08defafcda0ea9a91f",
+    "incast-droptail-audit":
+        "5edccc71f6ced812f0a55de87722d08a07a857d8df7307dbd109a06d3e93f45b",
 }
 
 
@@ -67,6 +76,25 @@ class TestHistoricalKeysUnchanged:
         spec = chaos_point_spec("pmsb", "dwrr", 0.5, TINY, 3,
                                 model="iid-loss", loss_rate=0.001)
         assert spec.key() == FROZEN_KEYS["chaos-iid"]
+
+    def test_xscale(self):
+        spec = xscale_point_spec("pmsb", "dwrr",
+                                 "clos:tiers=2,ports=8,oversub=1.5", TINY, 1)
+        assert spec.key() == FROZEN_KEYS["xscale-rung"]
+
+    def test_xscale_hogs_audit(self):
+        spec = xscale_point_spec("per-port", "dwrr", "clos:tiers=2,ports=16",
+                                 BENCH, 3, hogs=4, audit=True)
+        assert spec.key() == FROZEN_KEYS["xscale-hogs-audit"]
+
+    def test_incast_sweep(self):
+        spec = incast_point_spec("pmsb", 8, 20_000, 128, 10e9, 0.1)
+        assert spec.key() == FROZEN_KEYS["incast-fanin8"]
+
+    def test_incast_sweep_droptail_audit(self):
+        spec = incast_point_spec("none", 16, 20_000, 128, 10e9, 0.1,
+                                 audit=True)
+        assert spec.key() == FROZEN_KEYS["incast-droptail-audit"]
 
 
 class TestNewFabricsReKey:

@@ -63,16 +63,17 @@ class TestCachedSweep:
     def test_a_computed_point_leaves_no_simulator_alive(self):
         # A fabric is a web of reference cycles; with the collector off,
         # only the sweep's own collection after each point frees it.
-        from repro.experiments.fct_sweep import run_fct_sweep
+        from repro.experiments.families import FCT
         from repro.experiments.scale import TINY
         from repro.sim.engine import Simulator
+        from repro.store.sweep import run_sweep
 
         config = RunConfig(profile=replace(TINY, loads=(0.5,)), seed=1,
                            jobs=1)
         gc.collect()
         gc.disable()
         try:
-            rows = run_fct_sweep(("pmsb",), config=config)
+            rows = run_sweep(FCT, {"scheme_name": ("pmsb",)}, config)
             alive = [obj for obj in gc.get_objects()
                      if isinstance(obj, Simulator)]
         finally:

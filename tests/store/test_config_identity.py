@@ -6,7 +6,7 @@ sweep point ships to its worker *and* what its
 :class:`~repro.store.ExperimentSpec` is built from.  So for every
 store-backed family × every field it honours: the key moves with the
 field, a store filled without it answers nothing once it is set, and
-the shipped point tuple — not process state a forked worker happens to
+the shipped point mapping — not process state a forked worker happens to
 inherit — carries the spec.
 
 The stale hit this replaced (``sweep`` + shared buffer answered from
@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.chaos import chaos_point_spec, run_chaos_sweep
-from repro.experiments.largescale import fct_point_spec, run_fct_sweep
+from repro.experiments.families import (CHAOS, FCT, SHAREDBUF, XSCALE,
+                                       chaos_point_spec, fct_point_spec,
+                                       sharedbuf_point_spec,
+                                       xscale_point_spec)
 from repro.experiments.scale import TINY
-from repro.experiments.sharedbuf import (run_sharedbuf_sweep,
-                                         sharedbuf_point_spec)
-from repro.experiments.xscale import run_xscale_sweep, xscale_point_spec
 from repro.net.sharedbuf import SharedBufferSpec
 from repro.net.topology import TopologySpec
 from repro.sim.faults import FaultSpec
 from repro.store import RunConfig
 from repro.store import sweep as store_sweep
+from repro.store.sweep import run_sweep
 
 FABRIC = "clos:tiers=2,ports=4,oversub=3"
 VALUES = {
@@ -42,25 +42,27 @@ FAMILIES = {
     "sweep": (
         ("faults", "shared_buffer", "topology"),
         lambda **kw: fct_point_spec("pmsb", "dwrr", 0.5, TINY, 3, **kw),
-        lambda config: run_fct_sweep(("pmsb",), config=config)),
+        lambda config: run_sweep(FCT, {"scheme_name": ("pmsb",)}, config)),
     "chaos-sweep": (
         ("shared_buffer", "topology"),
         lambda **kw: chaos_point_spec("pmsb", "dwrr", 0.5, TINY, 3,
                                       "iid-loss", 0.001, **kw),
-        lambda config: run_chaos_sweep(("pmsb",), loss_rates=(0.001,),
-                                       config=config)),
+        lambda config: run_sweep(CHAOS, {"scheme_name": ("pmsb",),
+                                         "loss_rate": (0.001,)}, config)),
     "sharedbuf": (
         ("faults", "topology"),
         lambda **kw: sharedbuf_point_spec("pmsb", "dwrr", None, TINY, 3,
                                           **kw),
-        lambda config: run_sharedbuf_sweep(("pmsb",), policies=(),
-                                           config=config)),
+        lambda config: run_sweep(SHAREDBUF, {"scheme_name": ("pmsb",),
+                                             "shared_buffer": (None,)},
+                                 config)),
     "xscale": (
         ("shared_buffer",),
         lambda **kw: xscale_point_spec("pmsb", "dwrr", FABRIC, TINY, 3,
                                        hogs=4, **kw),
-        lambda config: run_xscale_sweep(("pmsb",), ladder=(FABRIC,), hogs=4,
-                                        config=config)),
+        lambda config: run_sweep(XSCALE, {"scheme_name": ("pmsb",),
+                                          "topology": (FABRIC,),
+                                          "hogs": (4,)}, config)),
 }
 HONOURED = [(family, field) for family, (fields, _spec, _run)
             in FAMILIES.items() for field in fields]
@@ -99,11 +101,11 @@ def test_store_filled_without_the_field_recomputes_with_it(
         del shipped[:]
         rows = run(base.evolve(**{field: value}))
         # 0 hits: every point is simulated again, under a new key, and
-        # the tuple its worker receives carries the resolved spec.
+        # the mapping its worker receives carries the resolved spec.
         assert len(shipped) == len(clean)
         assert {key for _point, key in shipped}.isdisjoint(
             key for _point, key in clean)
-        assert all(value in point for point, _key in shipped)
+        assert all(value in point.values() for point, _key in shipped)
         # … and the worker simulated it.  (Not asserted for a fabric
         # change: where the receiver's downlink is the only bottleneck
         # the victim row can legitimately come out the same.)
@@ -119,8 +121,9 @@ def test_store_filled_without_the_field_recomputes_with_it(
 @pytest.mark.parametrize("field", ["shared_buffer"])
 def test_jobs_2_rows_equal_jobs_1(field, shipped):
     config = RunConfig(profile=TINY, seed=3, **{field: VALUES[field]})
-    serial = run_fct_sweep(("pmsb", "tcn"), config=config.evolve(jobs=1))
-    parallel = run_fct_sweep(("pmsb", "tcn"), config=config.evolve(jobs=2))
+    schemes = {"scheme_name": ("pmsb", "tcn")}
+    serial = run_sweep(FCT, schemes, config.evolve(jobs=1))
+    parallel = run_sweep(FCT, schemes, config.evolve(jobs=2))
     assert parallel == serial
     assert len(shipped) == 4
-    assert all(VALUES[field] in point for point, _key in shipped)
+    assert all(VALUES[field] in point.values() for point, _key in shipped)

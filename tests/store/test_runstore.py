@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.experiments.largescale import fct_point_spec
+from repro.experiments.families import fct_point_spec
 from repro.experiments.scale import TINY
 from repro.store import (RunRecord, RunStore, SPEC_SCHEMA_VERSION,
                          diff_records, make_provenance)

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.largescale import fct_point_spec
+from repro.experiments.families import fct_point_spec
 from repro.experiments.scale import BENCH, TINY
 from repro.sim.rng import stable_digest
 from repro.store import ExperimentSpec, RunConfig
@@ -66,7 +66,7 @@ class TestSpecKey:
     def test_key_stable_across_processes(self):
         spec = fct_point_spec("pmsb", "dwrr", 0.5, TINY, seed=1)
         script = (
-            "from repro.experiments.largescale import fct_point_spec\n"
+            "from repro.experiments.families import fct_point_spec\n"
             "from repro.experiments.scale import TINY\n"
             "print(fct_point_spec('pmsb', 'dwrr', 0.5, TINY, seed=1)"
             ".key())\n"

@@ -7,11 +7,11 @@ import os
 
 import pytest
 
-from repro.experiments.largescale import run_fct_sweep
+from repro.experiments.families import FCT
 from repro.experiments.scale import TINY
 from repro.metrics.export import to_json
 from repro.store import RunConfig, RunStore, sweep
-from repro.store.sweep import CRASH_AFTER_ENV
+from repro.store.sweep import CRASH_AFTER_ENV, run_sweep
 
 pytestmark = pytest.mark.slow
 
@@ -19,7 +19,7 @@ SEED = 11
 
 
 def _sweep(cache_dir, jobs=1, force=False):
-    return run_fct_sweep(config=RunConfig(
+    return run_sweep(FCT, config=RunConfig(
         profile=TINY, seed=SEED, jobs=jobs,
         cache_dir=str(cache_dir) if cache_dir else None, force=force))
 

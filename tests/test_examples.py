@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -21,8 +22,11 @@ SCRIPTS = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
 
 class TestExamples:
     def test_expected_scripts_present(self):
+        # examples/README.md has one row per script, and names no other.
         assert "quickstart.py" in SCRIPTS
-        assert len(SCRIPTS) >= 10
+        listed = re.findall(r"^\| `([\w.]+\.py)` \|",
+                            (EXAMPLES_DIR / "README.md").read_text(), re.M)
+        assert sorted(listed) == SCRIPTS
 
     @pytest.mark.parametrize("script", SCRIPTS)
     def test_imports_cleanly(self, script):

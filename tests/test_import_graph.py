@@ -107,28 +107,48 @@ class TestVictimScenario:
         assert report["spawned"] == 0
 
 
+#: The other store-backed commands, at their smallest useful grids.
+OTHER_FULL_HIT_SWEEPS = {
+    "chaos-sweep": ["chaos-sweep"],
+    "sharedbuf": ["sharedbuf", "--schemes", "pmsb", "--alphas", "1.0",
+                  "--target-delays", "0.0002"],
+    "xscale": ["xscale", "--schemes", "pmsb",
+               "--ladder", "clos:tiers=2,ports=8,oversub=1.5"],
+}
+
+
+def assert_full_hit_simulates_nothing(tmp_path, command_argv) -> None:
+    argv = command_argv + ["--profile", "tiny", "--jobs", "2",
+                           "--cache-dir", str(tmp_path / "cache")]
+    cold = subprocess.run(
+        [sys.executable, "-m", "repro", *argv, "--json",
+         str(tmp_path / "cold.json")],
+        capture_output=True, text=True, timeout=300)
+    assert cold.returncode == 0, cold.stderr
+    report = probe(
+        "from repro.cli import main\n"
+        f"assert main({argv + ['--json', str(tmp_path / 'warm.json')]!r})"
+        " == 0")
+    assert_light(report, experiments={"repro.experiments.families"})
+    assert "concurrent.futures" not in report["modules"]
+    # Not the engine, not a port: parsing the flags and rendering
+    # the points' keys is all a full hit does.
+    simulating = {"repro.sim.engine", "repro.net.port"}
+    assert simulating.isdisjoint(report["modules"])
+    assert (tmp_path / "warm.json").read_bytes() \
+        == (tmp_path / "cold.json").read_bytes()
+
+
 @pytest.mark.slow
 class TestCachedSweep:
     def test_full_hit_sweep_simulates_nothing(self, tmp_path):
-        argv = ["sweep", "--profile", "tiny", "--seed", "5", "--jobs", "2",
-                "--cache-dir", str(tmp_path / "cache")]
-        cold = subprocess.run(
-            [sys.executable, "-m", "repro", *argv, "--json",
-             str(tmp_path / "cold.json")],
-            capture_output=True, text=True, timeout=300)
-        assert cold.returncode == 0, cold.stderr
-        report = probe(
-            "from repro.cli import main\n"
-            f"assert main({argv + ['--json', str(tmp_path / 'warm.json')]!r})"
-            " == 0")
-        assert_light(report, experiments={"repro.experiments.fct_sweep"})
-        assert "concurrent.futures" not in report["modules"]
-        # Not the engine, not a port: parsing the flags and rendering
-        # the points' keys is all a full hit does.
-        simulating = {"repro.sim.engine", "repro.net.port"}
-        assert simulating.isdisjoint(report["modules"])
-        assert (tmp_path / "warm.json").read_bytes() \
-            == (tmp_path / "cold.json").read_bytes()
+        assert_full_hit_simulates_nothing(tmp_path, ["sweep", "--seed", "5"])
+
+    @pytest.mark.parametrize("command", OTHER_FULL_HIT_SWEEPS)
+    def test_full_hit_of_every_store_command_simulates_nothing(
+            self, tmp_path, command):
+        assert_full_hit_simulates_nothing(
+            tmp_path, OTHER_FULL_HIT_SWEEPS[command])
 
 
 def _declared_exports(package_name: str):
