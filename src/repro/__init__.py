@@ -46,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
         queue_threshold_lower_bound,
     )
     from .ecn import (
-        BufferPool,
         MarkPoint,
         Marker,
         MqEcnMarker,
@@ -109,8 +108,8 @@ _EXPORTS = {
         "queue_threshold_lower_bound",
     ),
     ".ecn": (
-        "BufferPool", "MarkPoint", "Marker", "MqEcnMarker",
-        "NullMarker", "PerPortMarker", "PerQueueMarker", "RedMarker",
+        "MarkPoint", "Marker", "MqEcnMarker", "NullMarker",
+        "PerPortMarker", "PerQueueMarker", "RedMarker",
         "ServicePoolMarker", "TcnMarker", "fractional_thresholds",
         "standard_thresholds",
     ),

@@ -45,10 +45,13 @@ import json
 import sys
 from dataclasses import asdict
 from importlib import import_module
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from .experiments.scale import BENCH, PAPER, TINY
 from .store.spec import RunConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .store.runstore import RunStore
 
 __all__ = ["main"]
 

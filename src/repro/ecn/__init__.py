@@ -13,7 +13,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .per_queue import PerQueueMarker, fractional_thresholds, standard_thresholds
     from .phantom import PhantomQueueMarker
     from .red import RedMarker
-    from .service_pool import BufferPool, DynamicThresholdPool, ServicePoolMarker
+    from .service_pool import ServicePoolMarker
     from .tcn import TcnMarker
 
 _EXPORTS = {
@@ -25,9 +25,7 @@ _EXPORTS = {
     ),
     ".phantom": ("PhantomQueueMarker",),
     ".red": ("RedMarker",),
-    ".service_pool": (
-        "BufferPool", "DynamicThresholdPool", "ServicePoolMarker",
-    ),
+    ".service_pool": ("ServicePoolMarker",),
     ".tcn": ("TcnMarker",),
 }
 

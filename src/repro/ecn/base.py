@@ -76,7 +76,7 @@ class Marker:
         re-attaching to a second port would silently corrupt the first
         port's marking.  Re-attaching raises :class:`ValueError`; shared
         state across ports goes through an explicit object instead (see
-        :class:`~repro.ecn.service_pool.BufferPool`).
+        :class:`~repro.net.sharedbuf.SharedBuffer`).
 
         Schemes that need port context (link capacity, scheduler round
         notifications) extend this — always calling ``super().attach``.

@@ -9,7 +9,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from . import ablations, analysis_validation, chaos, extensions, families
     from . import largescale, marking_point, motivation, runner, static_flows
     from .families import chaos_point_spec, fct_point_spec
-    from .runner import available_jobs, run_parallel, seed_for
+    from .runner import available_jobs, run_parallel
     from .scale import BENCH, PAPER, ScaleProfile, TINY
     from .scenario import (IncastResult, SCHEME_NAMES, SchemeSpec, incast_flows,
                            make_scheme, run_incast)
@@ -17,7 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _EXPORTS = {
     "..store": ("ExperimentSpec", "RunConfig", "RunRecord", "RunStore"),
     ".families": ("chaos_point_spec", "fct_point_spec"),
-    ".runner": ("available_jobs", "run_parallel", "seed_for"),
+    ".runner": ("available_jobs", "run_parallel"),
     ".scale": ("BENCH", "PAPER", "ScaleProfile", "TINY"),
     ".scenario": (
         "IncastResult", "SCHEME_NAMES", "SchemeSpec", "incast_flows",

@@ -24,11 +24,12 @@ from functools import partial
 from typing import Any, Dict, Mapping, Optional
 
 from ..core.pmsb_endhost import RttEcnFilter
-from ..ecn.service_pool import BufferPool, ServicePoolMarker
+from ..ecn.service_pool import ServicePoolMarker
 from ..metrics.throughput import ThroughputMeter
 from ..net.host import Host
 from ..net.link import Link
 from ..net.port import Port
+from ..net.sharedbuf import SharedBuffer, SharedBufferSpec
 from ..net.switch import Switch
 from ..net.topology import DEFAULT_LINK_DELAY, Network, TopologySpec
 from ..scheduling.dwrr import DwrrScheduler
@@ -134,13 +135,16 @@ def service_pool_victim(
     audit = config.audit
     sim = Simulator()
     auditor = _attach_auditor(sim, audit)
-    pool = BufferPool(name="service-pool")
+    # Complete sharing over the two members' 1000-packet buffers: the
+    # capacity never binds, only the pool-level marking threshold acts.
+    pool = SharedBuffer(2000, name="service-pool")
 
     def member_port(dst_host, name):
         link = Link(sim, link_rate, DEFAULT_LINK_DELAY, dst_host, name=name)
         marker = ServicePoolMarker(pool, pool_threshold)
         return Port(sim, link, FifoScheduler(1), marker,
-                    buffer_packets=1000, name=name, pool=pool)
+                    buffer_packets=1000, name=name,
+                    pool=pool.port_account(name, link))
 
     n_senders = 1 + flows_port_b
     network = _dual_port_network(sim, n_senders, member_port, link_rate)
@@ -156,7 +160,6 @@ def service_pool_victim(
     if auditor is not None:
         auditor.verify_fabric()
 
-    window = duration - duration / 3
     port_a, port_b = network.switches[0].ports[0], network.switches[0].ports[1]
     return PoolVictimResult(
         pool_threshold=pool_threshold,
@@ -251,6 +254,8 @@ def pmsbe_coexistence(
 # ---------------------------------------------------------------------------
 
 BUFFER_POLICIES = ("static", "shared", "dt")
+#: Each policy's :data:`~repro.net.sharedbuf.SHARING_POLICIES` name.
+_SHARING_POLICY = {"static": "static", "shared": "complete", "dt": "dt"}
 
 
 @dataclass(frozen=True)
@@ -279,9 +284,10 @@ def microburst_absorption(
 ) -> MicroburstResult:
     """Incast micro-burst into port B while port A may be hogging buffer.
 
-    The switch's two output ports share ``total_buffer_packets`` of
-    memory under one of three policies (the design space behind the
-    paper's micro-burst references [13]/[14]):
+    The switch's two output ports share a
+    :class:`~repro.net.sharedbuf.SharedBuffer` of
+    ``total_buffer_packets`` under one of three policies (the design
+    space behind the paper's micro-burst references [13]/[14]):
 
     - ``static``: hard split, each port gets half;
     - ``shared``: complete sharing, one global cap;
@@ -299,23 +305,15 @@ def microburst_absorption(
     duration = config.duration if config.duration is not None else 0.05
     audit = config.audit
     sim = Simulator()
-    if policy == "shared":
-        pool: Optional[BufferPool] = BufferPool(total_buffer_packets)
-        per_port_cap = None
-    elif policy == "dt":
-        from ..ecn.service_pool import DynamicThresholdPool
-        pool = DynamicThresholdPool(total_buffer_packets, dt_alpha)
-        per_port_cap = None
-    else:
-        pool = None
-        per_port_cap = total_buffer_packets // 2
+    shared = SharedBufferSpec(_SHARING_POLICY[policy], total_buffer_packets,
+                              dt_alpha).build()
 
     from ..ecn.base import NullMarker
 
     def output_port(dst_host, name):
         link = Link(sim, link_rate, DEFAULT_LINK_DELAY, dst_host, name=name)
-        return Port(sim, link, FifoScheduler(1), NullMarker(),
-                    buffer_packets=per_port_cap, name=name, pool=pool)
+        return Port(sim, link, FifoScheduler(1), NullMarker(), name=name,
+                    pool=shared.port_account(name, link))
 
     n_senders = n_hog_flows + burst_fanin
     network = _dual_port_network(sim, n_senders, output_port, link_rate)

@@ -8,9 +8,9 @@ own RNG from an explicit seed, so runs share no state.
 
 - **ordered collection** — results come back in config order regardless
   of which worker finished first (``Executor.map`` semantics);
-- **deterministic seeding** — randomness must flow only from the config
-  (:func:`seed_for` derives stable per-config seeds from a base seed), so
-  the same configs give byte-identical results at any ``--jobs`` level;
+- **deterministic seeding** — randomness must flow only from the config,
+  so the same configs give byte-identical results at any ``--jobs``
+  level;
 - **graceful fallback** — ``jobs=1``, a single config, a platform
   without ``fork``, or a pool-startup failure all degrade to a plain
   serial loop with identical results;
@@ -29,9 +29,7 @@ import os
 import sys
 from typing import Callable, Iterable, List, Optional, TypeVar
 
-from ..sim.rng import stable_hash
-
-__all__ = ["available_jobs", "run_parallel", "seed_for"]
+__all__ = ["available_jobs", "run_parallel"]
 
 ConfigT = TypeVar("ConfigT")
 ResultT = TypeVar("ResultT")
@@ -48,17 +46,6 @@ def available_jobs() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except AttributeError:  # platforms without affinity (macOS, Windows)
         return os.cpu_count() or 1
-
-
-def seed_for(base_seed: int, index: int) -> int:
-    """A stable, well-mixed per-config seed.
-
-    Adjacent small integers make poor PRNG seeds; this mixes
-    ``(base_seed, index)`` through the same splitmix64 finalizer ECMP
-    hashing uses, so config ``i`` sees the same stream no matter which
-    process runs it or in which order.
-    """
-    return stable_hash(base_seed, index) & 0x7FFFFFFF
 
 
 def run_parallel(

@@ -57,7 +57,7 @@ from .link import Link
 from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..ecn.service_pool import BufferPool
+    from .sharedbuf import PortBufferAccount
 
 __all__ = ["Port"]
 
@@ -121,7 +121,7 @@ class Port:
         marker: Optional[Marker] = None,
         buffer_packets: Optional[int] = None,
         name: str = "port",
-        pool: Optional["BufferPool"] = None,
+        pool: Optional["PortBufferAccount"] = None,
     ):
         self.sim = sim
         self.link = link
@@ -131,7 +131,8 @@ class Port:
         self.name = name
         #: Drop-tail capacity in packets (None = unbounded).
         self.buffer_packets = buffer_packets
-        #: Optional shared service pool this port's buffer draws from.
+        #: This port's account with the switch's shared buffer, if its
+        #: buffer draws from one (None: a private buffer only).
         self.pool = pool
         self._packet_count = 0
         self._byte_count = 0
@@ -226,7 +227,7 @@ class Port:
         if self.buffer_packets is not None and count >= self.buffer_packets:
             return self._drop(queue_index, packet)
         pool = self.pool
-        if pool is not None and not pool.admits(count):
+        if pool is not None and not pool.admits():
             # ``admits`` is a pure query; the pool's rejection statistic
             # is charged here, at the drop site, so speculative callers
             # (metrics probes, invariant checks) cannot corrupt it.  A port
@@ -375,10 +376,10 @@ class Port:
         self.busy = False
         self._in_service = None
         if self.pool is not None and self._packet_count:
-            # Through the pool's credit API — never by mutating its
-            # counters directly — so the negative-accounting guard and
-            # any policy bookkeeping (shared-buffer per-port accounts)
-            # see the bulk return like any other credit.
+            # Through the account's credit API — never by mutating its
+            # counters directly — so the negative-accounting guards and
+            # the shared totals see the bulk return like any other
+            # credit.
             self.pool.credit(self._packet_count, self._byte_count)
         # Occupancy counters are zeroed before the scheduler drops its
         # packets so the scheduler's ``clear_observer`` never sees the

@@ -3,18 +3,13 @@
 Real datacenter switches do not give every output port a private
 buffer: all ports of a chip draw from one shared memory pool, and a
 *buffer-sharing policy* decides how much of it any single port may
-occupy.  The per-service :class:`~repro.ecn.service_pool.BufferPool`
-models the pool as one global counter — good enough for pool-level
-*marking*, but wrong for admission policies like Choudhury–Hahne
-Dynamic Threshold, whose ``alpha × free`` limit is defined per *port*.
-This module generalizes it:
+occupy.  This module is the simulator's one model of that memory:
 
 - :class:`SharedBuffer` owns the switch-wide capacity and the totals;
-- every member port holds a :class:`PortBufferAccount` — a
-  :class:`~repro.ecn.service_pool.BufferPool`-compatible object the
-  port debits/credits, so the shared layer tracks each port's occupancy
-  individually (and the auditor can prove Σ per-port debits == pool
-  occupancy at every event);
+- every member port holds a :class:`PortBufferAccount` in its ``pool``
+  slot, which the port debits/credits, so the shared layer tracks each
+  port's occupancy individually (and the auditor can prove Σ per-port
+  debits == pool occupancy at every event);
 - a :class:`SharingPolicy` decides admission from the totals *and* the
   admitting port's own account.
 
@@ -39,9 +34,8 @@ Policies
   delay-driven sharing beats occupancy-driven DT.
 
 Every policy decision is a **pure** function of the account/pool
-counters, preserving the ``admits()`` purity contract of
-:class:`~repro.ecn.service_pool.BufferPool` (speculative callers — the
-auditor, metrics probes — never perturb state).
+counters: speculative callers of ``admits()`` — the auditor, metrics
+probes — never perturb state.
 
 Zero cost when disabled: a port built without an account keeps
 ``pool=None`` and the datapath is byte-for-byte the pre-shared-buffer
@@ -125,12 +119,8 @@ class StaticPartitionPolicy(SharingPolicy):
 class DynamicThresholdPolicy(SharingPolicy):
     """Choudhury–Hahne DT enforced against the *port's own* occupancy.
 
-    The limit ``alpha × free`` is per port: unlike
-    :class:`~repro.ecn.service_pool.DynamicThresholdPool` (which only
-    ever sees the admitting port's private count as a call argument),
-    the shared layer knows every member's occupancy, so the threshold
-    governs each port individually while ``free`` reflects the whole
-    pool.
+    The limit ``alpha × free`` governs each port individually while
+    ``free`` reflects the whole pool.
     """
 
     name = "dt"
@@ -212,13 +202,11 @@ def _make_policy(policy: str, alpha: float,
 class PortBufferAccount:
     """One port's ledger against a :class:`SharedBuffer`.
 
-    Duck-type compatible with :class:`~repro.ecn.service_pool.BufferPool`
-    (``admits``/``add``/``remove``/``credit``, ``packet_count``/
-    ``byte_count``/``rejections``/``name``), so
-    :class:`~repro.net.port.Port` uses it through the existing ``pool``
-    slot with zero datapath changes.  Every mutation updates the account
-    *and* the shared totals; both carry negative-accounting guards, so a
-    double credit (the old ``Port.reset`` bug) trips immediately.
+    :class:`~repro.net.port.Port` holds it in its ``pool`` slot and
+    calls ``admits``/``add``/``remove``/``credit``; an account belongs
+    to exactly one port.  Every mutation updates the account *and* the
+    shared totals; both carry negative-accounting guards, so a double
+    credit (the old ``Port.reset`` bug) trips immediately.
     """
 
     __slots__ = ("shared", "name", "drain_bps", "packet_count",
@@ -235,14 +223,14 @@ class PortBufferAccount:
         #: Failed admissions, charged by the port at the drop site.
         self.rejections = 0
 
-    def admits(self, port_occupancy: int) -> bool:
-        """Pure admission query, delegated to the sharing policy.
+    def admits(self) -> bool:
+        """May this account's port admit one more packet right now?
 
-        The policy reads this account's *own* per-port ledger — the
-        ``port_occupancy`` argument of the
-        :class:`~repro.ecn.service_pool.BufferPool` protocol is
-        redundant here (the two are equal by construction; the auditor
-        cross-checks that invariant on every event).
+        A **pure** query, delegated to the sharing policy, which reads
+        this account's own ledger (equal to its port's occupancy; the
+        auditor cross-checks that on every event).  The drop site —
+        :meth:`repro.net.port.Port.enqueue` — charges ``rejections``
+        when an actual admission fails.
         """
         return self.shared.policy.admits(self.shared, self)
 

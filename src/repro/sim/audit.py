@@ -16,7 +16,9 @@ Validators
   delta, and its cumulative ``tx_packets``/``drops`` must match the
   reported counts.
 - **port ↔ link conservation**: every transmitted packet is either
-  delivered or lost by the attached link.
+  delivered or lost by the attached link, and a packet that departs
+  while the link is down is charged to its ``lost_down`` counter (the
+  conservation equation then leaves ``packets_delivered`` unchanged).
 - **link drop accounting** (chaos runs): every packet a link loses —
   downed wire, injected loss model, CRC corruption, killed in flight by
   ``set_down`` — is reported through :meth:`FabricAuditor.on_link_drop`
@@ -29,15 +31,12 @@ Validators
   occupies the buffer).  A packet passed straight through an idle port
   never sat in the scheduler: it is the in-service packet already when
   the port reports it admitted.
-- **pool debit/credit balance**: a shared pool's count must equal the
-  sum over its audited member ports (plus any residual recorded when the
-  members were attached).
-- **shared-buffer conservation** (fabric-wide): for a
+- **shared-buffer conservation**: a port's
+  :class:`~repro.net.sharedbuf.PortBufferAccount` must equal its own
+  occupancy (credits happen exactly once, on tx/reset); for each
   :class:`~repro.net.sharedbuf.SharedBuffer`, the switch-wide totals
   must equal the sum of every per-port account at all times (Σ per-port
-  debits == pool occupancy), each account must equal its own port's
-  occupancy (credits happen exactly once, on tx/drop/reset), and the
-  totals may never exceed the configured capacity.
+  debits == pool occupancy) and may never exceed the capacity.
 - **transport invariants** (per watched flow): ``snd_una`` is monotone
   and never exceeds ``next_seq``; ``cwnd >= 1``; Karn's rule — an ACK of
   a retransmitted segment changes no RTT state; the receiver's
@@ -149,7 +148,7 @@ class _PortAudit:
         "base_occ_packets", "base_occ_bytes", "base_tx_packets",
         "base_tx_bytes", "base_drops", "base_delivered", "base_lost",
         "attach_delivered", "transit_ce", "link_drops",
-        "marker_thresholds",
+        "marker_thresholds", "base_lost_down", "down_departures",
     )
 
     def __init__(self, port: "Port"):
@@ -187,6 +186,9 @@ class _PortAudit:
         self.base_drops = port.drops
         self.base_delivered = port.link.packets_delivered
         self.base_lost = port.link.packets_lost
+        self.base_lost_down = port.link.lost_down
+        #: Departures seen while the link was down.
+        self.down_departures = 0
         self.link_drops.clear()
 
 
@@ -213,10 +215,6 @@ class FabricAuditor:
         #: Drops reported by links no audited port owns (bare-link
         #: tests); counted but not cross-checked.
         self.unattached_link_drops = 0
-        #: pool -> (packet residual, byte residual) at member attach time.
-        self._pool_residuals: Dict[Any, Tuple[int, int]] = {}
-        #: Switch-wide SharedBuffers discovered behind port accounts.
-        self._shared_buffers: List[Any] = []
         self._hosts: List[Any] = []
         self._switches: List[Any] = []
         self._base_host_received: List[int] = []
@@ -244,11 +242,6 @@ class FabricAuditor:
         port.scheduler.clear_observer = (
             lambda _port=port: self._on_scheduler_clear(_port)
         )
-        if port.pool is not None:
-            self._rebalance_pool(port.pool)
-            shared = getattr(port.pool, "shared", None)
-            if shared is not None and shared not in self._shared_buffers:
-                self._shared_buffers.append(shared)
 
     def attach_network(self, network: "Network") -> None:
         """Attach every switch port and host NIC of a built topology."""
@@ -352,6 +345,14 @@ class FabricAuditor:
         if packet.ce and not packet.ect:
             self._fail("ecn-legality", port.name,
                        ("packet.ce", True), ("packet.ect", False), event)
+        link = port.link
+        if not link.up:
+            state.down_departures += 1
+            charged = link.lost_down - state.base_lost_down
+            if charged != state.down_departures:
+                self._fail("downed-link-delivery", link.name,
+                           ("departures while down", state.down_departures),
+                           ("link.lost_down delta", charged), event)
         entry_ce = state.transit_ce.pop(packet, None)
         if entry_ce is False and packet.ce:
             from ..ecn.base import MarkPoint
@@ -369,8 +370,7 @@ class FabricAuditor:
         event = f"drop(queue={queue_index}, {_name(packet)})"
         buffer_full = (port.buffer_packets is not None
                        and port._packet_count >= port.buffer_packets)
-        pool_reject = (port.pool is not None
-                       and not port.pool.admits(port._packet_count))
+        pool_reject = port.pool is not None and not port.pool.admits()
         if not (buffer_full or pool_reject):
             self._fail("unjustified-drop", port.name,
                        ("occupancy", port._packet_count),
@@ -534,41 +534,19 @@ class FabricAuditor:
             self._fail("link-drop-ledger", name,
                        ("drop reports by reason", ledger),
                        ("link.packets_lost delta", lost), event)
-        # Pool debit/credit balance.
-        if port.pool is not None:
-            self._check_pool(port.pool, event)
-            shared = getattr(port.pool, "shared", None)
-            if shared is not None:
-                self._check_shared(shared, event)
-
-    def _member_sums(self, pool) -> Tuple[int, int]:
-        packets = bytes_ = 0
-        for port in self._ports:
-            if port.pool is pool:
-                packets += port._packet_count
-                bytes_ += port._byte_count
-        return packets, bytes_
-
-    def _rebalance_pool(self, pool) -> None:
-        """Record the pool residual not explained by audited members."""
-        packets, bytes_ = self._member_sums(pool)
-        self._pool_residuals[pool] = (pool.packet_count - packets,
-                                      pool.byte_count - bytes_)
-
-    def _check_pool(self, pool, event: str) -> None:
-        self.checks += 1
-        residual_packets, residual_bytes = self._pool_residuals[pool]
-        packets, bytes_ = self._member_sums(pool)
-        if pool.packet_count != packets + residual_packets:
-            self._fail("pool-balance", pool.name,
-                       ("pool.packet_count", pool.packet_count),
-                       ("sum of member ports + residual",
-                        packets + residual_packets), event)
-        if pool.byte_count != bytes_ + residual_bytes:
-            self._fail("pool-balance-bytes", pool.name,
-                       ("pool.byte_count", pool.byte_count),
-                       ("sum of member ports + residual",
-                        bytes_ + residual_bytes), event)
+        # Shared-buffer account == this port's own occupancy.
+        account = port.pool
+        if account is not None:
+            self.checks += 1
+            if account.packet_count != port._packet_count:
+                self._fail("pool-balance", account.name,
+                           ("account.packet_count", account.packet_count),
+                           ("port._packet_count", port._packet_count), event)
+            if account.byte_count != port._byte_count:
+                self._fail("pool-balance-bytes", account.name,
+                           ("account.byte_count", account.byte_count),
+                           ("port._byte_count", port._byte_count), event)
+            self._check_shared(account.shared, event)
 
     def _check_shared(self, shared, event: str) -> None:
         """Fabric-wide conservation for one switch-wide SharedBuffer.
@@ -577,8 +555,8 @@ class FabricAuditor:
         event (a packet credited twice — the old ``Port.reset`` bypass —
         or never credited diverges them immediately), and the totals may
         never exceed the configured capacity.  The companion per-account
-        rule (account == its port's own occupancy) rides the generic
-        :meth:`_check_pool` run on each member account.
+        rule (account == its port's own occupancy) is checked with each
+        audited port.
         """
         self.checks += 1
         packets = sum(a.packet_count for a in shared.accounts)
@@ -604,7 +582,8 @@ class FabricAuditor:
         self._check_port(port, self._ports[port], "verify_port")
 
     def verify_fabric(self) -> int:
-        """Verify every attached port, pool, and global conservation.
+        """Verify every attached port (and the shared buffer behind its
+        account), and global conservation.
 
         Global conservation over the audited fabric: every packet a link
         delivered was received by a host or forwarded by a switch, up to
@@ -614,10 +593,6 @@ class FabricAuditor:
         """
         for port, state in self._ports.items():
             self._check_port(port, state, "verify_fabric")
-        for pool in self._pool_residuals:
-            self._check_pool(pool, "verify_fabric")
-        for shared in self._shared_buffers:
-            self._check_shared(shared, "verify_fabric")
         if self._hosts or self._switches:
             self.checks += 1
             delivered = sum(

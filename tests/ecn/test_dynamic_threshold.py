@@ -1,47 +1,38 @@
-"""Unit tests for the Choudhury–Hahne dynamic-threshold pool."""
+"""Choudhury–Hahne dynamic-threshold sharing on ports' own accounts."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.ecn.service_pool import BufferPool, DynamicThresholdPool
-from repro.net.link import Link
 from repro.net.packet import make_data
-from repro.net.port import Port
-from repro.scheduling.fifo import FifoScheduler
+from repro.net.sharedbuf import (CompleteSharingPolicy,
+                                 DynamicThresholdPolicy, SharedBuffer)
+from tests.pooling import open_account, pooled_port
 
 
-class Sink:
-    name = "sink"
-
-    def receive(self, packet):
-        pass
-
-
-def pooled_port(sim, pool):
-    return Port(sim, Link(sim, 1e9, 1e-6, Sink()), FifoScheduler(1),
-                pool=pool)
+def dt_buffer(capacity, alpha=1.0):
+    return SharedBuffer(capacity, DynamicThresholdPolicy(alpha))
 
 
 class TestDynamicThreshold:
     def test_validation(self):
         with pytest.raises(ValueError):
-            DynamicThresholdPool(0)
+            dt_buffer(0)
         with pytest.raises(ValueError):
-            DynamicThresholdPool(100, alpha=0.0)
+            dt_buffer(100, alpha=0.0)
 
     def test_threshold_shrinks_as_pool_fills(self):
-        pool = DynamicThresholdPool(100, alpha=1.0)
-        assert pool.threshold() == 100.0
+        shared = dt_buffer(100, alpha=1.0)
+        assert shared.policy.threshold(shared) == 100.0
+        account = open_account(shared)
         for _ in range(40):
-            pool.add(1500)
-        assert pool.threshold() == 60.0
+            account.add(1500)
+        assert shared.policy.threshold(shared) == 60.0
 
     def test_single_port_self_limits(self, sim):
         # With alpha=1, a lone hog converges to half the buffer:
         # occupancy == alpha * (capacity - occupancy).
-        pool = DynamicThresholdPool(100, alpha=1.0)
-        port = pooled_port(sim, pool)
+        port, _ = pooled_port(sim, dt_buffer(100, alpha=1.0))
         admitted = 0
         for seq in range(100):
             if port.enqueue(make_data(1, 0, 1, seq), 0):
@@ -50,8 +41,7 @@ class TestDynamicThreshold:
 
     def test_alpha_controls_the_limit(self, sim):
         # alpha/(1+alpha) of the buffer: alpha=4 -> 80%.
-        pool = DynamicThresholdPool(100, alpha=4.0)
-        port = pooled_port(sim, pool)
+        port, _ = pooled_port(sim, dt_buffer(100, alpha=4.0))
         admitted = sum(
             1 for seq in range(100) if port.enqueue(make_data(1, 0, 1, seq), 0)
         )
@@ -59,29 +49,29 @@ class TestDynamicThreshold:
 
     def test_second_port_still_admitted_after_hog(self, sim):
         # The defining property: the hog's self-limit leaves headroom.
-        pool = DynamicThresholdPool(100, alpha=1.0)
-        hog = pooled_port(sim, pool)
-        other = pooled_port(sim, pool)
+        shared = dt_buffer(100, alpha=1.0)
+        hog, _ = pooled_port(sim, shared, "hog")
+        other, _ = pooled_port(sim, shared, "other")
         for seq in range(100):
             hog.enqueue(make_data(1, 0, 1, seq), 0)
         assert other.enqueue(make_data(2, 0, 1, 0), 0)
 
     def test_complete_sharing_does_not_leave_headroom(self, sim):
         # Contrast: a plain capped pool lets the hog take everything.
-        pool = BufferPool(100)
-        hog = pooled_port(sim, pool)
-        other = pooled_port(sim, pool)
+        shared = SharedBuffer(100, CompleteSharingPolicy())
+        hog, _ = pooled_port(sim, shared, "hog")
+        other, _ = pooled_port(sim, shared, "other")
         for seq in range(100):
             hog.enqueue(make_data(1, 0, 1, seq), 0)
         assert not other.enqueue(make_data(2, 0, 1, 0), 0)
 
     def test_rejections_counted(self, sim):
-        pool = DynamicThresholdPool(10, alpha=1.0)
-        port = pooled_port(sim, pool)
+        shared = dt_buffer(10, alpha=1.0)
+        port, _ = pooled_port(sim, shared)
         for seq in range(20):
             port.enqueue(make_data(1, 0, 1, seq), 0)
-        assert pool.rejections > 0
-        assert port.drops == pool.rejections
+        assert shared.rejections > 0
+        assert port.drops == shared.rejections
 
 
 class TestAdmitsIsPure:
@@ -90,26 +80,26 @@ class TestAdmitsIsPure:
     drop-legality check) corrupted the rejection statistic."""
 
     @pytest.mark.parametrize("pool_factory", [
-        lambda: BufferPool(capacity_packets=1),
-        lambda: DynamicThresholdPool(1, alpha=1.0),
+        lambda: SharedBuffer(1, CompleteSharingPolicy()),
+        lambda: dt_buffer(1, alpha=1.0),
     ])
     def test_probing_admits_does_not_count(self, sim, pool_factory):
-        pool = pool_factory()
-        port = pooled_port(sim, pool)
+        port, _ = pooled_port(sim, pool_factory())
+        account = port.pool
         port.enqueue(make_data(1, 0, 1, 0), 0)
-        before = pool.rejections
+        before = account.rejections
         for _ in range(50):
-            assert not pool.admits(port.packet_count)
-        assert pool.rejections == before
+            assert not account.admits()
+        assert account.rejections == before
 
     def test_rejection_count_pinned_under_probing(self, sim):
         # Interleave speculative probes with real enqueues: only the
         # actual drops may count.
-        pool = DynamicThresholdPool(10, alpha=1.0)
-        port = pooled_port(sim, pool)
+        port, _ = pooled_port(sim, dt_buffer(10, alpha=1.0))
+        account = port.pool
         for seq in range(20):
-            pool.admits(port.packet_count)  # probe
+            account.admits()  # probe
             port.enqueue(make_data(1, 0, 1, seq), 0)
-            pool.admits(port.packet_count)  # probe again
-        assert pool.rejections > 0
-        assert port.drops == pool.rejections
+            account.admits()  # probe again
+        assert account.rejections > 0
+        assert port.drops == account.rejections

@@ -4,73 +4,75 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ecn.service_pool import BufferPool, ServicePoolMarker
-from repro.net.link import Link
+from repro.ecn.service_pool import ServicePoolMarker
 from repro.net.packet import make_data
-from repro.net.port import Port
-from repro.scheduling.fifo import FifoScheduler
+from repro.net.sharedbuf import SharedBuffer
+from tests.pooling import open_account, pooled_port
 
 
-class Sink:
-    name = "sink"
-
-    def receive(self, packet):
-        pass
-
-
-def pooled_port(sim, pool, marker=None):
-    return Port(sim, Link(sim, 1e9, 1e-6, Sink()), FifoScheduler(1),
-                marker, pool=pool)
+def pool_and_account(capacity=100):
+    pool = SharedBuffer(capacity)
+    return pool, open_account(pool)
 
 
 class TestBufferPool:
+    """The pool's ledger, driven through one member's account."""
+
     def test_add_remove(self):
-        pool = BufferPool()
-        pool.add(1000)
-        pool.add(500)
-        assert pool.packet_count == 2
-        assert pool.byte_count == 1500
-        pool.remove(1000)
-        assert pool.packet_count == 1
+        pool, account = pool_and_account()
+        account.add(1000)
+        account.add(500)
+        assert pool.packet_count == account.packet_count == 2
+        assert pool.byte_count == account.byte_count == 1500
+        account.remove(1000)
+        assert pool.packet_count == account.packet_count == 1
 
     def test_negative_accounting_guard(self):
-        pool = BufferPool()
-        pool.add(100)
-        pool.remove(100)
+        _pool, account = pool_and_account()
+        account.add(100)
+        account.remove(100)
         with pytest.raises(RuntimeError):
-            pool.remove(100)
+            account.remove(100)
 
     def test_bulk_credit(self):
-        pool = BufferPool()
+        pool, account = pool_and_account()
         for _ in range(3):
-            pool.add(1000)
-        pool.credit(3, 3000)
+            account.add(1000)
+        account.credit(3, 3000)
         assert pool.packet_count == 0
         assert pool.byte_count == 0
 
     def test_credit_guards_bytes_too(self):
-        pool = BufferPool()
-        pool.add(100)
+        _pool, account = pool_and_account()
+        account.add(100)
         with pytest.raises(RuntimeError, match="negative"):
-            pool.credit(1, 200)
+            account.credit(1, 200)
 
     def test_over_credit_packets_raises(self):
-        pool = BufferPool()
-        pool.add(100)
+        _pool, account = pool_and_account()
+        account.add(100)
         with pytest.raises(RuntimeError, match="negative"):
-            pool.credit(2, 100)
+            account.credit(2, 100)
 
     def test_capacity(self):
-        pool = BufferPool(capacity_packets=1)
+        pool, account = pool_and_account(capacity=1)
         assert not pool.is_full
-        pool.add(100)
+        account.add(100)
         assert pool.is_full
 
-    def test_unbounded_never_full(self):
-        pool = BufferPool()
-        for _ in range(100):
-            pool.add(1)
-        assert not pool.is_full
+    def test_unbounded_never_full(self, sim):
+        # A pool is always finite; one as deep as its members' own
+        # buffers (the service-pool experiment's) never binds: the
+        # ports drop on their buffers first.
+        pool = SharedBuffer(4)
+        ports = [pooled_port(sim, pool, name, buffer_packets=2)[0]
+                 for name in ("a", "b")]
+        for port in ports:
+            for seq in range(5):
+                port.enqueue(make_data(1, 0, 1, seq), 0)
+        assert pool.packet_count == 4
+        assert [port.drops for port in ports] == [3, 3]
+        assert pool.rejections == 0
 
 
 class TestServicePoolMarker:
@@ -78,10 +80,10 @@ class TestServicePoolMarker:
         # Traffic through port A pushes the pool over the threshold; a
         # packet through port B gets marked — the cross-port interference
         # the paper predicts for per-service-pool marking.
-        pool = BufferPool()
+        pool = SharedBuffer(100)
         marker_b = ServicePoolMarker(pool, threshold_packets=3.0)
-        port_a = pooled_port(sim, pool)
-        port_b = pooled_port(sim, pool, marker_b)
+        port_a, _ = pooled_port(sim, pool, "a")
+        port_b, _ = pooled_port(sim, pool, "b", marker=marker_b)
         for seq in range(3):
             port_a.enqueue(make_data(1, 0, 1, seq), 0)
         victim = make_data(2, 0, 1, 0)
@@ -89,13 +91,13 @@ class TestServicePoolMarker:
         assert victim.ce is True
 
     def test_no_mark_below_threshold(self, sim):
-        pool = BufferPool()
+        pool = SharedBuffer(100)
         marker = ServicePoolMarker(pool, threshold_packets=5.0)
-        port = pooled_port(sim, pool, marker)
+        port, _ = pooled_port(sim, pool, marker=marker)
         packet = make_data(1, 0, 1, 0)
         port.enqueue(packet, 0)
         assert packet.ce is False
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            ServicePoolMarker(BufferPool(), -1.0)
+            ServicePoolMarker(SharedBuffer(100), -1.0)

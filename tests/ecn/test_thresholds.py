@@ -24,11 +24,12 @@ from repro.ecn.per_port import PerPortMarker
 from repro.ecn.per_queue import PerQueueMarker
 from repro.ecn.phantom import PhantomQueueMarker
 from repro.ecn.red import RedMarker
-from repro.ecn.service_pool import BufferPool, ServicePoolMarker
+from repro.ecn.service_pool import ServicePoolMarker
 from repro.ecn.tcn import TcnMarker
 from repro.net.link import Link
 from repro.net.packet import MTU_BYTES, make_data
 from repro.net.port import Port
+from repro.net.sharedbuf import SharedBuffer
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.audit import FabricAuditor, InvariantViolation
 
@@ -66,7 +67,7 @@ CASES = [
          lambda m: setattr(m, "sojourn_threshold", 5.0)),
     Case("phantom", lambda: PhantomQueueMarker(1e15),
          lambda m: setattr(m, "threshold_bytes", 5.0)),
-    Case("service-pool", lambda: ServicePoolMarker(BufferPool(), 1000.0),
+    Case("service-pool", lambda: ServicePoolMarker(SharedBuffer(2000), 1000.0),
          lambda m: setattr(m, "threshold_packets", 5.0)),
 ]
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import pytest
 
-from repro.experiments.runner import available_jobs, run_parallel, seed_for
+from repro.experiments.runner import available_jobs, run_parallel
 
 
 def square(x):
@@ -23,24 +24,21 @@ def seeded_stream(config):
     import random
 
     base_seed, index = config
-    rng = random.Random(seed_for(base_seed, index))
+    rng = random.Random(f"{base_seed}/{index}")
     return [rng.random() for _ in range(5)]
 
 
-class TestSeedFor:
-    def test_stable_across_calls(self):
-        assert seed_for(42, 7) == seed_for(42, 7)
+#: ``(parent pid, barrier)`` for :func:`meet_peer`, set by the test
+#: before the pool forks so the workers inherit it.
+_RENDEZVOUS = None
 
-    def test_distinct_per_index(self):
-        seeds = {seed_for(42, index) for index in range(100)}
-        assert len(seeds) == 100
 
-    def test_distinct_per_base(self):
-        assert seed_for(1, 0) != seed_for(2, 0)
-
-    def test_fits_in_signed_32_bits(self):
-        for index in range(100):
-            assert 0 <= seed_for(123456789, index) < 2**31
+def meet_peer(_config):
+    """Return from a worker only once another task is in flight too."""
+    parent, barrier = _RENDEZVOUS
+    if os.getpid() != parent:
+        barrier.wait(timeout=60)
+    return os.getpid()
 
 
 class TestRunParallel:
@@ -64,11 +62,15 @@ class TestRunParallel:
     def test_single_config_stays_in_process(self):
         assert run_parallel([7], pid_of, jobs=8) == [os.getpid()]
 
-    def test_parallel_uses_worker_processes(self):
-        pids = run_parallel(range(8), pid_of, jobs=4)
+    def test_parallel_uses_worker_processes(self, monkeypatch):
+        # Each task waits at a two-party barrier, so both must run at
+        # once in two workers; run one after the other they time out.
+        monkeypatch.setattr(f"{__name__}._RENDEZVOUS",
+                            (os.getpid(), multiprocessing.Barrier(2)))
+        pids = run_parallel(range(2), meet_peer, jobs=2)
         if os.getpid() in pids:
             pytest.skip("platform fell back to serial execution")
-        assert len(set(pids)) >= 2
+        assert len(set(pids)) == 2
 
     def test_results_identical_across_job_counts(self):
         configs = [(42, index) for index in range(12)]

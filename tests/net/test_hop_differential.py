@@ -26,12 +26,13 @@ from repro.ecn.per_port import PerPortMarker
 from repro.ecn.per_queue import PerQueueMarker
 from repro.ecn.phantom import PhantomQueueMarker
 from repro.ecn.red import RedMarker
-from repro.ecn.service_pool import BufferPool, ServicePoolMarker
+from repro.ecn.service_pool import ServicePoolMarker
 from repro.ecn.tcn import TcnMarker
 from repro.metrics.queue_trace import QueueOccupancyTrace
 from repro.net.link import Link
 from repro.net.packet import ACK_BYTES, MTU_BYTES, Packet, make_data
 from repro.net.port import Port
+from repro.net.sharedbuf import SharedBuffer
 from repro.net.tracing import PacketTrace
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.scheduling.fifo import FifoScheduler
@@ -155,11 +156,13 @@ def run(slow, scheduler, marker, point, pattern, actions=(), observed=False):
     """
     sim = Simulator(slow_path=slow)
     log, probes = [], []
-    pool = BufferPool(capacity_packets=10)
+    pool = SharedBuffer(10)
     factory, _points = MARKERS[marker]
-    port = Port(sim, Link(sim, RATE, 1e-6, _Sink(sim, log)),
-                SCHEDULERS[scheduler](), factory(point, pool),
-                buffer_packets=8, pool=pool if marker == "pool" else None)
+    link = Link(sim, RATE, 1e-6, _Sink(sim, log))
+    port = Port(sim, link, SCHEDULERS[scheduler](), factory(point, pool),
+                buffer_packets=8,
+                pool=pool.port_account("port", link) if marker == "pool"
+                else None)
     passed = []
     pass_through = port.scheduler.pass_through
 

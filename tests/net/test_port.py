@@ -7,17 +7,18 @@ import math
 import pytest
 
 from repro.ecn.base import Marker, MarkPoint
-from repro.ecn.service_pool import BufferPool, DynamicThresholdPool
 from repro.sim.audit import FabricAuditor
 from repro.metrics.throughput import ThroughputMeter
 from repro.sim.engine import Simulator
 from repro.net.link import Link
 from repro.net.packet import make_data
 from repro.net.port import Port
+from repro.net.sharedbuf import DynamicThresholdPolicy, SharedBuffer
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.scheduling.fifo import FifoScheduler
 from repro.scheduling.hybrid import SpWfqScheduler
 from repro.scheduling.wfq import WfqScheduler
+from tests.pooling import pooled_port
 
 
 class Sink:
@@ -30,14 +31,14 @@ class Sink:
         self.received.append(packet)
 
 
-def make_port(sim, n_queues=1, marker=None, buffer_packets=None, pool=None,
+def make_port(sim, n_queues=1, marker=None, buffer_packets=None,
               bandwidth=1e9, delay=1e-6, scheduler=None):
     sink = Sink()
     link = Link(sim, bandwidth, delay, sink)
     if scheduler is None:
         scheduler = FifoScheduler(n_queues)
     port = Port(sim, link, scheduler, marker,
-                buffer_packets=buffer_packets, pool=pool)
+                buffer_packets=buffer_packets)
     return port, sink
 
 
@@ -266,8 +267,8 @@ class TestListeners:
 
 class TestPoolIntegration:
     def test_pool_accounting(self, sim):
-        pool = BufferPool()
-        port, _sink = make_port(sim, pool=pool)
+        pool = SharedBuffer(100)
+        port, _sink = pooled_port(sim, pool)
         port.enqueue(make_data(1, 0, 1, 0, size=1000), 0)
         assert pool.packet_count == 1
         assert pool.byte_count == 1000
@@ -276,9 +277,9 @@ class TestPoolIntegration:
         assert pool.byte_count == 0
 
     def test_full_pool_rejects(self, sim):
-        pool = BufferPool(capacity_packets=1)
-        port_a, _ = make_port(sim, pool=pool)
-        port_b, _ = make_port(sim, pool=pool)
+        pool = SharedBuffer(1)
+        port_a, _ = pooled_port(sim, pool, "a")
+        port_b, _ = pooled_port(sim, pool, "b")
         assert port_a.enqueue(make_data(1, 0, 1, 0), 0)
         assert not port_b.enqueue(make_data(2, 0, 1, 0), 0)
         assert port_b.drops == 1
@@ -328,9 +329,9 @@ class TestReset:
 
     @pytest.mark.parametrize("kind", sorted(SCHEDULERS))
     def test_reset_mid_burst_under_audit(self, sim, kind):
-        # Regression: reset used to bypass ``BufferPool.credit`` and
-        # mutate the pool counters directly — the negative-accounting
-        # guard could never catch a double credit, and pool subclasses
+        # Regression: reset used to bypass the pool's ``credit`` and
+        # mutate its counters directly — the negative-accounting guard
+        # could never catch a double credit, and the shared totals
         # never saw the bulk return.  Reset now routes through credit();
         # the auditor proves the ledgers stay balanced either side.
         def burst(port):
@@ -339,8 +340,8 @@ class TestReset:
                              seq % port.n_queues)
 
         auditor = FabricAuditor(sim)
-        pool = DynamicThresholdPool(100, alpha=8.0)
-        port, sink = make_port(sim, pool=pool, scheduler=SCHEDULERS[kind]())
+        pool = SharedBuffer(100, DynamicThresholdPolicy(8.0))
+        port, sink = pooled_port(sim, pool, scheduler=SCHEDULERS[kind]())
         auditor.attach_port(port)
         burst(port)
         sim.run(until=1e-6)  # mid-burst: port busy, buffer occupied
@@ -367,8 +368,8 @@ class TestReset:
         auditor.verify_fabric()
 
     def test_reset_credits_shared_pool(self, sim):
-        pool = BufferPool(capacity_packets=10)
-        port, _sink = make_port(sim, n_queues=2, pool=pool)
+        pool = SharedBuffer(10)
+        port, _sink = pooled_port(sim, pool, scheduler=FifoScheduler(2))
         port.enqueue(make_data(1, 0, 1, 0, service=0), 0)
         port.enqueue(make_data(2, 0, 1, 0, service=1), 1)
         assert pool.packet_count == 2

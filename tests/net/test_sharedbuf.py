@@ -15,31 +15,11 @@ from repro.net.sharedbuf import (BSharePolicy, CompleteSharingPolicy,
 from repro.scheduling.fifo import FifoScheduler
 from repro.sim.audit import FabricAuditor
 from repro.sim.rng import stable_digest
-
-
-class Sink:
-    name = "sink"
-
-    def __init__(self):
-        self.received = []
-
-    def receive(self, packet):
-        self.received.append(packet)
-
-
-class FakeLink:
-    """Just enough link for ``SharedBuffer.port_account``."""
-
-    def __init__(self, bandwidth=1e9):
-        self.bandwidth = bandwidth
+from tests.pooling import Sink, open_account, pooled_port
 
 
 def make_buffer(capacity=8, policy=None):
     return SharedBuffer(capacity, policy)
-
-
-def open_account(shared, name="p0", drain_bps=1e9):
-    return shared.port_account(name, FakeLink(drain_bps))
 
 
 def fill(account, packets, size=MTU_BYTES):
@@ -47,30 +27,21 @@ def fill(account, packets, size=MTU_BYTES):
         account.add(size)
 
 
-def shared_port(sim, shared, name="p0", rate=1e9, marker=None):
-    """A real Port debiting the shared buffer through its account."""
-    sink = Sink()
-    link = Link(sim, rate, 1e-6, sink)
-    account = shared.port_account(name, link)
-    port = Port(sim, link, FifoScheduler(1), marker, pool=account)
-    return port, sink
-
-
 class TestCompleteSharing:
     def test_admits_until_pool_full(self):
         shared = make_buffer(capacity=3, policy=CompleteSharingPolicy())
         account = open_account(shared)
         for _ in range(3):
-            assert account.admits(account.packet_count)
+            assert account.admits()
             account.add(MTU_BYTES)
-        assert not account.admits(account.packet_count)
+        assert not account.admits()
 
     def test_one_port_can_take_everything(self):
         shared = make_buffer(capacity=4, policy=CompleteSharingPolicy())
         hog = open_account(shared, "hog")
         victim = open_account(shared, "victim")
         fill(hog, 4)
-        assert not victim.admits(victim.packet_count)
+        assert not victim.admits()
 
 
 class TestStaticPartition:
@@ -79,8 +50,8 @@ class TestStaticPartition:
         a = open_account(shared, "a")
         b = open_account(shared, "b")
         fill(a, 4)  # a's quota: 8 / 2 ports
-        assert not a.admits(a.packet_count)
-        assert b.admits(b.packet_count)
+        assert not a.admits()
+        assert b.admits()
 
     def test_unused_quota_is_not_borrowable(self):
         shared = make_buffer(capacity=8, policy=StaticPartitionPolicy())
@@ -89,7 +60,7 @@ class TestStaticPartition:
         fill(a, 4)
         # Half the pool is free, but a hit its hard partition.
         assert shared.free_packets == 4
-        assert not a.admits(a.packet_count)
+        assert not a.admits()
 
 
 class TestDynamicThreshold:
@@ -97,7 +68,7 @@ class TestDynamicThreshold:
         # alpha/(1+alpha) of the buffer: alpha=1, capacity=8 -> 4.
         shared = make_buffer(capacity=8, policy=DynamicThresholdPolicy(1.0))
         hog = open_account(shared, "hog")
-        while hog.admits(hog.packet_count):
+        while hog.admits():
             hog.add(MTU_BYTES)
         assert hog.packet_count == 4
 
@@ -107,10 +78,10 @@ class TestDynamicThreshold:
         shared = make_buffer(capacity=8, policy=DynamicThresholdPolicy(1.0))
         hog = open_account(shared, "hog")
         victim = open_account(shared, "victim")
-        while hog.admits(hog.packet_count):
+        while hog.admits():
             hog.add(MTU_BYTES)
-        assert not hog.admits(hog.packet_count)
-        assert victim.admits(victim.packet_count)
+        assert not hog.admits()
+        assert victim.admits()
 
     def test_higher_alpha_means_deeper_claim(self):
         limits = []
@@ -118,7 +89,7 @@ class TestDynamicThreshold:
             shared = make_buffer(capacity=60,
                                  policy=DynamicThresholdPolicy(alpha))
             hog = open_account(shared, "hog")
-            while hog.admits(hog.packet_count):
+            while hog.admits():
                 hog.add(MTU_BYTES)
             limits.append(hog.packet_count)
         assert limits == sorted(limits)
@@ -145,8 +116,8 @@ class TestBShare:
         slow = open_account(shared, "slow", drain_bps=1e9)
         fill(fast, 10)
         fill(slow, 10)  # 10 MTU at 1 Gb/s = 120 us > 100 us budget
-        assert fast.admits(fast.packet_count)
-        assert not slow.admits(slow.packet_count)
+        assert fast.admits()
+        assert not slow.admits()
 
     def test_budget_contracts_as_pool_fills(self):
         policy = BSharePolicy(target_delay=100e-6, min_budget_fraction=0.05)
@@ -168,7 +139,7 @@ class TestBShare:
         a = open_account(shared, "a", drain_bps=100e9)
         b = open_account(shared, "b", drain_bps=100e9)
         fill(a, 2)
-        assert not b.admits(b.packet_count)
+        assert not b.admits()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="target_delay"):
@@ -209,7 +180,7 @@ class TestAccounts:
         shared = make_buffer(capacity=2, policy=DynamicThresholdPolicy(1.0))
         account = open_account(shared)
         for _ in range(5):
-            account.admits(account.packet_count)
+            account.admits()
         assert account.packet_count == 0
         assert shared.packet_count == 0
         assert account.rejections == 0
@@ -351,7 +322,7 @@ class CountingMarker(Marker):
 class TestPortIntegration:
     def test_dt_port_drops_past_its_threshold(self, sim):
         shared = make_buffer(capacity=8, policy=DynamicThresholdPolicy(1.0))
-        port, _sink = shared_port(sim, shared)
+        port, _sink = pooled_port(sim, shared)
         for seq in range(12):
             port.enqueue(make_data(1, 0, 1, seq), 0)
         # Self-limit alpha/(1+alpha) * 8 = 4 admitted, the rest dropped
@@ -365,8 +336,8 @@ class TestPortIntegration:
 
     def test_two_ports_share_one_memory(self, sim):
         shared = make_buffer(capacity=8, policy=DynamicThresholdPolicy(1.0))
-        hog, _ = shared_port(sim, shared, "hog")
-        victim, _ = shared_port(sim, shared, "victim")
+        hog, _ = pooled_port(sim, shared, "hog")
+        victim, _ = pooled_port(sim, shared, "victim")
         for seq in range(12):
             hog.enqueue(make_data(1, 0, 1, seq), 0)
         assert hog.drops > 0
@@ -376,8 +347,8 @@ class TestPortIntegration:
     def test_audited_shared_ports_pass_verify_fabric(self, sim):
         shared = make_buffer(capacity=8, policy=DynamicThresholdPolicy(1.0))
         auditor = FabricAuditor(sim)
-        port_a, _ = shared_port(sim, shared, "a")
-        port_b, _ = shared_port(sim, shared, "b")
+        port_a, _ = pooled_port(sim, shared, "a")
+        port_b, _ = pooled_port(sim, shared, "b")
         auditor.attach_port(port_a)
         auditor.attach_port(port_b)
         for seq in range(6):
@@ -393,7 +364,7 @@ class TestPortIntegration:
         # shared account's pool totals drifted from the port's ledger.
         shared = make_buffer(capacity=32, policy=DynamicThresholdPolicy(4.0))
         auditor = FabricAuditor(sim)
-        port, _sink = shared_port(sim, shared)
+        port, _sink = pooled_port(sim, shared)
         auditor.attach_port(port)
         for seq in range(10):
             port.enqueue(make_data(1, 0, 1, seq), 0)

@@ -10,14 +10,15 @@ from __future__ import annotations
 import pytest
 
 from repro.ecn.base import Marker, MarkPoint, NullMarker
-from repro.ecn.service_pool import BufferPool
 from repro.net.link import Link
 from repro.net.packet import make_ack, make_data
 from repro.net.port import Port
+from repro.net.sharedbuf import DynamicThresholdPolicy, SharedBuffer
 from repro.scheduling.fifo import FifoScheduler
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.store.spec import RunConfig
 from repro.sim.audit import FabricAuditor, InvariantViolation
+from tests.pooling import pooled_port
 
 
 class Sink:
@@ -30,12 +31,12 @@ class Sink:
         self.received.append(packet)
 
 
-def make_port(sim, n_queues=1, marker=None, buffer_packets=None, pool=None,
+def make_port(sim, n_queues=1, marker=None, buffer_packets=None,
               bandwidth=1e9, delay=1e-6):
     sink = Sink()
     link = Link(sim, bandwidth, delay, sink)
     port = Port(sim, link, FifoScheduler(n_queues), marker,
-                buffer_packets=buffer_packets, pool=pool)
+                buffer_packets=buffer_packets)
     return port, sink
 
 
@@ -130,9 +131,8 @@ class TestHealthyTraffic:
         auditor.verify_fabric()
 
     def test_legit_pool_rejection_passes(self, sim):
-        pool = BufferPool(capacity_packets=1)
         auditor = FabricAuditor(sim)
-        port, _sink = make_port(sim, pool=pool)
+        port, _sink = pooled_port(sim, SharedBuffer(1))
         auditor.attach_port(port)
         port.enqueue(make_data(1, 0, 1, 0), 0)
         port.enqueue(make_data(1, 0, 1, 1), 0)  # pool rejects
@@ -207,6 +207,38 @@ class TestPortValidators:
             auditor.verify_port(port)
         assert err.value.counter == "link-conservation"
 
+    def test_downed_link_delivers_nothing(self, sim):
+        auditor, port, sink = audited_port(sim)
+        port.link.set_down()
+        for seq in range(3):
+            port.enqueue(make_data(1, 0, 1, seq), 0)
+        sim.run()
+        assert sink.received == []
+        assert port.link.lost_down == 3
+        assert port.link.packets_delivered == 0
+        auditor.verify_fabric()
+
+    def test_downed_link_delivery(self, sim):
+        class DeliversWhileDown(Link):
+            """A wire that ignores being down."""
+
+            __slots__ = ()
+
+            def deliver(self, packet):
+                self.packets_delivered += 1
+                self.sim.at(self.sim.now + self.delay, self._arrive,
+                            packet, self._epoch)
+
+        auditor = FabricAuditor(sim)
+        link = DeliversWhileDown(sim, 1e9, 1e-6, Sink())
+        port = Port(sim, link, FifoScheduler(1))
+        auditor.attach_port(port)
+        link.set_down()
+        port.enqueue(make_data(1, 0, 1, 0), 0)
+        with pytest.raises(InvariantViolation) as err:
+            sim.run()
+        assert err.value.counter == "downed-link-delivery"
+
     def test_unjustified_drop(self, sim):
         auditor, port, _sink = audited_port(sim)  # unbounded, no pool
         with pytest.raises(InvariantViolation) as err:
@@ -216,25 +248,25 @@ class TestPortValidators:
 
 class TestPoolValidators:
     def test_pool_balance(self, sim):
-        pool = BufferPool(capacity_packets=10)
         auditor = FabricAuditor(sim)
-        port, _sink = make_port(sim, pool=pool)
+        port, _sink = pooled_port(sim, SharedBuffer(10))
         auditor.attach_port(port)
         port.enqueue(make_data(1, 0, 1, 0), 0)
-        pool.packet_count += 1  # phantom pool debit
+        port.pool.packet_count += 1  # phantom debit on the port's account
         with pytest.raises(InvariantViolation) as err:
             auditor.verify_fabric()
         assert err.value.counter == "pool-balance"
 
     def test_residual_for_unaudited_member(self, sim):
-        # A port sharing the pool but not audited contributes a residual,
-        # not a violation.  (The residual is sampled at attach time, so
-        # the outsider's occupancy must stay put — its link is glacial.)
-        pool = BufferPool(capacity_packets=10)
+        # A port sharing the pool but not audited is no violation: its
+        # account still sums into the pool totals, and only audited
+        # ports' accounts are held to their occupancy.  (Its link is
+        # glacial, so it stays occupied throughout.)
+        pool = SharedBuffer(10)
         auditor = FabricAuditor(sim)
-        outsider, _ = make_port(sim, pool=pool, bandwidth=1.0)
+        outsider, _ = pooled_port(sim, pool, "outsider", bandwidth=1.0)
         outsider.enqueue(make_data(9, 0, 1, 0), 0)
-        port, _sink = make_port(sim, pool=pool)
+        port, _sink = pooled_port(sim, pool)
         auditor.attach_port(port)
         port.enqueue(make_data(1, 0, 1, 0), 0)
         sim.run(until=1e-3)  # audited port drains; outsider still serializing
@@ -243,15 +275,11 @@ class TestPoolValidators:
 
 class TestSharedBufferValidators:
     def _shared_port(self, sim, auditor, shared, name="p"):
-        sink = Sink()
-        link = Link(sim, 1e9, 1e-6, sink)
-        port = Port(sim, link, FifoScheduler(1), None,
-                    pool=shared.port_account(name, link))
+        port, _sink = pooled_port(sim, shared, name)
         auditor.attach_port(port)
         return port
 
     def test_clean_shared_traffic_passes(self, sim):
-        from repro.net.sharedbuf import DynamicThresholdPolicy, SharedBuffer
         shared = SharedBuffer(16, DynamicThresholdPolicy(1.0))
         auditor = FabricAuditor(sim)
         port_a = self._shared_port(sim, auditor, shared, "a")
@@ -263,7 +291,6 @@ class TestSharedBufferValidators:
         assert auditor.verify_fabric() > 0
 
     def test_phantom_shared_debit_fails_conservation(self, sim):
-        from repro.net.sharedbuf import SharedBuffer
         shared = SharedBuffer(16)
         auditor = FabricAuditor(sim)
         port = self._shared_port(sim, auditor, shared)
@@ -274,7 +301,6 @@ class TestSharedBufferValidators:
         assert err.value.counter == "sharedbuf-conservation"
 
     def test_occupancy_over_capacity_fails(self, sim):
-        from repro.net.sharedbuf import SharedBuffer
         shared = SharedBuffer(8)
         auditor = FabricAuditor(sim)
         port = self._shared_port(sim, auditor, shared)
