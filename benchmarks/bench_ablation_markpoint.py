@@ -10,36 +10,15 @@ at least not be hurt by) the earlier signal.
 from conftest import heading, run_once
 
 from repro.ecn.base import MarkPoint
-from repro.experiments.largescale import (PORT_THRESHOLD_PACKETS,
-                                          run_fct_point)
+from repro.experiments.largescale import run_fct_point
 from repro.experiments.scale import BENCH
 from repro.metrics.fct import SizeClass
 
 
 def test_markpoint_at_scale(benchmark):
-    import repro.experiments.largescale as ls
-
-    def point(mark_point):
-        # Parameterize the scheme factory by mark point through the
-        # scheme registry (the harness's default is enqueue).
-        original = ls.largescale_scheme
-
-        def patched(name, *args, **kwargs):
-            spec = original(name, *args, **kwargs)
-            if name == "pmsb":
-                from repro.core.pmsb import PmsbMarker
-                spec.marker_factory = lambda: PmsbMarker(
-                    PORT_THRESHOLD_PACKETS, mark_point)
-            return spec
-
-        ls.largescale_scheme = patched
-        try:
-            return run_fct_point("pmsb", "dwrr", 0.5, BENCH, seed=1)
-        finally:
-            ls.largescale_scheme = original
-
     def experiment():
-        return {p.value: point(p)
+        return {p.value: run_fct_point("pmsb", "dwrr", 0.5, BENCH, seed=1,
+                                       mark_point=p)
                 for p in (MarkPoint.ENQUEUE, MarkPoint.DEQUEUE)}
 
     rows = run_once(benchmark, experiment)

@@ -10,8 +10,6 @@ suffers), and a wide middle band behaves like the paper's choice.
 
 from conftest import heading, run_once
 
-import repro.experiments.largescale as ls
-from repro.core.pmsb import PmsbMarker
 from repro.experiments.largescale import run_fct_point
 from repro.experiments.scale import BENCH
 from repro.metrics.fct import SizeClass
@@ -19,25 +17,11 @@ from repro.metrics.fct import SizeClass
 THRESHOLDS = (4, 8, 12, 24, 48, 96)
 
 
-def _point_at(threshold):
-    original = ls.largescale_scheme
-
-    def patched(name, *args, **kwargs):
-        spec = original(name, *args, **kwargs)
-        if name == "pmsb":
-            spec.marker_factory = lambda: PmsbMarker(float(threshold))
-        return spec
-
-    ls.largescale_scheme = patched
-    try:
-        return run_fct_point("pmsb", "dwrr", 0.5, BENCH, seed=1)
-    finally:
-        ls.largescale_scheme = original
-
-
 def test_port_threshold_sweep(benchmark):
-    rows = run_once(benchmark,
-                    lambda: {k: _point_at(k) for k in THRESHOLDS})
+    rows = run_once(benchmark, lambda: {
+        k: run_fct_point("pmsb", "dwrr", 0.5, BENCH, seed=1,
+                         port_threshold_packets=float(k))
+        for k in THRESHOLDS})
     heading("AB5 — PMSB port threshold sweep (DWRR, load 0.5; "
             "Theorem IV.1 bound ~5.5 pkts for this fabric)")
     print(f"{'K (pkts)':>8s} {'overall':>9s} {'lg avg':>9s} "

@@ -3,15 +3,18 @@
 Not a paper artifact: guards the opt-in contract of
 :mod:`repro.sim.audit`.  With no auditor constructed the datapath must
 carry **zero** audit hooks — structurally verified below, which is what
-actually pins the disabled-path cost to nothing — and a timed
-comparison of the same incast with and without auditing documents the
-price of running audited (informational) while asserting the disabled
-path stays within noise of the pre-audit baseline.
+actually pins the disabled-path cost to nothing — and an audited run
+leaves no hook behind: a later unaudited run makes exactly as many
+Python calls.  A timed comparison documents the price of auditing.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
-from conftest import heading
+from conftest import heading, run_once
 
 from repro.core.pmsb import PmsbMarker
 from repro.net.topology import TopologySpec
@@ -68,11 +71,45 @@ def test_audited_run_same_schedule(benchmark):
     assert plain == audited
 
 
-def test_disabled_overhead_within_noise(benchmark):
-    """Timed half of the contract: min-of-N disabled runs stay within
-    noise of each other whether or not the audit module was ever
-    exercised in the process (there is no globally installed hook to
-    pay for).  The audited/disabled ratio is printed for the record."""
+#: One unaudited run's Python calls, counted before and after one
+#: audited run in a fresh interpreter (this file's other tests build
+#: auditors, and a hook installed once would already be in the count).
+_COUNT_CALLS = """
+import sys
+from bench_audit_overhead import _run
+
+def calls():
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    _run(False)
+    sys.setprofile(None)
+    return events.count("call")
+
+_run(False)  # the first run pays for lazy imports; not counted
+before = calls()
+_run(True)
+print(before, calls())
+"""
+
+
+def test_audited_run_leaves_no_hook(benchmark):
+    """Exact half of the contract: a class-level wrapper installed by an
+    auditor would add Python calls to every later unaudited run."""
+    out = run_once(benchmark, lambda: subprocess.run(
+        [sys.executable, "-c", _COUNT_CALLS], cwd=Path(__file__).parent,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True, check=True, timeout=300).stdout)
+    before, after = map(int, out.split())
+    heading("Audit overhead — unaudited calls before/after an audited run")
+    print(f"python calls before {before}, after {after}")
+    assert before == after
+
+
+def test_audited_cost_factor(benchmark):
+    """Timed half, for the record: min-of-3 disabled runs bracket
+    min-of-3 audited runs.  Host load moves the disabled-vs-disabled
+    spread, so it is printed, not asserted (the call count above is the
+    exact check)."""
     def timed(audit: bool, repeats: int = 3) -> float:
         best = float("inf")
         for _ in range(repeats):
@@ -94,9 +131,5 @@ def test_disabled_overhead_within_noise(benchmark):
     print(f"disabled {min(plain_a, plain_b) * 1e3:.1f} ms | "
           f"audited {audited * 1e3:.1f} ms ({ratio:.2f}x) | "
           f"disabled-vs-disabled spread {spread * 100:.1f}%")
-    # The two disabled measurements bracket machine noise; they must
-    # agree far more tightly than any real hook overhead would allow.
-    # Generous bound: interleaved min-of-3 runs on a loaded CI box.
-    assert spread < 0.35
     # Audited runs do real work per event; just sanity-bound the factor.
     assert ratio < 25.0

@@ -10,43 +10,23 @@ throughput, and PMSB dominates both at once.
 
 from conftest import heading, run_once
 
-import repro.experiments.largescale as ls
-from repro.ecn.per_queue import (PerQueueMarker, fractional_thresholds,
-                                 standard_thresholds)
-from repro.experiments.largescale import N_SERVICES, run_fct_point
+from repro.experiments.largescale import run_fct_point
 from repro.experiments.scale import BENCH
 from repro.metrics.fct import SizeClass
 
-BASELINES = {
-    "per-queue-std": lambda: PerQueueMarker(
-        standard_thresholds(N_SERVICES, 65.0)),
-    "per-queue-frac": lambda: PerQueueMarker(
-        fractional_thresholds([1.0] * N_SERVICES, 65.0)),
+#: Row label → scheme registry name; at the fabric's 8 queues the two
+#: baselines use the §VI-B standard threshold of 65 packets.
+SCHEMES = {
+    "PMSB": "pmsb",
+    "per-queue-std": "per-queue-standard",
+    "per-queue-frac": "per-queue-fractional",
 }
-
-
-def _point_with(marker_factory):
-    original = ls.largescale_scheme
-
-    def patched(name, *args, **kwargs):
-        spec = original(name, *args, **kwargs)
-        if marker_factory is not None and name == "pmsb":
-            spec.marker_factory = marker_factory
-        return spec
-
-    ls.largescale_scheme = patched
-    try:
-        return run_fct_point("pmsb", "dwrr", 0.5, BENCH, seed=1)
-    finally:
-        ls.largescale_scheme = original
 
 
 def test_naive_baselines_at_scale(benchmark):
     def experiment():
-        rows = {"PMSB": _point_with(None)}
-        for label, factory in BASELINES.items():
-            rows[label] = _point_with(factory)
-        return rows
+        return {label: run_fct_point(name, "dwrr", 0.5, BENCH, seed=1)
+                for label, name in SCHEMES.items()}
 
     rows = run_once(benchmark, experiment)
     heading("E-NAIVE — commodity per-queue baselines vs PMSB "

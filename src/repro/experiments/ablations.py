@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..metrics.stats import summarize
+from ..metrics.throughput import fair_share_error
 from ..store.spec import RunConfig
 from ..scheduling.dwrr import DwrrScheduler
 from .scenario import incast_flows, make_scheme, run_incast
@@ -38,11 +39,7 @@ class AblationRow:
 
     @property
     def fair_share_error(self) -> float:
-        total = self.queue1_gbps + self.queue2_gbps
-        if total == 0:
-            return 0.0
-        fair = total / 2.0
-        return abs(self.queue1_gbps - fair) / fair
+        return fair_share_error(self.queue1_gbps, self.queue2_gbps)
 
 
 def blindness_aggressiveness(

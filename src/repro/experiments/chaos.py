@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
+from ..metrics.throughput import fair_share_error
 from ..scheduling.dwrr import DwrrScheduler
 from ..store.spec import RunConfig
 from .families import ChaosFctRow, chaos_faults, sorted_drops
@@ -78,14 +79,12 @@ def _incast_under_loss(
         fault_seed=fault_seed,
     )
     q1, q2 = result.queue_gbps[0], result.queue_gbps[1]
-    total = q1 + q2
-    fair = total / 2.0
-    error = abs(q1 - fair) / fair if total else 0.0
     drops = (sorted_drops(result.chaos.stats()["drops"])
              if result.chaos is not None else {})
     return ChaosVictimRow(
         scheme=result.scheme, model=model, loss_rate=loss_rate,
-        queue1_gbps=q1, queue2_gbps=q2, fair_share_error=error,
+        queue1_gbps=q1, queue2_gbps=q2,
+        fair_share_error=fair_share_error(q1, q2),
         drops=drops,
     )
 

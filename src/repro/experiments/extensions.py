@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core.pmsb_endhost import RttEcnFilter
 from ..ecn.service_pool import ServicePoolMarker
-from ..metrics.throughput import ThroughputMeter
+from ..metrics.throughput import ThroughputMeter, fair_share_error
 from ..net.host import Host
 from ..net.link import Link
 from ..net.port import Port
@@ -41,7 +41,8 @@ from ..transport.base import DctcpConfig
 from ..transport.endpoints import open_flow
 from ..transport.flow import Flow
 from .families import IncastRow
-from .scenario import Scenario, incast_flows, make_scheme, run_scenario
+from .scenario import (Scenario, SchemeSpec, incast_flows, make_scheme,
+                       run_scenario)
 
 __all__ = ["PoolVictimResult", "service_pool_victim",
            "CoexistenceResult", "pmsbe_coexistence",
@@ -111,10 +112,33 @@ def _dual_port_network(
     return network
 
 
-def _attach_auditor(sim: Simulator,
-                    audit: Optional[bool]) -> Optional[FabricAuditor]:
-    """Shared opt-in audit wiring for the extension builders."""
-    return FabricAuditor(sim) if audit else None
+def _victim_incast(scheme: SchemeSpec, open_one: Callable[[Network, Flow], Any],
+                   flows_queue2: int, link_rate: float,
+                   config: Optional[RunConfig]) -> Tuple[List[Any], float, float]:
+    """The Fig. 3 layout on one DWRR bottleneck marked by ``scheme``'s
+    marker: one queue-0 victim and ``flows_queue2`` queue-1 flows, each
+    opened by ``open_one(network, flow)``, for ``config.duration``
+    (default 0.03 s).  Returns the handles and the two queues'
+    post-warmup Gbps, the victim's first."""
+    config = config or RunConfig()
+    duration = config.duration if config.duration is not None else 0.03
+    sim = Simulator()
+    auditor = FabricAuditor(sim) if config.audit else None
+    network = TopologySpec(preset="single-bottleneck").build(
+        sim, lambda: DwrrScheduler(2), scheme.marker_factory,
+        default_senders=1 + flows_queue2, link_rate=link_rate,
+    )
+    if auditor is not None:
+        auditor.attach_network(network)
+    meter = ThroughputMeter(sim, bin_width=1e-3)
+    network.observed_ports("bottleneck")[0].observe(meter)
+    handles = [open_one(network, flow)
+               for flow in incast_flows([1, flows_queue2])]
+    sim.run(until=duration)
+    if auditor is not None:
+        auditor.verify_fabric()
+    return (handles, meter.average_bps(0, duration / 3, duration) / 1e9,
+            meter.average_bps(1, duration / 3, duration) / 1e9)
 
 
 def service_pool_victim(
@@ -134,7 +158,7 @@ def service_pool_victim(
     duration = config.duration if config.duration is not None else 0.03
     audit = config.audit
     sim = Simulator()
-    auditor = _attach_auditor(sim, audit)
+    auditor = FabricAuditor(sim) if audit else None
     # Complete sharing over the two members' 1000-packet buffers: the
     # capacity never binds, only the pool-level marking threshold acts.
     pool = SharedBuffer(2000, name="service-pool")
@@ -186,11 +210,7 @@ class CoexistenceResult:
 
     @property
     def fair_share_error(self) -> float:
-        total = self.victim_gbps + self.others_gbps
-        if total == 0:
-            return 0.0
-        fair = total / 2.0
-        return abs(self.victim_gbps - fair) / fair
+        return fair_share_error(self.victim_gbps, self.others_gbps)
 
 
 def pmsbe_coexistence(
@@ -208,44 +228,19 @@ def pmsbe_coexistence(
     Fig. 3 baseline; with ``True`` the lone upgraded sender should
     reclaim its 5 Gbps share while queue 2 still converges to its own.
     """
-    from ..ecn.per_port import PerPortMarker
-
-    config = config or RunConfig()
-    duration = config.duration if config.duration is not None else 0.03
-    audit = config.audit
-
-    sim = Simulator()
-    auditor = _attach_auditor(sim, audit)
-    network = TopologySpec(preset="single-bottleneck").build(
-        sim, lambda: DwrrScheduler(2),
-        lambda: PerPortMarker(port_threshold),
-        default_senders=1 + flows_queue2, link_rate=link_rate,
-    )
-    if auditor is not None:
-        auditor.attach_network(network)
-    meter = ThroughputMeter(sim, bin_width=1e-3)
-    network.observed_ports("bottleneck")[0].observe(meter)
-
-    flows = incast_flows([1, flows_queue2])
-    handles = []
-    for flow in flows:
+    def open_one(network: Network, flow: Flow):
         if flow.service == 0 and victim_upgraded:
-            transport = DctcpConfig(
-                ecn_filter_factory=lambda: RttEcnFilter(rtt_threshold)
-            )
-        else:
-            transport = DctcpConfig()
-        handles.append(open_flow(network, flow, transport))
-    sim.run(until=duration)
-    if auditor is not None:
-        auditor.verify_fabric()
+            return open_flow(network, flow, DctcpConfig(
+                ecn_filter_factory=lambda: RttEcnFilter(rtt_threshold)))
+        return open_flow(network, flow, DctcpConfig())
 
-    victim_sender = handles[0].sender
-    filtered = getattr(victim_sender.ecn_filter, "marks_ignored", 0)
+    handles, victim_gbps, others_gbps = _victim_incast(
+        make_scheme("per-port", port_threshold_packets=port_threshold),
+        open_one, flows_queue2, link_rate, config)
     return CoexistenceResult(
-        victim_gbps=meter.average_bps(0, duration / 3, duration) / 1e9,
-        others_gbps=meter.average_bps(1, duration / 3, duration) / 1e9,
-        victim_filtered_marks=filtered,
+        victim_gbps=victim_gbps, others_gbps=others_gbps,
+        victim_filtered_marks=getattr(handles[0].sender.ecn_filter,
+                                      "marks_ignored", 0),
     )
 
 
@@ -317,7 +312,7 @@ def microburst_absorption(
 
     n_senders = n_hog_flows + burst_fanin
     network = _dual_port_network(sim, n_senders, output_port, link_rate)
-    auditor = _attach_auditor(sim, audit)
+    auditor = FabricAuditor(sim) if audit else None
     if auditor is not None:
         auditor.attach_network(network)
     receiver_a = n_senders
@@ -379,11 +374,7 @@ class TransportVictimResult:
 
     @property
     def fair_share_error(self) -> float:
-        total = self.victim_gbps + self.others_gbps
-        if total == 0:
-            return 0.0
-        fair = total / 2.0
-        return abs(self.victim_gbps - fair) / fair
+        return fair_share_error(self.victim_gbps, self.others_gbps)
 
 
 def transport_agnostic_victim(
@@ -401,47 +392,20 @@ def transport_agnostic_victim(
     (DCTCP) or by cutting a pacing rate (DCQCN).  ``transport`` is
     "dctcp" or "dcqcn"; ``marker`` is "pmsb" or "per-port".
     """
-    from ..core.pmsb import PmsbMarker
-    from ..ecn.per_port import PerPortMarker
     from ..transport.dcqcn import open_dcqcn_flow
 
-    config = config or RunConfig()
-    duration = config.duration if config.duration is not None else 0.03
-    audit = config.audit
-
-    if marker == "pmsb":
-        marker_factory = lambda: PmsbMarker(port_threshold)  # noqa: E731
-    elif marker == "per-port":
-        marker_factory = lambda: PerPortMarker(port_threshold)  # noqa: E731
-    else:
+    if marker not in ("pmsb", "per-port"):
         raise ValueError(f"unknown marker {marker!r}")
     if transport not in ("dctcp", "dcqcn"):
         raise ValueError(f"unknown transport {transport!r}")
-
-    sim = Simulator()
-    auditor = _attach_auditor(sim, audit)
-    network = TopologySpec(preset="single-bottleneck").build(
-        sim, lambda: DwrrScheduler(2), marker_factory,
-        default_senders=1 + flows_queue2, link_rate=link_rate,
-    )
-    if auditor is not None:
-        auditor.attach_network(network)
-    meter = ThroughputMeter(sim, bin_width=1e-3)
-    network.observed_ports("bottleneck")[0].observe(meter)
-    for flow in incast_flows([1, flows_queue2]):
-        if transport == "dcqcn":
-            open_dcqcn_flow(network, flow)
-        else:
-            open_flow(network, flow, DctcpConfig())
-    sim.run(until=duration)
-    if auditor is not None:
-        auditor.verify_fabric()
-    return TransportVictimResult(
-        transport=transport,
-        marker=marker,
-        victim_gbps=meter.average_bps(0, duration / 3, duration) / 1e9,
-        others_gbps=meter.average_bps(1, duration / 3, duration) / 1e9,
-    )
+    _, victim_gbps, others_gbps = _victim_incast(
+        make_scheme(marker, port_threshold_packets=port_threshold),
+        open_dcqcn_flow if transport == "dcqcn"
+        else lambda network, flow: open_flow(network, flow, DctcpConfig()),
+        flows_queue2, link_rate, config)
+    return TransportVictimResult(transport=transport, marker=marker,
+                                 victim_gbps=victim_gbps,
+                                 others_gbps=others_gbps)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +435,7 @@ def incast_fanin_scenario(
 
     scheme = make_scheme(scheme_name, link_rate=link_rate, n_queues=2)
     sim = Simulator()
-    auditor = _attach_auditor(sim, audit)
+    auditor = FabricAuditor(sim) if audit else None
     network = TopologySpec(preset="single-bottleneck").build(
         sim, lambda: DwrrScheduler(2), scheme.marker_factory,
         default_senders=fanin, link_rate=link_rate,

@@ -13,7 +13,8 @@ Scheme parameters follow §VI-B: PMSB/PMSB(e) port threshold 12 packets
 (from Theorem IV.1), PMSB(e) RTT threshold 85.2 µs, MQ-ECN standard
 threshold 65 packets, TCN threshold 78.2 µs; PMSB, PMSB(e) and MQ-ECN
 mark at enqueue, TCN at dequeue.  MQ-ECN is automatically excluded under
-WFQ (it raises — no round concept), matching the paper.
+WFQ (it raises — no round concept), matching the paper.  The mark point
+and the port threshold are arguments here (AB4 and AB5 vary them).
 
 This module simulates one point (:func:`run_fct_point`); the row, the
 point identity and the sweep are the
@@ -25,6 +26,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
+from ..ecn.base import MarkPoint
 from ..metrics.fct import FctCollector, SizeClass
 from ..net.sharedbuf import SharedBufferSpec
 from ..net.topology import DEFAULT_LINK_DELAY, TopologySpec
@@ -63,9 +65,12 @@ def fabric_base_rtt(link_rate: float, hops: int = 4,
     return data_path + ack_path
 
 
-def largescale_scheme(name: str, link_rate: float = 10e9,
-                      base_rtt_hops: int = 4,
-                      link_delay: float = DEFAULT_LINK_DELAY) -> SchemeSpec:
+def largescale_scheme(
+    name: str, link_rate: float = 10e9, base_rtt_hops: int = 4,
+    link_delay: float = DEFAULT_LINK_DELAY,
+    mark_point: MarkPoint = MarkPoint.ENQUEUE,
+    port_threshold_packets: float = PORT_THRESHOLD_PACKETS,
+) -> SchemeSpec:
     """The §VI-B parameterization of one scheme.
 
     The paper's absolute numbers (PMSB(e) RTT threshold 85.2 µs, TCN
@@ -77,25 +82,29 @@ def largescale_scheme(name: str, link_rate: float = 10e9,
     """
     base_rtt = fabric_base_rtt(link_rate, hops=base_rtt_hops,
                                link_delay=link_delay)
-    port_drain = PORT_THRESHOLD_PACKETS * 1500 * 8.0 / link_rate
+    port_drain = port_threshold_packets * 1500 * 8.0 / link_rate
     return make_scheme(
         name,
         link_rate=link_rate,
         n_queues=N_SERVICES,
-        port_threshold_packets=PORT_THRESHOLD_PACKETS,
+        port_threshold_packets=port_threshold_packets,
         standard_threshold_packets=65.0,
         rtt_threshold=base_rtt + port_drain,
+        mark_point=mark_point,
     )
 
 
-def fabric_scheme(name: str, topo: TopologySpec,
-                  profile: ScaleProfile) -> SchemeSpec:
+def fabric_scheme(name: str, topo: TopologySpec, profile: ScaleProfile,
+                  mark_point: MarkPoint = MarkPoint.ENQUEUE,
+                  port_threshold_packets: float = PORT_THRESHOLD_PACKETS,
+                  ) -> SchemeSpec:
     """:func:`largescale_scheme` for the fabric ``topo`` builds under
     ``profile``: the link rate and delay the build uses (explicit spec
     fields win over the profile's rate and the default hop delay) and
     the fabric's longest path."""
     link_rate, link_delay = topo.physics(profile.link_rate)
-    return largescale_scheme(name, link_rate, topo.base_rtt_hops, link_delay)
+    return largescale_scheme(name, link_rate, topo.base_rtt_hops, link_delay,
+                             mark_point, port_threshold_packets)
 
 
 def fct_scenario(
@@ -111,11 +120,14 @@ def fct_scenario(
     size_distribution: Optional[SizeDistribution] = None,
     size_scale: Optional[float] = None,
     profile_events: bool = False,
+    mark_point: MarkPoint = MarkPoint.ENQUEUE,
+    port_threshold_packets: float = PORT_THRESHOLD_PACKETS,
 ) -> Scenario:
     """Build one FCT point.  :func:`run_fct_point` resolves defaults
     before calling this; the scenario finalizes to a dict holding the
     :class:`FctRow` and the run's fault and profiler reports."""
-    scheme = fabric_scheme(scheme_name, topo, profile)
+    scheme = fabric_scheme(scheme_name, topo, profile, mark_point,
+                           port_threshold_packets)
     rng = make_rng(seed)
     sim = Simulator()
     auditor = FabricAuditor(sim) if audit else None
@@ -196,6 +208,8 @@ def run_fct_point(
     provenance_out: Optional[Dict[str, Any]] = None,
     faults: Optional[Sequence[FaultSpec]] = None,
     fault_stats_out: Optional[Dict[str, Any]] = None,
+    mark_point: MarkPoint = MarkPoint.ENQUEUE,
+    port_threshold_packets: float = PORT_THRESHOLD_PACKETS,
 ) -> FctRow:
     """Run one load point for one scheme and collect FCT statistics.
 
@@ -219,7 +233,8 @@ def run_fct_point(
     counters for run-store provenance.  ``faults`` injects a chaos
     layer (:mod:`repro.sim.faults`) over the fabric's links, seeded
     from the point's ``seed``; ``fault_stats_out`` receives the
-    per-link drop breakdown afterwards.
+    per-link drop breakdown afterwards.  ``mark_point`` and
+    ``port_threshold_packets`` vary the scheme (:func:`largescale_scheme`).
     """
     config = config or RunConfig()
     if profile is None:
@@ -234,7 +249,8 @@ def run_fct_point(
                 audit=bool(config.audit), fault_specs=tuple(faults or ()),
                 shared_buffer=config.shared_buffer,
                 size_distribution=size_distribution, size_scale=size_scale,
-                profile_events=config.profile_events),
+                profile_events=config.profile_events, mark_point=mark_point,
+                port_threshold_packets=port_threshold_packets),
         provenance_out)
     if fault_stats_out is not None and result["fault_stats"] is not None:
         fault_stats_out.update(result["fault_stats"])

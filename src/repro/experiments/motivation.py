@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from ..metrics.stats import SummaryStats, summarize
+from ..metrics.throughput import fair_share_error
 from ..store.spec import RunConfig
 from ..scheduling.dwrr import DwrrScheduler
 from .scenario import incast_flows, make_scheme, run_incast
@@ -107,11 +108,7 @@ class VictimResult:
     @property
     def fair_share_error(self) -> float:
         """|observed − fair| / fair for queue 1 (equal weights → 50%)."""
-        total = self.queue1_gbps + self.queue2_gbps
-        if total == 0:
-            return 0.0
-        fair = total / 2.0
-        return abs(self.queue1_gbps - fair) / fair
+        return fair_share_error(self.queue1_gbps, self.queue2_gbps)
 
 
 def per_port_victim(

@@ -34,6 +34,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Mapping, Tuple
 
+from ..metrics.throughput import fair_share_error
 from ..net.packet import MTU_BYTES
 from ..store.spec import RunConfig
 from .families import SharedBufRow
@@ -96,9 +97,7 @@ def sharedbuf_point(point: Mapping[str, Any],
 
     victim = incast(incast_flows([1, HOG_FLOWS]))
     q0, q1 = victim.queue_gbps[0], victim.queue_gbps[1]
-    total = q0 + q1
-    fair = total / 2.0
-    victim_err = abs(q0 - fair) / fair if total else 0.0
+    victim_err = fair_share_error(q0, q1)
     victim_drops = victim.network.observed_ports("bottleneck")[0].drops
 
     burst = incast(incast_flows([1, BURST_FLOWS],

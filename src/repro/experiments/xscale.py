@@ -37,7 +37,7 @@ from ..sim.audit import FabricAuditor
 from ..sim.engine import Simulator
 from ..transport.endpoints import open_flow
 from ..transport.flow import Flow
-from ..metrics.throughput import ThroughputMeter
+from ..metrics.throughput import ThroughputMeter, fair_share_error
 from .families import SCALE_LADDER, XScaleRow, spec_text
 from .scenario import Scenario, make_scheme, run_scenario, scheduler_factory
 
@@ -135,15 +135,13 @@ def xscale_scenario(
             auditor.verify_fabric()
         victim_gbps = meter.average_bps(0, warmup, duration) / 1e9
         hogs_gbps = meter.average_bps(1, warmup, duration) / 1e9
-        total = victim_gbps + hogs_gbps
-        fair = total / 2.0
         return XScaleRow(
             scheme=scheme.name, scheduler=scheduler_name,
             topology=spec_text(topo),
             n_hosts=len(network.hosts), n_switches=len(network.switches),
             hogs=hogs, seed=seed,
             victim_gbps=victim_gbps, hogs_gbps=hogs_gbps,
-            victim_err=abs(victim_gbps - fair) / fair if total else 0.0,
+            victim_err=fair_share_error(victim_gbps, hogs_gbps),
             drops=downlink.drops)
 
     return Scenario(sim=sim, deadline=duration, finalize=finalize)

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .slowdown import ideal_fct, slowdown_summary, slowdowns
     from .stats import (SummaryStats, bootstrap_ci, empirical_cdf, percentile,
                         summarize)
-    from .throughput import ThroughputMeter
+    from .throughput import ThroughputMeter, fair_share_error
 
 _EXPORTS = {
     ".export": (
@@ -42,7 +42,7 @@ _EXPORTS = {
         "SummaryStats", "bootstrap_ci", "empirical_cdf", "percentile",
         "summarize",
     ),
-    ".throughput": ("ThroughputMeter",),
+    ".throughput": ("ThroughputMeter", "fair_share_error"),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

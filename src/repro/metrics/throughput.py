@@ -18,7 +18,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..net.packet import Packet
     from ..net.port import Port
 
-__all__ = ["ThroughputMeter"]
+__all__ = ["ThroughputMeter", "fair_share_error"]
+
+
+def fair_share_error(victim_gbps: float, other_gbps: float) -> float:
+    """The Fig. 3 metric: |victim − fair| / fair with ``fair`` the
+    equal-weight share (half the total); 0.0 when nothing was carried."""
+    total = victim_gbps + other_gbps
+    if total == 0:
+        return 0.0
+    fair = total / 2.0
+    return abs(victim_gbps - fair) / fair
 
 
 class ThroughputMeter:

@@ -137,10 +137,6 @@ class DctcpSender:
         """Unacknowledged packets currently outstanding."""
         return self.next_seq - self.snd_una
 
-    @property
-    def bytes_acked(self) -> int:
-        return self.snd_una * self.config.mss_bytes
-
     def stop(self) -> None:
         """Abort the flow (long-lived flows at scenario teardown)."""
         self.completed = True

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.ecn.base import MarkPoint
 from repro.experiments import (ablations, analysis_validation, largescale,
                                marking_point, motivation, static_flows)
 from repro.experiments.families import FCT, fct_point_spec, reduction_percent
@@ -237,6 +238,66 @@ class TestFabricThresholds:
             "pmsb", "dwrr", 0.5, TINY, 1,
             topology=TopologySpec.parse("leaf-spine:link_rate=40e9"))
         assert dict(fast.params)["arrivals"] == "fabric-rate"
+
+
+class TestSchemeVariations:
+    """AB4, AB5 and X8 vary the FCT point's scheme by argument: the mark
+    point and port threshold reach the marker, and the per-queue
+    baselines are registry names."""
+
+    def test_mark_point_reaches_the_marker(self):
+        from repro.core.pmsb import PmsbMarker
+        from repro.net.topology import TopologySpec
+        marker = largescale.fabric_scheme(
+            "pmsb", TopologySpec(), TINY,
+            mark_point=MarkPoint.DEQUEUE).marker_factory()
+        assert isinstance(marker, PmsbMarker)
+        assert marker.mark_point is MarkPoint.DEQUEUE
+        assert marker.port_threshold_packets == largescale.PORT_THRESHOLD_PACKETS
+
+    def test_port_threshold_reaches_the_marker_and_the_filter(self):
+        from repro.core.pmsb import PmsbMarker
+        from repro.net.topology import TopologySpec
+        marker = largescale.fabric_scheme(
+            "pmsb", TopologySpec(), TINY,
+            port_threshold_packets=24.0).marker_factory()
+        assert isinstance(marker, PmsbMarker)
+        assert marker.port_threshold_packets == 24.0
+        assert marker.mark_point is MarkPoint.ENQUEUE
+        # PMSB(e)'s RTT threshold is one port threshold's drain above
+        # the base RTT, so it moves with the port threshold.
+        def rtt(k):
+            return largescale.fabric_scheme(
+                "pmsb-e", TopologySpec(), TINY,
+                port_threshold_packets=k).ecn_filter_factory().rtt_threshold
+        assert rtt(24.0) - rtt(12.0) == pytest.approx(
+            12 * 1500 * 8 / TINY.link_rate)
+
+    def test_per_queue_baselines_by_name(self):
+        from repro.ecn.per_queue import (PerQueueMarker, fractional_thresholds,
+                                         standard_thresholds)
+        from repro.net.topology import TopologySpec
+        expected = {
+            "per-queue-standard": standard_thresholds(8, 65.0),
+            "per-queue-fractional": fractional_thresholds([1.0] * 8, 65.0),
+        }
+        for name, thresholds in expected.items():
+            marker = largescale.fabric_scheme(
+                name, TopologySpec(), TINY).marker_factory()
+            assert isinstance(marker, PerQueueMarker)
+            assert marker.thresholds() == {
+                "queue_thresholds": tuple(thresholds)}
+
+    @pytest.mark.parametrize("scheme, variation", [
+        ("pmsb", {"mark_point": MarkPoint.DEQUEUE}),
+        ("pmsb", {"port_threshold_packets": 24.0}),
+        ("per-queue-standard", {}),
+        ("per-queue-fractional", {}),
+    ], ids=["dequeue", "threshold-24", "per-queue-std", "per-queue-frac"])
+    def test_each_variation_completes_at_tiny(self, scheme, variation):
+        row = largescale.run_fct_point(scheme, "dwrr", 0.5, TINY, seed=1,
+                                       **variation)
+        assert row.completed == row.n_flows
 
 
 class TestAnalysisValidation:

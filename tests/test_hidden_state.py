@@ -6,8 +6,11 @@ may hold exactly two, neither of them configuration; the
 ``set_*_default()`` switches this guard replaced must not come back
 under any name of that shape.  A module-level ``itertools.count()`` is
 the same leak without the statement: the ids it hands out depend on how
-many were drawn before, and ECMP hashes flow ids.  Static (an AST walk,
-no imports), so it runs in CI's fast step beside
+many were drawn before, and ECMP hashes flow ids.  A caller that
+assigns to an attribute of a ``repro`` module (``ls.largescale_scheme
+= patched``) makes a variation that no signature shows; benchmarks,
+examples and scripts pass their variations as arguments instead.
+Static (an AST walk, no imports), so it runs in CI's fast step beside
 ``tests/test_import_graph.py``.
 """
 
@@ -17,7 +20,11 @@ import ast
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+
+#: Directories of callers, whose files must not patch ``repro`` modules.
+CALLER_DIRS = ("benchmarks", "examples", "scripts")
 
 #: ``file::name`` of every module global a function may rebind.
 ALLOWED_GLOBALS = {
@@ -87,3 +94,65 @@ def test_every_flow_in_src_is_given_its_id():
                   and node.func.id == "Flow"
                   and "flow_id" not in {kw.arg for kw in node.keywords}]
     assert unnumbered == []
+
+
+def _is_repro_module(dotted: str) -> bool:
+    parts = dotted.split(".")
+    if parts[0] != "repro":
+        return False
+    path = SRC.joinpath(*parts[1:])
+    return (path / "__init__.py").exists() or path.with_suffix(".py").exists()
+
+
+def _module_aliases(tree) -> dict:
+    """Local name -> dotted ``repro`` module, for every import in ``tree``
+    (function-local ones included) that binds a module."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is not None:
+                    aliases[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".")[0]
+                    aliases[root] = root
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return {name: dotted for name, dotted in aliases.items()
+            if _is_repro_module(dotted)}
+
+
+def _names_repro_module(owner, aliases) -> bool:
+    """Whether the expression ``owner`` is a ``repro`` module."""
+    head, _, rest = ast.unparse(owner).partition(".")
+    return head in aliases and _is_repro_module(
+        aliases[head] + ("." + rest if rest else ""))
+
+
+def _module_patches(path: Path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = _module_aliases(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        owners = [t.value for t in targets if isinstance(t, ast.Attribute)]
+        if (isinstance(node, ast.Call) and node.args
+                and ast.unparse(node.func).endswith("setattr")):
+            # setattr(mod, "name", v) / monkeypatch.setattr(mod, "name", v)
+            owners.append(node.args[0])
+        if any(_names_repro_module(owner, aliases) for owner in owners):
+            yield f"{path.relative_to(ROOT).as_posix()}:{node.lineno}"
+
+
+def test_callers_do_not_patch_repro_modules():
+    """A variation is an argument: no benchmark, example or script
+    assigns to an attribute of a ``repro`` module it imported."""
+    patches = [hit for directory in CALLER_DIRS
+               for path in sorted((ROOT / directory).rglob("*.py"))
+               for hit in _module_patches(path)]
+    assert patches == []
